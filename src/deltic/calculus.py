@@ -18,7 +18,7 @@ from typing import Any, Callable, Iterable, Optional
 from .core import (
     ConformanceError, DelticError, Left, Right, Shape, SupportError,
     TCont, TProd, TSum, UsageError,
-    add_values, check_value, default_value, plus_capable,
+    add_fn, check_value, default_value, plus_capable,
 )
 from .serialize import index_from_json, index_to_json, shape_to_text, type_from_text, type_to_text
 
@@ -492,8 +492,8 @@ def _compile(tt: TypedTerm):
         case Snd():
             return lambda xy: xy[1]
         case Plus():
-            ty = tt.out_ty
-            return lambda xy: add_values(ty, xy[0], xy[1])
+            add = add_fn(tt.out_ty)
+            return lambda xy: add(xy[0], xy[1])
         case Cst(_, value):
             return lambda _x: value
         case Map():

@@ -71,10 +71,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_incr(args) -> int:
-    from .core import apply_change, values_equal
+    from .core import apply_fn, values_equal
     bundle, prog, tt = _load_program(args.program)
     v = _read_input(args.input, tt.in_ty, args.document)
     machine = incr.incrementalize(tt)
+    ap_in, ap_out = apply_fn(tt.in_ty), apply_fn(tt.out_ty)
     y, cache = machine.init(v)
     print(value_to_text(tt.out_ty, y))
     with open(args.changes, encoding="utf-8") as fh:
@@ -89,8 +90,8 @@ def cmd_incr(args) -> int:
             dy, cache = machine.step(d, cache)
             print(change_to_text(tt.out_ty, dy))
             if args.verify:
-                v = apply_change(tt.in_ty, v, d)
-                y = apply_change(tt.out_ty, y, dy)
+                v = ap_in(v, d)
+                y = ap_out(y, dy)
     if args.verify:
         batch = ca.denote(tt, v)
         if not values_equal(tt.out_ty, y, batch, args.tolerance):

@@ -10,6 +10,7 @@ entry equals the elementwise default), which is what makes change maps cheap.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -34,98 +35,34 @@ class SupportError(DelticError):
 # Sum values and sum changes
 # ---------------------------------------------------------------------------
 
-class Left:
-    __slots__ = ("value",)
+def _sum_class(name, field, doc):
+    """One payload slot; equal only to the same class with an equal payload.
 
-    def __init__(self, value):
-        self.value = value
+    Unhashable, because payloads may be dicts.  Every sum value and sum change
+    class below comes from here, so they differ only in name and slot.
+    """
+    get = operator.attrgetter(field)
 
-    def __eq__(self, other):
-        return type(other) is Left and other.value == self.value
-
-    def __repr__(self):
-        return f"Left({self.value!r})"
-
-    __hash__ = None
-
-
-class Right:
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
+    def __init__(self, payload):
+        setattr(self, field, payload)
 
     def __eq__(self, other):
-        return type(other) is Right and other.value == self.value
+        return type(other) is cls and get(other) == get(self)
 
     def __repr__(self):
-        return f"Right({self.value!r})"
+        return f"{name}({get(self)!r})"
 
-    __hash__ = None
-
-
-class Cl:
-    """Change inside the left branch of a sum."""
-    __slots__ = ("change",)
-
-    def __init__(self, change):
-        self.change = change
-
-    def __eq__(self, other):
-        return type(other) is Cl and other.change == self.change
-
-    def __repr__(self):
-        return f"Cl({self.change!r})"
-
-    __hash__ = None
+    cls = type(name, (), {"__slots__": (field,), "__doc__": doc, "__hash__": None,
+                          "__init__": __init__, "__eq__": __eq__, "__repr__": __repr__})
+    return cls
 
 
-class Cr:
-    """Change inside the right branch of a sum."""
-    __slots__ = ("change",)
-
-    def __init__(self, change):
-        self.change = change
-
-    def __eq__(self, other):
-        return type(other) is Cr and other.change == self.change
-
-    def __repr__(self):
-        return f"Cr({self.change!r})"
-
-    __hash__ = None
-
-
-class Sl:
-    """Replace the whole sum value with a new left value."""
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __eq__(self, other):
-        return type(other) is Sl and other.value == self.value
-
-    def __repr__(self):
-        return f"Sl({self.value!r})"
-
-    __hash__ = None
-
-
-class Sr:
-    """Replace the whole sum value with a new right value."""
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __eq__(self, other):
-        return type(other) is Sr and other.value == self.value
-
-    def __repr__(self):
-        return f"Sr({self.value!r})"
-
-    __hash__ = None
+Left = _sum_class("Left", "value", "Sum value in the left branch.")
+Right = _sum_class("Right", "value", "Sum value in the right branch.")
+Cl = _sum_class("Cl", "change", "Change inside the left branch of a sum.")
+Cr = _sum_class("Cr", "change", "Change inside the right branch of a sum.")
+Sl = _sum_class("Sl", "value", "Replace the whole sum value with a new left value.")
+Sr = _sum_class("Sr", "value", "Replace the whole sum value with a new right value.")
 
 
 class _SumNull:
@@ -361,306 +298,17 @@ def nil_change(ty):
             raise UsageError(f"not a type: {ty!r}")
 
 
-def is_nil(ty, d) -> bool:
-    """Structural comparison against the canonical nil (cl(0) is not nil)."""
-    match ty:
-        case TBase(base):
-            return d == base.nil if base.nil is not KEEP else d is KEEP
-        case TCont():
-            return len(d) == 0
-        case TProd(a, b):
-            return is_nil(a, d[0]) and is_nil(b, d[1])
-        case TSum():
-            return d is SUM_NULL
-        case _:
-            raise UsageError(f"not a type: {ty!r}")
-
-
 # ---------------------------------------------------------------------------
-# ⊕ / ⊖ on arbitrary object types
+# ⊕ / ⊖ / nil test / ⊕-add on arbitrary object types
 # ---------------------------------------------------------------------------
 
-def apply_change(ty, v, d):
-    """v ⊕ d.  Result is canonical-sparse; inputs are never mutated."""
-    match ty:
-        case TBase(base):
-            return base.apply(v, d)
-        case TCont(_, elem):
-            if not d:
-                return v
-            out = dict(v)
-            dft = default_value(elem)
-            for i, di in d.items():
-                nv = apply_change(elem, out.get(i, dft), di)
-                if nv == dft:
-                    out.pop(i, None)
-                else:
-                    out[i] = nv
-            return out
-        case TProd(a, b):
-            return (apply_change(a, v[0], d[0]), apply_change(b, v[1], d[1]))
-        case TSum(a, b):
-            if d is SUM_NULL:
-                return v
-            match d:
-                case Cl(change=c):
-                    return Left(apply_change(a, v.value, c)) if type(v) is Left else v
-                case Cr(change=c):
-                    return Right(apply_change(b, v.value, c)) if type(v) is Right else v
-                case Sl(value=x):
-                    return Left(x)
-                case Sr(value=x):
-                    return Right(x)
-            raise ConformanceError(f"bad sum change {d!r}")
-        case _:
-            raise UsageError(f"not a type: {ty!r}")
-
-
-def diff_values(ty, new, old):
-    """new ⊖ old, the change with apply_change(ty, old, result) == new."""
-    match ty:
-        case TBase(base):
-            return base.diff(new, old)
-        case TCont(_, elem):
-            out = {}
-            dft = default_value(elem)
-            for i in new.keys() | old.keys():
-                di = diff_values(elem, new.get(i, dft), old.get(i, dft))
-                if not is_nil(elem, di):
-                    out[i] = di
-            return out
-        case TProd(a, b):
-            return (diff_values(a, new[0], old[0]), diff_values(b, new[1], old[1]))
-        case TSum(a, b):
-            if type(new) is Left and type(old) is Left:
-                return Cl(diff_values(a, new.value, old.value))
-            if type(new) is Right and type(old) is Right:
-                return Cr(diff_values(b, new.value, old.value))
-            if type(new) is Left:
-                return Sl(new.value)
-            return Sr(new.value)
-        case _:
-            raise UsageError(f"not a type: {ty!r}")
-
-
-def add_values(ty, x, y):
-    """x ⊕ y with y read as a change; requires values_are_changes(ty).
-
-    Also serves as ⊕ on changes for Add/BiLin, since over such types the two
-    representations coincide.
-    """
-    match ty:
-        case TBase(base):
-            return base.apply(x, y)
-        case TCont(_, elem):
-            if not y:
-                return x
-            if not x:
-                return y
-            out = dict(x)
-            dft = default_value(elem)
-            for i, yi in y.items():
-                if i in out:
-                    nv = add_values(elem, out[i], yi)
-                    if nv == dft:
-                        del out[i]
-                    else:
-                        out[i] = nv
-                else:
-                    out[i] = yi
-            return out
-        case TProd(a, b):
-            return (add_values(a, x[0], y[0]), add_values(b, x[1], y[1]))
-        case _:
-            raise UsageError(f"⊕ is not a binary operation at {ty!r}")
-
-
-def support(v) -> set:
-    """Stored (non-default) key set of a mapping value."""
-    if not isinstance(v, dict):
-        raise UsageError(f"support of a non-mapping value: {v!r}")
-    return set(v.keys())
-
-
-# ---------------------------------------------------------------------------
-# Conformance and comparison
-# ---------------------------------------------------------------------------
-
-def check_value(ty, v, path="value"):
-    """Raise ConformanceError unless v conforms to ty and is canonical."""
-    match ty:
-        case TBase(base):
-            k = base.kind
-            ok = (
-                (k == "real" and _num_ok(v, (int, float)))
-                or (k == "int" and _num_ok(v, int))
-                or (k == "nat" and _num_ok(v, int) and v >= 0)
-                or (k == "scalar" and (v is None or isinstance(v, (str, int, float))
-                                       and not isinstance(v, bool)))
-            )
-            if not ok:
-                raise ConformanceError(f"{path}: {v!r} is not a {base.tag} scalar")
-        case TCont(shape, elem):
-            if not isinstance(v, dict):
-                raise ConformanceError(f"{path}: expected a mapping, got {v!r}")
-            dft = default_value(elem)
-            for i, ev in v.items():
-                if not shape.valid_index(i):
-                    raise ConformanceError(f"{path}[{i!r}]: invalid index for {shape!r}")
-                check_value(elem, ev, f"{path}[{i!r}]")
-                if ev == dft:
-                    raise ConformanceError(f"{path}[{i!r}]: stored default breaks canonical form")
-        case TProd(a, b):
-            if not (isinstance(v, tuple) and len(v) == 2):
-                raise ConformanceError(f"{path}: expected a pair, got {v!r}")
-            check_value(a, v[0], f"{path}.0")
-            check_value(b, v[1], f"{path}.1")
-        case TSum(a, b):
-            if type(v) is Left:
-                check_value(a, v.value, f"{path}.inl")
-            elif type(v) is Right:
-                check_value(b, v.value, f"{path}.inr")
-            else:
-                raise ConformanceError(f"{path}: expected an injection, got {v!r}")
-        case _:
-            raise UsageError(f"not a type: {ty!r}")
-
-
-def check_change(ty, d, path="change"):
-    match ty:
-        case TBase(base):
-            k = base.kind
-            ok = (
-                (k == "real" and _num_ok(d, (int, float)))
-                or (k in ("int", "nat") and _num_ok(d, int))
-                or (k == "scalar" and (d is KEEP or d is None
-                                       or isinstance(d, (str, int, float))
-                                       and not isinstance(d, bool)))
-            )
-            if not ok:
-                raise ConformanceError(f"{path}: {d!r} is not a {base.tag} change")
-        case TCont(shape, elem):
-            if not isinstance(d, dict):
-                raise ConformanceError(f"{path}: expected a change mapping, got {d!r}")
-            for i, di in d.items():
-                if not shape.valid_index(i):
-                    raise ConformanceError(f"{path}[{i!r}]: invalid index for {shape!r}")
-                check_change(elem, di, f"{path}[{i!r}]")
-                if is_nil(elem, di):
-                    raise ConformanceError(f"{path}[{i!r}]: stored nil breaks canonical form")
-        case TProd(a, b):
-            if not (isinstance(d, tuple) and len(d) == 2):
-                raise ConformanceError(f"{path}: expected a pair change, got {d!r}")
-            check_change(a, d[0], f"{path}.0")
-            check_change(b, d[1], f"{path}.1")
-        case TSum(a, b):
-            if d is SUM_NULL:
-                return
-            match d:
-                case Cl(change=c):
-                    check_change(a, c, f"{path}.cl")
-                case Cr(change=c):
-                    check_change(b, c, f"{path}.cr")
-                case Sl(value=x):
-                    check_value(a, x, f"{path}.sl")
-                case Sr(value=x):
-                    check_value(b, x, f"{path}.sr")
-                case _:
-                    raise ConformanceError(f"{path}: bad sum change {d!r}")
-        case _:
-            raise UsageError(f"not a type: {ty!r}")
-
-
-def _scalar_close(kind, a, b, rel_tol):
-    if kind == "real" and rel_tol:
-        return math.isclose(a, b, rel_tol=rel_tol, abs_tol=rel_tol)
-    return a == b
-
-
-def values_equal(ty, a, b, rel_tol=0.0) -> bool:
-    """Compare values; real scalars with relative tolerance, the rest exactly.
-
-    Mappings compare modulo defaults (absent keys read as ε), so a tolerant
-    comparison is insensitive to float residue left in one side's support.
-    """
-    match ty:
-        case TBase(base):
-            return _scalar_close(base.kind, a, b, rel_tol)
-        case TCont(_, elem):
-            dft = default_value(elem)
-            for i in a.keys() | b.keys():
-                if not values_equal(elem, a.get(i, dft), b.get(i, dft), rel_tol):
-                    return False
-            return True
-        case TProd(l, r):
-            return values_equal(l, a[0], b[0], rel_tol) and values_equal(r, a[1], b[1], rel_tol)
-        case TSum(l, r):
-            if type(a) is not type(b):
-                return False
-            side = l if type(a) is Left else r
-            return values_equal(side, a.value, b.value, rel_tol)
-        case _:
-            raise UsageError(f"not a type: {ty!r}")
-
-
-def changes_equal(ty, a, b, rel_tol=0.0) -> bool:
-    match ty:
-        case TBase(base):
-            if base.kind == "scalar":
-                return a is KEEP and b is KEEP or a == b and a is not KEEP and b is not KEEP
-            return _scalar_close(base.kind, a, b, rel_tol)
-        case TCont(_, elem):
-            nil = nil_change(elem)
-            for i in a.keys() | b.keys():
-                if not changes_equal(elem, a.get(i, nil), b.get(i, nil), rel_tol):
-                    return False
-            return True
-        case TProd(l, r):
-            return changes_equal(l, a[0], b[0], rel_tol) and changes_equal(r, a[1], b[1], rel_tol)
-        case TSum(l, r):
-            if (a is SUM_NULL) != (b is SUM_NULL):
-                return False
-            if a is SUM_NULL:
-                return True
-            if type(a) is not type(b):
-                return False
-            match a:
-                case Cl():
-                    return changes_equal(l, a.change, b.change, rel_tol)
-                case Cr():
-                    return changes_equal(r, a.change, b.change, rel_tol)
-                case Sl():
-                    return values_equal(l, a.value, b.value, rel_tol)
-                case Sr():
-                    return values_equal(r, a.value, b.value, rel_tol)
-        case _:
-            raise UsageError(f"not a type: {ty!r}")
-
-
-def index_sort_key(i):
-    """Total order over mixed index kinds, for canonical serialization."""
-    if isinstance(i, bool):
-        raise UsageError("bool is not an index")
-    if isinstance(i, int):
-        return (0, i)
-    if isinstance(i, (float,)):
-        return (1, i)
-    if isinstance(i, str):
-        return (2, i)
-    if isinstance(i, tuple):
-        return (3, tuple(index_sort_key(x) for x in i))
-    raise UsageError(f"unsupported index: {i!r}")
-
-
-# ---------------------------------------------------------------------------
-# Compiled per-type operation closures
-# ---------------------------------------------------------------------------
-# The recursive match-based dispatch above is the semantics of record; the
-# builders below compile the same operations into per-type closures, which is
-# what machines and inner loops use.  Compiled container closures may hand out
-# shared default substructures, which is safe because values are immutable.
-# The memo tables are benign shared state: entries are idempotent and a
-# duplicate build under concurrent first use is harmless.
+# The closures built here are the single implementation of ⊕, ⊖, the nil test
+# and ⊕-add; the public functions at the end of this section delegate to them.
+# A closure is built once per type and memoised, so machines and inner loops
+# fetch theirs at build time and call it directly.  Container closures share
+# one default substructure across calls, which is safe because values are
+# immutable.  The memo tables are benign shared state: entries are idempotent
+# and a duplicate build under concurrent first use is harmless.
 
 _APPLY_FNS: dict = {}
 _DIFF_FNS: dict = {}
@@ -825,3 +473,170 @@ def add_fn(ty):
     if f is None:
         f = _ADD_FNS[ty] = _build_add_fn(ty)
     return f
+
+
+def is_nil(ty, d) -> bool:
+    """Structural comparison against the canonical nil (cl(0) is not nil)."""
+    return is_nil_fn(ty)(d)
+
+
+def apply_change(ty, v, d):
+    """v ⊕ d.  Result is canonical-sparse; inputs are never mutated."""
+    return apply_fn(ty)(v, d)
+
+
+def diff_values(ty, new, old):
+    """new ⊖ old, the change with apply_change(ty, old, result) == new."""
+    return diff_fn(ty)(new, old)
+
+
+def add_values(ty, x, y):
+    """x ⊕ y with y read as a change; requires values_are_changes(ty).
+
+    Also serves as ⊕ on changes for Add/BiLin, since over such types the two
+    representations coincide.
+    """
+    return add_fn(ty)(x, y)
+
+
+def support(v) -> set:
+    """Stored (non-default) key set of a mapping value."""
+    if not isinstance(v, dict):
+        raise UsageError(f"support of a non-mapping value: {v!r}")
+    return set(v.keys())
+
+
+# ---------------------------------------------------------------------------
+# Conformance and comparison
+# ---------------------------------------------------------------------------
+
+def check_value(ty, v, path="value"):
+    """Raise ConformanceError unless v conforms to ty and is canonical."""
+    match ty:
+        case TBase(base):
+            k = base.kind
+            ok = (
+                (k == "real" and _num_ok(v, (int, float)))
+                or (k == "int" and _num_ok(v, int))
+                or (k == "nat" and _num_ok(v, int) and v >= 0)
+                or (k == "scalar" and (v is None or isinstance(v, (str, int, float))
+                                       and not isinstance(v, bool)))
+            )
+            if not ok:
+                raise ConformanceError(f"{path}: {v!r} is not a {base.tag} scalar")
+        case TCont(shape, elem):
+            if not isinstance(v, dict):
+                raise ConformanceError(f"{path}: expected a mapping, got {v!r}")
+            dft = default_value(elem)
+            for i, ev in v.items():
+                if not shape.valid_index(i):
+                    raise ConformanceError(f"{path}[{i!r}]: invalid index for {shape!r}")
+                check_value(elem, ev, f"{path}[{i!r}]")
+                if ev == dft:
+                    raise ConformanceError(f"{path}[{i!r}]: stored default breaks canonical form")
+        case TProd(a, b):
+            if not (isinstance(v, tuple) and len(v) == 2):
+                raise ConformanceError(f"{path}: expected a pair, got {v!r}")
+            check_value(a, v[0], f"{path}.0")
+            check_value(b, v[1], f"{path}.1")
+        case TSum(a, b):
+            if type(v) is Left:
+                check_value(a, v.value, f"{path}.inl")
+            elif type(v) is Right:
+                check_value(b, v.value, f"{path}.inr")
+            else:
+                raise ConformanceError(f"{path}: expected an injection, got {v!r}")
+        case _:
+            raise UsageError(f"not a type: {ty!r}")
+
+
+def check_change(ty, d, path="change"):
+    match ty:
+        case TBase(base):
+            k = base.kind
+            ok = (
+                (k == "real" and _num_ok(d, (int, float)))
+                or (k in ("int", "nat") and _num_ok(d, int))
+                or (k == "scalar" and (d is KEEP or d is None
+                                       or isinstance(d, (str, int, float))
+                                       and not isinstance(d, bool)))
+            )
+            if not ok:
+                raise ConformanceError(f"{path}: {d!r} is not a {base.tag} change")
+        case TCont(shape, elem):
+            if not isinstance(d, dict):
+                raise ConformanceError(f"{path}: expected a change mapping, got {d!r}")
+            for i, di in d.items():
+                if not shape.valid_index(i):
+                    raise ConformanceError(f"{path}[{i!r}]: invalid index for {shape!r}")
+                check_change(elem, di, f"{path}[{i!r}]")
+                if is_nil(elem, di):
+                    raise ConformanceError(f"{path}[{i!r}]: stored nil breaks canonical form")
+        case TProd(a, b):
+            if not (isinstance(d, tuple) and len(d) == 2):
+                raise ConformanceError(f"{path}: expected a pair change, got {d!r}")
+            check_change(a, d[0], f"{path}.0")
+            check_change(b, d[1], f"{path}.1")
+        case TSum(a, b):
+            if d is SUM_NULL:
+                return
+            match d:
+                case Cl(change=c):
+                    check_change(a, c, f"{path}.cl")
+                case Cr(change=c):
+                    check_change(b, c, f"{path}.cr")
+                case Sl(value=x):
+                    check_value(a, x, f"{path}.sl")
+                case Sr(value=x):
+                    check_value(b, x, f"{path}.sr")
+                case _:
+                    raise ConformanceError(f"{path}: bad sum change {d!r}")
+        case _:
+            raise UsageError(f"not a type: {ty!r}")
+
+
+def _scalar_close(kind, a, b, rel_tol):
+    if kind == "real" and rel_tol:
+        return math.isclose(a, b, rel_tol=rel_tol, abs_tol=rel_tol)
+    return a == b
+
+
+def values_equal(ty, a, b, rel_tol=0.0) -> bool:
+    """Compare values; real scalars with relative tolerance, the rest exactly.
+
+    Mappings compare modulo defaults (absent keys read as ε), so a tolerant
+    comparison is insensitive to float residue left in one side's support.
+    """
+    match ty:
+        case TBase(base):
+            return _scalar_close(base.kind, a, b, rel_tol)
+        case TCont(_, elem):
+            dft = default_value(elem)
+            for i in a.keys() | b.keys():
+                if not values_equal(elem, a.get(i, dft), b.get(i, dft), rel_tol):
+                    return False
+            return True
+        case TProd(l, r):
+            return values_equal(l, a[0], b[0], rel_tol) and values_equal(r, a[1], b[1], rel_tol)
+        case TSum(l, r):
+            if type(a) is not type(b):
+                return False
+            side = l if type(a) is Left else r
+            return values_equal(side, a.value, b.value, rel_tol)
+        case _:
+            raise UsageError(f"not a type: {ty!r}")
+
+
+def index_sort_key(i):
+    """Total order over mixed index kinds, for canonical serialization."""
+    if isinstance(i, bool):
+        raise UsageError("bool is not an index")
+    if isinstance(i, int):
+        return (0, i)
+    if isinstance(i, (float,)):
+        return (1, i)
+    if isinstance(i, str):
+        return (2, i)
+    if isinstance(i, tuple):
+        return (3, tuple(index_sort_key(x) for x in i))
+    raise UsageError(f"unsupported index: {i!r}")

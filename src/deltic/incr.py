@@ -22,9 +22,8 @@ from typing import Any, Callable, Optional
 from . import calculus as ca
 from .core import (
     SUM_NULL, Cl, Cr, Left, Right, Sl, Sr, SupportError, TBase, TCont, TProd, TSum,
-    UsageError, add_fn, add_values, apply_change, apply_fn, default_value,
-    diff_fn, diff_values, is_nil, is_nil_fn, nil_change, plus_capable,
-    values_are_changes, values_equal, index_sort_key,
+    UsageError, add_fn, apply_fn, default_value, diff_fn, is_nil_fn, nil_change,
+    plus_capable, values_are_changes, values_equal, index_sort_key,
 )
 from .serialize import index_to_json, value_to_json
 
@@ -276,6 +275,7 @@ def comb_bilin(fn, in_ty, out_ty) -> IncrMachine:
     add_c = add_fn(out_ty)
     ap_a = apply_fn(a_ty)
     ap_b = apply_fn(b_ty)
+    nil_out = nil_change(out_ty)
 
     def init(xy):
         return fn(xy), xy
@@ -285,7 +285,7 @@ def comb_bilin(fn, in_ty, out_ty) -> IncrMachine:
         x, y = c
         nx = nil_a(dx)
         ny = nil_b(dy)
-        out = nil_change(out_ty)
+        out = nil_out
         if not nx and not ny:
             out = add_c(out, fn((dx, dy)))
         if not nx:
@@ -376,13 +376,13 @@ def _incr_get(tt):
 
 
 def _incr_set(tt):
-    elem = tt.in_ty.left
+    is_nil_e = is_nil_fn(tt.in_ty.left)
     i = tt.term.index
 
     def ds(d):
         dv, da = d
         out = dict(da)
-        if is_nil(elem, dv):
+        if is_nil_e(dv):
             out.pop(i, None)
         else:
             out[i] = dv
@@ -438,10 +438,10 @@ def _incr_reshape(tt):
 
 def _incr_replicate(tt):
     shape = tt.out_ty.shape
-    in_ty = tt.in_ty
+    is_nil_in = is_nil_fn(tt.in_ty)
 
     def drep(d):
-        if is_nil(in_ty, d):
+        if is_nil_in(d):
             return {}
         indices = shape.indices()
         if indices is None:
@@ -457,10 +457,11 @@ def _incr_filter(tt):
     elem = tt.in_ty.left
     shape = tt.out_ty.shape
     nil_e = nil_change(elem)
+    is_nil_e = is_nil_fn(elem)
 
     def dfil(d):
         dv, da = d
-        if is_nil(elem, dv):
+        if is_nil_e(dv):
             return {i: di for i, di in da.items() if p(i)}
         indices = shape.indices()
         if indices is None:
@@ -469,7 +470,7 @@ def _incr_filter(tt):
         out = {}
         for i in indices:
             di = da.get(i, nil_e) if p(i) else dv
-            if not is_nil(elem, di):
+            if not is_nil_e(di):
                 out[i] = di
         return out
 
@@ -485,8 +486,11 @@ def _incr_inr(tt):
 
 
 def _incr_seq(tt):
-    mf = incrementalize(tt.children[0])
-    mg = incrementalize(tt.children[1])
+    return _seq_machine(tt, incrementalize(tt.children[0]), incrementalize(tt.children[1]))
+
+
+def _seq_machine(tt, mf, mg):
+    """Compose the machines already built for the two children of a seq."""
     if descriptor_is_unit(mf.cache) and descriptor_is_unit(mg.cache):
         f_init, g_init = mf.init, mg.init
         f_step, g_step = mf.step, mg.step
@@ -618,6 +622,8 @@ def _incr_map(tt):
 
 def _incr_fuse(tt):
     a_ty = tt.out_ty
+    ap = apply_fn(a_ty)
+    df = diff_fn(a_ty)
 
     def init(s):
         return s.value, s
@@ -626,29 +632,31 @@ def _incr_fuse(tt):
         on_left = type(c) is Left
         x = c.value
         if d is SUM_NULL:
-            return diff_values(a_ty, x, x), c
+            return df(x, x), c
         match d:
             case Cl(change=dc):
                 if on_left:
-                    return dc, Left(apply_change(a_ty, x, dc))
-                return diff_values(a_ty, x, x), c
+                    return dc, Left(ap(x, dc))
+                return df(x, x), c
             case Cr(change=dc):
                 if on_left:
-                    return diff_values(a_ty, x, x), c
-                return dc, Right(apply_change(a_ty, x, dc))
+                    return df(x, x), c
+                return dc, Right(ap(x, dc))
             case Sl(value=v):
-                return diff_values(a_ty, v, x), Left(v)
+                return df(v, x), Left(v)
             case Sr(value=v):
-                return diff_values(a_ty, v, x), Right(v)
+                return df(v, x), Right(v)
         raise UsageError(f"bad sum change {d!r}")
 
     return IncrMachine(tt.in_ty, tt.out_ty, CValue(TSum(a_ty, a_ty)), init, step)
 
 
 def _incr_distr(tt):
-    a_ty = tt.in_ty.left
+    ap_a = apply_fn(tt.in_ty.left)
     b_ty = tt.in_ty.right.left
     c_ty = tt.in_ty.right.right
+    ap_b, df_b = apply_fn(b_ty), diff_fn(b_ty)
+    ap_c, df_c = apply_fn(c_ty), diff_fn(c_ty)
 
     def init(xs):
         x, s = xs
@@ -658,22 +666,22 @@ def _incr_distr(tt):
     def step(d, cache):
         dx, ds = d
         x, s = cache
-        x2 = apply_change(a_ty, x, dx)
+        x2 = ap_a(x, dx)
         on_left = type(s) is Left
         y = s.value
         if ds is SUM_NULL:
             if on_left:
-                return Cl((dx, diff_values(b_ty, y, y))), (x2, s)
-            return Cr((dx, diff_values(c_ty, y, y))), (x2, s)
+                return Cl((dx, df_b(y, y))), (x2, s)
+            return Cr((dx, df_c(y, y))), (x2, s)
         match ds:
             case Cl(change=dy):
                 if on_left:
-                    return Cl((dx, dy)), (x2, Left(apply_change(b_ty, y, dy)))
-                return Cr((dx, diff_values(c_ty, y, y))), (x2, s)
+                    return Cl((dx, dy)), (x2, Left(ap_b(y, dy)))
+                return Cr((dx, df_c(y, y))), (x2, s)
             case Cr(change=dz):
                 if on_left:
-                    return Cl((dx, diff_values(b_ty, y, y))), (x2, s)
-                return Cr((dx, dz)), (x2, Right(apply_change(c_ty, y, dz)))
+                    return Cl((dx, df_b(y, y))), (x2, s)
+                return Cr((dx, dz)), (x2, Right(ap_c(y, dz)))
             case Sl(value=v):
                 return Sl((x2, v)), (x2, Left(v))
             case Sr(value=v):
@@ -688,6 +696,8 @@ def _incr_case(tt):
     mg = incrementalize(tt.children[1])
     b1 = tt.children[0].out_ty
     b2 = tt.children[1].out_ty
+    ap1, df1 = apply_fn(b1), diff_fn(b1)
+    ap2, df2 = apply_fn(b2), diff_fn(b2)
 
     def init(s):
         if type(s) is Left:
@@ -706,25 +716,25 @@ def _incr_case(tt):
                     return SUM_NULL, cc
                 c, y = cc.value
                 dy, c2 = mf.step(dx, c)
-                return Cl(dy), Left((c2, apply_change(b1, y, dy)))
+                return Cl(dy), Left((c2, ap1(y, dy)))
             case Cr(change=dx):
                 if on_left:
                     return SUM_NULL, cc
                 c, y = cc.value
                 dy, c2 = mg.step(dx, c)
-                return Cr(dy), Right((c2, apply_change(b2, y, dy)))
+                return Cr(dy), Right((c2, ap2(y, dy)))
             case Sl(value=v):
                 y, c2 = mf.init(v)
                 if on_left:
                     y0 = cc.value[1]
-                    return Cl(diff_values(b1, y, y0)), Left((c2, y))
+                    return Cl(df1(y, y0)), Left((c2, y))
                 return Sl(y), Left((c2, y))
             case Sr(value=v):
                 y, c2 = mg.init(v)
                 if on_left:
                     return Sr(y), Right((c2, y))
                 y0 = cc.value[1]
-                return Cr(diff_values(b2, y, y0)), Right((c2, y))
+                return Cr(df2(y, y0)), Right((c2, y))
         raise UsageError(f"bad sum change {d!r}")
 
     desc = CCase(mf.cache, b1, mg.cache, b2)
@@ -775,8 +785,9 @@ def incrementalize(tt: ca.TypedTerm) -> IncrMachine:
 
 def sum_changes(ty, x, ds):
     """Fold a change list into a value, back to front (head applied last)."""
+    ap = apply_fn(ty)
     for d in reversed(ds):
-        x = apply_change(ty, x, d)
+        x = ap(x, d)
     return x
 
 

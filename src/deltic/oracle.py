@@ -24,8 +24,9 @@ from . import frontend as fe
 from . import incr
 from .core import (
     DelticError, INT, KEEP, NAT, REAL, SCALAR, Cl, Cr, Left, Right, Sl, Sr,
-    SUM_NULL, SupportError, TBase, TCont, TProd, TSum, apply_change,
-    default_value, diff_values, is_nil, nil_change, plus_capable, values_equal,
+    SUM_NULL, SupportError, TBase, TCont, TProd, TSum, add_fn, apply_change,
+    apply_fn, default_value, diff_values, is_nil, is_nil_fn, nil_change,
+    plus_capable, values_equal,
 )
 from .domains.containers import (
     ARRAY, RELATION, TREE, arr, arr_shape, dict_shape, rel_shape, tree_shape,
@@ -880,21 +881,21 @@ def inject_fault(name: str):
         orig = incr._BUILDERS[ca.Seq]
 
         def bad(tt):
-            m = orig(tt)
-            mid_ty = tt.children[0].out_ty
             mf = incr.incrementalize(tt.children[0])
             mg = incr.incrementalize(tt.children[1])
+            m = incr._seq_machine(tt, mf, mg)
+            mid_ty = tt.children[0].out_ty
+            unit = incr.descriptor_is_unit(m.cache)
 
             def step(dx, c):
-                if incr.descriptor_is_unit(m.cache):
-                    mf.step(dx, UNIT_C)
-                    dz, _ = mg.step(nil_change(mid_ty), UNIT_C)
+                if unit:
+                    mf.step(dx, incr.UNIT)
+                    dz, _ = mg.step(nil_change(mid_ty), incr.UNIT)
                     return dz, c
                 _dy, c1 = mf.step(dx, c[0])
                 dz, c2 = mg.step(nil_change(mid_ty), c[1])
                 return dz, (c1, c2)
 
-            UNIT_C = incr.UNIT
             m.step = step
             return m
 
@@ -909,18 +910,22 @@ def inject_fault(name: str):
         def bad(fn, in_ty, out_ty):
             m = orig(fn, in_ty, out_ty)
             a_ty, b_ty = in_ty.left, in_ty.right
+            nil_a, nil_b = is_nil_fn(a_ty), is_nil_fn(b_ty)
+            ap_a, ap_b = apply_fn(a_ty), apply_fn(b_ty)
+            add_c = add_fn(out_ty)
+            nil_out = nil_change(out_ty)
 
             def step(d, c):
                 dx, dy = d
                 x, y = c
-                out = nil_change(out_ty)
-                if not is_nil(a_ty, dx) and not is_nil(b_ty, dy):
-                    out = incr.add_values(out_ty, out, fn((dx, dy)))
-                if not is_nil(a_ty, dx):
-                    out = incr.add_values(out_ty, out, fn((dx, y)))
+                out = nil_out
+                if not nil_a(dx) and not nil_b(dy):
+                    out = add_c(out, fn((dx, dy)))
+                if not nil_a(dx):
+                    out = add_c(out, fn((dx, y)))
                 # f(x, dy) forgotten
-                x2 = apply_change(a_ty, x, dx)
-                y2 = apply_change(b_ty, y, dy)
+                x2 = ap_a(x, dx)
+                y2 = ap_b(y, dy)
                 return out, (x2, y2)
 
             m.step = step

@@ -89,6 +89,46 @@ def test_cancellation_restores_empty_support():
     assert support(out) == set()
 
 
+def test_sum_element_back_at_default_is_dropped():
+    # Left(1.0) ⊕ Cl(-1.0) == Left(0.0), the element default, by the sum classes' ==
+    assert apply_change(arr(2, SUM_RR), {0: Left(1.0)}, {0: Cl(-1.0)}) == {}
+
+
+SUM_CLASSES = (Left, Right, Cl, Cr, Sl, Sr)
+
+
+def _sum_payload(x):
+    match x:
+        case Left(value=p):
+            return "Left", p
+        case Right(value=p):
+            return "Right", p
+        case Cl(change=p):
+            return "Cl", p
+        case Cr(change=p):
+            return "Cr", p
+        case Sl(value=p):
+            return "Sl", p
+        case Sr(value=p):
+            return "Sr", p
+
+
+@pytest.mark.parametrize("cls", SUM_CLASSES, ids=lambda c: c.__name__)
+def test_sum_classes(cls):
+    x = cls(1.0)
+    others = [c for c in SUM_CLASSES if c is not cls]
+    assert len(others) == 5
+    assert all(type(x) is not c for c in others)
+    assert x == cls(1.0) and cls({0: 1.0}) == cls({0: 1.0})
+    assert x != cls(2.0)
+    assert all(x != c(1.0) for c in others)
+    with pytest.raises(TypeError):
+        hash(x)
+    assert not hasattr(x, "__dict__")
+    assert repr(x) == f"{cls.__name__}(1.0)"
+    assert _sum_payload(cls(2.5)) == (cls.__name__, 2.5)
+
+
 def test_completeness_randomized():
     cfg = GenConfig()
     rng = stable_rng(5, "completeness-core")

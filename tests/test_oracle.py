@@ -8,6 +8,7 @@ from deltic import calculus as ca
 from deltic import incr
 from deltic.core import Cl, Cr, REAL, Sl, Sr, SUM_NULL, TBase, TProd, TSum
 from deltic.domains import linalg, relalg
+from deltic.domains.containers import arr
 from deltic.oracle import (
     FAULTS, GenConfig, GenerationFailure, check_construct_laws,
     check_frontend_lowering, check_machine_laws, check_op_laws,
@@ -122,6 +123,23 @@ def test_each_fault_is_caught(fault):
             rep = check_frontend_lowering(samples=20)
         assert not rep.passed, fault
         assert rep.failures  # a printed witness exists
+
+
+def test_seq_fault_builds_each_stage_once(monkeypatch):
+    lb = linalg.register_linalg()
+    stages = [ca.Map(ca.OpCall("relu")) for _ in range(12)]
+    tt = ca.typecheck(ca.seq(*stages), arr(3, R), lb.registry)
+    built = []
+    build_map = incr._BUILDERS[ca.Map]
+
+    def counting(t):
+        built.append(t)
+        return build_map(t)
+
+    monkeypatch.setitem(incr._BUILDERS, ca.Map, counting)
+    with inject_fault("seq-drop-propagation"):
+        incr.incrementalize(tt)
+    assert len(built) == 12
 
 
 def test_suite_healthy_without_faults():
