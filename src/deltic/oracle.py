@@ -171,7 +171,7 @@ def gen_value(rng: random.Random, ty):
                 k = rng.randint(0, len(indices))
                 chosen = rng.sample(indices, k)
             else:
-                chosen = {gen_index(rng, shape) for _ in range(rng.randint(0, 4))}
+                chosen = dict.fromkeys(gen_index(rng, shape) for _ in range(rng.randint(0, 4)))
             dft = default_value(elem)
             for i in chosen:
                 for _ in range(5):
@@ -219,7 +219,7 @@ def gen_change(rng: random.Random, ty, nonnil=False, monotone=False):
                 chosen = rng.sample(indices, k) if indices else []
             else:
                 lo = 1 if nonnil else 0
-                chosen = list({gen_index(rng, shape) for _ in range(rng.randint(lo, 3))})
+                chosen = dict.fromkeys(gen_index(rng, shape) for _ in range(rng.randint(lo, 3)))
             out = {}
             for i in chosen:
                 di = gen_change(rng, elem, nonnil=True, monotone=monotone)

@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import deltic
 from deltic.cli import main
 from deltic.core import REAL, TBase, apply_change, values_equal
 from deltic.domains.containers import arr
@@ -127,6 +132,20 @@ def test_laws_deterministic_output(capsys):
     out2 = capsys.readouterr().out
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+def test_laws_output_independent_of_hash_seed():
+    # generated str and tuple indices must not come out in set-hash order
+    src = str(Path(deltic.__file__).resolve().parents[1])
+    cmd = [sys.executable, "-m", "deltic.cli", "laws", "--seed", "42",
+           "--inject-fault", "bilin-missing-term"]
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 3, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_bench_csv_schema(tmp_path, capsys):
