@@ -17,7 +17,7 @@ from typing import Any, Callable, Iterable, Optional
 
 from .core import (
     ConformanceError, DelticError, Left, Right, Shape, SupportError,
-    TCont, TProd, TSum, UsageError,
+    TBase, TCont, TProd, TSum, UsageError,
     add_fn, check_value, default_value, plus_capable,
 )
 from .serialize import index_from_json, index_to_json, shape_to_text, type_from_text, type_to_text
@@ -512,6 +512,10 @@ def _compile(tt: TypedTerm):
             return run_zip
         case Get(index):
             elem = tt.out_ty
+            if isinstance(elem, TBase):
+                # a scalar default is immutable, so one can be shared
+                dft = default_value(elem)
+                return lambda x, _i=index: x[_i] if _i in x else dft
 
             def run_get(x, _i=index):
                 if _i in x:

@@ -7,6 +7,17 @@ Machines are stateless (the cache is threaded by the caller), but step may
 update cache dictionaries in place, so a cache must never be reused after
 being passed to step.
 
+A machine with a unit cache is self-maintainable: its step is a pure function
+of the change, kept as the machine's `deriv` (change -> change).  The builders
+for seq, par and map compose their children's derivatives into one closure
+when the machine is built, so a cache-free subterm steps as a single call
+instead of threading (change, UNIT) pairs through every node; a seq whose
+first child is cache-free feeds that child's derivative straight into the
+second child's step.  Projection chains (id, fst, snd and their composites)
+fold into one index path, so a de Bruijn variable `snd; ...; snd; fst` is one
+getter over a tuple of indices.  Composition changes neither cache shapes nor
+descriptors: a cache-free composite still has a CUnit cache.
+
 The laws every machine satisfies (checked by the oracle module, not assumed):
 
   Law-1   init(x).value  == f(x)
@@ -144,16 +155,6 @@ def cache_to_json(desc, c):
             raise UsageError(f"not a cache descriptor: {desc!r}")
 
 
-def descriptor_is_unit(desc) -> bool:
-    match desc:
-        case CUnit():
-            return True
-        case CPair(left, right):
-            return descriptor_is_unit(left) and descriptor_is_unit(right)
-        case _:
-            return False
-
-
 def _value_scalar_count(ty, v) -> int:
     match ty:
         case TBase():
@@ -199,6 +200,34 @@ class IncrMachine:
     cache: Any
     init: Callable[[Any], tuple]
     step: Callable[[Any, Any], tuple]
+    # Set exactly on self-maintainable machines (cache CUnit()), whose step
+    # is (deriv(d), UNIT); composite builders compose it instead of stepping.
+    deriv: Optional[Callable[[Any], Any]] = None
+
+
+def _self_maintainable(in_ty, out_ty, init, deriv) -> IncrMachine:
+    return IncrMachine(in_ty, out_ty, CUnit(), init,
+                       lambda d, _c: (deriv(d), UNIT), deriv)
+
+
+def _path_deriv(path):
+    """Derivative of a projection chain: index a (product) change along path."""
+    def get(d):
+        for i in path:
+            d = d[i]
+        return d
+
+    get.path = path
+    return get
+
+
+def _compose(f, g):
+    """The derivative g ∘ f; two projection paths fold into one."""
+    pf = getattr(f, "path", None)
+    pg = getattr(g, "path", None)
+    if pf is not None and pg is not None:
+        return _path_deriv(pf + pg)
+    return lambda d: g(f(d))
 
 
 def comb_triv(fn, in_ty, out_ty) -> IncrMachine:
@@ -242,10 +271,7 @@ def comb_self(fn, dfn, in_ty, out_ty) -> IncrMachine:
     def init(x):
         return fn(x), UNIT
 
-    def step(dx, _c):
-        return dfn(dx), UNIT
-
-    return IncrMachine(in_ty, out_ty, CUnit(), init, step)
+    return _self_maintainable(in_ty, out_ty, init, dfn)
 
 
 def comb_lin(fn, in_ty, out_ty) -> IncrMachine:
@@ -310,15 +336,15 @@ def comb_add(ty) -> IncrMachine:
     def init(xy):
         return addf(xy[0], xy[1]), UNIT
 
-    def step(d, _c):
+    def deriv(d):
         dx, dy = d
         if nilf(dx):
-            return dy, UNIT
+            return dy
         if nilf(dy):
-            return dx, UNIT
-        return addf(dx, dy), UNIT
+            return dx
+        return addf(dx, dy)
 
-    return IncrMachine(in_ty, ty, CUnit(), init, step)
+    return _self_maintainable(in_ty, ty, init, deriv)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +356,7 @@ def _self_machine(tt, dfn):
 
 
 def _incr_id(tt):
-    return _self_machine(tt, lambda d: d)
+    return _self_machine(tt, _path_deriv(()))
 
 
 def _incr_dup(tt):
@@ -338,16 +364,16 @@ def _incr_dup(tt):
 
 
 def _incr_fst(tt):
-    return _self_machine(tt, lambda d: d[0])
+    return _self_machine(tt, _path_deriv((0,)))
 
 
 def _incr_snd(tt):
-    return _self_machine(tt, lambda d: d[1])
+    return _self_machine(tt, _path_deriv((1,)))
 
 
 def _incr_cst(tt):
-    out_ty = tt.out_ty
-    return _self_machine(tt, lambda _d: nil_change(out_ty))
+    nil = nil_change(tt.out_ty)
+    return _self_machine(tt, lambda _d: nil)
 
 
 def _incr_plus(tt):
@@ -366,11 +392,11 @@ def _incr_zip(tt):
 
 
 def _incr_get(tt):
-    elem = tt.out_ty
+    nil = nil_change(tt.out_ty)
     i = tt.term.index
 
     def dg(d):
-        return d[i] if i in d else nil_change(elem)
+        return d[i] if i in d else nil
 
     return _self_machine(tt, dg)
 
@@ -491,34 +517,33 @@ def _incr_seq(tt):
 
 def _seq_machine(tt, mf, mg):
     """Compose the machines already built for the two children of a seq."""
-    if descriptor_is_unit(mf.cache) and descriptor_is_unit(mg.cache):
-        f_init, g_init = mf.init, mg.init
-        f_step, g_step = mf.step, mg.step
-
+    f_init, g_init = mf.init, mg.init
+    f, g = mf.deriv, mg.deriv
+    if f and g:
         def init(x):
             y, _ = f_init(x)
             z, _ = g_init(y)
             return z, UNIT
 
-        def step(dx, _c):
-            dy, _ = f_step(dx, UNIT)
-            dz, _ = g_step(dy, UNIT)
-            return dz, UNIT
-
-        return IncrMachine(tt.in_ty, tt.out_ty, CUnit(), init, step)
-
-    f_init, g_init = mf.init, mg.init
-    f_step, g_step = mf.step, mg.step
+        return _self_maintainable(tt.in_ty, tt.out_ty, init, _compose(f, g))
 
     def init(x):
         y, c1 = f_init(x)
         z, c2 = g_init(y)
         return z, (c1, c2)
 
-    def step(dx, c):
-        dy, c1 = f_step(dx, c[0])
-        dz, c2 = g_step(dy, c[1])
-        return dz, (c1, c2)
+    g_step = mg.step
+    if f:
+        def step(dx, c):
+            dz, c2 = g_step(f(dx), c[1])
+            return dz, (UNIT, c2)
+    else:
+        f_step = mf.step
+
+        def step(dx, c):
+            dy, c1 = f_step(dx, c[0])
+            dz, c2 = g_step(dy, c[1])
+            return dz, (c1, c2)
 
     return IncrMachine(tt.in_ty, tt.out_ty, CPair(mf.cache, mg.cache), init, step)
 
@@ -527,19 +552,17 @@ def _incr_par(tt):
     mf = incrementalize(tt.children[0])
     mg = incrementalize(tt.children[1])
     f_init, g_init = mf.init, mg.init
-    f_step, g_step = mf.step, mg.step
-    if descriptor_is_unit(mf.cache) and descriptor_is_unit(mg.cache):
+    f, g = mf.deriv, mg.deriv
+    if f and g:
         def init(xy):
             y1, _ = f_init(xy[0])
             y2, _ = g_init(xy[1])
             return (y1, y2), UNIT
 
-        def step(d, _c):
-            d1, _ = f_step(d[0], UNIT)
-            d2, _ = g_step(d[1], UNIT)
-            return (d1, d2), UNIT
+        return _self_maintainable(tt.in_ty, tt.out_ty, init,
+                                  lambda d: (f(d[0]), g(d[1])))
 
-        return IncrMachine(tt.in_ty, tt.out_ty, CUnit(), init, step)
+    f_step, g_step = mf.step, mg.step
 
     def init(xy):
         y1, c1 = f_init(xy[0])
@@ -565,21 +588,22 @@ def _incr_map(tt):
     dout = default_value(elem_out)
 
     out_nil = is_nil_fn(body.out_ty)
-    if descriptor_is_unit(mf.cache):
+    f = mf.deriv
+    if f:
         batch = ca.map_batch(shape, elem_in, elem_out, lambda v: f_init(v)[0])
 
         def init(x):
             return batch(x), UNIT
 
-        def step(dx, _c):
+        def deriv(dx):
             out = {}
             for i, di in dx.items():
-                dy, _ = f_step(di, UNIT)
+                dy = f(di)
                 if not out_nil(dy):
                     out[i] = dy
-            return out, UNIT
+            return out
 
-        return IncrMachine(tt.in_ty, tt.out_ty, CUnit(), init, step)
+        return _self_maintainable(tt.in_ty, tt.out_ty, init, deriv)
 
     def make_default():
         return f_init(default_value(elem_in))[1]

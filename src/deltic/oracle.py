@@ -885,13 +885,17 @@ def inject_fault(name: str):
             mg = incr.incrementalize(tt.children[1])
             m = incr._seq_machine(tt, mf, mg)
             mid_ty = tt.children[0].out_ty
-            unit = incr.descriptor_is_unit(m.cache)
+            if m.deriv is not None:
+                # parents compose this derivative without calling step
+                f, g = mf.deriv, mg.deriv
+
+                def deriv(dx):
+                    f(dx)
+                    return g(nil_change(mid_ty))
+
+                return incr._self_maintainable(tt.in_ty, tt.out_ty, m.init, deriv)
 
             def step(dx, c):
-                if unit:
-                    mf.step(dx, incr.UNIT)
-                    dz, _ = mg.step(nil_change(mid_ty), incr.UNIT)
-                    return dz, c
                 _dy, c1 = mf.step(dx, c[0])
                 dz, c2 = mg.step(nil_change(mid_ty), c[1])
                 return dz, (c1, c2)

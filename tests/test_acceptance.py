@@ -20,8 +20,7 @@ from deltic.core import (
 from deltic.domains import gcounter, linalg, relalg, trees
 from deltic.domains.containers import arr
 from deltic.incr import (
-    cache_to_json, descriptor_is_unit, incrementalize, iter_changes,
-    sum_changes,
+    CUnit, cache_to_json, incrementalize, iter_changes, sum_changes,
 )
 from deltic.oracle import (
     COMBINATORS, FAULTS, GenConfig, TERM_CONSTRUCTS, _TermGen,
@@ -105,7 +104,8 @@ def test_criterion_4_self_maintainability():
             in_ty = gen_type(cfg, rng, depth=2)
             tt = gen_term(cfg, rng, reg, in_ty, self_only=True)
             machine = incrementalize(tt)
-            assert descriptor_is_unit(machine.cache), ca.term_to_text(tt.term)
+            assert machine.cache == CUnit() and machine.deriv is not None, \
+                ca.term_to_text(tt.term)
             x = gen_value(rng, in_ty)
             _, cache = machine.init(x)
             assert cache_to_json(machine.cache, cache) == "unit"

@@ -1,8 +1,11 @@
 """Combinators, the incrementalization transformation, and iterated updates."""
 
+import sys
+
 import pytest
 
 from deltic import calculus as ca
+from deltic import frontend as fe
 from deltic import incr
 from deltic.calculus import (
     CasePar, Cst, Dup, Id, Map, OpCall, Plus, Seq, denote, map2, seq, typecheck,
@@ -16,7 +19,7 @@ from deltic.domains.containers import arr
 from deltic.incr import (
     CUnit, cache_entry_count, cache_equal, cache_to_json, comb_add,
     comb_bilin, comb_lin, comb_self, comb_triv, comb_triv2,
-    descriptor_is_unit, incrementalize, iter_changes, sum_changes, UNIT,
+    incrementalize, iter_changes, sum_changes, UNIT,
 )
 from deltic.oracle import (
     GenConfig, check_machine_laws, gen_change, gen_term, gen_type, gen_value,
@@ -244,7 +247,7 @@ def test_self_maintainable_closure_has_unit_cache():
     term = seq(Dup(), ca.Par(Id(), Cst(R, 1.0)), Plus(), ca.Replicate(arr_shape(3)))
     tt = typecheck(term, R, reg)
     m = incrementalize(tt)
-    assert descriptor_is_unit(m.cache)
+    assert m.cache == CUnit() and m.deriv is not None
     assert cache_to_json(m.cache, m.init(2.0)[1]) == "unit"
     assert cache_entry_count(m.cache, m.init(2.0)[1]) == 0
 
@@ -342,3 +345,70 @@ def test_distinct_machine_instances_run_concurrently():
         ds = [({}, {s % 3: 0.5 + k}) for s in range(40)]
         want = denote(tt, sum_changes(in_ty, (M, v), ds))
         assert values_equal(arr(3, R), got, want, 1e-9)
+
+
+def _let_chain(stages, n):
+    """Surface program: `stages` lets of h_i = relu(h_{i-1} + b) over (x, b)."""
+    lines = ["bundle linalg", f"param x : arr[{n}] real", f"param b : arr[{n}] real", ""]
+    prev = "x"
+    for i in range(1, stages + 1):
+        lines.append(f"let h{i} = map relu # map2 add # ({prev}, b);")
+        prev = f"h{i}"
+    lines.append(prev)
+    bundle, prog = fe.parse_program_file("\n".join(lines) + "\n")
+    return fe.compile_program(prog, bundle.registry, bundle.literal_base)
+
+
+def _step_calls(stages):
+    """Python calls made by one step of a `stages`-long let chain."""
+    n = 8
+    m = incrementalize(_let_chain(stages, n))
+    rng = stable_rng(37, "let-calls")
+    x = ({i: rng.uniform(-1, 1) for i in range(n)},
+         {i: rng.uniform(-1, 1) for i in range(n)})
+    _, c = m.init(x)
+    calls = 0
+
+    def count(_frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        m.step(({0: 0.5, 3: -0.25}, {}), c)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_let_chain_step_cost_is_linear_in_stages():
+    # variables are snd;...;snd;fst chains whose length grows with the stage
+    # index; each must fold into one getter, or a step grows quadratically
+    assert _step_calls(100) <= 4.5 * _step_calls(25)
+
+
+def test_let_chain_laws_over_a_change_stream():
+    n = 6
+    ty = TProd(arr(n, R), arr(n, R))
+    tt = _let_chain(30, n)
+    m = incrementalize(tt)
+    rng = stable_rng(38, "let-chain-laws")
+    x = gen_value(rng, ty)
+    ds = [gen_change(rng, ty) for _ in range(50)]
+    got, cache = iter_changes(m, x, ds)
+    x_final = sum_changes(ty, x, ds)
+    assert values_equal(arr(n, R), got, denote(tt, x_final), 1e-9)
+    assert cache_equal(m.cache, cache, m.init(x_final)[1], 1e-9)
+
+
+@pytest.mark.parametrize("term, in_ty, d", [
+    (Cst(R, 2.0), R, 1.5),
+    (ca.Get(1), arr(3, R), {0: 1.0}),
+])
+def test_constant_derivatives_build_nil_once(monkeypatch, term, in_ty, d):
+    m = incrementalize(typecheck(term, in_ty, oracle_registry()))
+    calls = []
+    monkeypatch.setattr(incr, "nil_change", lambda ty: calls.append(ty))
+    dy, _ = m.step(d, UNIT)
+    assert dy == 0.0 and calls == []

@@ -142,6 +142,21 @@ def test_seq_fault_builds_each_stage_once(monkeypatch):
     assert len(built) == 12
 
 
+def test_seq_fault_reaches_a_composed_derivative():
+    # a cache-free seq under a cache-free par: the par composes the seq's
+    # derivative and never calls its step, so the fault must sabotage both
+    reg = oracle_registry()
+    term = ca.Par(ca.seq(ca.Dup(), ca.Plus()), ca.Id())
+    tt = ca.typecheck(term, TProd(R, R), reg)
+    d = (1.5, 0.0)
+    good = incr.incrementalize(tt)
+    with inject_fault("seq-drop-propagation"):
+        bad = incr.incrementalize(tt)
+    assert good.deriv is not None and bad.deriv is not None
+    assert good.step(d, incr.UNIT)[0] == (3.0, 0.0)
+    assert bad.step(d, incr.UNIT)[0] == (0.0, 0.0)
+
+
 def test_suite_healthy_without_faults():
     assert check_construct_laws("fst", samples=30, instances=3).passed
     assert check_construct_laws("seq", samples=30, instances=3).passed
