@@ -4,6 +4,12 @@ Terms are plain syntax; `typecheck` produces a TypedTerm tree annotated with
 input/output types and resolved registry entries, and `denote` evaluates a
 TypedTerm on a value by compiling it to a closure once.
 
+`Seq` syntax is binary, but a typed seq is n-ary: `typecheck` flattens a
+`Seq` spine of any nesting into one node whose children are the stages in
+order, and the compiled seq runs them in a loop, so a long composition chain
+neither recurses nor nests closures.  Nesting of par, map and case still
+recurses, one or two frames per level.
+
 Shape transformations (reshape) and index predicates (filter) are registered
 named functions, so terms stay serializable; `map2 f` and `⟨f, g⟩` are
 construction-time sugar for `zip ; map f` and `dup ; (f × g)`.
@@ -324,10 +330,21 @@ def _mismatch(t, in_ty, why):
 def typecheck(t: Term, in_ty, registry: Registry) -> TypedTerm:
     """Check t against the typing rules at input type in_ty."""
     match t:
-        case Seq(first, second):
-            f = typecheck(first, in_ty, registry)
-            g = typecheck(second, f.out_ty, registry)
-            return TypedTerm(t, in_ty, g.out_ty, (f, g))
+        case Seq():
+            # a stack, not recursion, so chains of any length fit the recursion limit
+            stages = []
+            ty = in_ty
+            todo = [t]
+            while todo:
+                s = todo.pop()
+                if isinstance(s, Seq):
+                    todo.append(s.second)
+                    todo.append(s.first)
+                else:
+                    f = typecheck(s, ty, registry)
+                    stages.append(f)
+                    ty = f.out_ty
+            return TypedTerm(t, in_ty, ty, tuple(stages))
         case Par(left, right):
             if not isinstance(in_ty, TProd):
                 _mismatch(t, in_ty, "parallel composition needs a product input")
@@ -440,45 +457,17 @@ def typecheck(t: Term, in_ty, registry: Registry) -> TypedTerm:
 # Denotational evaluation (compiled to closures)
 # ---------------------------------------------------------------------------
 
-def map_batch(shape: Shape, elem_in, elem_out, fn):
-    """Pointwise map over a container value, canonical-sparse.
-
-    Over finite shapes absent positions evaluate fn(ε) exactly; over
-    infinite-index shapes fn must preserve the default.
-    """
-    din = default_value(elem_in)
-    dout = default_value(elem_out)
-
-    def run(x):
-        fe = fn(din)
-        if fe == dout:
-            out = {}
-            for i, xi in x.items():
-                fv = fn(xi)
-                if fv != dout:
-                    out[i] = fv
-            return out
-        indices = shape.indices()
-        if indices is None:
-            raise SupportError(
-                f"map over {shape!r} needs f(ε)=ε; got {fe!r} for an infinite index set")
-        out = {}
-        for i in indices:
-            fv = fn(x.get(i, din))
-            if fv != dout:
-                out[i] = fv
-        return out
-
-    return run
-
-
 def _compile(tt: TypedTerm):
     t = tt.term
     match t:
         case Seq():
-            f = compiled(tt.children[0])
-            g = compiled(tt.children[1])
-            return lambda x: g(f(x))
+            stages = tuple(compiled(c) for c in tt.children)
+
+            def run_seq(x):
+                for f in stages:
+                    x = f(x)
+                return x
+            return run_seq
         case Par():
             f = compiled(tt.children[0])
             g = compiled(tt.children[1])
@@ -497,8 +486,33 @@ def _compile(tt: TypedTerm):
         case Cst(_, value):
             return lambda _x: value
         case Map():
-            body = compiled(tt.children[0])
-            return map_batch(tt.in_ty.shape, tt.in_ty.elem, tt.children[0].out_ty, body)
+            # canonical-sparse: absent positions evaluate fn(ε) exactly over
+            # finite shapes; over infinite-index shapes fn must preserve ε
+            fn = compiled(tt.children[0])
+            shape = tt.in_ty.shape
+            din = default_value(tt.in_ty.elem)
+            dout = default_value(tt.children[0].out_ty)
+
+            def run_map(x):
+                fe = fn(din)
+                if fe == dout:
+                    out = {}
+                    for i, xi in x.items():
+                        fv = fn(xi)
+                        if fv != dout:
+                            out[i] = fv
+                    return out
+                indices = shape.indices()
+                if indices is None:
+                    raise SupportError(
+                        f"map over {shape!r} needs f(ε)=ε; got {fe!r} for an infinite index set")
+                out = {}
+                for i in indices:
+                    fv = fn(x.get(i, din))
+                    if fv != dout:
+                        out[i] = fv
+                return out
+            return run_map
         case Zip():
             da = default_value(tt.in_ty.left.elem)
             db = default_value(tt.in_ty.right.elem)

@@ -9,14 +9,18 @@ being passed to step.
 
 A machine with a unit cache is self-maintainable: its step is a pure function
 of the change, kept as the machine's `deriv` (change -> change).  The builders
-for seq, par and map compose their children's derivatives into one closure
-when the machine is built, so a cache-free subterm steps as a single call
-instead of threading (change, UNIT) pairs through every node; a seq whose
-first child is cache-free feeds that child's derivative straight into the
-second child's step.  Projection chains (id, fst, snd and their composites)
-fold into one index path, so a de Bruijn variable `snd; ...; snd; fst` is one
-getter over a tuple of indices.  Composition changes neither cache shapes nor
-descriptors: a cache-free composite still has a CUnit cache.
+for seq, par and map compose their children's derivatives when the machine is
+built, so a cache-free subterm steps as a single call instead of threading
+(change, UNIT) pairs through every node; a cache-free composite has a CUnit
+cache and takes its init from the compiled batch semantics.
+
+A typed seq is n-ary (see calculus.typecheck).  Each maximal run of
+cache-free stages steps as one derivative that calls the stage derivatives
+in a flat loop; adjacent projection paths (id, fst, snd) fold into one index
+path, so a de Bruijn variable `snd; ...; snd; fst` is one getter over a tuple
+of indices.  A seq with a cached stage keeps a list with one slot per stage
+(UNIT at the cache-free ones) that its step updates in place, so neither
+init nor step recurses along a chain.
 
 The laws every machine satisfies (checked by the oracle module, not assumed):
 
@@ -28,6 +32,7 @@ The laws every machine satisfies (checked by the oracle module, not assumed):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Any, Callable, Optional
 
 from . import calculus as ca
@@ -59,9 +64,9 @@ class CUnit:
 
 
 @dataclass(frozen=True)
-class CPair:
-    left: Any
-    right: Any
+class CTuple:
+    """One sub-cache per part: the stages of a seq, the sides of a par."""
+    parts: tuple
 
 
 @dataclass(frozen=True)
@@ -103,8 +108,8 @@ def cache_equal(desc, c1, c2, rel_tol=0.0) -> bool:
     match desc:
         case CUnit():
             return True
-        case CPair(left, right):
-            return cache_equal(left, c1[0], c2[0], rel_tol) and cache_equal(right, c1[1], c2[1], rel_tol)
+        case CTuple(parts):
+            return all(cache_equal(p, x1, x2, rel_tol) for p, x1, x2 in zip(parts, c1, c2))
         case CValue(ty):
             return values_equal(ty, c1, c2, rel_tol)
         case CIndexed(_, elem, make_default):
@@ -132,8 +137,8 @@ def cache_to_json(desc, c):
     match desc:
         case CUnit():
             return "unit"
-        case CPair(left, right):
-            return [cache_to_json(left, c[0]), cache_to_json(right, c[1])]
+        case CTuple(parts):
+            return [cache_to_json(p, x) for p, x in zip(parts, c)]
         case CValue(ty):
             return {"value": value_to_json(ty, c)}
         case CIndexed(_, elem, make_default):
@@ -174,8 +179,8 @@ def cache_entry_count(desc, c) -> int:
     match desc:
         case CUnit():
             return 0
-        case CPair(left, right):
-            return cache_entry_count(left, c[0]) + cache_entry_count(right, c[1])
+        case CTuple(parts):
+            return sum(cache_entry_count(p, x) for p, x in zip(parts, c))
         case CValue(ty):
             return _value_scalar_count(ty, c)
         case CIndexed(_, elem, _):
@@ -205,11 +210,6 @@ class IncrMachine:
     deriv: Optional[Callable[[Any], Any]] = None
 
 
-def _self_maintainable(in_ty, out_ty, init, deriv) -> IncrMachine:
-    return IncrMachine(in_ty, out_ty, CUnit(), init,
-                       lambda d, _c: (deriv(d), UNIT), deriv)
-
-
 def _path_deriv(path):
     """Derivative of a projection chain: index a (product) change along path."""
     def get(d):
@@ -219,15 +219,6 @@ def _path_deriv(path):
 
     get.path = path
     return get
-
-
-def _compose(f, g):
-    """The derivative g ∘ f; two projection paths fold into one."""
-    pf = getattr(f, "path", None)
-    pg = getattr(g, "path", None)
-    if pf is not None and pg is not None:
-        return _path_deriv(pf + pg)
-    return lambda d: g(f(d))
 
 
 def comb_triv(fn, in_ty, out_ty) -> IncrMachine:
@@ -260,7 +251,7 @@ def comb_triv2(fn, in_ty, out_ty) -> IncrMachine:
         y2 = fn(x2)
         return df(y2, y1), (x2, y2)
 
-    return IncrMachine(in_ty, out_ty, CPair(CValue(in_ty), CValue(out_ty)), init, step)
+    return IncrMachine(in_ty, out_ty, CTuple((CValue(in_ty), CValue(out_ty))), init, step)
 
 
 def comb_self(fn, dfn, in_ty, out_ty) -> IncrMachine:
@@ -271,7 +262,7 @@ def comb_self(fn, dfn, in_ty, out_ty) -> IncrMachine:
     def init(x):
         return fn(x), UNIT
 
-    return _self_maintainable(in_ty, out_ty, init, dfn)
+    return IncrMachine(in_ty, out_ty, CUnit(), init, lambda d, _c: (dfn(d), UNIT), dfn)
 
 
 def comb_lin(fn, in_ty, out_ty) -> IncrMachine:
@@ -333,9 +324,6 @@ def comb_add(ty) -> IncrMachine:
     addf = add_fn(ty)
     nilf = is_nil_fn(ty)
 
-    def init(xy):
-        return addf(xy[0], xy[1]), UNIT
-
     def deriv(d):
         dx, dy = d
         if nilf(dx):
@@ -344,7 +332,7 @@ def comb_add(ty) -> IncrMachine:
             return dx
         return addf(dx, dy)
 
-    return _self_maintainable(in_ty, ty, init, deriv)
+    return comb_self(lambda xy: addf(xy[0], xy[1]), deriv, in_ty, ty)
 
 
 # ---------------------------------------------------------------------------
@@ -512,56 +500,66 @@ def _incr_inr(tt):
 
 
 def _incr_seq(tt):
-    return _seq_machine(tt, incrementalize(tt.children[0]), incrementalize(tt.children[1]))
+    return _seq_machine(tt, [incrementalize(c) for c in tt.children])
 
 
-def _seq_machine(tt, mf, mg):
-    """Compose the machines already built for the two children of a seq."""
-    f_init, g_init = mf.init, mg.init
-    f, g = mf.deriv, mg.deriv
-    if f and g:
-        def init(x):
-            y, _ = f_init(x)
-            z, _ = g_init(y)
-            return z, UNIT
+def _chain(derivs):
+    """One derivative running derivs in order; adjacent paths fold into one."""
+    fs = []
+    for f in derivs:
+        if fs and hasattr(f, "path") and hasattr(fs[-1], "path"):
+            fs[-1] = _path_deriv(fs[-1].path + f.path)
+        else:
+            fs.append(f)
+    if len(fs) == 1:
+        return fs[0]
 
-        return _self_maintainable(tt.in_ty, tt.out_ty, init, _compose(f, g))
+    def run(d):
+        for f in fs:
+            d = f(d)
+        return d
+
+    return run
+
+
+def _seq_machine(tt, machines):
+    """Compose the machines already built for the stages of a seq, in order."""
+    if all(m.deriv is not None for m in machines):
+        return _self_machine(tt, _chain([m.deriv for m in machines]))
+    plan = []  # (slot, step) per cached stage, (None, deriv) per cache-free run
+    for free, run in groupby(enumerate(machines), lambda km: km[1].deriv is not None):
+        if free:
+            plan.append((None, _chain([m.deriv for _, m in run])))
+        else:
+            plan += [(k, m.step) for k, m in run]
+    inits = [m.init for m in machines]
 
     def init(x):
-        y, c1 = f_init(x)
-        z, c2 = g_init(y)
-        return z, (c1, c2)
+        c = [UNIT] * len(inits)  # exact size: one slot per stage
+        for k, f in enumerate(inits):
+            x, c[k] = f(x)
+        return x, c
 
-    g_step = mg.step
-    if f:
-        def step(dx, c):
-            dz, c2 = g_step(f(dx), c[1])
-            return dz, (UNIT, c2)
-    else:
-        f_step = mf.step
+    def step(d, c):
+        for k, f in plan:
+            if k is None:
+                d = f(d)
+            else:
+                d, c[k] = f(d, c[k])
+        return d, c
 
-        def step(dx, c):
-            dy, c1 = f_step(dx, c[0])
-            dz, c2 = g_step(dy, c[1])
-            return dz, (c1, c2)
-
-    return IncrMachine(tt.in_ty, tt.out_ty, CPair(mf.cache, mg.cache), init, step)
+    desc = CTuple(tuple(m.cache for m in machines))
+    return IncrMachine(tt.in_ty, tt.out_ty, desc, init, step)
 
 
 def _incr_par(tt):
     mf = incrementalize(tt.children[0])
     mg = incrementalize(tt.children[1])
-    f_init, g_init = mf.init, mg.init
     f, g = mf.deriv, mg.deriv
     if f and g:
-        def init(xy):
-            y1, _ = f_init(xy[0])
-            y2, _ = g_init(xy[1])
-            return (y1, y2), UNIT
+        return _self_machine(tt, lambda d: (f(d[0]), g(d[1])))
 
-        return _self_maintainable(tt.in_ty, tt.out_ty, init,
-                                  lambda d: (f(d[0]), g(d[1])))
-
+    f_init, g_init = mf.init, mg.init
     f_step, g_step = mf.step, mg.step
 
     def init(xy):
@@ -574,7 +572,7 @@ def _incr_par(tt):
         d2, c2 = g_step(d[1], c[1])
         return (d1, d2), (c1, c2)
 
-    return IncrMachine(tt.in_ty, tt.out_ty, CPair(mf.cache, mg.cache), init, step)
+    return IncrMachine(tt.in_ty, tt.out_ty, CTuple((mf.cache, mg.cache)), init, step)
 
 
 def _incr_map(tt):
@@ -590,11 +588,6 @@ def _incr_map(tt):
     out_nil = is_nil_fn(body.out_ty)
     f = mf.deriv
     if f:
-        batch = ca.map_batch(shape, elem_in, elem_out, lambda v: f_init(v)[0])
-
-        def init(x):
-            return batch(x), UNIT
-
         def deriv(dx):
             out = {}
             for i, di in dx.items():
@@ -603,7 +596,7 @@ def _incr_map(tt):
                     out[i] = dy
             return out
 
-        return _self_maintainable(tt.in_ty, tt.out_ty, init, deriv)
+        return _self_machine(tt, deriv)
 
     def make_default():
         return f_init(default_value(elem_in))[1]

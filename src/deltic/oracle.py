@@ -8,7 +8,7 @@ The five documented fault injections (for mutation-sensitivity testing):
 
   triv-stale-cache       Triv step returns the old cache         -> Law-3
   swap-fst-snd           fst's derivative projects the other leg -> Law-2
-  seq-drop-propagation   seq's derivative feeds g a nil change   -> Law-2
+  seq-drop-propagation   seq stages after the first step on nil  -> Law-2
   bilin-missing-term     BiLin drops the f(x, dy) cross term     -> Law-2
   debruijn-off-by-one    variable lowering shifts every index    -> lowering
 """
@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import random
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from . import calculus as ca
 from . import frontend as fe
 from . import incr
@@ -880,28 +880,15 @@ def inject_fault(name: str):
     elif name == "seq-drop-propagation":
         orig = incr._BUILDERS[ca.Seq]
 
+        def deaf(m):
+            # the stage steps on a nil change, whatever comes in
+            ty, step, f = m.in_ty, m.step, m.deriv
+            return replace(m, step=lambda _d, c: step(nil_change(ty), c),
+                           deriv=None if f is None else lambda _d: f(nil_change(ty)))
+
         def bad(tt):
-            mf = incr.incrementalize(tt.children[0])
-            mg = incr.incrementalize(tt.children[1])
-            m = incr._seq_machine(tt, mf, mg)
-            mid_ty = tt.children[0].out_ty
-            if m.deriv is not None:
-                # parents compose this derivative without calling step
-                f, g = mf.deriv, mg.deriv
-
-                def deriv(dx):
-                    f(dx)
-                    return g(nil_change(mid_ty))
-
-                return incr._self_maintainable(tt.in_ty, tt.out_ty, m.init, deriv)
-
-            def step(dx, c):
-                _dy, c1 = mf.step(dx, c[0])
-                dz, c2 = mg.step(nil_change(mid_ty), c[1])
-                return dz, (c1, c2)
-
-            m.step = step
-            return m
+            first, *rest = [incr.incrementalize(c) for c in tt.children]
+            return incr._seq_machine(tt, [first] + [deaf(m) for m in rest])
 
         incr._BUILDERS[ca.Seq] = bad
         try:

@@ -6,7 +6,7 @@ from deltic.calculus import (
     CasePar, Cst, Distr, Dup, Filter, Fst, Fuse, Get, Id, Inl, Map, OpCall,
     OpDef, Par, Plus, Registry, RegistryError, Replicate, Reshape, SetAt,
     Seq, Snd, TermTypeError, Tp, Zip, denote, fanout, map2, monomorphic,
-    seq, typecheck,
+    seq, term_from_text, term_to_text, typecheck,
 )
 from deltic.core import (
     INT, NAT, REAL, SCALAR, Left, Right, TBase, TCont, TProd, TSum,
@@ -175,3 +175,15 @@ def test_interpreter_totality_on_random_terms():
         out = denote(tt, v)
         from deltic.core import check_value
         check_value(tt.out_ty, out)  # conforms, canonical, shape-valid indices
+
+
+def test_seq_spine_of_any_nesting_types_to_flat_stages(reg):
+    a, b, c, d = Id(), Dup(), Fst(), OpCall("relu")
+    left = Seq(Seq(a, b), Seq(c, d))
+    right = Seq(a, Seq(b, Seq(c, d)))
+    for t in (left, right):
+        tt = typecheck(t, R, reg)
+        assert [s.term for s in tt.children] == [a, b, c, d]
+        assert (tt.in_ty, tt.out_ty) == (R, R)
+        assert denote(tt, -2.0) == 0.0 and denote(tt, 3.0) == 3.0
+    assert term_from_text(term_to_text(left), reg) == left

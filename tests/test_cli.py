@@ -148,6 +148,20 @@ def test_laws_output_independent_of_hash_seed():
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("golden, fault_args, rc", [
+    ("laws_seed42.jsonl", [], 0),
+    ("laws_seed42_seq_drop.jsonl", ["--inject-fault", "seq-drop-propagation"], 3),
+])
+def test_laws_output_matches_golden_file(golden, fault_args, rc):
+    # engine refactors must keep `deltic laws` output byte for byte
+    src = str(Path(deltic.__file__).resolve().parents[1])
+    cmd = [sys.executable, "-m", "deltic.cli", "laws", "--seed", "42", *fault_args]
+    env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": src}
+    proc = subprocess.run(cmd, env=env, capture_output=True, timeout=300)
+    assert proc.returncode == rc, proc.stderr
+    assert proc.stdout == (Path(__file__).parent / "data" / golden).read_bytes()
+
+
 def test_bench_csv_schema(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     rc = main(["bench", "--bench", "dense", "--sizes", "20,40", "--reps", "2",

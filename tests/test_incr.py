@@ -412,3 +412,56 @@ def test_constant_derivatives_build_nil_once(monkeypatch, term, in_ty, d):
     monkeypatch.setattr(incr, "nil_change", lambda ty: calls.append(ty))
     dy, _ = m.step(d, UNIT)
     assert dy == 0.0 and calls == []
+
+
+def test_ten_thousand_stage_seq_runs_without_recursion():
+    # typecheck, denote, init and step all loop over a flat seq's stages
+    assert sys.getrecursionlimit() <= 1000
+    reg = linalg.register_linalg().registry
+    tt = typecheck(seq(*[OpCall("relu")] * 10_000), R, reg)
+    assert len(tt.children) == 10_000
+    assert all(c.term == OpCall("relu") for c in tt.children)
+    m = incrementalize(tt)
+    x = 0.5
+    y, c = m.init(x)
+    assert y == denote(tt, x) == 0.5
+    for dx in (0.25, -1.0, 2.0):
+        dy, c = m.step(dx, c)
+        x += dx
+        assert y + dy == denote(tt, x)  # Law-2
+        y += dy
+
+
+def test_seq_cache_has_one_slot_per_stage():
+    reg = linalg.register_linalg().registry
+    term = seq(Dup(), ca.Fst(), OpCall("relu"), Id(), Dup(), ca.Par(OpCall("relu"), Id()))
+    tt = typecheck(term, R, reg)
+    m = incrementalize(tt)
+    x = 0.5
+    _, c = m.init(x)
+    assert cache_to_json(m.cache, c) == [
+        "unit", "unit", {"value": 0.5}, "unit", "unit", [{"value": 0.5}, "unit"]]
+    assert cache_entry_count(m.cache, c) == 2
+    dy, c = m.step(1.0, c)
+    assert dy == (1.0, 1.0)
+    assert cache_equal(m.cache, c, m.init(1.5)[1])
+
+
+def test_nested_par_depth_bound():
+    # par, map and case still recurse one frame or two per level; 300
+    # levels fit the default recursion limit through every phase
+    assert sys.getrecursionlimit() <= 1000
+    reg = linalg.register_linalg().registry
+    term, in_ty, x, dx = OpCall("relu"), R, 0.5, -1.0
+    for _ in range(300):
+        term, in_ty = ca.Par(term, Id()), TProd(in_ty, R)
+        x, dx = (x, 1.0), (dx, 0.25)
+    tt = typecheck(term, in_ty, reg)
+    m = incrementalize(tt)
+    y, c = m.init(x)
+    assert y == denote(tt, x)
+    dy, c = m.step(dx, c)
+    for _ in range(300):
+        (dy, d_id), (y, y_id) = dy, y
+        assert d_id == 0.25 and y_id == 1.0
+    assert (y, dy) == (0.5, -0.5)

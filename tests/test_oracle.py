@@ -155,6 +155,21 @@ def test_seq_fault_reaches_a_composed_derivative():
     assert good.deriv is not None and bad.deriv is not None
     assert good.step(d, incr.UNIT)[0] == (3.0, 0.0)
     assert bad.step(d, incr.UNIT)[0] == (0.0, 0.0)
+    # a cached middle stage: the output is the last stage's response to a
+    # nil change, whatever the first two stages do with d
+    term = ca.seq(ca.Dup(), ca.Par(ca.OpCall("o_relu"), ca.Id()), ca.Plus())
+    tt = ca.typecheck(term, R, reg)
+    good = incr.incrementalize(tt)
+    with inject_fault("seq-drop-propagation"):
+        bad = incr.incrementalize(tt)
+    assert good.deriv is None and bad.deriv is None
+    last = incr.incrementalize(tt.children[2])
+    assert good.step(1.5, good.init(2.0)[1])[0] == 3.0
+    dz, c = bad.step(1.5, bad.init(2.0)[1])
+    assert dz == last.deriv((0.0, 0.0)) == 0.0
+    # the cached stage stepped on nil too: its input and output stay at 2.0
+    assert incr.cache_to_json(bad.cache, c) == [
+        "unit", [[{"value": 2.0}, {"value": 2.0}], "unit"], "unit"]
 
 
 def test_suite_healthy_without_faults():
