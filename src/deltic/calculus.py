@@ -669,8 +669,20 @@ def denote(tt: TypedTerm, v):
 
 def term_to_text(t: Term) -> str:
     match t:
-        case Seq(a, b):
-            return f"seq({term_to_text(a)}, {term_to_text(b)})"
+        case Seq():
+            # a stack, not recursion, along the spine: chains of any length print
+            parts = []
+            todo = [t]
+            while todo:
+                s = todo.pop()
+                if isinstance(s, str):
+                    parts.append(s)
+                elif isinstance(s, Seq):
+                    parts.append("seq(")
+                    todo += [")", s.second, ", ", s.first]
+                else:
+                    parts.append(term_to_text(s))
+            return "".join(parts)
         case Par(a, b):
             return f"par({term_to_text(a)}, {term_to_text(b)})"
         case Id():

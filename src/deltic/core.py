@@ -120,16 +120,16 @@ def _num_ok(v, pytype):
 
 REAL = BaseType(
     tag="real", kind="real",
-    apply=lambda x, d: x + d,
-    diff=lambda new, old: new - old,
+    apply=operator.add,
+    diff=operator.sub,
     nil=0.0, default=0.0,
     values_are_changes=True, add_commutative=True, add_associative=True,
 )
 
 INT = BaseType(
     tag="int", kind="int",
-    apply=lambda x, d: x + d,
-    diff=lambda new, old: new - old,
+    apply=operator.add,
+    diff=operator.sub,
     nil=0, default=0,
     values_are_changes=True, add_commutative=True, add_associative=True,
 )
@@ -138,7 +138,7 @@ INT = BaseType(
 # which is all the GCounter programs ever produce.
 NAT = BaseType(
     tag="nat", kind="nat",
-    apply=lambda x, d: x + d,
+    apply=operator.add,
     diff=lambda new, old: new - old if new >= old else 0,
     nil=0, default=0,
     values_are_changes=True, add_commutative=True, add_associative=True,

@@ -22,6 +22,13 @@ of indices.  A seq with a cached stage keeps a list with one slot per stage
 (UNIT at the cache-free ones) that its step updates in place, so neither
 init nor step recurses along a chain.
 
+Adjacent seq stages `zip ; map f` (map2) are built as one fused stage whose
+step walks the changed keys of (dx, dy) and steps f (or calls its
+derivative) per key, with no zipped change in between.  The zip slot stays
+UNIT and the map slot keeps its per-index cache, so the cache layout is that
+of the unfused pair.  A par with one cache-free side calls that side's
+derivative directly; its slot stays UNIT.
+
 The laws every machine satisfies (checked by the oracle module, not assumed):
 
   Law-1   init(x).value  == f(x)
@@ -31,8 +38,8 @@ The laws every machine satisfies (checked by the oracle module, not assumed):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import groupby
+from dataclasses import dataclass, replace
+from itertools import groupby, repeat
 from typing import Any, Callable, Optional
 
 from . import calculus as ca
@@ -500,7 +507,18 @@ def _incr_inr(tt):
 
 
 def _incr_seq(tt):
-    return _seq_machine(tt, [incrementalize(c) for c in tt.children])
+    # each `zip ; map f` is one fused stage: None at the zip, map2 at the map
+    stages = tt.children
+    kinds = [type(s.term) for s in stages] + [None]
+    machines = []
+    for k, s in enumerate(stages):
+        if kinds[k] is ca.Zip and kinds[k + 1] is ca.Map:
+            machines.append(None)
+        elif machines and machines[-1] is None:
+            machines.append(_incr_map2(stages[k - 1], s))
+        else:
+            machines.append(incrementalize(s))
+    return _seq_machine(tt, machines)
 
 
 def _chain(derivs):
@@ -523,20 +541,26 @@ def _chain(derivs):
 
 
 def _seq_machine(tt, machines):
-    """Compose the machines already built for the stages of a seq, in order."""
-    if all(m.deriv is not None for m in machines):
-        return _self_machine(tt, _chain([m.deriv for m in machines]))
+    """Compose the machines already built for the stages of a seq, in order.
+
+    A None stage is done by the machine after it (the zip of a fused map2);
+    its slot stays UNIT and it gets no init or step of its own.
+    """
+    live = [(k, m) for k, m in enumerate(machines) if m is not None]
+    if all(m.deriv is not None for _, m in live):
+        return _self_machine(tt, _chain([m.deriv for _, m in live]))
     plan = []  # (slot, step) per cached stage, (None, deriv) per cache-free run
-    for free, run in groupby(enumerate(machines), lambda km: km[1].deriv is not None):
+    for free, run in groupby(live, lambda km: km[1].deriv is not None):
         if free:
             plan.append((None, _chain([m.deriv for _, m in run])))
         else:
             plan += [(k, m.step) for k, m in run]
-    inits = [m.init for m in machines]
+    inits = [(k, m.init) for k, m in live]
+    size = len(machines)
 
     def init(x):
-        c = [UNIT] * len(inits)  # exact size: one slot per stage
-        for k, f in enumerate(inits):
+        c = [UNIT] * size  # exact size: one slot per stage
+        for k, f in inits:
             x, c[k] = f(x)
         return x, c
 
@@ -548,7 +572,7 @@ def _seq_machine(tt, machines):
                 d, c[k] = f(d, c[k])
         return d, c
 
-    desc = CTuple(tuple(m.cache for m in machines))
+    desc = CTuple(tuple(CUnit() if m is None else m.cache for m in machines))
     return IncrMachine(tt.in_ty, tt.out_ty, desc, init, step)
 
 
@@ -567,15 +591,53 @@ def _incr_par(tt):
         y2, c2 = g_init(xy[1])
         return (y1, y2), (c1, c2)
 
-    def step(d, c):
-        d1, c1 = f_step(d[0], c[0])
-        d2, c2 = g_step(d[1], c[1])
-        return (d1, d2), (c1, c2)
+    # a cache-free side runs its derivative; its slot stays UNIT
+    if f:
+        def step(d, c):
+            d1 = f(d[0])
+            d2, c2 = g_step(d[1], c[1])
+            return (d1, d2), (UNIT, c2)
+    elif g:
+        def step(d, c):
+            d1, c1 = f_step(d[0], c[0])
+            return (d1, g(d[1])), (c1, UNIT)
+    else:
+        def step(d, c):
+            d1, c1 = f_step(d[0], c[0])
+            d2, c2 = g_step(d[1], c[1])
+            return (d1, d2), (c1, c2)
 
     return IncrMachine(tt.in_ty, tt.out_ty, CTuple((mf.cache, mg.cache)), init, step)
 
 
 def _incr_map(tt):
+    return _map_machine(tt, dict.items)
+
+
+def _incr_map2(zip_tt, map_tt):
+    """`zip ; map f` as one stage: step f on each changed key of (dx, dy).
+
+    No zipped change is built; when one side's change is empty, only the
+    other side's entries are walked.  The cache is the map's.
+    """
+    na = nil_change(zip_tt.in_ty.left.elem)
+    nb = nil_change(zip_tt.in_ty.right.elem)
+
+    def entries(d):
+        dx, dy = d
+        if not dy:
+            return zip(dx, zip(dx.values(), repeat(nb)))
+        if not dx:
+            return zip(dy, zip(repeat(na), dy.values()))
+        return ((i, (dx.get(i, na), dy.get(i, nb))) for i in dx.keys() | dy.keys())
+
+    m = _map_machine(map_tt, entries)
+    zf, map_init = ca.compiled(zip_tt), m.init
+    return replace(m, in_ty=zip_tt.in_ty, init=lambda xy: map_init(zf(xy)))
+
+
+def _map_machine(tt, entries):
+    """map over the (index, element change) pairs that entries(d) yields."""
     body = tt.children[0]
     mf = incrementalize(body)
     shape = tt.in_ty.shape
@@ -590,7 +652,7 @@ def _incr_map(tt):
     if f:
         def deriv(dx):
             out = {}
-            for i, di in dx.items():
+            for i, di in entries(dx):
                 dy = f(di)
                 if not out_nil(dy):
                     out[i] = dy
@@ -625,10 +687,12 @@ def _incr_map(tt):
 
     def step(dx, c):
         out = {}
-        for i, di in dx.items():
-            sub = c[i] if i in c else make_default()
-            dy, sub2 = f_step(di, sub)
-            c[i] = sub2
+        for i, di in entries(dx):
+            try:
+                sub = c[i]
+            except KeyError:
+                sub = make_default()
+            dy, c[i] = f_step(di, sub)
             if not out_nil(dy):
                 out[i] = dy
         return out, c

@@ -395,7 +395,19 @@ def oracle_registry() -> ca.Registry:
 
 def term_size(t: ca.Term) -> int:
     match t:
-        case ca.Seq(a, b) | ca.Par(a, b) | ca.CasePar(a, b):
+        case ca.Seq():
+            # a stack, not recursion, along the spine: chains of any length fit
+            size = 0
+            todo = [t]
+            while todo:
+                s = todo.pop()
+                if isinstance(s, ca.Seq):
+                    size += 1
+                    todo += [s.first, s.second]
+                else:
+                    size += term_size(s)
+            return size
+        case ca.Par(a, b) | ca.CasePar(a, b):
             return 1 + term_size(a) + term_size(b)
         case ca.Map(body):
             return 1 + term_size(body)

@@ -187,3 +187,29 @@ def test_seq_spine_of_any_nesting_types_to_flat_stages(reg):
         assert (tt.in_ty, tt.out_ty) == (R, R)
         assert denote(tt, -2.0) == 0.0 and denote(tt, 3.0) == 3.0
     assert term_from_text(term_to_text(left), reg) == left
+
+
+@pytest.mark.parametrize("term, text, size", [
+    (seq(OpCall("relu"), Id(), OpCall("relu")), "seq(seq(op(relu), id), op(relu))", 5),
+    (Seq(OpCall("relu"), Seq(Id(), OpCall("relu"))), "seq(op(relu), seq(id, op(relu)))", 5),
+    (Par(Seq(Dup(), Seq(Fst(), OpCall("relu"))), Map(seq(Zip(), Map(Plus())))),
+     "par(seq(dup, seq(fst, op(relu))), map(seq(zip, map(plus))))", 11),
+    (Seq(Seq(OpCall("relu"), OpCall("relu")), Seq(Id(), Seq(OpCall("relu"), Id()))),
+     "seq(seq(op(relu), op(relu)), seq(id, seq(op(relu), id)))", 9),
+])
+def test_seq_text_and_size_of_short_chains(term, text, size):
+    from deltic.oracle import term_size
+    assert term_to_text(term) == text
+    assert term_size(term) == size
+
+
+def test_long_seq_prints_and_sizes_without_recursion(reg):
+    # the printer and the sizer walk a Seq spine with a stack, as typecheck does
+    import sys
+    from deltic.oracle import term_size
+    assert sys.getrecursionlimit() <= 1000
+    t = seq(*[OpCall("relu")] * 10_000)
+    assert term_size(t) == 19_999
+    text = term_to_text(t)
+    assert text.count("op(relu)") == 10_000
+    assert text == "seq(" * 9_999 + "op(relu)" + ", op(relu))" * 9_999

@@ -465,3 +465,101 @@ def test_nested_par_depth_bound():
         (dy, d_id), (y, y_id) = dy, y
         assert d_id == 0.25 and y_id == 1.0
     assert (y, dy) == (0.5, -0.5)
+
+
+def _map2_cases():
+    lin = linalg.register_linalg().registry
+    rel = relalg.register_relalg().registry
+    vec, table = arr(4, R), relalg.rel(("int", "str"))
+    return [pytest.param(name, reg, side, body, id=name) for name, reg, side, body in [
+        ("mul", lin, vec, OpCall("mul")),
+        ("relu-add", lin, vec, seq(Plus(), OpCall("relu"))),
+        ("plus", lin, vec, Plus()),
+        ("rel-intmul", rel, table, OpCall("intmul")),
+        ("rel-plus", rel, table, Plus()),
+    ]]
+
+
+@pytest.mark.parametrize("name, reg, side, body", _map2_cases())
+def test_fused_map2_laws(name, reg, side, body):
+    # Laws 1-3 of the fused `zip ; map f` stage, with the change on the
+    # left only, the right only, both sides and neither
+    in_ty = TProd(side, side)
+    tt = typecheck(map2(body), in_ty, reg)
+    m = incrementalize(tt)
+    free = name.endswith("plus")
+    assert (m.deriv is not None) == free
+    rng = stable_rng(39, f"map2-{name}")
+    for k in range(60):
+        x = gen_value(rng, in_ty)
+        y, c = m.init(x)
+        assert values_equal(tt.out_ty, y, denote(tt, x), 1e-9)  # Law-1
+        for it in range(3):
+            dx, dy = gen_change(rng, side), gen_change(rng, side)
+            d = [(dx, {}), ({}, dy), (dx, dy), ({}, {})][(k + it) % 4]
+            dout, c = m.step(d, c)
+            x = apply_change(in_ty, x, d)
+            y = apply_change(tt.out_ty, y, dout)
+            assert values_equal(tt.out_ty, y, denote(tt, x), 1e-9)  # Law-2
+            assert cache_equal(m.cache, c, m.init(x)[1], 1e-9)  # Law-3
+
+
+def test_fused_map2_cache_layout_is_unchanged():
+    # recorded before zip ; map was fused: the zip slot stays "unit" and the
+    # map slot keeps its per-index caches
+    reg = linalg.register_linalg().registry
+    M = {0: {0: 1.0, 1: -2.0}, 1: {0: 0.5, 1: 3.0}}
+    b = {0: 0.25, 1: -1.0}
+    tt = typecheck(linalg.dense_term(2, 2, M, b), arr(2, R), reg)
+    m = incrementalize(tt)
+    y, c = m.init({0: 1.0, 1: 2.0})
+    assert y == {1: 5.5}
+    stages_before_map2 = "unit", "unit", "unit", "unit"  # dup, par, par, zip
+    assert cache_to_json(m.cache, c) == [
+        *stages_before_map2,
+        {"indexed": [
+            [0, ["unit", {"indexed": [[0, {"value": [1.0, 1.0]}], [1, {"value": [-2.0, 2.0]}]]}]],
+            [1, ["unit", {"indexed": [[0, {"value": [0.5, 1.0]}], [1, {"value": [3.0, 2.0]}]]}]]]},
+        "unit", "unit", "unit", "unit", "unit",
+        {"indexed": [[0, {"value": -2.75}], [1, {"value": 5.5}]]}]
+    assert cache_entry_count(m.cache, c) == 2 * 2 * 2 + 2
+    dy, c = m.step({1: -0.5}, c)
+    assert dy == {1: -1.5}
+    assert cache_to_json(m.cache, c) == [
+        *stages_before_map2,
+        {"indexed": [
+            [0, ["unit", {"indexed": [[0, {"value": [1.0, 1.0]}], [1, {"value": [-2.0, 1.5]}]]}]],
+            [1, ["unit", {"indexed": [[0, {"value": [0.5, 1.0]}], [1, {"value": [3.0, 1.5]}]]}]]]},
+        "unit", "unit", "unit", "unit", "unit",
+        {"indexed": [[0, {"value": -1.75}], [1, {"value": 4.0}]]}]
+
+
+@pytest.mark.parametrize("sides", ["left", "right", "both"])
+def test_fused_map2_step_builds_no_zipped_change(sides):
+    # one step of map2 mul over k changed entries steps mul k times and
+    # never runs the standalone zip derivative (or any dict comprehension)
+    reg = linalg.register_linalg().registry
+    n, k = 50, 7
+    in_ty = TProd(arr(n, R), arr(n, R))
+    m = incrementalize(typecheck(map2(OpCall("mul")), in_ty, reg))
+    zip_code = incrementalize(typecheck(ca.Zip(), in_ty, reg)).deriv.__code__
+    mul_code = comb_triv(mul, TProd(R, R), R).step.__code__
+    rng = stable_rng(40, "map2-calls")
+    x = gen_value(rng, in_ty)
+    _, c = m.init(x)
+    ch = {i: rng.uniform(-1, 1) for i in rng.sample(range(n), k)}
+    d = {"left": (ch, {}), "right": ({}, ch), "both": (ch, ch)}[sides]
+    codes = []
+
+    def record(frame, event, _arg):
+        if event == "call":
+            codes.append(frame.f_code)
+
+    sys.setprofile(record)
+    try:
+        m.step(d, c)
+    finally:
+        sys.setprofile(None)
+    assert zip_code not in codes
+    assert not [f for f in codes if f.co_name == "<dictcomp>"]
+    assert codes.count(mul_code) == k
