@@ -1,10 +1,13 @@
 """Desk-scale benchmarks: full reevaluation vs incremental update.
 
-Inputs are generated pseudo-randomly from a printed seed; timings are
-best-of-N on a monotonic clock.  Sizes mean the input dimension (dense,
-mvmul), the tuple count (rel-proj, rel-join), or the tree depth (tree-sum).
-The sparsity sweep varies the changed fraction at a fixed size and reports
-the crossover fraction where stepping stops beating reevaluation.
+Inputs and change lists are generated pseudo-randomly from a printed seed
+before any timing.  For each of 2·reps + 1 changes, one batch `denote` and
+then one step are timed back to back on a monotonic clock; a row reports the
+medians of the denote times (full_eval_s) and step times (incr_step_s) and
+the median of the per-pair step/denote ratios (ratio).  Sizes mean the input
+dimension (dense, mvmul), the tuple count (rel-proj, rel-join), or the tree
+depth (tree-sum).  The sparsity sweep varies the changed fraction at a fixed
+size and reports the crossover fraction where the ratio first reaches 1.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from statistics import median
 
 from . import calculus as ca
 from . import incr
@@ -75,39 +79,33 @@ class BenchRow:
                 f"{self.ratio:.4f}", self.cache_entries]
 
 
-def _best_of(fn, reps):
-    """Best-of-N on a monotonic clock, with the GC paused while timing."""
-    best = math.inf
+def _paired_times(tt, value, machine, cache, changes):
+    """Time `denote` and then one step back to back, once per change.
+
+    The machine state evolves along the changes.  Pairing keeps each
+    step/denote ratio to one moment of the host's speed, so a speed-mode
+    switch moves a pair, not the median over the pairs.  The GC is paused
+    while timing.  Returns the medians of the denote times, the step times
+    and the per-pair ratios, and the final cache.
+    """
+    fulls, steps, ratios = [], [], []
     gc_was_on = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        for _ in range(reps):
+        for dx in changes:
             t0 = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - t0)
-    finally:
-        if gc_was_on:
-            gc.enable()
-    return best
-
-
-def _time_steps(machine, cache, make_change, reps):
-    """Time `reps` successive steps (machine state evolves); best-of."""
-    best = math.inf
-    gc_was_on = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(reps):
-            dx = make_change()
-            t0 = time.perf_counter()
+            ca.denote(tt, value)
+            t1 = time.perf_counter()
             _, cache = machine.step(dx, cache)
-            best = min(best, time.perf_counter() - t0)
+            t2 = time.perf_counter()
+            fulls.append(t1 - t0)
+            steps.append(t2 - t1)
+            ratios.append((t2 - t1) / (t1 - t0))
     finally:
         if gc_was_on:
             gc.enable()
-    return best, cache
+    return median(fulls), median(steps), median(ratios), cache
 
 
 def _rand_vec(rng, n):
@@ -124,12 +122,16 @@ def _vec_change(rng, n, fraction):
     return {i: rng.uniform(-1.0, 1.0) for i in idxs}
 
 
+def _pairs(reps):
+    return 2 * reps + 1
+
+
 def _measure_term(tt, value, machine, make_change, reps):
-    full = _best_of(lambda: ca.denote(tt, value), reps)
+    changes = [make_change() for _ in range(_pairs(reps))]
     _, cache = machine.init(value)
-    step, cache = _time_steps(machine, cache, make_change, reps)
+    full, step, ratio, cache = _paired_times(tt, value, machine, cache, changes)
     entries = incr.cache_entry_count(machine.cache, cache)
-    return full, step, entries
+    return full, step, ratio, entries
 
 
 def bench_dense(spec: BenchSpec):
@@ -142,10 +144,10 @@ def bench_dense(spec: BenchSpec):
         x = _rand_vec(rng, n)
         tt = ca.typecheck(linalg.dense_term(n, n, M, b), arr(n, R), bundle.registry)
         machine = incr.incrementalize(tt)
-        full, step, entries = _measure_term(
+        full, step, ratio, entries = _measure_term(
             tt, x, machine, lambda: _vec_change(rng, n, spec.fraction), spec.reps)
         rows.append(BenchRow("dense", n, spec.fraction, full, step,
-                             step / full, entries))
+                             ratio, entries))
     return rows, {}
 
 
@@ -159,11 +161,11 @@ def bench_mvmul(spec: BenchSpec):
         in_ty = TProd(arr(n, arr(n, R)), arr(n, R))
         tt = ca.typecheck(linalg.mvmul_term(n, n), in_ty, bundle.registry)
         machine = incr.incrementalize(tt)
-        full, step, entries = _measure_term(
+        full, step, ratio, entries = _measure_term(
             tt, (M, v), machine,
             lambda: ({}, _vec_change(rng, n, spec.fraction)), spec.reps)
         rows.append(BenchRow("mvmul", n, spec.fraction, full, step,
-                             step / full, entries))
+                             ratio, entries))
     return rows, {}
 
 
@@ -175,18 +177,17 @@ def bench_mvmul_sparsity(spec: BenchSpec):
     v = _rand_vec(rng, n)
     in_ty = TProd(arr(n, arr(n, R)), arr(n, R))
     tt = ca.typecheck(linalg.mvmul_term(n, n), in_ty, bundle.registry)
-    full = _best_of(lambda: ca.denote(tt, (M, v)), spec.reps)
+    # one machine steps through the whole sweep, fraction after fraction
+    machine = incr.incrementalize(tt)
+    _, cache = machine.init((M, v))
     rows = []
     crossover = None
     for frac in [f / 10 for f in range(1, 11)]:
-        machine = incr.incrementalize(tt)
-        _, cache = machine.init((M, v))
-        step, cache = _time_steps(
-            machine, cache, lambda: ({}, _vec_change(rng, n, frac)), spec.reps)
+        changes = [({}, _vec_change(rng, n, frac)) for _ in range(_pairs(spec.reps))]
+        full, step, ratio, cache = _paired_times(tt, (M, v), machine, cache, changes)
         entries = incr.cache_entry_count(machine.cache, cache)
-        rows.append(BenchRow("mvmul-sparsity", n, frac, full, step,
-                             step / full, entries))
-        if crossover is None and step >= full:
+        rows.append(BenchRow("mvmul-sparsity", n, frac, full, step, ratio, entries))
+        if crossover is None and ratio >= 1.0:
             crossover = frac
     return rows, {"crossover": crossover}
 
@@ -221,12 +222,12 @@ def bench_rel_proj(spec: BenchSpec):
         in_ty = relalg.rel(("int", "int"))
         tt = ca.typecheck(relalg.proj_term("fst"), in_ty, bundle.registry)
         machine = incr.incrementalize(tt)
-        full, step, entries = _measure_term(
+        full, step, ratio, entries = _measure_term(
             tt, value, machine,
             lambda: _rel_change(rng, value, size, spec.fraction, key_range),
             spec.reps)
         rows.append(BenchRow("rel-proj", size, spec.fraction, full, step,
-                             step / full, entries))
+                             ratio, entries))
     return rows, {}
 
 
@@ -246,12 +247,12 @@ def bench_rel_join(spec: BenchSpec):
         in_ty = TProd(relalg.rel(("int", "int")), relalg.rel(("int", "int")))
         tt = ca.typecheck(relalg.join_term("bench_eq_key"), in_ty, bundle.registry)
         machine = incr.incrementalize(tt)
-        full, step, entries = _measure_term(
+        full, step, ratio, entries = _measure_term(
             tt, (left, right), machine,
             lambda: (_rel_change(rng, left, size, spec.fraction, key_range), {}),
             spec.reps)
         rows.append(BenchRow("rel-join", size, spec.fraction, full, step,
-                             step / full, entries))
+                             ratio, entries))
     return rows, {}
 
 
@@ -285,10 +286,10 @@ def bench_tree_sum(spec: BenchSpec):
             k = max(1, math.ceil(spec.fraction * len(paths)))
             return {p: rng.randint(1, 5) for p in rng.sample(paths, k)}
 
-        full, step, entries = _measure_term(tt, value, machine, make_change,
-                                            spec.reps)
+        full, step, ratio, entries = _measure_term(tt, value, machine, make_change,
+                                                   spec.reps)
         rows.append(BenchRow("tree-sum", depth, spec.fraction, full, step,
-                             step / full, entries))
+                             ratio, entries))
     return rows, {}
 
 

@@ -188,6 +188,8 @@ class OpDef:
     typer maps an actual input type to the output type (None rejects);
     make_machine builds the incrementalization for one instantiation.
     sample_in_tys are representative input types for the law validator.
+    make_selected, when given, builds the machine of `op ; σ_p` from the
+    index predicate p: incr uses it for `op ; ⟨cst ε, id⟩ ; filter p`.
     """
 
     name: str
@@ -195,6 +197,7 @@ class OpDef:
     fn: Callable[[Any], Any]
     make_machine: Callable[[Any, Any], Any]
     sample_in_tys: tuple = ()
+    make_selected: Optional[Callable[[Callable, Any, Any], Any]] = None
 
 
 @dataclass

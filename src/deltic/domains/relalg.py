@@ -4,6 +4,14 @@ Multiplicities live in ℤ so deletions are negative entries.  The Cartesian
 product is the one genuinely bilinear op (its derivative is the discrete
 product rule a·b' + a'·b + a'·b'); count and groupBy are linear in the
 multiplicities and need no cache at all.
+
+A selection σ_p = ⟨cst 0, id⟩ ; filter p drops rows to the default 0, so it
+is linear and σ_p ∘ cross is bilinear too.  cross registers that fused
+operation as its make_selected, and incr builds a join `cross ; σ_p` as one
+bilinear stage whose kernel tests p on each pair before making it: no cross
+product is built and filtered afterwards.  The stage caches the two input
+relations, exactly as the unfused cross does, so the join's cache layout is
+unchanged; batch evaluation (calculus.denote) stays the unfused reference.
 """
 
 from __future__ import annotations
@@ -43,6 +51,24 @@ def _cross(xy):
         for j, b in s.items():
             out[(i, j)] = a * b
     return out
+
+
+def _selected_cross(p):
+    """σ_p ∘ cross: only pairs that satisfy p are made.
+
+    The right relation is the outer loop: on a right-side change the large
+    left relation is walked once per changed right tuple.
+    """
+    def fn(xy):
+        r, s = xy
+        out = {}
+        for j, b in s.items():
+            for i, a in r.items():
+                if p((i, j)):
+                    out[(i, j)] = a * b
+        return out
+
+    return fn
 
 
 def _cross_typer(ty):
@@ -130,7 +156,8 @@ def register_relalg() -> InstanceBundle:
     reg.register_op(OpDef(
         "cross", _cross_typer, _cross,
         lambda i, o: incr.comb_bilin(_cross, i, o),
-        sample_in_tys=(TProd(rel("int"), rel("str")),)))
+        sample_in_tys=(TProd(rel("int"), rel("str")),),
+        make_selected=lambda p, i, o: incr.comb_bilin(_selected_cross(p), i, o)))
     reg.register_op(OpDef(
         "count", _count_typer, _count,
         lambda i, o: incr.comb_self(_count, _count, i, o),

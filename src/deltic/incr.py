@@ -29,6 +29,14 @@ UNIT and the map slot keeps its per-index cache, so the cache layout is that
 of the unfused pair.  A par with one cache-free side calls that side's
 derivative directly; its slot stays UNIT.
 
+Adjacent seq stages `op ; dup ; (cst ε × id) ; filter p` (a selection σ_p
+after an op, where ε is the element default, so σ_p is linear) are built as
+one stage when the op registers make_selected: for relalg's cross this is a
+bilinear join that tests p on each pair before making it.  The fused
+machine takes the op's slot and the three selection slots stay UNIT; they
+were cache-free anyway, so the cache layout is that of the unfused seq.
+Batch evaluation is not fused, so the laws check one against the other.
+
 The laws every machine satisfies (checked by the oracle module, not assumed):
 
   Law-1   init(x).value  == f(x)
@@ -507,18 +515,41 @@ def _incr_inr(tt):
 
 
 def _incr_seq(tt):
-    # each `zip ; map f` is one fused stage: None at the zip, map2 at the map
+    # Fused stages leave None in the slots of the stages they absorb:
+    # `zip ; map f` is [None, map2] and `op ; ⟨cst ε, id⟩ ; filter p` is
+    # [selected op, None, None, None].
     stages = tt.children
     kinds = [type(s.term) for s in stages] + [None]
     machines = []
-    for k, s in enumerate(stages):
+    k = 0
+    while k < len(stages):
         if kinds[k] is ca.Zip and kinds[k + 1] is ca.Map:
-            machines.append(None)
-        elif machines and machines[-1] is None:
-            machines.append(_incr_map2(stages[k - 1], s))
+            fused = [None, _incr_map2(stages[k], stages[k + 1])]
+        elif kinds[k] is ca.OpCall and stages[k].info.make_selected:
+            fused = _incr_selected(stages[k:k + 4])
         else:
-            machines.append(incrementalize(s))
+            fused = None
+        machines += fused or [incrementalize(stages[k])]
+        k = len(machines)
     return _seq_machine(tt, machines)
+
+
+def _incr_selected(stages):
+    """`op ; dup ; (cst ε × id) ; filter p` as the op's selected machine.
+
+    With the element default ε as fallback, filter p is linear, so the op's
+    make_selected can apply p as it computes.  The three selection stages
+    are cache-free, so the layout is that of the unfused seq.
+    """
+    if [type(s.term) for s in stages[1:]] != [ca.Dup, ca.Par, ca.Filter]:
+        return None
+    op, _, par, fil = stages
+    cst, ident = par.children
+    if not (type(cst.term) is ca.Cst and type(ident.term) is ca.Id
+            and cst.term.value == default_value(cst.out_ty)):
+        return None
+    m = op.info.make_selected(fil.info.fn, op.in_ty, fil.out_ty)
+    return [m, None, None, None]
 
 
 def _chain(derivs):
@@ -543,8 +574,9 @@ def _chain(derivs):
 def _seq_machine(tt, machines):
     """Compose the machines already built for the stages of a seq, in order.
 
-    A None stage is done by the machine after it (the zip of a fused map2);
-    its slot stays UNIT and it gets no init or step of its own.
+    A None stage is done by a neighbouring fused machine (the zip of a map2,
+    the selection after a selected op); its slot stays UNIT and it gets no
+    init or step of its own.
     """
     live = [(k, m) for k, m in enumerate(machines) if m is not None]
     if all(m.deriv is not None for _, m in live):

@@ -705,16 +705,6 @@ def check_completeness(ty, rng, samples=200, rel_tol=1e-9, name="completeness") 
     return CheckReport(name, 0, samples, not failures, failures)
 
 
-def check_nil_law(ty, rng, samples=100, name="nil-law") -> CheckReport:
-    failures = []
-    for k in range(samples):
-        v = gen_value(rng, ty)
-        if not values_equal(ty, apply_change(ty, v, nil_change(ty)), v):
-            failures.append(_witness(sample=k, v=_show_value(ty, v)))
-            break
-    return CheckReport(name, 0, samples, not failures, failures)
-
-
 # ---------------------------------------------------------------------------
 # Finite-support suite
 # ---------------------------------------------------------------------------

@@ -1,12 +1,18 @@
 """Relational algebra over multiplicity maps vs nested-loop oracles."""
 
+import sys
+from dataclasses import replace
+
 import pytest
 
-from deltic.calculus import denote, typecheck
-from deltic.core import INT, TBase, TProd, values_equal
+from deltic import incr
+from deltic.calculus import Cst, Filter, Id, OpCall, denote, fanout, seq, typecheck
+from deltic.core import INT, TBase, TProd, apply_change
 from deltic.domains import relalg
-from deltic.incr import incrementalize, iter_changes, sum_changes
-from deltic.oracle import check_op_laws, stable_rng
+from deltic.incr import (
+    cache_equal, cache_to_json, incrementalize, iter_changes, sum_changes,
+)
+from deltic.oracle import check_op_laws, inject_fault, stable_rng
 
 from helpers import oracle_join, oracle_proj, oracle_union, rand_relation
 
@@ -107,3 +113,126 @@ def test_negative_multiplicities_encode_deletion(bundle):
     assert y == {1: 2, 2: 1}
     dy, c = m.step({(1, 10): -2}, c)
     assert dy == {1: -2}
+
+
+# ---------------------------------------------------------------------------
+# cross ; σ_p fused into one bilinear join stage
+# ---------------------------------------------------------------------------
+
+PAIR_REL = relalg.rel(("int", "int"))
+JOIN_IN = TProd(PAIR_REL, PAIR_REL)
+JOIN_PREDS = {
+    "key-eq": lambda ij: ij[0][0] == ij[1][0],
+    "non-key": lambda ij: (ij[0][1] + ij[1][1]) % 3 == 0,
+}
+
+
+def _join(pred_name):
+    b = relalg.register_relalg()
+    b.registry.register_index_pred(pred_name, JOIN_PREDS[pred_name])
+    return typecheck(relalg.join_term(pred_name), JOIN_IN, b.registry)
+
+
+def _unfused(tt):
+    # the seq of the join's four stages, each built on its own
+    return incr._seq_machine(tt, [incrementalize(s) for s in tt.children])
+
+
+def _rel_change(rng, rel):
+    # deletions of present tuples, multiplicity edits and fresh tuples
+    d = {}
+    for t in rng.sample(sorted(rel), min(len(rel), rng.randint(0, 2))):
+        d[t] = rng.choice((-rel[t], 1, -1))
+    for _ in range(rng.randint(1, 3)):
+        d[(rng.randrange(10), rng.randrange(60))] = rng.choice((-2, -1, 1, 2))
+    return {t: m for t, m in d.items() if m}
+
+
+@pytest.mark.parametrize("pred_name", sorted(JOIN_PREDS))
+def test_fused_join_laws(pred_name):
+    # Laws 1-3 of the fused stage against denote, with the change on the
+    # left only, the right only, both sides and neither
+    tt = _join(pred_name)
+    m = incrementalize(tt)
+    rng = stable_rng(53, f"fused-join-{pred_name}")
+    for k in range(40):
+        x = (rand_relation(rng, rng.randint(0, 20)), rand_relation(rng, rng.randint(0, 8)))
+        y, c = m.init(x)
+        assert y == denote(tt, x)  # Law-1
+        for it in range(4):
+            dx, dy = _rel_change(rng, x[0]), _rel_change(rng, x[1])
+            d = [(dx, {}), ({}, dy), (dx, dy), ({}, {})][(k + it) % 4]
+            dout, c = m.step(d, c)
+            x = apply_change(JOIN_IN, x, d)
+            y = apply_change(tt.out_ty, y, dout)
+            assert y == denote(tt, x)  # Law-2
+            assert cache_equal(m.cache, c, m.init(x)[1])  # Law-3
+
+
+def test_fused_join_cache_is_the_unfused_one():
+    tt = _join("key-eq")
+    fused, unfused = incrementalize(tt), _unfused(tt)
+    assert fused.cache == unfused.cache
+    rng = stable_rng(54, "fused-join-cache")
+    x = (rand_relation(rng, 15), rand_relation(rng, 6))
+    (y1, c1), (y2, c2) = fused.init(x), unfused.init(x)
+    assert y1 == y2
+    assert cache_to_json(fused.cache, c1) == cache_to_json(unfused.cache, c2)
+    for d in [(_rel_change(rng, x[0]), {}), ({}, _rel_change(rng, x[1])),
+              (_rel_change(rng, x[0]), _rel_change(rng, x[1]))]:
+        (d1, c1), (d2, c2) = fused.step(d, c1), unfused.step(d, c2)
+        assert d1 == d2
+        assert cache_to_json(fused.cache, c1) == cache_to_json(unfused.cache, c2)
+
+
+@pytest.mark.parametrize("fallback, fused", [(0, True), (1, False)])
+def test_selection_fuses_only_with_the_default_fallback(fallback, fused):
+    # ⟨cst 1, id⟩ ; filter p keeps failing rows at 1, which is not linear
+    b = relalg.register_relalg()
+    b.registry.register_index_pred("key-eq", JOIN_PREDS["key-eq"])
+    built = []
+    cross = b.registry.ops["cross"]
+    b.registry.ops["cross"] = replace(
+        cross, make_selected=lambda *a: built.append(a) or cross.make_selected(*a))
+    term = seq(OpCall("cross"), fanout(Cst(relalg.Z, fallback), Id()), Filter("key-eq"))
+    incrementalize(typecheck(term, JOIN_IN, b.registry))
+    assert bool(built) == fused
+
+
+def test_fused_join_right_step_never_builds_the_cross_product():
+    tt = _join("key-eq")
+    m = incrementalize(tt)
+    rng = stable_rng(55, "fused-join-calls")
+    x = (rand_relation(rng, 200, key_range=20, val_range=1000), rand_relation(rng, 10))
+    _, c = m.init(x)
+    codes = []
+
+    def record(frame, event, _arg):
+        if event == "call":
+            codes.append(frame.f_code)
+
+    sys.setprofile(record)
+    try:
+        m.step(({}, {(3, 7): 1, (4, 8): -1}), c)
+    finally:
+        sys.setprofile(None)
+    assert codes
+    assert relalg._cross.__code__ not in codes
+    assert not [f for f in codes if f.co_name == "<dictcomp>"]
+
+
+def test_bilin_fault_reaches_the_fused_join():
+    # a right-side change needs the dropped f(x, dy) term, so Law-2 breaks
+    tt = _join("key-eq")
+    x = ({(1, 2): 1, (2, 5): 2}, {(1, 9): 1})
+    d = ({}, {(2, 7): 1})
+    want = denote(tt, apply_change(JOIN_IN, x, d))
+    for faulty in (False, True):
+        if faulty:
+            with inject_fault("bilin-missing-term"):
+                m = incrementalize(tt)
+        else:
+            m = incrementalize(tt)
+        y, c = m.init(x)
+        dy, _ = m.step(d, c)
+        assert (apply_change(tt.out_ty, y, dy) == want) != faulty
