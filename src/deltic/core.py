@@ -510,44 +510,112 @@ def support(v) -> set:
 # Conformance and comparison
 # ---------------------------------------------------------------------------
 
-def check_value(ty, v, path="value"):
-    """Raise ConformanceError unless v conforms to ty and is canonical."""
+# check_value runs a closure compiled once per type and memoised like the
+# closures above, so checking a large literal does no type dispatch per entry
+# and builds no path string.  A failing closure raises _Reject with the tail
+# of the message; each enclosing container, pair or sum closure adds its path
+# part as the exception unwinds, and check_value joins them into the message.
+# Only the closure is memoised, never a checked value: every call checks every
+# entry.  check_change stays a recursive walk, as no hot path calls it.
+
+class _Reject(Exception):
+    """A conformance failure on its way out to check_value."""
+
+    def __init__(self, tail, part=None):
+        self.tail = tail
+        self.parts = [] if part is None else [part]  # innermost first
+
+
+# Per base kind: the predicate a conforming value meets, and the exact types
+# that always meet it (a per-entry shortcut that makes no call).
+_SCALAR_OK = {
+    "real": (lambda v: _num_ok(v, (int, float)), frozenset((int, float))),
+    "int": (lambda v: _num_ok(v, int), frozenset((int,))),
+    "nat": (lambda v: _num_ok(v, int) and v >= 0, frozenset()),
+    "scalar": (lambda v: v is None or isinstance(v, (str, int, float))
+               and not isinstance(v, bool), frozenset((type(None), str, int, float))),
+}
+
+_CHECK_FNS: dict = {}
+
+
+def _at(check, part):
+    """check, with part added to the path of a failure."""
+    def run(v):
+        try:
+            check(v)
+        except _Reject as e:
+            e.parts.append(part)
+            raise
+    return run
+
+
+def _build_check_fn(ty):
     match ty:
         case TBase(base):
-            k = base.kind
-            ok = (
-                (k == "real" and _num_ok(v, (int, float)))
-                or (k == "int" and _num_ok(v, int))
-                or (k == "nat" and _num_ok(v, int) and v >= 0)
-                or (k == "scalar" and (v is None or isinstance(v, (str, int, float))
-                                       and not isinstance(v, bool)))
-            )
-            if not ok:
-                raise ConformanceError(f"{path}: {v!r} is not a {base.tag} scalar")
+            ok, sure = _SCALAR_OK[base.kind]
+            tag = base.tag
+
+            def run(v):
+                if type(v) not in sure and not ok(v):
+                    raise _Reject(f": {v!r} is not a {tag} scalar")
+            return run
         case TCont(shape, elem):
-            if not isinstance(v, dict):
-                raise ConformanceError(f"{path}: expected a mapping, got {v!r}")
+            check = _check_fn(elem)
+            valid, payload = shape.container.valid_index, shape.payload
             dft = default_value(elem)
-            for i, ev in v.items():
-                if not shape.valid_index(i):
-                    raise ConformanceError(f"{path}[{i!r}]: invalid index for {shape!r}")
-                check_value(elem, ev, f"{path}[{i!r}]")
-                if ev == dft:
-                    raise ConformanceError(f"{path}[{i!r}]: stored default breaks canonical form")
+
+            def run_cont(v):
+                if not isinstance(v, dict):
+                    raise _Reject(f": expected a mapping, got {v!r}")
+                for i, ev in v.items():
+                    if not valid(payload, i):
+                        raise _Reject(f": invalid index for {shape!r}", f"[{i!r}]")
+                    try:
+                        check(ev)
+                    except _Reject as e:
+                        e.parts.append(f"[{i!r}]")
+                        raise
+                    if ev == dft:
+                        raise _Reject(": stored default breaks canonical form", f"[{i!r}]")
+            return run_cont
         case TProd(a, b):
-            if not (isinstance(v, tuple) and len(v) == 2):
-                raise ConformanceError(f"{path}: expected a pair, got {v!r}")
-            check_value(a, v[0], f"{path}.0")
-            check_value(b, v[1], f"{path}.1")
+            fa, fb = _at(_check_fn(a), ".0"), _at(_check_fn(b), ".1")
+
+            def run_pair(v):
+                if not (isinstance(v, tuple) and len(v) == 2):
+                    raise _Reject(f": expected a pair, got {v!r}")
+                fa(v[0])
+                fb(v[1])
+            return run_pair
         case TSum(a, b):
-            if type(v) is Left:
-                check_value(a, v.value, f"{path}.inl")
-            elif type(v) is Right:
-                check_value(b, v.value, f"{path}.inr")
-            else:
-                raise ConformanceError(f"{path}: expected an injection, got {v!r}")
+            fa, fb = _at(_check_fn(a), ".inl"), _at(_check_fn(b), ".inr")
+
+            def run_sum(v):
+                if type(v) is Left:
+                    fa(v.value)
+                elif type(v) is Right:
+                    fb(v.value)
+                else:
+                    raise _Reject(f": expected an injection, got {v!r}")
+            return run_sum
         case _:
             raise UsageError(f"not a type: {ty!r}")
+
+
+def _check_fn(ty):
+    f = _CHECK_FNS.get(ty)
+    if f is None:
+        f = _CHECK_FNS[ty] = _build_check_fn(ty)
+    return f
+
+
+def check_value(ty, v, path="value"):
+    """Raise ConformanceError unless v conforms to ty and is canonical."""
+    try:
+        _check_fn(ty)(v)
+    except _Reject as e:
+        raise ConformanceError(path + "".join(reversed(e.parts)) + e.tail) from None
 
 
 def check_change(ty, d, path="change"):

@@ -29,6 +29,14 @@ UNIT and the map slot keeps its per-index cache, so the cache layout is that
 of the unfused pair.  A par with one cache-free side calls that side's
 derivative directly; its slot stays UNIT.
 
+A map whose body is a Triv machine (comb_triv sets `triv` to its fn) runs fn
+inline as a kernel: init keeps each input element as its entry's sub-cache
+and calls fn once per entry, and step computes fn(x ⊕ dx) ⊖ fn(x) per changed
+key and stores x ⊕ dx, with no per-entry machine call.  The cache is the one
+the per-entry Triv machines keep, so the descriptor, cache_to_json and
+cache_entry_count are unchanged.  The fused `zip ; map f` stage is built by
+the same code, so it gets the kernel too.
+
 Adjacent seq stages `op ; dup ; (cst ε × id) ; filter p` (a selection σ_p
 after an op, where ε is the element default, so σ_p is linear) are built as
 one stage when the op registers make_selected: for relalg's cross this is a
@@ -223,6 +231,9 @@ class IncrMachine:
     # Set exactly on self-maintainable machines (cache CUnit()), whose step
     # is (deriv(d), UNIT); composite builders compose it instead of stepping.
     deriv: Optional[Callable[[Any], Any]] = None
+    # Set only by comb_triv, to its fn: map runs such a body as an inline
+    # kernel over its entries instead of calling init/step per entry.
+    triv: Optional[Callable[[Any], Any]] = None
 
 
 def _path_deriv(path):
@@ -248,7 +259,7 @@ def comb_triv(fn, in_ty, out_ty) -> IncrMachine:
         x2 = ap(x, dx)
         return df(fn(x2), fn(x)), x2
 
-    return IncrMachine(in_ty, out_ty, CValue(in_ty), init, step)
+    return IncrMachine(in_ty, out_ty, CValue(in_ty), init, step, triv=fn)
 
 
 def comb_triv2(fn, in_ty, out_ty) -> IncrMachine:
@@ -695,39 +706,64 @@ def _map_machine(tt, entries):
     def make_default():
         return f_init(default_value(elem_in))[1]
 
-    def init(x):
-        fe, _ = f_init(din)
-        out = {}
-        caches = {}
+    def inputs(x, fe):
+        """The (index, element) pairs init visits, given fe = f(ε)."""
         if fe == dout:
-            for i, xi in x.items():
-                y, c = f_init(xi)
-                caches[i] = c
-                if y != dout:
-                    out[i] = y
-            return out, caches
+            return x.items()
         indices = shape.indices()
         if indices is None:
             raise SupportError(
                 f"map over {shape!r} needs f(ε)=ε for an infinite index set")
-        for i in indices:
-            y, c = f_init(x.get(i, din))
-            caches[i] = c
-            if y != dout:
-                out[i] = y
-        return out, caches
+        return [(i, x.get(i, din)) for i in indices]
 
-    def step(dx, c):
-        out = {}
-        for i, di in entries(dx):
-            try:
-                sub = c[i]
-            except KeyError:
-                sub = make_default()
-            dy, c[i] = f_step(di, sub)
-            if not out_nil(dy):
-                out[i] = dy
-        return out, c
+    fn = mf.triv
+    if fn is None:
+        def init(x):
+            out = {}
+            caches = {}
+            for i, xi in inputs(x, f_init(din)[0]):
+                y, caches[i] = f_init(xi)
+                if y != dout:
+                    out[i] = y
+            return out, caches
+
+        def step(dx, c):
+            out = {}
+            for i, di in entries(dx):
+                try:
+                    sub = c[i]
+                except KeyError:
+                    sub = make_default()
+                dy, c[i] = f_step(di, sub)
+                if not out_nil(dy):
+                    out[i] = dy
+            return out, c
+    else:
+        # Triv kernel: the sub-cache of an entry is its input element, so
+        # fn runs inline on it, with the layout comb_triv's caches have.
+        ap = apply_fn(elem_in)
+        df = diff_fn(elem_out)
+
+        def init(x):
+            caches = dict(inputs(x, fn(din)))
+            out = {}
+            for i, xi in caches.items():
+                y = fn(xi)
+                if y != dout:
+                    out[i] = y
+            return out, caches
+
+        def step(dx, c):
+            out = {}
+            get = c.get
+            for i, di in entries(dx):
+                x = get(i, din)
+                x2 = ap(x, di)
+                dy = df(fn(x2), fn(x))
+                c[i] = x2
+                if not out_nil(dy):
+                    out[i] = dy
+            return out, c
 
     desc = CIndexed(shape, mf.cache, make_default)
     return IncrMachine(tt.in_ty, tt.out_ty, desc, init, step)

@@ -861,6 +861,7 @@ def inject_fault(name: str):
             m = orig(fn, in_ty, out_ty)
             good_step = m.step
             m.step = lambda dx, c: (good_step(dx, c)[0], c)
+            m.triv = None  # so map steps the sabotaged machine, not its kernel
             return m
 
         incr.comb_triv = bad

@@ -2,6 +2,7 @@
 
 import pytest
 
+from deltic.calculus import Cst, TermTypeError, typecheck
 from deltic.core import (
     INT, KEEP, NAT, REAL, SCALAR, SUM_NULL, Cl, Cr, Left, Right, Sl, Sr,
     ConformanceError, Shape, TBase, TCont, TProd, TSum, UsageError,
@@ -9,7 +10,9 @@ from deltic.core import (
     is_nil, nil_change, support, values_equal,
 )
 from deltic.domains.containers import arr, rel_shape, tree_shape
-from deltic.oracle import GenConfig, gen_change, gen_type, gen_value, reachable_pair, stable_rng
+from deltic.oracle import (
+    GenConfig, gen_change, gen_type, gen_value, oracle_registry, reachable_pair, stable_rng,
+)
 
 R = TBase(REAL)
 Z = TBase(INT)
@@ -199,6 +202,70 @@ def test_conformance_errors():
         check_value(TProd(R, R), (1.0,))
     with pytest.raises(ConformanceError):
         check_value(SUM_RR, 1.0)
+
+
+N = TBase(NAT)
+S = TBase(SCALAR)
+REL_II = TCont(rel_shape(("int", "int")), Z)
+
+# One row per failure kind and nesting depth: (type, value, exact message).
+CONFORMANCE_MESSAGES = [
+    (R, True, "value: True is not a real scalar"),
+    (Z, False, "value: False is not a int scalar"),
+    (N, -1, "value: -1 is not a nat scalar"),
+    (S, [1], "value: [1] is not a scalar scalar"),
+    (arr(2, R), [1.0], "value: expected a mapping, got [1.0]"),
+    (TProd(R, R), (1.0,), "value: expected a pair, got (1.0,)"),
+    (SUM_RR, 1.0, "value: expected an injection, got 1.0"),
+    (arr(2, R), {7: "a"}, "value[7]: invalid index for arr[2]"),
+    (arr(3, R), {2: 0.0}, "value[2]: stored default breaks canonical form"),
+    (REL_II, {(1, "a"): 1}, "value[(1, 'a')]: invalid index for rel[int*int]"),
+    (REL_II, {(1, 2): 0}, "value[(1, 2)]: stored default breaks canonical form"),
+    (REL_II, {(1, 2): 1.0}, "value[(1, 2)]: 1.0 is not a int scalar"),
+    (TSum(R, Z), Right(1.5), "value.inr: 1.5 is not a int scalar"),
+    (arr(2, arr(2, R)), {1: {0: "a"}}, "value[1][0]: 'a' is not a real scalar"),
+    (arr(2, arr(2, R)), {0: {5: 1.0}}, "value[0][5]: invalid index for arr[2]"),
+    (arr(2, arr(2, R)), {0: {}}, "value[0]: stored default breaks canonical form"),
+    (arr(2, TProd(R, Z)), {0: (1.0, 2.5)}, "value[0].1: 2.5 is not a int scalar"),
+    (TProd(R, arr(2, Z)), (1.0, {1: 0}), "value.1[1]: stored default breaks canonical form"),
+    (TSum(arr(2, R), R), Left({0: 0.0}), "value.inl[0]: stored default breaks canonical form"),
+    (arr(2, TSum(TProd(R, R), R)), {1: Left((1.0, "b"))},
+     "value[1].inl.1: 'b' is not a real scalar"),
+]
+
+
+@pytest.mark.parametrize("ty, v, msg", CONFORMANCE_MESSAGES)
+def test_conformance_message_table(ty, v, msg):
+    with pytest.raises(ConformanceError) as e:
+        check_value(ty, v)
+    assert str(e.value) == msg
+
+
+def test_conformance_messages_with_a_path_and_from_changes():
+    with pytest.raises(ConformanceError) as e:
+        check_value(R, "x", "input")
+    assert str(e.value) == "input: 'x' is not a real scalar"
+    with pytest.raises(ConformanceError) as e:
+        check_change(SUM_RR, Sl("a"))
+    assert str(e.value) == "change.sl: 'a' is not a real scalar"
+    with pytest.raises(ConformanceError) as e:
+        check_change(arr(2, SUM_RR), {0: Sr(True)})
+    assert str(e.value) == "change[0].sr: True is not a real scalar"
+
+
+def test_bad_literal_message_and_no_memo_across_builds():
+    reg = oracle_registry()
+    with pytest.raises(TermTypeError) as e:
+        typecheck(Cst(arr(2, R), {0: "a"}), R, reg)
+    assert str(e.value) == ("Cst at input real: literal does not conform: "
+                            "value[0]: 'a' is not a real scalar")
+    # each typecheck checks every entry again: a literal that passed once
+    # and was then broken is caught on the next build
+    w = {0: 1.0, 1: 2.0}
+    typecheck(Cst(arr(2, R), w), R, reg)
+    w[1] = 0.0
+    with pytest.raises(TermTypeError, match=r"value\[1\]: stored default"):
+        typecheck(Cst(arr(2, R), w), R, reg)
 
 
 def test_default_values():

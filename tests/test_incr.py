@@ -1,6 +1,8 @@
 """Combinators, the incrementalization transformation, and iterated updates."""
 
 import sys
+from contextlib import nullcontext
+from dataclasses import replace
 
 import pytest
 
@@ -11,10 +13,10 @@ from deltic.calculus import (
     CasePar, Cst, Dup, Id, Map, OpCall, Plus, Seq, denote, map2, seq, typecheck,
 )
 from deltic.core import (
-    INT, NAT, REAL, Cl, Left, Right, Sl, Sr, SUM_NULL, TBase, TCont, TProd,
-    TSum, apply_change, nil_change, values_equal,
+    INT, NAT, REAL, Cl, Left, Right, Sl, Sr, SUM_NULL, SupportError, TBase, TCont,
+    TProd, TSum, apply_change, nil_change, values_equal,
 )
-from deltic.domains import linalg, relalg
+from deltic.domains import gcounter, linalg, relalg
 from deltic.domains.containers import arr
 from deltic.incr import (
     CUnit, cache_entry_count, cache_equal, cache_to_json, comb_add,
@@ -22,8 +24,8 @@ from deltic.incr import (
     incrementalize, iter_changes, sum_changes, UNIT,
 )
 from deltic.oracle import (
-    GenConfig, check_machine_laws, gen_change, gen_term, gen_type, gen_value,
-    oracle_registry, stable_rng,
+    GenConfig, check_machine_laws, gen_change, gen_index, gen_term, gen_type, gen_value,
+    inject_fault, oracle_registry, stable_rng,
 )
 
 R = TBase(REAL)
@@ -536,14 +538,15 @@ def test_fused_map2_cache_layout_is_unchanged():
 
 @pytest.mark.parametrize("sides", ["left", "right", "both"])
 def test_fused_map2_step_builds_no_zipped_change(sides):
-    # one step of map2 mul over k changed entries steps mul k times and
-    # never runs the standalone zip derivative (or any dict comprehension)
+    # one step of map2 mul over k changed entries runs the Triv kernel: mul
+    # twice per key (new and old input), no Triv step, and never the
+    # standalone zip derivative (or any dict comprehension)
     reg = linalg.register_linalg().registry
     n, k = 50, 7
     in_ty = TProd(arr(n, R), arr(n, R))
     m = incrementalize(typecheck(map2(OpCall("mul")), in_ty, reg))
     zip_code = incrementalize(typecheck(ca.Zip(), in_ty, reg)).deriv.__code__
-    mul_code = comb_triv(mul, TProd(R, R), R).step.__code__
+    triv_step = comb_triv(mul, TProd(R, R), R).step.__code__
     rng = stable_rng(40, "map2-calls")
     x = gen_value(rng, in_ty)
     _, c = m.init(x)
@@ -562,4 +565,153 @@ def test_fused_map2_step_builds_no_zipped_change(sides):
         sys.setprofile(None)
     assert zip_code not in codes
     assert not [f for f in codes if f.co_name == "<dictcomp>"]
-    assert codes.count(mul_code) == k
+    assert codes.count(triv_step) == 0
+    assert codes.count(linalg._mul.__code__) == 2 * k
+
+
+# ---------------------------------------------------------------------------
+# The Triv kernel of map
+# ---------------------------------------------------------------------------
+
+def _with_op(reg, name, ty, fn):
+    """reg with one more Triv op `name` of signature ty -> ty."""
+    reg.register_op(ca.OpDef(name, ca.monomorphic(ty, ty), fn,
+                             lambda i, o: incr.comb_triv(fn, i, o), sample_in_tys=(ty,)))
+    return reg
+
+
+def _kernel_and_generic(monkeypatch, tt):
+    """tt's machine, and the one built with Triv bodies stepped per entry."""
+    kernel = incrementalize(tt)
+    triv = incr.comb_triv
+    with monkeypatch.context() as mp:
+        mp.setattr(incr, "comb_triv", lambda fn, i, o: replace(triv(fn, i, o), triv=None))
+        generic = incrementalize(tt)
+    return kernel, generic
+
+
+def _dense_change(rng, ty, x):
+    """A change at every index of a container (x's keys and three fresh
+    ones over an infinite shape), or of both containers of a pair."""
+    if isinstance(ty, TProd):
+        return (_dense_change(rng, ty.left, x[0]), _dense_change(rng, ty.right, x[1]))
+    keys = ty.shape.indices()
+    if keys is None:
+        keys = [*x, *(gen_index(rng, ty.shape) for _ in range(3))]
+    return {i: gen_change(rng, ty.elem, nonnil=True) for i in keys}
+
+
+TRIV_STEP = comb_triv(relu, R, R).step.__code__
+
+
+def _call_codes(f, *args):
+    """f(*args), and the code object of every Python call it made."""
+    codes = []
+
+    def record(frame, event, _arg):
+        if event == "call":
+            codes.append(frame.f_code)
+
+    sys.setprofile(record)
+    try:
+        out = f(*args)
+    finally:
+        sys.setprofile(None)
+    return out, codes
+
+
+def _kernel_cases():
+    ids = ("a", "b", "c")
+    cty = gcounter.counter_ty(ids)
+    lin = linalg.register_linalg().registry
+    return [pytest.param(reg, term, ty, id=name) for name, reg, term, ty in [
+        # f(ε) = ε: init visits x's entries only
+        ("linalg-relu", lin, Map(OpCall("relu")), arr(8, R)),
+        ("linalg-mul", lin, map2(OpCall("mul")), TProd(arr(8, R), arr(8, R))),
+        ("relalg-intmul", relalg.register_relalg().registry, map2(OpCall("intmul")),
+         TProd(relalg.rel("int"), relalg.rel("int"))),
+        ("gcounter-max", gcounter.register_gcounter(ids).registry, map2(OpCall("max")),
+         TProd(cty, cty)),
+        # f(ε) ≠ ε over a finite shape: init visits every index
+        ("finite-index", _with_op(linalg.register_linalg().registry, "inc", R,
+                                  lambda x: x + 1.0), Map(OpCall("inc")), arr(6, R)),
+    ]]
+
+
+@pytest.mark.parametrize("reg, term, ty", _kernel_cases())
+def test_triv_kernel_laws_and_caches(monkeypatch, reg, term, ty):
+    # Laws 1-3 against denote over nil, sparse and dense changes, and every
+    # output change and cache equal to those of the per-entry Triv machines
+    tt = typecheck(term, ty, reg)
+    m, generic = _kernel_and_generic(monkeypatch, tt)
+    rng = stable_rng(41, repr(term))
+    for _ in range(20):
+        x = gen_value(rng, ty)
+        y, c = m.init(x)
+        yg, cg = generic.init(x)
+        assert y == yg
+        assert values_equal(tt.out_ty, y, denote(tt, x), 1e-9)  # Law-1
+        assert cache_to_json(m.cache, c) == cache_to_json(generic.cache, cg)
+        for d in (nil_change(ty), gen_change(rng, ty), _dense_change(rng, ty, x)):
+            (dy, c), codes = _call_codes(m.step, d, c)
+            (dyg, cg), generic_codes = _call_codes(generic.step, d, cg)
+            assert TRIV_STEP not in codes
+            assert (TRIV_STEP in generic_codes) == (d != nil_change(ty))
+            assert dy == dyg
+            x = apply_change(ty, x, d)
+            y = apply_change(tt.out_ty, y, dy)
+            assert values_equal(tt.out_ty, y, denote(tt, x), 1e-9)  # Law-2
+            assert cache_equal(m.cache, c, m.init(x)[1], 1e-9)  # Law-3
+            assert cache_to_json(m.cache, c) == cache_to_json(generic.cache, cg)
+            assert cache_entry_count(m.cache, c) == cache_entry_count(generic.cache, cg)
+
+
+def test_triv_kernel_keeps_the_support_error_over_a_relation(monkeypatch):
+    # f(ε) ≠ ε over an infinite index set has infinite support
+    reg = _with_op(relalg.register_relalg().registry, "succ", Z, lambda x: x + 1)
+    tt = typecheck(Map(OpCall("succ")), relalg.rel("int"), reg)
+    for m in _kernel_and_generic(monkeypatch, tt):
+        with pytest.raises(SupportError) as e:
+            m.init({3: 1})
+        assert str(e.value) == "map over rel[int] needs f(ε)=ε for an infinite index set"
+
+
+def _dense(n):
+    rng = stable_rng(42, "dense-kernel")
+    w = {i: {j: rng.uniform(-1, 1) for j in range(n)} for i in range(n)}
+    b = {i: rng.uniform(-1, 1) for i in range(n)}
+    return linalg.dense_term(n, n, w, b), arr(n, R), {i: rng.uniform(-1, 1) for i in range(n)}
+
+
+@pytest.mark.parametrize("case", ["map relu", "map2 mul", "dense"])
+def test_triv_stale_cache_fault_reaches_the_kernel(case):
+    reg = linalg.register_linalg().registry
+    vec = arr(6, R)
+    term, ty, x = {
+        "map relu": (Map(OpCall("relu")), vec, {0: 1.0, 2: -3.0}),
+        "map2 mul": (map2(OpCall("mul")), TProd(vec, vec), ({0: 1.0, 2: 2.0}, {0: 3.0})),
+        "dense": _dense(6),
+    }[case]
+    dx = {"map relu": {0: 2.0, 1: 1.5}, "map2 mul": ({}, {2: 1.0}), "dense": {1: 0.5}}[case]
+    tt = typecheck(term, ty, reg)
+    for faulty in (False, True):
+        with inject_fault("triv-stale-cache") if faulty else nullcontext():
+            m = incrementalize(tt)
+        y, c = m.init(x)
+        dy, c = m.step(dx, c)
+        x2 = apply_change(ty, x, dx)
+        assert values_equal(tt.out_ty, apply_change(tt.out_ty, y, dy), denote(tt, x2), 1e-9)
+        assert cache_equal(m.cache, c, m.init(x2)[1], 1e-9) != faulty  # Law-3
+
+
+def test_dense_step_runs_the_kernel():
+    # one dense step over k changed entries of x: mul twice per changed
+    # entry of each of the n rows, relu twice per output entry, no Triv step
+    n, k = 12, 3
+    term, ty, x = _dense(n)
+    m = incrementalize(typecheck(term, ty, linalg.register_linalg().registry))
+    _, c = m.init(x)
+    _, codes = _call_codes(m.step, {i: 0.5 for i in (1, 4, 9)}, c)
+    assert TRIV_STEP not in codes
+    assert codes.count(linalg._mul.__code__) == 2 * n * k
+    assert codes.count(linalg._relu.__code__) == 2 * n
