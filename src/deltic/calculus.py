@@ -10,6 +10,11 @@ order, and the compiled seq runs them in a loop, so a long composition chain
 neither recurses nor nests closures.  Nesting of par, map and case still
 recurses, one or two frames per level.
 
+The container ops zip, get, set, tp, reshape, replicate and filter compile
+through `container_kernel`, which reads a given element wherever a position
+is absent.  The batch passes the default ε; as the ops are linear, incr
+passes the nil change and uses the same kernel as the op's derivative.
+
 Shape transformations (reshape) and index predicates (filter) are registered
 named functions, so terms stay serializable; `map2 f` and `⟨f, g⟩` are
 construction-time sugar for `zip ; map f` and `dup ; (f × g)`.
@@ -516,117 +521,8 @@ def _compile(tt: TypedTerm):
                         out[i] = fv
                 return out
             return run_map
-        case Zip():
-            da = default_value(tt.in_ty.left.elem)
-            db = default_value(tt.in_ty.right.elem)
-
-            def run_zip(xy):
-                x, y = xy
-                out = {}
-                for i in x.keys() | y.keys():
-                    out[i] = (x.get(i, da), y.get(i, db))
-                return out
-            return run_zip
-        case Get(index):
-            elem = tt.out_ty
-            if isinstance(elem, TBase):
-                # a scalar default is immutable, so one can be shared
-                dft = default_value(elem)
-                return lambda x, _i=index: x[_i] if _i in x else dft
-
-            def run_get(x, _i=index):
-                if _i in x:
-                    return x[_i]
-                return default_value(elem)
-            return run_get
-        case SetAt(index):
-            elem = tt.in_ty.left
-            dft = default_value(elem)
-
-            def run_set(xa, _i=index):
-                v, a = xa
-                out = dict(a)
-                if v == dft:
-                    out.pop(_i, None)
-                else:
-                    out[_i] = v
-                return out
-            return run_set
-        case Reshape():
-            ifn = tt.info
-            r = ifn.fn
-            in_shape = tt.in_ty.shape
-            out_shape = tt.out_ty.shape
-            dft = default_value(tt.in_ty.elem)
-
-            def run_reshape(x):
-                if not x:
-                    return {}
-                indices = out_shape.indices()
-                out = {}
-                if indices is not None:
-                    for j in indices:
-                        i = r(j)
-                        if not in_shape.valid_index(i):
-                            raise UsageError(
-                                f"index function {ifn.name!r} maps {j!r} outside {in_shape!r}")
-                        v = x.get(i, dft)
-                        if v != dft:
-                            out[j] = v
-                    return out
-                if ifn.fibers is None:
-                    raise SupportError(
-                        f"reshape {ifn.name!r} over {out_shape!r} needs registered fibers")
-                for i, v in x.items():
-                    for j in ifn.fibers(i):
-                        if r(j) != i:
-                            raise UsageError(
-                                f"fibers of {ifn.name!r} are inconsistent at {i!r}")
-                        out[j] = v
-                return out
-            return run_reshape
-        case Replicate():
-            shape = tt.out_ty.shape
-            dft = default_value(tt.in_ty)
-
-            def run_replicate(x):
-                if x == dft:
-                    return {}
-                indices = shape.indices()
-                if indices is None:
-                    raise SupportError(
-                        f"replicate of a non-default value over {shape!r} has infinite support")
-                return {i: x for i in indices}
-            return run_replicate
-        case Tp():
-            def run_tp(x):
-                out = {}
-                for j, row in x.items():
-                    for i, v in row.items():
-                        out.setdefault(i, {})[j] = v
-                return out
-            return run_tp
-        case Filter():
-            p = tt.info.fn
-            shape = tt.out_ty.shape
-            elem = tt.in_ty.left
-            dft = default_value(elem)
-
-            def run_filter(xa):
-                x, a = xa
-                if x == dft:
-                    return {i: v for i, v in a.items() if p(i)}
-                indices = shape.indices()
-                if indices is None:
-                    raise SupportError(
-                        f"filter with a non-default fallback over {shape!r} has infinite support")
-                out = {}
-                for i in indices:
-                    v = a.get(i, dft) if p(i) else x
-                    if v != dft:
-                        out[i] = v
-                return out
-            return run_filter
+        case Zip() | Get() | SetAt() | Reshape() | Replicate() | Tp() | Filter():
+            return container_kernel(tt, default_value)
         case Fuse():
             return lambda s: s.value
         case Distr():
@@ -653,6 +549,129 @@ def _compile(tt: TypedTerm):
             return tt.info.fn
         case _:
             raise TermTypeError(f"unknown term constructor: {t!r}")
+
+
+def container_kernel(tt: TypedTerm, dft_of):
+    """The kernel of zip, get, set, tp, reshape, replicate or filter.
+
+    dft_of(ty) gives the element every absent position reads as.  The batch
+    semantics passes default_value; these ops are linear, so incr passes
+    nil_change and the same kernel is the op's derivative.
+    """
+    t = tt.term
+    match t:
+        case Zip():
+            da = dft_of(tt.in_ty.left.elem)
+            db = dft_of(tt.in_ty.right.elem)
+
+            def run_zip(xy):
+                x, y = xy
+                return {i: (x.get(i, da), y.get(i, db)) for i in x.keys() | y.keys()}
+            return run_zip
+        case Get(index):
+            # one shared default: values are immutable
+            dft = dft_of(tt.out_ty)
+            return lambda x, _i=index: x[_i] if _i in x else dft
+        case SetAt(index):
+            dft = dft_of(tt.in_ty.left)
+
+            def run_set(xa, _i=index):
+                v, a = xa
+                out = dict(a)
+                if v == dft:
+                    out.pop(_i, None)
+                else:
+                    out[_i] = v
+                return out
+            return run_set
+        case Reshape():
+            # walks the input's support and reads no default; over a finite
+            # output shape the inverse of r is built once, and an index that
+            # r maps outside in_shape raises on the first non-empty input only
+            ifn = tt.info
+            r = ifn.fn
+            in_shape = tt.in_ty.shape
+            out_shape = tt.out_ty.shape
+            indices = out_shape.indices()
+            if indices is not None:
+                inv = {}
+                bad = None
+                for j in indices:
+                    i = r(j)
+                    if bad is None and not in_shape.valid_index(i):
+                        bad = j
+                    inv.setdefault(i, []).append(j)
+
+                def run_reshape(x):
+                    if not x:
+                        return {}
+                    if bad is not None:
+                        raise UsageError(
+                            f"index function {ifn.name!r} maps {bad!r} outside {in_shape!r}")
+                    out = {}
+                    for i, v in x.items():
+                        for j in inv.get(i, ()):
+                            out[j] = v
+                    return out
+                return run_reshape
+
+            def run_fibers(x):
+                if not x:
+                    return {}
+                if ifn.fibers is None:
+                    raise SupportError(
+                        f"reshape {ifn.name!r} over {out_shape!r} needs registered fibers")
+                out = {}
+                for i, v in x.items():
+                    for j in ifn.fibers(i):
+                        if r(j) != i:
+                            raise UsageError(
+                                f"fibers of {ifn.name!r} are inconsistent at {i!r}")
+                        out[j] = v
+                return out
+            return run_fibers
+        case Replicate(shape):
+            dft = dft_of(tt.in_ty)
+
+            def run_replicate(x):
+                if x == dft:
+                    return {}
+                indices = shape.indices()
+                if indices is None:
+                    raise SupportError(
+                        f"replicate of a non-default value over {shape!r} has infinite support")
+                return {i: x for i in indices}
+            return run_replicate
+        case Tp():
+            def run_tp(x):
+                out = {}
+                for j, row in x.items():
+                    for i, v in row.items():
+                        out.setdefault(i, {})[j] = v
+                return out
+            return run_tp
+        case Filter():
+            p = tt.info.fn
+            shape = tt.out_ty.shape
+            dft = dft_of(tt.in_ty.left)
+
+            def run_filter(xa):
+                x, a = xa
+                if x == dft:
+                    return {i: v for i, v in a.items() if p(i)}
+                indices = shape.indices()
+                if indices is None:
+                    raise SupportError(
+                        f"filter with a non-default fallback over {shape!r} has infinite support")
+                out = {}
+                for i in indices:
+                    v = a.get(i, dft) if p(i) else x
+                    if v != dft:
+                        out[i] = v
+                return out
+            return run_filter
+        case _:
+            raise TermTypeError(f"not a container op: {t!r}")
 
 
 def compiled(tt: TypedTerm):

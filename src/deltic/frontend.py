@@ -477,7 +477,6 @@ def lower(dt, ctx_tys: list, registry: Registry, literal_base) -> tuple[Term, An
     Returns (term, output type); the term's input is the right-nested
     product of ctx_tys.
     """
-    in_ty = _context_product(ctx_tys)
     match dt:
         case DVar(index):
             return _var_term(index, len(ctx_tys)), ctx_tys[index]

@@ -14,6 +14,12 @@ built, so a cache-free subterm steps as a single call instead of threading
 (change, UNIT) pairs through every node; a cache-free composite has a CUnit
 cache and takes its init from the compiled batch semantics.
 
+dup and the container ops (zip, get, set, tp, reshape, replicate, filter)
+are linear, so each one's derivative is its batch kernel read at nil:
+calculus.container_kernel with nil_change wherever the batch reads the
+default ε.  dup reads neither, so its compiled batch closure is its
+derivative.
+
 A typed seq is n-ary (see calculus.typecheck).  Each maximal run of
 cache-free stages steps as one derivative that calls the stage derivatives
 in a flat loop; adjacent projection paths (id, fst, snd) fold into one index
@@ -373,8 +379,11 @@ def _incr_id(tt):
     return _self_machine(tt, _path_deriv(()))
 
 
-def _incr_dup(tt):
-    return _self_machine(tt, lambda d: (d, d))
+def _incr_linear(tt):
+    """A linear op steps by its batch kernel read at nil (dup: its closure)."""
+    if type(tt.term) is ca.Dup:
+        return _self_machine(tt, ca.compiled(tt))
+    return _self_machine(tt, ca.container_kernel(tt, nil_change))
 
 
 def _incr_fst(tt):
@@ -392,129 +401,6 @@ def _incr_cst(tt):
 
 def _incr_plus(tt):
     return comb_add(tt.out_ty)
-
-
-def _incr_zip(tt):
-    na = nil_change(tt.in_ty.left.elem)
-    nb = nil_change(tt.in_ty.right.elem)
-
-    def dz(d):
-        dx, dy = d
-        return {i: (dx.get(i, na), dy.get(i, nb)) for i in dx.keys() | dy.keys()}
-
-    return _self_machine(tt, dz)
-
-
-def _incr_get(tt):
-    nil = nil_change(tt.out_ty)
-    i = tt.term.index
-
-    def dg(d):
-        return d[i] if i in d else nil
-
-    return _self_machine(tt, dg)
-
-
-def _incr_set(tt):
-    is_nil_e = is_nil_fn(tt.in_ty.left)
-    i = tt.term.index
-
-    def ds(d):
-        dv, da = d
-        out = dict(da)
-        if is_nil_e(dv):
-            out.pop(i, None)
-        else:
-            out[i] = dv
-        return out
-
-    return _self_machine(tt, ds)
-
-
-def _incr_tp(tt):
-    def dt(d):
-        out = {}
-        for j, row in d.items():
-            for i, di in row.items():
-                out.setdefault(i, {})[j] = di
-        return out
-
-    return _self_machine(tt, dt)
-
-
-def _incr_reshape(tt):
-    ifn = tt.info
-    r = ifn.fn
-    out_shape = tt.out_ty.shape
-    indices = out_shape.indices()
-    if indices is not None:
-        inv = {}
-        for j in indices:
-            inv.setdefault(r(j), []).append(j)
-
-        def dr(d):
-            out = {}
-            for i, di in d.items():
-                for j in inv.get(i, ()):
-                    out[j] = di
-            return out
-    else:
-        fibers = ifn.fibers
-
-        def dr(d):
-            if not d:
-                return {}
-            if fibers is None:
-                raise SupportError(
-                    f"reshape {ifn.name!r} over {out_shape!r} needs registered fibers")
-            out = {}
-            for i, di in d.items():
-                for j in fibers(i):
-                    out[j] = di
-            return out
-
-    return _self_machine(tt, dr)
-
-
-def _incr_replicate(tt):
-    shape = tt.out_ty.shape
-    is_nil_in = is_nil_fn(tt.in_ty)
-
-    def drep(d):
-        if is_nil_in(d):
-            return {}
-        indices = shape.indices()
-        if indices is None:
-            raise SupportError(
-                f"replicate of a non-nil change over {shape!r} has infinite support")
-        return {i: d for i in indices}
-
-    return _self_machine(tt, drep)
-
-
-def _incr_filter(tt):
-    p = tt.info.fn
-    elem = tt.in_ty.left
-    shape = tt.out_ty.shape
-    nil_e = nil_change(elem)
-    is_nil_e = is_nil_fn(elem)
-
-    def dfil(d):
-        dv, da = d
-        if is_nil_e(dv):
-            return {i: di for i, di in da.items() if p(i)}
-        indices = shape.indices()
-        if indices is None:
-            raise SupportError(
-                f"filter with a non-nil fallback change over {shape!r} has infinite support")
-        out = {}
-        for i in indices:
-            di = da.get(i, nil_e) if p(i) else dv
-            if not is_nil_e(di):
-                out[i] = di
-        return out
-
-    return _self_machine(tt, dfil)
 
 
 def _incr_inl(tt):
@@ -896,18 +782,18 @@ def _incr_op(tt):
 
 _BUILDERS = {
     ca.Id: _incr_id,
-    ca.Dup: _incr_dup,
+    ca.Dup: _incr_linear,
     ca.Fst: _incr_fst,
     ca.Snd: _incr_snd,
     ca.Cst: _incr_cst,
     ca.Plus: _incr_plus,
-    ca.Zip: _incr_zip,
-    ca.Get: _incr_get,
-    ca.SetAt: _incr_set,
-    ca.Tp: _incr_tp,
-    ca.Reshape: _incr_reshape,
-    ca.Replicate: _incr_replicate,
-    ca.Filter: _incr_filter,
+    ca.Zip: _incr_linear,
+    ca.Get: _incr_linear,
+    ca.SetAt: _incr_linear,
+    ca.Tp: _incr_linear,
+    ca.Reshape: _incr_linear,
+    ca.Replicate: _incr_linear,
+    ca.Filter: _incr_linear,
     ca.Inl: _incr_inl,
     ca.Inr: _incr_inr,
     ca.Seq: _incr_seq,

@@ -9,7 +9,7 @@ from deltic.calculus import (
     seq, term_from_text, term_to_text, typecheck,
 )
 from deltic.core import (
-    INT, NAT, REAL, SCALAR, Left, Right, TBase, TCont, TProd, TSum,
+    INT, NAT, REAL, SCALAR, Left, Right, TBase, TCont, TProd, TSum, UsageError,
     add_values, apply_change, values_equal,
 )
 from deltic.domains import linalg
@@ -73,6 +73,16 @@ def test_denote_reshape_reversal(reg):
     r2.register_index_fn("rev3", lambda i: n - 1 - i)
     tt = typecheck(Reshape("rev3", arr_shape(3)), arr(3, R), r2)
     assert denote(tt, {0: 1.0, 1: 2.0, 2: 3.0}) == {0: 3.0, 1: 2.0, 2: 1.0}
+
+
+def test_denote_reshape_outside_the_input_shape_raises_on_non_empty_input(reg):
+    r2 = linalg.register_linalg().registry
+    r2.register_index_fn("shift1", lambda i: i + 1)
+    tt = typecheck(Reshape("shift1", arr_shape(3)), arr(3, R), r2)
+    assert denote(tt, {}) == {}
+    with pytest.raises(UsageError) as e:
+        denote(tt, {0: 1.0})
+    assert str(e.value) == "index function 'shift1' maps 2 outside arr[3]"
 
 
 def test_denote_set(reg):

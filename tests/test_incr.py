@@ -13,19 +13,19 @@ from deltic.calculus import (
     CasePar, Cst, Dup, Id, Map, OpCall, Plus, Seq, denote, map2, seq, typecheck,
 )
 from deltic.core import (
-    INT, NAT, REAL, Cl, Left, Right, Sl, Sr, SUM_NULL, SupportError, TBase, TCont,
-    TProd, TSum, apply_change, nil_change, values_equal,
+    INT, NAT, REAL, SCALAR, Cl, Left, Right, Sl, Sr, SUM_NULL, SupportError, TBase,
+    TCont, TProd, TSum, apply_change, is_nil, nil_change, values_equal,
 )
 from deltic.domains import gcounter, linalg, relalg
-from deltic.domains.containers import arr
+from deltic.domains.containers import ARRAY, RELATION, arr, arr_shape, rel_shape
 from deltic.incr import (
     CUnit, cache_entry_count, cache_equal, cache_to_json, comb_add,
     comb_bilin, comb_lin, comb_self, comb_triv, comb_triv2,
     incrementalize, iter_changes, sum_changes, UNIT,
 )
 from deltic.oracle import (
-    GenConfig, check_machine_laws, gen_change, gen_index, gen_term, gen_type, gen_value,
-    inject_fault, oracle_registry, stable_rng,
+    GenConfig, check_machine_laws, check_term_laws, gen_change, gen_index, gen_term,
+    gen_type, gen_value, inject_fault, oracle_registry, stable_rng,
 )
 
 R = TBase(REAL)
@@ -407,13 +407,71 @@ def test_let_chain_laws_over_a_change_stream():
 @pytest.mark.parametrize("term, in_ty, d", [
     (Cst(R, 2.0), R, 1.5),
     (ca.Get(1), arr(3, R), {0: 1.0}),
+    (ca.Get(1), arr(3, arr(2, R)), {0: {1: 1.0}}),
 ])
 def test_constant_derivatives_build_nil_once(monkeypatch, term, in_ty, d):
     m = incrementalize(typecheck(term, in_ty, oracle_registry()))
+    nil = nil_change(m.out_ty)
     calls = []
     monkeypatch.setattr(incr, "nil_change", lambda ty: calls.append(ty))
     dy, _ = m.step(d, UNIT)
-    assert dy == 0.0 and calls == []
+    assert dy == nil and calls == []
+
+
+S = TBase(SCALAR)
+U = TSum(Z, S)
+
+
+def _linear_registry():
+    reg = ca.Registry()
+    for b in (INT, SCALAR):
+        reg.register_base(b)
+    reg.register_container(ARRAY)
+    reg.register_container(RELATION)
+    reg.register_index_fn("half", lambda j: j // 2)
+    reg.register_index_pred("odd", lambda i: i % 2 == 1)
+    return reg
+
+
+def _linear_cases():
+    for name, e in (("scalar", S), ("sum", U)):
+        for op, term, ty in [
+            ("zip", ca.Zip(), TProd(arr(3, e), arr(3, e))),
+            ("get", ca.Get(1), arr(3, e)),
+            ("set", ca.SetAt(1), TProd(e, arr(3, e))),
+            ("tp", ca.Tp(), arr(2, arr(3, e))),
+            ("reshape", ca.Reshape("half", arr_shape(4)), arr(2, e)),
+            ("replicate", ca.Replicate(arr_shape(3)), e),
+            ("filter", ca.Filter("odd"), TProd(e, arr(3, e))),
+            ("dup", Dup(), arr(3, e)),
+        ]:
+            yield pytest.param(term, ty, id=f"{name}-{op}")
+
+
+@pytest.mark.parametrize("term, ty", _linear_cases())
+def test_linear_ops_step_by_their_kernel_read_at_nil(term, ty):
+    # scalar's nil is KEEP, not its default None, and a sum's is SUM_NULL,
+    # not Left(ε): a derivative that read ε where the batch does breaks Law 2
+    # or maps the nil change to a non-nil one
+    tt = typecheck(term, ty, _linear_registry())
+    rep = check_term_laws(tt, stable_rng(8, repr(tt)), samples=80)
+    assert rep.passed, rep.failures
+    assert is_nil(tt.out_ty, incrementalize(tt).step(nil_change(ty), UNIT)[0])
+
+
+@pytest.mark.parametrize("elem, x, dx", [(S, "a", "a"), (U, Right("a"), Sr("a"))],
+                         ids=["scalar", "sum"])
+def test_linear_ops_raise_the_batch_support_error(elem, x, dx):
+    reg = _linear_registry()
+    rel = TCont(rel_shape("int"), elem)
+    for term, ty, v, d in [(ca.Replicate(rel.shape), elem, x, dx),
+                           (ca.Filter("odd"), TProd(elem, rel), (x, {}), (dx, {}))]:
+        tt = typecheck(term, ty, reg)
+        with pytest.raises(SupportError) as batch:
+            denote(tt, v)
+        with pytest.raises(SupportError) as step:
+            incrementalize(tt).step(d, UNIT)
+        assert str(step.value) == str(batch.value)
 
 
 def test_ten_thousand_stage_seq_runs_without_recursion():
