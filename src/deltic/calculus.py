@@ -2,7 +2,9 @@
 
 Terms are plain syntax; `typecheck` produces a TypedTerm tree annotated with
 input/output types and resolved registry entries, and `denote` evaluates a
-TypedTerm on a value by compiling it to a closure once.
+TypedTerm on a value by compiling it to a closure once.  `Proj(path)` is the
+one projection: `()` is id, `(0,)` fst, `(1,)` snd, and a longer path (how
+the frontend lowers a variable) prints as `proj(1, 1, 0)`.
 
 `Seq` syntax is binary, but a typed seq is n-ary: `typecheck` flattens a
 `Seq` spine of any nesting into one node whose children are the stages in
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Optional
 
 from .core import (
@@ -63,22 +66,13 @@ class Par(Term):
 
 
 @dataclass(frozen=True)
-class Id(Term):
-    pass
+class Proj(Term):
+    """Projection along an index path into nested pairs (0 left, 1 right)."""
+    path: tuple
 
 
 @dataclass(frozen=True)
 class Dup(Term):
-    pass
-
-
-@dataclass(frozen=True)
-class Fst(Term):
-    pass
-
-
-@dataclass(frozen=True)
-class Snd(Term):
     pass
 
 
@@ -163,6 +157,9 @@ class CasePar(Term):
 @dataclass(frozen=True)
 class OpCall(Term):
     name: str
+
+
+ID, FST, SND = Proj(()), Proj((0,)), Proj((1,))
 
 
 def seq(*terms: Term) -> Term:
@@ -359,18 +356,15 @@ def typecheck(t: Term, in_ty, registry: Registry) -> TypedTerm:
             f = typecheck(left, in_ty.left, registry)
             g = typecheck(right, in_ty.right, registry)
             return TypedTerm(t, in_ty, TProd(f.out_ty, g.out_ty), (f, g))
-        case Id():
-            return TypedTerm(t, in_ty, in_ty)
+        case Proj(path):
+            ty = in_ty
+            for i in path:
+                if not isinstance(ty, TProd) or i not in (0, 1):
+                    _mismatch(t, in_ty, "projection needs a product input")
+                ty = ty.right if i else ty.left
+            return TypedTerm(t, in_ty, ty)
         case Dup():
             return TypedTerm(t, in_ty, TProd(in_ty, in_ty))
-        case Fst():
-            if not isinstance(in_ty, TProd):
-                _mismatch(t, in_ty, "projection needs a product input")
-            return TypedTerm(t, in_ty, in_ty.left)
-        case Snd():
-            if not isinstance(in_ty, TProd):
-                _mismatch(t, in_ty, "projection needs a product input")
-            return TypedTerm(t, in_ty, in_ty.right)
         case Plus():
             if not (isinstance(in_ty, TProd) and in_ty.left == in_ty.right):
                 _mismatch(t, in_ty, "plus needs a pair of equal types")
@@ -480,14 +474,18 @@ def _compile(tt: TypedTerm):
             f = compiled(tt.children[0])
             g = compiled(tt.children[1])
             return lambda xy: (f(xy[0]), g(xy[1]))
-        case Id():
+        case Proj(()):
             return lambda x: x
+        case Proj((i,)):
+            return itemgetter(i)
+        case Proj(path):
+            def run_proj(x):
+                for i in path:
+                    x = x[i]
+                return x
+            return run_proj
         case Dup():
             return lambda x: (x, x)
-        case Fst():
-            return lambda xy: xy[0]
-        case Snd():
-            return lambda xy: xy[1]
         case Plus():
             add = add_fn(tt.out_ty)
             return lambda xy: add(xy[0], xy[1])
@@ -502,21 +500,9 @@ def _compile(tt: TypedTerm):
             dout = default_value(tt.children[0].out_ty)
 
             def run_map(x):
-                fe = fn(din)
-                if fe == dout:
-                    out = {}
-                    for i, xi in x.items():
-                        fv = fn(xi)
-                        if fv != dout:
-                            out[i] = fv
-                    return out
-                indices = shape.indices()
-                if indices is None:
-                    raise SupportError(
-                        f"map over {shape!r} needs f(ε)=ε; got {fe!r} for an infinite index set")
                 out = {}
-                for i in indices:
-                    fv = fn(x.get(i, din))
+                for i, xi in map_inputs(x, fn(din), shape, din, dout):
+                    fv = fn(xi)
                     if fv != dout:
                         out[i] = fv
                 return out
@@ -549,6 +535,18 @@ def _compile(tt: TypedTerm):
             return tt.info.fn
         case _:
             raise TermTypeError(f"unknown term constructor: {t!r}")
+
+
+def map_inputs(x, fe, shape, din, dout):
+    """The (index, element) pairs a map visits given fe = f(ε): x's support
+    if f(ε)=ε, else every index of the shape, which must then be finite."""
+    if fe == dout:
+        return x.items()
+    indices = shape.indices()
+    if indices is None:
+        raise SupportError(
+            f"map over {shape!r} needs f(ε)=ε; got {fe!r} for an infinite index set")
+    return ((i, x.get(i, din)) for i in indices)
 
 
 def container_kernel(tt: TypedTerm, dft_of):
@@ -707,14 +705,11 @@ def term_to_text(t: Term) -> str:
             return "".join(parts)
         case Par(a, b):
             return f"par({term_to_text(a)}, {term_to_text(b)})"
-        case Id():
-            return "id"
+        case Proj(path):
+            names = {(): "id", (0,): "fst", (1,): "snd"}
+            return names.get(path) or f"proj({', '.join(map(str, path))})"
         case Dup():
             return "dup"
-        case Fst():
-            return "fst"
-        case Snd():
-            return "snd"
         case Plus():
             return "plus"
         case Cst(ty, value):
@@ -805,11 +800,11 @@ def shape_from_text(text: str, registry: Registry) -> Shape:
 def term_from_text(text: str, registry: Registry) -> Term:
     from .serialize import value_from_json
     name, args = _read_head(text.strip())
-    nullary = {"id": Id, "dup": Dup, "fst": Fst, "snd": Snd, "plus": Plus,
-               "zip": Zip, "tp": Tp, "fuse": Fuse, "distr": Distr}
+    nullary = {"id": ID, "dup": Dup(), "fst": FST, "snd": SND, "plus": Plus(),
+               "zip": Zip(), "tp": Tp(), "fuse": Fuse(), "distr": Distr()}
     if args is None:
         if name in nullary:
-            return nullary[name]()
+            return nullary[name]
         raise ConformanceError(f"term syntax error: {name!r} needs arguments or is unknown")
     parts = _split_args(args)
 
@@ -858,5 +853,9 @@ def term_from_text(text: str, registry: Registry) -> Term:
         case "op":
             want(1)
             return OpCall(parts[0])
+        case "proj":
+            if not all(p in ("0", "1") for p in parts):
+                raise ConformanceError(f"proj expects indices 0 or 1, got {args!r}")
+            return Proj(tuple(map(int, parts)))
         case _:
             raise ConformanceError(f"unknown term constructor: {name!r}")

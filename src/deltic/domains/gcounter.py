@@ -8,7 +8,7 @@ the change vectors travel.
 from __future__ import annotations
 
 from ..calculus import (
-    Cst, Get, Id, OpCall, OpDef, Plus, ProgramDef, Registry, SetAt, Term,
+    Cst, Get, ID, OpCall, OpDef, Plus, ProgramDef, Registry, SetAt, Term,
     fanout, map2, monomorphic, seq,
 )
 from ..core import NAT, TBase, TCont, TProd
@@ -37,12 +37,12 @@ def value_term() -> Term:
 
 def inc_nat_term() -> Term:
     """x -> x + 1 as ⟨id, cst 1⟩ ; +."""
-    return seq(fanout(Id(), Cst(N, 1)), Plus())
+    return seq(fanout(ID, Cst(N, 1)), Plus())
 
 
 def inc_term(node_id: str) -> Term:
     """Bump one participant's slot: ⟨get i ; incNat, id⟩ ; set i."""
-    return seq(fanout(seq(Get(node_id), inc_nat_term()), Id()), SetAt(node_id))
+    return seq(fanout(seq(Get(node_id), inc_nat_term()), ID), SetAt(node_id))
 
 
 def merge_term() -> Term:

@@ -8,7 +8,7 @@ the catalog is derived from the generic operations.
 from __future__ import annotations
 
 from ..calculus import (
-    Cst, Id, Map, OpCall, OpDef, Par, Plus, ProgramDef, Registry, Replicate,
+    Cst, ID, Map, OpCall, OpDef, Par, Plus, ProgramDef, Registry, Replicate,
     Reshape, SetAt, Term, Tp, fanout, map2, monomorphic, seq,
 )
 from ..core import REAL, TBase, TCont, TProd
@@ -47,7 +47,7 @@ def _sum_typer(ty):
 def mvmul_term(n: int, m: int) -> Term:
     """(M, v) -> M v as (id × replicate n) ; map2 (map2 *) ; map sum."""
     return seq(
-        Par(Id(), Replicate(arr_shape(n))),
+        Par(ID, Replicate(arr_shape(n))),
         map2(map2(OpCall("mul"))),
         Map(OpCall("sum")),
     )
@@ -64,7 +64,7 @@ def mmmul_term(k: int, m: int, n: int) -> Term:
 
 def svmul_term(n: int) -> Term:
     """(c, v) -> c·v as (replicate n × id) ; map2 *."""
-    return seq(Par(Replicate(arr_shape(n)), Id()), map2(OpCall("mul")))
+    return seq(Par(Replicate(arr_shape(n)), ID), map2(OpCall("mul")))
 
 
 def dot_term() -> Term:
@@ -89,7 +89,7 @@ def append_term(n: int) -> Term:
     The index map is the (truncated) predecessor, total on naturals; the
     duplicate it writes at position 0 is immediately overwritten by set 0.
     """
-    return seq(Par(Id(), Reshape("pred", arr_shape(n + 1))), SetAt(0))
+    return seq(Par(ID, Reshape("pred", arr_shape(n + 1))), SetAt(0))
 
 
 def dense_term(n: int, m: int, weights, bias) -> Term:
@@ -97,9 +97,9 @@ def dense_term(n: int, m: int, weights, bias) -> Term:
     mat_ty = arr(n, arr(m, R))
     vec_n = arr(n, R)
     return seq(
-        fanout(Cst(mat_ty, weights), Id()),
+        fanout(Cst(mat_ty, weights), ID),
         mvmul_term(n, m),
-        fanout(Cst(vec_n, bias), Id()),
+        fanout(Cst(vec_n, bias), ID),
         map2(Plus()),
         Map(OpCall("relu")),
     )

@@ -17,7 +17,7 @@ unchanged; batch evaluation (calculus.denote) stays the unfused reference.
 from __future__ import annotations
 
 from ..calculus import (
-    Cst, Filter, Id, Map, OpCall, OpDef, Plus, ProgramDef, Registry, Term,
+    Cst, Filter, ID, Map, OpCall, OpDef, Plus, ProgramDef, Registry, Term,
     fanout, map2, monomorphic, seq,
 )
 from ..core import INT, TBase, TCont, TProd
@@ -107,7 +107,7 @@ def make_groupby(key_name: str, key_fn, sample_in_tys=()) -> OpDef:
 
 def selection_term(pred_name: str) -> Term:
     """σ_p as ⟨cst 0, id⟩ ; filter p (zeroed-out rows vanish)."""
-    return seq(fanout(Cst(Z, 0), Id()), Filter(pred_name))
+    return seq(fanout(Cst(Z, 0), ID), Filter(pred_name))
 
 
 def join_term(pred_name: str) -> Term:

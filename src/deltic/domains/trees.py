@@ -12,7 +12,7 @@ import json
 from importlib import resources
 
 from ..calculus import (
-    Cst, Filter, Id, Map, OpCall, OpDef, ProgramDef, Registry, Term,
+    Cst, Filter, ID, Map, OpCall, OpDef, ProgramDef, Registry, Term,
     fanout, seq,
 )
 from ..core import DelticError, INT, SCALAR, TBase, TCont
@@ -168,7 +168,7 @@ def _num(v):
 
 def q1_elem_term() -> Term:
     """Per-book Q1: publisher check, year check, project to year/title."""
-    project = seq(fanout(Cst(S, None), Id()), Filter("year_title"))
+    project = seq(fanout(Cst(S, None), ID), Filter("year_title"))
     return seq(
         OpCall("pub_addison_wesley"),
         OpCall("year_after_1991"),

@@ -13,17 +13,20 @@ generic operations, with static arguments by juxtaposition (`map relu`,
 `map2 (map2 mul)`, `replicate 2`, `get 0`, `filter p`, `reshape r arr[4]`).
 `let x = e; e` binds; `(a, b)` and `[a, b, ...]` build right-nested tuples.
 `--` starts a comment.  Lowering turns contexts into right-nested products,
-variables into projection chains, and `let` into `dup ; (e1 × id) ; e2`.
+a variable into one projection path, and `let` into `dup ; (e1 × id) ; e2`.
+
+A chain of `let`s is one flat NLet node and a `#` pipeline is read, resolved,
+lowered and evaluated in a loop, so neither recurses along its length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from .calculus import (
-    Cst, Distr, Dup, Filter, Fst, Fuse, Get, Id, Map, OpCall, Par, Plus,
-    Registry, Replicate, Reshape, SetAt, Snd, Term, TermTypeError, Tp,
+    Cst, Distr, Dup, Filter, FST, Fuse, Get, ID, Map, OpCall, Par, Plus, Proj,
+    Registry, Replicate, Reshape, SetAt, SND, Term, TermTypeError, Tp,
     TypedTerm, Zip, denote, fanout, map2, seq, typecheck,
 )
 from .core import DelticError, TBase, TCont, TProd
@@ -147,8 +150,7 @@ class NVar:
 
 @dataclass
 class NLet:
-    name: str
-    bound: Any
+    binds: list  # [(name, bound), ...]: each bound sees the names before it
     body: Any
     line: int = 0
     col: int = 0
@@ -176,33 +178,12 @@ class NLit:
     col: int = 0
 
 
-# de Bruijn forms: same shapes with var(name) replaced by var(index)
+# The resolved (de Bruijn) form is the same tree with every NVar replaced by
+# a DVar holding its index in the context product.
 
 @dataclass
 class DVar:
     index: int
-
-
-@dataclass
-class DLet:
-    bound: Any
-    body: Any
-
-
-@dataclass
-class DApp:
-    head: Any
-    arg: Any
-
-
-@dataclass
-class DTuple:
-    items: tuple
-
-
-@dataclass
-class DLit:
-    raw: Any
 
 
 # ---------------------------------------------------------------------------
@@ -234,24 +215,36 @@ class _Parser:
         return t
 
     def parse_expr(self):
-        t = self.peek()
-        if t.kind == "name" and t.value == "let":
+        # `let x = e;` and `head #` prefixes are read in a loop, and each run
+        # of lets is one NLet; the body or argument of each comes last
+        prefixes = []
+        while True:
+            t = self.peek()
+            if t.kind == "name" and t.value == "let":
+                self.next()
+                name = self.expect("name").value
+                self.expect("punct", "=")
+                bound = self.parse_expr()
+                self.expect("punct", ";")
+                if not (prefixes and isinstance(prefixes[-1], NLet)):
+                    prefixes.append(NLet([], None, t.line, t.col))
+                prefixes[-1].binds.append((name, bound))
+                continue
+            save = self.pos
+            head = self._try_head()
+            if head is None or self.peek().kind != "punct" or self.peek().value != "#":
+                self.pos = save
+                break
             self.next()
-            name = self.expect("name").value
-            self.expect("punct", "=")
-            bound = self.parse_expr()
-            self.expect("punct", ";")
-            body = self.parse_expr()
-            return NLet(name, bound, body, t.line, t.col)
-        # try: head '#' expr
-        save = self.pos
-        head = self._try_head()
-        if head is not None and self.peek().kind == "punct" and self.peek().value == "#":
-            self.next()
-            arg = self.parse_expr()
-            return NApp(head, arg, t.line, t.col)
-        self.pos = save
-        return self.parse_primary()
+            prefixes.append(NApp(head, None, t.line, t.col))
+        e = self.parse_primary()
+        for p in reversed(prefixes):
+            if isinstance(p, NLet):
+                p.body = e
+            else:
+                p.arg = e
+            e = p
+        return e
 
     def parse_primary(self):
         t = self.next()
@@ -350,20 +343,49 @@ def parse_expr_text(text: str):
 # Name resolution (de Bruijn, 0-based positions in the context product)
 # ---------------------------------------------------------------------------
 
+def _unbound(v: NVar):
+    return NameResolutionError(f"unbound name {v.name!r} at line {v.line}, column {v.col}")
+
+
+def _app_spine(nt: NApp):
+    """(heads innermost first, argument) of a `#` pipeline."""
+    heads = []
+    while isinstance(nt, NApp):
+        heads.append(nt.head)
+        nt = nt.arg
+    return heads[::-1], nt
+
+
 def resolve(nt, ctx: list) -> Any:
+    """De Bruijn form of nt over the names ctx (index 0 is ctx[0])."""
+    # binding levels: ctx[-1] is level 0 and each let takes the next one, so
+    # the index of a name is depth - 1 - level and a let rebuilds nothing
+    return _resolve(nt, {name: level for level, name in enumerate(reversed(ctx))}, len(ctx))
+
+
+def _resolve(nt, levels: dict, depth: int):
     match nt:
         case NVar(name):
-            if name not in ctx:
-                raise NameResolutionError(f"unbound name: {name!r}")
-            return DVar(ctx.index(name))
-        case NLet(name, bound, body):
-            return DLet(resolve(bound, ctx), resolve(body, [name] + ctx))
-        case NApp(head, arg):
-            return DApp(head, resolve(arg, ctx))
+            if name not in levels:
+                raise _unbound(nt)
+            return DVar(depth - 1 - levels[name])
+        case NLet(binds, body):
+            levels, bounds = dict(levels), []
+            for name, bound in binds:
+                bounds.append((name, _resolve(bound, levels, depth)))
+                levels[name] = depth
+                depth += 1
+            return NLet(bounds, _resolve(body, levels, depth))
+        case NApp():
+            heads, arg = _app_spine(nt)
+            out = _resolve(arg, levels, depth)
+            for head in heads:
+                out = NApp(head, out)
+            return out
         case NTuple(items):
-            return DTuple(tuple(resolve(e, ctx) for e in items))
-        case NLit(raw):
-            return DLit(raw)
+            return NTuple(tuple(_resolve(e, levels, depth) for e in items))
+        case NLit():
+            return nt
         case _:
             raise NameResolutionError(f"bad surface node: {nt!r}")
 
@@ -372,9 +394,9 @@ def resolve(nt, ctx: list) -> Any:
 # Heads -> terms
 # ---------------------------------------------------------------------------
 
-_CORE_NULLARY: dict[str, Callable[[], Term]] = {
-    "id": Id, "dup": Dup, "fst": Fst, "snd": Snd, "zip": Zip, "tp": Tp,
-    "fuse": Fuse, "distr": Distr, "add": Plus, "plus": Plus,
+_CORE_NULLARY: dict[str, Term] = {
+    "id": ID, "dup": Dup(), "fst": FST, "snd": SND, "zip": Zip(), "tp": Tp(),
+    "fuse": Fuse(), "distr": Distr(), "add": Plus(), "plus": Plus(),
 }
 
 
@@ -401,7 +423,7 @@ def head_to_term(head, arg_ty, registry: Registry) -> Term:
     match head:
         case HName(name):
             if name in _CORE_NULLARY:
-                return _CORE_NULLARY[name]()
+                return _CORE_NULLARY[name]
             if name in registry.ops:
                 return OpCall(name)
             if name in registry.programs:
@@ -450,13 +472,8 @@ def _context_product(tys):
 
 
 def _var_term(index: int, width: int) -> Term:
-    """Projection chain for position `index` in a right-nested product."""
-    if width == 1:
-        return Id()
-    parts = [Snd()] * index
-    if index < width - 1:
-        parts.append(Fst())
-    return seq(*parts) if parts else Id()
+    """Projection path to position `index` in a right-nested product."""
+    return Proj((1,) * index + ((0,) if index < width - 1 else ()))
 
 
 def _literal(raw, literal_base, registry):
@@ -477,30 +494,44 @@ def lower(dt, ctx_tys: list, registry: Registry, literal_base) -> tuple[Term, An
     Returns (term, output type); the term's input is the right-nested
     product of ctx_tys.
     """
-    match dt:
-        case DVar(index):
-            return _var_term(index, len(ctx_tys)), ctx_tys[index]
-        case DLet(bound, body):
-            t1, ty1 = lower(bound, ctx_tys, registry, literal_base)
-            t2, ty2 = lower(body, [ty1] + ctx_tys, registry, literal_base)
-            return seq(Dup(), Par(t1, Id()), t2), ty2
-        case DApp(head, arg):
-            targ, arg_ty = lower(arg, ctx_tys, registry, literal_base)
-            thead = head_to_term(head, arg_ty, registry)
-            out_ty = typecheck(thead, arg_ty, registry).out_ty
-            return seq(targ, thead), out_ty
-        case DTuple(items):
-            lowered = [lower(e, ctx_tys, registry, literal_base) for e in items]
-            term, ty = lowered[-1]
-            for t, t_ty in reversed(lowered[:-1]):
-                term = fanout(t, term)
-                ty = TProd(t_ty, ty)
-            return term, ty
-        case DLit(raw):
-            cst = _literal(raw, literal_base, registry)
-            return cst, cst.ty
-        case _:
-            raise TermTypeError(f"bad resolved node: {dt!r}")
+    tys = ctx_tys[::-1]  # by binding level: a let appends its type
+
+    def walk(dt):
+        match dt:
+            case DVar(index):
+                return _var_term(index, len(tys)), tys[-1 - index]
+            case NLet(binds, body):
+                lets = []
+                for _, bound in binds:
+                    t1, ty1 = walk(bound)
+                    lets.append(t1)
+                    tys.append(ty1)
+                term, ty = walk(body)
+                del tys[-len(binds):]
+                for t1 in reversed(lets):
+                    term = seq(Dup(), Par(t1, ID), term)
+                return term, ty
+            case NApp():
+                heads, arg = _app_spine(dt)
+                term, ty = walk(arg)
+                for head in heads:
+                    thead = head_to_term(head, ty, registry)
+                    term, ty = seq(term, thead), typecheck(thead, ty, registry).out_ty
+                return term, ty
+            case NTuple(items):
+                lowered = [walk(e) for e in items]
+                term, ty = lowered[-1]
+                for t, t_ty in reversed(lowered[:-1]):
+                    term = fanout(t, term)
+                    ty = TProd(t_ty, ty)
+                return term, ty
+            case NLit(raw):
+                cst = _literal(raw, literal_base, registry)
+                return cst, cst.ty
+            case _:
+                raise TermTypeError(f"bad resolved node: {dt!r}")
+
+    return walk(dt)
 
 
 # ---------------------------------------------------------------------------
@@ -584,16 +615,20 @@ def eval_named(nt, env: dict, registry: Registry, literal_base):
     match nt:
         case NVar(name):
             if name not in env:
-                raise NameResolutionError(f"unbound name: {name!r}")
+                raise _unbound(nt)
             return env[name]
-        case NLet(name, bound, body):
-            tv = eval_named(bound, env, registry, literal_base)
-            return eval_named(body, {**env, name: tv}, registry, literal_base)
-        case NApp(head, arg):
-            arg_ty, arg_v = eval_named(arg, env, registry, literal_base)
-            thead = head_to_term(head, arg_ty, registry)
-            tt = typecheck(thead, arg_ty, registry)
-            return tt.out_ty, denote(tt, arg_v)
+        case NLet(binds, body):
+            env = dict(env)
+            for name, bound in binds:
+                env[name] = eval_named(bound, env, registry, literal_base)
+            return eval_named(body, env, registry, literal_base)
+        case NApp():
+            heads, arg = _app_spine(nt)
+            ty, v = eval_named(arg, env, registry, literal_base)
+            for head in heads:
+                tt = typecheck(head_to_term(head, ty, registry), ty, registry)
+                ty, v = tt.out_ty, denote(tt, v)
+            return ty, v
         case NTuple(items):
             parts = [eval_named(e, env, registry, literal_base) for e in items]
             ty, v = parts[-1]

@@ -14,19 +14,17 @@ built, so a cache-free subterm steps as a single call instead of threading
 (change, UNIT) pairs through every node; a cache-free composite has a CUnit
 cache and takes its init from the compiled batch semantics.
 
-dup and the container ops (zip, get, set, tp, reshape, replicate, filter)
-are linear, so each one's derivative is its batch kernel read at nil:
-calculus.container_kernel with nil_change wherever the batch reads the
-default ε.  dup reads neither, so its compiled batch closure is its
-derivative.
+dup, proj and the container ops (zip, get, set, tp, reshape, replicate,
+filter) are linear, so each one's derivative is its batch kernel read at
+nil: calculus.container_kernel with nil_change wherever the batch reads the
+default ε.  dup and proj read neither, so each one's compiled batch closure
+is its derivative.
 
 A typed seq is n-ary (see calculus.typecheck).  Each maximal run of
 cache-free stages steps as one derivative that calls the stage derivatives
-in a flat loop; adjacent projection paths (id, fst, snd) fold into one index
-path, so a de Bruijn variable `snd; ...; snd; fst` is one getter over a tuple
-of indices.  A seq with a cached stage keeps a list with one slot per stage
-(UNIT at the cache-free ones) that its step updates in place, so neither
-init nor step recurses along a chain.
+in a flat loop.  A seq with a cached stage keeps a list with one slot per
+stage (UNIT at the cache-free ones) that its step updates in place, so
+neither init nor step recurses along a chain.
 
 Adjacent seq stages `zip ; map f` (map2) are built as one fused stage whose
 step walks the changed keys of (dx, dy) and steps f (or calls its
@@ -66,7 +64,7 @@ from typing import Any, Callable, Optional
 
 from . import calculus as ca
 from .core import (
-    SUM_NULL, Cl, Cr, Left, Right, Sl, Sr, SupportError, TBase, TCont, TProd, TSum,
+    SUM_NULL, Cl, Cr, Left, Right, Sl, Sr, TBase, TCont, TProd, TSum,
     UsageError, add_fn, apply_fn, default_value, diff_fn, is_nil_fn, nil_change,
     plus_capable, values_are_changes, values_equal, index_sort_key,
 )
@@ -242,17 +240,6 @@ class IncrMachine:
     triv: Optional[Callable[[Any], Any]] = None
 
 
-def _path_deriv(path):
-    """Derivative of a projection chain: index a (product) change along path."""
-    def get(d):
-        for i in path:
-            d = d[i]
-        return d
-
-    get.path = path
-    return get
-
-
 def comb_triv(fn, in_ty, out_ty) -> IncrMachine:
     """Trivial incrementalization: cache the input, reevaluate on change."""
     ap = apply_fn(in_ty)
@@ -375,23 +362,11 @@ def _self_machine(tt, dfn):
     return comb_self(ca.compiled(tt), dfn, tt.in_ty, tt.out_ty)
 
 
-def _incr_id(tt):
-    return _self_machine(tt, _path_deriv(()))
-
-
 def _incr_linear(tt):
-    """A linear op steps by its batch kernel read at nil (dup: its closure)."""
-    if type(tt.term) is ca.Dup:
+    """A linear op steps by its batch kernel read at nil (dup, proj: its closure)."""
+    if type(tt.term) in (ca.Dup, ca.Proj):
         return _self_machine(tt, ca.compiled(tt))
     return _self_machine(tt, ca.container_kernel(tt, nil_change))
-
-
-def _incr_fst(tt):
-    return _self_machine(tt, _path_deriv((0,)))
-
-
-def _incr_snd(tt):
-    return _self_machine(tt, _path_deriv((1,)))
 
 
 def _incr_cst(tt):
@@ -442,21 +417,15 @@ def _incr_selected(stages):
         return None
     op, _, par, fil = stages
     cst, ident = par.children
-    if not (type(cst.term) is ca.Cst and type(ident.term) is ca.Id
+    if not (type(cst.term) is ca.Cst and ident.term == ca.ID
             and cst.term.value == default_value(cst.out_ty)):
         return None
     m = op.info.make_selected(fil.info.fn, op.in_ty, fil.out_ty)
     return [m, None, None, None]
 
 
-def _chain(derivs):
-    """One derivative running derivs in order; adjacent paths fold into one."""
-    fs = []
-    for f in derivs:
-        if fs and hasattr(f, "path") and hasattr(fs[-1], "path"):
-            fs[-1] = _path_deriv(fs[-1].path + f.path)
-        else:
-            fs.append(f)
+def _chain(fs):
+    """One derivative running the derivatives fs in order."""
     if len(fs) == 1:
         return fs[0]
 
@@ -592,22 +561,12 @@ def _map_machine(tt, entries):
     def make_default():
         return f_init(default_value(elem_in))[1]
 
-    def inputs(x, fe):
-        """The (index, element) pairs init visits, given fe = f(ε)."""
-        if fe == dout:
-            return x.items()
-        indices = shape.indices()
-        if indices is None:
-            raise SupportError(
-                f"map over {shape!r} needs f(ε)=ε for an infinite index set")
-        return [(i, x.get(i, din)) for i in indices]
-
     fn = mf.triv
     if fn is None:
         def init(x):
             out = {}
             caches = {}
-            for i, xi in inputs(x, f_init(din)[0]):
+            for i, xi in ca.map_inputs(x, f_init(din)[0], shape, din, dout):
                 y, caches[i] = f_init(xi)
                 if y != dout:
                     out[i] = y
@@ -631,7 +590,7 @@ def _map_machine(tt, entries):
         df = diff_fn(elem_out)
 
         def init(x):
-            caches = dict(inputs(x, fn(din)))
+            caches = dict(ca.map_inputs(x, fn(din), shape, din, dout))
             out = {}
             for i, xi in caches.items():
                 y = fn(xi)
@@ -781,10 +740,8 @@ def _incr_op(tt):
 
 
 _BUILDERS = {
-    ca.Id: _incr_id,
+    ca.Proj: _incr_linear,
     ca.Dup: _incr_linear,
-    ca.Fst: _incr_fst,
-    ca.Snd: _incr_snd,
     ca.Cst: _incr_cst,
     ca.Plus: _incr_plus,
     ca.Zip: _incr_linear,

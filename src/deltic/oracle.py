@@ -444,7 +444,7 @@ class _TermGen:
         def add(w, f):
             opts.append((w, f))
 
-        add(0.6, lambda: (ca.Id(), ty, 1))
+        add(0.6, lambda: (ca.ID, ty, 1))
         add(1.5, lambda: (ca.Dup(), TProd(ty, ty), 1))
         if budget >= 1:
             def mk_repl():
@@ -472,7 +472,7 @@ class _TermGen:
                 # ⟨id, replicate⟩ manufactures the (elem, container) input
                 # that set/filter need
                 n = rng.randint(0, self.cfg.max_shape)
-                t = ca.seq(ca.Dup(), ca.Par(ca.Id(), ca.Replicate(arr_shape(n))))
+                t = ca.seq(ca.Dup(), ca.Par(ca.ID, ca.Replicate(arr_shape(n))))
                 return t, TProd(ty, TCont(arr_shape(n), ty)), 3
             add(0.8, mk_pair_repl)
 
@@ -484,8 +484,8 @@ class _TermGen:
 
         if isinstance(ty, TProd):
             a, b = ty.left, ty.right
-            add(1.5, lambda: (ca.Fst(), a, 1))
-            add(1.5, lambda: (ca.Snd(), b, 1))
+            add(1.5, lambda: (ca.FST, a, 1))
+            add(1.5, lambda: (ca.SND, b, 1))
             if budget >= 3:
                 def mk_par():
                     sub = max(1, (budget - 1) // 2)
@@ -571,7 +571,7 @@ class _TermGen:
             links.append(t)
             spent += cost
         if not links:
-            return ca.Id(), ty
+            return ca.ID, ty
         return ca.seq(*links), cur
 
 
@@ -582,7 +582,7 @@ def gen_term(cfg: GenConfig, rng: random.Random, reg: ca.Registry,
     gen = _TermGen(cfg, rng, reg, self_only=self_only)
     if out_ty is not None and in_ty == out_ty and size >= 1:
         if rng.random() < 0.2:
-            return ca.typecheck(ca.Id(), in_ty, reg)
+            return ca.typecheck(ca.ID, in_ty, reg)
     for _ in range(attempts):
         term, got = gen.chain(in_ty, size)
         if term_size(term) > size:
@@ -870,16 +870,18 @@ def inject_fault(name: str):
         finally:
             incr.comb_triv = orig
     elif name == "swap-fst-snd":
-        orig = incr._BUILDERS[ca.Fst]
+        orig = incr._BUILDERS[ca.Proj]
 
         def bad(tt):
+            if tt.term.path != (0,):
+                return orig(tt)
             return incr.comb_self(ca.compiled(tt), lambda d: d[1], tt.in_ty, tt.out_ty)
 
-        incr._BUILDERS[ca.Fst] = bad
+        incr._BUILDERS[ca.Proj] = bad
         try:
             yield
         finally:
-            incr._BUILDERS[ca.Fst] = orig
+            incr._BUILDERS[ca.Proj] = orig
     elif name == "seq-drop-propagation":
         orig = incr._BUILDERS[ca.Seq]
 
@@ -983,13 +985,13 @@ def _construct_term(name, cfg, rng, gen: "_TermGen"):
         return gen.chain(ty, budget)
 
     if name == "id":
-        return ca.Id(), small()
+        return ca.ID, small()
     if name == "dup":
         return ca.Dup(), small()
     if name == "fst":
-        return ca.Fst(), TProd(small(), small())
+        return ca.FST, TProd(small(), small())
     if name == "snd":
-        return ca.Snd(), TProd(small(), small())
+        return ca.SND, TProd(small(), small())
     if name == "plus":
         x = _plus_capable_pool(cfg, rng)
         return ca.Plus(), TProd(x, x)

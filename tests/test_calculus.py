@@ -3,13 +3,13 @@
 import pytest
 
 from deltic.calculus import (
-    CasePar, Cst, Distr, Dup, Filter, Fst, Fuse, Get, Id, Inl, Map, OpCall,
-    OpDef, Par, Plus, Registry, RegistryError, Replicate, Reshape, SetAt,
-    Seq, Snd, TermTypeError, Tp, Zip, denote, fanout, map2, monomorphic,
+    CasePar, Cst, Distr, Dup, Filter, FST, Fuse, Get, ID, Inl, Map, OpCall,
+    OpDef, Par, Plus, Proj, Registry, RegistryError, Replicate, Reshape, SetAt,
+    Seq, SND, TermTypeError, Tp, Zip, denote, fanout, map2, monomorphic,
     seq, term_from_text, term_to_text, typecheck,
 )
 from deltic.core import (
-    INT, NAT, REAL, SCALAR, Left, Right, TBase, TCont, TProd, TSum, UsageError,
+    INT, NAT, REAL, SCALAR, ConformanceError, Left, Right, TBase, TCont, TProd, TSum, UsageError,
     add_values, apply_change, values_equal,
 )
 from deltic.domains import linalg
@@ -32,10 +32,10 @@ def test_typecheck_dup_gives_product(reg):
 
 def test_typecheck_dup_projections(reg):
     # par splits the product, so fst/snd under par need a product input
-    tt = typecheck(Seq(Dup(), Par(Fst(), Snd())), TProd(R, R), reg)
+    tt = typecheck(Seq(Dup(), Par(FST, SND)), TProd(R, R), reg)
     assert tt.out_ty == TProd(R, R)
     with pytest.raises(TermTypeError):
-        typecheck(Seq(Dup(), Par(Fst(), Snd())), R, reg)
+        typecheck(Seq(Dup(), Par(FST, SND)), R, reg)
 
 
 def test_typecheck_map_relu(reg):
@@ -46,7 +46,7 @@ def test_typecheck_map_relu(reg):
 
 def test_typecheck_negative(reg):
     with pytest.raises(TermTypeError):
-        typecheck(Seq(Fst(), Map(Id())), TProd(R, arr(2, R)), reg)
+        typecheck(Seq(FST, Map(ID)), TProd(R, arr(2, R)), reg)
 
 
 def test_plus_needs_flags(reg):
@@ -112,7 +112,7 @@ def test_denote_distr(reg):
 
 
 def test_denote_case_fuse(reg):
-    tt = typecheck(Seq(CasePar(OpCall("relu"), Id()), Fuse()), TSum(R, R), reg)
+    tt = typecheck(Seq(CasePar(OpCall("relu"), ID), Fuse()), TSum(R, R), reg)
     assert denote(tt, Left(-3.0)) == 0.0
     assert denote(tt, Right(-3.0)) == -3.0
 
@@ -188,7 +188,7 @@ def test_interpreter_totality_on_random_terms():
 
 
 def test_seq_spine_of_any_nesting_types_to_flat_stages(reg):
-    a, b, c, d = Id(), Dup(), Fst(), OpCall("relu")
+    a, b, c, d = ID, Dup(), FST, OpCall("relu")
     left = Seq(Seq(a, b), Seq(c, d))
     right = Seq(a, Seq(b, Seq(c, d)))
     for t in (left, right):
@@ -200,11 +200,11 @@ def test_seq_spine_of_any_nesting_types_to_flat_stages(reg):
 
 
 @pytest.mark.parametrize("term, text, size", [
-    (seq(OpCall("relu"), Id(), OpCall("relu")), "seq(seq(op(relu), id), op(relu))", 5),
-    (Seq(OpCall("relu"), Seq(Id(), OpCall("relu"))), "seq(op(relu), seq(id, op(relu)))", 5),
-    (Par(Seq(Dup(), Seq(Fst(), OpCall("relu"))), Map(seq(Zip(), Map(Plus())))),
+    (seq(OpCall("relu"), ID, OpCall("relu")), "seq(seq(op(relu), id), op(relu))", 5),
+    (Seq(OpCall("relu"), Seq(ID, OpCall("relu"))), "seq(op(relu), seq(id, op(relu)))", 5),
+    (Par(Seq(Dup(), Seq(FST, OpCall("relu"))), Map(seq(Zip(), Map(Plus())))),
      "par(seq(dup, seq(fst, op(relu))), map(seq(zip, map(plus))))", 11),
-    (Seq(Seq(OpCall("relu"), OpCall("relu")), Seq(Id(), Seq(OpCall("relu"), Id()))),
+    (Seq(Seq(OpCall("relu"), OpCall("relu")), Seq(ID, Seq(OpCall("relu"), ID))),
      "seq(seq(op(relu), op(relu)), seq(id, seq(op(relu), id)))", 9),
 ])
 def test_seq_text_and_size_of_short_chains(term, text, size):
@@ -223,3 +223,31 @@ def test_long_seq_prints_and_sizes_without_recursion(reg):
     text = term_to_text(t)
     assert text.count("op(relu)") == 10_000
     assert text == "seq(" * 9_999 + "op(relu)" + ", op(relu))" * 9_999
+
+
+@pytest.mark.parametrize("term, text", [
+    (ID, "id"), (FST, "fst"), (SND, "snd"),
+    (Seq(Dup(), Par(FST, SND)), "seq(dup, par(fst, snd))"),
+    (Proj((1, 0)), "proj(1, 0)"),
+    (Proj((1, 1, 0)), "proj(1, 1, 0)"),
+    (Seq(Proj((0, 0)), Map(Proj((1,) * 12))),
+     "seq(proj(0, 0), map(proj(" + ", ".join(["1"] * 12) + ")))"),
+])
+def test_projection_texts_round_trip(term, text, reg):
+    assert term_to_text(term) == text
+    assert term_from_text(text, reg) == term
+
+
+def test_projection_paths_type_and_evaluate(reg):
+    ty = TProd(R, TProd(arr(2, R), TProd(R, R)))
+    v = (1.0, ({0: 2.0}, (3.0, 4.0)))
+    for path, out_ty, out in [((), ty, v), ((0,), R, 1.0), ((1, 0), arr(2, R), {0: 2.0}),
+                              ((1, 1, 1), R, 4.0)]:
+        tt = typecheck(Proj(path), ty, reg)
+        assert tt.out_ty == out_ty and denote(tt, v) == out
+    for bad in ((1, 0, 0), (0, 1), (2,)):
+        with pytest.raises(TermTypeError, match="projection needs a product input"):
+            typecheck(Proj(bad), ty, reg)
+    for text in ("proj(2)", "proj(1, x)", "proj()"):
+        with pytest.raises(ConformanceError):
+            term_from_text(text, reg)

@@ -1,16 +1,21 @@
 """Surface syntax: parsing, resolution, lowering, and the reference evaluator."""
 
+import sys
+
 import pytest
 
-from deltic.calculus import Fst, Id, Seq, Snd, denote, typecheck
-from deltic.core import REAL, TBase, TProd, values_equal
+from deltic.calculus import FST, ID, Proj, SND, denote, typecheck
+from deltic.core import REAL, TBase, TProd, apply_fn, values_equal
 from deltic.domains import linalg
 from deltic.frontend import (
     HApply, HName, NApp, NLet, NLit, NTuple, NVar, NameResolutionError,
     SurfaceSyntaxError, DVar, compile_program, eval_named, lower,
     parse_expr_text, parse_program_file, resolve, _var_term,
 )
-from deltic.oracle import DENSE_TEXT, LET_TEXT, MVMUL_TEXT, gen_value, stable_rng
+from deltic.incr import incrementalize
+from deltic.oracle import (
+    DENSE_TEXT, LET_TEXT, MVMUL_TEXT, gen_change, gen_value, stable_rng, term_size,
+)
 from deltic.domains.containers import arr
 
 R = TBase(REAL)
@@ -38,9 +43,20 @@ def test_parse_dense_listing_shape():
 
 def test_parse_let():
     e = parse_expr_text("let y = relu # x; mul # (y, y)")
-    assert isinstance(e, NLet) and e.name == "y"
-    assert isinstance(e.bound, NApp)
+    assert isinstance(e, NLet) and [name for name, _ in e.binds] == ["y"]
+    assert isinstance(e.binds[0][1], NApp)
     assert isinstance(e.body, NApp)
+
+
+def test_let_chain_parses_to_one_flat_node():
+    e = parse_expr_text("let a = x; let b = relu # a; let c = b; c")
+    assert isinstance(e, NLet) and [name for name, _ in e.binds] == ["a", "b", "c"]
+    assert e.body == NVar("c", 1, 41)
+    # a `#` between two lets splits the chain
+    e = parse_expr_text("let a = x; relu # let b = a; b")
+    assert [name for name, _ in e.binds] == ["a"]
+    assert isinstance(e.body, NApp) and e.body.head == HName("relu")
+    assert isinstance(e.body.arg, NLet) and [name for name, _ in e.body.arg.binds] == ["b"]
 
 
 def test_parse_error_position():
@@ -55,15 +71,29 @@ def test_resolve_positions():
     assert resolve(parse_expr_text("x"), ["x", "y"]) == DVar(0)
     with pytest.raises(NameResolutionError) as exc:
         resolve(parse_expr_text("z"), ["x", "y"])
-    assert "z" in str(exc.value)
+    assert str(exc.value) == "unbound name 'z' at line 1, column 1"
+    # a let shadows and then goes out of scope; positions span lines
+    e = parse_expr_text("let x = y;\nlet y = x;\n  mul # (x, (y, z))")
+    with pytest.raises(NameResolutionError) as exc:
+        resolve(e, ["x", "y"])
+    assert str(exc.value) == "unbound name 'z' at line 3, column 17"
+    # a repeated context name resolves to its first position, as ctx.index did
+    assert resolve(e.binds[1][1], ["x", "x", "y"]) == DVar(0)
+    shadowed = resolve(parse_expr_text("let x = y; (x, y)"), ["x", "y"])
+    assert shadowed.body.items == (DVar(0), DVar(2))
+    bundle = linalg.register_linalg()
+    with pytest.raises(NameResolutionError) as exc:
+        eval_named(parse_expr_text("let a = x;\n relu # b"), {"x": (R, 1.0)},
+                   bundle.registry, bundle.literal_base)
+    assert str(exc.value) == "unbound name 'b' at line 2, column 9"
 
 
 def test_var_lowering_projections():
-    assert _var_term(1, 2) == Snd()
-    assert _var_term(0, 2) == Fst()
-    assert _var_term(0, 1) == Id()
-    assert _var_term(1, 3) == Seq(Snd(), Fst())
-    assert _var_term(2, 3) == Seq(Snd(), Snd())
+    assert _var_term(1, 2) == SND
+    assert _var_term(0, 2) == FST
+    assert _var_term(0, 1) == ID
+    assert _var_term(1, 3) == Proj((1, 0))
+    assert _var_term(2, 3) == Proj((1, 1))
 
 
 def test_let_lowering_matches_reference():
@@ -169,3 +199,70 @@ fst # (a, b, c)
     b, prog2 = parse_program_file(text2, _linalg_lookup)
     tt2 = compile_program(prog2, bundle.registry, bundle.literal_base)
     assert denote(tt2, (1.0, (2.0, 3.0))) == (2.0, 3.0)
+
+
+def _chain_text(stages, body):
+    """`stages` lets, each binding body.format(prev=<previous name>)."""
+    lines = ["bundle linalg", "param x : arr[8] real", "param b : arr[8] real", ""]
+    prev = "x"
+    for i in range(1, stages + 1):
+        lines.append(f"let h{i} = {body.format(prev=prev)};")
+        prev = f"h{i}"
+    return "\n".join(lines + [f"map2 add # ({prev}, x)"]) + "\n"
+
+
+def _run_with_laws(text, seed):
+    """Build a program text end to end; 3 steps, Law-2 against denote."""
+    bundle, prog = parse_program_file(text, _linalg_lookup)
+    tt = compile_program(prog, bundle.registry, bundle.literal_base)
+    m = incrementalize(tt)
+    rng = stable_rng(seed, "long-program")
+    x = gen_value(rng, prog.in_ty)
+    y, c = m.init(x)
+    assert values_equal(tt.out_ty, y, denote(tt, x), 1e-9)
+    ap_in, ap_out = apply_fn(prog.in_ty), apply_fn(tt.out_ty)
+    for _ in range(3):
+        dx = gen_change(rng, prog.in_ty)
+        dy, c = m.step(dx, c)
+        x, y = ap_in(x, dx), ap_out(y, dy)
+        assert values_equal(tt.out_ty, y, denote(tt, x), 1e-9)  # Law-2
+    return tt
+
+
+def test_ten_thousand_lets_run_without_recursion():
+    # parser, resolve, lower and eval_named loop over a flat let chain
+    assert sys.getrecursionlimit() <= 1000
+    text = _chain_text(10_000, "map relu # {prev}")
+    tt = _run_with_laws(text, 91)
+    # x sits behind all 10,000 bindings: one projection path of that length
+    assert term_size(tt.term) == 9 * 10_000 + 10
+    _, prog = parse_program_file(text, _linalg_lookup)
+    assert isinstance(prog.body, NLet) and len(prog.body.binds) == 10_000
+    bundle = linalg.register_linalg()
+    x = {0: -1.0, 3: 2.0}
+    env = {"x": (arr(8, R), x), "b": (arr(8, R), {})}
+    assert eval_named(prog.body, env, bundle.registry, bundle.literal_base)[1] == {0: -1.0, 3: 4.0}
+
+
+def test_ten_thousand_step_pipeline_runs_without_recursion():
+    assert sys.getrecursionlimit() <= 1000
+    text = "bundle linalg\nparam x : arr[8] real\n\n" + "map relu # " * 10_000 + "x\n"
+    tt = _run_with_laws(text, 92)
+    assert len(tt.children) == 10_001
+    _, prog = parse_program_file(text, _linalg_lookup)
+    bundle = linalg.register_linalg()
+    env = {"x": (arr(8, R), {0: -1.0, 3: 2.0})}
+    assert eval_named(prog.body, env, bundle.registry, bundle.literal_base)[1] == {3: 2.0}
+
+
+def test_let_chain_term_size_is_linear():
+    # every let reads the parameter b, whose projection path grows with the
+    # chain; a path is one node, so the term grows by a constant per let
+    body = "map relu # map2 add # ({prev}, b)"
+    sizes = []
+    for stages in (1_000, 2_000):
+        bundle, prog = parse_program_file(_chain_text(stages, body), _linalg_lookup)
+        term, _ = lower(resolve(prog.body, prog.param_names), prog.param_tys,
+                        bundle.registry, bundle.literal_base)
+        sizes.append(term_size(term))
+    assert sizes[1] <= 2.05 * sizes[0], sizes

@@ -10,7 +10,7 @@ from deltic import calculus as ca
 from deltic import frontend as fe
 from deltic import incr
 from deltic.calculus import (
-    CasePar, Cst, Dup, Id, Map, OpCall, Plus, Seq, denote, map2, seq, typecheck,
+    CasePar, Cst, Dup, ID, Map, OpCall, Plus, Seq, denote, map2, seq, typecheck,
 )
 from deltic.core import (
     INT, NAT, REAL, SCALAR, Cl, Left, Right, Sl, Sr, SUM_NULL, SupportError, TBase,
@@ -246,7 +246,7 @@ def test_self_maintainable_closure_has_unit_cache():
     # terms from the cache-free set compose to cache-free machines
     from deltic.domains.containers import arr_shape
     reg = oracle_registry()
-    term = seq(Dup(), ca.Par(Id(), Cst(R, 1.0)), Plus(), ca.Replicate(arr_shape(3)))
+    term = seq(Dup(), ca.Par(ID, Cst(R, 1.0)), Plus(), ca.Replicate(arr_shape(3)))
     tt = typecheck(term, R, reg)
     m = incrementalize(tt)
     assert m.cache == CUnit() and m.deriv is not None
@@ -494,7 +494,7 @@ def test_ten_thousand_stage_seq_runs_without_recursion():
 
 def test_seq_cache_has_one_slot_per_stage():
     reg = linalg.register_linalg().registry
-    term = seq(Dup(), ca.Fst(), OpCall("relu"), Id(), Dup(), ca.Par(OpCall("relu"), Id()))
+    term = seq(Dup(), ca.FST, OpCall("relu"), ID, Dup(), ca.Par(OpCall("relu"), ID))
     tt = typecheck(term, R, reg)
     m = incrementalize(tt)
     x = 0.5
@@ -514,7 +514,7 @@ def test_nested_par_depth_bound():
     reg = linalg.register_linalg().registry
     term, in_ty, x, dx = OpCall("relu"), R, 0.5, -1.0
     for _ in range(300):
-        term, in_ty = ca.Par(term, Id()), TProd(in_ty, R)
+        term, in_ty = ca.Par(term, ID), TProd(in_ty, R)
         x, dx = (x, 1.0), (dx, 0.25)
     tt = typecheck(term, in_ty, reg)
     m = incrementalize(tt)
@@ -728,10 +728,14 @@ def test_triv_kernel_keeps_the_support_error_over_a_relation(monkeypatch):
     # f(ε) ≠ ε over an infinite index set has infinite support
     reg = _with_op(relalg.register_relalg().registry, "succ", Z, lambda x: x + 1)
     tt = typecheck(Map(OpCall("succ")), relalg.rel("int"), reg)
+    text = "map over rel[int] needs f(ε)=ε; got 1 for an infinite index set"
+    with pytest.raises(SupportError) as e:
+        denote(tt, {3: 1})
+    assert str(e.value) == text
     for m in _kernel_and_generic(monkeypatch, tt):
         with pytest.raises(SupportError) as e:
             m.init({3: 1})
-        assert str(e.value) == "map over rel[int] needs f(ε)=ε for an infinite index set"
+        assert str(e.value) == text
 
 
 def _dense(n):

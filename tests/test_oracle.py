@@ -49,7 +49,7 @@ def test_term_generator_covers_every_constructor():
     seen = set()
 
     def visit(t):
-        seen.add(type(t).__name__)
+        seen.add(("Proj", t.path) if isinstance(t, ca.Proj) else type(t).__name__)
         match t:
             case ca.Seq(a, b) | ca.Par(a, b) | ca.CasePar(a, b):
                 visit(a)
@@ -62,9 +62,9 @@ def test_term_generator_covers_every_constructor():
     for k in range(600):
         in_ty = gen_type(cfg, rng, depth=2)
         visit(gen_term(cfg, rng, reg, in_ty).term)
-    expected = {"Seq", "Par", "Id", "Dup", "Fst", "Snd", "Plus", "Cst", "Map",
-                "Zip", "Get", "SetAt", "Reshape", "Replicate", "Tp", "Filter",
-                "Fuse", "Distr", "Inl", "Inr", "CasePar", "OpCall"}
+    expected = {"Seq", "Par", ("Proj", ()), "Dup", ("Proj", (0,)), ("Proj", (1,)), "Plus",
+                "Cst", "Map", "Zip", "Get", "SetAt", "Reshape", "Replicate", "Tp",
+                "Filter", "Fuse", "Distr", "Inl", "Inr", "CasePar", "OpCall"}
     assert expected <= seen, expected - seen
 
 
@@ -146,7 +146,7 @@ def test_seq_fault_reaches_a_composed_derivative():
     # a cache-free seq under a cache-free par: the par composes the seq's
     # derivative and never calls its step, so the fault must sabotage both
     reg = oracle_registry()
-    term = ca.Par(ca.seq(ca.Dup(), ca.Plus()), ca.Id())
+    term = ca.Par(ca.seq(ca.Dup(), ca.Plus()), ca.ID)
     tt = ca.typecheck(term, TProd(R, R), reg)
     d = (1.5, 0.0)
     good = incr.incrementalize(tt)
@@ -157,7 +157,7 @@ def test_seq_fault_reaches_a_composed_derivative():
     assert bad.step(d, incr.UNIT)[0] == (0.0, 0.0)
     # a cached middle stage: the output is the last stage's response to a
     # nil change, whatever the first two stages do with d
-    term = ca.seq(ca.Dup(), ca.Par(ca.OpCall("o_relu"), ca.Id()), ca.Plus())
+    term = ca.seq(ca.Dup(), ca.Par(ca.OpCall("o_relu"), ca.ID), ca.Plus())
     tt = ca.typecheck(term, R, reg)
     good = incr.incrementalize(tt)
     with inject_fault("seq-drop-propagation"):

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from deltic import incr
-from deltic.calculus import Cst, Filter, Id, OpCall, denote, fanout, seq, typecheck
+from deltic.calculus import Cst, Filter, ID, OpCall, denote, fanout, seq, typecheck
 from deltic.core import INT, TBase, TProd, apply_change
 from deltic.domains import relalg
 from deltic.incr import (
@@ -194,7 +194,7 @@ def test_selection_fuses_only_with_the_default_fallback(fallback, fused):
     cross = b.registry.ops["cross"]
     b.registry.ops["cross"] = replace(
         cross, make_selected=lambda *a: built.append(a) or cross.make_selected(*a))
-    term = seq(OpCall("cross"), fanout(Cst(relalg.Z, fallback), Id()), Filter("key-eq"))
+    term = seq(OpCall("cross"), fanout(Cst(relalg.Z, fallback), ID), Filter("key-eq"))
     incrementalize(typecheck(term, JOIN_IN, b.registry))
     assert bool(built) == fused
 
