@@ -402,6 +402,8 @@ def _build_is_nil_fn(ty):
         case TBase(base):
             if base.nil is KEEP:
                 return lambda d: d is KEEP
+            if base is REAL or base is INT or base is NAT:
+                return operator.not_  # on an int or a float, `not d` is `d == 0`
             nil = base.nil
             return lambda d: d == nil
         case TCont():

@@ -33,6 +33,12 @@ UNIT and the map slot keeps its per-index cache, so the cache layout is that
 of the unfused pair.  A par with one cache-free side calls that side's
 derivative directly; its slot stays UNIT.
 
+On a container, ⊕ is pointwise ⊕ with nil as its unit, so `zip ; map f`
+with f pointwise ⊕ (plus, or itself such a map2, at any nesting) is ⊕ on
+the container: it is built as comb_add at the container type, whose
+derivative hands back one side's change unchanged when the other is nil.
+The zip slot stays UNIT and the stage is cache-free, as before.
+
 A map whose body is a Triv machine (comb_triv sets `triv` to its fn) runs fn
 inline as a kernel: init keeps each input element as its entry's sub-cache
 and calls fn once per entry, and step computes fn(x ⊕ dx) ⊖ fn(x) per changed
@@ -512,12 +518,24 @@ def _incr_map(tt):
     return _map_machine(tt, dict.items)
 
 
+def _is_pointwise_add(tt):
+    """True when tt is ⊕: plus, or `zip ; map g` with g pointwise ⊕."""
+    while type(tt.term) is ca.Seq:
+        if [type(s.term) for s in tt.children] != [ca.Zip, ca.Map]:
+            return False
+        tt = tt.children[1].children[0]
+    return type(tt.term) is ca.Plus
+
+
 def _incr_map2(zip_tt, map_tt):
     """`zip ; map f` as one stage: step f on each changed key of (dx, dy).
 
     No zipped change is built; when one side's change is empty, only the
-    other side's entries are walked.  The cache is the map's.
+    other side's entries are walked.  The cache is the map's.  When f is
+    pointwise ⊕, the stage is ⊕ on the container itself.
     """
+    if _is_pointwise_add(map_tt.children[0]):
+        return comb_add(zip_tt.in_ty.left)  # plus typed both inputs alike
     na = nil_change(zip_tt.in_ty.left.elem)
     nb = nil_change(zip_tt.in_ty.right.elem)
 

@@ -361,13 +361,8 @@ def _let_chain(stages, n):
     return fe.compile_program(prog, bundle.registry, bundle.literal_base)
 
 
-def _step_calls(stages):
-    """Python calls made by one step of a `stages`-long let chain."""
-    n = 8
-    m = incrementalize(_let_chain(stages, n))
-    rng = stable_rng(37, "let-calls")
-    x = ({i: rng.uniform(-1, 1) for i in range(n)},
-         {i: rng.uniform(-1, 1) for i in range(n)})
+def _one_step_calls(m, x, d):
+    """Python calls made by one step of m on the change d after init(x)."""
     _, c = m.init(x)
     calls = 0
 
@@ -378,15 +373,26 @@ def _step_calls(stages):
 
     sys.setprofile(count)
     try:
-        m.step(({0: 0.5, 3: -0.25}, {}), c)
+        m.step(d, c)
     finally:
         sys.setprofile(None)
     return calls
 
 
+def _step_calls(stages):
+    """Python calls made by one step of a `stages`-long let chain."""
+    n = 8
+    m = incrementalize(_let_chain(stages, n))
+    rng = stable_rng(37, "let-calls")
+    x = ({i: rng.uniform(-1, 1) for i in range(n)},
+         {i: rng.uniform(-1, 1) for i in range(n)})
+    return _one_step_calls(m, x, ({0: 0.5, 3: -0.25}, {}))
+
+
 def test_let_chain_step_cost_is_linear_in_stages():
-    # variables are snd;...;snd;fst chains whose length grows with the stage
-    # index; each must fold into one getter, or a step grows quadratically
+    # each variable is one Proj whose derivative is one call, although the
+    # path of b grows with the stage index; a step whose calls per stage
+    # grew with that depth would make this ratio grow past the stage ratio
     assert _step_calls(100) <= 4.5 * _step_calls(25)
 
 
@@ -537,6 +543,7 @@ def _map2_cases():
         ("plus", lin, vec, Plus()),
         ("rel-intmul", rel, table, OpCall("intmul")),
         ("rel-plus", rel, table, Plus()),
+        ("madd", lin, arr(3, arr(2, R)), map2(Plus())),
     ]]
 
 
@@ -547,7 +554,7 @@ def test_fused_map2_laws(name, reg, side, body):
     in_ty = TProd(side, side)
     tt = typecheck(map2(body), in_ty, reg)
     m = incrementalize(tt)
-    free = name.endswith("plus")
+    free = name.endswith(("plus", "madd"))
     assert (m.deriv is not None) == free
     rng = stable_rng(39, f"map2-{name}")
     for k in range(60):
@@ -625,6 +632,25 @@ def test_fused_map2_step_builds_no_zipped_change(sides):
     assert not [f for f in codes if f.co_name == "<dictcomp>"]
     assert codes.count(triv_step) == 0
     assert codes.count(linalg._mul.__code__) == 2 * k
+
+
+def test_map2_add_steps_as_one_container_add():
+    # map2 ⊕, at any nesting, is ⊕ on the container: with one side's change
+    # nil, a step hands back the other side's change in a fixed number of
+    # calls, however many entries or rows it holds
+    reg = linalg.register_linalg().registry
+    rng = stable_rng(41, "map2-add-calls")
+
+    def calls(body, side, ch):
+        in_ty = TProd(side, side)
+        m = incrementalize(typecheck(map2(body), in_ty, reg))
+        x = gen_value(rng, in_ty)
+        return [_one_step_calls(m, x, d) for d in [(ch, {}), ({}, ch)]]
+
+    vec, mat, row = arr(50, R), arr(20, arr(2, R)), {0: 0.5, 1: -0.25}
+    assert calls(Plus(), vec, {3: 0.5}) == calls(Plus(), vec, dict.fromkeys(range(20), 0.5))
+    assert calls(map2(Plus()), mat, {3: row}) == \
+        calls(map2(Plus()), mat, dict.fromkeys(range(20), row))
 
 
 # ---------------------------------------------------------------------------
