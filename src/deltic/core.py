@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -309,8 +310,23 @@ def nil_change(ty):
 # one default substructure across calls, which is safe because values are
 # immutable.  The memo tables are benign shared state: entries are idempotent
 # and a duplicate build under concurrent first use is harmless.
+#
+# update_fn is the one exception to immutability: a ⊕ for values that a
+# machine owns (own_copy made them), which writes into the container's top
+# level instead of copying it.  It shares the container loop with apply_fn.
+# Under in-place churn CPython grows a dict to about 3 × its length, where a
+# copy has about 1.5 ×, so the in-place ⊕ compacts: it returns a copy when
+# the update resized the dict (its getsizeof changed), or when the dict's
+# length fell below half of its length at its last copy.  A dict's
+# allocation stays that of its last copy until it is resized, and a copy's
+# allocation depends only on its length (and key kind), so _REBUILT_LEN
+# records, per copy size, the length at the last copy of that size.  Both
+# rules are amortized, so at worst a step makes one copy.  The table decides
+# only when a copy is made, never a value.
 
+_REBUILT_LEN: dict = {}   # getsizeof of an own_copy result -> its length
 _APPLY_FNS: dict = {}
+_UPDATE_FNS: dict = {}
 _DIFF_FNS: dict = {}
 _NIL_FNS: dict = {}
 _ADD_FNS: dict = {}
@@ -321,22 +337,8 @@ def _build_apply_fn(ty):
         case TBase(base):
             return base.apply
         case TCont(_, elem):
-            ea = apply_fn(elem)
-            dft = default_value(elem)
-
-            def run(v, d):
-                if not d:
-                    return v
-                out = dict(v)
-                get = out.get
-                for i, di in d.items():
-                    nv = ea(get(i, dft), di)
-                    if nv == dft:
-                        out.pop(i, None)
-                    else:
-                        out[i] = nv
-                return out
-            return run
+            merge = _merge_fn(elem)
+            return lambda v, d: merge(dict(v), d) if d else v
         case TProd(a, b):
             fa, fb = apply_fn(a), apply_fn(b)
             return lambda v, d: (fa(v[0], d[0]), fb(v[1], d[1]))
@@ -359,6 +361,58 @@ def _build_apply_fn(ty):
             return run_sum
         case _:
             raise UsageError(f"not a type: {ty!r}")
+
+
+def _merge_fn(elem):
+    """The container ⊕ loop: writes v ⊕ d into v at the top level, returns v.
+
+    Elements are combined with the functional apply_fn(elem), so the shared
+    default substructure dft is never written into.
+    """
+    ea = apply_fn(elem)
+    dft = default_value(elem)
+
+    def merge(v, d):
+        get = v.get
+        for i, di in d.items():
+            nv = ea(get(i, dft), di)
+            if nv == dft:
+                v.pop(i, None)
+            else:
+                v[i] = nv
+        return v
+    return merge
+
+
+def _build_update_fn(ty):
+    if not isinstance(ty, TCont):
+        return apply_fn(ty)
+    merge = _merge_fn(ty.elem)
+    size = sys.getsizeof
+
+    def run(v, d):
+        if not d:
+            return v
+        before = size(v)
+        merge(v, d)
+        after = size(v)
+        if after != before or 2 * len(v) < _REBUILT_LEN.get(after, 0):
+            return own_copy(v)
+        return v
+    return run
+
+
+def own_copy(v):
+    """A value that update_fn may write into: a top-level copy of a container.
+
+    Values of other types are returned as they are, as update_fn does not
+    write into them.
+    """
+    if type(v) is not dict:
+        return v
+    v = dict(v)
+    _REBUILT_LEN[sys.getsizeof(v)] = len(v)
+    return v
 
 
 def _build_diff_fn(ty):
@@ -407,7 +461,7 @@ def _build_is_nil_fn(ty):
             nil = base.nil
             return lambda d: d == nil
         case TCont():
-            return lambda d: not d
+            return operator.not_  # a change map is nil exactly when it is empty
         case TProd(a, b):
             fa, fb = is_nil_fn(a), is_nil_fn(b)
             return lambda d: fa(d[0]) and fb(d[1])
@@ -453,6 +507,19 @@ def apply_fn(ty):
     f = _APPLY_FNS.get(ty)
     if f is None:
         f = _APPLY_FNS[ty] = _build_apply_fn(ty)
+    return f
+
+
+def update_fn(ty):
+    """⊕ that may write into its first argument, which the caller must own.
+
+    On a container it runs the ⊕ loop on v itself (top level only) and
+    returns v, or a compacted copy of it (see _REBUILT_LEN); on any other
+    type it is apply_fn(ty).
+    """
+    f = _UPDATE_FNS.get(ty)
+    if f is None:
+        f = _UPDATE_FNS[ty] = _build_update_fn(ty)
     return f
 
 

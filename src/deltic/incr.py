@@ -55,6 +55,20 @@ machine takes the op's slot and the three selection slots stay UNIT; they
 were cache-free anyway, so the cache layout is that of the unfused seq.
 Batch evaluation is not fused, so the laws check one against the other.
 
+comb_bilin (the unfused cross and the selected join alike) owns its cache:
+init stores its own top-level copy of each container side (two copies when
+both sides are one object, as after dup), so the caller's input never
+aliases the cache, and step ⊕s the changes into those copies in place with
+core.update_fn once all three terms are made.  A join step then costs the
+kernel, not a copy of the cached relation.  The in-place ⊕ compacts: it
+returns a fresh copy when the update made CPython resize the dict, or when
+the dict has fewer than half the entries it had at its last copy; both are
+amortized, so at worst a step copies once, as every step did before.
+Other machines keep ⊕ functional, because their cached value can escape:
+comb_triv and comb_triv2 (fn may return its input), case (its cached output
+is the init output it returned) and distr (Sl((x2, v)) hands out the cached
+x2).
+
 The laws every machine satisfies (checked by the oracle module, not assumed):
 
   Law-1   init(x).value  == f(x)
@@ -72,7 +86,8 @@ from . import calculus as ca
 from .core import (
     SUM_NULL, Cl, Cr, Left, Right, Sl, Sr, TBase, TCont, TProd, TSum,
     UsageError, add_fn, apply_fn, default_value, diff_fn, is_nil_fn, nil_change,
-    plus_capable, values_are_changes, values_equal, index_sort_key,
+    own_copy, plus_capable, update_fn, values_are_changes, values_equal,
+    index_sort_key,
 )
 from .serialize import index_to_json, value_to_json
 
@@ -129,14 +144,6 @@ class CCase:
     right_out: Any
 
 
-@dataclass(frozen=True)
-class COpaque:
-    name: str
-    to_json: Optional[Callable[[Any], Any]] = None
-    equal: Optional[Callable[[Any, Any, float], bool]] = None
-    count: Optional[Callable[[Any], int]] = None
-
-
 def cache_equal(desc, c1, c2, rel_tol=0.0) -> bool:
     match desc:
         case CUnit():
@@ -159,8 +166,6 @@ def cache_equal(desc, c1, c2, rel_tol=0.0) -> bool:
             sub, out_ty = (left, left_out) if type(c1) is Left else (right, right_out)
             return (cache_equal(sub, c1.value[0], c2.value[0], rel_tol)
                     and values_equal(out_ty, c1.value[1], c2.value[1], rel_tol))
-        case COpaque():
-            return desc.equal(c1, c2, rel_tol) if desc.equal else c1 == c2
         case _:
             raise UsageError(f"not a cache descriptor: {desc!r}")
 
@@ -187,8 +192,6 @@ def cache_to_json(desc, c):
                                       value_to_json(left_out, c.value[1])]}
             return {"case_right": [cache_to_json(right, c.value[0]),
                                    value_to_json(right_out, c.value[1])]}
-        case COpaque(name):
-            return {"opaque": desc.to_json(c) if desc.to_json else repr(c)}
         case _:
             raise UsageError(f"not a cache descriptor: {desc!r}")
 
@@ -221,8 +224,6 @@ def cache_entry_count(desc, c) -> int:
         case CCase(left, left_out, right, right_out):
             sub, out_ty = (left, left_out) if type(c) is Left else (right, right_out)
             return cache_entry_count(sub, c.value[0]) + _value_scalar_count(out_ty, c.value[1])
-        case COpaque():
-            return desc.count(c) if desc.count else 0
         case _:
             raise UsageError(f"not a cache descriptor: {desc!r}")
 
@@ -299,10 +300,11 @@ def comb_lin(fn, in_ty, out_ty) -> IncrMachine:
 
 
 def comb_bilin(fn, in_ty, out_ty) -> IncrMachine:
-    """Bilinear binary function; caches both inputs.
+    """Bilinear binary function; caches both inputs, owned.
 
     step((dx, dy), (x, y)) emits f(dx,dy) ⊕ f(dx,y) ⊕ f(x,dy); nil sides are
-    skipped, which is sound exactly because f is (bi)linear.
+    skipped, which is sound exactly because f is (bi)linear.  The cached
+    inputs are the machine's own copies, which step ⊕s in place.
     """
     if not isinstance(in_ty, TProd):
         raise ca.TermTypeError("BiLin needs a product input type")
@@ -315,12 +317,13 @@ def comb_bilin(fn, in_ty, out_ty) -> IncrMachine:
     nil_a = is_nil_fn(a_ty)
     nil_b = is_nil_fn(b_ty)
     add_c = add_fn(out_ty)
-    ap_a = apply_fn(a_ty)
-    ap_b = apply_fn(b_ty)
+    up_a = update_fn(a_ty)
+    up_b = update_fn(b_ty)
     nil_out = nil_change(out_ty)
 
     def init(xy):
-        return fn(xy), xy
+        # each side gets its own copy, also when both are one object (dup)
+        return fn(xy), (own_copy(xy[0]), own_copy(xy[1]))
 
     def step(d, c):
         dx, dy = d
@@ -334,9 +337,12 @@ def comb_bilin(fn, in_ty, out_ty) -> IncrMachine:
             out = add_c(out, fn((dx, y)))
         if not ny:
             out = add_c(out, fn((x, dy)))
-        x2 = x if nx else ap_a(x, dx)
-        y2 = y if ny else ap_b(y, dy)
-        return out, (x2, y2)
+        # only now, when the three terms are made, may x and y change
+        if not nx:
+            x = up_a(x, dx)
+        if not ny:
+            y = up_b(y, dy)
+        return out, (x, y)
 
     return IncrMachine(in_ty, out_ty, CValue(in_ty), init, step)
 

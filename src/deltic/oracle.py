@@ -4,13 +4,15 @@ Everything here is reproducible from (seed, check name): generators draw from
 a Random seeded by a stable digest, and reports carry no non-deterministic
 content.  Failures are reported with full (x, dx) witnesses, never raised.
 
-The five documented fault injections (for mutation-sensitivity testing):
+The six documented fault injections (for mutation-sensitivity testing):
 
   triv-stale-cache       Triv step returns the old cache         -> Law-3
   swap-fst-snd           fst's derivative projects the other leg -> Law-2
   seq-drop-propagation   seq stages after the first step on nil  -> Law-2
   bilin-missing-term     BiLin drops the f(x, dy) cross term     -> Law-2
   debruijn-off-by-one    variable lowering shifts every index    -> lowering
+  bilin-aliased-cache    BiLin caches the caller's inputs, not   -> Law-2
+                         copies, so its in-place ⊕ writes into them
 """
 
 from __future__ import annotations
@@ -848,7 +850,7 @@ def check_finite_support(seed=17, samples=40) -> list[CheckReport]:
 # ---------------------------------------------------------------------------
 
 FAULTS = ("triv-stale-cache", "swap-fst-snd", "seq-drop-propagation",
-          "bilin-missing-term", "debruijn-off-by-one")
+          "bilin-missing-term", "debruijn-off-by-one", "bilin-aliased-cache")
 
 
 @contextmanager
@@ -925,6 +927,19 @@ def inject_fault(name: str):
                 return out, (x2, y2)
 
             m.step = step
+            return m
+
+        incr.comb_bilin = bad
+        try:
+            yield
+        finally:
+            incr.comb_bilin = orig
+    elif name == "bilin-aliased-cache":
+        orig = incr.comb_bilin
+
+        def bad(fn, in_ty, out_ty):
+            m = orig(fn, in_ty, out_ty)
+            m.init = lambda xy: (fn(xy), xy)  # the caller's relations, not copies
             return m
 
         incr.comb_bilin = bad

@@ -152,7 +152,8 @@ def test_laws_output_independent_of_hash_seed():
     ("laws_seed42.jsonl", [], 0),
     ("laws_seed42_seq_drop.jsonl", ["--inject-fault", "seq-drop-propagation"], 3),
     *[(f"laws_seed42_{f}.jsonl", ["--inject-fault", f], 3)
-      for f in ("triv-stale-cache", "swap-fst-snd", "bilin-missing-term", "debruijn-off-by-one")],
+      for f in ("triv-stale-cache", "swap-fst-snd", "bilin-missing-term", "debruijn-off-by-one",
+                "bilin-aliased-cache")],
 ])
 def test_laws_output_matches_golden_file(golden, fault_args, rc):
     # engine refactors must keep `deltic laws` output byte for byte

@@ -7,7 +7,7 @@ from deltic.core import (
     INT, KEEP, NAT, REAL, SCALAR, SUM_NULL, Cl, Cr, Left, Right, Sl, Sr,
     ConformanceError, Shape, TBase, TCont, TProd, TSum, UsageError,
     apply_change, check_change, check_value, default_value, diff_values,
-    is_nil, nil_change, support, values_equal,
+    apply_fn, is_nil, nil_change, own_copy, support, update_fn, values_equal,
 )
 from deltic.domains.containers import arr, rel_shape, tree_shape
 from deltic.oracle import (
@@ -291,3 +291,33 @@ def test_base_flags_hold_on_samples():
     a = apply_change(TBase(SCALAR), "x", "y")
     b = apply_change(TBase(SCALAR), "y", "x")
     assert a != b
+
+
+def test_update_fn_is_apply_fn_written_in_place():
+    ty = TCont(rel_shape("int"), Z)
+    rng = stable_rng(91, "update-fn")
+    for _ in range(50):
+        v = gen_value(rng, ty)
+        d = gen_change(rng, ty)
+        want = apply_fn(ty)(v, d)
+        mine = own_copy(v)
+        got = update_fn(ty)(mine, d)
+        assert got == want
+    assert update_fn(R) is apply_fn(R)
+    # a nested container's elements are combined functionally, so two new
+    # entries never share the element default they both started from
+    nested = TCont(rel_shape("int"), arr(2, R))
+    v = update_fn(nested)(own_copy({}), {(1,): {0: 1.0}, (2,): {1: 2.0}})
+    assert v == {(1,): {0: 1.0}, (2,): {1: 2.0}}
+    assert update_fn(nested)(v, {(3,): {0: 3.0}})[(1,)] == {0: 1.0}
+
+
+def test_update_fn_compacts_a_relation_that_lost_half_its_tuples():
+    ty = TCont(rel_shape("int"), Z)
+    v = own_copy({(i,): 1 for i in range(1_000)})
+    held = v
+    v = update_fn(ty)(v, {(i,): -1 for i in range(400)})
+    assert v is held  # 600 of 1,000 left: kept in place
+    v = update_fn(ty)(v, {(i,): -1 for i in range(400, 520)})
+    assert v is not held  # 480 < 500: copied
+    assert v == {(i,): 1 for i in range(520, 1_000)}

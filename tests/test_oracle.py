@@ -115,7 +115,7 @@ def test_each_fault_is_caught(fault):
             rep = check_construct_laws("fst", samples=50, instances=5)
         elif fault == "seq-drop-propagation":
             rep = check_construct_laws("seq", samples=80, instances=10)
-        elif fault == "bilin-missing-term":
+        elif fault in ("bilin-missing-term", "bilin-aliased-cache"):
             rb = relalg.register_relalg()
             op = rb.registry.ops["cross"]
             rep = check_op_laws(op, op.sample_in_tys[0], samples=50)

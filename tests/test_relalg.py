@@ -1,12 +1,14 @@
 """Relational algebra over multiplicity maps vs nested-loop oracles."""
 
+import copy
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 
 from deltic import incr
-from deltic.calculus import Cst, Filter, ID, OpCall, denote, fanout, seq, typecheck
+from deltic.calculus import Cst, Dup, Filter, ID, OpCall, denote, fanout, seq, typecheck
 from deltic.core import INT, TBase, TProd, apply_change
 from deltic.domains import relalg
 from deltic.incr import (
@@ -236,3 +238,107 @@ def test_bilin_fault_reaches_the_fused_join():
         y, c = m.init(x)
         dy, _ = m.step(d, c)
         assert (apply_change(tt.out_ty, y, dy) == want) != faulty
+
+
+# ---------------------------------------------------------------------------
+# Owned bilinear caches: step ⊕s the cached relations in place
+# ---------------------------------------------------------------------------
+
+def _cross():
+    b = relalg.register_relalg()
+    return typecheck(OpCall("cross"), JOIN_IN, b.registry)
+
+
+def _mixed_changes(rng, x, count):
+    # left-only, right-only and both-sides changes, with deletions
+    for k in range(count):
+        dx, dy = _rel_change(rng, x[0]), _rel_change(rng, x[1])
+        d = [(dx, {}), ({}, dy), (dx, dy)][k % 3]
+        yield d
+        x = apply_change(JOIN_IN, x, d)
+
+
+@pytest.mark.parametrize("build", [lambda: _join("key-eq"), _cross], ids=["fused", "cross"])
+def test_bilin_steps_never_write_into_the_callers_input(build):
+    tt = build()
+    for faulty in (False, True):
+        rng = stable_rng(56, "bilin-owned")
+        x = (rand_relation(rng, 30), rand_relation(rng, 10))
+        before = copy.deepcopy(x)
+        if faulty:
+            with inject_fault("bilin-aliased-cache"):
+                m = incrementalize(tt)
+        else:
+            m = incrementalize(tt)
+        _, c = m.init(x)
+        for d in _mixed_changes(rng, x, 50):
+            _, c = m.step(d, c)
+        # the fault caches x itself, so its in-place ⊕ shows up in x
+        assert (x == before) != faulty
+
+
+def test_self_join_keeps_both_sides_apart():
+    # dup ; cross hands one relation to both sides of the bilinear step
+    b = relalg.register_relalg()
+    tt = typecheck(seq(Dup(), OpCall("cross")), PAIR_REL, b.registry)
+    m = incrementalize(tt)
+    rng = stable_rng(57, "bilin-self-join")
+    x = rand_relation(rng, 20)
+    before = copy.deepcopy(x)
+    y, c = m.init(x)
+    assert y == denote(tt, x)  # Law-1
+    x0 = x
+    for _ in range(50):
+        d = _rel_change(rng, x)
+        dout, c = m.step(d, c)
+        x = apply_change(PAIR_REL, x, d)
+        y = apply_change(tt.out_ty, y, dout)
+        assert y == denote(tt, x)  # Law-2
+        assert cache_equal(m.cache, c, m.init(x)[1])  # Law-3
+    assert x0 == before
+
+
+def _cached_left(c):
+    return c[0][0]  # the fused stage holds the cross slot of the seq cache
+
+
+def test_left_step_allocates_no_copy_of_the_cached_relation():
+    tt = _join("key-eq")
+    m = incrementalize(tt)
+    x = ({(i % 100, i): 1 for i in range(20_000)}, {(k, 7): 1 for k in range(20)})
+    _, c = m.init(x)
+    d = ({**{(i % 100, i): -1 for i in range(5)},
+          **{(i % 100, i): 1 for i in range(30_000, 30_005)}}, {})
+    tracemalloc.start()
+    try:
+        _, c = m.step(d, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(_cached_left(c)) == 20_000
+    assert peak < sys.getsizeof(_cached_left(c)) / 10
+
+
+def test_in_place_churn_keeps_the_cached_relation_compact():
+    # 50 deletions and 50 fresh tuples per step make CPython resize the
+    # cached dict in place, to about twice the size of a copy of it
+    tt = _join("key-eq")
+    m = incrementalize(tt)
+    rng = stable_rng(58, "bilin-compaction")
+    x = ({(i % 50, i): 1 for i in range(2_000)}, {(k, 3): 1 for k in range(3)})
+    _, c = m.init(x)
+    fresh = iter(range(10_000, 100_000))
+    copies = 0
+    for _ in range(200):
+        gone = rng.sample(sorted(x[0]), 50)
+        dx = {t: -x[0][t] for t in gone}
+        dx.update(((n % 50, n), 1) for n in (next(fresh) for _ in range(50)))
+        held = _cached_left(c)
+        _, c = m.step((dx, {}), c)
+        x = apply_change(JOIN_IN, x, (dx, {}))
+        cached = _cached_left(c)
+        copies += cached is not held
+        assert sys.getsizeof(cached) <= sys.getsizeof(dict(cached))
+        assert cache_equal(m.cache, c, m.init(x)[1])  # Law-3
+    # compaction copies now and then, not on every step
+    assert 1 <= copies <= 200 // 5
