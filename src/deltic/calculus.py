@@ -6,9 +6,10 @@ TypedTerm on a value by compiling it to a closure once.  `Proj(path)` is the
 one projection: `()` is id, `(0,)` fst, `(1,)` snd, and a longer path (how
 the frontend lowers a variable) prints as `proj(1, 1, 0)`.
 
-`Seq` syntax is binary, but a typed seq is n-ary: `typecheck` flattens a
-`Seq` spine of any nesting into one node whose children are the stages in
-order, and the compiled seq runs them in a loop, so a long composition chain
+`Seq` holds two or more stages; a `Seq` given as the first stage is spliced
+in, so `Seq(Seq(a, b), c) == Seq(a, b, c)` prints as `seq(seq(a, b), c)`.
+`typecheck` flattens nested stages too, into one node whose children are the
+stages in order, and the compiled seq runs them in a loop, so a long chain
 neither recurses nor nests closures.  Nesting of par, map and case still
 recurses, one or two frames per level.
 
@@ -25,6 +26,7 @@ construction-time sugar for `zip ; map f` and `dup ; (f × g)`.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Optional
@@ -53,10 +55,16 @@ class Term:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Seq(Term):
-    first: Term
-    second: Term
+    stages: tuple
+
+    def __init__(self, *stages: Term):
+        if len(stages) < 2:
+            raise UsageError(f"seq needs two or more stages, got {len(stages)}")
+        if type(stages[0]) is Seq:
+            stages = stages[0].stages + stages[1:]
+        object.__setattr__(self, "stages", stages)
 
 
 @dataclass(frozen=True)
@@ -164,10 +172,7 @@ ID, FST, SND = Proj(()), Proj((0,)), Proj((1,))
 
 def seq(*terms: Term) -> Term:
     """Left-to-right composition of one or more terms."""
-    out = terms[0]
-    for t in terms[1:]:
-        out = Seq(out, t)
-    return out
+    return Seq(*terms) if len(terms) > 1 else terms[0]
 
 
 def map2(body: Term) -> Term:
@@ -343,8 +348,7 @@ def typecheck(t: Term, in_ty, registry: Registry) -> TypedTerm:
             while todo:
                 s = todo.pop()
                 if isinstance(s, Seq):
-                    todo.append(s.second)
-                    todo.append(s.first)
+                    todo += reversed(s.stages)
                 else:
                     f = typecheck(s, ty, registry)
                     stages.append(f)
@@ -689,20 +693,10 @@ def denote(tt: TypedTerm, v):
 
 def term_to_text(t: Term) -> str:
     match t:
-        case Seq():
-            # a stack, not recursion, along the spine: chains of any length print
-            parts = []
-            todo = [t]
-            while todo:
-                s = todo.pop()
-                if isinstance(s, str):
-                    parts.append(s)
-                elif isinstance(s, Seq):
-                    parts.append("seq(")
-                    todo += [")", s.second, ", ", s.first]
-                else:
-                    parts.append(term_to_text(s))
-            return "".join(parts)
+        case Seq(stages):
+            # left-nested text in one pass; only a nested stage recurses
+            first, *rest = map(term_to_text, stages)
+            return "seq(" * len(rest) + first + "".join(f", {s})" for s in rest)
         case Par(a, b):
             return f"par({term_to_text(a)}, {term_to_text(b)})"
         case Proj(path):
@@ -747,8 +741,9 @@ def term_to_text(t: Term) -> str:
             raise UsageError(f"unknown term constructor: {t!r}")
 
 
-def _split_args(text: str) -> list[str]:
-    """Split at top-level commas, respecting brackets and JSON strings."""
+def _split_args(text: str, closers: bool = False) -> list[str]:
+    """Split at top-level commas, respecting brackets and JSON strings; with
+    closers, a top-level ')' also ends a part: 'a, b), c)' is [a, b, ), c, )]."""
     parts, depth, start, i = [], 0, 0, 0
     in_str = False
     while i < len(text):
@@ -762,6 +757,9 @@ def _split_args(text: str) -> list[str]:
             in_str = True
         elif c in "([{":
             depth += 1
+        elif closers and c == ")" and depth == 0:
+            parts.append(text[start:i].strip())
+            start = i
         elif c in ")]}":
             depth -= 1
         elif c == "," and depth == 0:
@@ -799,7 +797,17 @@ def shape_from_text(text: str, registry: Registry) -> Shape:
 
 def term_from_text(text: str, registry: Registry) -> Term:
     from .serialize import value_from_json
-    name, args = _read_head(text.strip())
+    text = text.strip()
+    heads = re.match(r"(?:seq\s*\(\s*)+", text)
+    if heads:
+        # k leading `seq(` open one chain: `stage, stage), stage) …`
+        k = heads.group().count("(")
+        parts = _split_args(text[heads.end():], closers=True)
+        stages = [parts[0], *parts[1::2]]
+        if len(parts) != 2 * k + 1 or parts[2::2] != [")"] * k:
+            raise ConformanceError(f"seq syntax error: not a chain of {k + 1} stages in {text!r}")
+        return Seq(*(term_from_text(s, registry) for s in stages))
+    name, args = _read_head(text)
     nullary = {"id": ID, "dup": Dup(), "fst": FST, "snd": SND, "plus": Plus(),
                "zip": Zip(), "tp": Tp(), "fuse": Fuse(), "distr": Distr()}
     if args is None:
@@ -813,9 +821,6 @@ def term_from_text(text: str, registry: Registry) -> Term:
             raise ConformanceError(f"{name} expects {n} argument(s), got {len(parts)}")
 
     match name:
-        case "seq":
-            want(2)
-            return Seq(term_from_text(parts[0], registry), term_from_text(parts[1], registry))
         case "par":
             want(2)
             return Par(term_from_text(parts[0], registry), term_from_text(parts[1], registry))

@@ -19,7 +19,7 @@ import sys
 from . import bench as benchmod
 from . import calculus as ca
 from . import incr
-from .core import ConformanceError, DelticError, check_value
+from .core import ConformanceError, DelticError, check_change, check_value
 from .frontend import SurfaceSyntaxError, compile_program, parse_program_file
 from .serialize import (
     change_from_text, change_to_text, type_to_text, value_from_text,
@@ -87,6 +87,7 @@ def cmd_incr(args) -> int:
                 d = change_from_text(tt.in_ty, line)
             except (ConformanceError, json.JSONDecodeError) as e:
                 raise ConformanceError(f"{args.changes}:{lineno}: {e}") from e
+            check_change(tt.in_ty, d, f"{args.changes}:{lineno}")
             dy, cache = machine.step(d, cache)
             print(change_to_text(tt.out_ty, dy))
             if args.verify:

@@ -493,6 +493,11 @@ def _build_add_fn(ty):
                         else:
                             out[i] = nv
                     else:
+                        # y's entry is stored as is, shared with y: this loop
+                        # stays apart from _merge_fn, whose elementwise apply
+                        # would build a fresh element here, so caches holding
+                        # `map2 add # (h, b)` would stop sharing b's entries
+                        # (let-chain's init cache grew by 22% that way)
                         out[i] = yi
                 return out
             return run

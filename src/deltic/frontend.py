@@ -508,16 +508,15 @@ def lower(dt, ctx_tys: list, registry: Registry, literal_base) -> tuple[Term, An
                     tys.append(ty1)
                 term, ty = walk(body)
                 del tys[-len(binds):]
-                for t1 in reversed(lets):
-                    term = seq(Dup(), Par(t1, ID), term)
-                return term, ty
+                return seq(*[s for t1 in lets for s in (Dup(), Par(t1, ID))], term), ty
             case NApp():
                 heads, arg = _app_spine(dt)
                 term, ty = walk(arg)
+                stages = [term]
                 for head in heads:
-                    thead = head_to_term(head, ty, registry)
-                    term, ty = seq(term, thead), typecheck(thead, ty, registry).out_ty
-                return term, ty
+                    stages.append(head_to_term(head, ty, registry))
+                    ty = typecheck(stages[-1], ty, registry).out_ty
+                return seq(*stages), ty
             case NTuple(items):
                 lowered = [walk(e) for e in items]
                 term, ty = lowered[-1]

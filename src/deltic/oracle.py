@@ -397,18 +397,9 @@ def oracle_registry() -> ca.Registry:
 
 def term_size(t: ca.Term) -> int:
     match t:
-        case ca.Seq():
-            # a stack, not recursion, along the spine: chains of any length fit
-            size = 0
-            todo = [t]
-            while todo:
-                s = todo.pop()
-                if isinstance(s, ca.Seq):
-                    size += 1
-                    todo += [s.first, s.second]
-                else:
-                    size += term_size(s)
-            return size
+        case ca.Seq(stages):
+            # one node per binary composition, as `seq(seq(a, b), c)` prints
+            return len(stages) - 1 + sum(map(term_size, stages))
         case ca.Par(a, b) | ca.CasePar(a, b):
             return 1 + term_size(a) + term_size(b)
         case ca.Map(body):
@@ -609,11 +600,12 @@ def check_machine_laws(name, machine: incr.IncrMachine, fn, rng, samples=100,
     failures = []
     for k in range(samples):
         x = gen(rng)
+        xs = _show_value(in_ty, x)  # before init: a faulty machine may write into x
         try:
             y0, c = machine.init(x)
             fx = fn(x)
             if not values_equal(out_ty, y0, fx, rel_tol):
-                failures.append(_witness(law="Law-1", sample=k, x=_show_value(in_ty, x)))
+                failures.append(_witness(law="Law-1", sample=k, x=xs))
                 break
             y_acc = y0
             x_cur = x
@@ -625,17 +617,17 @@ def check_machine_laws(name, machine: incr.IncrMachine, fn, rng, samples=100,
                 if not values_equal(out_ty, fn(x_cur), y_acc, rel_tol):
                     failures.append(_witness(
                         law="Law-2", sample=k, iterate=it,
-                        x=_show_value(in_ty, x), dx=_show_change(in_ty, dx)))
+                        x=xs, dx=_show_change(in_ty, dx)))
                     break
                 c_ref = machine.init(x_cur)[1]
                 if not incr.cache_equal(machine.cache, c, c_ref, rel_tol):
                     failures.append(_witness(
                         law="Law-3", sample=k, iterate=it,
-                        x=_show_value(in_ty, x), dx=_show_change(in_ty, dx)))
+                        x=xs, dx=_show_change(in_ty, dx)))
                     break
         except Exception as e:  # a crashing machine is a failed law, with witness
             failures.append(_witness(law="exception", sample=k,
-                                     x=_show_value(in_ty, x), error=repr(e)))
+                                     x=xs, error=repr(e)))
         if failures:
             break
     return CheckReport(name, 0, samples, not failures, failures)
@@ -668,24 +660,25 @@ def check_value_preservation(tt: ca.TypedTerm, rng, samples=20,
     failures = []
     for k in range(samples):
         x = gen_value(rng, in_ty)
+        xs = _show_value(in_ty, x)  # before init: a faulty machine may write into x
         ds = [gen_change(rng, in_ty) for _ in range(rng.randint(0, max_changes))]
         try:
             got, cache = incr.iter_changes(machine, x, ds)
             want = fn(incr.sum_changes(in_ty, x, ds))
             if not values_equal(out_ty, got, want, rel_tol):
                 failures.append(_witness(
-                    sample=k, x=_show_value(in_ty, x),
+                    sample=k, x=xs,
                     ds=[_show_change(in_ty, d) for d in ds]))
                 break
             cache_ref = machine.init(incr.sum_changes(in_ty, x, ds))[1]
             if not incr.cache_equal(machine.cache, cache, cache_ref, rel_tol):
                 failures.append(_witness(
-                    sample=k, law="iter-cache", x=_show_value(in_ty, x),
+                    sample=k, law="iter-cache", x=xs,
                     ds=[_show_change(in_ty, d) for d in ds]))
                 break
         except Exception as e:
             failures.append(_witness(sample=k, law="exception",
-                                     x=_show_value(in_ty, x), error=repr(e)))
+                                     x=xs, error=repr(e)))
             break
     return CheckReport(name, 0, samples, not failures, failures)
 

@@ -214,7 +214,7 @@ def test_seq_text_and_size_of_short_chains(term, text, size):
 
 
 def test_long_seq_prints_and_sizes_without_recursion(reg):
-    # the printer and the sizer walk a Seq spine with a stack, as typecheck does
+    # one Seq node per chain: printing, reading, sizing, == and hash loop over it
     import sys
     from deltic.oracle import term_size
     assert sys.getrecursionlimit() <= 1000
@@ -223,6 +223,56 @@ def test_long_seq_prints_and_sizes_without_recursion(reg):
     text = term_to_text(t)
     assert text.count("op(relu)") == 10_000
     assert text == "seq(" * 9_999 + "op(relu)" + ", op(relu))" * 9_999
+    back = term_from_text(text, reg)
+    assert back == t and hash(back) == hash(t) and len(back.stages) == 10_000
+
+
+def test_seq_splices_only_a_first_stage_seq():
+    a, b, c = ID, Dup(), OpCall("relu")
+    assert Seq(Seq(a, b), c) == Seq(a, b, c) == seq(a, b, c)
+    assert hash(Seq(Seq(a, b), c)) == hash(Seq(a, b, c))
+    assert Seq(a, b, c).stages == (a, b, c)
+    assert Seq(a, Seq(b, c)).stages == (a, Seq(b, c))
+    assert Seq(a, Seq(b, c)) != Seq(a, b, c)
+    assert seq(a) is a
+    for stages in ((), (a,)):
+        with pytest.raises(UsageError, match="two or more stages"):
+            Seq(*stages)
+
+
+def test_reading_a_seq_chain_is_linear(reg):
+    import time
+    texts = {n: term_to_text(seq(*[OpCall("relu")] * n)) for n in (1_000, 2_000)}
+    term_from_text(texts[2_000], reg)  # warm up
+
+    def best(n):
+        times = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            term_from_text(texts[n], reg)
+            times.append(time.perf_counter() - t0)
+        return min(times)
+    t1, t2 = best(1_000), best(2_000)
+    assert t2 <= 2.5 * t1, (t1, t2)
+
+
+@pytest.mark.parametrize("text", [
+    "seq(id, dup",                # unterminated
+    "seq(seq(id, dup), fst",      # unterminated outer link
+    "seq(id, dup))",              # an extra )
+    "seq(id, dup) fst",           # trailing text
+    "seq(seq(id, dup), fst) )",
+    "seq(id, )",                  # empty stage
+    "seq(, id)",
+    "seq(seq(id, dup), , fst)",
+    "seq(id, dup, fst)",          # three stages in one link
+    "seq(id)",
+    "seq()",
+    "seq(seq(id, dup))",
+])
+def test_malformed_seq_chain_text_is_rejected(text, reg):
+    with pytest.raises(ConformanceError):
+        term_from_text(text, reg)
 
 
 @pytest.mark.parametrize("term, text", [

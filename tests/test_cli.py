@@ -14,6 +14,7 @@ import deltic
 from deltic.cli import main
 from deltic.core import REAL, TBase, apply_change, values_equal
 from deltic.domains.containers import arr
+from deltic.oracle import FAULTS
 from deltic.serialize import change_from_text, value_from_text, value_to_text
 
 R = TBase(REAL)
@@ -95,6 +96,24 @@ def test_incr_empty_stream_prints_init_only(progdir, capsys, tmp_path):
     assert len(capsys.readouterr().out.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("change, why", [
+    ("[[5,1.0]]", "invalid index"),       # index outside arr[3]
+    ("[[0,0.0]]", "stored nil"),          # a nil change stored at index 0
+])
+def test_incr_rejects_out_of_shape_change_line(tmp_path, capsys, change, why):
+    prog = tmp_path / "relu.deltic"
+    prog.write_text("bundle linalg\nparam x : arr[3] real\n\nmap relu # x\n")
+    (tmp_path / "input.json").write_text("[[0,1.0]]")
+    changes = tmp_path / "changes.jsonl"
+    changes.write_text(f"[[1,2.0]]\n{change}\n")
+    rc = main(["incr", "--program", str(prog), "--input", str(tmp_path / "input.json"),
+               "--changes", str(changes), "--verify"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert f"{changes}:2" in captured.err and why in captured.err
+    assert len(captured.out.strip().splitlines()) == 2  # init and the first change only
+
+
 def test_bad_program_exit_2(tmp_path, capsys):
     f = tmp_path / "bad.deltic"
     f.write_text("bundle linalg\nparam x : real\n\nmul # (x\n")
@@ -148,12 +167,15 @@ def test_laws_output_independent_of_hash_seed():
     assert outs[0] == outs[1]
 
 
+# every fault in FAULTS needs a golden file; seq-drop-propagation keeps its
+# older file name and its place first in the list, so the test ids stay put
+_GOLDEN_NAMES = {"seq-drop-propagation": "laws_seed42_seq_drop.jsonl"}
+
+
 @pytest.mark.parametrize("golden, fault_args, rc", [
     ("laws_seed42.jsonl", [], 0),
-    ("laws_seed42_seq_drop.jsonl", ["--inject-fault", "seq-drop-propagation"], 3),
-    *[(f"laws_seed42_{f}.jsonl", ["--inject-fault", f], 3)
-      for f in ("triv-stale-cache", "swap-fst-snd", "bilin-missing-term", "debruijn-off-by-one",
-                "bilin-aliased-cache")],
+    *[(_GOLDEN_NAMES.get(f, f"laws_seed42_{f}.jsonl"), ["--inject-fault", f], 3)
+      for f in sorted(FAULTS, key=lambda f: f not in _GOLDEN_NAMES)],
 ])
 def test_laws_output_matches_golden_file(golden, fault_args, rc):
     # engine refactors must keep `deltic laws` output byte for byte

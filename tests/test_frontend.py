@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
-from deltic.calculus import FST, ID, Proj, SND, denote, typecheck
+from deltic.calculus import (
+    FST, ID, Proj, SND, Seq, denote, term_from_text, term_to_text, typecheck,
+)
 from deltic.core import REAL, TBase, TProd, apply_fn, values_equal
 from deltic.domains import linalg
 from deltic.frontend import (
@@ -239,6 +241,9 @@ def test_ten_thousand_lets_run_without_recursion():
     _, prog = parse_program_file(text, _linalg_lookup)
     assert isinstance(prog.body, NLet) and len(prog.body.binds) == 10_000
     bundle = linalg.register_linalg()
+    # the let chain lowers to one flat Seq: `dup ; (t_i × id)` per let, then the body
+    assert isinstance(tt.term, Seq) and len(tt.term.stages) == 2 * 10_000 + 1
+    assert term_from_text(term_to_text(tt.term), bundle.registry) == tt.term
     x = {0: -1.0, 3: 2.0}
     env = {"x": (arr(8, R), x), "b": (arr(8, R), {})}
     assert eval_named(prog.body, env, bundle.registry, bundle.literal_base)[1] == {0: -1.0, 3: 4.0}

@@ -51,7 +51,10 @@ def test_term_generator_covers_every_constructor():
     def visit(t):
         seen.add(("Proj", t.path) if isinstance(t, ca.Proj) else type(t).__name__)
         match t:
-            case ca.Seq(a, b) | ca.Par(a, b) | ca.CasePar(a, b):
+            case ca.Seq(stages):
+                for s in stages:
+                    visit(s)
+            case ca.Par(a, b) | ca.CasePar(a, b):
                 visit(a)
                 visit(b)
             case ca.Map(body):
