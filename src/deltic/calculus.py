@@ -795,6 +795,13 @@ def shape_from_text(text: str, registry: Registry) -> Shape:
     return Shape(cdef, cdef.payload_from_text(payload[:-1]))
 
 
+# the terms written as a bare name in term text (and in the surface syntax)
+NULLARY_TERMS: dict[str, Term] = {
+    "id": ID, "dup": Dup(), "fst": FST, "snd": SND, "plus": Plus(),
+    "zip": Zip(), "tp": Tp(), "fuse": Fuse(), "distr": Distr(),
+}
+
+
 def term_from_text(text: str, registry: Registry) -> Term:
     from .serialize import value_from_json
     text = text.strip()
@@ -808,11 +815,9 @@ def term_from_text(text: str, registry: Registry) -> Term:
             raise ConformanceError(f"seq syntax error: not a chain of {k + 1} stages in {text!r}")
         return Seq(*(term_from_text(s, registry) for s in stages))
     name, args = _read_head(text)
-    nullary = {"id": ID, "dup": Dup(), "fst": FST, "snd": SND, "plus": Plus(),
-               "zip": Zip(), "tp": Tp(), "fuse": Fuse(), "distr": Distr()}
     if args is None:
-        if name in nullary:
-            return nullary[name]
+        if name in NULLARY_TERMS:
+            return NULLARY_TERMS[name]
         raise ConformanceError(f"term syntax error: {name!r} needs arguments or is unknown")
     parts = _split_args(args)
 

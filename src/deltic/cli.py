@@ -20,7 +20,7 @@ from . import bench as benchmod
 from . import calculus as ca
 from . import incr
 from .core import ConformanceError, DelticError, check_change, check_value
-from .frontend import SurfaceSyntaxError, compile_program, parse_program_file
+from .frontend import compile_program, parse_program_file
 from .serialize import (
     change_from_text, change_to_text, type_to_text, value_from_text,
     value_to_text,
@@ -207,11 +207,7 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:
         return args.fn(args)
-    except (SurfaceSyntaxError, ConformanceError, ca.TermTypeError,
-            ca.RegistryError, json.JSONDecodeError, FileNotFoundError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BADINPUT
-    except DelticError as e:
+    except (DelticError, json.JSONDecodeError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BADINPUT
     except ValueError as e:

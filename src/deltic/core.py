@@ -590,7 +590,8 @@ def support(v) -> set:
 # of the message; each enclosing container, pair or sum closure adds its path
 # part as the exception unwinds, and check_value joins them into the message.
 # Only the closure is memoised, never a checked value: every call checks every
-# entry.  check_change stays a recursive walk, as no hot path calls it.
+# entry.  check_change stays a recursive walk, though `deltic incr` calls it
+# on every change line.
 
 class _Reject(Exception):
     """A conformance failure on its way out to check_value."""

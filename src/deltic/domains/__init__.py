@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..calculus import Registry
 from ..core import BaseType, DelticError
@@ -19,14 +19,11 @@ class InstanceBundle:
     name: str
     registry: Registry
     literal_base: BaseType
-    _validated: bool = field(default=False, repr=False)
 
     def validate(self, samples=40, seed=7):
         """Run the law suite over every registered op; raise on a violation.
 
-        Returns the list of reports.  Bundles are not usable for incremental
-        evaluation until this has passed; the CLI and the acceptance suite
-        run it, and `ensure_valid` caches the outcome.
+        Returns the list of reports.  The tests call it on every bundle.
         """
         from ..oracle import check_op_laws
         reports = []
@@ -37,13 +34,7 @@ class InstanceBundle:
                 if not rep.passed:
                     raise BundleLawError(
                         f"op {opdef.name!r} fails laws at {in_ty!r}: {rep.failures[0]}")
-        self._validated = True
         return reports
-
-    def ensure_valid(self):
-        if not self._validated:
-            self.validate()
-        return self
 
 
 def get_bundle(name: str) -> InstanceBundle:

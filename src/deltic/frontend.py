@@ -1,4 +1,4 @@
-"""Named-variable surface syntax: parser, de Bruijn resolution, lowering.
+"""Named-variable surface syntax: parser and lowering to the point-free calculus.
 
 Surface form:
 
@@ -14,9 +14,12 @@ generic operations, with static arguments by juxtaposition (`map relu`,
 `let x = e; e` binds; `(a, b)` and `[a, b, ...]` build right-nested tuples.
 `--` starts a comment.  Lowering turns contexts into right-nested products,
 a variable into one projection path, and `let` into `dup ; (e1 × id) ; e2`.
+It reads names itself: one walk keeps the binding level of each name in
+scope and lowers a name to the projection path of its level.
 
-A chain of `let`s is one flat NLet node and a `#` pipeline is read, resolved,
-lowered and evaluated in a loop, so neither recurses along its length.
+A chain of `let`s is one flat NLet node and a `#` pipeline one NApp node,
+each parsed, lowered and evaluated in a loop, so neither recurses along its
+length.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from dataclasses import dataclass
 from typing import Any
 
 from .calculus import (
-    Cst, Distr, Dup, Filter, FST, Fuse, Get, ID, Map, OpCall, Par, Plus, Proj,
-    Registry, Replicate, Reshape, SetAt, SND, Term, TermTypeError, Tp,
-    TypedTerm, Zip, denote, fanout, map2, seq, typecheck,
+    NULLARY_TERMS, Cst, Dup, Filter, Get, ID, Map, OpCall, Par, Plus, Proj,
+    Registry, Replicate, Reshape, SetAt, Term, TermTypeError, TypedTerm,
+    denote, fanout, map2, seq, typecheck,
 )
 from .core import DelticError, TBase, TCont, TProd
 from .serialize import type_from_text
@@ -43,6 +46,10 @@ class SurfaceSyntaxError(DelticError):
 
 class NameResolutionError(DelticError):
     pass
+
+
+def _unbound(v):
+    return NameResolutionError(f"unbound name {v.name!r} at line {v.line}, column {v.col}")
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +165,7 @@ class NLet:
 
 @dataclass
 class NApp:
-    head: Any
+    heads: list  # as written: the last head is applied to arg first
     arg: Any
     line: int = 0
     col: int = 0
@@ -176,14 +183,6 @@ class NLit:
     raw: Any
     line: int = 0
     col: int = 0
-
-
-# The resolved (de Bruijn) form is the same tree with every NVar replaced by
-# a DVar holding its index in the context product.
-
-@dataclass
-class DVar:
-    index: int
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +214,9 @@ class _Parser:
         return t
 
     def parse_expr(self):
-        # `let x = e;` and `head #` prefixes are read in a loop, and each run
-        # of lets is one NLet; the body or argument of each comes last
+        # `let x = e;` and `head #` prefixes are read in a loop; each run of
+        # lets is one NLet and each run of heads one NApp, and the body or
+        # argument of each comes last
         prefixes = []
         while True:
             t = self.peek()
@@ -236,7 +236,9 @@ class _Parser:
                 self.pos = save
                 break
             self.next()
-            prefixes.append(NApp(head, None, t.line, t.col))
+            if not (prefixes and isinstance(prefixes[-1], NApp)):
+                prefixes.append(NApp([], None, t.line, t.col))
+            prefixes[-1].heads.append(head)
         e = self.parse_primary()
         for p in reversed(prefixes):
             if isinstance(p, NLet):
@@ -340,64 +342,10 @@ def parse_expr_text(text: str):
 
 
 # ---------------------------------------------------------------------------
-# Name resolution (de Bruijn, 0-based positions in the context product)
-# ---------------------------------------------------------------------------
-
-def _unbound(v: NVar):
-    return NameResolutionError(f"unbound name {v.name!r} at line {v.line}, column {v.col}")
-
-
-def _app_spine(nt: NApp):
-    """(heads innermost first, argument) of a `#` pipeline."""
-    heads = []
-    while isinstance(nt, NApp):
-        heads.append(nt.head)
-        nt = nt.arg
-    return heads[::-1], nt
-
-
-def resolve(nt, ctx: list) -> Any:
-    """De Bruijn form of nt over the names ctx (index 0 is ctx[0])."""
-    # binding levels: ctx[-1] is level 0 and each let takes the next one, so
-    # the index of a name is depth - 1 - level and a let rebuilds nothing
-    return _resolve(nt, {name: level for level, name in enumerate(reversed(ctx))}, len(ctx))
-
-
-def _resolve(nt, levels: dict, depth: int):
-    match nt:
-        case NVar(name):
-            if name not in levels:
-                raise _unbound(nt)
-            return DVar(depth - 1 - levels[name])
-        case NLet(binds, body):
-            levels, bounds = dict(levels), []
-            for name, bound in binds:
-                bounds.append((name, _resolve(bound, levels, depth)))
-                levels[name] = depth
-                depth += 1
-            return NLet(bounds, _resolve(body, levels, depth))
-        case NApp():
-            heads, arg = _app_spine(nt)
-            out = _resolve(arg, levels, depth)
-            for head in heads:
-                out = NApp(head, out)
-            return out
-        case NTuple(items):
-            return NTuple(tuple(_resolve(e, levels, depth) for e in items))
-        case NLit():
-            return nt
-        case _:
-            raise NameResolutionError(f"bad surface node: {nt!r}")
-
-
-# ---------------------------------------------------------------------------
 # Heads -> terms
 # ---------------------------------------------------------------------------
 
-_CORE_NULLARY: dict[str, Term] = {
-    "id": ID, "dup": Dup(), "fst": FST, "snd": SND, "zip": Zip(), "tp": Tp(),
-    "fuse": Fuse(), "distr": Distr(), "add": Plus(), "plus": Plus(),
-}
+_CORE_NULLARY: dict[str, Term] = {**NULLARY_TERMS, "add": Plus()}
 
 
 def _static_index(arg):
@@ -488,37 +436,42 @@ def _literal(raw, literal_base, registry):
     return Cst(TBase(literal_base), raw)
 
 
-def lower(dt, ctx_tys: list, registry: Registry, literal_base) -> tuple[Term, Any]:
-    """Translate a resolved term into the point-free calculus.
+def lower(nt, params, registry: Registry, literal_base) -> tuple[Term, Any]:
+    """Translate a named term over params ((name, type), ...) into the calculus.
 
     Returns (term, output type); the term's input is the right-nested
-    product of ctx_tys.
+    product of the param types.
     """
-    tys = ctx_tys[::-1]  # by binding level: a let appends its type
+    # binding levels: the last param is level 0 and each let takes the next
+    # one, so a name at level l is at index len(tys) - 1 - l of the context
+    tys = [ty for _, ty in reversed(params)]
 
-    def walk(dt):
-        match dt:
-            case DVar(index):
-                return _var_term(index, len(tys)), tys[-1 - index]
+    def walk(nt, levels):
+        match nt:
+            case NVar(name):
+                if name not in levels:
+                    raise _unbound(nt)
+                level = levels[name]
+                return _var_term(len(tys) - 1 - level, len(tys)), tys[level]
             case NLet(binds, body):
-                lets = []
-                for _, bound in binds:
-                    t1, ty1 = walk(bound)
+                levels, lets = dict(levels), []
+                for name, bound in binds:
+                    t1, ty1 = walk(bound, levels)
                     lets.append(t1)
+                    levels[name] = len(tys)
                     tys.append(ty1)
-                term, ty = walk(body)
+                term, ty = walk(body, levels)
                 del tys[-len(binds):]
                 return seq(*[s for t1 in lets for s in (Dup(), Par(t1, ID))], term), ty
-            case NApp():
-                heads, arg = _app_spine(dt)
-                term, ty = walk(arg)
+            case NApp(heads, arg):
+                term, ty = walk(arg, levels)
                 stages = [term]
-                for head in heads:
+                for head in reversed(heads):
                     stages.append(head_to_term(head, ty, registry))
                     ty = typecheck(stages[-1], ty, registry).out_ty
                 return seq(*stages), ty
             case NTuple(items):
-                lowered = [walk(e) for e in items]
+                lowered = [walk(e, levels) for e in items]
                 term, ty = lowered[-1]
                 for t, t_ty in reversed(lowered[:-1]):
                     term = fanout(t, term)
@@ -527,10 +480,8 @@ def lower(dt, ctx_tys: list, registry: Registry, literal_base) -> tuple[Term, An
             case NLit(raw):
                 cst = _literal(raw, literal_base, registry)
                 return cst, cst.ty
-            case _:
-                raise TermTypeError(f"bad resolved node: {dt!r}")
 
-    return walk(dt)
+    return walk(nt, {name: level for level, (name, _) in enumerate(reversed(params))})
 
 
 # ---------------------------------------------------------------------------
@@ -543,14 +494,6 @@ class SurfaceProgram:
     params: tuple          # ((name, TypeExpr), ...)
     body: Any              # NamedTerm
     in_ty: Any
-
-    @property
-    def param_names(self):
-        return [n for n, _ in self.params]
-
-    @property
-    def param_tys(self):
-        return [t for _, t in self.params]
 
 
 def parse_program_file(text: str, bundle_lookup=None):
@@ -584,7 +527,7 @@ def parse_program_file(text: str, bundle_lookup=None):
             body_lines.append("")
             continue
         in_body = True
-        body_lines.append(line.split("--", 1)[0])
+        body_lines.append(line)  # the tokenizer skips `--` comments
     if bundle is None:
         raise SurfaceSyntaxError("missing 'bundle' header", 1, 1)
     if not params:
@@ -600,8 +543,7 @@ def parse_program_file(text: str, bundle_lookup=None):
 
 
 def compile_program(prog: SurfaceProgram, registry: Registry, literal_base) -> TypedTerm:
-    dt = resolve(prog.body, prog.param_names)
-    term, _ = lower(dt, prog.param_tys, registry, literal_base)
+    term, _ = lower(prog.body, prog.params, registry, literal_base)
     return typecheck(term, prog.in_ty, registry)
 
 
@@ -621,10 +563,9 @@ def eval_named(nt, env: dict, registry: Registry, literal_base):
             for name, bound in binds:
                 env[name] = eval_named(bound, env, registry, literal_base)
             return eval_named(body, env, registry, literal_base)
-        case NApp():
-            heads, arg = _app_spine(nt)
+        case NApp(heads, arg):
             ty, v = eval_named(arg, env, registry, literal_base)
-            for head in heads:
+            for head in reversed(heads):
                 tt = typecheck(head_to_term(head, ty, registry), ty, registry)
                 ty, v = tt.out_ty, denote(tt, v)
             return ty, v

@@ -1,18 +1,19 @@
-"""Surface syntax: parsing, resolution, lowering, and the reference evaluator."""
+"""Surface syntax: parsing, lowering, and the reference evaluator."""
 
 import sys
 
 import pytest
 
 from deltic.calculus import (
-    FST, ID, Proj, SND, Seq, denote, term_from_text, term_to_text, typecheck,
+    FST, ID, Dup, Par, Proj, SND, Seq, TermTypeError, denote, fanout, seq,
+    term_from_text, term_to_text, typecheck,
 )
 from deltic.core import REAL, TBase, TProd, apply_fn, values_equal
 from deltic.domains import linalg
 from deltic.frontend import (
     HApply, HName, NApp, NLet, NLit, NTuple, NVar, NameResolutionError,
-    SurfaceSyntaxError, DVar, compile_program, eval_named, lower,
-    parse_expr_text, parse_program_file, resolve, _var_term,
+    SurfaceSyntaxError, compile_program, eval_named, lower,
+    parse_expr_text, parse_program_file, _var_term,
 )
 from deltic.incr import incrementalize
 from deltic.oracle import (
@@ -29,15 +30,14 @@ def _linalg_lookup(_name):
 
 def test_parse_dense_listing_shape():
     e = parse_expr_text("map relu # map2 add # (mvmul # [m, x], b)")
+    # the pipeline is one node holding its heads as written
     assert isinstance(e, NApp)
-    assert e.head == HApply(HName("map"), HName("relu"))
-    inner = e.arg
-    assert isinstance(inner, NApp)
-    assert inner.head == HApply(HName("map2"), HName("add"))
-    tup = inner.arg
+    assert e.heads == [HApply(HName("map"), HName("relu")),
+                       HApply(HName("map2"), HName("add"))]
+    tup = e.arg
     assert isinstance(tup, NTuple) and len(tup.items) == 2
     mv = tup.items[0]
-    assert isinstance(mv, NApp) and mv.head == HName("mvmul")
+    assert isinstance(mv, NApp) and mv.heads == [HName("mvmul")]
     assert isinstance(mv.arg, NTuple)
     assert [v.name for v in mv.arg.items] == ["m", "x"]
     assert tup.items[1] == NVar("b", tup.items[1].line, tup.items[1].col)
@@ -57,7 +57,7 @@ def test_let_chain_parses_to_one_flat_node():
     # a `#` between two lets splits the chain
     e = parse_expr_text("let a = x; relu # let b = a; b")
     assert [name for name, _ in e.binds] == ["a"]
-    assert isinstance(e.body, NApp) and e.body.head == HName("relu")
+    assert isinstance(e.body, NApp) and e.body.heads == [HName("relu")]
     assert isinstance(e.body.arg, NLet) and [name for name, _ in e.body.arg.binds] == ["b"]
 
 
@@ -68,26 +68,43 @@ def test_parse_error_position():
 
 
 def test_resolve_positions():
-    e = parse_expr_text("y")
-    assert resolve(e, ["x", "y"]) == DVar(1)
-    assert resolve(parse_expr_text("x"), ["x", "y"]) == DVar(0)
+    bundle = linalg.register_linalg()
+
+    def lowered(text, names):
+        params = tuple((name, R) for name in names)
+        return lower(parse_expr_text(text), params, bundle.registry, bundle.literal_base)[0]
+
+    assert lowered("y", ["x", "y"]) == SND
+    assert lowered("x", ["x", "y"]) == FST
     with pytest.raises(NameResolutionError) as exc:
-        resolve(parse_expr_text("z"), ["x", "y"])
+        lowered("z", ["x", "y"])
     assert str(exc.value) == "unbound name 'z' at line 1, column 1"
     # a let shadows and then goes out of scope; positions span lines
-    e = parse_expr_text("let x = y;\nlet y = x;\n  mul # (x, (y, z))")
     with pytest.raises(NameResolutionError) as exc:
-        resolve(e, ["x", "y"])
+        lowered("let x = y;\nlet y = x;\n  mul # (x, (y, z))", ["x", "y"])
     assert str(exc.value) == "unbound name 'z' at line 3, column 17"
-    # a repeated context name resolves to its first position, as ctx.index did
-    assert resolve(e.binds[1][1], ["x", "x", "y"]) == DVar(0)
-    shadowed = resolve(parse_expr_text("let x = y; (x, y)"), ["x", "y"])
-    assert shadowed.body.items == (DVar(0), DVar(2))
-    bundle = linalg.register_linalg()
+    # a repeated context name resolves to its first position
+    assert lowered("x", ["x", "x", "y"]) == FST
+    # the bound y is the context's second position; in the body, the let's x
+    # is the first and the outer y the third
+    shadowed = lowered("let x = y; (x, y)", ["x", "y"])
+    assert shadowed == seq(Dup(), Par(SND, ID), fanout(FST, Proj((1, 1))))
     with pytest.raises(NameResolutionError) as exc:
         eval_named(parse_expr_text("let a = x;\n relu # b"), {"x": (R, 1.0)},
                    bundle.registry, bundle.literal_base)
     assert str(exc.value) == "unbound name 'b' at line 2, column 9"
+
+
+def test_lowering_reports_the_first_error_in_evaluation_order():
+    # lower elaborates a bound's heads before it reads the body's names, so
+    # it reports the error that the reference evaluator meets first
+    bundle = linalg.register_linalg()
+    e = parse_expr_text("let a = nosuchop # x; z")
+    with pytest.raises(TermTypeError) as lowered:
+        lower(e, (("x", R),), bundle.registry, bundle.literal_base)
+    with pytest.raises(TermTypeError) as evaluated:
+        eval_named(e, {"x": (R, 1.0)}, bundle.registry, bundle.literal_base)
+    assert str(lowered.value) == str(evaluated.value) == "unknown operation or program: 'nosuchop'"
 
 
 def test_var_lowering_projections():
@@ -102,8 +119,7 @@ def test_let_lowering_matches_reference():
     bundle = linalg.register_linalg()
     text = "let y = relu # x; mul # (y, x)"
     e = parse_expr_text(text)
-    dt = resolve(e, ["x"])
-    term, out_ty = lower(dt, [R], bundle.registry, bundle.literal_base)
+    term, out_ty = lower(e, (("x", R),), bundle.registry, bundle.literal_base)
     tt = typecheck(term, R, bundle.registry)
     rng = stable_rng(81, "let-lower")
     for _ in range(50):
@@ -158,6 +174,19 @@ mul # (x, 2)
     assert denote(tt, 3.0) == 6.0
 
 
+def test_double_dash_in_a_string_literal_is_not_a_comment():
+    from deltic.domains import trees
+    text = """
+bundle trees
+param d : int
+
+fst # ("a--b", d)  -- a trailing comment is still ignored
+"""
+    bundle, prog = parse_program_file(text, lambda _n: trees.register_trees())
+    tt = compile_program(prog, bundle.registry, bundle.literal_base)
+    assert denote(tt, 5) == "a--b"
+
+
 def test_gcounter_surface_inc():
     from deltic.domains import gcounter
     bundle = gcounter.register_gcounter(("r1", "r2"))
@@ -176,8 +205,7 @@ def test_nested_let_shadowing():
     bundle = linalg.register_linalg()
     text = "let x = mul # (x, x); let x = relu # x; x"
     e = parse_expr_text(text)
-    dt = resolve(e, ["x"])
-    term, _ = lower(dt, [R], bundle.registry, bundle.literal_base)
+    term, _ = lower(e, (("x", R),), bundle.registry, bundle.literal_base)
     tt = typecheck(term, R, bundle.registry)
     assert denote(tt, -2.0) == 4.0
     assert denote(tt, 3.0) == 9.0
@@ -232,7 +260,7 @@ def _run_with_laws(text, seed):
 
 
 def test_ten_thousand_lets_run_without_recursion():
-    # parser, resolve, lower and eval_named loop over a flat let chain
+    # parser, lower and eval_named loop over a flat let chain
     assert sys.getrecursionlimit() <= 1000
     text = _chain_text(10_000, "map relu # {prev}")
     tt = _run_with_laws(text, 91)
@@ -267,7 +295,6 @@ def test_let_chain_term_size_is_linear():
     sizes = []
     for stages in (1_000, 2_000):
         bundle, prog = parse_program_file(_chain_text(stages, body), _linalg_lookup)
-        term, _ = lower(resolve(prog.body, prog.param_names), prog.param_tys,
-                        bundle.registry, bundle.literal_base)
+        term, _ = lower(prog.body, prog.params, bundle.registry, bundle.literal_base)
         sizes.append(term_size(term))
     assert sizes[1] <= 2.05 * sizes[0], sizes
