@@ -126,47 +126,44 @@ def _pairs(reps):
     return 2 * reps + 1
 
 
-def _measure_term(tt, value, machine, make_change, reps):
-    changes = [make_change() for _ in range(_pairs(reps))]
-    _, cache = machine.init(value)
-    full, step, ratio, cache = _paired_times(tt, value, machine, cache, changes)
-    entries = incr.cache_entry_count(machine.cache, cache)
-    return full, step, ratio, entries
+def _sweep(spec: BenchSpec, label, setup):
+    """One row per size.  setup(rng, size) draws the inputs and returns
+    (tt, value, make_change); the changes are drawn next, then init runs."""
+    rows = []
+    for size in spec.sizes:
+        rng = random.Random(f"{spec.seed}:{label}:{size}")
+        tt, value, make_change = setup(rng, size)
+        machine = incr.incrementalize(tt)
+        changes = [make_change() for _ in range(_pairs(spec.reps))]
+        _, cache = machine.init(value)
+        full, step, ratio, cache = _paired_times(tt, value, machine, cache, changes)
+        rows.append(BenchRow(spec.bench, size, spec.fraction, full, step, ratio,
+                             incr.cache_entry_count(machine.cache, cache)))
+    return rows, {}
 
 
 def bench_dense(spec: BenchSpec):
-    bundle = linalg.register_linalg()
-    rows = []
-    for n in spec.sizes:
-        rng = random.Random(f"{spec.seed}:dense:{n}")
+    reg = linalg.register_linalg().registry
+
+    def setup(rng, n):
         M = _rand_mat(rng, n, n)
         b = _rand_vec(rng, n)
         x = _rand_vec(rng, n)
-        tt = ca.typecheck(linalg.dense_term(n, n, M, b), arr(n, R), bundle.registry)
-        machine = incr.incrementalize(tt)
-        full, step, ratio, entries = _measure_term(
-            tt, x, machine, lambda: _vec_change(rng, n, spec.fraction), spec.reps)
-        rows.append(BenchRow("dense", n, spec.fraction, full, step,
-                             ratio, entries))
-    return rows, {}
+        tt = ca.typecheck(linalg.dense_term(n, n, M, b), arr(n, R), reg)
+        return tt, x, lambda: _vec_change(rng, n, spec.fraction)
+    return _sweep(spec, "dense", setup)
 
 
 def bench_mvmul(spec: BenchSpec):
-    bundle = linalg.register_linalg()
-    rows = []
-    for n in spec.sizes:
-        rng = random.Random(f"{spec.seed}:mvmul:{n}")
+    reg = linalg.register_linalg().registry
+
+    def setup(rng, n):
         M = _rand_mat(rng, n, n)
         v = _rand_vec(rng, n)
         in_ty = TProd(arr(n, arr(n, R)), arr(n, R))
-        tt = ca.typecheck(linalg.mvmul_term(n, n), in_ty, bundle.registry)
-        machine = incr.incrementalize(tt)
-        full, step, ratio, entries = _measure_term(
-            tt, (M, v), machine,
-            lambda: ({}, _vec_change(rng, n, spec.fraction)), spec.reps)
-        rows.append(BenchRow("mvmul", n, spec.fraction, full, step,
-                             ratio, entries))
-    return rows, {}
+        tt = ca.typecheck(linalg.mvmul_term(n, n), in_ty, reg)
+        return tt, (M, v), lambda: ({}, _vec_change(rng, n, spec.fraction))
+    return _sweep(spec, "mvmul", setup)
 
 
 def bench_mvmul_sparsity(spec: BenchSpec):
@@ -213,47 +210,32 @@ def _rel_change(rng, rel_value, size, fraction, key_range):
 
 
 def bench_rel_proj(spec: BenchSpec):
-    bundle = relalg.register_relalg()
-    rows = []
-    for size in spec.sizes:
-        rng = random.Random(f"{spec.seed}:proj:{size}")
+    reg = relalg.register_relalg().registry
+
+    def setup(rng, size):
         key_range = max(2, size // 10)
         value = _rand_relation(rng, size, key_range)
-        in_ty = relalg.rel(("int", "int"))
-        tt = ca.typecheck(relalg.proj_term("fst"), in_ty, bundle.registry)
-        machine = incr.incrementalize(tt)
-        full, step, ratio, entries = _measure_term(
-            tt, value, machine,
-            lambda: _rel_change(rng, value, size, spec.fraction, key_range),
-            spec.reps)
-        rows.append(BenchRow("rel-proj", size, spec.fraction, full, step,
-                             ratio, entries))
-    return rows, {}
+        tt = ca.typecheck(relalg.proj_term("fst"), relalg.rel(("int", "int")), reg)
+        return tt, value, lambda: _rel_change(rng, value, size, spec.fraction, key_range)
+    return _sweep(spec, "proj", setup)
 
 
 JOIN_RIGHT_SIZE = 20
 
 
 def bench_rel_join(spec: BenchSpec):
-    bundle = relalg.register_relalg()
-    bundle.registry.register_index_pred(
-        "bench_eq_key", lambda ij: ij[0][0] == ij[1][0])
-    rows = []
-    for size in spec.sizes:
-        rng = random.Random(f"{spec.seed}:join:{size}")
+    reg = relalg.register_relalg().registry
+    reg.register_index_pred("bench_eq_key", lambda ij: ij[0][0] == ij[1][0])
+
+    def setup(rng, size):
         key_range = max(2, size // 10)
         left = _rand_relation(rng, size, key_range)
         right = _rand_relation(rng, JOIN_RIGHT_SIZE, key_range)
         in_ty = TProd(relalg.rel(("int", "int")), relalg.rel(("int", "int")))
-        tt = ca.typecheck(relalg.join_term("bench_eq_key"), in_ty, bundle.registry)
-        machine = incr.incrementalize(tt)
-        full, step, ratio, entries = _measure_term(
-            tt, (left, right), machine,
-            lambda: (_rel_change(rng, left, size, spec.fraction, key_range), {}),
-            spec.reps)
-        rows.append(BenchRow("rel-join", size, spec.fraction, full, step,
-                             ratio, entries))
-    return rows, {}
+        tt = ca.typecheck(relalg.join_term("bench_eq_key"), in_ty, reg)
+        return tt, (left, right), lambda: (
+            _rel_change(rng, left, size, spec.fraction, key_range), {})
+    return _sweep(spec, "join", setup)
 
 
 def complete_tree(depth, branching=2, rng=None):
@@ -273,24 +255,15 @@ def complete_tree(depth, branching=2, rng=None):
 
 
 def bench_tree_sum(spec: BenchSpec):
-    bundle = trees.register_trees()
-    rows = []
-    for depth in spec.sizes:
-        rng = random.Random(f"{spec.seed}:tree:{depth}")
+    reg = trees.register_trees().registry
+
+    def setup(rng, depth):
         value = complete_tree(depth, rng=rng)
         paths = list(value)
-        tt = ca.typecheck(trees.tree_sum_term(), trees.INT_TREE, bundle.registry)
-        machine = incr.incrementalize(tt)
-
-        def make_change():
-            k = max(1, math.ceil(spec.fraction * len(paths)))
-            return {p: rng.randint(1, 5) for p in rng.sample(paths, k)}
-
-        full, step, ratio, entries = _measure_term(tt, value, machine, make_change,
-                                                   spec.reps)
-        rows.append(BenchRow("tree-sum", depth, spec.fraction, full, step,
-                             ratio, entries))
-    return rows, {}
+        k = max(1, math.ceil(spec.fraction * len(paths)))
+        tt = ca.typecheck(trees.tree_sum_term(), trees.INT_TREE, reg)
+        return tt, value, lambda: {p: rng.randint(1, 5) for p in rng.sample(paths, k)}
+    return _sweep(spec, "tree", setup)
 
 
 _RUNNERS = {

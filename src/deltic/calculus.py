@@ -26,7 +26,6 @@ construction-time sugar for `zip ; map f` and `dup ; (f × g)`.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Optional
@@ -36,7 +35,10 @@ from .core import (
     TBase, TCont, TProd, TSum, UsageError,
     add_fn, check_value, default_value, plus_capable,
 )
-from .serialize import index_from_json, index_to_json, shape_to_text, type_from_text, type_to_text
+from .serialize import (
+    TextReader, index_from_json, index_to_json, read_shape, read_type, shape_to_text,
+    type_to_text, value_from_json,
+)
 
 
 class TermTypeError(DelticError):
@@ -233,7 +235,6 @@ class ProgramDef:
 
     name: str
     build: Callable[[Any], Optional[Term]]
-    params: Optional[tuple] = None  # ((name, TypeExpr), ...) for documentation
 
 
 class Registry:
@@ -741,60 +742,6 @@ def term_to_text(t: Term) -> str:
             raise UsageError(f"unknown term constructor: {t!r}")
 
 
-def _split_args(text: str, closers: bool = False) -> list[str]:
-    """Split at top-level commas, respecting brackets and JSON strings; with
-    closers, a top-level ')' also ends a part: 'a, b), c)' is [a, b, ), c, )]."""
-    parts, depth, start, i = [], 0, 0, 0
-    in_str = False
-    while i < len(text):
-        c = text[i]
-        if in_str:
-            if c == "\\":
-                i += 1
-            elif c == '"':
-                in_str = False
-        elif c == '"':
-            in_str = True
-        elif c in "([{":
-            depth += 1
-        elif closers and c == ")" and depth == 0:
-            parts.append(text[start:i].strip())
-            start = i
-        elif c in ")]}":
-            depth -= 1
-        elif c == "," and depth == 0:
-            parts.append(text[start:i].strip())
-            start = i + 1
-        i += 1
-    parts.append(text[start:].strip())
-    return parts
-
-
-def _read_head(text: str):
-    """Split 'name(args)' into (name, args-or-None); text is pre-stripped."""
-    i = 0
-    while i < len(text) and (text[i].isalnum() or text[i] == "_"):
-        i += 1
-    name = text[:i]
-    rest = text[i:].strip()
-    if not name:
-        raise ConformanceError(f"term syntax error: expected a name in {text!r}")
-    if not rest:
-        return name, None
-    if rest[0] != "(" or rest[-1] != ")":
-        raise ConformanceError(f"term syntax error near {text!r}")
-    return name, rest[1:-1]
-
-
-def shape_from_text(text: str, registry: Registry) -> Shape:
-    text = text.strip()
-    if "[" not in text or not text.endswith("]"):
-        raise ConformanceError(f"shape syntax error: {text!r}")
-    name, payload = text.split("[", 1)
-    cdef = registry.container(name.strip())
-    return Shape(cdef, cdef.payload_from_text(payload[:-1]))
-
-
 # the terms written as a bare name in term text (and in the surface syntax)
 NULLARY_TERMS: dict[str, Term] = {
     "id": ID, "dup": Dup(), "fst": FST, "snd": SND, "plus": Plus(),
@@ -803,69 +750,67 @@ NULLARY_TERMS: dict[str, Term] = {
 
 
 def term_from_text(text: str, registry: Registry) -> Term:
-    from .serialize import value_from_json
-    text = text.strip()
-    heads = re.match(r"(?:seq\s*\(\s*)+", text)
-    if heads:
-        # k leading `seq(` open one chain: `stage, stage), stage) …`
-        k = heads.group().count("(")
-        parts = _split_args(text[heads.end():], closers=True)
-        stages = [parts[0], *parts[1::2]]
-        if len(parts) != 2 * k + 1 or parts[2::2] != [")"] * k:
-            raise ConformanceError(f"seq syntax error: not a chain of {k + 1} stages in {text!r}")
-        return Seq(*(term_from_text(s, registry) for s in stages))
-    name, args = _read_head(text)
-    if args is None:
-        if name in NULLARY_TERMS:
-            return NULLARY_TERMS[name]
-        raise ConformanceError(f"term syntax error: {name!r} needs arguments or is unknown")
-    parts = _split_args(args)
+    r = TextReader(text, "term")
+    t = _read_term(r, registry)
+    r.end()
+    return t
 
-    def want(n):
-        if len(parts) != n:
-            raise ConformanceError(f"{name} expects {n} argument(s), got {len(parts)}")
 
-    match name:
-        case "par":
-            want(2)
-            return Par(term_from_text(parts[0], registry), term_from_text(parts[1], registry))
-        case "case":
-            want(2)
-            return CasePar(term_from_text(parts[0], registry), term_from_text(parts[1], registry))
-        case "map":
-            want(1)
-            return Map(term_from_text(parts[0], registry))
-        case "cst":
-            want(2)
-            ty = type_from_text(parts[0], registry)
-            return Cst(ty, value_from_json(ty, json.loads(parts[1])))
-        case "get":
-            want(1)
-            return Get(index_from_json(json.loads(parts[0])))
-        case "set":
-            want(1)
-            return SetAt(index_from_json(json.loads(parts[0])))
-        case "reshape":
-            want(2)
-            return Reshape(parts[0], shape_from_text(parts[1], registry))
-        case "replicate":
-            want(1)
-            return Replicate(shape_from_text(parts[0], registry))
-        case "filter":
-            want(1)
-            return Filter(parts[0])
-        case "inl":
-            want(1)
-            return Inl(type_from_text(parts[0], registry))
-        case "inr":
-            want(1)
-            return Inr(type_from_text(parts[0], registry))
-        case "op":
-            want(1)
-            return OpCall(parts[0])
-        case "proj":
-            if not all(p in ("0", "1") for p in parts):
-                raise ConformanceError(f"proj expects indices 0 or 1, got {args!r}")
-            return Proj(tuple(map(int, parts)))
-        case _:
-            raise ConformanceError(f"unknown term constructor: {name!r}")
+def _read_term(r: TextReader, registry: Registry) -> Term:
+    """One term at the cursor; only a nested argument recurses."""
+    name, links = r.ident(), 0
+    while name == "seq":
+        # n leading `seq(` open one chain: `stage, stage), stage) …`, read below
+        r.expect("(")
+        links += 1
+        name = r.ident()
+    if not r.take("("):
+        if name not in NULLARY_TERMS:
+            r.error(f"{name!r} needs arguments or is unknown")
+        t = NULLARY_TERMS[name]
+    else:
+        match name:
+            case "par" | "case":
+                a = _read_term(r, registry)
+                r.expect(",")
+                t = (Par if name == "par" else CasePar)(a, _read_term(r, registry))
+            case "map":
+                t = Map(_read_term(r, registry))
+            case "cst":
+                ty = read_type(r, registry)
+                r.expect(",")
+                t = Cst(ty, value_from_json(ty, r.json()))
+            case "get":
+                t = Get(index_from_json(r.json()))
+            case "set":
+                t = SetAt(index_from_json(r.json()))
+            case "reshape":
+                fn = r.name_arg()
+                r.expect(",")
+                t = Reshape(fn, read_shape(r, registry))
+            case "replicate":
+                t = Replicate(read_shape(r, registry))
+            case "filter":
+                t = Filter(r.name_arg())
+            case "inl":
+                t = Inl(read_type(r, registry))
+            case "inr":
+                t = Inr(read_type(r, registry))
+            case "op":
+                t = OpCall(r.name_arg())
+            case "proj":
+                path = [r.json()]
+                while r.take(","):
+                    path.append(r.json())
+                if not all(type(i) is int and i in (0, 1) for i in path):
+                    r.error(f"proj expects indices 0 or 1, got {path!r}")
+                t = Proj(tuple(path))
+            case _:
+                r.error(f"unknown term constructor: {name!r}")
+        r.expect(")")
+    stages = [t]
+    for _ in range(links):
+        r.expect(",")
+        stages.append(_read_term(r, registry))
+        r.expect(")")
+    return Seq(*stages) if links else t

@@ -13,6 +13,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
+from functools import cache
 from typing import Any, Callable, Optional
 
 
@@ -153,9 +154,6 @@ SCALAR = BaseType(
     diff=lambda new, old: KEEP if new == old else new,
     nil=KEEP, default=None,
 )
-
-BUILTIN_BASES = {b.tag: b for b in (REAL, INT, NAT, SCALAR)}
-
 
 @dataclass(frozen=True)
 class ContainerDef:
@@ -305,11 +303,10 @@ def nil_change(ty):
 
 # The closures built here are the single implementation of ⊕, ⊖, the nil test
 # and ⊕-add; the public functions at the end of this section delegate to them.
-# A closure is built once per type and memoised, so machines and inner loops
-# fetch theirs at build time and call it directly.  Container closures share
-# one default substructure across calls, which is safe because values are
-# immutable.  The memo tables are benign shared state: entries are idempotent
-# and a duplicate build under concurrent first use is harmless.
+# Each builder is memoised per type by functools.cache, so machines and inner
+# loops fetch their closure at build time and call it directly.  Container
+# closures share one default substructure across calls, which is safe because
+# values are immutable.
 #
 # update_fn is the one exception to immutability: a ⊕ for values that a
 # machine owns (own_copy made them), which writes into the container's top
@@ -325,14 +322,10 @@ def nil_change(ty):
 # only when a copy is made, never a value.
 
 _REBUILT_LEN: dict = {}   # getsizeof of an own_copy result -> its length
-_APPLY_FNS: dict = {}
-_UPDATE_FNS: dict = {}
-_DIFF_FNS: dict = {}
-_NIL_FNS: dict = {}
-_ADD_FNS: dict = {}
 
 
-def _build_apply_fn(ty):
+@cache
+def apply_fn(ty):
     match ty:
         case TBase(base):
             return base.apply
@@ -384,7 +377,14 @@ def _merge_fn(elem):
     return merge
 
 
-def _build_update_fn(ty):
+@cache
+def update_fn(ty):
+    """⊕ that may write into its first argument, which the caller must own.
+
+    On a container it runs the ⊕ loop on v itself (top level only) and
+    returns v, or a compacted copy of it (see _REBUILT_LEN); on any other
+    type it is apply_fn(ty).
+    """
     if not isinstance(ty, TCont):
         return apply_fn(ty)
     merge = _merge_fn(ty.elem)
@@ -415,7 +415,8 @@ def own_copy(v):
     return v
 
 
-def _build_diff_fn(ty):
+@cache
+def diff_fn(ty):
     match ty:
         case TBase(base):
             return base.diff
@@ -451,7 +452,8 @@ def _build_diff_fn(ty):
             raise UsageError(f"not a type: {ty!r}")
 
 
-def _build_is_nil_fn(ty):
+@cache
+def is_nil_fn(ty):
     match ty:
         case TBase(base):
             if base.nil is KEEP:
@@ -471,7 +473,8 @@ def _build_is_nil_fn(ty):
             raise UsageError(f"not a type: {ty!r}")
 
 
-def _build_add_fn(ty):
+@cache
+def add_fn(ty):
     match ty:
         case TBase(base):
             return base.apply
@@ -506,47 +509,6 @@ def _build_add_fn(ty):
             return lambda x, y: (fa(x[0], y[0]), fb(x[1], y[1]))
         case _:
             raise UsageError(f"⊕ is not a binary operation at {ty!r}")
-
-
-def apply_fn(ty):
-    f = _APPLY_FNS.get(ty)
-    if f is None:
-        f = _APPLY_FNS[ty] = _build_apply_fn(ty)
-    return f
-
-
-def update_fn(ty):
-    """⊕ that may write into its first argument, which the caller must own.
-
-    On a container it runs the ⊕ loop on v itself (top level only) and
-    returns v, or a compacted copy of it (see _REBUILT_LEN); on any other
-    type it is apply_fn(ty).
-    """
-    f = _UPDATE_FNS.get(ty)
-    if f is None:
-        f = _UPDATE_FNS[ty] = _build_update_fn(ty)
-    return f
-
-
-def diff_fn(ty):
-    f = _DIFF_FNS.get(ty)
-    if f is None:
-        f = _DIFF_FNS[ty] = _build_diff_fn(ty)
-    return f
-
-
-def is_nil_fn(ty):
-    f = _NIL_FNS.get(ty)
-    if f is None:
-        f = _NIL_FNS[ty] = _build_is_nil_fn(ty)
-    return f
-
-
-def add_fn(ty):
-    f = _ADD_FNS.get(ty)
-    if f is None:
-        f = _ADD_FNS[ty] = _build_add_fn(ty)
-    return f
 
 
 def is_nil(ty, d) -> bool:
@@ -611,9 +573,6 @@ _SCALAR_OK = {
                and not isinstance(v, bool), frozenset((type(None), str, int, float))),
 }
 
-_CHECK_FNS: dict = {}
-
-
 def _at(check, part):
     """check, with part added to the path of a failure."""
     def run(v):
@@ -625,7 +584,8 @@ def _at(check, part):
     return run
 
 
-def _build_check_fn(ty):
+@cache
+def _check_fn(ty):
     match ty:
         case TBase(base):
             ok, sure = _SCALAR_OK[base.kind]
@@ -676,13 +636,6 @@ def _build_check_fn(ty):
             return run_sum
         case _:
             raise UsageError(f"not a type: {ty!r}")
-
-
-def _check_fn(ty):
-    f = _CHECK_FNS.get(ty)
-    if f is None:
-        f = _CHECK_FNS[ty] = _build_check_fn(ty)
-    return f
 
 
 def check_value(ty, v, path="value"):

@@ -11,7 +11,8 @@ nodes     shape = a tuple of participant ids, positions = those ids (finite)
 
 from __future__ import annotations
 
-from ..core import ConformanceError, ContainerDef, Shape, TCont
+from ..core import ContainerDef, Shape, TCont
+from ..serialize import TextReader
 
 
 def _is_int(v):
@@ -65,36 +66,22 @@ def schema_to_text(s) -> str:
 
 
 def schema_from_text(text: str):
-    text = text.strip()
-
-    def parse(pos):
-        def skip(p):
-            while p < len(text) and text[p].isspace():
-                p += 1
-            return p
-        pos = skip(pos)
-        if pos < len(text) and text[pos] == "(":
-            inner, pos = parse(pos + 1)
-            pos = skip(pos)
-            if pos >= len(text) or text[pos] != ")":
-                raise ConformanceError(f"schema syntax error in {text!r}")
-            left, pos = inner, pos + 1
-        elif text.startswith("int", pos):
-            left, pos = "int", pos + 3
-        elif text.startswith("str", pos):
-            left, pos = "str", pos + 3
-        else:
-            raise ConformanceError(f"schema syntax error in {text!r}")
-        pos = skip(pos)
-        if pos < len(text) and text[pos] == "*":
-            right, pos = parse(pos + 1)
-            return (left, right), pos
-        return left, pos
-
-    s, pos = parse(0)
-    if text[pos:].strip():
-        raise ConformanceError(f"schema syntax error in {text!r}")
+    r = TextReader(text, "schema")
+    s = _read_schema(r)
+    r.end()
     return s
+
+
+def _read_schema(r):
+    """schema := ('int' | 'str' | '(' schema ')') ['*' schema]"""
+    if r.take("("):
+        left = _read_schema(r)
+        r.expect(")")
+    else:
+        left = r.ident()
+        if left not in ("int", "str"):
+            r.error(f"unknown schema {left!r}")
+    return (left, _read_schema(r)) if r.take("*") else left
 
 
 RELATION = ContainerDef(

@@ -10,7 +10,8 @@ Surface form:
 
 `#` applies a head to a runtime argument; heads are op/program names or the
 generic operations, with static arguments by juxtaposition (`map relu`,
-`map2 (map2 mul)`, `replicate 2`, `get 0`, `filter p`, `reshape r arr[4]`).
+`map2 (map2 mul)`, `replicate 2`, `replicate rel[int*str]`, `get 0`, `filter p`,
+`reshape r arr[4]`).
 `let x = e; e` binds; `(a, b)` and `[a, b, ...]` build right-nested tuples.
 `--` starts a comment.  Lowering turns contexts into right-nested products,
 a variable into one projection path, and `let` into `dup ; (e1 × id) ; e2`.
@@ -64,7 +65,7 @@ class Tok:
     col: int
 
 
-_PUNCT = set("()[],#;=:")
+_PUNCT = set("()[],#;=:*")
 
 
 def tokenize(text: str) -> list[Tok]:

@@ -87,10 +87,6 @@ class CheckReport:
         }
 
 
-def _witness(**kv):
-    return {k: v for k, v in kv.items()}
-
-
 def _show_value(ty, v):
     try:
         return value_to_text(ty, v)
@@ -593,41 +589,40 @@ def gen_term(cfg: GenConfig, rng: random.Random, reg: ca.Registry,
 # ---------------------------------------------------------------------------
 
 def check_machine_laws(name, machine: incr.IncrMachine, fn, rng, samples=100,
-                       rel_tol=0.0, depth=2, value_gen=None) -> CheckReport:
-    """Laws 1-3 on random samples, with step-after-step iteration to `depth`."""
+                       rel_tol=0.0) -> CheckReport:
+    """Laws 1-3 on random samples, each stepped twice in a row."""
     in_ty, out_ty = machine.in_ty, machine.out_ty
-    gen = value_gen or (lambda r: gen_value(r, in_ty))
     failures = []
     for k in range(samples):
-        x = gen(rng)
+        x = gen_value(rng, in_ty)
         xs = _show_value(in_ty, x)  # before init: a faulty machine may write into x
         try:
             y0, c = machine.init(x)
             fx = fn(x)
             if not values_equal(out_ty, y0, fx, rel_tol):
-                failures.append(_witness(law="Law-1", sample=k, x=xs))
+                failures.append(dict(law="Law-1", sample=k, x=xs))
                 break
             y_acc = y0
             x_cur = x
-            for it in range(depth):
+            for it in range(2):
                 dx = gen_change(rng, in_ty)
                 dy, c = machine.step(dx, c)
                 x_cur = apply_change(in_ty, x_cur, dx)
                 y_acc = apply_change(out_ty, y_acc, dy)
                 if not values_equal(out_ty, fn(x_cur), y_acc, rel_tol):
-                    failures.append(_witness(
+                    failures.append(dict(
                         law="Law-2", sample=k, iterate=it,
                         x=xs, dx=_show_change(in_ty, dx)))
                     break
                 c_ref = machine.init(x_cur)[1]
                 if not incr.cache_equal(machine.cache, c, c_ref, rel_tol):
-                    failures.append(_witness(
+                    failures.append(dict(
                         law="Law-3", sample=k, iterate=it,
                         x=xs, dx=_show_change(in_ty, dx)))
                     break
         except Exception as e:  # a crashing machine is a failed law, with witness
-            failures.append(_witness(law="exception", sample=k,
-                                     x=xs, error=repr(e)))
+            failures.append(dict(law="exception", sample=k,
+                                 x=xs, error=repr(e)))
         if failures:
             break
     return CheckReport(name, 0, samples, not failures, failures)
@@ -666,19 +661,19 @@ def check_value_preservation(tt: ca.TypedTerm, rng, samples=20,
             got, cache = incr.iter_changes(machine, x, ds)
             want = fn(incr.sum_changes(in_ty, x, ds))
             if not values_equal(out_ty, got, want, rel_tol):
-                failures.append(_witness(
+                failures.append(dict(
                     sample=k, x=xs,
                     ds=[_show_change(in_ty, d) for d in ds]))
                 break
             cache_ref = machine.init(incr.sum_changes(in_ty, x, ds))[1]
             if not incr.cache_equal(machine.cache, cache, cache_ref, rel_tol):
-                failures.append(_witness(
+                failures.append(dict(
                     sample=k, law="iter-cache", x=xs,
                     ds=[_show_change(in_ty, d) for d in ds]))
                 break
         except Exception as e:
-            failures.append(_witness(sample=k, law="exception",
-                                     x=xs, error=repr(e)))
+            failures.append(dict(sample=k, law="exception",
+                                 x=xs, error=repr(e)))
             break
     return CheckReport(name, 0, samples, not failures, failures)
 
@@ -694,7 +689,7 @@ def check_completeness(ty, rng, samples=200, rel_tol=1e-9, name="completeness") 
             x, y = gen_value(rng, ty), gen_value(rng, ty)
         got = apply_change(ty, x, diff_values(ty, y, x))
         if not values_equal(ty, got, y, rel_tol):
-            failures.append(_witness(
+            failures.append(dict(
                 sample=k, x=_show_value(ty, x), y=_show_value(ty, y)))
             break
     return CheckReport(name, 0, samples, not failures, failures)
@@ -738,7 +733,7 @@ def check_finite_support(seed=17, samples=40) -> list[CheckReport]:
             try:
                 fn(k)
             except AssertionError as e:
-                failures.append(_witness(sample=k, error=str(e)))
+                failures.append(dict(sample=k, error=str(e)))
                 break
         reports.append(CheckReport(f"finite-support:{name}", seed, samples,
                                    not failures, failures))
@@ -817,19 +812,19 @@ def check_finite_support(seed=17, samples=40) -> list[CheckReport]:
         tt = ca.typecheck(ca.Map(ca.OpCall("plus5")), rel_i, reg)
         try:
             ca.denote(tt, {1: 2})
-            failures.append(_witness(case="map-non-default-preserving"))
+            failures.append(dict(case="map-non-default-preserving"))
         except SupportError:
             pass
         tt = ca.typecheck(ca.Reshape("const0", rel_shape(("int", "int"))), rel_ii, reg)
         try:
             ca.denote(tt, {(1, 2): 1})
-            failures.append(_witness(case="reshape-without-fibers"))
+            failures.append(dict(case="reshape-without-fibers"))
         except SupportError:
             pass
         tt = ca.typecheck(ca.Replicate(rel_shape("int")), Z, reg)
         try:
             ca.denote(tt, 7)
-            failures.append(_witness(case="replicate-non-default"))
+            failures.append(dict(case="replicate-non-default"))
         except SupportError:
             pass
         reports.append(CheckReport("finite-support:violations-detected", seed, 3,
@@ -1215,7 +1210,7 @@ def check_frontend_lowering(seed=23, samples=100) -> CheckReport:
         let_tt = fe.compile_program(let_prog, bundle.registry, bundle.literal_base)
     except Exception as e:  # mis-lowered programs often fail to even typecheck
         return CheckReport("frontend-lowering", seed, 0, False,
-                           [_witness(case="compile", error=repr(e))])
+                           [dict(case="compile", error=repr(e))])
 
     for k in range(samples):
         M = gen_value(rng, mv_prog.in_ty.left)
@@ -1223,7 +1218,7 @@ def check_frontend_lowering(seed=23, samples=100) -> CheckReport:
         got = ca.denote(mv_tt, (M, v))
         want = ca.denote(cat_tt, (M, v))
         if not values_equal(mv_tt.out_ty, got, want, 1e-9):
-            failures.append(_witness(case="mvmul", sample=k))
+            failures.append(dict(case="mvmul", sample=k))
             break
         b = gen_value(rng, arr(n, R))
         x = gen_value(rng, arr(m, R))
@@ -1232,20 +1227,20 @@ def check_frontend_lowering(seed=23, samples=100) -> CheckReport:
                                  bundle.registry)
         want = ca.denote(cat_dense, x)
         if not values_equal(de_tt.out_ty, got, want, 1e-9):
-            failures.append(_witness(case="dense", sample=k))
+            failures.append(dict(case="dense", sample=k))
             break
         env = {"m": (mv_prog.in_ty.left, M), "v": (mv_prog.in_ty.right, v)}
         _, ref = fe.eval_named(mv_prog.body, env, bundle.registry, REAL)
         if not values_equal(mv_tt.out_ty, ca.denote(mv_tt, (M, v)), ref, 1e-9):
-            failures.append(_witness(case="mvmul-vs-reference", sample=k))
+            failures.append(dict(case="mvmul-vs-reference", sample=k))
             break
         xs, ys = gen_scalar(rng, REAL), gen_scalar(rng, REAL)
         got = ca.denote(let_tt, (xs, ys))
         env = {"x": (R, xs), "y": (R, ys)}
         _, ref = fe.eval_named(let_prog.body, env, bundle.registry, REAL)
         if not values_equal(R, got, ref, 1e-9):
-            failures.append(_witness(case="let-translation", sample=k,
-                                     x=xs, y=ys, got=got, ref=ref))
+            failures.append(dict(case="let-translation", sample=k,
+                                 x=xs, y=ys, got=got, ref=ref))
             break
     return CheckReport("frontend-lowering", seed, samples, not failures, failures)
 
@@ -1259,7 +1254,7 @@ def _guarded(name, seed, thunk) -> CheckReport:
     try:
         return thunk()
     except Exception as e:
-        return CheckReport(name, seed, 0, False, [_witness(error=repr(e))])
+        return CheckReport(name, seed, 0, False, [dict(error=repr(e))])
 
 
 def run_all_suites(bundle_names=("linalg", "relalg", "trees", "gcounter"),

@@ -13,11 +13,14 @@ Everything is type-directed JSON:
 Types use a prefix grammar: `real`, `int`, `nat`, `scalar` are bases,
 `<container>[<payload>] <elem>` applies a container, `*` and `+` build
 products and sums (right-associative, `*` binds tighter), parentheses group.
+`TextReader` is the one cursor that reads type, shape, schema and term text,
+left to right in one pass.
 """
 
 from __future__ import annotations
 
 import json
+import re
 
 from .core import (
     KEEP, SUM_NULL, Cl, Cr, Left, Right, Sl, Sr,
@@ -213,82 +216,118 @@ def type_to_text(ty) -> str:
     return go(ty, 0)
 
 
-class _TypeParser:
-    def __init__(self, text, registry):
-        self.text = text
-        self.pos = 0
-        self.registry = registry
+_IDENT = re.compile(r"\w+")
+_NAME_ARG = re.compile(r"[^,)]*")
+_JSON = json.JSONDecoder()
+
+
+class TextReader:
+    """A cursor over text, read left to right by the type, shape, schema and
+    term readers.  Each method skips whitespace before what it reads; a
+    failure names `what` and the position it was read up to."""
+
+    def __init__(self, text, what):
+        self.text, self.what, self.pos = text, what, 0
 
     def error(self, msg):
-        raise ConformanceError(f"type syntax error at {self.pos}: {msg} in {self.text!r}")
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        raise ConformanceError(f"{self.what} syntax error at {self.pos}: {msg} in {self.text!r}")
 
     def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take_ident(self):
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
+        text = self.text
+        while text[self.pos:self.pos + 1].isspace():
             self.pos += 1
-        if start == self.pos:
+        return text[self.pos:self.pos + 1]
+
+    def take(self, c):
+        if self.peek() == c:
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, c):
+        if not self.take(c):
+            self.error(f"expected {c!r}")
+
+    def ident(self):
+        self.peek()
+        m = _IDENT.match(self.text, self.pos)
+        if m is None:
             self.error("expected a name")
-        return self.text[start:self.pos]
+        self.pos = m.end()
+        return m.group()
 
-    def parse_sum(self):
-        left = self.parse_prod()
-        if self.peek() == "+":
-            self.pos += 1
-            return TSum(left, self.parse_sum())
-        return left
+    def name_arg(self):
+        """A registered name as an argument: the stripped text up to the next
+        `,` or `)`."""
+        m = _NAME_ARG.match(self.text, self.pos)
+        self.pos = m.end()
+        return m.group().strip()
 
-    def parse_prod(self):
-        left = self.parse_factor()
-        if self.peek() == "*":
-            self.pos += 1
-            return TProd(left, self.parse_prod())
-        return left
+    def json(self):
+        self.peek()
+        try:
+            value, self.pos = _JSON.raw_decode(self.text, self.pos)
+        except json.JSONDecodeError as e:
+            self.pos = e.pos
+            self.error(f"bad JSON ({e.msg})")
+        return value
 
-    def parse_factor(self):
-        if self.peek() == "(":
-            self.pos += 1
-            inner = self.parse_sum()
-            if self.peek() != ")":
-                self.error("expected ')'")
-            self.pos += 1
-            return inner
-        name = self.take_ident()
-        if self.peek() == "[":
-            depth = 0
-            self.pos += 1
-            start = self.pos
-            while self.pos < len(self.text):
-                c = self.text[self.pos]
-                if c == "[":
-                    depth += 1
-                elif c == "]":
-                    if depth == 0:
-                        break
-                    depth -= 1
-                self.pos += 1
-            else:
-                self.error("unterminated '['")
-            payload_text = self.text[start:self.pos]
-            self.pos += 1
-            cdef = self.registry.container(name)
-            shape = Shape(cdef, cdef.payload_from_text(payload_text))
-            return TCont(shape, self.parse_factor())
-        return TBase(self.registry.base(name))
+    def bracket(self):
+        """The payload of a `[...]` right at the cursor, up to its matching `]`."""
+        self.expect("[")
+        text, start, depth = self.text, self.pos, 0
+        for pos in range(start, len(text)):
+            if text[pos] == "[":
+                depth += 1
+            elif text[pos] == "]":
+                if depth == 0:
+                    self.pos = pos + 1
+                    return text[start:pos]
+                depth -= 1
+        self.pos = len(text)
+        self.error("unterminated '['")
+
+    def end(self):
+        if self.peek():
+            self.error("trailing input")
+
+
+def read_type(r: TextReader, registry):
+    """sum := prod ['+' sum], prod := factor ['*' prod],
+    factor := '(' sum ')' | base | shape factor."""
+    left = _read_prod(r, registry)
+    return TSum(left, read_type(r, registry)) if r.take("+") else left
+
+
+def _read_prod(r, registry):
+    left = _read_factor(r, registry)
+    return TProd(left, _read_prod(r, registry)) if r.take("*") else left
+
+
+def _read_factor(r, registry):
+    if r.take("("):
+        inner = read_type(r, registry)
+        r.expect(")")
+        return inner
+    name = r.ident()
+    if r.peek() == "[":
+        return TCont(_read_shape_of(r, registry, name), _read_factor(r, registry))
+    return TBase(registry.base(name))
+
+
+def read_shape(r: TextReader, registry) -> Shape:
+    """container[payload]"""
+    return _read_shape_of(r, registry, r.ident())
+
+
+def _read_shape_of(r, registry, name):
+    payload = r.bracket()
+    cdef = registry.container(name)
+    return Shape(cdef, cdef.payload_from_text(payload))
 
 
 def type_from_text(text, registry):
-    p = _TypeParser(text, registry)
-    ty = p.parse_sum()
-    p.skip_ws()
-    if p.pos != len(text):
-        p.error("trailing input")
+    r = TextReader(text, "type")
+    ty = read_type(r, registry)
+    r.end()
     return ty

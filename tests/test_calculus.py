@@ -256,6 +256,38 @@ def test_reading_a_seq_chain_is_linear(reg):
     assert t2 <= 2.5 * t1, (t1, t2)
 
 
+def _nest(levels):
+    # par(·, cst(real, 1.0)), map(·) and case(·, id) in turn around op(o_relu)
+    wraps = (lambda t: Par(t, Cst(R, 1.0)), Map, lambda t: CasePar(t, ID))
+    t = OpCall("o_relu")
+    for k in range(levels):
+        t = wraps[k % 3](t)
+    return t
+
+
+def test_reading_nested_term_text_is_linear(reg):
+    import time
+    texts = {n: term_to_text(_nest(n)) for n in (150, 300)}
+    term_from_text(texts[300], reg)  # warm up
+
+    def best(n):
+        times = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            term_from_text(texts[n], reg)
+            times.append(time.perf_counter() - t0)
+        return min(times)
+    t1, t2 = best(150), best(300)
+    assert t2 <= 2.5 * t1, (t1, t2)
+
+
+def test_deep_nest_round_trips_at_the_default_recursion_limit(reg):
+    import sys
+    assert sys.getrecursionlimit() <= 1000
+    t = _nest(300)
+    assert term_from_text(term_to_text(t), reg) == t
+
+
 @pytest.mark.parametrize("text", [
     "seq(id, dup",                # unterminated
     "seq(seq(id, dup), fst",      # unterminated outer link

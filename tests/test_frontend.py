@@ -201,6 +201,19 @@ inc_r1 # s
     assert denote(tt, {"r2": 4}) == {"r1": 1, "r2": 4}
 
 
+def test_pair_schema_shape_literal():
+    from deltic.domains import relalg
+    text = """
+bundle relalg
+param r : rel[int*str] int
+
+count # map2 add # (replicate rel[int*str] # 0, r)
+"""
+    bundle, prog = parse_program_file(text, lambda _n: relalg.register_relalg())
+    tt = compile_program(prog, bundle.registry, bundle.literal_base)
+    assert denote(tt, {(1, "a"): 2}) == 2
+
+
 def test_nested_let_shadowing():
     bundle = linalg.register_linalg()
     text = "let x = mul # (x, x); let x = relu # x; x"

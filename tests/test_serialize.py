@@ -82,9 +82,32 @@ def test_bad_value_text():
 def test_term_text_negative_cases():
     reg = oracle_registry()
     for bad in ("bogus(id)", "seq(id)", "map(id, id)", "noargs",
-                "cst(real)", "get(not json)"):
-        with pytest.raises(Exception):
+                "cst(real)", "get(not json)", "cst(real, [1)",
+                "replicate(arr[2)", "inl(real *)"):
+        with pytest.raises(ConformanceError):
             term_from_text(bad, reg)
+
+
+@pytest.mark.parametrize("text, msg", [
+    ("int)", "type syntax error at 3: trailing input in 'int)'"),
+    ("rel[int", "type syntax error at 7: unterminated '[' in 'rel[int'"),
+])
+def test_type_text_error_messages(text, msg):
+    from deltic.domains import relalg
+    with pytest.raises(ConformanceError) as e:
+        type_from_text(text, relalg.register_relalg().registry)
+    assert str(e.value) == msg
+
+
+def test_schema_text_round_trip_and_rejects():
+    from deltic.domains.containers import schema_from_text, schema_to_text
+    for s in ("int", "str", ("int", "str"), (("int", "str"), "int"),
+              ("int", ("str", ("int", "int"))), ((("str", "int"), "str"), ("int", "str"))):
+        assert schema_from_text(schema_to_text(s)) == s
+    assert schema_from_text(" ( int * str ) * int ") == (("int", "str"), "int")
+    for bad in ("intx", "int*", "(int", "", "int str", "real"):
+        with pytest.raises(ConformanceError):
+            schema_from_text(bad)
 
 
 def test_term_text_examples():
