@@ -37,7 +37,7 @@ from .core import (
 )
 from .serialize import (
     TextReader, index_from_json, index_to_json, read_shape, read_type, shape_to_text,
-    type_to_text, value_from_json,
+    type_to_text, value_from_json, value_to_json,
 )
 
 
@@ -263,14 +263,22 @@ class Registry:
     def register_container(self, cdef):
         return self._add(self.containers, cdef.id, cdef, "container")
 
+    def _add_term_name(self, table, name, item, what):
+        """_add for a name that term text carries as an argument."""
+        if not TextReader.reads_name(name):
+            raise RegistryError(f"{what} name {name!r} does not read back from term text")
+        return self._add(table, name, item, what)
+
     def register_op(self, opdef: OpDef):
-        return self._add(self.ops, opdef.name, opdef, "op")
+        return self._add_term_name(self.ops, opdef.name, opdef, "op")
 
     def register_index_fn(self, name, fn, fibers=None):
-        return self._add(self.index_fns, name, IndexFn(name, fn, fibers), "index function")
+        return self._add_term_name(self.index_fns, name, IndexFn(name, fn, fibers),
+                                   "index function")
 
     def register_index_pred(self, name, fn):
-        return self._add(self.index_preds, name, IndexPred(name, fn), "index predicate")
+        return self._add_term_name(self.index_preds, name, IndexPred(name, fn),
+                                   "index predicate")
 
     def register_program(self, progdef: ProgramDef):
         return self._add(self.programs, progdef.name, progdef, "program")
@@ -708,7 +716,6 @@ def term_to_text(t: Term) -> str:
         case Plus():
             return "plus"
         case Cst(ty, value):
-            from .serialize import value_to_json
             return f"cst({type_to_text(ty)}, {json.dumps(value_to_json(ty, value))})"
         case Map(body):
             return f"map({term_to_text(body)})"

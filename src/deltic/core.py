@@ -77,6 +77,17 @@ class _SumNull:
 SUM_NULL = _SumNull()
 
 
+# How each sum class is written, read and checked, for values (False) and
+# changes (True): its text tag, the side of the sum its payload belongs to,
+# and whether that payload is a change (read from the class's `change` slot)
+# or a value (its `value` slot).  SUM_NULL, the nil sum change, has no entry.
+SUM_FORMS = {
+    False: {Left: ("inl", 0, False), Right: ("inr", 1, False)},
+    True: {Cl: ("cl", 0, True), Cr: ("cr", 1, True),
+           Sl: ("sl", 0, False), Sr: ("sr", 1, False)},
+}
+
+
 class _Keep:
     """Nil change of replacement-style base types (keep the current value)."""
     __slots__ = ()
@@ -546,17 +557,18 @@ def support(v) -> set:
 # Conformance and comparison
 # ---------------------------------------------------------------------------
 
-# check_value runs a closure compiled once per type and memoised like the
-# closures above, so checking a large literal does no type dispatch per entry
-# and builds no path string.  A failing closure raises _Reject with the tail
-# of the message; each enclosing container, pair or sum closure adds its path
-# part as the exception unwinds, and check_value joins them into the message.
-# Only the closure is memoised, never a checked value: every call checks every
-# entry.  check_change stays a recursive walk, though `deltic incr` calls it
-# on every change line.
+# check_value and check_change run one closure builder, compiled once per type
+# and side (value or change) and memoised like the closures above, so checking
+# a large literal or a change line does no type dispatch per entry and builds
+# no path string.  The sides differ only at replacement scalars (a change may
+# be KEEP), at canonical form (no stored default, or no stored nil) and at
+# sums (SUM_FORMS).  A failing closure raises _Reject with the tail of the
+# message; each enclosing container, pair or sum closure adds its path part as
+# the exception unwinds, and _check joins them into the message.  Only the
+# closure is memoised, never a checked value: every call checks every entry.
 
 class _Reject(Exception):
-    """A conformance failure on its way out to check_value."""
+    """A conformance failure on its way out to check_value or check_change."""
 
     def __init__(self, tail, part=None):
         self.tail = tail
@@ -564,7 +576,8 @@ class _Reject(Exception):
 
 
 # Per base kind: the predicate a conforming value meets, and the exact types
-# that always meet it (a per-entry shortcut that makes no call).
+# that always meet it (a per-entry shortcut that makes no call).  A change
+# meets the same predicate, or is KEEP where KEEP is the nil.
 _SCALAR_OK = {
     "real": (lambda v: _num_ok(v, (int, float)), frozenset((int, float))),
     "int": (lambda v: _num_ok(v, int), frozenset((int,))),
@@ -585,24 +598,27 @@ def _at(check, part):
 
 
 @cache
-def _check_fn(ty):
+def _check_fn(ty, change):
     match ty:
         case TBase(base):
             ok, sure = _SCALAR_OK[base.kind]
-            tag = base.tag
+            if change and base.nil is KEEP:
+                sure |= {_Keep}
+            what = f"{base.tag} {'change' if change else 'scalar'}"
 
             def run(v):
                 if type(v) not in sure and not ok(v):
-                    raise _Reject(f": {v!r} is not a {tag} scalar")
+                    raise _Reject(f": {v!r} is not a {what}")
             return run
         case TCont(shape, elem):
-            check = _check_fn(elem)
+            check = _check_fn(elem, change)
             valid, payload = shape.container.valid_index, shape.payload
-            dft = default_value(elem)
+            zero = nil_change(elem) if change else default_value(elem)
+            mapping, stored = ("a change mapping", "nil") if change else ("a mapping", "default")
 
             def run_cont(v):
                 if not isinstance(v, dict):
-                    raise _Reject(f": expected a mapping, got {v!r}")
+                    raise _Reject(f": expected {mapping}, got {v!r}")
                 for i, ev in v.items():
                     if not valid(payload, i):
                         raise _Reject(f": invalid index for {shape!r}", f"[{i!r}]")
@@ -611,84 +627,52 @@ def _check_fn(ty):
                     except _Reject as e:
                         e.parts.append(f"[{i!r}]")
                         raise
-                    if ev == dft:
-                        raise _Reject(": stored default breaks canonical form", f"[{i!r}]")
+                    if ev == zero:
+                        raise _Reject(f": stored {stored} breaks canonical form", f"[{i!r}]")
             return run_cont
         case TProd(a, b):
-            fa, fb = _at(_check_fn(a), ".0"), _at(_check_fn(b), ".1")
+            fa, fb = _at(_check_fn(a, change), ".0"), _at(_check_fn(b, change), ".1")
+            pair = "a pair change" if change else "a pair"
 
             def run_pair(v):
                 if not (isinstance(v, tuple) and len(v) == 2):
-                    raise _Reject(f": expected a pair, got {v!r}")
+                    raise _Reject(f": expected {pair}, got {v!r}")
                 fa(v[0])
                 fb(v[1])
             return run_pair
         case TSum(a, b):
-            fa, fb = _at(_check_fn(a), ".inl"), _at(_check_fn(b), ".inr")
+            forms = {cls: (_at(_check_fn(b if side else a, sub), f".{tag}"),
+                           operator.attrgetter("change" if sub else "value"))
+                     for cls, (tag, side, sub) in SUM_FORMS[change].items()}
+            bad = "bad sum change" if change else "expected an injection, got"
 
             def run_sum(v):
-                if type(v) is Left:
-                    fa(v.value)
-                elif type(v) is Right:
-                    fb(v.value)
-                else:
-                    raise _Reject(f": expected an injection, got {v!r}")
+                form = forms.get(type(v))
+                if form is not None:
+                    check, payload = form
+                    check(payload(v))
+                elif not (change and v is SUM_NULL):
+                    raise _Reject(f": {bad} {v!r}")
             return run_sum
         case _:
             raise UsageError(f"not a type: {ty!r}")
 
 
-def check_value(ty, v, path="value"):
-    """Raise ConformanceError unless v conforms to ty and is canonical."""
+def _check(ty, x, path, change):
     try:
-        _check_fn(ty)(v)
+        _check_fn(ty, change)(x)
     except _Reject as e:
         raise ConformanceError(path + "".join(reversed(e.parts)) + e.tail) from None
 
 
+def check_value(ty, v, path="value"):
+    """Raise ConformanceError unless v conforms to ty and is canonical."""
+    _check(ty, v, path, False)
+
+
 def check_change(ty, d, path="change"):
-    match ty:
-        case TBase(base):
-            k = base.kind
-            ok = (
-                (k == "real" and _num_ok(d, (int, float)))
-                or (k in ("int", "nat") and _num_ok(d, int))
-                or (k == "scalar" and (d is KEEP or d is None
-                                       or isinstance(d, (str, int, float))
-                                       and not isinstance(d, bool)))
-            )
-            if not ok:
-                raise ConformanceError(f"{path}: {d!r} is not a {base.tag} change")
-        case TCont(shape, elem):
-            if not isinstance(d, dict):
-                raise ConformanceError(f"{path}: expected a change mapping, got {d!r}")
-            for i, di in d.items():
-                if not shape.valid_index(i):
-                    raise ConformanceError(f"{path}[{i!r}]: invalid index for {shape!r}")
-                check_change(elem, di, f"{path}[{i!r}]")
-                if is_nil(elem, di):
-                    raise ConformanceError(f"{path}[{i!r}]: stored nil breaks canonical form")
-        case TProd(a, b):
-            if not (isinstance(d, tuple) and len(d) == 2):
-                raise ConformanceError(f"{path}: expected a pair change, got {d!r}")
-            check_change(a, d[0], f"{path}.0")
-            check_change(b, d[1], f"{path}.1")
-        case TSum(a, b):
-            if d is SUM_NULL:
-                return
-            match d:
-                case Cl(change=c):
-                    check_change(a, c, f"{path}.cl")
-                case Cr(change=c):
-                    check_change(b, c, f"{path}.cr")
-                case Sl(value=x):
-                    check_value(a, x, f"{path}.sl")
-                case Sr(value=x):
-                    check_value(b, x, f"{path}.sr")
-                case _:
-                    raise ConformanceError(f"{path}: bad sum change {d!r}")
-        case _:
-            raise UsageError(f"not a type: {ty!r}")
+    """Raise ConformanceError unless d is a canonical change of ty."""
+    _check(ty, d, path, True)
 
 
 def _scalar_close(kind, a, b, rel_tol):

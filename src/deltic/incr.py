@@ -79,6 +79,7 @@ The laws every machine satisfies (checked by the oracle module, not assumed):
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import groupby, repeat
 from typing import Any, Callable, Optional
 
@@ -196,36 +197,62 @@ def cache_to_json(desc, c):
             raise UsageError(f"not a cache descriptor: {desc!r}")
 
 
-def _value_scalar_count(ty, v) -> int:
-    match ty:
-        case TBase():
-            return 1
-        case TCont(_, elem):
-            return sum(_value_scalar_count(elem, ev) for ev in v.values())
-        case TProd(a, b):
-            return _value_scalar_count(a, v[0]) + _value_scalar_count(b, v[1])
-        case TSum(a, b):
-            return _value_scalar_count(a if type(v) is Left else b, v.value)
-        case _:
-            raise UsageError(f"not a type: {ty!r}")
-
-
 def cache_entry_count(desc, c) -> int:
     """Number of scalar payload entries held by a cache."""
+    return _counter(desc)[1](c)
+
+
+@cache
+def _counter(desc):
+    """(k, count) for a cache descriptor or an object type: count(c) is the
+    number of scalars c holds, and k is that number when it is the same for
+    every c (else None).  A container whose entries each hold k scalars is
+    counted as k · len(c), without visiting its entries."""
     match desc:
         case CUnit():
-            return 0
-        case CTuple(parts):
-            return sum(cache_entry_count(p, x) for p, x in zip(parts, c))
+            return _fixed(0)
+        case TBase():
+            return _fixed(1)
         case CValue(ty):
-            return _value_scalar_count(ty, c)
-        case CIndexed(_, elem, _):
-            return sum(cache_entry_count(elem, sub) for sub in c.values())
+            return _counter(ty)
+        case CTuple(parts):
+            return _parts([_counter(p) for p in parts])
+        case TProd(a, b):
+            return _parts([_counter(a), _counter(b)])
+        case CIndexed(_, elem, _) | TCont(_, elem):
+            k, count = _counter(elem)
+            if k is not None:
+                return None, lambda c: k * len(c)
+            return None, lambda c: sum(map(count, c.values()))
+        case TSum(a, b):
+            return _branches(_counter(a), _counter(b))
         case CCase(left, left_out, right, right_out):
-            sub, out_ty = (left, left_out) if type(c) is Left else (right, right_out)
-            return cache_entry_count(sub, c.value[0]) + _value_scalar_count(out_ty, c.value[1])
+            # the live side's cache is Left/Right((sub-cache, previous output))
+            return _branches(_parts([_counter(left), _counter(left_out)]),
+                             _parts([_counter(right), _counter(right_out)]))
         case _:
-            raise UsageError(f"not a cache descriptor: {desc!r}")
+            raise UsageError(f"not a cache descriptor or a type: {desc!r}")
+
+
+def _fixed(k):
+    return k, lambda c: k
+
+
+def _parts(counters):
+    """The counter of a tuple whose i-th part counters[i] counts."""
+    ks = [k for k, _ in counters]
+    if None not in ks:
+        return _fixed(sum(ks))
+    counts = [count for _, count in counters]
+    return None, lambda c: sum(count(x) for count, x in zip(counts, c))
+
+
+def _branches(left, right):
+    """The counter of Left(x) / Right(x), x counted by left / right."""
+    if left[0] is not None and left[0] == right[0]:
+        return left
+    count_l, count_r = left[1], right[1]
+    return None, lambda c: count_l(c.value) if type(c) is Left else count_r(c.value)
 
 
 # ---------------------------------------------------------------------------

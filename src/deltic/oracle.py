@@ -87,18 +87,12 @@ class CheckReport:
         }
 
 
-def _show_value(ty, v):
+def _show(to_text, ty, x):
+    """x as to_text writes it, or its repr when x is malformed."""
     try:
-        return value_to_text(ty, v)
+        return to_text(ty, x)
     except Exception:
-        return repr(v)
-
-
-def _show_change(ty, d):
-    try:
-        return change_to_text(ty, d)
-    except Exception:
-        return repr(d)
+        return repr(x)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +589,7 @@ def check_machine_laws(name, machine: incr.IncrMachine, fn, rng, samples=100,
     failures = []
     for k in range(samples):
         x = gen_value(rng, in_ty)
-        xs = _show_value(in_ty, x)  # before init: a faulty machine may write into x
+        xs = _show(value_to_text, in_ty, x)  # before init: a faulty machine may write into x
         try:
             y0, c = machine.init(x)
             fx = fn(x)
@@ -612,13 +606,13 @@ def check_machine_laws(name, machine: incr.IncrMachine, fn, rng, samples=100,
                 if not values_equal(out_ty, fn(x_cur), y_acc, rel_tol):
                     failures.append(dict(
                         law="Law-2", sample=k, iterate=it,
-                        x=xs, dx=_show_change(in_ty, dx)))
+                        x=xs, dx=_show(change_to_text, in_ty, dx)))
                     break
                 c_ref = machine.init(x_cur)[1]
                 if not incr.cache_equal(machine.cache, c, c_ref, rel_tol):
                     failures.append(dict(
                         law="Law-3", sample=k, iterate=it,
-                        x=xs, dx=_show_change(in_ty, dx)))
+                        x=xs, dx=_show(change_to_text, in_ty, dx)))
                     break
         except Exception as e:  # a crashing machine is a failed law, with witness
             failures.append(dict(law="exception", sample=k,
@@ -655,7 +649,7 @@ def check_value_preservation(tt: ca.TypedTerm, rng, samples=20,
     failures = []
     for k in range(samples):
         x = gen_value(rng, in_ty)
-        xs = _show_value(in_ty, x)  # before init: a faulty machine may write into x
+        xs = _show(value_to_text, in_ty, x)  # before init: a faulty machine may write into x
         ds = [gen_change(rng, in_ty) for _ in range(rng.randint(0, max_changes))]
         try:
             got, cache = incr.iter_changes(machine, x, ds)
@@ -663,13 +657,13 @@ def check_value_preservation(tt: ca.TypedTerm, rng, samples=20,
             if not values_equal(out_ty, got, want, rel_tol):
                 failures.append(dict(
                     sample=k, x=xs,
-                    ds=[_show_change(in_ty, d) for d in ds]))
+                    ds=[_show(change_to_text, in_ty, d) for d in ds]))
                 break
             cache_ref = machine.init(incr.sum_changes(in_ty, x, ds))[1]
             if not incr.cache_equal(machine.cache, cache, cache_ref, rel_tol):
                 failures.append(dict(
                     sample=k, law="iter-cache", x=xs,
-                    ds=[_show_change(in_ty, d) for d in ds]))
+                    ds=[_show(change_to_text, in_ty, d) for d in ds]))
                 break
         except Exception as e:
             failures.append(dict(sample=k, law="exception",
@@ -690,7 +684,7 @@ def check_completeness(ty, rng, samples=200, rel_tol=1e-9, name="completeness") 
         got = apply_change(ty, x, diff_values(ty, y, x))
         if not values_equal(ty, got, y, rel_tol):
             failures.append(dict(
-                sample=k, x=_show_value(ty, x), y=_show_value(ty, y)))
+                sample=k, x=_show(value_to_text, ty, x), y=_show(value_to_text, ty, y)))
             break
     return CheckReport(name, 0, samples, not failures, failures)
 

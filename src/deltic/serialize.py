@@ -1,13 +1,15 @@
 """Textual formats for values, changes, types and shapes.
 
-Everything is type-directed JSON:
+Everything is type-directed JSON.  Values and changes share one format, and
+one writer and one reader, except at replacement scalars and sums:
 
-  scalars        numbers / strings / null ("keep" and {"set": s} for
-                 replacement-style scalar changes)
+  scalars        numbers / strings / null; a replacement-style scalar's
+                 change is "keep" or {"set": s}
   mappings       sorted arrays of [index, payload] pairs
   pairs          two-element arrays
   injections     {"inl": v} / {"inr": v}
   sum changes    {"cl": d} / {"cr": d} / {"sl": v} / {"sr": v} / "null"
+                 (the tags of core.SUM_FORMS)
   indices        numbers, strings, or arrays of indices (tuples)
 
 Types use a prefix grammar: `real`, `int`, `nat`, `scalar` are bases,
@@ -23,8 +25,7 @@ import json
 import re
 
 from .core import (
-    KEEP, SUM_NULL, Cl, Cr, Left, Right, Sl, Sr,
-    ConformanceError, Shape, TBase, TCont, TProd, TSum, UsageError,
+    KEEP, SUM_FORMS, SUM_NULL, ConformanceError, Shape, TBase, TCont, TProd, TSum, UsageError,
     index_sort_key,
 )
 
@@ -48,92 +49,44 @@ def index_from_json(j):
 
 
 # ---------------------------------------------------------------------------
-# Values
+# Values and changes
 # ---------------------------------------------------------------------------
 
-def value_to_json(ty, v):
-    match ty:
-        case TBase():
-            return v
-        case TCont(_, elem):
-            items = sorted(v.items(), key=lambda kv: index_sort_key(kv[0]))
-            return [[index_to_json(i), value_to_json(elem, ev)] for i, ev in items]
-        case TProd(a, b):
-            return [value_to_json(a, v[0]), value_to_json(b, v[1])]
-        case TSum(a, b):
-            if type(v) is Left:
-                return {"inl": value_to_json(a, v.value)}
-            return {"inr": value_to_json(b, v.value)}
-        case _:
-            raise UsageError(f"not a type: {ty!r}")
+# change=False reads or writes a value, change=True a change.
 
-
-def value_from_json(ty, j):
+def _to_json(ty, x, change):
     match ty:
         case TBase(base):
-            if base.kind == "real" and isinstance(j, int) and not isinstance(j, bool):
-                return float(j)
-            return j
+            if change and base.kind == "scalar":
+                return "keep" if x is KEEP else {"set": x}
+            return x
         case TCont(_, elem):
-            if not isinstance(j, list):
-                raise ConformanceError(f"expected mapping entries, got {j!r}")
-            out = {}
-            for entry in j:
-                if not (isinstance(entry, list) and len(entry) == 2):
-                    raise ConformanceError(f"bad mapping entry: {entry!r}")
-                out[index_from_json(entry[0])] = value_from_json(elem, entry[1])
-            return out
+            items = sorted(x.items(), key=lambda kv: index_sort_key(kv[0]))
+            return [[index_to_json(i), _to_json(elem, e, change)] for i, e in items]
         case TProd(a, b):
-            if not (isinstance(j, list) and len(j) == 2):
-                raise ConformanceError(f"expected a pair, got {j!r}")
-            return (value_from_json(a, j[0]), value_from_json(b, j[1]))
+            return [_to_json(a, x[0], change), _to_json(b, x[1], change)]
         case TSum(a, b):
-            if isinstance(j, dict) and len(j) == 1:
-                if "inl" in j:
-                    return Left(value_from_json(a, j["inl"]))
-                if "inr" in j:
-                    return Right(value_from_json(b, j["inr"]))
-            raise ConformanceError(f"expected an injection, got {j!r}")
-        case _:
-            raise UsageError(f"not a type: {ty!r}")
-
-
-# ---------------------------------------------------------------------------
-# Changes
-# ---------------------------------------------------------------------------
-
-def change_to_json(ty, d):
-    match ty:
-        case TBase(base):
-            if base.kind == "scalar":
-                return "keep" if d is KEEP else {"set": d}
-            return d
-        case TCont(_, elem):
-            items = sorted(d.items(), key=lambda kv: index_sort_key(kv[0]))
-            return [[index_to_json(i), change_to_json(elem, di)] for i, di in items]
-        case TProd(a, b):
-            return [change_to_json(a, d[0]), change_to_json(b, d[1])]
-        case TSum(a, b):
-            if d is SUM_NULL:
+            form = SUM_FORMS[change].get(type(x))
+            if form is not None:
+                tag, side, sub = form
+                return {tag: _to_json(b if side else a, x.change if sub else x.value, sub)}
+            if change and x is SUM_NULL:
                 return "null"
-            match d:
-                case Cl(change=c):
-                    return {"cl": change_to_json(a, c)}
-                case Cr(change=c):
-                    return {"cr": change_to_json(b, c)}
-                case Sl(value=x):
-                    return {"sl": value_to_json(a, x)}
-                case Sr(value=x):
-                    return {"sr": value_to_json(b, x)}
-            raise ConformanceError(f"bad sum change {d!r}")
+            raise ConformanceError(f"bad sum change {x!r}" if change
+                                   else f"expected an injection, got {x!r}")
         case _:
             raise UsageError(f"not a type: {ty!r}")
 
 
-def change_from_json(ty, j):
+# The reader's table: text tag -> (class, side, payload is a change).
+_SUM_TAGS = {change: {tag: (cls, side, sub) for cls, (tag, side, sub) in forms.items()}
+             for change, forms in SUM_FORMS.items()}
+
+
+def _from_json(ty, j, change):
     match ty:
         case TBase(base):
-            if base.kind == "scalar":
+            if change and base.kind == "scalar":
                 if j == "keep":
                     return KEEP
                 if isinstance(j, dict) and set(j) == {"set"}:
@@ -143,49 +96,64 @@ def change_from_json(ty, j):
                 return float(j)
             return j
         case TCont(_, elem):
+            kind = "change" if change else "mapping"
             if not isinstance(j, list):
-                raise ConformanceError(f"expected change entries, got {j!r}")
+                raise ConformanceError(f"expected {kind} entries, got {j!r}")
             out = {}
             for entry in j:
                 if not (isinstance(entry, list) and len(entry) == 2):
-                    raise ConformanceError(f"bad change entry: {entry!r}")
-                out[index_from_json(entry[0])] = change_from_json(elem, entry[1])
+                    raise ConformanceError(f"bad {kind} entry: {entry!r}")
+                out[index_from_json(entry[0])] = _from_json(elem, entry[1], change)
             return out
         case TProd(a, b):
             if not (isinstance(j, list) and len(j) == 2):
-                raise ConformanceError(f"expected a pair change, got {j!r}")
-            return (change_from_json(a, j[0]), change_from_json(b, j[1]))
+                raise ConformanceError(f"expected a pair{' change' if change else ''}, got {j!r}")
+            return (_from_json(a, j[0], change), _from_json(b, j[1], change))
         case TSum(a, b):
-            if j == "null":
-                return SUM_NULL
             if isinstance(j, dict) and len(j) == 1:
-                if "cl" in j:
-                    return Cl(change_from_json(a, j["cl"]))
-                if "cr" in j:
-                    return Cr(change_from_json(b, j["cr"]))
-                if "sl" in j:
-                    return Sl(value_from_json(a, j["sl"]))
-                if "sr" in j:
-                    return Sr(value_from_json(b, j["sr"]))
-            raise ConformanceError(f"bad sum change: {j!r}")
+                [(tag, payload)] = j.items()
+                form = _SUM_TAGS[change].get(tag)
+                if form is not None:
+                    cls, side, sub = form
+                    return cls(_from_json(b if side else a, payload, sub))
+            elif change and j == "null":
+                return SUM_NULL
+            raise ConformanceError(f"bad sum change: {j!r}" if change
+                                   else f"expected an injection, got {j!r}")
         case _:
             raise UsageError(f"not a type: {ty!r}")
 
 
+def value_to_json(ty, v):
+    return _to_json(ty, v, False)
+
+
+def value_from_json(ty, j):
+    return _from_json(ty, j, False)
+
+
+def change_to_json(ty, d):
+    return _to_json(ty, d, True)
+
+
+def change_from_json(ty, j):
+    return _from_json(ty, j, True)
+
+
 def value_to_text(ty, v) -> str:
-    return json.dumps(value_to_json(ty, v), separators=(",", ":"))
+    return json.dumps(_to_json(ty, v, False), separators=(",", ":"))
 
 
 def value_from_text(ty, text) -> object:
-    return value_from_json(ty, json.loads(text))
+    return _from_json(ty, json.loads(text), False)
 
 
 def change_to_text(ty, d) -> str:
-    return json.dumps(change_to_json(ty, d), separators=(",", ":"))
+    return json.dumps(_to_json(ty, d, True), separators=(",", ":"))
 
 
 def change_from_text(ty, text) -> object:
-    return change_from_json(ty, json.loads(text))
+    return _from_json(ty, json.loads(text), True)
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +230,13 @@ class TextReader:
         m = _NAME_ARG.match(self.text, self.pos)
         self.pos = m.end()
         return m.group().strip()
+
+    @staticmethod
+    def reads_name(name) -> bool:
+        """True when name_arg reads name back in full: a non-empty string
+        with no `,` or `)` and no surrounding whitespace."""
+        return (isinstance(name, str) and name != "" and name == name.strip()
+                and _NAME_ARG.fullmatch(name) is not None)
 
     def json(self):
         self.peek()

@@ -147,6 +147,27 @@ def test_frozen_registry_rejects_registration():
         reg.register_base(INT)
 
 
+@pytest.mark.parametrize("name", ["max(a,b)", "key)", "a,b", "", " key", "key\t", 3])
+def test_registered_names_must_read_back_from_term_text(name):
+    reg = Registry()
+    reg.register_base(REAL)
+    for register in (lambda: reg.register_op(OpDef(name, monomorphic(R, R), abs, None)),
+                     lambda: reg.register_index_fn(name, abs),
+                     lambda: reg.register_index_pred(name, bool)):
+        with pytest.raises(RegistryError, match="does not read back from term text"):
+            register()
+    assert not (reg.ops or reg.index_fns or reg.index_preds)
+
+
+def test_registered_names_round_trip_through_term_text():
+    reg = Registry()
+    reg.register_base(REAL)
+    reg.register_op(OpDef("max-of (a b]", monomorphic(R, R), abs, None))
+    reg.register_index_pred("key-eq", bool)
+    for t in (OpCall("max-of (a b]"), Filter("key-eq")):
+        assert term_from_text(term_to_text(t), reg) == t
+
+
 def test_append_identity_vs_prepend_oracle(reg):
     rng = stable_rng(21, "append")
     for _ in range(40):
@@ -240,19 +261,23 @@ def test_seq_splices_only_a_first_stage_seq():
             Seq(*stages)
 
 
-def test_reading_a_seq_chain_is_linear(reg):
+def _best_read_times(texts, reg):
+    """Best of 5 reads of each text.  The sizes' runs alternate, so a change
+    in host speed during the test reaches every size alike."""
     import time
-    texts = {n: term_to_text(seq(*[OpCall("relu")] * n)) for n in (1_000, 2_000)}
-    term_from_text(texts[2_000], reg)  # warm up
-
-    def best(n):
-        times = []
-        for _ in range(5):
+    term_from_text(texts[-1], reg)  # warm up
+    times = [[] for _ in texts]
+    for _ in range(5):
+        for text, runs in zip(texts, times):
             t0 = time.perf_counter()
-            term_from_text(texts[n], reg)
-            times.append(time.perf_counter() - t0)
-        return min(times)
-    t1, t2 = best(1_000), best(2_000)
+            term_from_text(text, reg)
+            runs.append(time.perf_counter() - t0)
+    return [min(runs) for runs in times]
+
+
+def test_reading_a_seq_chain_is_linear(reg):
+    t1, t2 = _best_read_times([term_to_text(seq(*[OpCall("relu")] * n))
+                               for n in (1_000, 2_000)], reg)
     assert t2 <= 2.5 * t1, (t1, t2)
 
 
@@ -266,18 +291,7 @@ def _nest(levels):
 
 
 def test_reading_nested_term_text_is_linear(reg):
-    import time
-    texts = {n: term_to_text(_nest(n)) for n in (150, 300)}
-    term_from_text(texts[300], reg)  # warm up
-
-    def best(n):
-        times = []
-        for _ in range(5):
-            t0 = time.perf_counter()
-            term_from_text(texts[n], reg)
-            times.append(time.perf_counter() - t0)
-        return min(times)
-    t1, t2 = best(150), best(300)
+    t1, t2 = _best_read_times([term_to_text(_nest(n)) for n in (150, 300)], reg)
     assert t2 <= 2.5 * t1, (t1, t2)
 
 

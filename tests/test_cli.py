@@ -114,6 +114,21 @@ def test_incr_rejects_out_of_shape_change_line(tmp_path, capsys, change, why):
     assert len(captured.out.strip().splitlines()) == 2  # init and the first change only
 
 
+def test_incr_rejects_a_negative_nat_change(tmp_path, capsys):
+    # the tracked counter would fall to -3, a value check_value rejects
+    prog = tmp_path / "gcounter.deltic"
+    prog.write_text("bundle gcounter\nparam c : nodes[r1,r2,r3] nat\n\nnatsum # c\n")
+    (tmp_path / "input.json").write_text('[["r1",2]]')
+    changes = tmp_path / "changes.jsonl"
+    changes.write_text('[["r1",-5]]\n')
+    rc = main(["incr", "--program", str(prog), "--input", str(tmp_path / "input.json"),
+               "--changes", str(changes), "--verify"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == f"error: {changes}:1['r1']: -5 is not a nat change\n"
+    assert captured.out == "2\n"  # the init output only
+
+
 def test_bad_program_exit_2(tmp_path, capsys):
     f = tmp_path / "bad.deltic"
     f.write_text("bundle linalg\nparam x : real\n\nmul # (x\n")

@@ -241,10 +241,62 @@ def test_conformance_message_table(ty, v, msg):
     assert str(e.value) == msg
 
 
+# The change side of the table above: one row per failure kind and path part.
+CHANGE_MESSAGES = [
+    (R, True, "change: True is not a real change"),
+    (R, "a", "change: 'a' is not a real change"),
+    (R, KEEP, "change: KEEP is not a real change"),
+    (Z, 1.5, "change: 1.5 is not a int change"),
+    (N, -5, "change: -5 is not a nat change"),
+    (S, True, "change: True is not a scalar change"),
+    (S, [1], "change: [1] is not a scalar change"),
+    (arr(2, R), [1.0], "change: expected a change mapping, got [1.0]"),
+    (TProd(R, R), (1.0,), "change: expected a pair change, got (1.0,)"),
+    (SUM_RR, 1.0, "change: bad sum change 1.0"),
+    (SUM_RR, Left(1.0), "change: bad sum change Left(1.0)"),
+    (arr(2, R), {7: 1.0}, "change[7]: invalid index for arr[2]"),
+    (arr(3, R), {2: 0.0}, "change[2]: stored nil breaks canonical form"),
+    (REL_II, {(1, "a"): 1}, "change[(1, 'a')]: invalid index for rel[int*int]"),
+    (arr(2, S), {0: KEEP}, "change[0]: stored nil breaks canonical form"),
+    (arr(2, SUM_RR), {1: SUM_NULL}, "change[1]: stored nil breaks canonical form"),
+    (arr(2, TProd(R, Z)), {0: (0.0, 0)}, "change[0]: stored nil breaks canonical form"),
+    (arr(2, arr(2, R)), {0: {}}, "change[0]: stored nil breaks canonical form"),
+    (arr(2, arr(2, R)), {1: {0: "a"}}, "change[1][0]: 'a' is not a real change"),
+    (arr(2, TProd(R, Z)), {0: (1.0, 2.5)}, "change[0].1: 2.5 is not a int change"),
+    (TProd(R, R), ("a", 1.0), "change.0: 'a' is not a real change"),
+    (TProd(R, arr(2, N)), (1.0, {1: 0}), "change.1[1]: stored nil breaks canonical form"),
+    (TSum(arr(2, R), R), Cl({0: 0.0}), "change.cl[0]: stored nil breaks canonical form"),
+    (TSum(R, Z), Cr(1.5), "change.cr: 1.5 is not a int change"),
+    (SUM_RR, Sl("a"), "change.sl: 'a' is not a real scalar"),
+    (TSum(R, arr(2, R)), Sr({0: 0.0}), "change.sr[0]: stored default breaks canonical form"),
+    (TSum(S, R), Sl(KEEP), "change.sl: KEEP is not a scalar scalar"),
+]
+
+
+@pytest.mark.parametrize("ty, d, msg", CHANGE_MESSAGES)
+def test_change_conformance_message_table(ty, d, msg):
+    with pytest.raises(ConformanceError) as e:
+        check_change(ty, d)
+    assert str(e.value) == msg
+
+
+@pytest.mark.parametrize("ty, d", [
+    (S, KEEP), (S, None), (S, "x"), (S, 3), (S, 2.5), (N, 0), (N, 4), (R, 3),
+    (SUM_RR, SUM_NULL), (SUM_RR, Cl(0.0)), (TSum(S, R), Cl(KEEP)),
+    (TSum(S, R), Sl(None)), (arr(2, S), {0: None, 1: "x"}),
+    (arr(2, SUM_RR), {0: Sr(1.0)}), (TProd(R, arr(2, Z)), (0.0, {})),
+])
+def test_change_conformance_accepts(ty, d):
+    check_change(ty, d)
+
+
 def test_conformance_messages_with_a_path_and_from_changes():
     with pytest.raises(ConformanceError) as e:
         check_value(R, "x", "input")
     assert str(e.value) == "input: 'x' is not a real scalar"
+    with pytest.raises(ConformanceError) as e:
+        check_change(arr(2, R), {0: "x"}, "changes.jsonl:3")
+    assert str(e.value) == "changes.jsonl:3[0]: 'x' is not a real change"
     with pytest.raises(ConformanceError) as e:
         check_change(SUM_RR, Sl("a"))
     assert str(e.value) == "change.sl: 'a' is not a real scalar"

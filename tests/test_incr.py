@@ -803,3 +803,74 @@ def test_dense_step_runs_the_kernel():
     assert TRIV_STEP not in codes
     assert codes.count(linalg._mul.__code__) == 2 * n * k
     assert codes.count(linalg._relu.__code__) == 2 * n
+
+
+def _reference_count(desc, c):
+    """The recursive cache_entry_count: one call per scalar."""
+    def scalars(ty, v):
+        match ty:
+            case TBase():
+                return 1
+            case TCont(_, elem):
+                return sum(scalars(elem, ev) for ev in v.values())
+            case TProd(a, b):
+                return scalars(a, v[0]) + scalars(b, v[1])
+            case TSum(a, b):
+                return scalars(a if type(v) is Left else b, v.value)
+    match desc:
+        case incr.CUnit():
+            return 0
+        case incr.CTuple(parts):
+            return sum(_reference_count(p, x) for p, x in zip(parts, c))
+        case incr.CValue(ty):
+            return scalars(ty, c)
+        case incr.CIndexed(_, elem, _):
+            return sum(_reference_count(elem, sub) for sub in c.values())
+        case incr.CCase(left, left_out, right, right_out):
+            sub, out_ty = (left, left_out) if type(c) is Left else (right, right_out)
+            return _reference_count(sub, c.value[0]) + scalars(out_ty, c.value[1])
+
+
+def test_cache_entry_count_matches_the_recursive_count():
+    CV, CT, CI, CC = incr.CValue, incr.CTuple, incr.CIndexed, incr.CCase
+    a2, a3 = arr_shape(2), arr_shape(3)
+    cases = [
+        (CUnit(), UNIT, 0),
+        (CV(R), 3.0, 1),
+        (CV(arr(3, R)), {0: 1.0, 2: 2.0}, 2),
+        (CV(arr(3, TProd(R, Z))), {0: (1.0, 0), 1: (0.0, 2)}, 4),
+        (CV(arr(2, arr(3, R))), {0: {0: 1.0}, 1: {1: 1.0, 2: 2.0}}, 3),
+        (CV(TProd(R, arr(2, R))), (1.0, {0: 1.0, 1: 2.0}), 3),
+        (CV(TSum(R, R)), Right(1.0), 1),
+        (CV(TSum(R, arr(2, R))), Left(1.0), 1),
+        (CV(TSum(R, arr(2, R))), Right({0: 1.0, 1: 2.0}), 2),
+        (CV(arr(3, TSum(R, TProd(R, R)))), {0: Left(1.0), 2: Right((1.0, 2.0))}, 3),
+        (CT((CUnit(), CV(R), CV(TProd(R, Z)))), (UNIT, 1.0, (1.0, 2)), 3),
+        (CT((CV(R), CV(arr(3, R)))), (1.0, {0: 1.0, 1: 2.0}), 3),
+        (CI(a3, CV(R), float), {0: 1.0, 2: 2.0}, 2),
+        (CI(a3, CUnit(), lambda: UNIT), {0: UNIT, 1: UNIT}, 0),
+        (CI(a3, CV(arr(2, R)), dict), {0: {0: 1.0}, 1: {0: 1.0, 1: 2.0}}, 3),
+        (CI(a2, CI(a3, CV(R), float), dict), {0: {0: 1.0}, 1: {1: 1.0, 2: 2.0}}, 3),
+        (CC(CV(R), arr(2, R), CUnit(), R), Left((1.0, {0: 1.0, 1: 2.0})), 3),
+        (CC(CV(R), arr(2, R), CUnit(), R), Right((UNIT, 5.0)), 1),
+        (CC(CV(R), R, CV(Z), Z), Right((1, 2)), 2),
+        (CT((CC(CV(R), R, CV(R), arr(2, R)), CI(a2, CV(R), float))),
+         (Right((1.0, {1: 1.0})), {0: 1.0, 1: 2.0}), 4),
+    ]
+    for desc, c, want in cases:
+        assert _reference_count(desc, c) == want, desc
+        assert cache_entry_count(desc, c) == want, desc
+    kinds = {type(d) for d, _, _ in cases}
+    assert kinds == {CUnit, CV, CT, CI, CC}
+    # and on the caches of random machines, before and after a step
+    cfg = GenConfig()
+    rng = stable_rng(93, "entry-count")
+    reg = oracle_registry()
+    for _ in range(60):
+        tt = gen_term(cfg, rng, reg, gen_type(cfg, rng, depth=2))
+        m = incrementalize(tt)
+        x = gen_value(rng, tt.in_ty)
+        _, c = m.init(x)
+        assert cache_entry_count(m.cache, c) == _reference_count(m.cache, c)
+        _, c = m.step(gen_change(rng, tt.in_ty), c)
+        assert cache_entry_count(m.cache, c) == _reference_count(m.cache, c)

@@ -3,7 +3,11 @@
 import pytest
 
 from deltic.calculus import term_from_text, term_to_text
-from deltic.core import ConformanceError
+from deltic.core import (
+    KEEP, REAL, SCALAR, SUM_NULL, Cl, ConformanceError, Cr, Left, Right, Sl, Sr,
+    TBase, TCont, TProd, TSum,
+)
+from deltic.domains.containers import arr, rel_shape
 from deltic.oracle import (
     GenConfig, gen_change, gen_term, gen_type, gen_value, oracle_registry,
     stable_rng,
@@ -73,10 +77,86 @@ def test_term_round_trip_randomized():
 
 
 def test_bad_value_text():
-    from deltic.core import REAL, TBase
-    from deltic.domains.containers import arr
     with pytest.raises(ConformanceError):
         value_from_text(arr(2, TBase(REAL)), "{\"nope\": 1}")
+
+
+R, S = TBase(REAL), TBase(SCALAR)
+SUM_RR = TSum(R, R)
+
+# (type, value or change, is a change, exact text): the two formats agree
+# except at replacement scalars and sums.
+EXACT_TEXTS = [
+    (R, 1.5, False, "1.5"),
+    (R, 1.5, True, "1.5"),
+    (S, "a", False, '"a"'),
+    (S, None, False, "null"),
+    (S, KEEP, True, '"keep"'),
+    (S, None, True, '{"set":null}'),
+    (S, "a", True, '{"set":"a"}'),
+    (TProd(R, S), (1.0, 2), False, "[1.0,2]"),
+    (TProd(R, S), (1.0, 2), True, '[1.0,{"set":2}]'),
+    (arr(3, S), {2: None, 0: "x"}, True, '[[0,{"set":"x"}],[2,{"set":null}]]'),
+    (TCont(rel_shape(("int", "str")), R), {(1, "b"): 2.0, (1, "a"): 3.0}, False,
+     '[[[1,"a"],3.0],[[1,"b"],2.0]]'),
+    (SUM_RR, Left(1.0), False, '{"inl":1.0}'),
+    (SUM_RR, Right(2.0), False, '{"inr":2.0}'),
+    (SUM_RR, Cl(1.0), True, '{"cl":1.0}'),
+    (SUM_RR, Cr(2.0), True, '{"cr":2.0}'),
+    (SUM_RR, Sl(3.0), True, '{"sl":3.0}'),
+    (SUM_RR, Sr(4.0), True, '{"sr":4.0}'),
+    (SUM_RR, SUM_NULL, True, '"null"'),
+    (TSum(S, S), Cl(KEEP), True, '{"cl":"keep"}'),
+    (TSum(S, S), Cr("b"), True, '{"cr":{"set":"b"}}'),
+    (TSum(S, S), Sl("a"), True, '{"sl":"a"}'),
+    (TSum(S, arr(2, S)), Sr({1: None}), True, '{"sr":[[1,null]]}'),
+    (TSum(R, SUM_RR), Right(Left(1.0)), False, '{"inr":{"inl":1.0}}'),
+    (TSum(R, SUM_RR), Cr(Sl(1.0)), True, '{"cr":{"sl":1.0}}'),
+]
+
+
+@pytest.mark.parametrize("ty, x, change, text", EXACT_TEXTS)
+def test_exact_texts(ty, x, change, text):
+    to_text, from_text = ((change_to_text, change_from_text) if change
+                          else (value_to_text, value_from_text))
+    assert to_text(ty, x) == text
+    assert from_text(ty, text) == x
+
+
+def test_real_reads_an_integer_as_a_float():
+    for from_text in (value_from_text, change_from_text):
+        x = from_text(TProd(R, arr(2, R)), "[1,[[0,2]]]")
+        assert x == (1.0, {0: 2.0})
+        assert type(x[0]) is float and type(x[1][0]) is float
+
+
+# (type, text, is a change, exact message)
+MALFORMED = [
+    (arr(2, R), '{"nope": 1}', False, "expected mapping entries, got {'nope': 1}"),
+    (arr(2, R), '{"nope": 1}', True, "expected change entries, got {'nope': 1}"),
+    (arr(2, R), "[[0]]", False, "bad mapping entry: [0]"),
+    (arr(2, R), "[[0,1,2]]", True, "bad change entry: [0, 1, 2]"),
+    (arr(2, R), "[[true,1.0]]", False, "bad index literal: True"),
+    (TProd(R, R), "[1]", False, "expected a pair, got [1]"),
+    (TProd(R, R), "[1]", True, "expected a pair change, got [1]"),
+    (SUM_RR, '{"cl":1}', False, "expected an injection, got {'cl': 1}"),
+    (SUM_RR, '"null"', False, "expected an injection, got 'null'"),
+    (SUM_RR, '{"inl":1,"inr":2}', False, "expected an injection, got {'inl': 1, 'inr': 2}"),
+    (SUM_RR, '{"inl":1}', True, "bad sum change: {'inl': 1}"),
+    (SUM_RR, '{"cl":1,"cr":2}', True, "bad sum change: {'cl': 1, 'cr': 2}"),
+    (SUM_RR, "null", True, "bad sum change: None"),
+    (S, '"x"', True, "bad scalar change: 'x'"),
+    (S, '{"set":1,"x":2}', True, "bad scalar change: {'set': 1, 'x': 2}"),
+    (TSum(S, R), '{"cl":"x"}', True, "bad scalar change: 'x'"),
+]
+
+
+@pytest.mark.parametrize("ty, text, change, msg", MALFORMED)
+def test_malformed_json_messages(ty, text, change, msg):
+    from_text = change_from_text if change else value_from_text
+    with pytest.raises(ConformanceError) as e:
+        from_text(ty, text)
+    assert str(e.value) == msg
 
 
 def test_term_text_negative_cases():
