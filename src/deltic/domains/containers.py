@@ -11,7 +11,7 @@ nodes     shape = a tuple of participant ids, positions = those ids (finite)
 
 from __future__ import annotations
 
-from ..core import ContainerDef, Shape, TCont
+from ..core import ConformanceError, ContainerDef, Shape, TCont
 from ..serialize import TextReader
 
 
@@ -21,13 +21,20 @@ def _is_int(v):
 
 # --- arrays ---------------------------------------------------------------
 
+def _array_length(text):
+    try:
+        return int(text)
+    except ValueError:
+        raise ConformanceError(f"bad array length: {text.strip()!r}") from None
+
+
 ARRAY = ContainerDef(
     id="arr",
     valid_shape=lambda p: _is_int(p) and p >= 0,
     valid_index=lambda p, i: _is_int(i) and 0 <= i < p,
     enum_indices=lambda p: list(range(p)),
     payload_to_text=str,
-    payload_from_text=lambda t: int(t.strip()),
+    payload_from_text=_array_length,
 )
 
 

@@ -13,8 +13,16 @@ generic operations, with static arguments by juxtaposition (`map relu`,
 `map2 (map2 mul)`, `replicate 2`, `replicate rel[int*str]`, `get 0`, `filter p`,
 `reshape r arr[4]`).
 `let x = e; e` binds; `(a, b)` and `[a, b, ...]` build right-nested tuples.
-`--` starts a comment.  Lowering turns contexts into right-nested products,
-a variable into one projection path, and `let` into `dup ; (e1 × id) ; e2`.
+`--` starts a comment anywhere outside a string; in a string a backslash
+takes the next character as it is.
+
+One cursor, a serialize.TextReader over the whole file, reads the header and
+the body in one pass: param types by serialize.read_type and head shapes by
+TextReader.bracket.  A syntax error, or a param type the bundle rejects,
+names its line and column.
+
+Lowering turns contexts into right-nested products, a variable into one
+projection path, and `let` into `dup ; (e1 × id) ; e2`.
 It reads names itself: one walk keeps the binding level of each name in
 scope and lowers a name to the projection path of its level.
 
@@ -25,24 +33,25 @@ length.
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any
 
 from .calculus import (
     NULLARY_TERMS, Cst, Dup, Filter, Get, ID, Map, OpCall, Par, Plus, Proj,
-    Registry, Replicate, Reshape, SetAt, Term, TermTypeError, TypedTerm,
-    denote, fanout, map2, seq, typecheck,
+    Registry, RegistryError, Replicate, Reshape, SetAt, Term, TermTypeError,
+    TypedTerm, denote, fanout, map2, seq, typecheck,
 )
-from .core import DelticError, TBase, TCont, TProd
-from .serialize import type_from_text
+from .core import ConformanceError, DelticError, Shape, TBase, TCont, TProd
+from .domains import get_bundle
+from .serialize import TextReader, read_type
 
 
 class SurfaceSyntaxError(DelticError):
-    def __init__(self, msg, line=None, col=None):
-        where = f" at line {line}, column {col}" if line is not None else ""
-        super().__init__(f"syntax error{where}: {msg}")
-        self.line = line
-        self.col = col
+    def __init__(self, msg, line, col):
+        super().__init__(f"syntax error at line {line}, column {col}: {msg}")
+        self.line, self.col = line, col
 
 
 class NameResolutionError(DelticError):
@@ -51,87 +60,6 @@ class NameResolutionError(DelticError):
 
 def _unbound(v):
     return NameResolutionError(f"unbound name {v.name!r} at line {v.line}, column {v.col}")
-
-
-# ---------------------------------------------------------------------------
-# Tokens
-# ---------------------------------------------------------------------------
-
-@dataclass
-class Tok:
-    kind: str  # name | number | string | punct | eof
-    value: Any
-    line: int
-    col: int
-
-
-_PUNCT = set("()[],#;=:*")
-
-
-def tokenize(text: str) -> list[Tok]:
-    toks = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Tok("name", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                seen_dot = seen_dot or text[j] == "."
-                j += 1
-            lit = text[i:j]
-            toks.append(Tok("number", float(lit) if "." in lit else int(lit), line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c == '"':
-            j = i + 1
-            out = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    out.append(text[j + 1])
-                    j += 2
-                else:
-                    out.append(text[j])
-                    j += 1
-            if j >= n:
-                raise SurfaceSyntaxError("unterminated string", line, start_col)
-            toks.append(Tok("string", "".join(out), line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if c in _PUNCT:
-            toks.append(Tok("punct", c, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise SurfaceSyntaxError(f"unexpected character {c!r}", line, col)
-    toks.append(Tok("eof", None, line, col))
-    return toks
 
 
 # ---------------------------------------------------------------------------
@@ -187,158 +115,164 @@ class NLit:
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Reader
 # ---------------------------------------------------------------------------
 
-class _Parser:
-    def __init__(self, toks):
-        self.toks = toks
-        self.pos = 0
+_SPACE = re.compile(r"(?:\s+|--[^\n]*)*")
+_NAME = re.compile(r"[^\W\d]\w*")
+# a name, a number or a string literal, each in its own group
+_ATOM = re.compile(r'([^\W\d]\w*)|(-?\d+(?:\.\d*)?)|"((?:[^"\\]|\\.)*)"', re.S)
+_ESCAPE = re.compile(r"\\(.)", re.S)
+_VAR_ENDS = frozenset((",", ";", ")", "]", ""))  # after a name, these make it a variable
+
+
+class _Reader(TextReader):
+    """The serialize cursor over a whole program text, where `--` comments
+    read as space and an error names a line and column."""
+
+    def __init__(self, text):
+        super().__init__(text, "program")
+        self.starts = [0, *(m.end() for m in re.finditer("\n", text))]  # line starts
 
     def peek(self):
-        return self.toks[self.pos]
+        text, pos = self.text, self.pos
+        c = text[pos:pos + 1]
+        if c == " ":  # the common gap between tokens, skipped without a regex
+            pos = self.pos = pos + 1
+            c = text[pos:pos + 1]
+        if c.isspace() or c == "-":
+            pos = self.pos = _SPACE.match(text, pos).end()
+            c = text[pos:pos + 1]
+        return c
 
-    def next(self):
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
+    def where(self, pos):
+        """The line and column of a text offset, both counted from 1."""
+        line = bisect_right(self.starts, pos)
+        return line, pos - self.starts[line - 1] + 1
 
-    def fail(self, msg, tok=None):
-        tok = tok or self.peek()
-        raise SurfaceSyntaxError(msg, tok.line, tok.col)
+    def error(self, msg):
+        raise SurfaceSyntaxError(msg, *self.where(self.pos))
 
-    def expect(self, kind, value=None):
-        t = self.next()
-        if t.kind != kind or (value is not None and t.value != value):
-            found = "end of input" if t.kind == "eof" else repr(t.value)
-            self.fail(f"expected {value or kind}, found {found}", t)
-        return t
 
-    def parse_expr(self):
-        # `let x = e;` and `head #` prefixes are read in a loop; each run of
-        # lets is one NLet and each run of heads one NApp, and the body or
-        # argument of each comes last
-        prefixes = []
-        while True:
-            t = self.peek()
-            if t.kind == "name" and t.value == "let":
-                self.next()
-                name = self.expect("name").value
-                self.expect("punct", "=")
-                bound = self.parse_expr()
-                self.expect("punct", ";")
-                if not (prefixes and isinstance(prefixes[-1], NLet)):
-                    prefixes.append(NLet([], None, t.line, t.col))
+def _name(r, missing="expected a name"):
+    r.peek()
+    m = _NAME.match(r.text, r.pos)
+    if m is None:
+        r.error(missing)
+    r.pos = m.end()
+    return m.group()
+
+
+def _number(lit):
+    return float(lit) if "." in lit else int(lit)
+
+
+def _read_expr(r):
+    """expr := ('let' NAME '=' expr ';' | head '#')* primary
+
+    Each run of lets is one NLet and each run of heads one NApp, read in a
+    loop; the body or argument of each comes last.  A name is read once: it
+    is a variable when `,` `;` `)` `]` or the end follows."""
+    text, prefixes = r.text, []
+    while True:
+        r.peek()
+        start = r.pos
+        m = _NAME.match(text, start)
+        if m is not None:
+            r.pos = m.end()
+            name = m.group()
+            if name == "let":
+                name = _name(r)
+                r.expect("=")
+                bound = _read_expr(r)
+                r.expect(";")
+                if not (prefixes and type(prefixes[-1]) is NLet):
+                    prefixes.append(NLet([], None, *r.where(start)))
                 prefixes[-1].binds.append((name, bound))
                 continue
-            save = self.pos
-            head = self._try_head()
-            if head is None or self.peek().kind != "punct" or self.peek().value != "#":
-                self.pos = save
+            if r.peek() in _VAR_ENDS:
+                e = NVar(name, *r.where(start))
                 break
-            self.next()
-            if not (prefixes and isinstance(prefixes[-1], NApp)):
-                prefixes.append(NApp([], None, t.line, t.col))
+        head = _read_head(r, m and HName(name))
+        if head is not None and r.peek() == "#":
+            r.pos += 1
+            if not (prefixes and type(prefixes[-1]) is NApp):
+                prefixes.append(NApp([], None, *r.where(start)))
             prefixes[-1].heads.append(head)
-        e = self.parse_primary()
-        for p in reversed(prefixes):
-            if isinstance(p, NLet):
-                p.body = e
+            continue
+        r.pos = start
+        e = _read_primary(r)
+        break
+    for p in reversed(prefixes):
+        if type(p) is NLet:
+            p.body = e
+        else:
+            p.arg = e
+        e = p
+    return e
+
+
+def _read_primary(r):
+    """primary := NAME | NUMBER | STRING | '(' expr (',' expr)* ')'
+                | '[' expr (',' expr)* ']'"""
+    c = r.peek()
+    start = r.pos
+    if c == "(" or c == "[":
+        r.pos += 1
+        items = [_read_expr(r)]
+        while r.take(","):
+            items.append(_read_expr(r))
+        r.expect(")" if c == "(" else "]")
+        if c == "(" and len(items) == 1:
+            return items[0]
+        return NTuple(tuple(items), *r.where(start))
+    m = _ATOM.match(r.text, start)
+    if m is None:
+        r.error("unterminated string" if c == '"' else
+                f"unexpected {c!r}" if c else "unexpected end of input")
+    r.pos = m.end()
+    name, number, string = m.groups()
+    if name is not None:
+        return NVar(name, *r.where(start))
+    # in a string, a backslash takes the next character as it is
+    raw = _number(number) if string is None else _ESCAPE.sub(r"\1", string)
+    return NLit(raw, *r.where(start))
+
+
+def _read_head(r, head=None):
+    """head := (NAME | '(' head ')') arg*
+    arg  := NAME | NAME '[' payload ']' | NUMBER | '(' head ')'
+
+    Reads the args that follow `head`, if given.  A '(' only extends a head
+    if it encloses a head; None if no head starts at the cursor."""
+    while True:
+        c = r.peek()
+        start = r.pos
+        if c == "(":
+            r.pos += 1
+            arg = _read_head(r)
+            if arg is None or not r.take(")"):
+                r.pos = start
+                return head
+        else:
+            m = _ATOM.match(r.text, start)
+            name, number, _ = m.groups() if m else (None, None, None)
+            if name is None and (number is None or head is None):
+                return head  # a head starts with a name, and a string is no arg
+            r.pos = m.end()
+            if name is None:
+                arg = _number(number)
+            elif head is not None and r.peek() == "[":
+                arg = ("shape", name, r.bracket())
             else:
-                p.arg = e
-            e = p
-        return e
-
-    def parse_primary(self):
-        t = self.next()
-        if t.kind == "number" or t.kind == "string":
-            return NLit(t.value, t.line, t.col)
-        if t.kind == "name":
-            return NVar(t.value, t.line, t.col)
-        if t.kind == "punct" and t.value in "([":
-            close = ")" if t.value == "(" else "]"
-            items = [self.parse_expr()]
-            while self.peek().kind == "punct" and self.peek().value == ",":
-                self.next()
-                items.append(self.parse_expr())
-            self.expect("punct", close)
-            if len(items) == 1 and t.value == "(":
-                return items[0]
-            return NTuple(tuple(items), t.line, t.col)
-        self.fail(f"unexpected {t.value!r}", t)
-
-    def _try_head(self):
-        try:
-            return self._parse_head()
-        except SurfaceSyntaxError:
-            return None
-
-    def _parse_head(self):
-        head = self._parse_head_atom()
-        while True:
-            t = self.peek()
-            if t.kind in ("name", "number") or (t.kind == "punct" and t.value == "("):
-                # a '(' only extends the head if it encloses a head
-                if t.kind == "punct":
-                    save = self.pos
-                    self.next()
-                    try:
-                        inner = self._parse_head()
-                    except SurfaceSyntaxError:
-                        self.pos = save
-                        return head
-                    if not (self.peek().kind == "punct" and self.peek().value == ")"):
-                        self.pos = save
-                        return head
-                    self.next()
-                    head = HApply(head, inner)
-                    continue
-                self.next()
-                if t.kind == "number":
-                    head = HApply(head, t.value)
-                    continue
-                # name: could be a shape literal name[...]
-                if self.peek().kind == "punct" and self.peek().value == "[":
-                    self.next()
-                    payload = self._bracket_payload()
-                    head = HApply(head, ("shape", t.value, payload))
-                else:
-                    head = HApply(head, HName(t.value))
-                continue
-            return head
-
-    def _parse_head_atom(self):
-        t = self.next()
-        if t.kind == "name":
-            return HName(t.value)
-        if t.kind == "punct" and t.value == "(":
-            inner = self._parse_head()
-            self.expect("punct", ")")
-            return inner
-        self.fail("expected a head", t)
-
-    def _bracket_payload(self):
-        # collects raw text tokens up to the matching ']'
-        parts = []
-        depth = 0
-        while True:
-            t = self.next()
-            if t.kind == "eof":
-                self.fail("unterminated '['", t)
-            if t.kind == "punct" and t.value == "[":
-                depth += 1
-            if t.kind == "punct" and t.value == "]":
-                if depth == 0:
-                    return "".join(parts)
-                depth -= 1
-            parts.append(str(t.value))
+                arg = HName(name)
+        head = arg if head is None else HApply(head, arg)
 
 
 def parse_expr_text(text: str):
-    p = _Parser(tokenize(text))
-    e = p.parse_expr()
-    if p.peek().kind != "eof":
-        p.fail("trailing input")
+    r = _Reader(text)
+    e = _read_expr(r)
+    r.end()
     return e
 
 
@@ -359,16 +293,15 @@ def _static_index(arg):
 
 def _static_shape(arg, registry):
     if isinstance(arg, int):
-        return registry.container("arr"), arg
+        return Shape(registry.container("arr"), arg)
     if isinstance(arg, tuple) and arg and arg[0] == "shape":
         cdef = registry.container(arg[1])
-        return cdef, cdef.payload_from_text(arg[2])
+        return Shape(cdef, cdef.payload_from_text(arg[2]))
     raise TermTypeError(f"bad shape argument: {arg!r}")
 
 
 def head_to_term(head, arg_ty, registry: Registry) -> Term:
     """Elaborate a surface head against the actual argument type."""
-    from .core import Shape
     match head:
         case HName(name):
             if name in _CORE_NULLARY:
@@ -394,8 +327,7 @@ def head_to_term(head, arg_ty, registry: Registry) -> Term:
             elem_ty = TProd(arg_ty.left.elem, arg_ty.right.elem)
             return map2(head_to_term(inner, elem_ty, registry))
         case HApply(HName("replicate"), arg):
-            cdef, payload = _static_shape(arg, registry)
-            return Replicate(Shape(cdef, payload))
+            return Replicate(_static_shape(arg, registry))
         case HApply(HName("get"), arg):
             return Get(_static_index(arg))
         case HApply(HName("set"), arg):
@@ -403,8 +335,7 @@ def head_to_term(head, arg_ty, registry: Registry) -> Term:
         case HApply(HName("filter"), HName(pname)):
             return Filter(pname)
         case HApply(HApply(HName("reshape"), HName(fname)), sarg):
-            cdef, payload = _static_shape(sarg, registry)
-            return Reshape(fname, Shape(cdef, payload))
+            return Reshape(fname, _static_shape(sarg, registry))
         case _:
             raise TermTypeError(f"bad head: {head!r}")
 
@@ -413,10 +344,12 @@ def head_to_term(head, arg_ty, registry: Registry) -> Term:
 # Lowering
 # ---------------------------------------------------------------------------
 
-def _context_product(tys):
-    out = tys[-1]
-    for t in reversed(tys[:-1]):
-        out = TProd(t, out)
+def _right_nested(items, pair):
+    """pair(items[0], pair(items[1], ... items[-1])): contexts, tuples and
+    their types are right-nested."""
+    out = items[-1]
+    for x in reversed(items[:-1]):
+        out = pair(x, out)
     return out
 
 
@@ -472,12 +405,8 @@ def lower(nt, params, registry: Registry, literal_base) -> tuple[Term, Any]:
                     ty = typecheck(stages[-1], ty, registry).out_ty
                 return seq(*stages), ty
             case NTuple(items):
-                lowered = [walk(e, levels) for e in items]
-                term, ty = lowered[-1]
-                for t, t_ty in reversed(lowered[:-1]):
-                    term = fanout(t, term)
-                    ty = TProd(t_ty, ty)
-                return term, ty
+                terms, item_tys = zip(*[walk(e, levels) for e in items])
+                return _right_nested(terms, fanout), _right_nested(item_tys, TProd)
             case NLit(raw):
                 cst = _literal(raw, literal_base, registry)
                 return cst, cst.ty
@@ -497,48 +426,51 @@ class SurfaceProgram:
     in_ty: Any
 
 
-def parse_program_file(text: str, bundle_lookup=None):
-    """Parse a program file; returns (bundle, SurfaceProgram)."""
-    if bundle_lookup is None:
-        from .domains import get_bundle
-        bundle_lookup = get_bundle
-    bundle_name = None
-    params = []
-    body_lines = []     # header lines kept blank so positions match the file
-    in_body = False
-    bundle = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("--", 1)[0].strip()
-        if not in_body and not stripped:
-            body_lines.append("")
-            continue
-        if not in_body and stripped.startswith("bundle "):
-            bundle_name = stripped[len("bundle "):].strip()
+def parse_program_file(text: str, bundle_lookup=get_bundle):
+    """Parse a program file; returns (bundle, SurfaceProgram).
+
+    program := 'bundle' NAME ('param' NAME ':' type)+ expr, read by one
+    cursor; types are read by serialize.read_type."""
+    r = _Reader(text)
+    bundle_name, bundle, params = None, None, []
+    while True:
+        r.peek()
+        m = _NAME.match(text, r.pos)
+        word = m and m.group()
+        if word == "bundle":
+            if bundle is not None:
+                r.error("a second 'bundle' header")
+            r.pos = m.end()
+            bundle_name = _name(r, "expected a bundle name")
             bundle = bundle_lookup(bundle_name)
-            body_lines.append("")
-            continue
-        if not in_body and stripped.startswith("param "):
+        elif word == "param":
             if bundle is None:
-                raise SurfaceSyntaxError("'param' before 'bundle'", lineno, 1)
-            rest = stripped[len("param "):]
-            if ":" not in rest:
-                raise SurfaceSyntaxError("param needs 'name : type'", lineno, 1)
-            name, ty_text = rest.split(":", 1)
-            params.append((name.strip(), type_from_text(ty_text.strip(), bundle.registry)))
-            body_lines.append("")
-            continue
-        in_body = True
-        body_lines.append(line)  # the tokenizer skips `--` comments
+                r.error("'param' before 'bundle'")
+            r.pos = m.end()
+            name = _name(r, "param needs 'name : type'")
+            if not r.take(":"):
+                r.error("param needs 'name : type'")
+            r.peek()
+            start = r.pos
+            try:
+                params.append((name, read_type(r, bundle.registry)))
+            except (ConformanceError, RegistryError) as e:
+                # a name or shape payload the bundle rejects: point at the type
+                r.pos = start
+                r.error(str(e))
+        else:
+            break
     if bundle is None:
-        raise SurfaceSyntaxError("missing 'bundle' header", 1, 1)
+        r.error("missing 'bundle' header")
     if not params:
-        raise SurfaceSyntaxError("missing 'param' declarations", 1, 1)
-    body = parse_expr_text("\n".join(body_lines))
+        r.error("missing 'param' declarations")
+    body = _read_expr(r)
+    r.end()
     prog = SurfaceProgram(
         bundle_name=bundle_name,
         params=tuple(params),
         body=body,
-        in_ty=_context_product([t for _, t in params]),
+        in_ty=_right_nested([t for _, t in params], TProd),
     )
     return bundle, prog
 
@@ -571,11 +503,8 @@ def eval_named(nt, env: dict, registry: Registry, literal_base):
                 ty, v = tt.out_ty, denote(tt, v)
             return ty, v
         case NTuple(items):
-            parts = [eval_named(e, env, registry, literal_base) for e in items]
-            ty, v = parts[-1]
-            for pty, pv in reversed(parts[:-1]):
-                ty, v = TProd(pty, ty), (pv, v)
-            return ty, v
+            tys, vs = zip(*[eval_named(e, env, registry, literal_base) for e in items])
+            return _right_nested(tys, TProd), _right_nested(vs, lambda a, b: (a, b))
         case NLit(raw):
             cst = _literal(raw, literal_base, registry)
             return cst.ty, cst.value

@@ -831,117 +831,99 @@ def check_finite_support(seed=17, samples=40) -> list[CheckReport]:
 # Fault injection
 # ---------------------------------------------------------------------------
 
-FAULTS = ("triv-stale-cache", "swap-fst-snd", "seq-drop-propagation",
-          "bilin-missing-term", "debruijn-off-by-one", "bilin-aliased-cache")
+def _stale_triv(orig):
+    def bad(fn, in_ty, out_ty):
+        m = orig(fn, in_ty, out_ty)
+        good_step = m.step
+        m.step = lambda dx, c: (good_step(dx, c)[0], c)
+        m.triv = None  # so map steps the sabotaged machine, not its kernel
+        return m
+    return bad
+
+
+def _swap_fst_snd(orig):
+    def bad(tt):
+        if tt.term.path != (0,):
+            return orig(tt)
+        return incr.comb_self(ca.compiled(tt), lambda d: d[1], tt.in_ty, tt.out_ty)
+    return bad
+
+
+def _seq_drop_propagation(_orig):
+    def deaf(m):
+        # the stage steps on a nil change, whatever comes in
+        ty, step, f = m.in_ty, m.step, m.deriv
+        return replace(m, step=lambda _d, c: step(nil_change(ty), c),
+                       deriv=None if f is None else lambda _d: f(nil_change(ty)))
+
+    def bad(tt):
+        first, *rest = [incr.incrementalize(c) for c in tt.children]
+        return incr._seq_machine(tt, [first] + [deaf(m) for m in rest])
+    return bad
+
+
+def _bilin_missing_term(orig):
+    def bad(fn, in_ty, out_ty):
+        m = orig(fn, in_ty, out_ty)
+        a_ty, b_ty = in_ty.left, in_ty.right
+        nil_a, nil_b = is_nil_fn(a_ty), is_nil_fn(b_ty)
+        ap_a, ap_b = apply_fn(a_ty), apply_fn(b_ty)
+        add_c = add_fn(out_ty)
+        nil_out = nil_change(out_ty)
+
+        def step(d, c):
+            dx, dy = d
+            x, y = c
+            out = nil_out
+            if not nil_a(dx) and not nil_b(dy):
+                out = add_c(out, fn((dx, dy)))
+            if not nil_a(dx):
+                out = add_c(out, fn((dx, y)))
+            # f(x, dy) forgotten
+            return out, (ap_a(x, dx), ap_b(y, dy))
+
+        m.step = step
+        return m
+    return bad
+
+
+def _off_by_one(orig):
+    return lambda index, width: orig(min(index + 1, width - 1), width)
+
+
+def _aliased_cache(orig):
+    def bad(fn, in_ty, out_ty):
+        m = orig(fn, in_ty, out_ty)
+        m.init = lambda xy: (fn(xy), xy)  # the caller's relations, not copies
+        return m
+    return bad
+
+
+# fault -> (namespace, key, sabotage): inject_fault swaps namespace[key] for
+# sabotage(namespace[key]) while its block runs
+_SABOTAGE = {
+    "triv-stale-cache": (vars(incr), "comb_triv", _stale_triv),
+    "swap-fst-snd": (incr._BUILDERS, ca.Proj, _swap_fst_snd),
+    "seq-drop-propagation": (incr._BUILDERS, ca.Seq, _seq_drop_propagation),
+    "bilin-missing-term": (vars(incr), "comb_bilin", _bilin_missing_term),
+    "debruijn-off-by-one": (vars(fe), "_var_term", _off_by_one),
+    "bilin-aliased-cache": (vars(incr), "comb_bilin", _aliased_cache),
+}
+FAULTS = tuple(_SABOTAGE)
 
 
 @contextmanager
 def inject_fault(name: str):
     """Temporarily sabotage one engine component (mutation testing)."""
-    if name == "triv-stale-cache":
-        orig = incr.comb_triv
-
-        def bad(fn, in_ty, out_ty):
-            m = orig(fn, in_ty, out_ty)
-            good_step = m.step
-            m.step = lambda dx, c: (good_step(dx, c)[0], c)
-            m.triv = None  # so map steps the sabotaged machine, not its kernel
-            return m
-
-        incr.comb_triv = bad
-        try:
-            yield
-        finally:
-            incr.comb_triv = orig
-    elif name == "swap-fst-snd":
-        orig = incr._BUILDERS[ca.Proj]
-
-        def bad(tt):
-            if tt.term.path != (0,):
-                return orig(tt)
-            return incr.comb_self(ca.compiled(tt), lambda d: d[1], tt.in_ty, tt.out_ty)
-
-        incr._BUILDERS[ca.Proj] = bad
-        try:
-            yield
-        finally:
-            incr._BUILDERS[ca.Proj] = orig
-    elif name == "seq-drop-propagation":
-        orig = incr._BUILDERS[ca.Seq]
-
-        def deaf(m):
-            # the stage steps on a nil change, whatever comes in
-            ty, step, f = m.in_ty, m.step, m.deriv
-            return replace(m, step=lambda _d, c: step(nil_change(ty), c),
-                           deriv=None if f is None else lambda _d: f(nil_change(ty)))
-
-        def bad(tt):
-            first, *rest = [incr.incrementalize(c) for c in tt.children]
-            return incr._seq_machine(tt, [first] + [deaf(m) for m in rest])
-
-        incr._BUILDERS[ca.Seq] = bad
-        try:
-            yield
-        finally:
-            incr._BUILDERS[ca.Seq] = orig
-    elif name == "bilin-missing-term":
-        orig = incr.comb_bilin
-
-        def bad(fn, in_ty, out_ty):
-            m = orig(fn, in_ty, out_ty)
-            a_ty, b_ty = in_ty.left, in_ty.right
-            nil_a, nil_b = is_nil_fn(a_ty), is_nil_fn(b_ty)
-            ap_a, ap_b = apply_fn(a_ty), apply_fn(b_ty)
-            add_c = add_fn(out_ty)
-            nil_out = nil_change(out_ty)
-
-            def step(d, c):
-                dx, dy = d
-                x, y = c
-                out = nil_out
-                if not nil_a(dx) and not nil_b(dy):
-                    out = add_c(out, fn((dx, dy)))
-                if not nil_a(dx):
-                    out = add_c(out, fn((dx, y)))
-                # f(x, dy) forgotten
-                x2 = ap_a(x, dx)
-                y2 = ap_b(y, dy)
-                return out, (x2, y2)
-
-            m.step = step
-            return m
-
-        incr.comb_bilin = bad
-        try:
-            yield
-        finally:
-            incr.comb_bilin = orig
-    elif name == "bilin-aliased-cache":
-        orig = incr.comb_bilin
-
-        def bad(fn, in_ty, out_ty):
-            m = orig(fn, in_ty, out_ty)
-            m.init = lambda xy: (fn(xy), xy)  # the caller's relations, not copies
-            return m
-
-        incr.comb_bilin = bad
-        try:
-            yield
-        finally:
-            incr.comb_bilin = orig
-    elif name == "debruijn-off-by-one":
-        orig = fe._var_term
-
-        def bad(index, width):
-            return orig(min(index + 1, width - 1), width)
-
-        fe._var_term = bad
-        try:
-            yield
-        finally:
-            fe._var_term = orig
-    else:
+    if name not in _SABOTAGE:
         raise DelticError(f"unknown fault {name!r}; have {FAULTS}")
+    space, key, sabotage = _SABOTAGE[name]
+    orig = space[key]
+    space[key] = sabotage(orig)
+    try:
+        yield
+    finally:
+        space[key] = orig
 
 
 # ---------------------------------------------------------------------------

@@ -285,9 +285,11 @@ def _read_factor(r, registry):
         r.expect(")")
         return inner
     name = r.ident()
-    if r.peek() == "[":
-        return TCont(_read_shape_of(r, registry, name), _read_factor(r, registry))
-    return TBase(registry.base(name))
+    # a base name is never a container: a `[` after it is left unread, as a
+    # program body may start with one right after a param's type
+    if name in registry.bases or r.peek() != "[":
+        return TBase(registry.base(name))
+    return TCont(_read_shape_of(r, registry, name), _read_factor(r, registry))
 
 
 def read_shape(r: TextReader, registry) -> Shape:

@@ -136,6 +136,18 @@ def test_bad_program_exit_2(tmp_path, capsys):
     assert "syntax error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("param, body", [
+    ("arr[x] real", "x"),
+    ("arr[1.5] real", "x"),
+    ("arr[2] real", "replicate arr[two] # x"),
+])
+def test_a_non_integer_array_length_exits_2(tmp_path, capsys, param, body):
+    f = tmp_path / "bad.deltic"
+    f.write_text(f"bundle linalg\nparam x : {param}\n\n{body}\n")
+    assert main(["check", "--program", str(f)]) == 2
+    assert "bad array length" in capsys.readouterr().err
+
+
 def test_bad_input_value_exit_2(progdir, tmp_path, capsys):
     f = tmp_path / "bad.json"
     f.write_text("[[0, 1.0]]")

@@ -1,6 +1,8 @@
 """Surface syntax: parsing, lowering, and the reference evaluator."""
 
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -311,3 +313,74 @@ def test_let_chain_term_size_is_linear():
         term, _ = lower(prog.body, prog.params, bundle.registry, bundle.literal_base)
         sizes.append(term_size(term))
     assert sizes[1] <= 2.05 * sizes[0], sizes
+
+
+# (program text, message, line, column): every surface error names a place
+# in the file, param types included
+SURFACE_ERRORS = [
+    ("bundle linalg\nparam x : real\n\nmul # (x, ", "unexpected end of input", 4, 11),
+    ("bundle linalg\nparam x : real\n\nlet a = x", "expected ';'", 4, 10),
+    ('bundle linalg\nparam x : real\n\nfst # ("ab, x)\n', "unterminated string", 4, 8),
+    ("bundle linalg\nparam x : arr[2 real\n\nx\n", "unterminated '['", 5, 1),
+    ("bundle linalg\nparam x : (real\n\nx\n", "expected ')'", 4, 1),
+    ("bundle linalg\nparam x : real *\n", "expected a name", 3, 1),
+    # a type that runs short reads on into the body
+    ("bundle linalg\nparam x : arr[2]\n\nmap relu # x\n", "unknown base type: 'map'", 2, 11),
+    ("bundle linalg\nparam x : arr[x] real\n\nx\n", "bad array length: 'x'", 2, 11),
+    ("param x : real\n\nx\n", "'param' before 'bundle'", 1, 1),
+    ("-- no header\n  relu # x\n", "missing 'bundle' header", 2, 3),
+    ("bundle linalg\n\nrelu # x\n", "missing 'param' declarations", 3, 1),
+    ("bundle linalg\nparam x real\n\nx\n", "param needs 'name : type'", 2, 9),
+    ("bundle linalg\nparam : real\n\nx\n", "param needs 'name : type'", 2, 7),
+    ("bundle\n", "expected a bundle name", 2, 1),
+    # the params would be typed under linalg and the body compiled under relalg
+    ("bundle linalg\nparam x : arr[2] real\nbundle relalg\nx\n", "a second 'bundle' header", 3, 1),
+    ("bundle linalg\nparam x : real\n\nx y\n", "trailing input", 4, 3),
+    ("bundle linalg\nparam x : real\n\nmul # (x, @)\n", "unexpected '@'", 4, 11),
+    ("bundle linalg\nparam x : real\n\nmul # (x, x]\n", "expected ')'", 4, 12),
+]
+
+
+@pytest.mark.parametrize("text, msg, line, col", SURFACE_ERRORS)
+def test_surface_error_table(text, msg, line, col):
+    with pytest.raises(SurfaceSyntaxError) as exc:
+        parse_program_file(text)
+    assert str(exc.value) == f"syntax error at line {line}, column {col}: {msg}"
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
+def test_one_reader_for_header_and_body():
+    # comments anywhere, a header spread over lines, and a body that starts
+    # with `[` right after a param type
+    text = """\
+bundle -- the instantiation
+  linalg
+param x -- a vector
+  : arr[2] -- its shape
+    real
+param y : real
+[x, y]  -- a pair
+"""
+    bundle, prog = parse_program_file(text, _linalg_lookup)
+    assert prog.bundle_name == "linalg" and [n for n, _ in prog.params] == ["x", "y"]
+    assert prog.params[0][1] == arr(2, R) and prog.params[1][1] == R
+    assert prog.body == NTuple((NVar("x", 7, 2), NVar("y", 7, 5)), 7, 1)
+
+
+def test_a_backslash_in_a_string_takes_the_next_character():
+    e = parse_expr_text(r'("a\"b", "c\\d", "e\-f", "--")')
+    assert [item.raw for item in e.items] == ['a"b', "c\\d", "e-f", "--"]
+
+
+def _readme_programs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return [b for b in re.findall(r"```[a-z]*\n(.*?)```", readme, re.S) if b.startswith("bundle")]
+
+
+def test_readme_programs_parse_and_compile():
+    programs = _readme_programs()
+    assert programs
+    for text in programs:
+        bundle, prog = parse_program_file(text)
+        tt = compile_program(prog, bundle.registry, bundle.literal_base)
+        assert tt.in_ty == prog.in_ty

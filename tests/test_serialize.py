@@ -179,6 +179,20 @@ def test_type_text_error_messages(text, msg):
     assert str(e.value) == msg
 
 
+@pytest.mark.parametrize("text, msg", [
+    ("arr[1.5] real", "bad array length: '1.5'"),
+    ("arr[ two ] real", "bad array length: 'two'"),
+    ("arr[] real", "bad array length: ''"),
+    # a base name is never a container: its `[` is left unread
+    ("real[2] real", "type syntax error at 4: trailing input in 'real[2] real'"),
+])
+def test_array_type_text_error_messages(text, msg):
+    from deltic.domains import linalg
+    with pytest.raises(ConformanceError) as e:
+        type_from_text(text, linalg.register_linalg().registry)
+    assert str(e.value) == msg
+
+
 def test_schema_text_round_trip_and_rejects():
     from deltic.domains.containers import schema_from_text, schema_to_text
     for s in ("int", "str", ("int", "str"), (("int", "str"), "int"),
