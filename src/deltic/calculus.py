@@ -172,6 +172,10 @@ class OpCall(Term):
 ID, FST, SND = Proj(()), Proj((0,)), Proj((1,))
 
 
+# one batch function each for id, fst and snd, by which incr knows their machines
+PROJ_FNS = {(): lambda x: x, (0,): itemgetter(0), (1,): itemgetter(1)}
+
+
 def seq(*terms: Term) -> Term:
     """Left-to-right composition of one or more terms."""
     return Seq(*terms) if len(terms) > 1 else terms[0]
@@ -487,10 +491,8 @@ def _compile(tt: TypedTerm):
             f = compiled(tt.children[0])
             g = compiled(tt.children[1])
             return lambda xy: (f(xy[0]), g(xy[1]))
-        case Proj(()):
-            return lambda x: x
-        case Proj((i,)):
-            return itemgetter(i)
+        case Proj(path) if path in PROJ_FNS:
+            return PROJ_FNS[path]
         case Proj(path):
             def run_proj(x):
                 for i in path:

@@ -18,13 +18,16 @@ takes the next character as it is.
 
 One cursor, a serialize.TextReader over the whole file, reads the header and
 the body in one pass: param types by serialize.read_type and head shapes by
-TextReader.bracket.  A syntax error, or a param type the bundle rejects,
-names its line and column.
+serialize.read_shape, both with the bundle's registry.  A syntax error, or a
+type or shape the bundle rejects, names its line and column.
 
 Lowering turns contexts into right-nested products, a variable into one
-projection path, and `let` into `dup ; (e1 × id) ; e2`.
+projection path, and `let` into `dup ; (e1 × keep) ; e2`: keep projects the
+context onto the bindings a later bind or the body reads (`id` when all are;
+with none, the let is `e1 ; e2`), found by one backward pass per let chain.
 It reads names itself: one walk keeps the binding level of each name in
-scope and lowers a name to the projection path of its level.
+scope and lowers a name to the projection path of its level (eval_named, the
+reference, keeps every binding).
 
 A chain of `let`s is one flat NLet node and a `#` pipeline one NApp node,
 each parsed, lowered and evaluated in a loop, so neither recurses along its
@@ -45,7 +48,7 @@ from .calculus import (
 )
 from .core import ConformanceError, DelticError, Shape, TBase, TCont, TProd
 from .domains import get_bundle
-from .serialize import TextReader, read_type
+from .serialize import TextReader, read_shape, read_type
 
 
 class SurfaceSyntaxError(DelticError):
@@ -74,7 +77,7 @@ class HName:
 @dataclass
 class HApply:
     fn: Any
-    arg: Any  # HName | HApply | int | str | ("shape", container, payload_text)
+    arg: Any  # HName | HApply | int | Shape
 
 
 @dataclass
@@ -128,10 +131,12 @@ _VAR_ENDS = frozenset((",", ";", ")", "]", ""))  # after a name, these make it a
 
 class _Reader(TextReader):
     """The serialize cursor over a whole program text, where `--` comments
-    read as space and an error names a line and column."""
+    read as space and an error names a line and column.  Types and shapes
+    are read with `registry`, the bundle's."""
 
-    def __init__(self, text):
+    def __init__(self, text, registry=None):
         super().__init__(text, "program")
+        self.registry = Registry() if registry is None else registry
         self.starts = [0, *(m.end() for m in re.finditer("\n", text))]  # line starts
 
     def peek(self):
@@ -152,6 +157,16 @@ class _Reader(TextReader):
 
     def error(self, msg):
         raise SurfaceSyntaxError(msg, *self.where(self.pos))
+
+    def read(self, read_fn):
+        """read_fn(self, registry); what the bundle rejects is an error here."""
+        self.peek()
+        start = self.pos
+        try:
+            return read_fn(self, self.registry)
+        except (ConformanceError, RegistryError) as e:
+            self.pos = start
+            self.error(str(e))
 
 
 def _name(r, missing="expected a name"):
@@ -241,7 +256,7 @@ def _read_primary(r):
 
 def _read_head(r, head=None):
     """head := (NAME | '(' head ')') arg*
-    arg  := NAME | NAME '[' payload ']' | NUMBER | '(' head ')'
+    arg  := NAME | shape | NUMBER | '(' head ')'
 
     Reads the args that follow `head`, if given.  A '(' only extends a head
     if it encloses a head; None if no head starts at the cursor."""
@@ -263,14 +278,15 @@ def _read_head(r, head=None):
             if name is None:
                 arg = _number(number)
             elif head is not None and r.peek() == "[":
-                arg = ("shape", name, r.bracket())
+                r.pos = start
+                arg = r.read(read_shape)
             else:
                 arg = HName(name)
         head = arg if head is None else HApply(head, arg)
 
 
-def parse_expr_text(text: str):
-    r = _Reader(text)
+def parse_expr_text(text: str, registry=None):
+    r = _Reader(text, registry)
     e = _read_expr(r)
     r.end()
     return e
@@ -294,9 +310,8 @@ def _static_index(arg):
 def _static_shape(arg, registry):
     if isinstance(arg, int):
         return Shape(registry.container("arr"), arg)
-    if isinstance(arg, tuple) and arg and arg[0] == "shape":
-        cdef = registry.container(arg[1])
-        return Shape(cdef, cdef.payload_from_text(arg[2]))
+    if isinstance(arg, Shape):
+        return arg
     raise TermTypeError(f"bad shape argument: {arg!r}")
 
 
@@ -370,6 +385,30 @@ def _literal(raw, literal_base, registry):
     return Cst(TBase(literal_base), raw)
 
 
+def _reads(nt) -> set:
+    """The names nt reads and does not bind itself."""
+    match nt:
+        case NVar(name):
+            return {name}
+        case NLet(binds, body):
+            return _liveness(binds, body)[1]
+        case NApp(_, arg):
+            return _reads(arg)
+        case NTuple(items):
+            return set().union(*map(_reads, items))
+    return set()
+
+
+def _liveness(binds, body):
+    """One backward pass over a let chain: a stack of the names read after
+    each bind (the first bind's on top), and the names the chain reads."""
+    live, after = _reads(body), []
+    for name, bound in reversed(binds):
+        after.append(live)
+        live = (live - {name}) | _reads(bound)
+    return after, live
+
+
 def lower(nt, params, registry: Registry, literal_base) -> tuple[Term, Any]:
     """Translate a named term over params ((name, type), ...) into the calculus.
 
@@ -378,9 +417,7 @@ def lower(nt, params, registry: Registry, literal_base) -> tuple[Term, Any]:
     """
     # binding levels: the last param is level 0 and each let takes the next
     # one, so a name at level l is at index len(tys) - 1 - l of the context
-    tys = [ty for _, ty in reversed(params)]
-
-    def walk(nt, levels):
+    def walk(nt, levels, tys):
         match nt:
             case NVar(name):
                 if name not in levels:
@@ -388,30 +425,40 @@ def lower(nt, params, registry: Registry, literal_base) -> tuple[Term, Any]:
                 level = levels[name]
                 return _var_term(len(tys) - 1 - level, len(tys)), tys[level]
             case NLet(binds, body):
-                levels, lets = dict(levels), []
+                after, _ = _liveness(binds, body)
+                levels, tys, stages = dict(levels), list(tys), []
                 for name, bound in binds:
-                    t1, ty1 = walk(bound, levels)
-                    lets.append(t1)
+                    t1, ty1 = walk(bound, levels, tys)
+                    # the context keeps the old levels read later, and the new one
+                    kept = sorted({levels[n] for n in after.pop() if n != name and n in levels})
+                    width, keep = len(tys), ID
+                    if len(kept) < width:
+                        paths = [_var_term(width - 1 - level, width) for level in reversed(kept)]
+                        keep = _right_nested(paths, fanout) if paths else None
+                        rank = {level: k for k, level in enumerate(kept)}
+                        levels = {n: rank[level] for n, level in levels.items() if level in rank}
+                        tys = [tys[level] for level in kept]
+                    stages += [t1] if keep is None else [Dup(), Par(t1, keep)]
                     levels[name] = len(tys)
                     tys.append(ty1)
-                term, ty = walk(body, levels)
-                del tys[-len(binds):]
-                return seq(*[s for t1 in lets for s in (Dup(), Par(t1, ID))], term), ty
+                term, ty = walk(body, levels, tys)
+                return seq(*stages, term), ty
             case NApp(heads, arg):
-                term, ty = walk(arg, levels)
+                term, ty = walk(arg, levels, tys)
                 stages = [term]
                 for head in reversed(heads):
                     stages.append(head_to_term(head, ty, registry))
                     ty = typecheck(stages[-1], ty, registry).out_ty
                 return seq(*stages), ty
             case NTuple(items):
-                terms, item_tys = zip(*[walk(e, levels) for e in items])
+                terms, item_tys = zip(*[walk(e, levels, tys) for e in items])
                 return _right_nested(terms, fanout), _right_nested(item_tys, TProd)
             case NLit(raw):
                 cst = _literal(raw, literal_base, registry)
                 return cst, cst.ty
 
-    return walk(nt, {name: level for level, (name, _) in enumerate(reversed(params))})
+    levels = {name: level for level, (name, _) in enumerate(reversed(params))}
+    return walk(nt, levels, [ty for _, ty in reversed(params)])
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +490,7 @@ def parse_program_file(text: str, bundle_lookup=get_bundle):
             r.pos = m.end()
             bundle_name = _name(r, "expected a bundle name")
             bundle = bundle_lookup(bundle_name)
+            r.registry = bundle.registry
         elif word == "param":
             if bundle is None:
                 r.error("'param' before 'bundle'")
@@ -450,14 +498,7 @@ def parse_program_file(text: str, bundle_lookup=get_bundle):
             name = _name(r, "param needs 'name : type'")
             if not r.take(":"):
                 r.error("param needs 'name : type'")
-            r.peek()
-            start = r.pos
-            try:
-                params.append((name, read_type(r, bundle.registry)))
-            except (ConformanceError, RegistryError) as e:
-                # a name or shape payload the bundle rejects: point at the type
-                r.pos = start
-                r.error(str(e))
+            params.append((name, r.read(read_type)))
         else:
             break
     if bundle is None:

@@ -33,6 +33,12 @@ UNIT and the map slot keeps its per-index cache, so the cache layout is that
 of the unfused pair.  A par with one cache-free side calls that side's
 derivative directly; its slot stays UNIT.
 
+Adjacent seq stages `dup ; par(f, g)` are one fanout stage, built by the par
+builder, which hands the one input change to both sides; the dup slot stays
+UNIT.  A seq drops id machines, and a fanout of the fst and snd machines is
+the identity: both folds look at the built machines (their derivatives are
+calculus.PROJ_FNS), so a sabotaged builder's machine is stepped, not folded.
+
 On a container, ⊕ is pointwise ⊕ with nil as its unit, so `zip ; map f`
 with f pointwise ⊕ (plus, or itself such a map2, at any nesting) is ⊕ on
 the container: it is built as comb_add at the container type, whose
@@ -101,6 +107,9 @@ class _Unit:
 
 
 UNIT = _Unit()
+
+# the derivatives of id, fst and snd: their batch functions, one object each
+_SAME, _FST, _SND = (ca.PROJ_FNS[p] for p in [(), (0,), (1,)])
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +447,8 @@ def _incr_seq(tt):
             fused = [None, _incr_map2(stages[k], stages[k + 1])]
         elif kinds[k] is ca.OpCall and stages[k].info.make_selected:
             fused = _incr_selected(stages[k:k + 4])
+        elif kinds[k] is ca.Dup and kinds[k + 1] is ca.Par:
+            fused = [None, _par_machine(stages[k + 1], fan=True)]
         else:
             fused = None
         machines += fused or [incrementalize(stages[k])]
@@ -465,8 +476,8 @@ def _incr_selected(stages):
 
 def _chain(fs):
     """One derivative running the derivatives fs in order."""
-    if len(fs) == 1:
-        return fs[0]
+    if len(fs) <= 1:
+        return fs[0] if fs else _SAME
 
     def run(d):
         for f in fs:
@@ -480,10 +491,10 @@ def _seq_machine(tt, machines):
     """Compose the machines already built for the stages of a seq, in order.
 
     A None stage is done by a neighbouring fused machine (the zip of a map2,
-    the selection after a selected op); its slot stays UNIT and it gets no
-    init or step of its own.
+    the selection after a selected op, the dup of a fanout); its slot stays
+    UNIT and it gets no init or step of its own, nor does an identity stage.
     """
-    live = [(k, m) for k, m in enumerate(machines) if m is not None]
+    live = [(k, m) for k, m in enumerate(machines) if m is not None and m.deriv is not _SAME]
     if all(m.deriv is not None for _, m in live):
         return _self_machine(tt, _chain([m.deriv for _, m in live]))
     plan = []  # (slot, step) per cached stage, (None, deriv) per cache-free run
@@ -513,38 +524,39 @@ def _seq_machine(tt, machines):
     return IncrMachine(tt.in_ty, tt.out_ty, desc, init, step)
 
 
-def _incr_par(tt):
+def _par_machine(tt, fan=False):
+    """f × g; or, with fan, the fanout ⟨f, g⟩ = dup ; (f × g), which hands
+    its one input (or change) to both sides.  A fanout of the fst and snd
+    machines is the identity."""
     mf = incrementalize(tt.children[0])
     mg = incrementalize(tt.children[1])
     f, g = mf.deriv, mg.deriv
+    in_ty = tt.in_ty.left if fan else tt.in_ty
+    if fan and f is _FST and g is _SND:
+        return comb_self(_SAME, _SAME, in_ty, tt.out_ty)
     if f and g:
+        if fan:
+            pair = ca.compiled(tt)
+            return comb_self(lambda x: pair((x, x)), lambda d: (f(d), g(d)), in_ty, tt.out_ty)
         return _self_machine(tt, lambda d: (f(d[0]), g(d[1])))
 
     f_init, g_init = mf.init, mg.init
     f_step, g_step = mf.step, mg.step
 
-    def init(xy):
-        y1, c1 = f_init(xy[0])
-        y2, c2 = g_init(xy[1])
+    def init(x):
+        a, b = (x, x) if fan else x
+        y1, c1 = f_init(a)
+        y2, c2 = g_init(b)
         return (y1, y2), (c1, c2)
 
-    # a cache-free side runs its derivative; its slot stays UNIT
-    if f:
-        def step(d, c):
-            d1 = f(d[0])
-            d2, c2 = g_step(d[1], c[1])
-            return (d1, d2), (UNIT, c2)
-    elif g:
-        def step(d, c):
-            d1, c1 = f_step(d[0], c[0])
-            return (d1, g(d[1])), (c1, UNIT)
-    else:
-        def step(d, c):
-            d1, c1 = f_step(d[0], c[0])
-            d2, c2 = g_step(d[1], c[1])
-            return (d1, d2), (c1, c2)
+    def step(d, c):
+        a, b = (d, d) if fan else d
+        # a cache-free side runs its derivative; its slot stays UNIT
+        d1, c1 = (f(a), UNIT) if f else f_step(a, c[0])
+        d2, c2 = (g(b), UNIT) if g else g_step(b, c[1])
+        return (d1, d2), (c1, c2)
 
-    return IncrMachine(tt.in_ty, tt.out_ty, CTuple((mf.cache, mg.cache)), init, step)
+    return IncrMachine(in_ty, tt.out_ty, CTuple((mf.cache, mg.cache)), init, step)
 
 
 def _incr_map(tt):
@@ -805,7 +817,7 @@ _BUILDERS = {
     ca.Inl: _incr_inl,
     ca.Inr: _incr_inr,
     ca.Seq: _incr_seq,
-    ca.Par: _incr_par,
+    ca.Par: _par_machine,
     ca.Map: _incr_map,
     ca.Fuse: _incr_fuse,
     ca.Distr: _incr_distr,

@@ -214,7 +214,8 @@ class TextReader:
 
     def expect(self, c):
         if not self.take(c):
-            self.error(f"expected {c!r}")
+            found = self.peek()
+            self.error(f"expected {c!r}, found {repr(found) if found else 'end of input'}")
 
     def ident(self):
         self.peek()
@@ -259,7 +260,7 @@ class TextReader:
                     self.pos = pos + 1
                     return text[start:pos]
                 depth -= 1
-        self.pos = len(text)
+        self.pos = start - 1
         self.error("unterminated '['")
 
     def end(self):

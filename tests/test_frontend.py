@@ -87,10 +87,11 @@ def test_resolve_positions():
     assert str(exc.value) == "unbound name 'z' at line 3, column 17"
     # a repeated context name resolves to its first position
     assert lowered("x", ["x", "x", "y"]) == FST
-    # the bound y is the context's second position; in the body, the let's x
-    # is the first and the outer y the third
+    # the bound y is the context's second position; the outer x is read no
+    # more, so the let keeps only y: in the body, the let's x is the first
+    # position and the outer y the second
     shadowed = lowered("let x = y; (x, y)", ["x", "y"])
-    assert shadowed == seq(Dup(), Par(SND, ID), fanout(FST, Proj((1, 1))))
+    assert shadowed == seq(Dup(), Par(SND, SND), fanout(FST, SND))
     with pytest.raises(NameResolutionError) as exc:
         eval_named(parse_expr_text("let a = x;\n relu # b"), {"x": (R, 1.0)},
                    bundle.registry, bundle.literal_base)
@@ -279,7 +280,7 @@ def test_ten_thousand_lets_run_without_recursion():
     assert sys.getrecursionlimit() <= 1000
     text = _chain_text(10_000, "map relu # {prev}")
     tt = _run_with_laws(text, 91)
-    # x sits behind all 10,000 bindings: one projection path of that length
+    # each let keeps only x of the old context, so every variable is fst or snd
     assert term_size(tt.term) == 9 * 10_000 + 10
     _, prog = parse_program_file(text, _linalg_lookup)
     assert isinstance(prog.body, NLet) and len(prog.body.binds) == 10_000
@@ -304,8 +305,7 @@ def test_ten_thousand_step_pipeline_runs_without_recursion():
 
 
 def test_let_chain_term_size_is_linear():
-    # every let reads the parameter b, whose projection path grows with the
-    # chain; a path is one node, so the term grows by a constant per let
+    # every let reads the parameter b; the term grows by a constant per let
     body = "map relu # map2 add # ({prev}, b)"
     sizes = []
     for stages in (1_000, 2_000):
@@ -315,18 +315,36 @@ def test_let_chain_term_size_is_linear():
     assert sizes[1] <= 2.05 * sizes[0], sizes
 
 
+def test_let_chain_reading_a_param_keeps_paths_short():
+    # every let reads b and the body reads x, so each let keeps both at the
+    # back of a three-wide context and drops the binding before its own
+    text = _chain_text(2_000, "map relu # map2 add # ({prev}, b)")
+    bundle, prog = parse_program_file(text, _linalg_lookup)
+    tt = compile_program(prog, bundle.registry, bundle.literal_base)
+    paths, todo = [], [tt]
+    while todo:
+        t = todo.pop()
+        todo += t.children
+        if isinstance(t.term, Proj):
+            paths.append(t.term.path)
+    assert len(paths) >= 4 * 2_000 and max(map(len, paths)) == 2
+
+
 # (program text, message, line, column): every surface error names a place
 # in the file, param types included
 SURFACE_ERRORS = [
     ("bundle linalg\nparam x : real\n\nmul # (x, ", "unexpected end of input", 4, 11),
-    ("bundle linalg\nparam x : real\n\nlet a = x", "expected ';'", 4, 10),
+    ("bundle linalg\nparam x : real\n\nlet a = x", "expected ';', found end of input", 4, 10),
     ('bundle linalg\nparam x : real\n\nfst # ("ab, x)\n', "unterminated string", 4, 8),
-    ("bundle linalg\nparam x : arr[2 real\n\nx\n", "unterminated '['", 5, 1),
-    ("bundle linalg\nparam x : (real\n\nx\n", "expected ')'", 4, 1),
+    ("bundle linalg\nparam x : arr[2 real\n\nx\n", "unterminated '['", 2, 14),
+    ("bundle linalg\nparam x : (real\n\nx\n", "expected ')', found 'x'", 4, 1),
     ("bundle linalg\nparam x : real *\n", "expected a name", 3, 1),
     # a type that runs short reads on into the body
     ("bundle linalg\nparam x : arr[2]\n\nmap relu # x\n", "unknown base type: 'map'", 2, 11),
     ("bundle linalg\nparam x : arr[x] real\n\nx\n", "bad array length: 'x'", 2, 11),
+    # a head's shape is read with the bundle, as a param type is
+    ("bundle linalg\nparam x : arr[2] real\n\nreplicate arr[two] # x\n",
+     "bad array length: 'two'", 4, 11),
     ("param x : real\n\nx\n", "'param' before 'bundle'", 1, 1),
     ("-- no header\n  relu # x\n", "missing 'bundle' header", 2, 3),
     ("bundle linalg\n\nrelu # x\n", "missing 'param' declarations", 3, 1),
@@ -337,7 +355,7 @@ SURFACE_ERRORS = [
     ("bundle linalg\nparam x : arr[2] real\nbundle relalg\nx\n", "a second 'bundle' header", 3, 1),
     ("bundle linalg\nparam x : real\n\nx y\n", "trailing input", 4, 3),
     ("bundle linalg\nparam x : real\n\nmul # (x, @)\n", "unexpected '@'", 4, 11),
-    ("bundle linalg\nparam x : real\n\nmul # (x, x]\n", "expected ')'", 4, 12),
+    ("bundle linalg\nparam x : real\n\nmul # (x, x]\n", "expected ')', found ']'", 4, 12),
 ]
 
 

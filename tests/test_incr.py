@@ -379,9 +379,8 @@ def _one_step_calls(m, x, d):
     return calls
 
 
-def _step_calls(stages):
+def _step_calls(stages, n=8):
     """Python calls made by one step of a `stages`-long let chain."""
-    n = 8
     m = incrementalize(_let_chain(stages, n))
     rng = stable_rng(37, "let-calls")
     x = ({i: rng.uniform(-1, 1) for i in range(n)},
@@ -390,10 +389,64 @@ def _step_calls(stages):
 
 
 def test_let_chain_step_cost_is_linear_in_stages():
-    # each variable is one Proj whose derivative is one call, although the
-    # path of b grows with the stage index; a step whose calls per stage
-    # grew with that depth would make this ratio grow past the stage ratio
+    # a let keeps only the bindings read later, so b stays at a fixed depth;
+    # a step whose calls per stage grew with the stage index would make this
+    # ratio grow past the stage ratio
     assert _step_calls(100) <= 4.5 * _step_calls(25)
+
+
+def test_let_chain_step_calls_fell():
+    # 1,204 calls per step when every let kept its whole context and a seq
+    # stepped each dup, id and projection derivative (the same program,
+    # change and count); the trimmed, folded chain makes at most 3/4 of them
+    assert _step_calls(100, n=10) <= 0.75 * 1_204
+
+
+def test_swap_fst_snd_still_breaks_a_lowered_let_chain():
+    # each let reads (h, b) as a fanout of fst and snd, which a seq folds to
+    # the identity; the fold looks at the built machines, so a sabotaged fst
+    # is stepped, not folded away, and Law-2 fails
+    n = 4
+    tt = _let_chain(5, n)
+    ty = tt.in_ty
+    x = ({i: 1.0 for i in range(n)}, {i: 0.5 for i in range(n)})
+    d = ({0: 1.0}, {})
+    want = denote(tt, apply_change(ty, x, d))
+
+    def law_2_holds(m):
+        y, c = m.init(x)
+        dy, _ = m.step(d, c)
+        return values_equal(tt.out_ty, apply_change(tt.out_ty, y, dy), want, 1e-9)
+
+    assert law_2_holds(incrementalize(tt))
+    with inject_fault("swap-fst-snd"):
+        m = incrementalize(tt)
+    assert not law_2_holds(m)
+
+
+@pytest.mark.parametrize("f, g, ty", [
+    (Map(OpCall("relu")), Map(OpCall("relu")), arr(5, R)),  # both cached
+    (Map(OpCall("relu")), OpCall("sum"), arr(5, R)),        # one side cache-free
+    (OpCall("sum"), Map(OpCall("relu")), arr(5, R)),
+    (OpCall("sum"), ID, arr(5, R)),                          # both cache-free
+    (ca.FST, ca.SND, TProd(arr(5, R), R)),                   # the identity
+])
+def test_fanout_fold_matches_the_unfolded_pair(f, g, ty):
+    # dup ; (f × g) builds one fanout machine; the reference composes the
+    # dup and par machines built on their own, as an unfolded seq did
+    reg = linalg.register_linalg().registry
+    tt = typecheck(seq(Dup(), ca.Par(f, g)), ty, reg)
+    folded = incrementalize(tt)
+    unfolded = incr._seq_machine(tt, [incrementalize(c) for c in tt.children])
+    rng = stable_rng(45, "fanout-fold")
+    x = gen_value(rng, ty)
+    (y1, c1), (y2, c2) = folded.init(x), unfolded.init(x)
+    assert y1 == y2 and cache_to_json(folded.cache, c1) == cache_to_json(unfolded.cache, c2)
+    for _ in range(50):
+        d = gen_change(rng, ty)
+        (d1, c1), (d2, c2) = folded.step(d, c1), unfolded.step(d, c2)
+        assert d1 == d2
+        assert cache_equal(folded.cache, c1, c2)
 
 
 def test_let_chain_laws_over_a_change_stream():

@@ -170,7 +170,7 @@ def test_term_text_negative_cases():
 
 @pytest.mark.parametrize("text, msg", [
     ("int)", "type syntax error at 3: trailing input in 'int)'"),
-    ("rel[int", "type syntax error at 7: unterminated '[' in 'rel[int'"),
+    ("rel[int", "type syntax error at 3: unterminated '[' in 'rel[int'"),
 ])
 def test_type_text_error_messages(text, msg):
     from deltic.domains import relalg
