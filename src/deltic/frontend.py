@@ -18,8 +18,8 @@ takes the next character as it is.
 
 One cursor, a serialize.TextReader over the whole file, reads the header and
 the body in one pass: param types by serialize.read_type and head shapes by
-serialize.read_shape, both with the bundle's registry.  A syntax error, or a
-type or shape the bundle rejects, names its line and column.
+TextReader.bracket.  A syntax error, or a type or shape the bundle rejects,
+names its line and column.
 
 Lowering turns contexts into right-nested products, a variable into one
 projection path, and `let` into `dup ; (e1 × keep) ; e2`: keep projects the
@@ -48,7 +48,7 @@ from .calculus import (
 )
 from .core import ConformanceError, DelticError, Shape, TBase, TCont, TProd
 from .domains import get_bundle
-from .serialize import TextReader, read_shape, read_type
+from .serialize import TextReader, read_type
 
 
 class SurfaceSyntaxError(DelticError):
@@ -77,7 +77,15 @@ class HName:
 @dataclass
 class HApply:
     fn: Any
-    arg: Any  # HName | HApply | int | Shape
+    arg: Any  # HName | HApply | int | HShape
+
+
+@dataclass
+class HShape:
+    container: str
+    payload: str  # the text between the brackets, read by the container
+    line: int = 0
+    col: int = 0
 
 
 @dataclass
@@ -131,12 +139,10 @@ _VAR_ENDS = frozenset((",", ";", ")", "]", ""))  # after a name, these make it a
 
 class _Reader(TextReader):
     """The serialize cursor over a whole program text, where `--` comments
-    read as space and an error names a line and column.  Types and shapes
-    are read with `registry`, the bundle's."""
+    read as space and an error names a line and column."""
 
-    def __init__(self, text, registry=None):
+    def __init__(self, text):
         super().__init__(text, "program")
-        self.registry = Registry() if registry is None else registry
         self.starts = [0, *(m.end() for m in re.finditer("\n", text))]  # line starts
 
     def peek(self):
@@ -157,16 +163,6 @@ class _Reader(TextReader):
 
     def error(self, msg):
         raise SurfaceSyntaxError(msg, *self.where(self.pos))
-
-    def read(self, read_fn):
-        """read_fn(self, registry); what the bundle rejects is an error here."""
-        self.peek()
-        start = self.pos
-        try:
-            return read_fn(self, self.registry)
-        except (ConformanceError, RegistryError) as e:
-            self.pos = start
-            self.error(str(e))
 
 
 def _name(r, missing="expected a name"):
@@ -256,7 +252,7 @@ def _read_primary(r):
 
 def _read_head(r, head=None):
     """head := (NAME | '(' head ')') arg*
-    arg  := NAME | shape | NUMBER | '(' head ')'
+    arg  := NAME | NAME '[' payload ']' | NUMBER | '(' head ')'
 
     Reads the args that follow `head`, if given.  A '(' only extends a head
     if it encloses a head; None if no head starts at the cursor."""
@@ -278,15 +274,14 @@ def _read_head(r, head=None):
             if name is None:
                 arg = _number(number)
             elif head is not None and r.peek() == "[":
-                r.pos = start
-                arg = r.read(read_shape)
+                arg = HShape(name, r.bracket(), *r.where(start))
             else:
                 arg = HName(name)
         head = arg if head is None else HApply(head, arg)
 
 
-def parse_expr_text(text: str, registry=None):
-    r = _Reader(text, registry)
+def parse_expr_text(text: str):
+    r = _Reader(text)
     e = _read_expr(r)
     r.end()
     return e
@@ -310,8 +305,12 @@ def _static_index(arg):
 def _static_shape(arg, registry):
     if isinstance(arg, int):
         return Shape(registry.container("arr"), arg)
-    if isinstance(arg, Shape):
-        return arg
+    if isinstance(arg, HShape):
+        try:
+            cdef = registry.container(arg.container)
+            return Shape(cdef, cdef.payload_from_text(arg.payload))
+        except (ConformanceError, RegistryError) as e:
+            raise SurfaceSyntaxError(str(e), arg.line, arg.col) from None
     raise TermTypeError(f"bad shape argument: {arg!r}")
 
 
@@ -385,28 +384,25 @@ def _literal(raw, literal_base, registry):
     return Cst(TBase(literal_base), raw)
 
 
-def _reads(nt) -> set:
-    """The names nt reads and does not bind itself."""
+def _liveness(nt, afters) -> set:
+    """The names nt reads and does not bind itself.  One backward pass over
+    each let chain in nt puts in afters[id(chain)] a stack of the names read
+    after each of its binds, the first bind's on top."""
     match nt:
         case NVar(name):
             return {name}
         case NLet(binds, body):
-            return _liveness(binds, body)[1]
+            live, after = _liveness(body, afters), []
+            for name, bound in reversed(binds):
+                after.append(live)
+                live = (live - {name}) | _liveness(bound, afters)
+            afters[id(nt)] = after
+            return live
         case NApp(_, arg):
-            return _reads(arg)
+            return _liveness(arg, afters)
         case NTuple(items):
-            return set().union(*map(_reads, items))
+            return set().union(*(_liveness(e, afters) for e in items))
     return set()
-
-
-def _liveness(binds, body):
-    """One backward pass over a let chain: a stack of the names read after
-    each bind (the first bind's on top), and the names the chain reads."""
-    live, after = _reads(body), []
-    for name, bound in reversed(binds):
-        after.append(live)
-        live = (live - {name}) | _reads(bound)
-    return after, live
 
 
 def lower(nt, params, registry: Registry, literal_base) -> tuple[Term, Any]:
@@ -425,7 +421,7 @@ def lower(nt, params, registry: Registry, literal_base) -> tuple[Term, Any]:
                 level = levels[name]
                 return _var_term(len(tys) - 1 - level, len(tys)), tys[level]
             case NLet(binds, body):
-                after, _ = _liveness(binds, body)
+                after = afters[id(nt)]
                 levels, tys, stages = dict(levels), list(tys), []
                 for name, bound in binds:
                     t1, ty1 = walk(bound, levels, tys)
@@ -457,6 +453,8 @@ def lower(nt, params, registry: Registry, literal_base) -> tuple[Term, Any]:
                 cst = _literal(raw, literal_base, registry)
                 return cst, cst.ty
 
+    afters = {}
+    _liveness(nt, afters)
     levels = {name: level for level, (name, _) in enumerate(reversed(params))}
     return walk(nt, levels, [ty for _, ty in reversed(params)])
 
@@ -490,7 +488,6 @@ def parse_program_file(text: str, bundle_lookup=get_bundle):
             r.pos = m.end()
             bundle_name = _name(r, "expected a bundle name")
             bundle = bundle_lookup(bundle_name)
-            r.registry = bundle.registry
         elif word == "param":
             if bundle is None:
                 r.error("'param' before 'bundle'")
@@ -498,7 +495,14 @@ def parse_program_file(text: str, bundle_lookup=get_bundle):
             name = _name(r, "param needs 'name : type'")
             if not r.take(":"):
                 r.error("param needs 'name : type'")
-            params.append((name, r.read(read_type)))
+            r.peek()
+            start = r.pos
+            try:
+                params.append((name, read_type(r, bundle.registry)))
+            except (ConformanceError, RegistryError) as e:
+                # a name or shape payload the bundle rejects: point at the type
+                r.pos = start
+                r.error(str(e))
         else:
             break
     if bundle is None:

@@ -13,7 +13,7 @@ from deltic.calculus import (
 from deltic.core import REAL, TBase, TProd, apply_fn, values_equal
 from deltic.domains import linalg
 from deltic.frontend import (
-    HApply, HName, NApp, NLet, NLit, NTuple, NVar, NameResolutionError,
+    HApply, HName, HShape, NApp, NLet, NLit, NTuple, NVar, NameResolutionError,
     SurfaceSyntaxError, compile_program, eval_named, lower,
     parse_expr_text, parse_program_file, _var_term,
 )
@@ -43,6 +43,11 @@ def test_parse_dense_listing_shape():
     assert isinstance(mv.arg, NTuple)
     assert [v.name for v in mv.arg.items] == ["m", "x"]
     assert tup.items[1] == NVar("b", tup.items[1].line, tup.items[1].col)
+
+
+def test_head_shape_keeps_its_payload_and_position():
+    e = parse_expr_text("replicate arr[2] # x")
+    assert e.heads == [HApply(HName("replicate"), HShape("arr", "2", 1, 11))]
 
 
 def test_parse_let():
@@ -118,18 +123,45 @@ def test_var_lowering_projections():
     assert _var_term(2, 3) == Proj((1, 1))
 
 
-def test_let_lowering_matches_reference():
+def _matches_reference(text, names):
+    """Lower text over real params named by the letters of names and compare
+    its denotation with eval_named on 50 inputs."""
     bundle = linalg.register_linalg()
-    text = "let y = relu # x; mul # (y, x)"
     e = parse_expr_text(text)
-    term, out_ty = lower(e, (("x", R),), bundle.registry, bundle.literal_base)
-    tt = typecheck(term, R, bundle.registry)
+    params = tuple((name, R) for name in names)
+    term, out_ty = lower(e, params, bundle.registry, bundle.literal_base)
+    in_ty = R
+    for _ in names[1:]:
+        in_ty = TProd(R, in_ty)
+    tt = typecheck(term, in_ty, bundle.registry)
+    assert tt.out_ty == out_ty
     rng = stable_rng(81, "let-lower")
     for _ in range(50):
-        x = round(rng.uniform(-5, 5), 3)
-        got = denote(tt, x)
-        _, ref = eval_named(e, {"x": (R, x)}, bundle.registry, bundle.literal_base)
-        assert abs(got - ref) < 1e-12
+        xs = [round(rng.uniform(-5, 5), 3) for _ in names]
+        v = xs[-1]
+        for x in reversed(xs[:-1]):
+            v = (x, v)
+        _, ref = eval_named(e, {name: (R, x) for name, x in zip(names, xs)},
+                            bundle.registry, bundle.literal_base)
+        assert values_equal(out_ty, denote(tt, v), ref)
+
+
+def test_let_lowering_matches_reference():
+    _matches_reference("let y = relu # x; mul # (y, x)", "x")
+
+
+@pytest.mark.parametrize("text, names", [
+    # the let keeps one old level, then two that are not adjacent
+    ("let a = mul # (x, z); (a, x)", "xyz"),
+    ("let a = mul # (x, y); (a, (x, z))", "xyz"),
+    # the second let keeps nothing of the old context
+    ("let a = relu # x; let b = mul # (a, a); b", "xy"),
+    # a let inside a bound trims the context it sees, not the outer one
+    ("let a = (let b = y; b); (a, x)", "xy"),
+    ("let a = (let b = mul # (x, z); (b, y)); let c = relu # z; (c, (a, x))", "xyz"),
+])
+def test_trimmed_let_lowering_matches_reference(text, names):
+    _matches_reference(text, names)
 
 
 def test_mvmul_text_equals_catalog():
@@ -342,9 +374,13 @@ SURFACE_ERRORS = [
     # a type that runs short reads on into the body
     ("bundle linalg\nparam x : arr[2]\n\nmap relu # x\n", "unknown base type: 'map'", 2, 11),
     ("bundle linalg\nparam x : arr[x] real\n\nx\n", "bad array length: 'x'", 2, 11),
-    # a head's shape is read with the bundle, as a param type is
+    # a head's shape is resolved with the bundle when the head is elaborated
     ("bundle linalg\nparam x : arr[2] real\n\nreplicate arr[two] # x\n",
      "bad array length: 'two'", 4, 11),
+    ("bundle linalg\nparam x : arr[2] real\n\nreplicate vec[2] # x\n",
+     "unknown container: 'vec'", 4, 11),
+    # a `[...]` after a head without a `#` is not a shape
+    ("bundle linalg\nparam x : real\n\nmap relu [x, x]\n", "trailing input", 4, 5),
     ("param x : real\n\nx\n", "'param' before 'bundle'", 1, 1),
     ("-- no header\n  relu # x\n", "missing 'bundle' header", 2, 3),
     ("bundle linalg\n\nrelu # x\n", "missing 'param' declarations", 3, 1),
@@ -362,7 +398,8 @@ SURFACE_ERRORS = [
 @pytest.mark.parametrize("text, msg, line, col", SURFACE_ERRORS)
 def test_surface_error_table(text, msg, line, col):
     with pytest.raises(SurfaceSyntaxError) as exc:
-        parse_program_file(text)
+        bundle, prog = parse_program_file(text)
+        compile_program(prog, bundle.registry, bundle.literal_base)
     assert str(exc.value) == f"syntax error at line {line}, column {col}: {msg}"
     assert (exc.value.line, exc.value.col) == (line, col)
 
