@@ -51,7 +51,8 @@ and calls fn once per entry, and step computes fn(x ⊕ dx) ⊖ fn(x) per change
 key and stores x ⊕ dx, with no per-entry machine call.  The cache is the one
 the per-entry Triv machines keep, so the descriptor, cache_to_json and
 cache_entry_count are unchanged.  The fused `zip ; map f` stage is built by
-the same code, so it gets the kernel too.
+the same code, so it gets the kernel too; there a change with one side empty
+walks the other side's dict and ⊕s only that component of each cached pair.
 
 Adjacent seq stages `op ; dup ; (cst ε × id) ; filter p` (a selection σ_p
 after an op, where ε is the element default, so σ_p is linear) are built as
@@ -592,13 +593,14 @@ def _incr_map2(zip_tt, map_tt):
             return zip(dy, zip(repeat(na), dy.values()))
         return ((i, (dx.get(i, na), dy.get(i, nb))) for i in dx.keys() | dy.keys())
 
-    m = _map_machine(map_tt, entries)
+    m = _map_machine(map_tt, entries, zipped=True)
     zf, map_init = ca.compiled(zip_tt), m.init
     return replace(m, in_ty=zip_tt.in_ty, init=lambda xy: map_init(zf(xy)))
 
 
-def _map_machine(tt, entries):
-    """map over the (index, element change) pairs that entries(d) yields."""
+def _map_machine(tt, entries, zipped=False):
+    """map over the (index, element change) pairs that entries(d) yields;
+    zipped: it is the map of a fused `zip ; map f` (a pair of dict changes)."""
     body = tt.children[0]
     mf = incrementalize(body)
     shape = tt.in_ty.shape
@@ -673,8 +675,34 @@ def _map_machine(tt, entries):
                     out[i] = dy
             return out, c
 
+        step = _one_sided(step, fn, elem_in, din, df, out_nil) if zipped else step
+
     desc = CIndexed(shape, mf.cache, make_default)
     return IncrMachine(tt.in_ty, tt.out_ty, desc, init, step)
+
+
+def _one_sided(both, fn, elem_in, din, df, out_nil):
+    """A fused map2's Triv kernel step: a change with one side empty walks the
+    other side's dict and ⊕s only that component of each cached pair (x ⊕ 0 =
+    x), with no zipped entries or pair ⊕; a change on both sides goes to both."""
+    ap_l, ap_r = apply_fn(elem_in.left), apply_fn(elem_in.right)
+
+    def step(d, c):
+        dx, dy = d
+        if dx and dy:
+            return both(d, c)
+        right = not dx
+        out = {}
+        get = c.get
+        for i, di in (dy if right else dx).items():
+            x = get(i, din)
+            x2 = (x[0], ap_r(x[1], di)) if right else (ap_l(x[0], di), x[1])
+            dz = df(fn(x2), fn(x))
+            c[i] = x2
+            if not out_nil(dz):
+                out[i] = dz
+        return out, c
+    return step
 
 
 def _incr_fuse(tt):

@@ -1,11 +1,29 @@
-"""Independent brute-force oracles used across the test suite.
+"""Independent brute-force oracles used across the test suite, and a call
+recorder for the tests that count the work a step does.
 
-These deliberately avoid the engine's own code paths: plain lists and loops
-for linear algebra, nested loops for relations, recursion for trees.
+The oracles deliberately avoid the engine's own code paths: plain lists and
+loops for linear algebra, nested loops for relations, recursion for trees.
 """
 
 import math
 import random
+import sys
+
+
+def call_codes(f, *args):
+    """f(*args), and the code object of every Python call it made."""
+    codes = []
+
+    def record(frame, event, _arg):
+        if event == "call":
+            codes.append(frame.f_code)
+
+    sys.setprofile(record)
+    try:
+        out = f(*args)
+    finally:
+        sys.setprofile(None)
+    return out, codes
 
 
 def vec_to_list(v, n):

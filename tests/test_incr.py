@@ -14,7 +14,7 @@ from deltic.calculus import (
 )
 from deltic.core import (
     INT, NAT, REAL, SCALAR, Cl, Left, Right, Sl, Sr, SUM_NULL, SupportError, TBase,
-    TCont, TProd, TSum, apply_change, is_nil, nil_change, values_equal,
+    TCont, TProd, TSum, apply_change, apply_fn, is_nil, nil_change, values_equal,
 )
 from deltic.domains import gcounter, linalg, relalg
 from deltic.domains.containers import ARRAY, RELATION, arr, arr_shape, rel_shape
@@ -27,6 +27,7 @@ from deltic.oracle import (
     GenConfig, check_machine_laws, check_term_laws, gen_change, gen_index, gen_term,
     gen_type, gen_value, inject_fault, oracle_registry, stable_rng,
 )
+from helpers import call_codes
 
 R = TBase(REAL)
 Z = TBase(INT)
@@ -363,20 +364,7 @@ def _let_chain(stages, n):
 
 def _one_step_calls(m, x, d):
     """Python calls made by one step of m on the change d after init(x)."""
-    _, c = m.init(x)
-    calls = 0
-
-    def count(_frame, event, _arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
-
-    sys.setprofile(count)
-    try:
-        m.step(d, c)
-    finally:
-        sys.setprofile(None)
-    return calls
+    return len(call_codes(m.step, d, m.init(x)[1])[1])
 
 
 def _step_calls(stages, n=8):
@@ -670,21 +658,14 @@ def test_fused_map2_step_builds_no_zipped_change(sides):
     _, c = m.init(x)
     ch = {i: rng.uniform(-1, 1) for i in rng.sample(range(n), k)}
     d = {"left": (ch, {}), "right": ({}, ch), "both": (ch, ch)}[sides]
-    codes = []
-
-    def record(frame, event, _arg):
-        if event == "call":
-            codes.append(frame.f_code)
-
-    sys.setprofile(record)
-    try:
-        m.step(d, c)
-    finally:
-        sys.setprofile(None)
+    _, codes = call_codes(m.step, d, c)
     assert zip_code not in codes
     assert not [f for f in codes if f.co_name == "<dictcomp>"]
     assert codes.count(triv_step) == 0
     assert codes.count(linalg._mul.__code__) == 2 * k
+    if sides != "both":
+        # a one-sided change ⊕s only its side of each cached pair
+        assert apply_fn(TProd(R, R)).__code__ not in codes
 
 
 def test_map2_add_steps_as_one_container_add():
@@ -741,22 +722,6 @@ def _dense_change(rng, ty, x):
 TRIV_STEP = comb_triv(relu, R, R).step.__code__
 
 
-def _call_codes(f, *args):
-    """f(*args), and the code object of every Python call it made."""
-    codes = []
-
-    def record(frame, event, _arg):
-        if event == "call":
-            codes.append(frame.f_code)
-
-    sys.setprofile(record)
-    try:
-        out = f(*args)
-    finally:
-        sys.setprofile(None)
-    return out, codes
-
-
 def _kernel_cases():
     ids = ("a", "b", "c")
     cty = gcounter.counter_ty(ids)
@@ -777,7 +742,8 @@ def _kernel_cases():
 
 @pytest.mark.parametrize("reg, term, ty", _kernel_cases())
 def test_triv_kernel_laws_and_caches(monkeypatch, reg, term, ty):
-    # Laws 1-3 against denote over nil, sparse and dense changes, and every
+    # Laws 1-3 against denote over nil, sparse and dense changes (and, on a
+    # pair, a change on the left only and on the right only), and every
     # output change and cache equal to those of the per-entry Triv machines
     tt = typecheck(term, ty, reg)
     m, generic = _kernel_and_generic(monkeypatch, tt)
@@ -789,9 +755,13 @@ def test_triv_kernel_laws_and_caches(monkeypatch, reg, term, ty):
         assert y == yg
         assert values_equal(tt.out_ty, y, denote(tt, x), 1e-9)  # Law-1
         assert cache_to_json(m.cache, c) == cache_to_json(generic.cache, cg)
-        for d in (nil_change(ty), gen_change(rng, ty), _dense_change(rng, ty, x)):
-            (dy, c), codes = _call_codes(m.step, d, c)
-            (dyg, cg), generic_codes = _call_codes(generic.step, d, cg)
+        ds = [nil_change(ty), gen_change(rng, ty), _dense_change(rng, ty, x)]
+        if isinstance(ty, TProd):
+            ds += [(gen_change(rng, ty.left, nonnil=True), nil_change(ty.right)),
+                   (nil_change(ty.left), gen_change(rng, ty.right, nonnil=True))]
+        for d in ds:
+            (dy, c), codes = call_codes(m.step, d, c)
+            (dyg, cg), generic_codes = call_codes(generic.step, d, cg)
             assert TRIV_STEP not in codes
             assert (TRIV_STEP in generic_codes) == (d != nil_change(ty))
             assert dy == dyg
@@ -824,16 +794,19 @@ def _dense(n):
     return linalg.dense_term(n, n, w, b), arr(n, R), {i: rng.uniform(-1, 1) for i in range(n)}
 
 
-@pytest.mark.parametrize("case", ["map relu", "map2 mul", "dense"])
+@pytest.mark.parametrize("case", ["map relu", "map2 mul", "map2 mul left", "dense"])
 def test_triv_stale_cache_fault_reaches_the_kernel(case):
     reg = linalg.register_linalg().registry
     vec = arr(6, R)
+    mul2 = (map2(OpCall("mul")), TProd(vec, vec), ({0: 1.0, 2: 2.0}, {0: 3.0}))
     term, ty, x = {
         "map relu": (Map(OpCall("relu")), vec, {0: 1.0, 2: -3.0}),
-        "map2 mul": (map2(OpCall("mul")), TProd(vec, vec), ({0: 1.0, 2: 2.0}, {0: 3.0})),
+        "map2 mul": mul2,
+        "map2 mul left": mul2,
         "dense": _dense(6),
     }[case]
-    dx = {"map relu": {0: 2.0, 1: 1.5}, "map2 mul": ({}, {2: 1.0}), "dense": {1: 0.5}}[case]
+    dx = {"map relu": {0: 2.0, 1: 1.5}, "map2 mul": ({}, {2: 1.0}),
+          "map2 mul left": ({0: 1.0}, {}), "dense": {1: 0.5}}[case]
     tt = typecheck(term, ty, reg)
     for faulty in (False, True):
         with inject_fault("triv-stale-cache") if faulty else nullcontext():
@@ -852,10 +825,14 @@ def test_dense_step_runs_the_kernel():
     term, ty, x = _dense(n)
     m = incrementalize(typecheck(term, ty, linalg.register_linalg().registry))
     _, c = m.init(x)
-    _, codes = _call_codes(m.step, {i: 0.5 for i in (1, 4, 9)}, c)
+    _, codes = call_codes(m.step, {i: 0.5 for i in (1, 4, 9)}, c)
     assert TRIV_STEP not in codes
     assert codes.count(linalg._mul.__code__) == 2 * n * k
     assert codes.count(linalg._relu.__code__) == 2 * n
+    # 200 calls in all when each row zipped its change (the row itself is
+    # constant) and ⊕ed each changed cached pair with the pair ⊕; walking
+    # the changed side alone makes at most 160
+    assert len(codes) <= 160
 
 
 def _reference_count(desc, c):

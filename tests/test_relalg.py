@@ -16,7 +16,7 @@ from deltic.incr import (
 )
 from deltic.oracle import check_op_laws, inject_fault, stable_rng
 
-from helpers import oracle_join, oracle_proj, oracle_union, rand_relation
+from helpers import call_codes, oracle_join, oracle_proj, oracle_union, rand_relation
 
 Z = TBase(INT)
 
@@ -207,17 +207,7 @@ def test_fused_join_right_step_never_builds_the_cross_product():
     rng = stable_rng(55, "fused-join-calls")
     x = (rand_relation(rng, 200, key_range=20, val_range=1000), rand_relation(rng, 10))
     _, c = m.init(x)
-    codes = []
-
-    def record(frame, event, _arg):
-        if event == "call":
-            codes.append(frame.f_code)
-
-    sys.setprofile(record)
-    try:
-        m.step(({}, {(3, 7): 1, (4, 8): -1}), c)
-    finally:
-        sys.setprofile(None)
+    _, codes = call_codes(m.step, ({}, {(3, 7): 1, (4, 8): -1}), c)
     assert codes
     assert relalg._cross.__code__ not in codes
     assert not [f for f in codes if f.co_name == "<dictcomp>"]
