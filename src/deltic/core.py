@@ -172,12 +172,18 @@ class ContainerDef:
 
     enum_indices is present iff the index set of every shape is finite; when
     present it enumerates exactly the valid indices, without duplicates.
+
+    valid_indices, when present, is a bulk test over a whole key set, tried
+    before the per-key valid_index when a container of scalars is checked.
+    It may reject valid keys (the per-key check then decides), but it may
+    accept a key set only when valid_index accepts every key in it.
     """
 
     id: str
     valid_shape: Callable[[Any], bool]
     valid_index: Callable[[Any, Any], bool]
     enum_indices: Optional[Callable[[Any], list]] = None
+    valid_indices: Optional[Callable[[Any, Any], bool]] = None
     payload_to_text: Callable[[Any], str] = staticmethod(lambda p: "" if p is None else str(p))
     payload_from_text: Callable[[str], Any] = staticmethod(lambda t: None if t == "" else t)
 
@@ -615,10 +621,21 @@ def _check_fn(ty, change):
             valid, payload = shape.container.valid_index, shape.payload
             zero = nil_change(elem) if change else default_value(elem)
             mapping, stored = ("a change mapping", "nil") if change else ("a mapping", "default")
+            # A container of scalars whose element types are all sure, with
+            # no stored zero and keys that valid_indices accepts, conforms:
+            # three C-level passes.  Anything else takes the per-entry loop,
+            # the one place that says what is wrong.
+            sure = _SCALAR_OK[elem.base.kind][1] if isinstance(elem, TBase) else None
+            bulk = shape.container.valid_indices
+            if not sure or change and elem.base.nil is KEEP:
+                bulk = None
 
             def run_cont(v):
                 if not isinstance(v, dict):
                     raise _Reject(f": expected {mapping}, got {v!r}")
+                if (bulk and sure.issuperset(map(type, v.values()))
+                        and zero not in v.values() and bulk(payload, v.keys())):
+                    return
                 for i, ev in v.items():
                     if not valid(payload, i):
                         raise _Reject(f": invalid index for {shape!r}", f"[{i!r}]")

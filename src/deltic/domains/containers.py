@@ -28,11 +28,21 @@ def _array_length(text):
         raise ConformanceError(f"bad array length: {text.strip()!r}") from None
 
 
+_EXACT_INT = frozenset((int,))
+
+
+def _array_indices(p, keys):
+    """Bulk valid_index: every key an exact int in [0, p)."""
+    return not keys or (_EXACT_INT.issuperset(map(type, keys))
+                        and 0 <= min(keys) and max(keys) < p)
+
+
 ARRAY = ContainerDef(
     id="arr",
     valid_shape=lambda p: _is_int(p) and p >= 0,
     valid_index=lambda p, i: _is_int(i) and 0 <= i < p,
     enum_indices=lambda p: list(range(p)),
+    valid_indices=_array_indices,
     payload_to_text=str,
     payload_from_text=_array_length,
 )

@@ -30,8 +30,10 @@ Adjacent seq stages `zip ; map f` (map2) are built as one fused stage whose
 step walks the changed keys of (dx, dy) and steps f (or calls its
 derivative) per key, with no zipped change in between.  The zip slot stays
 UNIT and the map slot keeps its per-index cache, so the cache layout is that
-of the unfused pair.  A par with one cache-free side calls that side's
-derivative directly; its slot stays UNIT.
+of the unfused pair.  Its init zips two inputs that have one key set in a
+C-level pass (others go through the compiled zip), and a Triv body's kernel
+keeps that fresh dict as its cache instead of copying it.  A par with one
+cache-free side calls that side's derivative directly; its slot stays UNIT.
 
 Adjacent seq stages `dup ; par(f, g)` are one fanout stage, built by the par
 builder, which hands the one input change to both sides; the dup slot stays
@@ -595,12 +597,20 @@ def _incr_map2(zip_tt, map_tt):
 
     m = _map_machine(map_tt, entries, zipped=True)
     zf, map_init = ca.compiled(zip_tt), m.init
-    return replace(m, in_ty=zip_tt.in_ty, init=lambda xy: map_init(zf(xy)))
+
+    def init(xy):
+        x, y = xy
+        if x.keys() == y.keys():
+            return map_init(dict(zip(x, zip(x.values(), map(y.__getitem__, x)))))
+        return map_init(zf(xy))
+
+    return replace(m, in_ty=zip_tt.in_ty, init=init)
 
 
 def _map_machine(tt, entries, zipped=False):
     """map over the (index, element change) pairs that entries(d) yields;
-    zipped: it is the map of a fused `zip ; map f` (a pair of dict changes)."""
+    zipped: it is the map of a fused `zip ; map f` (a pair of dict changes),
+    whose init is handed a fresh zipped dict that the machine may own."""
     body = tt.children[0]
     mf = incrementalize(body)
     shape = tt.in_ty.shape
@@ -655,7 +665,8 @@ def _map_machine(tt, entries, zipped=False):
         df = diff_fn(elem_out)
 
         def init(x):
-            caches = dict(ca.map_inputs(x, fn(din), shape, din, dout))
+            fe = fn(din)
+            caches = x if zipped and fe == dout else dict(ca.map_inputs(x, fe, shape, din, dout))
             out = {}
             for i, xi in caches.items():
                 y = fn(xi)

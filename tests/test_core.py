@@ -1,5 +1,7 @@
 """Change-structure algebra on the universal value representation."""
 
+import dataclasses
+
 import pytest
 
 from deltic.calculus import Cst, TermTypeError, typecheck
@@ -9,7 +11,7 @@ from deltic.core import (
     apply_change, check_change, check_value, default_value, diff_values,
     apply_fn, is_nil, nil_change, own_copy, support, update_fn, values_equal,
 )
-from deltic.domains.containers import arr, rel_shape, tree_shape
+from deltic.domains.containers import ARRAY, arr, rel_shape, tree_shape
 from deltic.oracle import (
     GenConfig, gen_change, gen_type, gen_value, oracle_registry, reachable_pair, stable_rng,
 )
@@ -303,6 +305,111 @@ def test_conformance_messages_with_a_path_and_from_changes():
     with pytest.raises(ConformanceError) as e:
         check_change(arr(2, SUM_RR), {0: Sr(True)})
     assert str(e.value) == "change[0].sr: True is not a real scalar"
+
+
+class _Idx(int):
+    """An int subclass: a valid array index that is not an exact int."""
+
+
+def _deep_matrix(bad):
+    """A 400×400 matrix of nonzero reals with entry (237, 311) set to bad."""
+    m = {i: {j: 1.0 + (i * 400 + j) % 7 for j in range(400)} for i in range(400)}
+    m[237][311] = bad
+    return m
+
+
+# Arrays of scalars pass a bulk test before the per-entry loop: one row per
+# input the bulk test must hand back to the loop, with the loop's message,
+# or None where the loop accepts.  The messages are those of the per-entry
+# loop alone (a checker with no bulk test prints the same).
+A4, Z4, N4, M4 = arr(4, R), arr(4, Z), arr(4, N), arr(4, arr(4, R))
+BULK_CASES = [
+    (A4, {True: 1.0}, "[True]: invalid index for arr[4]", None),
+    (A4, {1.0: 1.0}, "[1.0]: invalid index for arr[4]", None),
+    (A4, {-1: 1.0}, "[-1]: invalid index for arr[4]", None),
+    (A4, {4: 1.0}, "[4]: invalid index for arr[4]", None),
+    (A4, {0: 1.0, _Idx(3): 2.0}, None, None),
+    (A4, {0: 1.0, 1: 0.0}, "[1]: stored default breaks canonical form",
+     "[1]: stored nil breaks canonical form"),
+    (A4, {2: -0.0}, "[2]: stored default breaks canonical form",
+     "[2]: stored nil breaks canonical form"),
+    (A4, {3: 0}, "[3]: stored default breaks canonical form",
+     "[3]: stored nil breaks canonical form"),
+    (A4, {0: True}, "[0]: True is not a real scalar", "[0]: True is not a real change"),
+    (A4, {1: "a"}, "[1]: 'a' is not a real scalar", "[1]: 'a' is not a real change"),
+    (A4, {0: "a", 9: 1.0}, "[0]: 'a' is not a real scalar", "[0]: 'a' is not a real change"),
+    (A4, {0: 1.0, 3: 2}, None, None),
+    (A4, {}, None, None),
+    (Z4, {0: 1.5}, "[0]: 1.5 is not a int scalar", "[0]: 1.5 is not a int change"),
+    (Z4, {1: False}, "[1]: False is not a int scalar", "[1]: False is not a int change"),
+    (Z4, {2: 0}, "[2]: stored default breaks canonical form",
+     "[2]: stored nil breaks canonical form"),
+    (Z4, {_Idx(1): 5, 4: 1}, "[4]: invalid index for arr[4]", None),
+    (Z4, {0: 3, 3: -2}, None, None),
+    (N4, {0: -1}, "[0]: -1 is not a nat scalar", "[0]: -1 is not a nat change"),
+    (N4, {1: 0}, "[1]: stored default breaks canonical form",
+     "[1]: stored nil breaks canonical form"),
+    (N4, {True: 1}, "[True]: invalid index for arr[4]", None),
+    (N4, {0: 2, 3: 1}, None, None),
+    (M4, {1: {True: 1.0}}, "[1][True]: invalid index for arr[4]", None),
+    (M4, {0: {0: 1.0}, 2: {1: -0.0}}, "[2][1]: stored default breaks canonical form",
+     "[2][1]: stored nil breaks canonical form"),
+    (M4, {3: {2: "a"}}, "[3][2]: 'a' is not a real scalar", "[3][2]: 'a' is not a real change"),
+    (M4, {0: {0: 1.0}, 3: {_Idx(3): 2.0}}, None, None),
+    (arr(400, arr(400, R)), _deep_matrix(0.0),
+     "[237][311]: stored default breaks canonical form",
+     "[237][311]: stored nil breaks canonical form"),
+    (arr(400, arr(400, R)), _deep_matrix(False),
+     "[237][311]: False is not a real scalar", "[237][311]: False is not a real change"),
+]
+
+
+@pytest.mark.parametrize("ty, v, value_msg, change_msg", BULK_CASES)
+def test_bulk_conformance_accepts_exactly_what_the_loop_accepts(ty, v, value_msg, change_msg):
+    # a change's message differs from a value's only at scalars and stored
+    # zeros; elsewhere the change row repeats the value row's tail
+    change_msg = change_msg or value_msg
+    for check, side, msg in [(check_value, "value", value_msg),
+                             (check_change, "change", change_msg)]:
+        if msg is None:
+            check(ty, v)
+            continue
+        with pytest.raises(ConformanceError) as e:
+            check(ty, v)
+        assert str(e.value) == side + msg
+
+
+def _loop_only(ty):
+    """ty with every array shape's bulk index test removed."""
+    if isinstance(ty, TCont):
+        c = dataclasses.replace(ty.shape.container, valid_indices=None)
+        return TCont(Shape(c, ty.shape.payload), _loop_only(ty.elem))
+    return ty
+
+
+def test_array_valid_indices_accepts_only_valid_key_sets():
+    # valid_indices may reject a valid key set, never accept an invalid one;
+    # and checking with it gives the message of the loop alone
+    rng = stable_rng(60, "array-valid-indices")
+    n = 5
+    pool = [*range(-2, n + 2), True, False, 1.0, 0.0, _Idx(2), _Idx(n), 10 ** 20, "1", (1,)]
+    accepted = 0
+    for _ in range(2000):
+        keys = dict.fromkeys(rng.sample(pool, rng.randint(0, 4))).keys()
+        ok = ARRAY.valid_indices(n, keys)
+        assert not ok or all(ARRAY.valid_index(n, i) for i in keys), list(keys)
+        accepted += ok
+        ty = arr(n, R)
+        v = dict.fromkeys(keys, rng.choice([1.0, 2, 0.0, -0.0, True, "a"]))
+        outs = []
+        for t in (ty, _loop_only(ty)):
+            try:
+                check_value(t, v)
+                outs.append(None)
+            except ConformanceError as e:
+                outs.append(str(e))
+        assert outs[0] == outs[1]
+    assert accepted > 200
 
 
 def test_bad_literal_message_and_no_memo_across_builds():

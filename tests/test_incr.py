@@ -668,6 +668,54 @@ def test_fused_map2_step_builds_no_zipped_change(sides):
         assert apply_fn(TProd(R, R)).__code__ not in codes
 
 
+def _fused_init_cases():
+    lin = linalg.register_linalg().registry
+    rel = relalg.register_relalg().registry
+    vec, table = arr(6, R), relalg.rel("int")
+    full = {i: 0.5 * i - 1.0 for i in range(6) if i != 2}
+    sparse = {1: 2.0, 4: -1.5}
+    tuples = {1: 2, 5: -1, 7: 3}
+    return [pytest.param(reg, body, side, xy, id=f"{name}-{keys}") for name, reg, body, side in [
+        ("mul", lin, OpCall("mul"), vec),
+        ("relu-add", lin, seq(Plus(), OpCall("relu")), vec),
+        ("intmul", rel, OpCall("intmul"), table),
+    ] for keys, xy in [
+        ("equal", (full, dict(reversed(full.items()))) if side is vec
+         else (tuples, {7: 1, 1: -1, 5: 4})),
+        ("sparse", (full, sparse) if side is vec else (tuples, {5: 2, 9: 1})),
+        ("empty", (sparse, {}) if side is vec else ({}, tuples)),
+    ]]
+
+
+@pytest.mark.parametrize("reg, body, side, xy", _fused_init_cases())
+def test_fused_map2_init_equals_zip_then_map(reg, body, side, xy):
+    # the fused init zips the inputs itself (one C-level pass when both have
+    # one key set) and may own that dict; it is the compiled zip followed by
+    # the map's init, and one step from either init keeps Laws 2-3
+    in_ty = TProd(side, side)
+    tt = typecheck(map2(body), in_ty, reg)
+    zip_tt = typecheck(ca.Zip(), in_ty, reg)
+    map_tt = typecheck(Map(body), zip_tt.out_ty, reg)
+    fused, unfused = incrementalize(tt), incrementalize(map_tt)
+    zf, zd = ca.compiled(zip_tt), incrementalize(zip_tt).deriv
+    snapshot = (dict(xy[0]), dict(xy[1]))
+    y, c = fused.init(xy)
+    yu, cu = unfused.init(zf(xy))
+    assert y == yu
+    assert cache_to_json(fused.cache, c) == ["unit", cache_to_json(unfused.cache, cu)]
+    assert cache_entry_count(fused.cache, c) == cache_entry_count(unfused.cache, cu)
+    rng = stable_rng(43, f"fused-init-{body!r}")
+    d = (gen_change(rng, side, nonnil=True), gen_change(rng, side, nonnil=True))
+    x2 = apply_change(in_ty, xy, d)
+    for m, cache, out, step in [(fused, c, y, lambda c: fused.step(d, c)),
+                                (unfused, cu, yu, lambda c: unfused.step(zd(d), c))]:
+        dout, cache = step(cache)
+        y2 = apply_change(tt.out_ty, out, dout)
+        assert values_equal(tt.out_ty, y2, denote(tt, x2), 1e-9)  # Law-2
+        assert cache_equal(m.cache, cache, m.init(x2 if m is fused else zf(x2))[1], 1e-9)  # Law-3
+    assert xy == snapshot  # the step wrote into the fused init's own dict
+
+
 def test_map2_add_steps_as_one_container_add():
     # map2 ⊕, at any nesting, is ⊕ on the container: with one side's change
     # nil, a step hands back the other side's change in a fixed number of

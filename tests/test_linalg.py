@@ -2,7 +2,7 @@
 
 import pytest
 
-from deltic.calculus import denote, typecheck
+from deltic.calculus import Zip, compiled, denote, typecheck
 from deltic.core import REAL, TBase, TProd, apply_change, values_equal
 from deltic.domains import linalg
 from deltic.domains.containers import arr
@@ -10,7 +10,7 @@ from deltic.incr import cache_entry_count, incrementalize
 from deltic.oracle import stable_rng
 
 from helpers import (
-    lists_to_mat, list_to_vec, mat_to_lists, oracle_dense, oracle_dot,
+    call_codes, lists_to_mat, list_to_vec, mat_to_lists, oracle_dense, oracle_dot,
     oracle_mmmul, oracle_mvmul, vec_to_list,
 )
 
@@ -125,6 +125,24 @@ def test_dense_cache_holds_2nm_plus_n(bundle):
     x = {i: rng.uniform(-1, 1) for i in range(m)}
     _, cache = machine.init(x)
     assert cache_entry_count(machine.cache, cache) == 2 * n * m + n
+
+
+def test_dense_setup_checks_and_zips_rows_in_bulk(bundle):
+    # Python calls, not time: typecheck of the n×n weight literal checks each
+    # row in C-level passes (about 3·n² calls when it went entry by entry;
+    # 345 at n = 60), and init zips each row with x without the compiled zip
+    n = 60
+    rng = stable_rng(44, "dense-setup-calls")
+    M = {i: {j: rng.uniform(-1, 1) for j in range(n)} for i in range(n)}
+    b = {i: rng.uniform(-1, 1) for i in range(n)}
+    x = {i: rng.uniform(-1, 1) for i in range(n)}
+    term = linalg.dense_term(n, n, M, b)
+    tt, codes = call_codes(typecheck, term, arr(n, R), bundle.registry)
+    assert len(codes) <= 10 * n
+    run_zip = compiled(typecheck(Zip(), TProd(arr(n, R), arr(n, R)), bundle.registry))
+    assert run_zip.__code__.co_name == "run_zip"
+    _, codes = call_codes(incrementalize(tt).init, x)
+    assert run_zip.__code__ not in codes
 
 
 def test_dense_float_drift_stays_bounded(bundle):
