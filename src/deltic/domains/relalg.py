@@ -8,13 +8,19 @@ multiplicities and need no cache at all.
 A selection σ_p = ⟨cst 0, id⟩ ; filter p drops rows to the default 0, so it
 is linear and σ_p ∘ cross is bilinear too.  cross registers that fused
 operation as its make_selected, and incr builds a join `cross ; σ_p` as one
-bilinear stage whose kernel tests p on each pair before making it: no cross
-product is built and filtered afterwards.  The stage caches the two input
-relations, exactly as the unfused cross does, so the join's cache layout is
-unchanged; batch evaluation (calculus.denote) stays the unfused reference.
+bilinear stage (comb_bilin with the join's index) that tests p on each pair
+before making it: no cross product is built and filtered afterwards.  The
+stage caches the two input relations, as the unfused cross does, and a
+third part: for each cached right tuple, the cached left tuples it matches.
+So a change to a right tuple the join already holds reads its matches, and
+p is tested only for a right tuple new to the join, against the whole left
+relation, or for a changed left tuple, against the right relation.  p stays
+opaque.  Batch evaluation (calculus.denote) stays the unfused reference.
 """
 
 from __future__ import annotations
+
+from itertools import chain, repeat
 
 from ..calculus import (
     Cst, Filter, ID, Map, OpCall, OpDef, Plus, ProgramDef, Registry, Term,
@@ -53,22 +59,71 @@ def _cross(xy):
     return out
 
 
-def _selected_cross(p):
-    """σ_p ∘ cross: only pairs that satisfy p are made.
+def _join_index(p) -> incr.BilinIndex:
+    """The matches of σ_p ∘ cross, kept for each right tuple j of the cached
+    right relation: the left tuples i of the cached left relation with
+    p((i, j)), in four buckets picked by hash(i), so that a deletion scans a
+    quarter of them.  The buckets hold the tuples the left relation holds.
 
-    The right relation is the outer loop: on a right-side change the large
-    left relation is walked once per changed right tuple.
+    Only pairs that satisfy p are made.  A right tuple already cached reads
+    its matches instead of testing p; one new to the right relation walks
+    the left relation with p, and its hits become its matches.  A left step
+    updates the matches of the pairs its own term finds: i is new in x iff
+    x'[i] == dx[i], and gone iff i ∉ x'.
     """
-    def fn(xy):
+    def scan(r, j, b, out):
+        bk = ([], [], [], [])
+        for i, a in r.items():
+            if p((i, j)):
+                out[(i, j)] = a * b
+                bk[hash(i) & 3].append(i)
+        return bk
+
+    def init(xy):
         r, s = xy
         out = {}
+        ix = {j: scan(r, j, b, out) for j, b in s.items()}
+        return out, ix
+
+    def left(dr, s, r2, ix):
+        out = {}
+        get = r2.get
         for j, b in s.items():
-            for i, a in r.items():
-                if p((i, j)):
-                    out[(i, j)] = a * b
+            bk = ix[j]
+            # zip makes the pairs and filter calls p on them, in C: over a
+            # change this pays for the upkeep (over a whole relation, in
+            # scan, the plain loop measured faster)
+            for ij in filter(p, zip(dr, repeat(j))):
+                i = ij[0]
+                a = dr[i]
+                out[ij] = a * b
+                now = get(i)
+                if now is None:
+                    bk[hash(i) & 3].remove(i)
+                elif now == a:
+                    bk[hash(i) & 3].append(i)
         return out
 
-    return fn
+    def right(r, ds, s2, ix):
+        out = {}
+        for j, b in ds.items():
+            bk = ix.get(j)
+            if bk is None:
+                ix[j] = scan(r, j, b, out)
+                continue
+            for i in chain.from_iterable(bk):
+                out[(i, j)] = r[i] * b
+            if j not in s2:
+                del ix[j]
+        return out
+
+    return incr.BilinIndex(incr.CMatches(), init, left, right)
+
+
+def _selected_join(p, in_ty, out_ty):
+    """σ_p ∘ cross as one bilinear stage whose terms its index makes."""
+    ix = _join_index(p)
+    return incr.comb_bilin(lambda xy: ix.init(xy)[0], in_ty, out_ty, ix)
 
 
 def _cross_typer(ty):
@@ -157,7 +212,7 @@ def register_relalg() -> InstanceBundle:
         "cross", _cross_typer, _cross,
         lambda i, o: incr.comb_bilin(_cross, i, o),
         sample_in_tys=(TProd(rel("int"), rel("str")),),
-        make_selected=lambda p, i, o: incr.comb_bilin(_selected_cross(p), i, o)))
+        make_selected=_selected_join))
     reg.register_op(OpDef(
         "count", _count_typer, _count,
         lambda i, o: incr.comb_self(_count, _count, i, o),

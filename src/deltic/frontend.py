@@ -25,6 +25,8 @@ Lowering turns contexts into right-nested products, a variable into one
 projection path, and `let` into `dup ; (e1 × keep) ; e2`: keep projects the
 context onto the bindings a later bind or the body reads (`id` when all are;
 with none, the let is `e1 ; e2`), found by one backward pass per let chain.
+Kept bindings that run to the end of the context are its tail, taken by one
+`Proj((1,) * t)`, so keeping the params costs one node, not a path each.
 It reads names itself: one walk keeps the binding level of each name in
 scope and lowers a name to the projection path of its level (eval_named, the
 reference, keeps every binding).
@@ -429,7 +431,11 @@ def lower(nt, params, registry: Registry, literal_base) -> tuple[Term, Any]:
                     kept = sorted({levels[n] for n in after.pop() if n != name and n in levels})
                     width, keep = len(tys), ID
                     if len(kept) < width:
-                        paths = [_var_term(width - 1 - level, width) for level in reversed(kept)]
+                        # the run of levels 0, 1, ... is the context's tail: one Proj
+                        tail = next((k for k, level in enumerate(kept) if level != k), len(kept))
+                        paths = [_var_term(width - 1 - level, width) for level in reversed(kept[tail:])]
+                        if tail:
+                            paths.append(Proj((1,) * (width - tail)))
                         keep = _right_nested(paths, fanout) if paths else None
                         rank = {level: k for k, level in enumerate(kept)}
                         levels = {n: rank[level] for n, level in levels.items() if level in rank}

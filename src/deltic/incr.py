@@ -61,8 +61,8 @@ after an op, where ε is the element default, so σ_p is linear) are built as
 one stage when the op registers make_selected: for relalg's cross this is a
 bilinear join that tests p on each pair before making it.  The fused
 machine takes the op's slot and the three selection slots stay UNIT; they
-were cache-free anyway, so the cache layout is that of the unfused seq.
-Batch evaluation is not fused, so the laws check one against the other.
+were cache-free anyway.  Batch evaluation is not fused, so the laws check
+one against the other.
 
 comb_bilin (the unfused cross and the selected join alike) owns its cache:
 init stores its own top-level copy of each container side (two copies when
@@ -78,6 +78,13 @@ comb_triv and comb_triv2 (fn may return its input), case (its cached output
 is the init output it returned) and distr (Sl((x2, v)) hands out the cached
 x2).
 
+The selected join hands comb_bilin a BilinIndex, kept as a third cache part
+after the two inputs: for each right tuple, the left tuples it matches
+(CMatches, compared as a set per right tuple; it holds no scalars, so
+cache_entry_count is the unfused one).  With an index, step is the product
+rule as two one-sided steps, f(dx, y) ⊕ f(x ⊕ dx, dy): each side is ⊕ed in
+place first, then the index makes that side's term and updates itself.
+
 The laws every machine satisfies (checked by the oracle module, not assumed):
 
   Law-1   init(x).value  == f(x)
@@ -89,7 +96,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cache
-from itertools import groupby, repeat
+from itertools import chain, groupby, repeat
 from typing import Any, Callable, Optional
 
 from . import calculus as ca
@@ -149,6 +156,13 @@ class CIndexed:
 
 
 @dataclass(frozen=True)
+class CMatches:
+    """A join's matches: for each right index j, the left indices paired with
+    it, held in a few lists (buckets).  Compared as a set per j and printed
+    sorted, so the buckets and the order within them do not matter."""
+
+
+@dataclass(frozen=True)
 class CCase:
     """Branch cache of case: (sub-cache, previous output) on the live side."""
     left: Any
@@ -173,6 +187,9 @@ def cache_equal(desc, c1, c2, rel_tol=0.0) -> bool:
                 if not cache_equal(elem, e1, e2, rel_tol):
                     return False
             return True
+        case CMatches():
+            return c1.keys() == c2.keys() and all(
+                _matched(c1[j]) == _matched(c2[j]) for j in c1)
         case CCase(left, left_out, right, right_out):
             if type(c1) is not type(c2):
                 return False
@@ -195,10 +212,14 @@ def cache_to_json(desc, c):
         case CIndexed(_, elem, make_default):
             dft = make_default()
             entries = []
-            for k in sorted(c.keys(), key=index_sort_key):
+            for k in _sorted(c):
                 if not cache_equal(elem, c[k], dft, 0.0):
                     entries.append([index_to_json(k), cache_to_json(elem, c[k])])
             return {"indexed": entries}
+        case CMatches():
+            return {"matches": [
+                [index_to_json(j), [index_to_json(i) for i in _sorted(_matched(c[j]))]]
+                for j in _sorted(c)]}
         case CCase(left, left_out, right, right_out):
             if type(c) is Left:
                 return {"case_left": [cache_to_json(left, c.value[0]),
@@ -207,6 +228,14 @@ def cache_to_json(desc, c):
                                    value_to_json(right_out, c.value[1])]}
         case _:
             raise UsageError(f"not a cache descriptor: {desc!r}")
+
+
+def _matched(buckets):
+    return set(chain.from_iterable(buckets))
+
+
+def _sorted(indices):
+    return sorted(indices, key=index_sort_key)
 
 
 def cache_entry_count(desc, c) -> int:
@@ -221,7 +250,7 @@ def _counter(desc):
     every c (else None).  A container whose entries each hold k scalars is
     counted as k · len(c), without visiting its entries."""
     match desc:
-        case CUnit():
+        case CUnit() | CMatches():
             return _fixed(0)
         case TBase():
             return _fixed(1)
@@ -338,12 +367,31 @@ def comb_lin(fn, in_ty, out_ty) -> IncrMachine:
     return comb_self(fn, fn, in_ty, out_ty)
 
 
-def comb_bilin(fn, in_ty, out_ty) -> IncrMachine:
+@dataclass(frozen=True)
+class BilinIndex:
+    """A third part of comb_bilin's cache, kept beside the two inputs.
+
+    It makes f's terms itself, reading and updating the index as it goes:
+    init(xy) is (f(xy), the index of xy); left(dx, y, x2, index) is f(dx, y)
+    and updates the index for x2 = x ⊕ dx; right(x, dy, y2, index) is
+    f(x, dy) and updates it for y2 = y ⊕ dy.  cache describes the index.
+    """
+    cache: Any
+    init: Callable[[Any], tuple]
+    left: Callable[[Any, Any, Any, Any], Any]
+    right: Callable[[Any, Any, Any, Any], Any]
+
+
+def comb_bilin(fn, in_ty, out_ty, index: Optional[BilinIndex] = None) -> IncrMachine:
     """Bilinear binary function; caches both inputs, owned.
 
     step((dx, dy), (x, y)) emits f(dx,dy) ⊕ f(dx,y) ⊕ f(x,dy); nil sides are
     skipped, which is sound exactly because f is (bi)linear.  The cached
     inputs are the machine's own copies, which step ⊕s in place.
+
+    With an index the cache is (x, y, index) and step is the product rule as
+    two one-sided steps, f(dx, y) ⊕ f(x ⊕ dx, dy), whose terms the index
+    makes: each side is ⊕ed before its own term is made.
     """
     if not isinstance(in_ty, TProd):
         raise ca.TermTypeError("BiLin needs a product input type")
@@ -359,6 +407,28 @@ def comb_bilin(fn, in_ty, out_ty) -> IncrMachine:
     up_a = update_fn(a_ty)
     up_b = update_fn(b_ty)
     nil_out = nil_change(out_ty)
+
+    if index is not None:
+        build, left, right = index.init, index.left, index.right
+
+        def init(xy):
+            out, ix = build(xy)
+            return out, (own_copy(xy[0]), own_copy(xy[1]), ix)
+
+        def step(d, c):
+            dx, dy = d
+            x, y, ix = c
+            out = nil_out
+            if not nil_a(dx):
+                x = up_a(x, dx)
+                out = left(dx, y, x, ix)
+            if not nil_b(dy):
+                y = up_b(y, dy)
+                out = add_c(out, right(x, dy, y, ix))
+            return out, (x, y, ix)
+
+        desc = CTuple((CValue(a_ty), CValue(b_ty), index.cache))
+        return IncrMachine(in_ty, out_ty, desc, init, step)
 
     def init(xy):
         # each side gets its own copy, also when both are one object (dup)

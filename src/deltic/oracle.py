@@ -4,7 +4,7 @@ Everything here is reproducible from (seed, check name): generators draw from
 a Random seeded by a stable digest, and reports carry no non-deterministic
 content.  Failures are reported with full (x, dx) witnesses, never raised.
 
-The six documented fault injections (for mutation-sensitivity testing):
+The seven documented fault injections (for mutation-sensitivity testing):
 
   triv-stale-cache       Triv step returns the old cache         -> Law-3
   swap-fst-snd           fst's derivative projects the other leg -> Law-2
@@ -13,6 +13,8 @@ The six documented fault injections (for mutation-sensitivity testing):
   debruijn-off-by-one    variable lowering shifts every index    -> lowering
   bilin-aliased-cache    BiLin caches the caller's inputs, not   -> Law-2
                          copies, so its in-place ⊕ writes into them
+  join-stale-matches     a left step of the fused join leaves a  -> Law-3
+                         new left tuple out of its matches
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .core import (
     apply_fn, default_value, diff_values, is_nil, is_nil_fn, nil_change,
     plus_capable, values_equal,
 )
+from .domains import relalg
 from .domains.containers import (
     ARRAY, RELATION, TREE, arr, arr_shape, dict_shape, rel_shape, tree_shape,
 )
@@ -690,6 +693,82 @@ def check_completeness(ty, rng, samples=200, rel_tol=1e-9, name="completeness") 
 
 
 # ---------------------------------------------------------------------------
+# relalg's fused join
+# ---------------------------------------------------------------------------
+
+_JOIN_PREDS = (
+    ("key-eq", lambda ij: ij[0][0] == ij[1][0]),
+    ("non-key", lambda ij: (ij[0][1] + ij[1][1]) % 3 == 0),
+)
+
+
+def _join_tuple(rng):
+    return (rng.randrange(4), rng.randrange(8))
+
+
+def _join_side_change(rng, rel, gone):
+    """A relation change: deletions (noted in gone), multiplicity edits that
+    may turn negative, fresh tuples and re-inserts of deleted ones."""
+    d = {}
+    for t in rng.sample(sorted(rel), min(len(rel), rng.randint(0, 2))):
+        d[t] = -rel[t] if rng.random() < 0.5 else rng.choice((-2, -1, 1))
+    if gone and rng.random() < 0.5:
+        d[gone.pop(rng.randrange(len(gone)))] = rng.choice((1, 2))
+    for _ in range(rng.randint(0, 2)):
+        t = _join_tuple(rng)
+        if t not in rel:
+            d[t] = rng.choice((-2, -1, 1, 2))
+    d = {t: m for t, m in d.items() if m}
+    gone += [t for t, m in d.items() if t in rel and rel[t] + m == 0]
+    return d
+
+
+def _join_sample(rng, machine, fn, in_ty, out_ty, k):
+    """One sample of check_fused_join: a failure witness, or None."""
+    x = tuple({_join_tuple(rng): rng.choice((-1, 1, 2)) for _ in range(n)}
+              for n in (rng.randint(0, 12), rng.randint(0, 5)))
+    xs, ds, gone = _show(value_to_text, in_ty, x), [], ([], [])
+    try:
+        y, c = machine.init(x)
+        if y != fn(x):
+            return dict(law="Law-1", x=xs)
+        for it in range(6):
+            dx, dy = (_join_side_change(rng, v, g) for v, g in zip(x, gone))
+            d = [(dx, {}), ({}, dy), (dx, dy)][(k + it) % 3]
+            ds.append(_show(change_to_text, in_ty, d))
+            dout, c = machine.step(d, c)
+            x = apply_change(in_ty, x, d)
+            y = apply_change(out_ty, y, dout)
+            if y != fn(x):
+                return dict(law="Law-2", x=xs, ds=ds)
+            if not incr.cache_equal(machine.cache, c, machine.init(x)[1]):
+                return dict(law="Law-3", x=xs, ds=ds)
+    except Exception as e:  # a crashing machine is a failed law, with witness
+        return dict(law="exception", x=xs, ds=ds, error=repr(e))
+    return None
+
+
+def check_fused_join(seed=42, samples=60) -> CheckReport:
+    """Laws 1-3 of relalg's fused join `cross ; σ_p`, for a key-equality and
+    a non-key predicate, after every step of a change list that mixes
+    left-only, right-only and two-sided changes."""
+    rng = stable_rng(seed, "relalg:fused-join")
+    pair_rel = TCont(rel_shape(("int", "int")), Z)
+    in_ty = TProd(pair_rel, pair_rel)
+    for name, pred in _JOIN_PREDS:
+        bundle = relalg.register_relalg()
+        bundle.registry.register_index_pred(name, pred)
+        tt = ca.typecheck(relalg.join_term(name), in_ty, bundle.registry)
+        machine, fn = incr.incrementalize(tt), ca.compiled(tt)
+        for k in range(samples // len(_JOIN_PREDS)):
+            failure = _join_sample(rng, machine, fn, in_ty, tt.out_ty, k)
+            if failure:
+                return CheckReport("relalg:fused-join", seed, samples, False,
+                                   [dict(pred=name, sample=k, **failure)])
+    return CheckReport("relalg:fused-join", seed, samples, True)
+
+
+# ---------------------------------------------------------------------------
 # Finite-support suite
 # ---------------------------------------------------------------------------
 
@@ -863,8 +942,8 @@ def _seq_drop_propagation(_orig):
 
 
 def _bilin_missing_term(orig):
-    def bad(fn, in_ty, out_ty):
-        m = orig(fn, in_ty, out_ty)
+    def bad(fn, in_ty, out_ty, index=None):
+        m = orig(fn, in_ty, out_ty, index)
         a_ty, b_ty = in_ty.left, in_ty.right
         nil_a, nil_b = is_nil_fn(a_ty), is_nil_fn(b_ty)
         ap_a, ap_b = apply_fn(a_ty), apply_fn(b_ty)
@@ -873,14 +952,16 @@ def _bilin_missing_term(orig):
 
         def step(d, c):
             dx, dy = d
-            x, y = c
+            x, y = c[0], c[1]
             out = nil_out
             if not nil_a(dx) and not nil_b(dy):
                 out = add_c(out, fn((dx, dy)))
             if not nil_a(dx):
                 out = add_c(out, fn((dx, y)))
             # f(x, dy) forgotten
-            return out, (ap_a(x, dx), ap_b(y, dy))
+            x, y = ap_a(x, dx), ap_b(y, dy)
+            # an index, when there is one, is rebuilt for the new inputs
+            return out, (x, y) if index is None else (x, y, index.init((x, y))[1])
 
         m.step = step
         return m
@@ -892,10 +973,31 @@ def _off_by_one(orig):
 
 
 def _aliased_cache(orig):
-    def bad(fn, in_ty, out_ty):
-        m = orig(fn, in_ty, out_ty)
-        m.init = lambda xy: (fn(xy), xy)  # the caller's relations, not copies
+    def bad(fn, in_ty, out_ty, index=None):
+        m = orig(fn, in_ty, out_ty, index)
+        init = m.init
+
+        def aliased(xy):
+            y, c = init(xy)
+            return y, (*xy, *c[2:])  # the caller's relations, not copies
+
+        m.init = aliased
         return m
+    return bad
+
+
+def _stale_matches(orig):
+    def bad(p):
+        index = orig(p)
+        left, make = index.left, index.init
+
+        def stale(dx, y, x2, ix):
+            # the pairs of new left tuples are made, but pass by the upkeep
+            new = {i: a for i, a in dx.items() if x2.get(i) == a}
+            old = {i: a for i, a in dx.items() if i not in new}
+            return {**left(old, y, x2, ix), **make((new, y))[0]}
+
+        return replace(index, left=stale)
     return bad
 
 
@@ -908,6 +1010,7 @@ _SABOTAGE = {
     "bilin-missing-term": (vars(incr), "comb_bilin", _bilin_missing_term),
     "debruijn-off-by-one": (vars(fe), "_var_term", _off_by_one),
     "bilin-aliased-cache": (vars(incr), "comb_bilin", _aliased_cache),
+    "join-stale-matches": (vars(relalg), "_join_index", _stale_matches),
 }
 FAULTS = tuple(_SABOTAGE)
 
@@ -1248,6 +1351,9 @@ def run_all_suites(bundle_names=("linalg", "relalg", "trees", "gcounter"),
                         od, it, samples=samples, seed=cfg.seed))
                 rep.name = f"{bname}:op:{opdef.name}" if rep.name.startswith("op:") else rep.name
                 reports.append(rep)
+        if bname == "relalg":
+            reports.append(_guarded("relalg:fused-join", cfg.seed,
+                                    lambda: check_fused_join(cfg.seed, samples)))
     for cname in TERM_CONSTRUCTS + COMBINATORS:
         reports.append(_guarded(
             f"laws:{cname}", cfg.seed,

@@ -349,7 +349,8 @@ def test_let_chain_term_size_is_linear():
 
 def test_let_chain_reading_a_param_keeps_paths_short():
     # every let reads b and the body reads x, so each let keeps both at the
-    # back of a three-wide context and drops the binding before its own
+    # back of a three-wide context and drops the binding before its own;
+    # they are the context's tail, kept by one Proj((1,)) per let
     text = _chain_text(2_000, "map relu # map2 add # ({prev}, b)")
     bundle, prog = parse_program_file(text, _linalg_lookup)
     tt = compile_program(prog, bundle.registry, bundle.literal_base)
@@ -359,7 +360,41 @@ def test_let_chain_reading_a_param_keeps_paths_short():
         todo += t.children
         if isinstance(t.term, Proj):
             paths.append(t.term.path)
-    assert len(paths) >= 4 * 2_000 and max(map(len, paths)) == 2
+    assert len(paths) == 3 * 2_000 + 2 and max(map(len, paths)) == 2
+
+
+def _wide_sum_text(k):
+    """k real params summed by a let chain that reads each param once."""
+    lines = ["bundle linalg"] + [f"param x{i} : real" for i in range(1, k + 1)]
+    lines += ["", "let s1 = x1;"]
+    lines += [f"let s{i} = add # (s{i - 1}, x{i});" for i in range(2, k + 1)]
+    return "\n".join(lines + [f"s{k}"]) + "\n"
+
+
+def test_a_let_keeps_the_context_tail_as_one_projection():
+    # the params not read yet are the tail of every let's context; kept path
+    # by path, 300 of them lowered to 181,795 nodes
+    bundle, prog = parse_program_file(_wide_sum_text(300), _linalg_lookup)
+    term, _ = lower(prog.body, prog.params, bundle.registry, bundle.literal_base)
+    assert term_size(term) <= 4_000
+    tt = compile_program(prog, bundle.registry, bundle.literal_base)
+    x = 300.0
+    for i in range(299, 0, -1):
+        x = (float(i), x)
+    assert denote(tt, x) == sum(range(1, 301))
+
+
+def test_perfbench_let_chain_term_is_unchanged():
+    # the 100-stage `map relu # map2 add # (h, b)` chain keeps only b of the
+    # params, a one-element tail, so its term is the one it was
+    lines = ["bundle linalg", "param x : arr[1000] real", "param b : arr[1000] real", ""]
+    prev = "x"
+    for i in range(1, 101):
+        lines.append(f"let h{i} = map relu # map2 add # ({prev}, b);")
+        prev = f"h{i}"
+    bundle, prog = parse_program_file("\n".join(lines + [prev]) + "\n", _linalg_lookup)
+    term, _ = lower(prog.body, prog.params, bundle.registry, bundle.literal_base)
+    assert term_size(term) == 1_797
 
 
 # (program text, message, line, column): every surface error names a place

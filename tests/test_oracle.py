@@ -11,7 +11,7 @@ from deltic.domains import linalg, relalg
 from deltic.domains.containers import arr
 from deltic.oracle import (
     FAULTS, GenConfig, GenerationFailure, check_construct_laws,
-    check_frontend_lowering, check_machine_laws, check_op_laws,
+    check_frontend_lowering, check_fused_join, check_machine_laws, check_op_laws,
     check_value_preservation_suite, gen_change, gen_term, gen_type, gen_value,
     inject_fault, oracle_registry, stable_rng,
 )
@@ -122,6 +122,8 @@ def test_each_fault_is_caught(fault):
             rb = relalg.register_relalg()
             op = rb.registry.ops["cross"]
             rep = check_op_laws(op, op.sample_in_tys[0], samples=50)
+        elif fault == "join-stale-matches":
+            rep = check_fused_join(samples=20)
         else:
             rep = check_frontend_lowering(samples=20)
         assert not rep.passed, fault

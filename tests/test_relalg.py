@@ -12,9 +12,10 @@ from deltic.calculus import Cst, Dup, Filter, ID, OpCall, denote, fanout, seq, t
 from deltic.core import INT, TBase, TProd, apply_change
 from deltic.domains import relalg
 from deltic.incr import (
-    cache_equal, cache_to_json, incrementalize, iter_changes, sum_changes,
+    cache_entry_count, cache_equal, cache_to_json, incrementalize, iter_changes,
+    sum_changes,
 )
-from deltic.oracle import check_op_laws, inject_fault, stable_rng
+from deltic.oracle import _join_side_change, check_op_laws, inject_fault, stable_rng
 
 from helpers import call_codes, oracle_join, oracle_proj, oracle_union, rand_relation
 
@@ -171,20 +172,32 @@ def test_fused_join_laws(pred_name):
             assert cache_equal(m.cache, c, m.init(x)[1])  # Law-3
 
 
+def _without_matches(desc, c):
+    # the fused seq cache with its join slot's matches part dropped and the
+    # join's x and y parts read as the one pair value the unfused cross keeps
+    (x_desc, y_desc, matches), *rest = desc.parts[0].parts, *desc.parts[1:]
+    assert matches == incr.CMatches()
+    pair = incr.CValue(TProd(x_desc.ty, y_desc.ty))
+    return incr.CTuple((pair, *rest)), [c[0][:2], *c[1:]]
+
+
 def test_fused_join_cache_is_the_unfused_one():
+    # the join's x and y parts are the unfused cache, in descriptor and in
+    # JSON; a third part holds each right tuple's matches
     tt = _join("key-eq")
     fused, unfused = incrementalize(tt), _unfused(tt)
-    assert fused.cache == unfused.cache
     rng = stable_rng(54, "fused-join-cache")
     x = (rand_relation(rng, 15), rand_relation(rng, 6))
     (y1, c1), (y2, c2) = fused.init(x), unfused.init(x)
     assert y1 == y2
-    assert cache_to_json(fused.cache, c1) == cache_to_json(unfused.cache, c2)
+    assert _without_matches(fused.cache, c1)[0] == unfused.cache
+    assert cache_to_json(*_without_matches(fused.cache, c1)) == cache_to_json(unfused.cache, c2)
     for d in [(_rel_change(rng, x[0]), {}), ({}, _rel_change(rng, x[1])),
               (_rel_change(rng, x[0]), _rel_change(rng, x[1]))]:
         (d1, c1), (d2, c2) = fused.step(d, c1), unfused.step(d, c2)
         assert d1 == d2
-        assert cache_to_json(fused.cache, c1) == cache_to_json(unfused.cache, c2)
+        assert (cache_to_json(*_without_matches(fused.cache, c1))
+                == cache_to_json(unfused.cache, c2))
 
 
 @pytest.mark.parametrize("fallback, fused", [(0, True), (1, False)])
@@ -228,6 +241,107 @@ def test_bilin_fault_reaches_the_fused_join():
         y, c = m.init(x)
         dy, _ = m.step(d, c)
         assert (apply_change(tt.out_ty, y, dy) == want) != faulty
+
+
+# ---------------------------------------------------------------------------
+# The join's matches: each right tuple keeps the left tuples it pairs with
+# ---------------------------------------------------------------------------
+
+def test_right_step_tests_p_only_for_a_right_tuple_new_to_the_join():
+    calls = [0]
+
+    def p(ij):
+        calls[0] += 1
+        return ij[0][0] == ij[1][0]
+
+    b = relalg.register_relalg()
+    b.registry.register_index_pred("counted", p)
+    tt = typecheck(relalg.join_term("counted"), JOIN_IN, b.registry)
+    m = incrementalize(tt)
+    x = ({(i % 20, i): 1 for i in range(200)}, {(k, 7): 1 for k in range(10)})
+    y, c = m.init(x)
+    assert calls[0] == 200 * 10
+    # the deleted right tuple reads its matches; only the new one walks x
+    calls[0] = 0
+    d = ({}, {(3, 7): -1, (4, 8): 1})
+    dout, c = m.step(d, c)
+    assert calls[0] == 200
+    x = apply_change(JOIN_IN, x, d)
+    assert len(dout) == 20 and apply_change(tt.out_ty, y, dout) == denote(tt, x)
+    # a left change of k tuples tests p once per pair with the right side
+    for k in (1, 3, 7):
+        calls[0] = 0
+        dx = {(i % 20, i): 1 for i in range(1_000, 1_000 + k)}
+        dout, c = m.step((dx, {}), c)
+        assert calls[0] == k * 10
+
+
+def _join_slot(c):
+    # the fused join's (x, y, matches) among the seq's stage slots
+    return next(slot for slot in c if type(slot) is tuple and len(slot) == 3)
+
+
+def _matches_equal_a_rebuild(p, c):
+    x, y, ix = _join_slot(c)
+    assert ix.keys() == y.keys()
+    held = {i: i for i in x}
+    for j, buckets in ix.items():
+        live = [i for bucket in buckets for i in bucket]
+        assert sorted(live) == sorted(i for i in x if p((i, j)))
+        # one list slot per pair, pointing at the tuple x holds
+        assert all(held[i] is i for i in live)
+
+
+@pytest.mark.parametrize("pred_name", sorted(JOIN_PREDS))
+@pytest.mark.parametrize("self_join", [False, True], ids=["join", "dup-join"])
+def test_live_matches_equal_a_rebuild_after_every_step(pred_name, self_join):
+    p = JOIN_PREDS[pred_name]
+    b = relalg.register_relalg()
+    b.registry.register_index_pred(pred_name, p)
+    term = relalg.join_term(pred_name)
+    tt = (typecheck(seq(Dup(), term), PAIR_REL, b.registry) if self_join
+          else typecheck(term, JOIN_IN, b.registry))
+    m = incrementalize(tt)
+    rng = stable_rng(60, f"join-matches-{pred_name}-{self_join}")
+    for k in range(10):
+        x = rand_relation(rng, 15, key_range=4, val_range=8)
+        if not self_join:
+            x = (x, rand_relation(rng, 5, key_range=4, val_range=8))
+        _, c = m.init(x)
+        _matches_equal_a_rebuild(p, c)
+        gone = ([], [])
+        for it in range(8):
+            if self_join:
+                d = _join_side_change(rng, x, gone[0])
+            else:
+                dx, dy = (_join_side_change(rng, v, g) for v, g in zip(x, gone))
+                d = [(dx, {}), ({}, dy), (dx, dy)][(k + it) % 3]
+            _, c = m.step(d, c)
+            x = apply_change(tt.in_ty, x, d)
+            _matches_equal_a_rebuild(p, c)
+            assert cache_equal(m.cache, c, m.init(x)[1])
+            # the matches hold no scalars: the count is the unfused one
+            assert cache_entry_count(m.cache, c) == sum(map(len, _join_slot(c)[:2]))
+
+
+def test_stale_matches_fault_leaves_a_new_left_tuple_out():
+    tt = _join("key-eq")
+    x = ({(1, 2): 1}, {(1, 9): 1, (2, 9): 1})
+    d = ({(2, 5): 1}, {})  # a new left tuple that pairs with (2, 9)
+    for faulty in (False, True):
+        if faulty:
+            with inject_fault("join-stale-matches"):
+                m = incrementalize(tt)
+        else:
+            m = incrementalize(tt)
+        _, c = m.init(x)
+        dout, c = m.step(d, c)
+        assert dout == {((2, 5), (2, 9)): 1}  # the term is still made
+        x2 = apply_change(JOIN_IN, x, d)
+        assert cache_equal(m.cache, c, m.init(x2)[1]) != faulty  # Law-3
+        # deleting (2, 9) then reads its matches, which miss (2, 5)
+        dout, _ = m.step(({}, {(2, 9): -1}), c)
+        assert (dout == {((2, 5), (2, 9)): -1}) != faulty
 
 
 # ---------------------------------------------------------------------------
