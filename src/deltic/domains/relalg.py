@@ -2,8 +2,8 @@
 
 Multiplicities live in ℤ so deletions are negative entries.  The Cartesian
 product is the one genuinely bilinear op (its derivative is the discrete
-product rule a·b' + a'·b + a'·b'); count and groupBy are linear in the
-multiplicities and need no cache at all.
+product rule a'·b + (a + a')·b', one step per side); count and groupBy are
+linear in the multiplicities and need no cache at all.
 
 A selection σ_p = ⟨cst 0, id⟩ ; filter p drops rows to the default 0, so it
 is linear and σ_p ∘ cross is bilinear too.  cross registers that fused
@@ -122,8 +122,7 @@ def _join_index(p) -> incr.BilinIndex:
 
 def _selected_join(p, in_ty, out_ty):
     """σ_p ∘ cross as one bilinear stage whose terms its index makes."""
-    ix = _join_index(p)
-    return incr.comb_bilin(lambda xy: ix.init(xy)[0], in_ty, out_ty, ix)
+    return incr.comb_bilin(None, in_ty, out_ty, _join_index(p))
 
 
 def _cross_typer(ty):

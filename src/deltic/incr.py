@@ -30,10 +30,11 @@ Adjacent seq stages `zip ; map f` (map2) are built as one fused stage whose
 step walks the changed keys of (dx, dy) and steps f (or calls its
 derivative) per key, with no zipped change in between.  The zip slot stays
 UNIT and the map slot keeps its per-index cache, so the cache layout is that
-of the unfused pair.  Its init zips two inputs that have one key set in a
-C-level pass (others go through the compiled zip), and a Triv body's kernel
-keeps that fresh dict as its cache instead of copying it.  A par with one
-cache-free side calls that side's derivative directly; its slot stays UNIT.
+of the unfused pair.  Its init zips with the compiled zip, as denote does
+(two inputs that have one key set in one C-level pass), and a Triv body's
+kernel keeps that fresh dict as its cache instead of copying it.  A par
+with one cache-free side calls that side's derivative directly; its slot
+stays UNIT.
 
 Adjacent seq stages `dup ; par(f, g)` are one fanout stage, built by the par
 builder, which hands the one input change to both sides; the dup slot stays
@@ -64,26 +65,27 @@ machine takes the op's slot and the three selection slots stay UNIT; they
 were cache-free anyway.  Batch evaluation is not fused, so the laws check
 one against the other.
 
-comb_bilin (the unfused cross and the selected join alike) owns its cache:
-init stores its own top-level copy of each container side (two copies when
-both sides are one object, as after dup), so the caller's input never
-aliases the cache, and step ⊕s the changes into those copies in place with
-core.update_fn once all three terms are made.  A join step then costs the
-kernel, not a copy of the cached relation.  The in-place ⊕ compacts: it
-returns a fresh copy when the update made CPython resize the dict, or when
-the dict has fewer than half the entries it had at its last copy; both are
-amortized, so at worst a step copies once, as every step did before.
+comb_bilin (the unfused cross and the selected join alike) steps by the
+product rule as two one-sided steps, f(dx, y) ⊕ f(x ⊕ dx, dy), over one
+cache layout (x, y, index), and owns its cache: init stores its own
+top-level copy of each container side (two copies when both sides are one
+object, as after dup), so the caller's input never aliases the cache, and
+step ⊕s each side's change into its copy in place with core.update_fn
+before that side's term is made.  A join step then costs the kernel, not a
+copy of the cached relation.  The in-place ⊕ compacts: it returns a fresh
+copy when the update made CPython resize the dict, or when the dict has
+fewer than half the entries it had at its last copy; both are amortized,
+so at worst a step copies once, as every step did before.
 Other machines keep ⊕ functional, because their cached value can escape:
 comb_triv and comb_triv2 (fn may return its input), case (its cached output
 is the init output it returned) and distr (Sl((x2, v)) hands out the cached
 x2).
 
-The selected join hands comb_bilin a BilinIndex, kept as a third cache part
-after the two inputs: for each right tuple, the left tuples it matches
-(CMatches, compared as a set per right tuple; it holds no scalars, so
-cache_entry_count is the unfused one).  With an index, step is the product
-rule as two one-sided steps, f(dx, y) ⊕ f(x ⊕ dx, dy): each side is ⊕ed in
-place first, then the index makes that side's term and updates itself.
+The index, the third cache part, makes each side's term and updates itself.
+The unfused op's index keeps nothing (UNIT) and calls fn.  The selected
+join's keeps, for each right tuple, the left tuples it matches (CMatches,
+compared as a set per right tuple; it holds no scalars, so
+cache_entry_count is the unfused one).
 
 The laws every machine satisfies (checked by the oracle module, not assumed):
 
@@ -382,16 +384,22 @@ class BilinIndex:
     right: Callable[[Any, Any, Any, Any], Any]
 
 
+def _plain_index(fn) -> BilinIndex:
+    """The index that keeps nothing (UNIT) and makes each term with fn."""
+    return BilinIndex(CUnit(), lambda xy: (fn(xy), UNIT),
+                      lambda dx, y, _x2, _ix: fn((dx, y)),
+                      lambda x, dy, _y2, _ix: fn((x, dy)))
+
+
 def comb_bilin(fn, in_ty, out_ty, index: Optional[BilinIndex] = None) -> IncrMachine:
-    """Bilinear binary function; caches both inputs, owned.
+    """Bilinear binary function; caches both inputs, owned, and an index.
 
-    step((dx, dy), (x, y)) emits f(dx,dy) ⊕ f(dx,y) ⊕ f(x,dy); nil sides are
-    skipped, which is sound exactly because f is (bi)linear.  The cached
-    inputs are the machine's own copies, which step ⊕s in place.
-
-    With an index the cache is (x, y, index) and step is the product rule as
-    two one-sided steps, f(dx, y) ⊕ f(x ⊕ dx, dy), whose terms the index
-    makes: each side is ⊕ed before its own term is made.
+    The cache is (x, y, index), and step is the product rule as two
+    one-sided steps, f(dx, y) ⊕ f(x ⊕ dx, dy), whose terms the index makes:
+    each side is ⊕ed into the machine's own copy, in place, before its own
+    term is made.  A nil side makes no term, which is sound exactly because
+    f is (bi)linear.  Given no index, the machine's index keeps nothing
+    (UNIT) and makes the terms with fn; given one, fn is not used.
     """
     if not isinstance(in_ty, TProd):
         raise ca.TermTypeError("BiLin needs a product input type")
@@ -407,53 +415,28 @@ def comb_bilin(fn, in_ty, out_ty, index: Optional[BilinIndex] = None) -> IncrMac
     up_a = update_fn(a_ty)
     up_b = update_fn(b_ty)
     nil_out = nil_change(out_ty)
-
-    if index is not None:
-        build, left, right = index.init, index.left, index.right
-
-        def init(xy):
-            out, ix = build(xy)
-            return out, (own_copy(xy[0]), own_copy(xy[1]), ix)
-
-        def step(d, c):
-            dx, dy = d
-            x, y, ix = c
-            out = nil_out
-            if not nil_a(dx):
-                x = up_a(x, dx)
-                out = left(dx, y, x, ix)
-            if not nil_b(dy):
-                y = up_b(y, dy)
-                out = add_c(out, right(x, dy, y, ix))
-            return out, (x, y, ix)
-
-        desc = CTuple((CValue(a_ty), CValue(b_ty), index.cache))
-        return IncrMachine(in_ty, out_ty, desc, init, step)
+    index = index or _plain_index(fn)
+    build, left, right = index.init, index.left, index.right
 
     def init(xy):
+        out, ix = build(xy)
         # each side gets its own copy, also when both are one object (dup)
-        return fn(xy), (own_copy(xy[0]), own_copy(xy[1]))
+        return out, (own_copy(xy[0]), own_copy(xy[1]), ix)
 
     def step(d, c):
         dx, dy = d
-        x, y = c
-        nx = nil_a(dx)
-        ny = nil_b(dy)
+        x, y, ix = c
         out = nil_out
-        if not nx and not ny:
-            out = add_c(out, fn((dx, dy)))
-        if not nx:
-            out = add_c(out, fn((dx, y)))
-        if not ny:
-            out = add_c(out, fn((x, dy)))
-        # only now, when the three terms are made, may x and y change
-        if not nx:
+        if not nil_a(dx):
             x = up_a(x, dx)
-        if not ny:
+            out = left(dx, y, x, ix)
+        if not nil_b(dy):
             y = up_b(y, dy)
-        return out, (x, y)
+            out = add_c(out, right(x, dy, y, ix))
+        return out, (x, y, ix)
 
-    return IncrMachine(in_ty, out_ty, CValue(in_ty), init, step)
+    desc = CTuple((CValue(a_ty), CValue(b_ty), index.cache))
+    return IncrMachine(in_ty, out_ty, desc, init, step)
 
 
 def comb_add(ty) -> IncrMachine:
@@ -667,14 +650,7 @@ def _incr_map2(zip_tt, map_tt):
 
     m = _map_machine(map_tt, entries, zipped=True)
     zf, map_init = ca.compiled(zip_tt), m.init
-
-    def init(xy):
-        x, y = xy
-        if x.keys() == y.keys():
-            return map_init(dict(zip(x, zip(x.values(), map(y.__getitem__, x)))))
-        return map_init(zf(xy))
-
-    return replace(m, in_ty=zip_tt.in_ty, init=init)
+    return replace(m, in_ty=zip_tt.in_ty, init=lambda xy: map_init(zf(xy)))
 
 
 def _map_machine(tt, entries, zipped=False):
@@ -786,33 +762,44 @@ def _one_sided(both, fn, elem_in, din, df, out_nil):
     return step
 
 
+def _read_sum_change(d, s):
+    """Read the sum change d at the live side of the cached sum value s.
+
+    Returns (side, v) when d sets the sum to side(v), side being Left or
+    Right, and (None, dc) when d changes the live side by dc; dc is None
+    when d leaves that side as it is (SUM_NULL, or a change to the other
+    side).
+    """
+    td = type(d)
+    if td is Sl:
+        return Left, d.value
+    if td is Sr:
+        return Right, d.value
+    if td is Cl:
+        return None, d.change if type(s) is Left else None
+    if td is Cr:
+        return None, d.change if type(s) is Right else None
+    if d is SUM_NULL:
+        return None, None
+    raise UsageError(f"bad sum change {d!r}")
+
+
 def _incr_fuse(tt):
     a_ty = tt.out_ty
     ap = apply_fn(a_ty)
     df = diff_fn(a_ty)
+    nil = nil_change(a_ty)
 
     def init(s):
         return s.value, s
 
     def step(d, c):
-        on_left = type(c) is Left
-        x = c.value
-        if d is SUM_NULL:
-            return df(x, x), c
-        match d:
-            case Cl(change=dc):
-                if on_left:
-                    return dc, Left(ap(x, dc))
-                return df(x, x), c
-            case Cr(change=dc):
-                if on_left:
-                    return df(x, x), c
-                return dc, Right(ap(x, dc))
-            case Sl(value=v):
-                return df(v, x), Left(v)
-            case Sr(value=v):
-                return df(v, x), Right(v)
-        raise UsageError(f"bad sum change {d!r}")
+        side, v = _read_sum_change(d, c)
+        if side is not None:
+            return df(v, c.value), side(v)
+        if v is None:
+            return nil, c
+        return v, type(c)(ap(c.value, v))
 
     return IncrMachine(tt.in_ty, tt.out_ty, CValue(TSum(a_ty, a_ty)), init, step)
 
@@ -821,38 +808,26 @@ def _incr_distr(tt):
     ap_a = apply_fn(tt.in_ty.left)
     b_ty = tt.in_ty.right.left
     c_ty = tt.in_ty.right.right
-    ap_b, df_b = apply_fn(b_ty), diff_fn(b_ty)
-    ap_c, df_c = apply_fn(c_ty), diff_fn(c_ty)
+    # per side of the sum: its set and change forms, its ⊕ and its nil
+    sides = {Left: (Sl, Cl, apply_fn(b_ty), nil_change(b_ty)),
+             Right: (Sr, Cr, apply_fn(c_ty), nil_change(c_ty))}
 
     def init(xs):
         x, s = xs
-        out = Left((x, s.value)) if type(s) is Left else Right((x, s.value))
-        return out, xs
+        return type(s)((x, s.value)), xs
 
     def step(d, cache):
         dx, ds = d
         x, s = cache
         x2 = ap_a(x, dx)
-        on_left = type(s) is Left
-        y = s.value
-        if ds is SUM_NULL:
-            if on_left:
-                return Cl((dx, df_b(y, y))), (x2, s)
-            return Cr((dx, df_c(y, y))), (x2, s)
-        match ds:
-            case Cl(change=dy):
-                if on_left:
-                    return Cl((dx, dy)), (x2, Left(ap_b(y, dy)))
-                return Cr((dx, df_c(y, y))), (x2, s)
-            case Cr(change=dz):
-                if on_left:
-                    return Cl((dx, df_b(y, y))), (x2, s)
-                return Cr((dx, dz)), (x2, Right(ap_c(y, dz)))
-            case Sl(value=v):
-                return Sl((x2, v)), (x2, Left(v))
-            case Sr(value=v):
-                return Sr((x2, v)), (x2, Right(v))
-        raise UsageError(f"bad sum change {ds!r}")
+        side, v = _read_sum_change(ds, s)
+        if side is not None:
+            return sides[side][0]((x2, v)), (x2, side(v))
+        live = type(s)
+        _, change, ap, nil = sides[live]
+        if v is None:
+            return change((dx, nil)), (x2, s)
+        return change((dx, v)), (x2, live(ap(s.value, v)))
 
     return IncrMachine(tt.in_ty, tt.out_ty, CValue(tt.in_ty), init, step)
 
@@ -862,46 +837,31 @@ def _incr_case(tt):
     mg = incrementalize(tt.children[1])
     b1 = tt.children[0].out_ty
     b2 = tt.children[1].out_ty
-    ap1, df1 = apply_fn(b1), diff_fn(b1)
-    ap2, df2 = apply_fn(b2), diff_fn(b2)
+    # per side of the sum: its branch machine, its output's set and change
+    # forms, and the output's ⊕ and ⊖
+    branches = {Left: (mf, Sl, Cl, apply_fn(b1), diff_fn(b1)),
+                Right: (mg, Sr, Cr, apply_fn(b2), diff_fn(b2))}
 
     def init(s):
-        if type(s) is Left:
-            y, c = mf.init(s.value)
-            return Left(y), Left((c, y))
-        y, c = mg.init(s.value)
-        return Right(y), Right((c, y))
+        side = type(s)
+        y, c = branches[side][0].init(s.value)
+        return side(y), side((c, y))
 
     def step(d, cc):
-        on_left = type(cc) is Left
-        if d is SUM_NULL:
-            return SUM_NULL, cc
-        match d:
-            case Cl(change=dx):
-                if not on_left:
-                    return SUM_NULL, cc
-                c, y = cc.value
-                dy, c2 = mf.step(dx, c)
-                return Cl(dy), Left((c2, ap1(y, dy)))
-            case Cr(change=dx):
-                if on_left:
-                    return SUM_NULL, cc
-                c, y = cc.value
-                dy, c2 = mg.step(dx, c)
-                return Cr(dy), Right((c2, ap2(y, dy)))
-            case Sl(value=v):
-                y, c2 = mf.init(v)
-                if on_left:
-                    y0 = cc.value[1]
-                    return Cl(df1(y, y0)), Left((c2, y))
-                return Sl(y), Left((c2, y))
-            case Sr(value=v):
-                y, c2 = mg.init(v)
-                if on_left:
-                    return Sr(y), Right((c2, y))
-                y0 = cc.value[1]
-                return Cr(df2(y, y0)), Right((c2, y))
-        raise UsageError(f"bad sum change {d!r}")
+        side, v = _read_sum_change(d, cc)
+        if side is None:
+            if v is None:
+                return SUM_NULL, cc
+            live = type(cc)
+            m, _, change, ap, _ = branches[live]
+            c, y = cc.value
+            dy, c2 = m.step(v, c)
+            return change(dy), live((c2, ap(y, dy)))
+        m, set_to, change, _, df = branches[side]
+        y, c2 = m.init(v)
+        if type(cc) is side:
+            return change(df(y, cc.value[1])), side((c2, y))
+        return set_to(y), side((c2, y))
 
     desc = CCase(mf.cache, b1, mg.cache, b2)
     return IncrMachine(tt.in_ty, tt.out_ty, desc, init, step)

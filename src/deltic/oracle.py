@@ -9,7 +9,7 @@ The seven documented fault injections (for mutation-sensitivity testing):
   triv-stale-cache       Triv step returns the old cache         -> Law-3
   swap-fst-snd           fst's derivative projects the other leg -> Law-2
   seq-drop-propagation   seq stages after the first step on nil  -> Law-2
-  bilin-missing-term     BiLin drops the f(x, dy) cross term     -> Law-2
+  bilin-missing-term     BiLin drops the f(x ⊕ dx, dy) term      -> Law-2
   debruijn-off-by-one    variable lowering shifts every index    -> lowering
   bilin-aliased-cache    BiLin caches the caller's inputs, not   -> Law-2
                          copies, so its in-place ⊕ writes into them
@@ -28,9 +28,8 @@ from . import frontend as fe
 from . import incr
 from .core import (
     DelticError, INT, KEEP, NAT, REAL, SCALAR, Cl, Cr, Left, Right, Sl, Sr,
-    SUM_NULL, SupportError, TBase, TCont, TProd, TSum, add_fn, apply_change,
-    apply_fn, default_value, diff_values, is_nil, is_nil_fn, nil_change,
-    plus_capable, values_equal,
+    SUM_NULL, SupportError, TBase, TCont, TProd, TSum, apply_change,
+    default_value, diff_values, is_nil, nil_change, plus_capable, values_equal,
 )
 from .domains import relalg
 from .domains.containers import (
@@ -944,27 +943,17 @@ def _seq_drop_propagation(_orig):
 def _bilin_missing_term(orig):
     def bad(fn, in_ty, out_ty, index=None):
         m = orig(fn, in_ty, out_ty, index)
-        a_ty, b_ty = in_ty.left, in_ty.right
-        nil_a, nil_b = is_nil_fn(a_ty), is_nil_fn(b_ty)
-        ap_a, ap_b = apply_fn(a_ty), apply_fn(b_ty)
-        add_c = add_fn(out_ty)
-        nil_out = nil_change(out_ty)
+        step = m.step
+        nil_a, nil_b = nil_change(in_ty.left), nil_change(in_ty.right)
 
-        def step(d, c):
+        def missing(d, c):
+            # the machine's own step, one side at a time, so the index keeps
+            # up; the second term, f(x ⊕ dx, dy), is forgotten
             dx, dy = d
-            x, y = c[0], c[1]
-            out = nil_out
-            if not nil_a(dx) and not nil_b(dy):
-                out = add_c(out, fn((dx, dy)))
-            if not nil_a(dx):
-                out = add_c(out, fn((dx, y)))
-            # f(x, dy) forgotten
-            x, y = ap_a(x, dx), ap_b(y, dy)
-            # an index, when there is one, is rebuilt for the new inputs
-            return out, (x, y) if index is None else (x, y, index.init((x, y))[1])
+            out, c = step((dx, nil_b), c)
+            return out, step((nil_a, dy), c)[1]
 
-        m.step = step
-        return m
+        return replace(m, step=missing)
     return bad
 
 
@@ -979,7 +968,7 @@ def _aliased_cache(orig):
 
         def aliased(xy):
             y, c = init(xy)
-            return y, (*xy, *c[2:])  # the caller's relations, not copies
+            return y, (*xy, c[2])  # the caller's relations, not copies
 
         m.init = aliased
         return m

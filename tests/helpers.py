@@ -1,5 +1,5 @@
-"""Independent brute-force oracles used across the test suite, and a call
-recorder for the tests that count the work a step does.
+"""Independent brute-force oracles used across the test suite, and call
+recorders for the tests that count the work a step does.
 
 The oracles deliberately avoid the engine's own code paths: plain lists and
 loops for linear algebra, nested loops for relations, recursion for trees.
@@ -24,6 +24,23 @@ def call_codes(f, *args):
     finally:
         sys.setprofile(None)
     return out, codes
+
+
+def builtin_calls(f, *args):
+    """f(*args), and the qualified name of every builtin it called from
+    Python code ("dict.get", "sum", ...)."""
+    names = []
+
+    def record(_frame, event, arg):
+        if event == "c_call":
+            names.append(getattr(arg, "__qualname__", repr(arg)))
+
+    sys.setprofile(record)
+    try:
+        out = f(*args)
+    finally:
+        sys.setprofile(None)
+    return out, names
 
 
 def vec_to_list(v, n):

@@ -1,6 +1,7 @@
 """Combinators, the incrementalization transformation, and iterated updates."""
 
 import sys
+import tracemalloc
 from contextlib import nullcontext
 from dataclasses import replace
 
@@ -13,8 +14,9 @@ from deltic.calculus import (
     CasePar, Cst, Dup, ID, Map, OpCall, Plus, Seq, denote, map2, seq, typecheck,
 )
 from deltic.core import (
-    INT, NAT, REAL, SCALAR, Cl, Left, Right, Sl, Sr, SUM_NULL, SupportError, TBase,
-    TCont, TProd, TSum, apply_change, apply_fn, is_nil, nil_change, values_equal,
+    INT, NAT, REAL, SCALAR, Cl, Cr, Left, Right, Sl, Sr, SUM_NULL, SupportError, TBase,
+    TCont, TProd, TSum, UsageError, apply_change, apply_fn, is_nil, nil_change,
+    values_equal,
 )
 from deltic.domains import gcounter, linalg, relalg
 from deltic.domains.containers import ARRAY, RELATION, arr, arr_shape, rel_shape
@@ -143,11 +145,11 @@ def test_bilin_cross_example():
     assert y == {("t", "u"): 1}
     dy, c = m.step(({"t2": 1}, {}), c)
     assert dy == {("t2", "u"): 1}
-    assert c == ({"t": 1, "t2": 1}, {"u": 1})
+    assert c == ({"t": 1, "t2": 1}, {"u": 1}, UNIT)
     # both-nil step: effective nil out, cache unchanged
     dy, c = m.step(({}, {}), c)
     assert dy == {}
-    assert c == ({"t": 1, "t2": 1}, {"u": 1})
+    assert c == ({"t": 1, "t2": 1}, {"u": 1}, UNIT)
 
 
 def test_add_examples():
@@ -200,6 +202,84 @@ def test_case_branch_switch_uses_fresh_init():
     assert dy == Cl(4.0)
     dy, c = m.step(SUM_NULL, c)
     assert dy is SUM_NULL
+
+
+def test_case_cache_json_on_each_side():
+    # the live side's (sub-cache, previous output), tagged with its side
+    reg = oracle_registry()
+    tt = typecheck(CasePar(OpCall("o_relu"), Map(OpCall("o_shift5"))),
+                   TSum(R, arr(3, R)), reg)
+    m = incrementalize(tt)
+    _, c = m.init(Left(-1.0))
+    dy, c = m.step(Cl(3.0), c)
+    assert dy == Cl(2.0)
+    assert cache_to_json(m.cache, c) == {
+        "case_left": [[{"value": 2.0}, {"value": 2.0}], 2.0]}
+    dy, c = m.step(Sr({0: 1.0, 2: -5.0}), c)
+    assert dy == Sr({0: 6.0, 1: 5.0})
+    assert cache_to_json(m.cache, c) == {"case_right": ["unit", [[0, 6.0], [1, 5.0]]]}
+    dy, c = m.step(Cr({2: 5.0}), c)
+    assert dy == Cr({2: 5.0})
+    assert cache_to_json(m.cache, c) == {
+        "case_right": ["unit", [[0, 6.0], [1, 5.0], [2, 5.0]]]}
+
+
+@pytest.mark.parametrize("build", ["fuse", "distr"])
+def test_an_untouched_sum_side_steps_in_memory_flat_in_n(build):
+    # a step that leaves the live side as it is hands out a nil built once:
+    # fuse stepped by Cr on a Left, distr by SUM_NULL, over arr[n] real
+    reg = oracle_registry()
+    peaks = []
+    for n in (1_000, 10_000):
+        side = arr(n, R)
+        live = {i: float(i + 1) for i in range(n)}
+        if build == "fuse":
+            tt = typecheck(ca.Fuse(), TSum(side, side), reg)
+            x, d, want = Left(live), Cr({0: 1.0}), {}
+        else:
+            tt = typecheck(ca.Distr(), TProd(R, TSum(side, side)), reg)
+            x, d, want = (1.0, Left(live)), (0.0, SUM_NULL), Cl((0.0, {}))
+        m = incrementalize(tt)
+        _, c = m.init(x)
+        tracemalloc.start()
+        try:
+            dy, c = m.step(d, c)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert dy == want
+    # under 1 KB at both sizes: a nil dict of 1,000 entries alone is 36 KB
+    assert max(peaks) < 1024, peaks
+
+
+@pytest.mark.parametrize("term, in_ty, x, d", [
+    (ca.Fuse(), TSum(R, R), Left(1.0), Left(2.0)),
+    (ca.Distr(), TProd(R, TSum(R, R)), (1.0, Right(2.0)), (0.0, 3.0)),
+    (CasePar(OpCall("o_relu"), OpCall("o_shift5")), TSum(R, R), Left(1.0), Right(2.0)),
+])
+def test_sum_machines_reject_a_malformed_sum_change(term, in_ty, x, d):
+    m = incrementalize(typecheck(term, in_ty, oracle_registry()))
+    _, c = m.init(x)
+    with pytest.raises(UsageError, match="bad sum change"):
+        m.step(d, c)
+
+
+def test_a_two_sided_cross_change_calls_fn_twice():
+    # the product rule f(dx, y) ⊕ f(x ⊕ dx, dy): one call per changed side
+    calls = []
+
+    def cross(xy):
+        calls.append(xy)
+        return relalg._cross(xy)
+
+    in_ty = TProd(relalg.rel("str"), relalg.rel("str"))
+    m = comb_bilin(cross, in_ty, relalg.rel(("str", "str")))
+    _, c = m.init(({"t": 1}, {"u": 1}))
+    calls.clear()
+    dy, c = m.step(({"t2": 1}, {"u2": 2}), c)
+    assert len(calls) == 2
+    assert dy == {("t2", "u"): 1, ("t", "u2"): 2, ("t2", "u2"): 2}
+    assert c == ({"t": 1, "t2": 1}, {"u": 1, "u2": 2}, UNIT)
 
 
 def test_iter_empty_is_init():
@@ -689,9 +769,9 @@ def _fused_init_cases():
 
 @pytest.mark.parametrize("reg, body, side, xy", _fused_init_cases())
 def test_fused_map2_init_equals_zip_then_map(reg, body, side, xy):
-    # the fused init zips the inputs itself (one C-level pass when both have
-    # one key set) and may own that dict; it is the compiled zip followed by
-    # the map's init, and one step from either init keeps Laws 2-3
+    # the fused init is the compiled zip (one C-level pass when both inputs
+    # have one key set) followed by the map's init, which may own the zipped
+    # dict, and one step from either init keeps Laws 2-3
     in_ty = TProd(side, side)
     tt = typecheck(map2(body), in_ty, reg)
     zip_tt = typecheck(ca.Zip(), in_ty, reg)

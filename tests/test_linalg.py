@@ -10,7 +10,7 @@ from deltic.incr import cache_entry_count, incrementalize
 from deltic.oracle import stable_rng
 
 from helpers import (
-    call_codes, lists_to_mat, list_to_vec, mat_to_lists, oracle_dense, oracle_dot,
+    builtin_calls, call_codes, lists_to_mat, list_to_vec, mat_to_lists, oracle_dense, oracle_dot,
     oracle_mmmul, oracle_mvmul, vec_to_list,
 )
 
@@ -130,7 +130,9 @@ def test_dense_cache_holds_2nm_plus_n(bundle):
 def test_dense_setup_checks_and_zips_rows_in_bulk(bundle):
     # Python calls, not time: typecheck of the n×n weight literal checks each
     # row in C-level passes (about 3·n² calls when it went entry by entry;
-    # 345 at n = 60), and init zips each row with x without the compiled zip
+    # 345 at n = 60), and init zips each row with x in zip's one-key-set
+    # pass, never in its key-union comprehension, which reads every key
+    # with dict.get
     n = 60
     rng = stable_rng(44, "dense-setup-calls")
     M = {i: {j: rng.uniform(-1, 1) for j in range(n)} for i in range(n)}
@@ -140,9 +142,24 @@ def test_dense_setup_checks_and_zips_rows_in_bulk(bundle):
     tt, codes = call_codes(typecheck, term, arr(n, R), bundle.registry)
     assert len(codes) <= 10 * n
     run_zip = compiled(typecheck(Zip(), TProd(arr(n, R), arr(n, R)), bundle.registry))
-    assert run_zip.__code__.co_name == "run_zip"
-    _, codes = call_codes(incrementalize(tt).init, x)
-    assert run_zip.__code__ not in codes
+    _, called = builtin_calls(run_zip, ({0: 1.0}, {1: 2.0}))
+    assert called.count("dict.get") == 4
+    _, called = builtin_calls(incrementalize(tt).init, x)
+    assert "dict.get" not in called
+
+
+def test_init_zips_in_denotes_key_order(bundle):
+    # rows and x inserted in descending key order: the fused map2 init
+    # pairs them in the order denote's zip does, so the row sums match
+    # denote bit for bit
+    n = 50
+    rng = stable_rng(45, "mvmul-key-order")
+    M = {i: {j: rng.uniform(-1, 1) for j in reversed(range(n))} for i in reversed(range(n))}
+    x = {j: rng.uniform(-1, 1) for j in reversed(range(n))}
+    tt = typecheck(linalg.mvmul_term(n, n), TProd(arr(n, arr(n, R)), arr(n, R)),
+                   bundle.registry)
+    y, _ = incrementalize(tt).init((M, x))
+    assert y == denote(tt, (M, x))
 
 
 def test_dense_float_drift_stays_bounded(bundle):

@@ -173,12 +173,13 @@ def test_fused_join_laws(pred_name):
 
 
 def _without_matches(desc, c):
-    # the fused seq cache with its join slot's matches part dropped and the
-    # join's x and y parts read as the one pair value the unfused cross keeps
+    # the fused seq cache with its join slot's matches part swapped for the
+    # index the unfused cross keeps, which holds nothing; the x and y parts
+    # are left as they are
     (x_desc, y_desc, matches), *rest = desc.parts[0].parts, *desc.parts[1:]
     assert matches == incr.CMatches()
-    pair = incr.CValue(TProd(x_desc.ty, y_desc.ty))
-    return incr.CTuple((pair, *rest)), [c[0][:2], *c[1:]]
+    join = incr.CTuple((x_desc, y_desc, incr.CUnit()))
+    return incr.CTuple((join, *rest)), [(*c[0][:2], incr.UNIT), *c[1:]]
 
 
 def test_fused_join_cache_is_the_unfused_one():
@@ -198,6 +199,29 @@ def test_fused_join_cache_is_the_unfused_one():
         assert d1 == d2
         assert (cache_to_json(*_without_matches(fused.cache, c1))
                 == cache_to_json(unfused.cache, c2))
+
+
+def test_fused_join_cache_json_after_a_left_and_a_right_step():
+    # the x, y and matches parts as printed; a right tuple's matches are
+    # sorted, and one left with no match prints as []
+    tt = _join("key-eq")
+    m = incrementalize(tt)
+    _, c = m.init(({(1, 2): 1, (2, 5): 2}, {(1, 9): 1, (2, 7): 3}))
+    selection = "unit", "unit", "unit"
+    dout, c = m.step(({(1, 4): 1, (2, 5): -2}, {}), c)
+    assert dout == {((1, 4), (1, 9)): 1, ((2, 5), (2, 7)): -6}
+    assert cache_to_json(m.cache, c) == [
+        [{"value": [[[1, 2], 1], [[1, 4], 1]]},
+         {"value": [[[1, 9], 1], [[2, 7], 3]]},
+         {"matches": [[[1, 9], [[1, 2], [1, 4]]], [[2, 7], []]]}],
+        *selection]
+    dout, c = m.step(({}, {(1, 8): 2, (2, 7): -3}), c)
+    assert dout == {((1, 2), (1, 8)): 2, ((1, 4), (1, 8)): 2}
+    assert cache_to_json(m.cache, c) == [
+        [{"value": [[[1, 2], 1], [[1, 4], 1]]},
+         {"value": [[[1, 8], 2], [[1, 9], 1]]},
+         {"matches": [[[1, 8], [[1, 2], [1, 4]]], [[1, 9], [[1, 2], [1, 4]]]]}],
+        *selection]
 
 
 @pytest.mark.parametrize("fallback, fused", [(0, True), (1, False)])
