@@ -327,8 +327,11 @@ def nil_change(ty):
 #
 # update_fn is the one exception to immutability: a ⊕ for values that a
 # machine owns (own_copy made them), which writes into the container's top
-# level instead of copying it.  It shares the container loop with apply_fn.
-# Under in-place churn CPython grows a dict to about 3 × its length, where a
+# level instead of copying it.  It runs the one container ⊕ loop
+# (_merge_fn), and apply_fn's container ⊕ is update_fn on a clone: v.copy()
+# clones v's table in C while at most a third of its slots are deleted, and
+# compacts it past that, where dict(v) would insert entry by entry.  Under
+# in-place churn CPython grows a dict to about 3 × its length, where a
 # copy has about 1.5 ×, so the in-place ⊕ compacts: it returns a copy when
 # the update resized the dict (its getsizeof changed), or when the dict's
 # length fell below half of its length at its last copy.  A dict's
@@ -336,7 +339,8 @@ def nil_change(ty):
 # allocation depends only on its length (and key kind), so _REBUILT_LEN
 # records, per copy size, the length at the last copy of that size.  Both
 # rules are amortized, so at worst a step makes one copy.  The table decides
-# only when a copy is made, never a value.
+# only when a copy is made, never a value.  The same rules keep a clone
+# that apply_fn updates right-sized.
 
 _REBUILT_LEN: dict = {}   # getsizeof of an own_copy result -> its length
 
@@ -346,9 +350,9 @@ def apply_fn(ty):
     match ty:
         case TBase(base):
             return base.apply
-        case TCont(_, elem):
-            merge = _merge_fn(elem)
-            return lambda v, d: merge(dict(v), d) if d else v
+        case TCont():
+            up = update_fn(ty)
+            return lambda v, d: up(v.copy(), d) if d else v
         case TProd(a, b):
             fa, fb = apply_fn(a), apply_fn(b)
             return lambda v, d: (fa(v[0], d[0]), fb(v[1], d[1]))
@@ -423,7 +427,8 @@ def own_copy(v):
     """A value that update_fn may write into: a top-level copy of a container.
 
     Values of other types are returned as they are, as update_fn does not
-    write into them.
+    write into them.  The copy is dict(v), not v.copy(): it inserts entry by
+    entry, so it also compacts a table that churn has left with deleted slots.
     """
     if type(v) is not dict:
         return v

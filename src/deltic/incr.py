@@ -76,10 +76,17 @@ copy of the cached relation.  The in-place ⊕ compacts: it returns a fresh
 copy when the update made CPython resize the dict, or when the dict has
 fewer than half the entries it had at its last copy; both are amortized,
 so at worst a step copies once, as every step did before.
-Other machines keep ⊕ functional, because their cached value can escape:
-comb_triv and comb_triv2 (fn may return its input), case (its cached output
-is the init output it returned) and distr (Sl((x2, v)) hands out the cached
-x2).
+
+fuse, distr and case own their cached containers in the same way, so a step
+inside the live side ⊕s its change in place and costs the change.  fuse
+and distr cache their own copy of the input's payload (distr also of x) at
+init and of the new payload at a set step; distr's set step hands out a
+copy of its cached x.  case caches its own copy of the branch output it
+hands out, at init and at every branch switch, as that output may be the
+change's own value (an id branch) or sit in the branch's cache (comb_triv2).
+comb_triv and comb_triv2 keep ⊕ functional: their step reruns fn on the
+whole input, so it is O(n) whatever its ⊕ costs, and owning their cache
+would add a copy at init, and one per step wherever fn returns its input.
 
 The index, the third cache part, makes each side's term and updates itself.
 The unfused op's index keeps nothing (UNIT) and calls fn.  The selected
@@ -786,48 +793,51 @@ def _read_sum_change(d, s):
 
 def _incr_fuse(tt):
     a_ty = tt.out_ty
-    ap = apply_fn(a_ty)
+    up = update_fn(a_ty)
     df = diff_fn(a_ty)
     nil = nil_change(a_ty)
 
     def init(s):
-        return s.value, s
+        return s.value, type(s)(own_copy(s.value))
 
     def step(d, c):
         side, v = _read_sum_change(d, c)
         if side is not None:
-            return df(v, c.value), side(v)
+            return df(v, c.value), side(own_copy(v))
         if v is None:
             return nil, c
-        return v, type(c)(ap(c.value, v))
+        return v, type(c)(up(c.value, v))
 
     return IncrMachine(tt.in_ty, tt.out_ty, CValue(TSum(a_ty, a_ty)), init, step)
 
 
 def _incr_distr(tt):
-    ap_a = apply_fn(tt.in_ty.left)
+    a_ty = tt.in_ty.left
+    up_a = update_fn(a_ty)
+    nil_a = is_nil_fn(a_ty)
     b_ty = tt.in_ty.right.left
     c_ty = tt.in_ty.right.right
     # per side of the sum: its set and change forms, its ⊕ and its nil
-    sides = {Left: (Sl, Cl, apply_fn(b_ty), nil_change(b_ty)),
-             Right: (Sr, Cr, apply_fn(c_ty), nil_change(c_ty))}
+    sides = {Left: (Sl, Cl, update_fn(b_ty), nil_change(b_ty)),
+             Right: (Sr, Cr, update_fn(c_ty), nil_change(c_ty))}
 
     def init(xs):
         x, s = xs
-        return type(s)((x, s.value)), xs
+        return type(s)((x, s.value)), (own_copy(x), type(s)(own_copy(s.value)))
 
     def step(d, cache):
         dx, ds = d
         x, s = cache
-        x2 = ap_a(x, dx)
+        x2 = up_a(x, dx)
         side, v = _read_sum_change(ds, s)
         if side is not None:
-            return sides[side][0]((x2, v)), (x2, side(v))
+            # x2 is the cache's own: the output gets a copy of it
+            return sides[side][0]((own_copy(x2), v)), (x2, side(own_copy(v)))
         live = type(s)
-        _, change, ap, nil = sides[live]
+        _, change, up, nil = sides[live]
         if v is None:
-            return change((dx, nil)), (x2, s)
-        return change((dx, v)), (x2, live(ap(s.value, v)))
+            return (SUM_NULL if nil_a(dx) else change((dx, nil))), (x2, s)
+        return change((dx, v)), (x2, live(up(s.value, v)))
 
     return IncrMachine(tt.in_ty, tt.out_ty, CValue(tt.in_ty), init, step)
 
@@ -838,14 +848,15 @@ def _incr_case(tt):
     b1 = tt.children[0].out_ty
     b2 = tt.children[1].out_ty
     # per side of the sum: its branch machine, its output's set and change
-    # forms, and the output's ⊕ and ⊖
-    branches = {Left: (mf, Sl, Cl, apply_fn(b1), diff_fn(b1)),
-                Right: (mg, Sr, Cr, apply_fn(b2), diff_fn(b2))}
+    # forms, and the output's in-place ⊕ and ⊖
+    branches = {Left: (mf, Sl, Cl, update_fn(b1), diff_fn(b1)),
+                Right: (mg, Sr, Cr, update_fn(b2), diff_fn(b2))}
 
     def init(s):
         side = type(s)
         y, c = branches[side][0].init(s.value)
-        return side(y), side((c, y))
+        # y goes out, so the cache keeps its own copy
+        return side(y), side((c, own_copy(y)))
 
     def step(d, cc):
         side, v = _read_sum_change(d, cc)
@@ -853,15 +864,15 @@ def _incr_case(tt):
             if v is None:
                 return SUM_NULL, cc
             live = type(cc)
-            m, _, change, ap, _ = branches[live]
+            m, _, change, up, _ = branches[live]
             c, y = cc.value
             dy, c2 = m.step(v, c)
-            return change(dy), live((c2, ap(y, dy)))
+            return change(dy), live((c2, up(y, dy)))
         m, set_to, change, _, df = branches[side]
         y, c2 = m.init(v)
-        if type(cc) is side:
-            return change(df(y, cc.value[1])), side((c2, y))
-        return set_to(y), side((c2, y))
+        dy = change(df(y, cc.value[1])) if type(cc) is side else set_to(y)
+        # y may be v itself or sit in the branch's cache: cache a copy
+        return dy, side((c2, own_copy(y)))
 
     desc = CCase(mf.cache, b1, mg.cache, b2)
     return IncrMachine(tt.in_ty, tt.out_ty, desc, init, step)

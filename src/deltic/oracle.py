@@ -4,7 +4,7 @@ Everything here is reproducible from (seed, check name): generators draw from
 a Random seeded by a stable digest, and reports carry no non-deterministic
 content.  Failures are reported with full (x, dx) witnesses, never raised.
 
-The seven documented fault injections (for mutation-sensitivity testing):
+The eight documented fault injections (for mutation-sensitivity testing):
 
   triv-stale-cache       Triv step returns the old cache         -> Law-3
   swap-fst-snd           fst's derivative projects the other leg -> Law-2
@@ -15,6 +15,9 @@ The seven documented fault injections (for mutation-sensitivity testing):
                          copies, so its in-place ⊕ writes into them
   join-stale-matches     a left step of the fused join leaves a  -> Law-3
                          new left tuple out of its matches
+  case-aliased-output    case's init caches the very output it   -> Law-2
+                         returns, so its in-place ⊕ writes into it
+                         (Law-3 when that output is the input)
 """
 
 from __future__ import annotations
@@ -975,6 +978,19 @@ def _aliased_cache(orig):
     return bad
 
 
+def _aliased_output(orig):
+    def bad(tt):
+        m = orig(tt)
+        init = m.init
+
+        def aliased(s):
+            y, c = init(s)
+            return y, type(c)((c.value[0], y.value))  # the output, not a copy
+
+        return replace(m, init=aliased)
+    return bad
+
+
 def _stale_matches(orig):
     def bad(p):
         index = orig(p)
@@ -1000,6 +1016,7 @@ _SABOTAGE = {
     "debruijn-off-by-one": (vars(fe), "_var_term", _off_by_one),
     "bilin-aliased-cache": (vars(incr), "comb_bilin", _aliased_cache),
     "join-stale-matches": (vars(relalg), "_join_index", _stale_matches),
+    "case-aliased-output": (incr._BUILDERS, ca.CasePar, _aliased_output),
 }
 FAULTS = tuple(_SABOTAGE)
 
@@ -1174,6 +1191,19 @@ def _combinator_instances(name, cfg, rng):
     raise GenerationFailure(f"unknown combinator {name!r}")
 
 
+# fuse, distr and case ⊕ changes into containers they own.  Their random
+# instances seldom step a non-empty container (arr[0] is drawn often), so
+# each is also checked on one fixed instance over arr[3] real, with id
+# branches, which no other fault touches.  It runs only when the random
+# instances pass, and its samples are not counted, so a passing record reads
+# as it did without it.
+_OWNED_SUM_TERMS = {
+    "fuse": (ca.Fuse(), lambda a: TSum(a, a)),
+    "distr": (ca.Distr(), lambda a: TProd(a, TSum(a, a))),
+    "case": (ca.CasePar(ca.ID, ca.ID), lambda a: TSum(a, a)),
+}
+
+
 def check_construct_laws(name, cfg: GenConfig = None, samples=200,
                          instances=10, seed=None) -> CheckReport:
     """Laws 1-3 for one construct across randomized instantiations."""
@@ -1201,6 +1231,14 @@ def check_construct_laws(name, cfg: GenConfig = None, samples=200,
         if not rep.passed:
             failures.extend(rep.failures)
             break
+    if not failures and name in _OWNED_SUM_TERMS:
+        term, in_ty = _OWNED_SUM_TERMS[name]
+        tt = ca.typecheck(term, in_ty(arr(3, R)), oracle_registry())
+        rep = check_term_laws(tt, stable_rng(seed, f"owned:{name}"), samples=20,
+                              rel_tol=cfg.tol_real, name=f"{name}#owned")
+        if not rep.passed:
+            rep.failures[0]["term"] = ca.term_to_text(term)
+            failures.extend(rep.failures)
     return CheckReport(f"laws:{name}", seed, total, not failures, failures)
 
 

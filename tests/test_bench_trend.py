@@ -1,0 +1,33 @@
+"""tools/bench_trend.py: the trend reader over the committed perf records."""
+
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run():
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "bench_trend.py")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_trend_reads_every_committed_record_the_same_way_twice():
+    out = _run()
+    assert out == _run()
+    lines = [json.loads(line) for line in out.splitlines()]
+    records = sorted(int(p.stem.split("_")[1]) for p in ROOT.glob("BENCH_*.json"))
+    # every record holds parent and change runs of the three workloads
+    assert len(lines) == 6 * len(records) and len(lines) >= 90
+    assert [line["pr"] for line in lines] == sorted(line["pr"] for line in lines)
+    assert {line["pr"] for line in lines} == set(records)
+    # one median checked by hand: BENCH_23's rel-join change runs
+    runs = json.loads((ROOT / "BENCH_23.json").read_text())["runs"]
+    p50 = [r["result"]["metrics"]["latency_p50_us"]["value"] for r in runs
+           if r["workload"] == "rel-join" and r["side"] == "change" and not r["trace"]]
+    (line,) = [x for x in lines if (x["pr"], x["workload"], x["side"]) == (23, "rel-join", "change")]
+    assert line["runs"] == len(p50) and line["latency_p50_us"] == statistics.median(p50)

@@ -1,6 +1,9 @@
 """Change-structure algebra on the universal value representation."""
 
+import copy
 import dataclasses
+import random
+import sys
 
 import pytest
 
@@ -8,7 +11,7 @@ from deltic.calculus import Cst, TermTypeError, typecheck
 from deltic.core import (
     INT, KEEP, NAT, REAL, SCALAR, SUM_NULL, Cl, Cr, Left, Right, Sl, Sr,
     ConformanceError, Shape, TBase, TCont, TProd, TSum, UsageError,
-    apply_change, check_change, check_value, default_value, diff_values,
+    _merge_fn, apply_change, check_change, check_value, default_value, diff_values,
     apply_fn, is_nil, nil_change, own_copy, support, update_fn, values_equal,
 )
 from deltic.domains.containers import ARRAY, arr, rel_shape, tree_shape
@@ -480,3 +483,69 @@ def test_update_fn_compacts_a_relation_that_lost_half_its_tuples():
     v = update_fn(ty)(v, {(i,): -1 for i in range(400, 520)})
     assert v is not held  # 480 < 500: copied
     assert v == {(i,): 1 for i in range(520, 1_000)}
+
+
+def _fresh(rng, elem):
+    """A random element other than the default."""
+    while True:
+        e = gen_value(rng, elem)
+        if e != default_value(elem):
+            return e
+
+
+def _churn_change(rng, elem, v, keys, k):
+    """A canonical change that inserts k entries, deletes k and updates k."""
+    dft = default_value(elem)
+    d = {i: diff_values(elem, _fresh(rng, elem), dft)
+         for i in rng.sample([i for i in keys if i not in v], k)}
+    old = rng.sample(list(v), 2 * k)
+    d.update((i, diff_values(elem, dft, v[i])) for i in old[:k])
+    d.update((i, diff_values(elem, _fresh(rng, elem), v[i])) for i in old[k:])
+    return {i: di for i, di in d.items() if not is_nil(elem, di)}
+
+
+@pytest.mark.parametrize("ty, keys", [
+    (TCont(rel_shape(("int", "int")), Z), [(i, j) for i in range(30) for j in range(30)]),
+    (arr(400, R), range(400)),
+    (arr(60, arr(4, R)), range(60)),
+])
+def test_functional_apply_on_a_clone_is_the_merge_on_a_rebuilt_dict(ty, keys):
+    # apply_fn's container ⊕ clones v and updates the clone; it must give
+    # what the ⊕ loop gives on dict(v), entry for entry and in key order,
+    # and leave v as it was, also when v carries deleted slots
+    rng = stable_rng(24, f"clone-apply:{ty!r}")
+    keys, elem = list(keys), ty.elem
+    merge = _merge_fn(elem)
+    for dropped in (0.2, 0.5):  # a clone of the table, and a compacting copy
+        v = {i: _fresh(rng, elem) for i in rng.sample(keys, len(keys) // 2)}
+        for i in rng.sample(list(v), int(dropped * len(v))):
+            del v[i]  # leaves a deleted slot in v's table
+        for _ in range(20):
+            d = _churn_change(rng, elem, v, keys, 5)
+            then = copy.deepcopy(v)
+            want = merge(dict(v), d)
+            got = apply_fn(ty)(v, d)
+            assert list(got.items()) == list(want.items())
+            assert list(v.items()) == list(then.items())
+            v = got
+
+
+def test_functional_apply_keeps_a_churned_table_right_sized():
+    ty = TCont(rel_shape(("int", "int")), Z)
+    ap = apply_fn(ty)
+    y = {(i, 0): 1 for i in range(2_000)}
+    for k in range(3_000):
+        # the 50 oldest tuples out, 50 new ones in
+        lo, hi = 50 * k, 2_000 + 50 * k
+        d = {(i, 0): -1 for i in range(lo, lo + 50)}
+        d.update({(i, 0): 1 for i in range(hi, hi + 50)})
+        y = ap(y, d)
+        assert len(y) == 2_000
+        assert sys.getsizeof(y) == sys.getsizeof(dict(y)), k
+    # shrinking 20,000 -> 1,000 tuples, 100 a step, stays within 2x
+    y = {(i, 0): 1 for i in range(20_000)}
+    worst = 1.0
+    for lo in range(0, 19_000, 100):
+        y = ap(y, {(i, 0): -1 for i in range(lo, lo + 100)})
+        worst = max(worst, sys.getsizeof(y) / sys.getsizeof(dict(y)))
+    assert len(y) == 1_000 and worst <= 2.0, worst

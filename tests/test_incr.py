@@ -29,6 +29,7 @@ from deltic.oracle import (
     GenConfig, check_machine_laws, check_term_laws, gen_change, gen_index, gen_term,
     gen_type, gen_value, inject_fault, oracle_registry, stable_rng,
 )
+from deltic.serialize import change_to_text, value_to_text
 from helpers import call_codes
 
 R = TBase(REAL)
@@ -238,7 +239,7 @@ def test_an_untouched_sum_side_steps_in_memory_flat_in_n(build):
             x, d, want = Left(live), Cr({0: 1.0}), {}
         else:
             tt = typecheck(ca.Distr(), TProd(R, TSum(side, side)), reg)
-            x, d, want = (1.0, Left(live)), (0.0, SUM_NULL), Cl((0.0, {}))
+            x, d, want = (1.0, Left(live)), (0.0, SUM_NULL), SUM_NULL
         m = incrementalize(tt)
         _, c = m.init(x)
         tracemalloc.start()
@@ -250,6 +251,113 @@ def test_an_untouched_sum_side_steps_in_memory_flat_in_n(build):
         assert dy == want
     # under 1 KB at both sizes: a nil dict of 1,000 entries alone is 36 KB
     assert max(peaks) < 1024, peaks
+
+
+def _one_entry_sum_machines(n):
+    """(name, machine, input, change at k) for the sum machines over arr[n]
+    real, each stepped by a one-entry change to its live side."""
+    side = arr(n, R)
+    reg = linalg.register_linalg().registry
+    relu = Map(OpCall("relu"))
+    live = {i: float(i + 1) for i in range(n)}
+    builds = [
+        ("fuse", ca.Fuse(), TSum(side, side), Left(live), lambda k: Cl({k: 1.0})),
+        ("case", CasePar(relu, relu), TSum(side, side), Left(live), lambda k: Cl({k: 1.0})),
+        ("distr ; case", seq(ca.Distr(), CasePar(ca.SND, ca.SND)), TProd(R, TSum(side, side)),
+         (1.0, Left(live)), lambda k: (0.0, Cl({k: 1.0}))),
+    ]
+    return [(name, incrementalize(typecheck(t, ty, reg)), x, d) for name, t, ty, x, d in builds]
+
+
+def test_a_live_sum_side_steps_in_memory_flat_in_n():
+    # case, distr and fuse ⊕ a live-side change into the container they own,
+    # so a one-entry step allocates no copy of it at any size
+    peaks = {}
+    for n in (1_000, 10_000, 100_000):
+        for name, m, x, d in _one_entry_sum_machines(n):
+            _, c = m.init(x)
+            top = 0
+            for k in range(5):
+                tracemalloc.start()
+                try:
+                    _, c = m.step(d(k * 7), c)
+                    top = max(top, tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            peaks[name, n] = top
+    # under 4 KB at every size: a copy of the 1,000-entry side alone is 36 KB
+    assert max(peaks.values()) < 4096, peaks
+
+
+def test_distr_passes_an_untouched_side_on_as_sum_null():
+    side = arr(3, R)
+    reg = oracle_registry()
+    m = incrementalize(typecheck(seq(ca.Distr(), CasePar(ca.SND, ca.SND)),
+                                 TProd(R, TSum(side, side)), reg))
+    _, c = m.init((1.0, Left({0: 1.0})))
+    for d in [(0.0, SUM_NULL), (0.0, Cr({1: 2.0}))]:
+        held = c[1]  # the case stage's cache
+        dy, c = m.step(d, c)
+        assert dy is SUM_NULL
+        # the case after distr hands SUM_NULL on without stepping its branch,
+        # which would make it a new cache
+        assert c[1] is held
+    # a map over distr keeps no entry for such an element
+    elem = TProd(R, TSum(R, R))
+    mm = incrementalize(typecheck(Map(ca.Distr()), arr(2, elem), reg))
+    _, c = mm.init({0: (1.0, Left(2.0)), 1: (3.0, Right(4.0))})
+    dy, c = mm.step({0: (0.0, Cr(5.0)), 1: (1.0, SUM_NULL)}, c)
+    assert dy == {1: Cr((1.0, 0.0))}
+
+
+def _owned_triv2_op(reg, ty):
+    """Register v_same, a comb_triv2 op whose fn returns its input, so the
+    machine's init output is the input itself and also sits in its cache."""
+    same = lambda v: v  # noqa: E731
+    reg.register_op(ca.OpDef("v_same", ca.monomorphic(ty, ty), same,
+                             lambda i, o: comb_triv2(same, i, o), (ty,)))
+    return OpCall("v_same")
+
+
+@pytest.mark.parametrize("build", ["fuse", "distr", "case", "distr ; case"])
+def test_sum_machines_own_what_they_cache(build):
+    # a stream of live-side steps, untouched-side steps and switches writes
+    # into no input, change or output that the machine was given or gave out
+    a = arr(3, R)
+    reg = oracle_registry()
+    stream = [Cl({0: 1.0, 2: -3.0}), Cr({1: 5.0}), Sr({0: 2.0}), Cr({0: 1.0, 1: 1.0}),
+              Sr({2: 4.0}), Sl({1: 7.0}), Cl({1: -7.0, 2: 6.0}), Sl({0: 8.0}),
+              Cl({0: 1.0}), SUM_NULL, Cl({2: 1.0})]
+    if build == "fuse":
+        term, in_ty, x, ds = ca.Fuse(), TSum(a, a), Left({0: 1.0, 1: 2.0}), stream
+    elif build == "case":
+        term, in_ty = CasePar(ID, _owned_triv2_op(reg, a)), TSum(a, a)
+        x, ds = Left({0: 1.0, 1: 2.0}), stream
+    else:
+        term = ca.Distr() if build == "distr" else seq(ca.Distr(), CasePar(ca.SND, ca.SND))
+        in_ty, x = TProd(a, TSum(a, a)), ({0: 3.0}, Left({0: 1.0, 1: 2.0}))
+        ds = [({1: 1.0} if k % 3 else {}, d) for k, d in enumerate(stream)]
+    tt = typecheck(term, in_ty, reg)
+    m, fn, out_ty = incrementalize(tt), ca.compiled(tt), tt.out_ty
+
+    def text(ty, x, ds):
+        return [value_to_text(ty, x)] + [change_to_text(ty, d) for d in ds]
+
+    given = text(in_ty, x, ds)
+    y, c = m.init(x)
+    out = [y]
+    out_then = [value_to_text(out_ty, y)]
+    for d in ds:
+        dy, c = m.step(d, c)
+        out.append(dy)
+        out_then.append(change_to_text(out_ty, dy))
+    assert text(in_ty, x, ds) == given
+    assert text(out_ty, out[0], out[1:]) == out_then
+    for d, dy in zip(ds, out[1:]):
+        x = apply_change(in_ty, x, d)
+        y = apply_change(out_ty, y, dy)
+    assert y == fn(x)
+    assert cache_equal(m.cache, c, m.init(x)[1])
 
 
 @pytest.mark.parametrize("term, in_ty, x, d", [

@@ -124,6 +124,8 @@ def test_each_fault_is_caught(fault):
             rep = check_op_laws(op, op.sample_in_tys[0], samples=50)
         elif fault == "join-stale-matches":
             rep = check_fused_join(samples=20)
+        elif fault == "case-aliased-output":
+            rep = check_construct_laws("case", samples=50, instances=10)
         else:
             rep = check_frontend_lowering(samples=20)
         assert not rep.passed, fault
