@@ -26,6 +26,7 @@ construction-time sugar for `zip ; map f` and `dup ; (f × g)`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Optional
@@ -350,29 +351,94 @@ def _mismatch(t, in_ty, why):
     raise TermTypeError(f"{type(t).__name__} at input {type_to_text(in_ty)}: {why}")
 
 
-def typecheck(t: Term, in_ty, registry: Registry) -> TypedTerm:
-    """Check t against the typing rules at input type in_ty."""
+def typecheck(t: Term, in_ty, registry: Registry, memo=None) -> TypedTerm:
+    """Check t against the typing rules at input type in_ty.
+
+    Equal subterms at equal input types get one TypedTerm, which sits at
+    every position that holds one of them.  memo is the table of one build,
+    from each node's key (see _check) to its TypedTerm: by default a fresh
+    one per call, or one that the checks of a single build share, as in
+    frontend.compile_program.  It must not outlive that build.
+    """
+    return _check(t, in_ty, registry, {} if memo is None else memo)
+
+
+def _exact(v):
+    """A key for a payload value: equal only for equal values of one type,
+    floats of one sign included (0.0 == -0.0 and 1 == True, but their keys
+    differ); any other object is keyed by its identity."""
+    tv = type(v)
+    if tv is float:
+        return tv, v, math.copysign(1.0, v)
+    if tv is int or tv is str or tv is bool or v is None:
+        return tv, v
+    if tv is tuple:
+        return tv, tuple(map(_exact, v))
+    return "id", id(v)
+
+
+def _check(t, in_ty, registry, memo):
+    """typecheck with a memo.  A node's key is O(1): a composite (seq, par,
+    case, map) is checked child first and keyed by its children's
+    TypedTerms, compared by identity (map also by its input type, for the
+    shape); a leaf is keyed by itself and its input type, with its payload
+    (cst, get, set) keyed by _exact.  Types hash in O(1) (core stores each
+    one's hash)."""
+    kind = type(t)
+    if kind is Seq:
+        # a stack, not recursion, so chains of any length fit the recursion limit
+        stages = []
+        ty = in_ty
+        todo = [t]
+        while todo:
+            s = todo.pop()
+            if type(s) is Seq:
+                todo += reversed(s.stages)
+            else:
+                f = _check(s, ty, registry, memo)
+                stages.append(f)
+                ty = f.out_ty
+        key = (Seq, *stages)
+        tt = memo.get(key)
+        if tt is None:
+            tt = memo[key] = TypedTerm(t, in_ty, ty, tuple(stages))
+        return tt
+    if kind is Par or kind is CasePar:
+        pair = TProd if kind is Par else TSum
+        if not isinstance(in_ty, pair):
+            _mismatch(t, in_ty, "parallel composition needs a product input"
+                      if kind is Par else "case needs a sum input")
+        f = _check(t.left, in_ty.left, registry, memo)
+        g = _check(t.right, in_ty.right, registry, memo)
+        key = (kind, f, g)
+        tt = memo.get(key)
+        if tt is None:
+            tt = memo[key] = TypedTerm(t, in_ty, pair(f.out_ty, g.out_ty), (f, g))
+        return tt
+    if kind is Map:
+        if not isinstance(in_ty, TCont):
+            _mismatch(t, in_ty, "map needs a container input")
+        f = _check(t.body, in_ty.elem, registry, memo)
+        key = (Map, f, in_ty)
+        tt = memo.get(key)
+        if tt is None:
+            tt = memo[key] = TypedTerm(t, in_ty, TCont(in_ty.shape, f.out_ty), (f,))
+        return tt
+    if kind is Cst:
+        key = (Cst, t.ty, _exact(t.value), in_ty)
+    elif kind is Get or kind is SetAt:
+        key = (kind, _exact(t.index), in_ty)
+    else:
+        key = (t, in_ty)
+    tt = memo.get(key)
+    if tt is None:
+        tt = memo[key] = _check_leaf(t, in_ty, registry)
+    return tt
+
+
+def _check_leaf(t, in_ty, registry) -> TypedTerm:
+    """The typing rule of a term with no subterms."""
     match t:
-        case Seq():
-            # a stack, not recursion, so chains of any length fit the recursion limit
-            stages = []
-            ty = in_ty
-            todo = [t]
-            while todo:
-                s = todo.pop()
-                if isinstance(s, Seq):
-                    todo += reversed(s.stages)
-                else:
-                    f = typecheck(s, ty, registry)
-                    stages.append(f)
-                    ty = f.out_ty
-            return TypedTerm(t, in_ty, ty, tuple(stages))
-        case Par(left, right):
-            if not isinstance(in_ty, TProd):
-                _mismatch(t, in_ty, "parallel composition needs a product input")
-            f = typecheck(left, in_ty.left, registry)
-            g = typecheck(right, in_ty.right, registry)
-            return TypedTerm(t, in_ty, TProd(f.out_ty, g.out_ty), (f, g))
         case Proj(path):
             ty = in_ty
             for i in path:
@@ -394,11 +460,6 @@ def typecheck(t: Term, in_ty, registry: Registry) -> TypedTerm:
             except ConformanceError as e:
                 _mismatch(t, in_ty, f"literal does not conform: {e}")
             return TypedTerm(t, in_ty, ty)
-        case Map(body):
-            if not isinstance(in_ty, TCont):
-                _mismatch(t, in_ty, "map needs a container input")
-            f = typecheck(body, in_ty.elem, registry)
-            return TypedTerm(t, in_ty, TCont(in_ty.shape, f.out_ty), (f,))
         case Zip():
             ok = (isinstance(in_ty, TProd)
                   and isinstance(in_ty.left, TCont) and isinstance(in_ty.right, TCont)
@@ -456,12 +517,6 @@ def typecheck(t: Term, in_ty, registry: Registry) -> TypedTerm:
             return TypedTerm(t, in_ty, TSum(in_ty, right_ty))
         case Inr(left_ty):
             return TypedTerm(t, in_ty, TSum(left_ty, in_ty))
-        case CasePar(left, right):
-            if not isinstance(in_ty, TSum):
-                _mismatch(t, in_ty, "case needs a sum input")
-            f = typecheck(left, in_ty.left, registry)
-            g = typecheck(right, in_ty.right, registry)
-            return TypedTerm(t, in_ty, TSum(f.out_ty, g.out_ty), (f, g))
         case OpCall(name):
             opdef = registry.op(name)
             out_ty = opdef.typer(in_ty)
@@ -470,6 +525,8 @@ def typecheck(t: Term, in_ty, registry: Registry) -> TypedTerm:
             return TypedTerm(t, in_ty, out_ty, info=opdef)
         case _:
             raise TermTypeError(f"unknown term constructor: {t!r}")
+
+
 
 
 # ---------------------------------------------------------------------------

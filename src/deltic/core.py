@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache
 from typing import Any, Callable, Optional
 
@@ -73,6 +73,10 @@ class _SumNull:
     def __repr__(self):
         return "SUM_NULL"
 
+    def __reduce__(self):
+        # copy, deepcopy and pickle hand back the one instance: it is compared by identity
+        return "SUM_NULL"
+
 
 SUM_NULL = _SumNull()
 
@@ -93,6 +97,9 @@ class _Keep:
     __slots__ = ()
 
     def __repr__(self):
+        return "KEEP"
+
+    def __reduce__(self):
         return "KEEP"
 
 
@@ -191,15 +198,36 @@ class ContainerDef:
         return f"ContainerDef({self.id})"
 
 
+# Shapes and types hash once, at construction, from their fields' hashes,
+# which the fields' own constructors stored, so hashing a type costs O(1)
+# however deep it is.  Each __init__ writes its fields and the hash straight
+# into the instance dict (the classes are frozen).  A pickled or copied one
+# is rebuilt by __reduce__ through its constructor, so the hash is made anew:
+# a str's hash differs from one process to the next.  Equality is the
+# dataclass one, field by field.
+
+def _stored_hash(self):
+    return self._hash
+
+
+def _rebuilt(self):
+    return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 @dataclass(frozen=True)
 class Shape:
     container: ContainerDef
     payload: Any
 
-    def __post_init__(self):
-        if not self.container.valid_shape(self.payload):
+    def __init__(self, container, payload):
+        if not container.valid_shape(payload):
             raise ConformanceError(
-                f"invalid shape payload {self.payload!r} for container {self.container.id}")
+                f"invalid shape payload {payload!r} for container {container.id}")
+        d = self.__dict__
+        d["container"], d["payload"], d["_hash"] = container, payload, hash((container, payload))
+
+    __hash__ = _stored_hash
+    __reduce__ = _rebuilt
 
     def indices(self):
         if self.container.enum_indices is None:
@@ -221,6 +249,13 @@ class Shape:
 class TBase:
     base: BaseType
 
+    def __init__(self, base):
+        d = self.__dict__
+        d["base"], d["_hash"] = base, hash((base,))
+
+    __hash__ = _stored_hash
+    __reduce__ = _rebuilt
+
     def __repr__(self):
         return self.base.tag
 
@@ -229,6 +264,13 @@ class TBase:
 class TCont:
     shape: Shape
     elem: "TypeExpr"
+
+    def __init__(self, shape, elem):
+        d = self.__dict__
+        d["shape"], d["elem"], d["_hash"] = shape, elem, hash((shape, elem))
+
+    __hash__ = _stored_hash
+    __reduce__ = _rebuilt
 
     def __repr__(self):
         return f"{self.shape!r} {self.elem!r}"
@@ -239,6 +281,13 @@ class TProd:
     left: "TypeExpr"
     right: "TypeExpr"
 
+    def __init__(self, left, right):
+        d = self.__dict__
+        d["left"], d["right"], d["_hash"] = left, right, hash((left, right))
+
+    __hash__ = _stored_hash
+    __reduce__ = _rebuilt
+
     def __repr__(self):
         return f"({self.left!r} * {self.right!r})"
 
@@ -247,6 +296,13 @@ class TProd:
 class TSum:
     left: "TypeExpr"
     right: "TypeExpr"
+
+    def __init__(self, left, right):
+        d = self.__dict__
+        d["left"], d["right"], d["_hash"] = left, right, hash((left, right))
+
+    __hash__ = _stored_hash
+    __reduce__ = _rebuilt
 
     def __repr__(self):
         return f"({self.left!r} + {self.right!r})"

@@ -407,11 +407,12 @@ def _liveness(nt, afters) -> set:
     return set()
 
 
-def lower(nt, params, registry: Registry, literal_base) -> tuple[Term, Any]:
+def lower(nt, params, registry: Registry, literal_base, memo=None) -> tuple[Term, Any]:
     """Translate a named term over params ((name, type), ...) into the calculus.
 
     Returns (term, output type); the term's input is the right-nested
-    product of the param types.
+    product of the param types.  Each head is typechecked at its argument's
+    type with memo, the typecheck table of the build (see calculus.typecheck).
     """
     # binding levels: the last param is level 0 and each let takes the next
     # one, so a name at level l is at index len(tys) - 1 - l of the context
@@ -450,7 +451,7 @@ def lower(nt, params, registry: Registry, literal_base) -> tuple[Term, Any]:
                 stages = [term]
                 for head in reversed(heads):
                     stages.append(head_to_term(head, ty, registry))
-                    ty = typecheck(stages[-1], ty, registry).out_ty
+                    ty = typecheck(stages[-1], ty, registry, memo).out_ty
                 return seq(*stages), ty
             case NTuple(items):
                 terms, item_tys = zip(*[walk(e, levels, tys) for e in items])
@@ -527,8 +528,11 @@ def parse_program_file(text: str, bundle_lookup=get_bundle):
 
 
 def compile_program(prog: SurfaceProgram, registry: Registry, literal_base) -> TypedTerm:
-    term, _ = lower(prog.body, prog.params, registry, literal_base)
-    return typecheck(term, prog.in_ty, registry)
+    """Lower and typecheck a program.  Lowering's typechecks of its heads and
+    the final one share one memo, so each head is checked once."""
+    memo = {}
+    term, _ = lower(prog.body, prog.params, registry, literal_base, memo)
+    return typecheck(term, prog.in_ty, registry, memo)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,18 @@ Machines are stateless (the cache is threaded by the caller), but step may
 update cache dictionaries in place, so a cache must never be reused after
 being passed to step.
 
+One build shares what it has built.  As machines keep no state, equal
+typed subterms can share one machine: incrementalize keeps a table for one
+top-level call, keyed by TypedTerm identity (calculus.typecheck gives equal
+subterms at equal input types one TypedTerm), so each distinct typed
+subterm, and each fused run of seq stages (_once), is built once, and its
+machine sits at every position that holds it.  init still runs per
+position, so every position keeps its own cache.  A call made while a build
+runs (a builder's, or a sabotaged builder's, for a subterm) joins that
+build; the table is dropped when the outermost call returns, so the next
+build, a fault injected in between included, starts afresh.  A probe that
+wraps machines by term path wraps a shared machine once per path.
+
 A machine with a unit cache is self-maintainable: its step is a pure function
 of the change, kept as the machine's `deriv` (change -> change).  The builders
 for seq, par and map compose their children's derivatives when the machine is
@@ -50,8 +62,9 @@ The zip slot stays UNIT and the stage is cache-free, as before.
 
 A map whose body is a Triv machine (comb_triv sets `triv` to its fn) runs fn
 inline as a kernel: init keeps each input element as its entry's sub-cache
-and calls fn once per entry, and step computes fn(x ⊕ dx) ⊖ fn(x) per changed
-key and stores x ⊕ dx, with no per-entry machine call.  The cache is the one
+(when f(ε) = ε, in one clone of the input dict) and calls fn once per entry,
+and step computes fn(x ⊕ dx) ⊖ fn(x) per changed key and stores x ⊕ dx, with
+no per-entry machine call.  The cache is the one
 the per-entry Triv machines keep, so the descriptor, cache_to_json and
 cache_entry_count are unchanged.  The fused `zip ; map f` stage is built by
 the same code, so it gets the kernel too; there a change with one side empty
@@ -103,6 +116,7 @@ The laws every machine satisfies (checked by the oracle module, not assumed):
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from functools import cache
 from itertools import chain, groupby, repeat
@@ -122,6 +136,10 @@ class _Unit:
     __slots__ = ()
 
     def __repr__(self):
+        return "UNIT"
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle hand back the one instance
         return "UNIT"
 
 
@@ -507,11 +525,11 @@ def _incr_seq(tt):
     k = 0
     while k < len(stages):
         if kinds[k] is ca.Zip and kinds[k + 1] is ca.Map:
-            fused = [None, _incr_map2(stages[k], stages[k + 1])]
+            fused = [None, _once(_incr_map2, stages[k], stages[k + 1])]
         elif kinds[k] is ca.OpCall and stages[k].info.make_selected:
-            fused = _incr_selected(stages[k:k + 4])
+            fused = _once(_incr_selected, *stages[k:k + 4])
         elif kinds[k] is ca.Dup and kinds[k + 1] is ca.Par:
-            fused = [None, _par_machine(stages[k + 1], fan=True)]
+            fused = [None, _once(_par_machine, stages[k + 1], True)]
         else:
             fused = None
         machines += fused or [incrementalize(stages[k])]
@@ -519,7 +537,7 @@ def _incr_seq(tt):
     return _seq_machine(tt, machines)
 
 
-def _incr_selected(stages):
+def _incr_selected(*stages):
     """`op ; dup ; (cst ε × id) ; filter p` as the op's selected machine.
 
     With the element default ε as fallback, filter p is linear, so the op's
@@ -719,7 +737,11 @@ def _map_machine(tt, entries, zipped=False):
 
         def init(x):
             fe = fn(din)
-            caches = x if zipped and fe == dout else dict(ca.map_inputs(x, fe, shape, din, dout))
+            if fe == dout:
+                # the support, as map_inputs gives it, in one C-level clone
+                caches = x if zipped else x.copy()
+            else:
+                caches = dict(ca.map_inputs(x, fe, shape, din, dout))
             out = {}
             for i, xi in caches.items():
                 y = fn(xi)
@@ -906,12 +928,42 @@ _BUILDERS = {
 }
 
 
+# The machines of the build in progress, by TypedTerm (and by fused run of
+# stages, see _once); None between builds.
+_BUILT = ContextVar("deltic_incr_built", default=None)
+
+
 def incrementalize(tt: ca.TypedTerm) -> IncrMachine:
-    """Build the cached incrementalization of a typechecked term."""
-    builder = _BUILDERS.get(type(tt.term))
-    if builder is None:
-        raise UsageError(f"no incrementalization for {tt.term!r}")
-    return builder(tt)
+    """Build the cached incrementalization of a typechecked term.
+
+    A call is one build: the machine of each distinct TypedTerm is made
+    once, and a call made while a build runs (a builder's, for a subterm)
+    joins that build.  The table is dropped when the outermost call returns.
+    """
+    built = _BUILT.get()
+    if built is None:
+        token = _BUILT.set({})
+        try:
+            return incrementalize(tt)
+        finally:
+            _BUILT.reset(token)
+    m = built.get(tt)
+    if m is None:
+        builder = _BUILDERS.get(type(tt.term))
+        if builder is None:
+            raise UsageError(f"no incrementalization for {tt.term!r}")
+        m = built[tt] = builder(tt)
+    return m
+
+
+def _once(build, *stages):
+    """build(*stages), made once per build: a fused run of seq stages is
+    shared like a typed subterm, by the TypedTerms of its stages."""
+    built = _BUILT.get()
+    key = (build, *stages)
+    if key not in built:
+        built[key] = build(*stages)
+    return built[key]
 
 
 # ---------------------------------------------------------------------------

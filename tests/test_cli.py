@@ -227,6 +227,31 @@ def test_bench_csv_schema(tmp_path, capsys):
     assert int(rows[1][6]) == 2 * 20 * 20 + 20
 
 
+def test_bench_mvmul_writes_csv_to_stdout(capsys):
+    rc = main(["bench", "--bench", "mvmul", "--sizes", "3,5", "--reps", "1"])
+    assert rc == 0
+    out, err = capsys.readouterr()
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["bench", "size", "fraction", "full_eval_s",
+                       "incr_step_s", "ratio", "cache_entries"]
+    assert [r[:3] for r in rows[1:]] == [["mvmul", "3", "0.01"], ["mvmul", "5", "0.01"]]
+    # each of the n·n `mul` entries caches its pair (M[i][j], v[j])
+    assert [int(r[6]) for r in rows[1:]] == [2 * 3 * 3, 2 * 5 * 5]
+    assert err == "seed: 42\n"
+
+
+def test_bench_mvmul_sparsity_prints_its_crossover(capsys):
+    rc = main(["bench", "--bench", "mvmul-sparsity", "--sizes", "6", "--reps", "1"])
+    assert rc == 0
+    *csv_lines, last = capsys.readouterr().out.splitlines()
+    rows = list(csv.reader(csv_lines))
+    assert [r[2] for r in rows[1:]] == ["0.1", "0.2", "0.3", "0.4", "0.5",
+                                        "0.6", "0.7", "0.8", "0.9", "1"]
+    ratios = [float(r[5]) for r in rows[1:]]
+    want = next((f / 10 for f, r in zip(range(1, 11), ratios) if r >= 1.0), None)
+    assert last == f"crossover: {want}"
+
+
 Q1_PROG = """\
 bundle trees
 param b : dict[nat] tree[] scalar

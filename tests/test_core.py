@@ -2,11 +2,17 @@
 
 import copy
 import dataclasses
+import os
+import pickle
 import random
+import subprocess
 import sys
+from functools import cache
+from pathlib import Path
 
 import pytest
 
+import deltic
 from deltic.calculus import Cst, TermTypeError, typecheck
 from deltic.core import (
     INT, KEEP, NAT, REAL, SCALAR, SUM_NULL, Cl, Cr, Left, Right, Sl, Sr,
@@ -549,3 +555,70 @@ def test_functional_apply_keeps_a_churned_table_right_sized():
         y = ap(y, {(i, 0): -1 for i in range(lo, lo + 100)})
         worst = max(worst, sys.getsizeof(y) / sys.getsizeof(dict(y)))
     assert len(y) == 1_000 and worst <= 2.0, worst
+
+
+def _wide_product(k):
+    ty = R
+    for i in range(k - 1):
+        ty = TProd(Z if i % 2 else R, ty)
+    return ty
+
+
+def test_a_type_hashes_once_however_deep():
+    # each type stores its hash, made from its fields' stored hashes: a
+    # 2,000-component product hashes without recursing (800 used to fail)
+    a, b = _wide_product(2_000), _wide_product(2_000)
+    assert a is not b and hash(a) == hash(b)
+    assert hash(a) != hash(_wide_product(1_999))
+    assert hash(TSum(R, Z)) == hash(TSum(R, Z)) and TSum(R, Z) != TSum(Z, R)
+    assert hash(arr(3, R)) == hash(TCont(Shape(ARRAY, 3), R))
+    assert hash(rel_shape(("int", "str"))) == hash(rel_shape(("int", "str")))
+
+
+def test_equal_types_built_apart_hit_one_cache_entry():
+    calls = []
+
+    @cache
+    def made(ty):
+        calls.append(ty)
+        return len(calls)
+
+    for build in (lambda: TProd(arr(3, R), TSum(R, Z)),
+                  lambda: TCont(rel_shape(("int", "int")), Z)):
+        assert made(build()) == made(build()) == len(calls)
+    assert len(calls) == 2
+
+
+def test_a_pickled_type_hashes_as_one_built_here():
+    # a str's hash differs per process, so the stored hash must not travel
+    src = str(Path(deltic.__file__).resolve().parents[1])
+    code = ("import pickle, sys; from deltic.core import *; "
+            "sys.stdout.write(pickle.dumps(TProd(TBase(REAL), TSum(TBase(INT), TBase(REAL)))).hex())")
+    env = {**os.environ, "PYTHONHASHSEED": "12345", "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    here = TProd(R, TSum(Z, R))
+    there = pickle.loads(bytes.fromhex(proc.stdout))
+    assert there == here and hash(there) == hash(here) and {here: 1}[there] == 1
+    assert hash(pickle.loads(pickle.dumps(here))) == hash(here)
+    # a container's shape holds its functions, so it copies but does not pickle
+    for ty in (here, arr(3, R), rel_shape(("int", "str"))):
+        for twin in (copy.copy(ty), copy.deepcopy(ty)):
+            assert twin == ty and hash(twin) == hash(ty)
+
+
+@pytest.mark.parametrize("one", [SUM_NULL, KEEP], ids=repr)
+def test_singletons_survive_copy_and_pickle(one):
+    # both are compared by identity, so a copy must be the one instance
+    assert copy.copy(one) is one and copy.deepcopy(one) is one
+    assert pickle.loads(pickle.dumps(one)) is one
+    assert copy.deepcopy([one, (one,)]) == [one, (one,)]
+
+
+def test_a_deep_copied_keep_keeps_the_value():
+    scalar = TBase(SCALAR)
+    assert apply_change(scalar, "a", copy.deepcopy(KEEP)) == "a"
+    assert apply_change(TSum(R, R), Left(1.0), copy.deepcopy(SUM_NULL)) == Left(1.0)
+    tree = TCont(tree_shape(), scalar)
+    assert apply_change(tree, {(): "a"}, pickle.loads(pickle.dumps({(): KEEP}))) == {(): "a"}

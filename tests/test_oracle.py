@@ -1,5 +1,6 @@
 """The oracle itself: determinism, coverage, and mutation sensitivity."""
 
+import copy
 import json
 
 import pytest
@@ -132,21 +133,42 @@ def test_each_fault_is_caught(fault):
         assert rep.failures  # a printed witness exists
 
 
-def test_seq_fault_builds_each_stage_once(monkeypatch):
-    lb = linalg.register_linalg()
-    stages = [ca.Map(ca.OpCall("relu")) for _ in range(12)]
-    tt = ca.typecheck(ca.seq(*stages), arr(3, R), lb.registry)
+def _map_builds(monkeypatch):
+    """The Map machines each build makes, recorded as the builder makes them."""
     built = []
     build_map = incr._BUILDERS[ca.Map]
 
     def counting(t):
-        built.append(t)
-        return build_map(t)
+        built.append(build_map(t))
+        return built[-1]
 
     monkeypatch.setitem(incr._BUILDERS, ca.Map, counting)
-    with inject_fault("seq-drop-propagation"):
-        incr.incrementalize(tt)
-    assert len(built) == 12
+    return built
+
+
+def test_seq_fault_builds_each_stage_once(monkeypatch):
+    # equal stages are one typed subterm with one machine; distinct ones
+    # are built one each.  Either way the fault deafens every stage after
+    # the first, so a change moves the first stage's cache only.
+    lb = linalg.register_linalg()
+    built = _map_builds(monkeypatch)
+    x, dx = {0: 1.0, 1: -2.0}, {1: 3.0, 2: 0.5}
+    for equal, builds in [(True, 1), (False, 12)]:
+        stages = [ca.Map(ca.seq(*[ca.OpCall("relu")] * (1 if equal else k + 1)))
+                  for k in range(12)]
+        tt = ca.typecheck(ca.seq(*stages), arr(3, R), lb.registry)
+        built.clear()
+        good = incr.incrementalize(tt)
+        assert len(built) == builds
+        with inject_fault("seq-drop-propagation"):
+            bad = incr.incrementalize(tt)
+        assert len(built) == 2 * builds
+        for m, moved, out in [(good, set(range(12)), {1: 1.0, 2: 0.5}), (bad, {0}, {})]:
+            _, c = m.init(x)
+            before = copy.deepcopy(c)
+            dy, c = m.step(dx, c)
+            assert {k for k in range(12) if c[k] != before[k]} == moved
+            assert dy == out
 
 
 def test_seq_fault_reaches_a_composed_derivative():
