@@ -18,6 +18,13 @@ through `container_kernel`, which reads a given element wherever a position
 is absent.  The batch passes the default ε; as the ops are linear, incr
 passes the nil change and uses the same kernel as the op's derivative.
 
+An op may register `select`, the batch kernel of `op ; σ_p`: the compiled
+seq runs the stages `op ; ⟨cst ε, id⟩ ; filter p` (see `selection`) as that
+one kernel, so relalg's join tests p on each pair before making it, in
+place of building the whole cross product and filtering it.  `unfused`
+runs a seq stage by stage, as the reference the fused run is checked
+against.
+
 Shape transformations (reshape) and index predicates (filter) are registered
 named functions, so terms stay serializable; `map2 f` and `⟨f, g⟩` are
 construction-time sugar for `zip ; map f` and `dup ; (f × g)`.
@@ -202,8 +209,12 @@ class OpDef:
     typer maps an actual input type to the output type (None rejects);
     make_machine builds the incrementalization for one instantiation.
     sample_in_tys are representative input types for the law validator.
-    make_selected, when given, builds the machine of `op ; σ_p` from the
-    index predicate p: incr uses it for `op ; ⟨cst ε, id⟩ ; filter p`.
+    select and make_selected, when given, are the batch kernel and the
+    machine of `op ; σ_p`: select(p) maps the op's input to its output
+    with p applied, and make_selected(p, in_ty, out_ty) builds the machine.
+    Both are used for the seq stages `op ; ⟨cst ε, id⟩ ; filter p` (see
+    selection): select by denote, make_selected by incr.  Left None, the
+    stages run one by one.
     """
 
     name: str
@@ -212,6 +223,7 @@ class OpDef:
     make_machine: Callable[[Any, Any], Any]
     sample_in_tys: tuple = ()
     make_selected: Optional[Callable[[Callable, Any, Any], Any]] = None
+    select: Optional[Callable[[Callable], Callable[[Any], Any]]] = None
 
 
 @dataclass
@@ -533,17 +545,45 @@ def _check_leaf(t, in_ty, registry) -> TypedTerm:
 # Denotational evaluation (compiled to closures)
 # ---------------------------------------------------------------------------
 
+def selection(stages, k):
+    """p when the typed stages[k:k + 4] are `op ; dup ; (cst ε × id) ; filter p`
+    with ε the element default, so the three after the op are σ_p, which
+    is then linear; else None.  p is the predicate's function."""
+    run = stages[k:k + 4]
+    if [type(s.term) for s in run] != [OpCall, Dup, Par, Filter]:
+        return None
+    cst, ident = run[2].children
+    if not (type(cst.term) is Cst and ident.term == ID
+            and cst.term.value == default_value(cst.out_ty)):
+        return None
+    return run[3].info.fn
+
+
+def _chain(fns):
+    def run_seq(x):
+        for f in fns:
+            x = f(x)
+        return x
+    return run_seq
+
+
 def _compile(tt: TypedTerm):
     t = tt.term
     match t:
         case Seq():
-            stages = tuple(compiled(c) for c in tt.children)
-
-            def run_seq(x):
-                for f in stages:
-                    x = f(x)
-                return x
-            return run_seq
+            # an op with a select kernel runs `op ; σ_p` as one stage
+            kids, stages, k = tt.children, [], 0
+            while k < len(kids):
+                c, p = kids[k], None
+                if type(c.term) is OpCall and c.info.select is not None:
+                    p = selection(kids, k)
+                if p is None:
+                    stages.append(compiled(c))
+                    k += 1
+                else:
+                    stages.append(c.info.select(p))
+                    k += 4
+            return _chain(tuple(stages))
         case Par():
             f = compiled(tt.children[0])
             g = compiled(tt.children[1])
@@ -756,6 +796,13 @@ def compiled(tt: TypedTerm):
 def denote(tt: TypedTerm, v):
     """Evaluate the batch semantics of a typechecked term."""
     return compiled(tt)(v)
+
+
+def unfused(tt: TypedTerm):
+    """The batch semantics of a typed seq run one stage at a time, each
+    stage by its own compiled closure, with no stages fused: the reference
+    the fused batch (select) is checked against."""
+    return _chain(tuple(map(compiled, tt.children)))
 
 
 # ---------------------------------------------------------------------------

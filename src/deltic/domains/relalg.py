@@ -7,20 +7,24 @@ linear in the multiplicities and need no cache at all.
 
 A selection σ_p = ⟨cst 0, id⟩ ; filter p drops rows to the default 0, so it
 is linear and σ_p ∘ cross is bilinear too.  cross registers that fused
-operation as its make_selected, and incr builds a join `cross ; σ_p` as one
-bilinear stage (comb_bilin with the join's index) that tests p on each pair
-before making it: no cross product is built and filtered afterwards.  The
-stage caches the two input relations, as the unfused cross does, and a
-third part: for each cached right tuple, the cached left tuples it matches.
-So a change to a right tuple the join already holds reads its matches, and
-p is tested only for a right tuple new to the join, against the whole left
-relation, or for a changed left tuple, against the right relation.  p stays
-opaque.  Batch evaluation (calculus.denote) stays the unfused reference.
+operation twice: as its select, the batch kernel that calculus.denote runs
+for a join `cross ; σ_p`, and as its make_selected, the one bilinear stage
+(comb_bilin with the join's index) that incr builds for it.  Both test p on
+each pair before making it, so no cross product is built and filtered
+afterwards.  The pairs come from one C-level stream, filter(p, product(r,
+s)), in batch and in each leg of the step.  The stage caches the two input
+relations, as the unfused cross does, and a third part: for each cached
+right tuple, the cached left tuples it matches.  So a change to a right
+tuple the join already holds reads its matches, and p is tested only for a
+right tuple new to the join, against the whole left relation, or for a
+changed left tuple, against the right relation.  p stays opaque.  The
+unfused run of the stages (calculus.unfused) is the reference both are
+checked against.
 """
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import chain, product
 
 from ..calculus import (
     Cst, Filter, ID, Map, OpCall, OpDef, Plus, ProgramDef, Registry, Term,
@@ -59,49 +63,47 @@ def _cross(xy):
     return out
 
 
+def _select(p):
+    """σ_p ∘ cross as one batch kernel: the pairs that satisfy p, with the
+    keys, in the same order, that cross followed by the filter gives."""
+    def run(xy):
+        r, s = xy
+        return {ij: r[ij[0]] * s[ij[1]] for ij in filter(p, product(r, s))}
+    return run
+
+
 def _join_index(p) -> incr.BilinIndex:
     """The matches of σ_p ∘ cross, kept for each right tuple j of the cached
     right relation: the left tuples i of the cached left relation with
     p((i, j)), in four buckets picked by hash(i), so that a deletion scans a
     quarter of them.  The buckets hold the tuples the left relation holds.
 
-    Only pairs that satisfy p are made.  A right tuple already cached reads
-    its matches instead of testing p; one new to the right relation walks
-    the left relation with p, and its hits become its matches.  A left step
-    updates the matches of the pairs its own term finds: i is new in x iff
-    x'[i] == dx[i], and gone iff i ∉ x'.
+    Only pairs that satisfy p are made, each leg walking filter(p, product(…))
+    in C.  A right tuple already cached reads its matches instead of testing
+    p; one new to the right relation walks the left relation with p, and its
+    hits become its matches.  A left step updates the matches of the pairs
+    its own term finds: i is new in x iff x'[i] == dx[i], and gone iff
+    i ∉ x'.
     """
-    def scan(r, j, b, out):
-        bk = ([], [], [], [])
-        for i, a in r.items():
-            if p((i, j)):
-                out[(i, j)] = a * b
-                bk[hash(i) & 3].append(i)
-        return bk
-
     def init(xy):
-        r, s = xy
-        out = {}
-        ix = {j: scan(r, j, b, out) for j, b in s.items()}
+        out = _select(p)(xy)
+        ix = {j: ([], [], [], []) for j in xy[1]}
+        for i, j in out:
+            ix[j][hash(i) & 3].append(i)
         return out, ix
 
     def left(dr, s, r2, ix):
         out = {}
         get = r2.get
-        for j, b in s.items():
-            bk = ix[j]
-            # zip makes the pairs and filter calls p on them, in C: over a
-            # change this pays for the upkeep (over a whole relation, in
-            # scan, the plain loop measured faster)
-            for ij in filter(p, zip(dr, repeat(j))):
-                i = ij[0]
-                a = dr[i]
-                out[ij] = a * b
-                now = get(i)
-                if now is None:
-                    bk[hash(i) & 3].remove(i)
-                elif now == a:
-                    bk[hash(i) & 3].append(i)
+        for ij in filter(p, product(dr, s)):
+            i, j = ij
+            a = dr[i]
+            out[ij] = a * s[j]
+            now = get(i)
+            if now is None:
+                ix[j][hash(i) & 3].remove(i)
+            elif now == a:
+                ix[j][hash(i) & 3].append(i)
         return out
 
     def right(r, ds, s2, ix):
@@ -109,7 +111,11 @@ def _join_index(p) -> incr.BilinIndex:
         for j, b in ds.items():
             bk = ix.get(j)
             if bk is None:
-                ix[j] = scan(r, j, b, out)
+                bk = ix[j] = ([], [], [], [])
+                for ij in filter(p, product(r, (j,))):
+                    i = ij[0]
+                    out[ij] = r[i] * b
+                    bk[hash(i) & 3].append(i)
                 continue
             for i in chain.from_iterable(bk):
                 out[(i, j)] = r[i] * b
@@ -211,7 +217,9 @@ def register_relalg() -> InstanceBundle:
         "cross", _cross_typer, _cross,
         lambda i, o: incr.comb_bilin(_cross, i, o),
         sample_in_tys=(TProd(rel("int"), rel("str")),),
-        make_selected=_selected_join))
+        # _select is looked up when a join is compiled, as _selected_join
+        # looks up _join_index, so a fault injected later reaches this bundle
+        make_selected=_selected_join, select=lambda p: _select(p)))
     reg.register_op(OpDef(
         "count", _count_typer, _count,
         lambda i, o: incr.comb_self(_count, _count, i, o),

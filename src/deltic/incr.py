@@ -72,11 +72,13 @@ walks the other side's dict and ⊕s only that component of each cached pair.
 
 Adjacent seq stages `op ; dup ; (cst ε × id) ; filter p` (a selection σ_p
 after an op, where ε is the element default, so σ_p is linear) are built as
-one stage when the op registers make_selected: for relalg's cross this is a
+one stage when the op registers make_selected (the match is
+calculus.selection, which denote shares): for relalg's cross this is a
 bilinear join that tests p on each pair before making it.  The fused
 machine takes the op's slot and the three selection slots stay UNIT; they
-were cache-free anyway.  Batch evaluation is not fused, so the laws check
-one against the other.
+were cache-free anyway.  Batch evaluation fuses the same stages when the op
+registers select, so the laws check both against calculus.unfused, the
+stages run one by one.
 
 comb_bilin (the unfused cross and the selected join alike) steps by the
 product rule as two one-sided steps, f(dx, y) ⊕ f(x ⊕ dx, dy), over one
@@ -507,12 +509,19 @@ def _incr_plus(tt):
     return comb_add(tt.out_ty)
 
 
+def _injection(tt, change):
+    """inl or inr: a payload change wrapped as a change to that side, and a
+    nil one as the canonical nil SUM_NULL."""
+    nil = is_nil_fn(tt.in_ty)
+    return _self_machine(tt, lambda d: SUM_NULL if nil(d) else change(d))
+
+
 def _incr_inl(tt):
-    return _self_machine(tt, lambda d: Cl(d))
+    return _injection(tt, Cl)
 
 
 def _incr_inr(tt):
-    return _self_machine(tt, lambda d: Cr(d))
+    return _injection(tt, Cr)
 
 
 def _incr_seq(tt):
@@ -526,7 +535,8 @@ def _incr_seq(tt):
     while k < len(stages):
         if kinds[k] is ca.Zip and kinds[k + 1] is ca.Map:
             fused = [None, _once(_incr_map2, stages[k], stages[k + 1])]
-        elif kinds[k] is ca.OpCall and stages[k].info.make_selected:
+        elif (kinds[k] is ca.OpCall and stages[k].info.make_selected
+              and ca.selection(stages, k)):
             fused = _once(_incr_selected, *stages[k:k + 4])
         elif kinds[k] is ca.Dup and kinds[k + 1] is ca.Par:
             fused = [None, _once(_par_machine, stages[k + 1], True)]
@@ -537,20 +547,14 @@ def _incr_seq(tt):
     return _seq_machine(tt, machines)
 
 
-def _incr_selected(*stages):
-    """`op ; dup ; (cst ε × id) ; filter p` as the op's selected machine.
+def _incr_selected(op, _dup, _par, fil):
+    """`op ; dup ; (cst ε × id) ; filter p` (calculus.selection) as the op's
+    selected machine.
 
     With the element default ε as fallback, filter p is linear, so the op's
     make_selected can apply p as it computes.  The three selection stages
     are cache-free, so the layout is that of the unfused seq.
     """
-    if [type(s.term) for s in stages[1:]] != [ca.Dup, ca.Par, ca.Filter]:
-        return None
-    op, _, par, fil = stages
-    cst, ident = par.children
-    if not (type(cst.term) is ca.Cst and ident.term == ca.ID
-            and cst.term.value == default_value(cst.out_ty)):
-        return None
     m = op.info.make_selected(fil.info.fn, op.in_ty, fil.out_ty)
     return [m, None, None, None]
 
@@ -870,9 +874,9 @@ def _incr_case(tt):
     b1 = tt.children[0].out_ty
     b2 = tt.children[1].out_ty
     # per side of the sum: its branch machine, its output's set and change
-    # forms, and the output's in-place ⊕ and ⊖
-    branches = {Left: (mf, Sl, Cl, update_fn(b1), diff_fn(b1)),
-                Right: (mg, Sr, Cr, update_fn(b2), diff_fn(b2))}
+    # forms, the output's in-place ⊕ and ⊖, and its nil test
+    branches = {Left: (mf, Sl, Cl, update_fn(b1), diff_fn(b1), is_nil_fn(b1)),
+                Right: (mg, Sr, Cr, update_fn(b2), diff_fn(b2), is_nil_fn(b2))}
 
     def init(s):
         side = type(s)
@@ -886,11 +890,11 @@ def _incr_case(tt):
             if v is None:
                 return SUM_NULL, cc
             live = type(cc)
-            m, _, change, up, _ = branches[live]
+            m, _, change, up, _, nil = branches[live]
             c, y = cc.value
             dy, c2 = m.step(v, c)
-            return change(dy), live((c2, up(y, dy)))
-        m, set_to, change, _, df = branches[side]
+            return (SUM_NULL if nil(dy) else change(dy)), live((c2, up(y, dy)))
+        m, set_to, change, _, df, _ = branches[side]
         y, c2 = m.init(v)
         dy = change(df(y, cc.value[1])) if type(cc) is side else set_to(y)
         # y may be v itself or sit in the branch's cache: cache a copy

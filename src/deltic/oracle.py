@@ -4,7 +4,7 @@ Everything here is reproducible from (seed, check name): generators draw from
 a Random seeded by a stable digest, and reports carry no non-deterministic
 content.  Failures are reported with full (x, dx) witnesses, never raised.
 
-The eight documented fault injections (for mutation-sensitivity testing):
+The nine documented fault injections (for mutation-sensitivity testing):
 
   triv-stale-cache       Triv step returns the old cache         -> Law-3
   swap-fst-snd           fst's derivative projects the other leg -> Law-2
@@ -18,6 +18,8 @@ The eight documented fault injections (for mutation-sensitivity testing):
   case-aliased-output    case's init caches the very output it   -> Law-2
                          returns, so its in-place ⊕ writes into it
                          (Law-3 when that output is the input)
+  join-batch-drops-pair  the fused batch kernel of the join      -> fused-batch
+                         drops one pair from a non-empty output
 """
 
 from __future__ import annotations
@@ -725,14 +727,18 @@ def _join_side_change(rng, rel, gone):
     return d
 
 
-def _join_sample(rng, machine, fn, in_ty, out_ty, k):
-    """One sample of check_fused_join: a failure witness, or None."""
+def _join_sample(rng, machine, batch, ref, in_ty, out_ty, k):
+    """One sample of check_fused_join: a failure witness, or None.  ref is
+    the stage-by-stage run; the fused batch and the machine must equal it."""
     x = tuple({_join_tuple(rng): rng.choice((-1, 1, 2)) for _ in range(n)}
               for n in (rng.randint(0, 12), rng.randint(0, 5)))
     xs, ds, gone = _show(value_to_text, in_ty, x), [], ([], [])
     try:
+        want = ref(x)
+        if batch(x) != want:
+            return dict(law="fused-batch", x=xs, ds=ds)
         y, c = machine.init(x)
-        if y != fn(x):
+        if y != want:
             return dict(law="Law-1", x=xs)
         for it in range(6):
             dx, dy = (_join_side_change(rng, v, g) for v, g in zip(x, gone))
@@ -741,7 +747,10 @@ def _join_sample(rng, machine, fn, in_ty, out_ty, k):
             dout, c = machine.step(d, c)
             x = apply_change(in_ty, x, d)
             y = apply_change(out_ty, y, dout)
-            if y != fn(x):
+            want = ref(x)
+            if batch(x) != want:
+                return dict(law="fused-batch", x=xs, ds=ds)
+            if y != want:
                 return dict(law="Law-2", x=xs, ds=ds)
             if not incr.cache_equal(machine.cache, c, machine.init(x)[1]):
                 return dict(law="Law-3", x=xs, ds=ds)
@@ -753,7 +762,9 @@ def _join_sample(rng, machine, fn, in_ty, out_ty, k):
 def check_fused_join(seed=42, samples=60) -> CheckReport:
     """Laws 1-3 of relalg's fused join `cross ; σ_p`, for a key-equality and
     a non-key predicate, after every step of a change list that mixes
-    left-only, right-only and two-sided changes."""
+    left-only, right-only and two-sided changes.  The reference is the
+    stages run one by one (calculus.unfused); the fused batch (denote) must
+    equal it too, at init and after every step ("fused-batch")."""
     rng = stable_rng(seed, "relalg:fused-join")
     pair_rel = TCont(rel_shape(("int", "int")), Z)
     in_ty = TProd(pair_rel, pair_rel)
@@ -761,9 +772,10 @@ def check_fused_join(seed=42, samples=60) -> CheckReport:
         bundle = relalg.register_relalg()
         bundle.registry.register_index_pred(name, pred)
         tt = ca.typecheck(relalg.join_term(name), in_ty, bundle.registry)
-        machine, fn = incr.incrementalize(tt), ca.compiled(tt)
+        machine = incr.incrementalize(tt)
+        batch, ref = ca.compiled(tt), ca.unfused(tt)
         for k in range(samples // len(_JOIN_PREDS)):
-            failure = _join_sample(rng, machine, fn, in_ty, tt.out_ty, k)
+            failure = _join_sample(rng, machine, batch, ref, in_ty, tt.out_ty, k)
             if failure:
                 return CheckReport("relalg:fused-join", seed, samples, False,
                                    [dict(pred=name, sample=k, **failure)])
@@ -1006,6 +1018,20 @@ def _stale_matches(orig):
     return bad
 
 
+def _batch_drops_pair(orig):
+    def bad(p):
+        run = orig(p)
+
+        def drop(xy):
+            out = run(xy)
+            if out:
+                out.popitem()
+            return out
+
+        return drop
+    return bad
+
+
 # fault -> (namespace, key, sabotage): inject_fault swaps namespace[key] for
 # sabotage(namespace[key]) while its block runs
 _SABOTAGE = {
@@ -1017,6 +1043,7 @@ _SABOTAGE = {
     "bilin-aliased-cache": (vars(incr), "comb_bilin", _aliased_cache),
     "join-stale-matches": (vars(relalg), "_join_index", _stale_matches),
     "case-aliased-output": (incr._BUILDERS, ca.CasePar, _aliased_output),
+    "join-batch-drops-pair": (vars(relalg), "_select", _batch_drops_pair),
 }
 FAULTS = tuple(_SABOTAGE)
 

@@ -2,6 +2,7 @@
 
 import re
 import sys
+from operator import add, mul
 from pathlib import Path
 
 import pytest
@@ -10,18 +11,22 @@ from deltic.calculus import (
     FST, ID, Dup, Par, Proj, SND, Seq, TermTypeError, denote, fanout, seq,
     term_from_text, term_to_text, typecheck,
 )
-from deltic.core import REAL, TBase, TProd, apply_fn, values_equal
+from deltic.core import REAL, TBase, TProd, apply_change, apply_fn, values_equal
 from deltic.domains import linalg
 from deltic.frontend import (
     HApply, HName, HShape, NApp, NLet, NLit, NTuple, NVar, NameResolutionError,
     SurfaceSyntaxError, compile_program, eval_named, lower,
     parse_expr_text, parse_program_file, _var_term,
 )
-from deltic.incr import incrementalize
+from deltic.incr import cache_equal, incrementalize
 from deltic.oracle import (
     DENSE_TEXT, LET_TEXT, MVMUL_TEXT, gen_change, gen_value, stable_rng, term_size,
 )
 from deltic.domains.containers import arr
+
+from helpers import (
+    list_to_vec, lists_to_mat, mat_to_lists, oracle_dot, oracle_mmmul, vec_to_list,
+)
 
 R = TBase(REAL)
 
@@ -474,3 +479,63 @@ def test_readme_programs_parse_and_compile():
         bundle, prog = parse_program_file(text)
         tt = compile_program(prog, bundle.registry, bundle.literal_base)
         assert tt.in_ty == prog.in_ty
+
+
+# ---------------------------------------------------------------------------
+# Surface heads and linalg programs, from text to machine
+# ---------------------------------------------------------------------------
+
+def _vec(xs):
+    return list_to_vec([float(x) for x in xs])
+
+
+# name -> (params, body, the value the body denotes at the params' values)
+SURFACE_PATHS = {
+    "get": ("v : arr[3] real", "get 1 # v", lambda v: v.get(1, 0.0)),
+    "set": ("c : real\nparam v : arr[3] real", "set 1 # (c, v)",
+            lambda cv: _vec([vec_to_list(cv[1], 3)[0], cv[0], vec_to_list(cv[1], 3)[2]])),
+    "filter": ("v : arr[5] real", "filter even # (0, v)",
+               lambda v: {i: x for i, x in v.items() if i % 2 == 0}),
+    "reshape": ("v : arr[3] real", "reshape pred arr[4] # v",
+                lambda v: _vec([vec_to_list(v, 3)[i] for i in (0, 0, 1, 2)])),
+    "vadd": ("x : arr[3] real\nparam y : arr[3] real", "vadd # (x, y)",
+             lambda xy: _vec(map(add, *(vec_to_list(v, 3) for v in xy)))),
+    "madd": ("a : arr[2] arr[3] real\nparam b : arr[2] arr[3] real", "madd # (a, b)",
+             lambda ab: lists_to_mat([list(map(add, *rows)) for rows in zip(
+                 *(mat_to_lists(m, 2, 3) for m in ab))])),
+    "hadamard": ("x : arr[3] real\nparam y : arr[3] real", "hadamard # (x, y)",
+                 lambda xy: _vec(map(mul, *(vec_to_list(v, 3) for v in xy)))),
+    "dot": ("x : arr[3] real\nparam y : arr[3] real", "dot # (x, y)",
+            lambda xy: oracle_dot(*(vec_to_list(v, 3) for v in xy))),
+    "svmul": ("c : real\nparam v : arr[3] real", "svmul # (c, v)",
+              lambda cv: _vec(cv[0] * x for x in vec_to_list(cv[1], 3))),
+    "mmmul": ("a : arr[2] arr[3] real\nparam b : arr[3] arr[2] real", "mmmul # (a, b)",
+              lambda ab: lists_to_mat(oracle_mmmul(mat_to_lists(ab[0], 2, 3),
+                                                   mat_to_lists(ab[1], 3, 2)))),
+    "append": ("c : real\nparam v : arr[3] real", "append # (c, v)",
+               lambda cv: _vec([cv[0], *vec_to_list(cv[1], 3)])),
+}
+
+
+@pytest.mark.parametrize("name", list(SURFACE_PATHS))
+def test_surface_path_denotes_its_oracle_and_keeps_laws_2_and_3(name):
+    params, body, want = SURFACE_PATHS[name]
+    bundle = linalg.register_linalg()
+    bundle.registry.register_index_pred("even", lambda i: i % 2 == 0)
+    _, prog = parse_program_file(f"bundle linalg\nparam {params}\n\n{body}\n",
+                                 lambda _n: bundle)
+    tt = compile_program(prog, bundle.registry, bundle.literal_base)
+    rng = stable_rng(27, f"surface-path:{name}")
+    for _ in range(10):
+        x = gen_value(rng, tt.in_ty)
+        assert values_equal(tt.out_ty, denote(tt, x), want(x), 1e-9)
+    # Laws 1-3 over a 5-change stream
+    m = incrementalize(tt)
+    y, c = m.init(x)
+    assert values_equal(tt.out_ty, y, denote(tt, x), 1e-9)
+    for _ in range(5):
+        d = gen_change(rng, tt.in_ty)
+        dy, c = m.step(d, c)
+        x, y = apply_change(tt.in_ty, x, d), apply_change(tt.out_ty, y, dy)
+        assert values_equal(tt.out_ty, y, denote(tt, x), 1e-9)
+        assert cache_equal(m.cache, c, m.init(x)[1], 1e-9)

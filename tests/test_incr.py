@@ -26,7 +26,8 @@ from deltic.incr import (
     incrementalize, iter_changes, sum_changes, UNIT,
 )
 from deltic.oracle import (
-    GenConfig, check_machine_laws, check_term_laws, gen_change, gen_index, gen_term,
+    COMBINATORS, TERM_CONSTRUCTS, GenConfig, _combinator_instances, _construct_term,
+    _TermGen, check_machine_laws, check_term_laws, gen_change, gen_index, gen_term,
     gen_type, gen_value, inject_fault, oracle_registry, stable_rng,
 )
 from deltic.serialize import change_to_text, value_to_text
@@ -1140,3 +1141,44 @@ def test_cache_entry_count_matches_the_recursive_count():
         assert cache_entry_count(m.cache, c) == _reference_count(m.cache, c)
         _, c = m.step(gen_change(rng, tt.in_ty), c)
         assert cache_entry_count(m.cache, c) == _reference_count(m.cache, c)
+
+
+# ---------------------------------------------------------------------------
+# Nil in, nil out: a nil change steps to one that is_nil reads as nil
+# ---------------------------------------------------------------------------
+
+def test_map_over_an_injection_keeps_no_entry_for_a_nil_payload_change():
+    # cst 0.0 steps any change to 0.0; inl wraps it as SUM_NULL, not Cl(0.0)
+    m = incrementalize(typecheck(Map(seq(Cst(R, 0.0), ca.Inl(R))), arr(3, R),
+                                 oracle_registry()))
+    _, c = m.init({0: 1.0})
+    dy, c = m.step({0: 2.0}, c)
+    assert dy == {}
+
+
+@pytest.mark.parametrize("side", [Left, Right])
+def test_case_hands_on_a_nil_branch_change_as_sum_null(side):
+    m = incrementalize(typecheck(CasePar(Cst(R, 1.0), Cst(R, 2.0)), TSum(R, R),
+                                 oracle_registry()))
+    _, c = m.init(side(0.5))
+    dy, c = m.step((Cl if side is Left else Cr)(1.5), c)
+    assert dy is SUM_NULL
+    assert c.value[1] == (1.0 if side is Left else 2.0)
+
+
+@pytest.mark.parametrize("name", TERM_CONSTRUCTS + COMBINATORS)
+def test_a_nil_step_after_init_steps_to_nil(name):
+    # 40 random instances of each construct and combinator, as the laws draw
+    # them, each stepped once by the canonical nil of its input
+    cfg = GenConfig()
+    rng = stable_rng(16, f"nil-in-nil-out:{name}")
+    for k in range(40):
+        if name in COMBINATORS:
+            m, _ = _combinator_instances(name, cfg, rng)
+        else:
+            reg = oracle_registry()
+            term, in_ty = _construct_term(name, cfg, rng, _TermGen(cfg, rng, reg))
+            m = incrementalize(typecheck(term, in_ty, reg))
+        _, c = m.init(gen_value(rng, m.in_ty))
+        dy, _ = m.step(nil_change(m.in_ty), c)
+        assert is_nil(m.out_ty, dy), (k, change_to_text(m.out_ty, dy))

@@ -123,7 +123,7 @@ def test_each_fault_is_caught(fault):
             rb = relalg.register_relalg()
             op = rb.registry.ops["cross"]
             rep = check_op_laws(op, op.sample_in_tys[0], samples=50)
-        elif fault == "join-stale-matches":
+        elif fault in ("join-stale-matches", "join-batch-drops-pair"):
             rep = check_fused_join(samples=20)
         elif fault == "case-aliased-output":
             rep = check_construct_laws("case", samples=50, instances=10)

@@ -8,7 +8,9 @@ from dataclasses import replace
 import pytest
 
 from deltic import incr
-from deltic.calculus import Cst, Dup, Filter, ID, OpCall, denote, fanout, seq, typecheck
+from deltic.calculus import (
+    Cst, Dup, Filter, ID, OpCall, compiled, denote, fanout, seq, typecheck, unfused,
+)
 from deltic.core import INT, TBase, TProd, apply_change
 from deltic.domains import relalg
 from deltic.incr import (
@@ -103,7 +105,7 @@ def test_incremental_join_matches_batch(bundle):
             dside = rng.random() < 0.5
             ds.append((dr, {}) if dside else ({}, dr))
         got, _ = iter_changes(m, (r, s), ds)
-        want = denote(tt, sum_changes(in_ty, (r, s), ds))
+        want = unfused(tt)(sum_changes(in_ty, (r, s), ds))
         assert got == want
 
 
@@ -153,22 +155,22 @@ def _rel_change(rng, rel):
 
 @pytest.mark.parametrize("pred_name", sorted(JOIN_PREDS))
 def test_fused_join_laws(pred_name):
-    # Laws 1-3 of the fused stage against denote, with the change on the
-    # left only, the right only, both sides and neither
+    # Laws 1-3 of the fused stage against the stages run one by one, with
+    # the change on the left only, the right only, both sides and neither
     tt = _join(pred_name)
-    m = incrementalize(tt)
+    m, ref = incrementalize(tt), unfused(tt)
     rng = stable_rng(53, f"fused-join-{pred_name}")
     for k in range(40):
         x = (rand_relation(rng, rng.randint(0, 20)), rand_relation(rng, rng.randint(0, 8)))
         y, c = m.init(x)
-        assert y == denote(tt, x)  # Law-1
+        assert y == ref(x)  # Law-1
         for it in range(4):
             dx, dy = _rel_change(rng, x[0]), _rel_change(rng, x[1])
             d = [(dx, {}), ({}, dy), (dx, dy), ({}, {})][(k + it) % 4]
             dout, c = m.step(d, c)
             x = apply_change(JOIN_IN, x, d)
             y = apply_change(tt.out_ty, y, dout)
-            assert y == denote(tt, x)  # Law-2
+            assert y == ref(x)  # Law-2
             assert cache_equal(m.cache, c, m.init(x)[1])  # Law-3
 
 
@@ -226,16 +228,47 @@ def test_fused_join_cache_json_after_a_left_and_a_right_step():
 
 @pytest.mark.parametrize("fallback, fused", [(0, True), (1, False)])
 def test_selection_fuses_only_with_the_default_fallback(fallback, fused):
-    # ⟨cst 1, id⟩ ; filter p keeps failing rows at 1, which is not linear
+    # ⟨cst 1, id⟩ ; filter p keeps failing rows at 1, which is not linear;
+    # the machine and the batch fuse alike
     b = relalg.register_relalg()
     b.registry.register_index_pred("key-eq", JOIN_PREDS["key-eq"])
-    built = []
+    built, selected = [], []
     cross = b.registry.ops["cross"]
     b.registry.ops["cross"] = replace(
-        cross, make_selected=lambda *a: built.append(a) or cross.make_selected(*a))
+        cross, make_selected=lambda *a: built.append(a) or cross.make_selected(*a),
+        select=lambda p: selected.append(p) or cross.select(p))
     term = seq(OpCall("cross"), fanout(Cst(relalg.Z, fallback), ID), Filter("key-eq"))
-    incrementalize(typecheck(term, JOIN_IN, b.registry))
+    tt = typecheck(term, JOIN_IN, b.registry)
+    incrementalize(tt)
+    compiled(tt)
     assert bool(built) == fused
+    assert selected == ([JOIN_PREDS["key-eq"]] if fused else [])
+
+
+ALWAYS = {"always": lambda ij: True, "never": lambda ij: False}
+
+
+@pytest.mark.parametrize("pred_name", sorted(JOIN_PREDS) + sorted(ALWAYS))
+@pytest.mark.parametrize("sizes", [(20, 8), (0, 8), (20, 0), (0, 0)],
+                         ids=["both", "empty-left", "empty-right", "empty"])
+def test_fused_batch_equals_the_stage_by_stage_run(pred_name, sizes):
+    # same values in the same key order, over relations with negative
+    # multiplicities, and the cross product is never built
+    p = {**JOIN_PREDS, **ALWAYS}[pred_name]
+    b = relalg.register_relalg()
+    b.registry.register_index_pred(pred_name, p)
+    tt = typecheck(relalg.join_term(pred_name), JOIN_IN, b.registry)
+    rng = stable_rng(61, f"fused-batch-{pred_name}-{sizes}")
+    negative = False
+    for _ in range(10):
+        x = tuple(rand_relation(rng, n, key_range=4, val_range=12) for n in sizes)
+        negative |= any(m < 0 for v in x for m in v.values())
+        got, codes = call_codes(denote, tt, x)
+        want = unfused(tt)(x)
+        assert got == want == oracle_join(*x, p)
+        assert list(got) == list(want)
+        assert relalg._cross.__code__ not in codes
+    assert negative or sizes == (0, 0)
 
 
 def test_fused_join_right_step_never_builds_the_cross_product():
@@ -255,7 +288,7 @@ def test_bilin_fault_reaches_the_fused_join():
     tt = _join("key-eq")
     x = ({(1, 2): 1, (2, 5): 2}, {(1, 9): 1})
     d = ({}, {(2, 7): 1})
-    want = denote(tt, apply_change(JOIN_IN, x, d))
+    want = unfused(tt)(apply_change(JOIN_IN, x, d))
     for faulty in (False, True):
         if faulty:
             with inject_fault("bilin-missing-term"):
@@ -291,7 +324,7 @@ def test_right_step_tests_p_only_for_a_right_tuple_new_to_the_join():
     dout, c = m.step(d, c)
     assert calls[0] == 200
     x = apply_change(JOIN_IN, x, d)
-    assert len(dout) == 20 and apply_change(tt.out_ty, y, dout) == denote(tt, x)
+    assert len(dout) == 20 and apply_change(tt.out_ty, y, dout) == unfused(tt)(x)
     # a left change of k tuples tests p once per pair with the right side
     for k in (1, 3, 7):
         calls[0] = 0
