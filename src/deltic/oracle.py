@@ -2,7 +2,11 @@
 
 Everything here is reproducible from (seed, check name): generators draw from
 a Random seeded by a stable digest, and reports carry no non-deterministic
-content.  Failures are reported with full (x, dx) witnesses, never raised.
+content.  Failures are reported, never raised.  Every check that steps a
+machine runs one change stream (_run_stream): Law-1 at init, a nil step that
+must give a nil change, then Laws 2 and 3 after every drawn change.  Its
+witness is (x, ds) with the input type, all as text, which a replay steps
+again: x, then every change stepped after the nil step, the failing one last.
 
 The nine documented fault injections (for mutation-sensitivity testing):
 
@@ -25,6 +29,8 @@ The nine documented fault injections (for mutation-sensitivity testing):
 from __future__ import annotations
 
 import hashlib
+import itertools
+import operator
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -40,7 +46,7 @@ from .domains import relalg
 from .domains.containers import (
     ARRAY, RELATION, TREE, arr, arr_shape, dict_shape, rel_shape, tree_shape,
 )
-from .serialize import change_to_text, value_to_text
+from .serialize import change_to_text, type_to_text, value_to_text
 
 R = TBase(REAL)
 Z = TBase(INT)
@@ -589,97 +595,97 @@ def gen_term(cfg: GenConfig, rng: random.Random, reg: ca.Registry,
 # Law checking
 # ---------------------------------------------------------------------------
 
-def check_machine_laws(name, machine: incr.IncrMachine, fn, rng, samples=100,
-                       rel_tol=0.0) -> CheckReport:
-    """Laws 1-3 on random samples, each stepped twice in a row."""
+class _LawBroken(Exception):
+    """Raised by a reference fn to fail a law of its own (as fused-batch)."""
+
+    def __init__(self, law):
+        super().__init__(law)
+        self.law = law
+
+
+def _run_stream(machine: incr.IncrMachine, fn, x, n, draw, rel_tol=0.0, same=None):
+    """Step machine from x over n changes, each drawn as draw(x_current).
+
+    init(x) must give fn(x) (Law-1).  Then the nil change steps on the
+    stream's own cache: it must give a nil change and a cache equal to
+    init(x)'s (nil-change).  After each drawn change the accumulated output
+    must equal fn of the input so far (Law-2), and the cache init's on it
+    (Law-3).  Outputs compare by same, values_equal at rel_tol by default.
+
+    Returns None or the first failure, {law, in_ty, x, ds} plus error for an
+    exception.  x and every change are written as text before the machine
+    sees them; ds holds the drawn changes stepped, the failing one last (the
+    nil change appears only when it fails).
+    """
     in_ty, out_ty = machine.in_ty, machine.out_ty
-    failures = []
+    same = same or (lambda a, b: values_equal(out_ty, a, b, rel_tol))
+    xs = _show(value_to_text, in_ty, x)
+    ds = []
+
+    def witness(law):
+        return dict(law=law, in_ty=type_to_text(in_ty), x=xs, ds=ds)
+
+    try:
+        y, c = machine.init(x)
+        if not same(y, fn(x)):
+            return witness("Law-1")
+        nil = nil_change(in_ty)
+        ds.append(_show(change_to_text, in_ty, nil))
+        dy, c = machine.step(nil, c)
+        if not (is_nil(out_ty, dy)
+                and incr.cache_equal(machine.cache, c, machine.init(x)[1], rel_tol)):
+            return witness("nil-change")
+        ds.clear()
+        for _ in range(n):
+            dx = draw(x)
+            ds.append(_show(change_to_text, in_ty, dx))
+            dy, c = machine.step(dx, c)
+            x = apply_change(in_ty, x, dx)
+            y = apply_change(out_ty, y, dy)
+            if not same(fn(x), y):
+                return witness("Law-2")
+            if not incr.cache_equal(machine.cache, c, machine.init(x)[1], rel_tol):
+                return witness("Law-3")
+    except _LawBroken as e:
+        return witness(e.law)
+    except Exception as e:  # a crashing machine is a failed law, with witness
+        return dict(witness("exception"), error=repr(e))
+    return None
+
+
+def check_machine_laws(name, machine: incr.IncrMachine, fn, rng, samples=100,
+                       rel_tol=0.0, seed=0, **record) -> CheckReport:
+    """Laws 1-3 and the nil law on random samples, each stepped twice; a
+    failure's witness also carries record's fields."""
+    draw = lambda _x: gen_change(rng, machine.in_ty)
     for k in range(samples):
-        x = gen_value(rng, in_ty)
-        xs = _show(value_to_text, in_ty, x)  # before init: a faulty machine may write into x
-        try:
-            y0, c = machine.init(x)
-            fx = fn(x)
-            if not values_equal(out_ty, y0, fx, rel_tol):
-                failures.append(dict(law="Law-1", sample=k, x=xs))
-                break
-            y_acc = y0
-            x_cur = x
-            for it in range(2):
-                dx = gen_change(rng, in_ty)
-                dy, c = machine.step(dx, c)
-                x_cur = apply_change(in_ty, x_cur, dx)
-                y_acc = apply_change(out_ty, y_acc, dy)
-                if not values_equal(out_ty, fn(x_cur), y_acc, rel_tol):
-                    failures.append(dict(
-                        law="Law-2", sample=k, iterate=it,
-                        x=xs, dx=_show(change_to_text, in_ty, dx)))
-                    break
-                c_ref = machine.init(x_cur)[1]
-                if not incr.cache_equal(machine.cache, c, c_ref, rel_tol):
-                    failures.append(dict(
-                        law="Law-3", sample=k, iterate=it,
-                        x=xs, dx=_show(change_to_text, in_ty, dx)))
-                    break
-        except Exception as e:  # a crashing machine is a failed law, with witness
-            failures.append(dict(law="exception", sample=k,
-                                 x=xs, error=repr(e)))
-        if failures:
-            break
-    return CheckReport(name, 0, samples, not failures, failures)
+        x = gen_value(rng, machine.in_ty)
+        failure = _run_stream(machine, fn, x, 2, draw, rel_tol)
+        if failure:
+            return CheckReport(name, seed, samples, False,
+                               [dict(failure, sample=k, **record)])
+    return CheckReport(name, seed, samples, True)
 
 
-def check_op_laws(opdef: ca.OpDef, in_ty, samples=60, seed=11) -> CheckReport:
+def check_op_laws(opdef: ca.OpDef, in_ty, samples=60, seed=11, name=None) -> CheckReport:
     out_ty = opdef.typer(in_ty)
     if out_ty is None:
         raise GenerationFailure(f"op {opdef.name!r} rejects {in_ty!r}")
     machine = opdef.make_machine(in_ty, out_ty)
     rng = stable_rng(seed, f"op:{opdef.name}:{in_ty!r}")
-    rep = check_machine_laws(f"op:{opdef.name}", machine, opdef.fn, rng,
-                             samples=samples, rel_tol=1e-9)
-    rep.seed = seed
-    return rep
+    return check_machine_laws(name or f"op:{opdef.name}", machine, opdef.fn, rng,
+                              samples=samples, rel_tol=1e-9, seed=seed)
 
 
-def check_term_laws(tt: ca.TypedTerm, rng, samples=60, rel_tol=1e-9, name="term") -> CheckReport:
+def check_term_laws(tt: ca.TypedTerm, rng, samples=60, rel_tol=1e-9, name="term",
+                    **record) -> CheckReport:
     machine = incr.incrementalize(tt)
     return check_machine_laws(name, machine, ca.compiled(tt), rng,
-                              samples=samples, rel_tol=rel_tol)
+                              samples=samples, rel_tol=rel_tol, **record)
 
 
-def check_value_preservation(tt: ca.TypedTerm, rng, samples=20,
-                             max_changes=5, rel_tol=1e-6, name="preservation") -> CheckReport:
-    """iter(incr(t), x, ds).value == denote(t, sum_changes(x, ds))."""
-    machine = incr.incrementalize(tt)
-    fn = ca.compiled(tt)
-    in_ty, out_ty = tt.in_ty, tt.out_ty
-    failures = []
-    for k in range(samples):
-        x = gen_value(rng, in_ty)
-        xs = _show(value_to_text, in_ty, x)  # before init: a faulty machine may write into x
-        ds = [gen_change(rng, in_ty) for _ in range(rng.randint(0, max_changes))]
-        try:
-            got, cache = incr.iter_changes(machine, x, ds)
-            want = fn(incr.sum_changes(in_ty, x, ds))
-            if not values_equal(out_ty, got, want, rel_tol):
-                failures.append(dict(
-                    sample=k, x=xs,
-                    ds=[_show(change_to_text, in_ty, d) for d in ds]))
-                break
-            cache_ref = machine.init(incr.sum_changes(in_ty, x, ds))[1]
-            if not incr.cache_equal(machine.cache, cache, cache_ref, rel_tol):
-                failures.append(dict(
-                    sample=k, law="iter-cache", x=xs,
-                    ds=[_show(change_to_text, in_ty, d) for d in ds]))
-                break
-        except Exception as e:
-            failures.append(dict(sample=k, law="exception",
-                                 x=xs, error=repr(e)))
-            break
-    return CheckReport(name, 0, samples, not failures, failures)
-
-
-def check_completeness(ty, rng, samples=200, rel_tol=1e-9, name="completeness") -> CheckReport:
+def check_completeness(ty, rng, samples=200, rel_tol=1e-9, name="completeness",
+                       seed=0) -> CheckReport:
     """x ⊕ (y ⊖ x) == y; on nat-containing types y is sampled reachable."""
     monotone = _contains_nat(ty)
     failures = []
@@ -693,7 +699,7 @@ def check_completeness(ty, rng, samples=200, rel_tol=1e-9, name="completeness") 
             failures.append(dict(
                 sample=k, x=_show(value_to_text, ty, x), y=_show(value_to_text, ty, y)))
             break
-    return CheckReport(name, 0, samples, not failures, failures)
+    return CheckReport(name, seed, samples, not failures, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -727,58 +733,53 @@ def _join_side_change(rng, rel, gone):
     return d
 
 
-def _join_sample(rng, machine, batch, ref, in_ty, out_ty, k):
-    """One sample of check_fused_join: a failure witness, or None.  ref is
-    the stage-by-stage run; the fused batch and the machine must equal it."""
-    x = tuple({_join_tuple(rng): rng.choice((-1, 1, 2)) for _ in range(n)}
-              for n in (rng.randint(0, 12), rng.randint(0, 5)))
-    xs, ds, gone = _show(value_to_text, in_ty, x), [], ([], [])
-    try:
+def _join_draw(rng, k):
+    """The draw of check_fused_join's sample k: left-only, right-only and
+    two-sided changes in turn, from the (k % 3)th on."""
+    gone, turns = ([], []), itertools.count(k)
+
+    def draw(x):
+        dx, dy = (_join_side_change(rng, v, g) for v, g in zip(x, gone))
+        return [(dx, {}), ({}, dy), (dx, dy)][next(turns) % 3]
+    return draw
+
+
+def _fused_join(pred):
+    """relalg's fused join `cross ; σ_p` for p the _JOIN_PREDS entry named
+    pred, as (machine, reference).  The reference is the stages run one by
+    one (calculus.unfused); it raises _LawBroken("fused-batch") where the
+    fused batch (denote) differs from it."""
+    bundle = relalg.register_relalg()
+    bundle.registry.register_index_pred(pred, dict(_JOIN_PREDS)[pred])
+    pair_rel = TCont(rel_shape(("int", "int")), Z)
+    tt = ca.typecheck(relalg.join_term(pred), TProd(pair_rel, pair_rel),
+                      bundle.registry)
+    batch, ref = ca.compiled(tt), ca.unfused(tt)
+
+    def reference(x):
         want = ref(x)
         if batch(x) != want:
-            return dict(law="fused-batch", x=xs, ds=ds)
-        y, c = machine.init(x)
-        if y != want:
-            return dict(law="Law-1", x=xs)
-        for it in range(6):
-            dx, dy = (_join_side_change(rng, v, g) for v, g in zip(x, gone))
-            d = [(dx, {}), ({}, dy), (dx, dy)][(k + it) % 3]
-            ds.append(_show(change_to_text, in_ty, d))
-            dout, c = machine.step(d, c)
-            x = apply_change(in_ty, x, d)
-            y = apply_change(out_ty, y, dout)
-            want = ref(x)
-            if batch(x) != want:
-                return dict(law="fused-batch", x=xs, ds=ds)
-            if y != want:
-                return dict(law="Law-2", x=xs, ds=ds)
-            if not incr.cache_equal(machine.cache, c, machine.init(x)[1]):
-                return dict(law="Law-3", x=xs, ds=ds)
-    except Exception as e:  # a crashing machine is a failed law, with witness
-        return dict(law="exception", x=xs, ds=ds, error=repr(e))
-    return None
+            raise _LawBroken("fused-batch")
+        return want
+    return incr.incrementalize(tt), reference
 
 
 def check_fused_join(seed=42, samples=60) -> CheckReport:
-    """Laws 1-3 of relalg's fused join `cross ; σ_p`, for a key-equality and
-    a non-key predicate, after every step of a change list that mixes
-    left-only, right-only and two-sided changes.  The reference is the
-    stages run one by one (calculus.unfused); the fused batch (denote) must
-    equal it too, at init and after every step ("fused-batch")."""
+    """Laws 1-3 of relalg's fused join, for a key-equality and a non-key
+    predicate, after every step of a change list that mixes left-only,
+    right-only and two-sided changes.  Outputs compare by ==, and the fused
+    batch must equal the reference too, at init and after every step."""
     rng = stable_rng(seed, "relalg:fused-join")
-    pair_rel = TCont(rel_shape(("int", "int")), Z)
-    in_ty = TProd(pair_rel, pair_rel)
-    for name, pred in _JOIN_PREDS:
-        bundle = relalg.register_relalg()
-        bundle.registry.register_index_pred(name, pred)
-        tt = ca.typecheck(relalg.join_term(name), in_ty, bundle.registry)
-        machine = incr.incrementalize(tt)
-        batch, ref = ca.compiled(tt), ca.unfused(tt)
+    for pred, _ in _JOIN_PREDS:
+        machine, reference = _fused_join(pred)
         for k in range(samples // len(_JOIN_PREDS)):
-            failure = _join_sample(rng, machine, batch, ref, in_ty, tt.out_ty, k)
+            x = tuple({_join_tuple(rng): rng.choice((-1, 1, 2)) for _ in range(n)}
+                      for n in (rng.randint(0, 12), rng.randint(0, 5)))
+            failure = _run_stream(machine, reference, x, 6, _join_draw(rng, k),
+                                  same=operator.eq)
             if failure:
                 return CheckReport("relalg:fused-join", seed, samples, False,
-                                   [dict(pred=name, sample=k, **failure)])
+                                   [dict(failure, pred=pred, sample=k)])
     return CheckReport("relalg:fused-join", seed, samples, True)
 
 
@@ -1238,58 +1239,54 @@ def check_construct_laws(name, cfg: GenConfig = None, samples=200,
     seed = cfg.seed if seed is None else seed
     rng = stable_rng(seed, f"construct:{name}")
     per = max(1, samples // instances)
-    failures = []
-    total = 0
+    check = f"laws:{name}"
     for k in range(instances):
         if name in COMBINATORS:
             machine, fn = _combinator_instances(name, cfg, rng)
-            rep = check_machine_laws(f"{name}#{k}", machine, fn, rng,
-                                     samples=per, rel_tol=cfg.tol_real)
+            rep = check_machine_laws(check, machine, fn, rng, samples=per,
+                                     rel_tol=cfg.tol_real)
         else:
             reg = oracle_registry()
             gen = _TermGen(cfg, rng, reg)
             term, in_ty = _construct_term(name, cfg, rng, gen)
-            tt = ca.typecheck(term, in_ty, reg)
-            rep = check_term_laws(tt, rng, samples=per, rel_tol=cfg.tol_real,
-                                  name=f"{name}#{k}")
-            if not rep.passed:
-                rep.failures[0]["term"] = ca.term_to_text(term)
-        total += rep.samples
+            rep = check_term_laws(ca.typecheck(term, in_ty, reg), rng, samples=per,
+                                  rel_tol=cfg.tol_real, name=check,
+                                  term=ca.term_to_text(term))
         if not rep.passed:
-            failures.extend(rep.failures)
-            break
-    if not failures and name in _OWNED_SUM_TERMS:
+            return CheckReport(check, seed, (k + 1) * per, False, rep.failures)
+    if name in _OWNED_SUM_TERMS:
         term, in_ty = _OWNED_SUM_TERMS[name]
         tt = ca.typecheck(term, in_ty(arr(3, R)), oracle_registry())
         rep = check_term_laws(tt, stable_rng(seed, f"owned:{name}"), samples=20,
-                              rel_tol=cfg.tol_real, name=f"{name}#owned")
+                              rel_tol=cfg.tol_real, name=check,
+                              term=ca.term_to_text(term))
         if not rep.passed:
-            rep.failures[0]["term"] = ca.term_to_text(term)
-            failures.extend(rep.failures)
-    return CheckReport(f"laws:{name}", seed, total, not failures, failures)
+            return CheckReport(check, seed, instances * per, False, rep.failures)
+    return CheckReport(check, seed, instances * per, True)
 
 
 def check_value_preservation_suite(cfg: GenConfig = None, terms=100,
                                    per_term=2, seed=None) -> CheckReport:
-    """Random typechecked terms × change lists: iter == batch on summed input."""
+    """Random typechecked terms, each stepped over per_term change lists of
+    0 to max_changes changes: the iterated output equals the batch on the
+    input so far, and the cache init's, after every step (at tol_iter)."""
     cfg = cfg or GenConfig()
     seed = cfg.seed if seed is None else seed
     rng = stable_rng(seed, "value-preservation")
     reg = oracle_registry()
-    failures = []
-    done = 0
     for k in range(terms):
         in_ty = gen_type(cfg, rng, depth=2)
         tt = gen_term(cfg, rng, reg, in_ty)
-        rep = check_value_preservation(tt, rng, samples=per_term,
-                                       max_changes=cfg.max_changes,
-                                       rel_tol=cfg.tol_iter)
-        done += 1
-        if not rep.passed:
-            rep.failures[0]["term"] = ca.term_to_text(tt.term)
-            failures.extend(rep.failures)
-            break
-    return CheckReport("value-preservation", seed, done, not failures, failures)
+        machine, fn = incr.incrementalize(tt), ca.compiled(tt)
+        draw = lambda _x: gen_change(rng, in_ty)
+        for j in range(per_term):
+            x = gen_value(rng, in_ty)
+            failure = _run_stream(machine, fn, x, rng.randint(0, cfg.max_changes),
+                                  draw, cfg.tol_iter)
+            if failure:
+                return CheckReport("value-preservation", seed, k + 1, False, [dict(
+                    failure, sample=j, term=ca.term_to_text(tt.term))])
+    return CheckReport("value-preservation", seed, terms, True)
 
 
 # ---------------------------------------------------------------------------
@@ -1399,12 +1396,9 @@ def run_all_suites(bundle_names=("linalg", "relalg", "trees", "gcounter"),
         bundle = get_bundle(bname)
         for opdef in bundle.registry.ops.values():
             for in_ty in opdef.sample_in_tys:
-                rep = _guarded(
-                    f"{bname}:op:{opdef.name}", cfg.seed,
-                    lambda od=opdef, it=in_ty: check_op_laws(
-                        od, it, samples=samples, seed=cfg.seed))
-                rep.name = f"{bname}:op:{opdef.name}" if rep.name.startswith("op:") else rep.name
-                reports.append(rep)
+                name = f"{bname}:op:{opdef.name}"
+                reports.append(_guarded(name, cfg.seed, lambda od=opdef, it=in_ty, n=name:
+                                        check_op_laws(od, it, samples, cfg.seed, n)))
         if bname == "relalg":
             reports.append(_guarded("relalg:fused-join", cfg.seed,
                                     lambda: check_fused_join(cfg.seed, samples)))
@@ -1422,10 +1416,8 @@ def run_all_suites(bundle_names=("linalg", "relalg", "trees", "gcounter"),
         for k in range(10):
             ty = gen_type(cfg, rng, containers=("arr", "rel", "dict", "tree"),
                           bases=bases)
-            rep = check_completeness(ty, rng, samples=40,
-                                     name=f"completeness:{label}#{k}")
-            rep.seed = cfg.seed
-            reports.append(rep)
+            reports.append(check_completeness(
+                ty, rng, samples=40, name=f"completeness:{label}#{k}", seed=cfg.seed))
     reports.extend(check_finite_support(seed=cfg.seed))
     reports.append(check_frontend_lowering(seed=cfg.seed, samples=max(20, samples)))
     return reports

@@ -2,20 +2,25 @@
 
 import copy
 import json
+import operator
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from deltic import calculus as ca
 from deltic import incr
-from deltic.core import Cl, Cr, REAL, Sl, Sr, SUM_NULL, TBase, TProd, TSum
-from deltic.domains import linalg, relalg
-from deltic.domains.containers import arr
+from deltic.core import Cl, Cr, Left, REAL, Sl, Sr, SUM_NULL, TBase, TProd, TSum
+from deltic.domains import get_bundle, linalg, relalg
+from deltic.domains.containers import RELATION, arr
 from deltic.oracle import (
-    FAULTS, GenConfig, GenerationFailure, check_construct_laws,
-    check_frontend_lowering, check_fused_join, check_machine_laws, check_op_laws,
-    check_value_preservation_suite, gen_change, gen_term, gen_type, gen_value,
-    inject_fault, oracle_registry, stable_rng,
+    COMBINATORS, FAULTS, GenConfig, GenerationFailure, _fused_join, _run_stream,
+    check_construct_laws, check_frontend_lowering, check_fused_join,
+    check_machine_laws, check_op_laws, check_value_preservation_suite, gen_change,
+    gen_term, gen_type, gen_value, inject_fault, oracle_registry, stable_rng,
 )
+from deltic.serialize import change_from_text, change_to_text, type_from_text, value_from_text
 
 R = TBase(REAL)
 
@@ -98,6 +103,102 @@ def test_corrupted_triv_yields_law3_counterexample():
     assert not rep.passed
     assert rep.failures[0]["law"] in ("Law-2", "Law-3")
     assert "x" in rep.failures[0]
+
+
+def test_a_nil_step_to_a_non_nil_change_fails_the_nil_law():
+    # inl stepping its payload change as Cl(d) keeps Laws 1-3 on every
+    # change, but maps the nil change 0.0 to Cl(0.0), which is not nil
+    m = incr.IncrMachine(R, TSum(R, R), incr.CUnit(),
+                         lambda x: (Left(x), incr.UNIT), lambda d, c: (Cl(d), c))
+    rep = check_machine_laws("inl-cl-nil", m, Left, stable_rng(10, "nil"), samples=5)
+    assert not rep.passed
+    assert rep.failures[0]["law"] == "nil-change"
+    assert rep.failures[0]["ds"] == [change_to_text(R, 0.0)]
+
+
+def test_a_witness_shows_each_change_as_drawn():
+    # a step that clears its change in place must not blank the witness
+    reg = oracle_registry()
+    tt = ca.typecheck(ca.Map(ca.OpCall("o_relu")), arr(3, R), reg)
+    m = incr.incrementalize(tt)
+    seen = []
+
+    def clearing(dx, c):
+        seen.append(change_to_text(m.in_ty, dx))
+        out = m.step(dx, c)
+        dx.clear()
+        return out
+
+    rep = check_machine_laws("clearing", replace(m, step=clearing), ca.compiled(tt),
+                             stable_rng(11, "clear"), samples=20)
+    assert not rep.passed
+    assert rep.failures[0]["ds"][-1] == seen[-1] != "[]"
+
+
+# failing golden records the replay cannot rebuild from their text:
+# combinator instances, which carry no term, and terms naming an index
+# function or predicate drawn at generation time (cfn/cpred, gfn/gpred)
+_UNREPLAYABLE = {
+    ("bilin-aliased-cache", "laws:bilin"),
+    ("bilin-missing-term", "laws:bilin"),
+    ("triv-stale-cache", "laws:triv"),
+}
+_DRAWN_NAME = re.compile(r"\b[cg](fn|pred)\d")
+
+
+def _rebuild(check, failure):
+    """(machine, fn, runner options) of a failing record, built under the
+    active fault, or None when its text cannot rebuild it."""
+    if check == "relalg:fused-join":
+        machine, fn = _fused_join(failure["pred"])
+        return machine, fn, dict(same=operator.eq)
+    if ":op:" in check:
+        bname, _, opname = check.split(":")
+        bundle = get_bundle(bname)
+        opdef = bundle.registry.ops[opname]
+        in_ty = type_from_text(failure["in_ty"], bundle.registry)
+        return opdef.make_machine(in_ty, opdef.typer(in_ty)), opdef.fn, dict(rel_tol=1e-9)
+    if check.removeprefix("laws:") in COMBINATORS or _DRAWN_NAME.search(failure["term"]):
+        return None
+    reg = oracle_registry()
+    reg.register_container(RELATION)
+    term = ca.term_from_text(failure["term"], reg)
+    tt = ca.typecheck(term, type_from_text(failure["in_ty"], reg), reg)
+    cfg = GenConfig()
+    tol = cfg.tol_iter if check == "value-preservation" else cfg.tol_real
+    return incr.incrementalize(tt), ca.compiled(tt), dict(rel_tol=tol)
+
+
+def _golden_file(fault):
+    name = "seq_drop" if fault == "seq-drop-propagation" else fault
+    return Path(__file__).parent / "data" / f"laws_seed42_{name}.jsonl"
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_golden_failures_replay_from_their_witness(fault):
+    # rebuild the machine under the fault, step the recorded changes after
+    # init and the nil step, and fail the recorded law at the last change
+    skipped = set()
+    for line in _golden_file(fault).read_text().splitlines():
+        rec = json.loads(line)
+        for failure in rec["failures"]:
+            if "in_ty" not in failure:  # not a change-stream record
+                continue
+            with inject_fault(fault):
+                built = _rebuild(rec["check"], failure)
+                if built is None:
+                    skipped.add((fault, rec["check"]))
+                    continue
+                machine, fn, opts = built
+                changes = iter(failure["ds"])
+                got = _run_stream(
+                    machine, fn, value_from_text(machine.in_ty, failure["x"]),
+                    len(failure["ds"]),
+                    lambda _x: change_from_text(machine.in_ty, next(changes)), **opts)
+            assert got is not None, rec["check"]
+            for key in ("law", "ds", "error"):
+                assert got.get(key) == failure.get(key), (rec["check"], key)
+    assert skipped == {r for r in _UNREPLAYABLE if r[0] == fault}
 
 
 def test_reports_are_reproducible():
