@@ -18,12 +18,13 @@ through `container_kernel`, which reads a given element wherever a position
 is absent.  The batch passes the default ε; as the ops are linear, incr
 passes the nil change and uses the same kernel as the op's derivative.
 
-An op may register `select`, the batch kernel of `op ; σ_p`: the compiled
-seq runs the stages `op ; ⟨cst ε, id⟩ ; filter p` (see `selection`) as that
-one kernel, so relalg's join tests p on each pair before making it, in
-place of building the whole cross product and filtering it.  `unfused`
-runs a seq stage by stage, as the reference the fused run is checked
-against.
+`fusion` matches the runs of seq stages built as one stage, for denote and
+incr alike.  An op may register `select`, the batch kernel of `op ; σ_p`:
+the compiled seq runs a join run `op ; ⟨cst ε, id⟩ ; filter p` as that one
+kernel, so relalg's join tests p on each pair before making it, in place of
+building the whole cross product and filtering it; every other stage is
+compiled alone.  `unfused` runs a seq stage by stage, as the reference the
+fused run is checked against.
 
 Shape transformations (reshape) and index predicates (filter) are registered
 named functions, so terms stay serializable; `map2 f` and `⟨f, g⟩` are
@@ -212,9 +213,9 @@ class OpDef:
     select and make_selected, when given, are the batch kernel and the
     machine of `op ; σ_p`: select(p) maps the op's input to its output
     with p applied, and make_selected(p, in_ty, out_ty) builds the machine.
-    Both are used for the seq stages `op ; ⟨cst ε, id⟩ ; filter p` (see
-    selection): select by denote, make_selected by incr.  Left None, the
-    stages run one by one.
+    Both are used for the seq stages `op ; ⟨cst ε, id⟩ ; filter p` (the
+    join rule of fusion): select by denote, make_selected by incr.  Left
+    None, the stages run one by one.
     """
 
     name: str
@@ -545,21 +546,38 @@ def _check_leaf(t, in_ty, registry) -> TypedTerm:
 # Denotational evaluation (compiled to closures)
 # ---------------------------------------------------------------------------
 
-def selection(stages, k):
-    """p when the typed stages[k:k + 4] are `op ; dup ; (cst ε × id) ; filter p`
-    with ε the element default, so the three after the op are σ_p, which
-    is then linear; else None.  p is the predicate's function."""
-    run = stages[k:k + 4]
-    if [type(s.term) for s in run] != [OpCall, Dup, Par, Filter]:
-        return None
-    cst, ident = run[2].children
-    if not (type(cst.term) is Cst and ident.term == ID
-            and cst.term.value == default_value(cst.out_ty)):
-        return None
-    return run[3].info.fn
+# fusion's rules, by the kind of a run's first stage: what fusion returns,
+# and the kinds of the stages after it
+_RULES = {Zip: (("map2", 2), (Map,)), Dup: (("fanout", 2), (Par,)),
+          OpCall: (("join", 4), (Dup, Par, Filter))}
 
 
-def _chain(fns):
+def fusion(stages, k):
+    """(rule name, width) of the fused run of typed seq stages that starts at
+    stages[k], or None: ("map2", 2) is `zip ; map f`, ("fanout", 2) is
+    `dup ; par` and ("join", 4) is `op ; dup ; (cst ε × id) ; filter p`, with
+    ε the element default so that σ_p is linear.  Each caller checks its own
+    OpDef field for a join: denote select, incr make_selected."""
+    rule = _RULES.get(type(stages[k].term))
+    if rule is None or k + len(rule[1]) >= len(stages):
+        return None
+    found, tail = rule
+    for j, kind in enumerate(tail, k + 1):
+        if type(stages[j].term) is not kind:
+            return None
+    if found[0] == "join":
+        cst, ident = stages[k + 2].children
+        if not (type(cst.term) is Cst and ident.term == ID
+                and cst.term.value == default_value(cst.out_ty)):
+            return None
+    return found
+
+
+def chain(fns):
+    """One function running fns in order: the identity for none."""
+    if len(fns) <= 1:
+        return fns[0] if fns else PROJ_FNS[()]
+
     def run_seq(x):
         for f in fns:
             x = f(x)
@@ -571,19 +589,17 @@ def _compile(tt: TypedTerm):
     t = tt.term
     match t:
         case Seq():
-            # an op with a select kernel runs `op ; σ_p` as one stage
+            # a join whose op registers select runs as one stage
             kids, stages, k = tt.children, [], 0
             while k < len(kids):
-                c, p = kids[k], None
-                if type(c.term) is OpCall and c.info.select is not None:
-                    p = selection(kids, k)
-                if p is None:
+                c = kids[k]
+                if fusion(kids, k) == ("join", 4) and c.info.select is not None:
+                    stages.append(c.info.select(kids[k + 3].info.fn))
+                    k += 4
+                else:
                     stages.append(compiled(c))
                     k += 1
-                else:
-                    stages.append(c.info.select(p))
-                    k += 4
-            return _chain(tuple(stages))
+            return chain(tuple(stages))
         case Par():
             f = compiled(tt.children[0])
             g = compiled(tt.children[1])
@@ -802,7 +818,7 @@ def unfused(tt: TypedTerm):
     """The batch semantics of a typed seq run one stage at a time, each
     stage by its own compiled closure, with no stages fused: the reference
     the fused batch (select) is checked against."""
-    return _chain(tuple(map(compiled, tt.children)))
+    return chain(tuple(map(compiled, tt.children)))
 
 
 # ---------------------------------------------------------------------------

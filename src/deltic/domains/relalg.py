@@ -6,17 +6,17 @@ product rule a'·b + (a + a')·b', one step per side); count and groupBy are
 linear in the multiplicities and need no cache at all.
 
 A selection σ_p = ⟨cst 0, id⟩ ; filter p drops rows to the default 0, so it
-is linear and σ_p ∘ cross is bilinear too.  cross registers that fused
-operation twice: as its select, the batch kernel that calculus.denote runs
-for a join `cross ; σ_p`, and as its make_selected, the one bilinear stage
-(comb_bilin with the join's index) that incr builds for it.  Both test p on
-each pair before making it, so no cross product is built and filtered
-afterwards.  The pairs come from one C-level stream, filter(p, product(r,
-s)), in batch and in each leg of the step.  The stage caches the two input
-relations, as the unfused cross does, and a third part: for each cached
-right tuple, the cached left tuples it matches.  So a change to a right
-tuple the join already holds reads its matches, and p is tested only for a
-right tuple new to the join, against the whole left relation, or for a
+is linear and σ_p ∘ cross is bilinear too.  A join `cross ; σ_p` is the join
+rule of calculus.fusion, and cross registers it twice: as its select, the
+batch kernel that calculus.denote runs for it, and as its make_selected, the
+one bilinear stage (comb_bilin with the join's index) incr builds.  Both
+test p on each pair before making it, so no cross product is built and
+filtered afterwards.  The pairs come from one C-level stream, filter(p,
+product(r, s)), in batch and in each leg of the step.  The stage caches the
+two input relations, as the unfused cross does, and a third part: for each
+cached right tuple, the cached left tuples it matches.  So a change to a
+right tuple the join already holds reads its matches, and p is tested only
+for a right tuple new to the join, against the whole left relation, or for a
 changed left tuple, against the right relation.  p stays opaque.  The
 unfused run of the stages (calculus.unfused) is the reference both are
 checked against.

@@ -38,7 +38,9 @@ in a flat loop.  A seq with a cached stage keeps a list with one slot per
 stage (UNIT at the cache-free ones) that its step updates in place, so
 neither init nor step recurses along a chain.
 
-Adjacent seq stages `zip ; map f` (map2) are built as one fused stage whose
+Runs of seq stages that are built as one stage are matched by
+calculus.fusion, which denote shares, and built by _FUSED, by rule name.
+The map2 rule, `zip ; map f`, is one fused stage whose
 step walks the changed keys of (dx, dy) and steps f (or calls its
 derivative) per key, with no zipped change in between.  The zip slot stays
 UNIT and the map slot keeps its per-index cache, so the cache layout is that
@@ -48,7 +50,7 @@ kernel keeps that fresh dict as its cache instead of copying it.  A par
 with one cache-free side calls that side's derivative directly; its slot
 stays UNIT.
 
-Adjacent seq stages `dup ; par(f, g)` are one fanout stage, built by the par
+The fanout rule, `dup ; par(f, g)`, is one stage, built by the par
 builder, which hands the one input change to both sides; the dup slot stays
 UNIT.  A seq drops id machines, and a fanout of the fst and snd machines is
 the identity: both folds look at the built machines (their derivatives are
@@ -70,10 +72,9 @@ cache_entry_count are unchanged.  The fused `zip ; map f` stage is built by
 the same code, so it gets the kernel too; there a change with one side empty
 walks the other side's dict and ⊕s only that component of each cached pair.
 
-Adjacent seq stages `op ; dup ; (cst ε × id) ; filter p` (a selection σ_p
-after an op, where ε is the element default, so σ_p is linear) are built as
-one stage when the op registers make_selected (the match is
-calculus.selection, which denote shares): for relalg's cross this is a
+The join rule, `op ; dup ; (cst ε × id) ; filter p` (a selection σ_p
+after an op, where ε is the element default, so σ_p is linear), is built as
+one stage when the op registers make_selected: for relalg's cross this is a
 bilinear join that tests p on each pair before making it.  The fused
 machine takes the op's slot and the three selection slots stay UNIT; they
 were cache-free anyway.  Batch evaluation fuses the same stages when the op
@@ -525,67 +526,38 @@ def _incr_inr(tt):
 
 
 def _incr_seq(tt):
-    # Fused stages leave None in the slots of the stages they absorb:
-    # `zip ; map f` is [None, map2] and `op ; ⟨cst ε, id⟩ ; filter p` is
-    # [selected op, None, None, None].
-    stages = tt.children
-    kinds = [type(s.term) for s in stages] + [None]
-    machines = []
-    k = 0
-    while k < len(stages):
-        if kinds[k] is ca.Zip and kinds[k + 1] is ca.Map:
-            fused = [None, _once(_incr_map2, stages[k], stages[k + 1])]
-        elif (kinds[k] is ca.OpCall and stages[k].info.make_selected
-              and ca.selection(stages, k)):
-            fused = _once(_incr_selected, *stages[k:k + 4])
-        elif kinds[k] is ca.Dup and kinds[k + 1] is ca.Par:
-            fused = [None, _once(_par_machine, stages[k + 1], True)]
-        else:
-            fused = None
-        machines += fused or [incrementalize(stages[k])]
+    # a fused run (calculus.fusion, built by _FUSED) fills its stages' slots
+    stages, machines = tt.children, []
+    while len(machines) < len(stages):
         k = len(machines)
+        rule = ca.fusion(stages, k)
+        run = rule and _once(_FUSED[rule[0]], *stages[k:k + rule[1]])
+        machines += run or [incrementalize(stages[k])]
     return _seq_machine(tt, machines)
 
 
-def _incr_selected(op, _dup, _par, fil):
-    """`op ; dup ; (cst ε × id) ; filter p` (calculus.selection) as the op's
-    selected machine.
-
-    With the element default ε as fallback, filter p is linear, so the op's
-    make_selected can apply p as it computes.  The three selection stages
-    are cache-free, so the layout is that of the unfused seq.
-    """
-    m = op.info.make_selected(fil.info.fn, op.in_ty, fil.out_ty)
-    return [m, None, None, None]
-
-
-def _chain(fs):
-    """One derivative running the derivatives fs in order."""
-    if len(fs) <= 1:
-        return fs[0] if fs else _SAME
-
-    def run(d):
-        for f in fs:
-            d = f(d)
-        return d
-
-    return run
+def _incr_join(op, _dup, _par, fil):
+    """`op ; dup ; (cst ε × id) ; filter p` as the op's make_selected machine,
+    which applies p as it computes; the three selection stages are
+    cache-free, so the layout is that of the unfused seq."""
+    make = op.info.make_selected
+    return make and [make(fil.info.fn, op.in_ty, fil.out_ty), None, None, None]
 
 
 def _seq_machine(tt, machines):
     """Compose the machines already built for the stages of a seq, in order.
 
     A None stage is done by a neighbouring fused machine (the zip of a map2,
-    the selection after a selected op, the dup of a fanout); its slot stays
+    the selection after a join's op, the dup of a fanout); its slot stays
     UNIT and it gets no init or step of its own, nor does an identity stage.
     """
     live = [(k, m) for k, m in enumerate(machines) if m is not None and m.deriv is not _SAME]
     if all(m.deriv is not None for _, m in live):
-        return _self_machine(tt, _chain([m.deriv for _, m in live]))
+        return _self_machine(tt, ca.chain([m.deriv for _, m in live]))
     plan = []  # (slot, step) per cached stage, (None, deriv) per cache-free run
     for free, run in groupby(live, lambda km: km[1].deriv is not None):
         if free:
-            plan.append((None, _chain([m.deriv for _, m in run])))
+            plan.append((None, ca.chain([m.deriv for _, m in run])))
         else:
             plan += [(k, m.step) for k, m in run]
     inits = [(k, m.init) for k, m in live]
@@ -651,7 +623,7 @@ def _incr_map(tt):
 def _is_pointwise_add(tt):
     """True when tt is ⊕: plus, or `zip ; map g` with g pointwise ⊕."""
     while type(tt.term) is ca.Seq:
-        if [type(s.term) for s in tt.children] != [ca.Zip, ca.Map]:
+        if len(tt.children) != 2 or ca.fusion(tt.children, 0) != ("map2", 2):
             return False
         tt = tt.children[1].children[0]
     return type(tt.term) is ca.Plus
@@ -906,6 +878,16 @@ def _incr_case(tt):
 
 def _incr_op(tt):
     return tt.info.make_machine(tt.in_ty, tt.out_ty)
+
+
+# The builds of the fused runs, by calculus.fusion's rule name: each returns
+# the run's slot list, its machine in the slot whose cache layout it keeps
+# and None in the slots it absorbs, or None to build the stages one by one.
+_FUSED = {
+    "map2": lambda zip_tt, map_tt: [None, _incr_map2(zip_tt, map_tt)],
+    "fanout": lambda _dup, par: [None, _par_machine(par, True)],
+    "join": _incr_join,
+}
 
 
 _BUILDERS = {

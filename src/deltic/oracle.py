@@ -662,7 +662,7 @@ def check_machine_laws(name, machine: incr.IncrMachine, fn, rng, samples=100,
         x = gen_value(rng, machine.in_ty)
         failure = _run_stream(machine, fn, x, 2, draw, rel_tol)
         if failure:
-            return CheckReport(name, seed, samples, False,
+            return CheckReport(name, seed, k + 1, False,
                                [dict(failure, sample=k, **record)])
     return CheckReport(name, seed, samples, True)
 
@@ -770,16 +770,17 @@ def check_fused_join(seed=42, samples=60) -> CheckReport:
     right-only and two-sided changes.  Outputs compare by ==, and the fused
     batch must equal the reference too, at init and after every step."""
     rng = stable_rng(seed, "relalg:fused-join")
-    for pred, _ in _JOIN_PREDS:
+    per = samples // len(_JOIN_PREDS)
+    for n_pred, (pred, _) in enumerate(_JOIN_PREDS):
         machine, reference = _fused_join(pred)
-        for k in range(samples // len(_JOIN_PREDS)):
+        for k in range(per):
             x = tuple({_join_tuple(rng): rng.choice((-1, 1, 2)) for _ in range(n)}
                       for n in (rng.randint(0, 12), rng.randint(0, 5)))
             failure = _run_stream(machine, reference, x, 6, _join_draw(rng, k),
                                   same=operator.eq)
             if failure:
-                return CheckReport("relalg:fused-join", seed, samples, False,
-                                   [dict(failure, pred=pred, sample=k)])
+                return CheckReport("relalg:fused-join", seed, n_pred * per + k + 1,
+                                   False, [dict(failure, pred=pred, sample=k)])
     return CheckReport("relalg:fused-join", seed, samples, True)
 
 
@@ -1223,8 +1224,8 @@ def _combinator_instances(name, cfg, rng):
 # instances seldom step a non-empty container (arr[0] is drawn often), so
 # each is also checked on one fixed instance over arr[3] real, with id
 # branches, which no other fault touches.  It runs only when the random
-# instances pass, and its samples are not counted, so a passing record reads
-# as it did without it.
+# instances pass, and its samples are counted only on a failure, so a passing
+# record reads as it did without it.
 _OWNED_SUM_TERMS = {
     "fuse": (ca.Fuse(), lambda a: TSum(a, a)),
     "distr": (ca.Distr(), lambda a: TProd(a, TSum(a, a))),
@@ -1253,7 +1254,7 @@ def check_construct_laws(name, cfg: GenConfig = None, samples=200,
                                   rel_tol=cfg.tol_real, name=check,
                                   term=ca.term_to_text(term))
         if not rep.passed:
-            return CheckReport(check, seed, (k + 1) * per, False, rep.failures)
+            return CheckReport(check, seed, k * per + rep.samples, False, rep.failures)
     if name in _OWNED_SUM_TERMS:
         term, in_ty = _OWNED_SUM_TERMS[name]
         tt = ca.typecheck(term, in_ty(arr(3, R)), oracle_registry())
@@ -1261,7 +1262,7 @@ def check_construct_laws(name, cfg: GenConfig = None, samples=200,
                               rel_tol=cfg.tol_real, name=check,
                               term=ca.term_to_text(term))
         if not rep.passed:
-            return CheckReport(check, seed, instances * per, False, rep.failures)
+            return CheckReport(check, seed, instances * per + rep.samples, False, rep.failures)
     return CheckReport(check, seed, instances * per, True)
 
 

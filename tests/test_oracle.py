@@ -102,6 +102,7 @@ def test_corrupted_triv_yields_law3_counterexample():
     rep = check_machine_laws("corrupted-triv", m, fn, rng, samples=60)
     assert not rep.passed
     assert rep.failures[0]["law"] in ("Law-2", "Law-3")
+    assert rep.samples == rep.failures[0]["sample"] + 1  # the samples drawn
     assert "x" in rep.failures[0]
 
 

@@ -226,23 +226,32 @@ def test_fused_join_cache_json_after_a_left_and_a_right_step():
         *selection]
 
 
-@pytest.mark.parametrize("fallback, fused", [(0, True), (1, False)])
-def test_selection_fuses_only_with_the_default_fallback(fallback, fused):
+@pytest.mark.parametrize("fallback, fused, batch", [
+    pytest.param(0, True, True, id="0-True"),
+    pytest.param(1, False, False, id="1-False"),
+    pytest.param(0, True, False, id="0-no-select"),
+])
+def test_selection_fuses_only_with_the_default_fallback(fallback, fused, batch):
     # ⟨cst 1, id⟩ ; filter p keeps failing rows at 1, which is not linear;
-    # the machine and the batch fuse alike
+    # the machine and the batch fuse alike, each only when the op registers
+    # its own kernel: a cross with make_selected and no select fuses the
+    # machine and runs the batch stage by stage
     b = relalg.register_relalg()
     b.registry.register_index_pred("key-eq", JOIN_PREDS["key-eq"])
     built, selected = [], []
     cross = b.registry.ops["cross"]
     b.registry.ops["cross"] = replace(
         cross, make_selected=lambda *a: built.append(a) or cross.make_selected(*a),
-        select=lambda p: selected.append(p) or cross.select(p))
+        select=(lambda p: selected.append(p) or cross.select(p)) if batch else None)
     term = seq(OpCall("cross"), fanout(Cst(relalg.Z, fallback), ID), Filter("key-eq"))
     tt = typecheck(term, JOIN_IN, b.registry)
     incrementalize(tt)
-    compiled(tt)
+    run = compiled(tt)
+    if fused:  # a fallback of 1 over relations has infinite support
+        x = ({(1, 2): 1, (2, 5): 2}, {(1, 9): 3, (3, 7): 1})
+        assert run(x) == unfused(tt)(x) == {((1, 2), (1, 9)): 3}
     assert bool(built) == fused
-    assert selected == ([JOIN_PREDS["key-eq"]] if fused else [])
+    assert selected == ([JOIN_PREDS["key-eq"]] if fused and batch else [])
 
 
 ALWAYS = {"always": lambda ij: True, "never": lambda ij: False}

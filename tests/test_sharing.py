@@ -4,13 +4,14 @@ get one TypedTerm and one machine, while every position keeps its own cache."""
 import gc
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from deltic import calculus as ca
 from deltic import incr
 from deltic.core import REAL, TBase, TProd, apply_fn, values_equal
-from deltic.domains import get_bundle, linalg
+from deltic.domains import get_bundle, linalg, relalg
 from deltic.domains.containers import arr
 from deltic.frontend import compile_program, parse_program_file
 from deltic.oracle import inject_fault
@@ -138,3 +139,65 @@ def test_a_wide_product_keys_in_constant_time():
                      + ["", "add # (x0, x1)"]) + "\n"
     tt = _compile(text)
     assert isinstance(tt.in_ty, TProd) and tt.out_ty == R
+
+
+def _fused_runs(tt):
+    """calculus.fusion's runs in the distinct typed seqs under tt, each seq's
+    stages walked as incr builds them: (rule name, stages), per position."""
+    runs, seen, todo = [], set(), [tt]
+    while todo:
+        t = todo.pop()
+        if t in seen:
+            continue
+        seen.add(t)
+        todo += t.children
+        if type(t.term) is not ca.Seq:
+            continue
+        k = 0
+        while k < len(t.children):
+            rule = ca.fusion(t.children, k)
+            if rule:
+                runs.append((rule[0], t.children[k:k + rule[1]]))
+            k += rule[1] if rule else 1
+    return runs
+
+
+def _dense_tt(n):
+    reg = linalg.register_linalg().registry
+    w = {i: {j: (i - j + 0.5) / n for j in range(n)} for i in range(n)}
+    b = {i: (i + 1) / n for i in range(n)}
+    return ca.typecheck(linalg.dense_term(n, n, w, b), arr(n, R), reg)
+
+
+def _join_tt():
+    bundle = relalg.register_relalg()
+    bundle.registry.register_index_pred("key-eq", lambda ij: ij[0][0] == ij[1][0])
+    pair_rel = relalg.rel(("int", "int"))
+    return ca.typecheck(relalg.join_term("key-eq"), TProd(pair_rel, pair_rel),
+                        bundle.registry)
+
+
+@pytest.mark.parametrize("make, want", [
+    (lambda: _dense_tt(8), {"map2": 3, "fanout": 2}),
+    (_join_tt, {"join": 1}),
+    (lambda: _compile(_chain_text(100, 8)), {"fanout": 101, "map2": 2}),
+], ids=["dense", "rel-join", "let-chain"])
+def test_each_fusion_rule_fires_as_counted(make, want):
+    # per rule, the runs fusion matches over the distinct typed seqs of the
+    # three benchmark terms; a rule taken out of fusion reads 0 here
+    assert Counter(name for name, _ in _fused_runs(make())) == want
+
+
+def test_each_fused_run_is_built_once_per_build(monkeypatch):
+    # the five kept lets share one `dup ; (e × snd)` run, which the build
+    # makes once; the next build makes it again, once
+    built = []
+    fanout = incr._FUSED["fanout"]
+    monkeypatch.setitem(incr._FUSED, "fanout", lambda *run: built.append(run) or fanout(*run))
+    tt = _compile(_chain_text(6, 4))
+    runs = [stages for name, stages in _fused_runs(tt) if name == "fanout"]
+    assert len(runs) > len(set(runs)) > 1
+    for _ in range(2):
+        built.clear()
+        incr.incrementalize(tt)
+        assert len(built) == len(set(built)) and set(built) == set(runs)
