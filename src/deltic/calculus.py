@@ -22,9 +22,11 @@ passes the nil change and uses the same kernel as the op's derivative.
 incr alike.  An op may register `select`, the batch kernel of `op ; σ_p`:
 the compiled seq runs a join run `op ; ⟨cst ε, id⟩ ; filter p` as that one
 kernel, so relalg's join tests p on each pair before making it, in place of
-building the whole cross product and filtering it; every other stage is
-compiled alone.  `unfused` runs a seq stage by stage, as the reference the
-fused run is checked against.
+building the whole cross product and filtering it.  An add run, `zip ; map g`
+with g pointwise ⊕, is ⊕ on the container and runs as one add_fn, with no
+zipped dict in between; every other stage is compiled alone.  `unfused` runs
+a seq stage by stage, as the reference the fused join and add are checked
+against.
 
 Shape transformations (reshape) and index predicates (filter) are registered
 named functions, so terms stay serializable; `map2 f` and `⟨f, g⟩` are
@@ -554,10 +556,11 @@ _RULES = {Zip: (("map2", 2), (Map,)), Dup: (("fanout", 2), (Par,)),
 
 def fusion(stages, k):
     """(rule name, width) of the fused run of typed seq stages that starts at
-    stages[k], or None: ("map2", 2) is `zip ; map f`, ("fanout", 2) is
-    `dup ; par` and ("join", 4) is `op ; dup ; (cst ε × id) ; filter p`, with
-    ε the element default so that σ_p is linear.  Each caller checks its own
-    OpDef field for a join: denote select, incr make_selected."""
+    stages[k], or None: ("map2", 2) is `zip ; map f`, ("add", 2) is
+    `zip ; map g` with g pointwise ⊕, ("fanout", 2) is `dup ; par` and
+    ("join", 4) is `op ; dup ; (cst ε × id) ; filter p`, with ε the element
+    default so that σ_p is linear.  Each caller checks its own OpDef field
+    for a join: denote select, incr make_selected."""
     rule = _RULES.get(type(stages[k].term))
     if rule is None or k + len(rule[1]) >= len(stages):
         return None
@@ -570,7 +573,16 @@ def fusion(stages, k):
         if not (type(cst.term) is Cst and ident.term == ID
                 and cst.term.value == default_value(cst.out_ty)):
             return None
+    elif found[0] == "map2" and _is_pointwise_add(stages[k + 1].children[0]):
+        return ("add", 2)
     return found
+
+
+def _is_pointwise_add(tt):
+    """True when tt is ⊕: plus, or a two-stage seq that fusion reads as add."""
+    if type(tt.term) is Seq:
+        return len(tt.children) == 2 and fusion(tt.children, 0) == ("add", 2)
+    return type(tt.term) is Plus
 
 
 def chain(fns):
@@ -589,13 +601,17 @@ def _compile(tt: TypedTerm):
     t = tt.term
     match t:
         case Seq():
-            # a join whose op registers select runs as one stage
+            # a join whose op registers select, and an add, run as one stage
             kids, stages, k = tt.children, [], 0
             while k < len(kids):
-                c = kids[k]
-                if fusion(kids, k) == ("join", 4) and c.info.select is not None:
+                c, rule = kids[k], fusion(kids, k)
+                if rule == ("join", 4) and c.info.select is not None:
                     stages.append(c.info.select(kids[k + 3].info.fn))
                     k += 4
+                elif rule == ("add", 2):
+                    add = add_fn(c.in_ty.left)  # plus typed both inputs alike
+                    stages.append(lambda xy, _add=add: _add(xy[0], xy[1]))
+                    k += 2
                 else:
                     stages.append(compiled(c))
                     k += 1
@@ -817,7 +833,7 @@ def denote(tt: TypedTerm, v):
 def unfused(tt: TypedTerm):
     """The batch semantics of a typed seq run one stage at a time, each
     stage by its own compiled closure, with no stages fused: the reference
-    the fused batch (select) is checked against."""
+    the fused join (select) and add (add_fn) are checked against."""
     return chain(tuple(map(compiled, tt.children)))
 
 

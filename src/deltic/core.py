@@ -285,6 +285,18 @@ class TProd:
         d = self.__dict__
         d["left"], d["right"], d["_hash"] = left, right, hash((left, right))
 
+    def __eq__(self, other):
+        # walks the right spine in a loop, so a wide product does not recurse
+        if type(other) is not TProd:
+            return NotImplemented
+        while self is not other:
+            if self._hash != other._hash or self.left != other.left:
+                return False
+            self, other = self.right, other.right
+            if type(self) is not TProd or type(other) is not TProd:
+                return self == other
+        return True
+
     __hash__ = _stored_hash
     __reduce__ = _rebuilt
 

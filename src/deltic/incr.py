@@ -57,8 +57,9 @@ the identity: both folds look at the built machines (their derivatives are
 calculus.PROJ_FNS), so a sabotaged builder's machine is stepped, not folded.
 
 On a container, ⊕ is pointwise ⊕ with nil as its unit, so `zip ; map f`
-with f pointwise ⊕ (plus, or itself such a map2, at any nesting) is ⊕ on
-the container: it is built as comb_add at the container type, whose
+with f pointwise ⊕ (plus, or itself such an add, at any nesting) is ⊕ on
+the container: fusion reads it as the add rule, which denote runs as
+add_fn and _FUSED builds as comb_add at the container type, whose
 derivative hands back one side's change unchanged when the other is nil.
 The zip slot stays UNIT and the stage is cache-free, as before.
 
@@ -620,24 +621,12 @@ def _incr_map(tt):
     return _map_machine(tt, dict.items)
 
 
-def _is_pointwise_add(tt):
-    """True when tt is ⊕: plus, or `zip ; map g` with g pointwise ⊕."""
-    while type(tt.term) is ca.Seq:
-        if len(tt.children) != 2 or ca.fusion(tt.children, 0) != ("map2", 2):
-            return False
-        tt = tt.children[1].children[0]
-    return type(tt.term) is ca.Plus
-
-
 def _incr_map2(zip_tt, map_tt):
     """`zip ; map f` as one stage: step f on each changed key of (dx, dy).
 
     No zipped change is built; when one side's change is empty, only the
-    other side's entries are walked.  The cache is the map's.  When f is
-    pointwise ⊕, the stage is ⊕ on the container itself.
+    other side's entries are walked.  The cache is the map's.
     """
-    if _is_pointwise_add(map_tt.children[0]):
-        return comb_add(zip_tt.in_ty.left)  # plus typed both inputs alike
     na = nil_change(zip_tt.in_ty.left.elem)
     nb = nil_change(zip_tt.in_ty.right.elem)
 
@@ -885,6 +874,7 @@ def _incr_op(tt):
 # and None in the slots it absorbs, or None to build the stages one by one.
 _FUSED = {
     "map2": lambda zip_tt, map_tt: [None, _incr_map2(zip_tt, map_tt)],
+    "add": lambda zip_tt, _map: [None, comb_add(zip_tt.in_ty.left)],
     "fanout": lambda _dup, par: [None, _par_machine(par, True)],
     "join": _incr_join,
 }

@@ -5,15 +5,16 @@ import pytest
 from deltic.calculus import (
     CasePar, Cst, Distr, Dup, Filter, FST, Fuse, Get, ID, Inl, Map, OpCall,
     OpDef, Par, Plus, Proj, Registry, RegistryError, Replicate, Reshape, SetAt,
-    Seq, SND, TermTypeError, Tp, Zip, denote, fanout, map2, monomorphic,
-    seq, term_from_text, term_to_text, typecheck,
+    Seq, SND, TermTypeError, Tp, Zip, compiled, denote, fanout, fusion, map2,
+    monomorphic, seq, term_from_text, term_to_text, typecheck, unfused,
 )
 from deltic.core import (
     INT, NAT, REAL, SCALAR, ConformanceError, Left, Right, TBase, TCont, TProd, TSum, UsageError,
     add_values, apply_change, values_equal,
 )
-from deltic.domains import linalg
+from deltic.domains import get_bundle, linalg, relalg
 from deltic.domains.containers import ARRAY, arr, arr_shape
+from deltic.frontend import compile_program, parse_program_file
 from deltic.oracle import GenConfig, gen_term, gen_type, gen_value, oracle_registry, stable_rng
 
 R = TBase(REAL)
@@ -193,6 +194,66 @@ def test_plus_agrees_with_apply_change():
         tt = typecheck(Plus(), TProd(ty, ty), reg)
         x, y = gen_value(rng, ty), gen_value(rng, ty)
         assert values_equal(ty, denote(tt, (x, y)), apply_change(ty, x, y), 1e-12)
+
+
+def _stagewise_madd(tt):
+    # madd zipped and mapped at both depths: each row runs `zip ; map plus`
+    # stage by stage
+    zip_tt, map_tt = tt.children
+    zf, row = compiled(zip_tt), unfused(map_tt.children[0])
+
+    def run(xy):
+        rows = {i: row(p) for i, p in zf(xy).items()}
+        return {i: r for i, r in rows.items() if r}
+    return run
+
+
+def _let_stage(n):
+    bundle, prog = parse_program_file(
+        f"bundle linalg\nparam x : arr[{n}] real\nparam b : arr[{n}] real\n\n"
+        "let h = map relu # map2 add # (x, b);\nh\n", get_bundle)
+    return compile_program(prog, bundle.registry, bundle.literal_base)
+
+
+def _linalg_add(term, ty):
+    tt = typecheck(term, TProd(ty, ty), linalg.register_linalg().registry)
+    return tt, unfused(tt)
+
+
+def _madd():
+    tt, _ = _linalg_add(linalg.madd_term(), arr(3, arr(3, R)))
+    return tt, _stagewise_madd(tt)
+
+
+def _union():
+    rel = relalg.rel("str")
+    tt = typecheck(relalg.union_term(), TProd(rel, rel), relalg.register_relalg().registry)
+    return tt, unfused(tt)
+
+
+def _one_let_stage():
+    tt = _let_stage(4)
+    return tt, unfused(tt)
+
+
+@pytest.mark.parametrize("make, x, y, cancelled", [
+    (lambda: _linalg_add(linalg.vadd_term(), arr(4, R)),
+     {0: 1.5, 2: 2.0}, {0: -1.5, 1: 3.0, 3: 0.25}, {0}),
+    (_madd, {0: {0: 1.0, 1: 2.0}, 1: {2: 4.0}},
+     {0: {0: -1.0, 1: -2.0}, 1: {0: 1.0, 2: -4.0}, 2: {1: 5.0}}, {0}),
+    (_union, {"t": 1, "u": 2}, {"t": -1, "v": 3}, {"t"}),
+    (_one_let_stage, {0: 1.5, 2: -2.0}, {0: -1.5, 1: 3.0, 2: 0.5, 3: 1.0}, {0}),
+], ids=["vadd", "madd", "union", "let-stage"])
+def test_fused_add_is_the_stagewise_batch(make, x, y, cancelled):
+    # `zip ; map g` with g pointwise ⊕ runs as one container ⊕ (add_fn),
+    # which comb_add shares: it must equal the zip and maps run one by one
+    # (the reference), on unequal supports both ways, empty sides and
+    # entries that cancel, whose keys the output must not hold
+    tt, ref = make()
+    assert ("add", 2) in [fusion(tt.children, k) for k in range(len(tt.children))]
+    for xy in [(x, y), (y, x), ({}, y), (x, {}), ({}, {})]:
+        assert compiled(tt)(xy) == ref(xy), xy
+    assert not cancelled & compiled(tt)((x, y)).keys()
 
 
 def test_interpreter_totality_on_random_terms():

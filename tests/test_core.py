@@ -575,6 +575,25 @@ def test_a_type_hashes_once_however_deep():
     assert hash(rel_shape(("int", "str"))) == hash(rel_shape(("int", "str")))
 
 
+def test_products_compare_without_recursion():
+    # == walks the right spine in a loop: at the default recursion limit,
+    # 2,000-component products built apart compare (400 used to fail)
+    assert sys.getrecursionlimit() <= 1000
+    a, b = _wide_product(2_000), _wide_product(2_000)
+    assert a is not b and a == b and not a != b and {a: 1}[b] == 1
+    assert a != _wide_product(1_999) and _wide_product(1_999) != a
+    for k in (0, 1_000, 1_998):
+        # one component differs: the k-th left, or the innermost right
+        spine, ty = [], b
+        for _ in range(k):
+            spine.append(ty.left)
+            ty = ty.right
+        ty = TProd(TSum(R, Z), ty.right) if k < 1_998 else TProd(ty.left, Z)
+        for left in reversed(spine):
+            ty = TProd(left, ty)
+        assert a != ty and ty != a and not a == ty
+
+
 def test_equal_types_built_apart_hit_one_cache_entry():
     calls = []
 

@@ -177,14 +177,21 @@ def _join_tt():
                         bundle.registry)
 
 
+def _mvmul_tt(n, m):
+    reg = linalg.register_linalg().registry
+    return ca.typecheck(linalg.mvmul_term(n, m), TProd(arr(n, arr(m, R)), arr(m, R)), reg)
+
+
 @pytest.mark.parametrize("make, want", [
-    (lambda: _dense_tt(8), {"map2": 3, "fanout": 2}),
+    (lambda: _dense_tt(8), {"map2": 2, "add": 1, "fanout": 2}),
     (_join_tt, {"join": 1}),
-    (lambda: _compile(_chain_text(100, 8)), {"fanout": 101, "map2": 2}),
-], ids=["dense", "rel-join", "let-chain"])
+    (lambda: _compile(_chain_text(100, 8)), {"fanout": 101, "add": 2}),
+    (lambda: _mvmul_tt(8, 8), {"map2": 2}),
+], ids=["dense", "rel-join", "let-chain", "mvmul"])
 def test_each_fusion_rule_fires_as_counted(make, want):
     # per rule, the runs fusion matches over the distinct typed seqs of the
-    # three benchmark terms; a rule taken out of fusion reads 0 here
+    # three benchmark terms and mvmul; a rule taken out of fusion reads 0
+    # here, and mvmul, with no ⊕, keeps its batch unfused
     assert Counter(name for name, _ in _fused_runs(make())) == want
 
 
