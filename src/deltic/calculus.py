@@ -24,9 +24,9 @@ the compiled seq runs a join run `op ; ⟨cst ε, id⟩ ; filter p` as that one
 kernel, so relalg's join tests p on each pair before making it, in place of
 building the whole cross product and filtering it.  An add run, `zip ; map g`
 with g pointwise ⊕, is ⊕ on the container and runs as one add_fn, with no
-zipped dict in between; every other stage is compiled alone.  `unfused` runs
-a seq stage by stage, as the reference the fused join and add are checked
-against.
+zipped dict in between; every other stage is compiled alone.  `map op` runs
+the op's `mapped` batch.  `unfused` runs a seq stage by stage and a map entry
+by entry: the reference the join, add and map kernels are checked against.
 
 Shape transformations (reshape) and index predicates (filter) are registered
 named functions, so terms stay serializable; `map2 f` and `⟨f, g⟩` are
@@ -39,7 +39,7 @@ import json
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from .core import (
     ConformanceError, DelticError, Left, Right, Shape, SupportError,
@@ -205,6 +205,18 @@ def fanout(f: Term, g: Term) -> Term:
 # Registry
 # ---------------------------------------------------------------------------
 
+class MapKernel(NamedTuple):
+    """The kernels of `map op`, for an op with fn(ε_in) = ε_out.  batch(x)
+    is {i: fn(xi)} over x's keys, in x's order, without the entries equal to
+    ε_out, as run_map gives.  step(dx, c) is the Triv step on the cache c
+    (index -> input element, owned, updated in place): for each (i, di) of
+    dx, in order, it stores c[i] = c.get(i, ε_in) ⊕ di and emits fn(new) ⊖
+    fn(old) when not nil; it returns (dy, c)."""
+
+    batch: Callable[[dict], dict]
+    step: Callable[[dict, dict], tuple]
+
+
 @dataclass
 class OpDef:
     """A user operation: batch semantics plus a cached incrementalization.
@@ -217,7 +229,8 @@ class OpDef:
     with p applied, and make_selected(p, in_ty, out_ty) builds the machine.
     Both are used for the seq stages `op ; ⟨cst ε, id⟩ ; filter p` (the
     join rule of fusion): select by denote, make_selected by incr.  Left
-    None, the stages run one by one.
+    None, the stages run one by one.  mapped (a MapKernel) runs `map op`
+    when fn(ε) = ε: batch in denote, both in incr over a Triv body of fn.
     """
 
     name: str
@@ -227,6 +240,7 @@ class OpDef:
     sample_in_tys: tuple = ()
     make_selected: Optional[Callable[[Callable, Any, Any], Any]] = None
     select: Optional[Callable[[Callable], Callable[[Any], Any]]] = None
+    mapped: Optional[MapKernel] = None
 
 
 @dataclass
@@ -597,7 +611,7 @@ def chain(fns):
     return run_seq
 
 
-def _compile(tt: TypedTerm):
+def _compile(tt: TypedTerm, kernels=True):
     t = tt.term
     match t:
         case Seq():
@@ -636,6 +650,8 @@ def _compile(tt: TypedTerm):
         case Cst(_, value):
             return lambda _x: value
         case Map():
+            if kernels and (kernel := map_kernel(tt)):
+                return kernel.batch
             # canonical-sparse: absent positions evaluate fn(ε) exactly over
             # finite shapes; over infinite-index shapes fn must preserve ε
             fn = compiled(tt.children[0])
@@ -679,6 +695,14 @@ def _compile(tt: TypedTerm):
             return tt.info.fn
         case _:
             raise TermTypeError(f"unknown term constructor: {t!r}")
+
+
+def map_kernel(tt):
+    """The MapKernel of a typed `map op` whose op registers one and maps ε to ε."""
+    body = tt.children[0]
+    op = body.info if type(body.term) is OpCall else None
+    if op and op.mapped and op.fn(default_value(tt.in_ty.elem)) == default_value(body.out_ty):
+        return op.mapped
 
 
 def map_inputs(x, fe, shape, din, dout):
@@ -831,10 +855,11 @@ def denote(tt: TypedTerm, v):
 
 
 def unfused(tt: TypedTerm):
-    """The batch semantics of a typed seq run one stage at a time, each
-    stage by its own compiled closure, with no stages fused: the reference
-    the fused join (select) and add (add_fn) are checked against."""
-    return chain(tuple(map(compiled, tt.children)))
+    """The batch semantics of a typed seq run one stage at a time, a map
+    stage (or a map) entry by entry: the reference the fused join (select),
+    add (add_fn) and map (OpDef.mapped) kernels are checked against."""
+    stages = tt.children if type(tt.term) is Seq else (tt,)
+    return chain(tuple(_compile(c, kernels=False) for c in stages))
 
 
 # ---------------------------------------------------------------------------

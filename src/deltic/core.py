@@ -276,6 +276,25 @@ class TCont:
         return f"{self.shape!r} {self.elem!r}"
 
 
+def _pair_eq(self, other):
+    """== of products or sums: stored hashes, then an explicit stack walk."""
+    if type(other) is not type(self):
+        return NotImplemented
+    stack = [(self, other)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        pair = type(a) in (TProd, TSum)
+        if type(a) is not type(b) or pair and a._hash != b._hash:
+            return False
+        if pair:
+            stack += ((a.right, b.right), (a.left, b.left))
+        elif a != b:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class TProd:
     left: "TypeExpr"
@@ -285,18 +304,7 @@ class TProd:
         d = self.__dict__
         d["left"], d["right"], d["_hash"] = left, right, hash((left, right))
 
-    def __eq__(self, other):
-        # walks the right spine in a loop, so a wide product does not recurse
-        if type(other) is not TProd:
-            return NotImplemented
-        while self is not other:
-            if self._hash != other._hash or self.left != other.left:
-                return False
-            self, other = self.right, other.right
-            if type(self) is not TProd or type(other) is not TProd:
-                return self == other
-        return True
-
+    __eq__ = _pair_eq
     __hash__ = _stored_hash
     __reduce__ = _rebuilt
 
@@ -313,6 +321,7 @@ class TSum:
         d = self.__dict__
         d["left"], d["right"], d["_hash"] = left, right, hash((left, right))
 
+    __eq__ = _pair_eq
     __hash__ = _stored_hash
     __reduce__ = _rebuilt
 
@@ -614,15 +623,6 @@ def apply_change(ty, v, d):
 def diff_values(ty, new, old):
     """new ⊖ old, the change with apply_change(ty, old, result) == new."""
     return diff_fn(ty)(new, old)
-
-
-def add_values(ty, x, y):
-    """x ⊕ y with y read as a change; requires values_are_changes(ty).
-
-    Also serves as ⊕ on changes for Add/BiLin, since over such types the two
-    representations coincide.
-    """
-    return add_fn(ty)(x, y)
 
 
 def support(v) -> set:

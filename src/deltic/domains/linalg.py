@@ -1,14 +1,14 @@
 """Linear algebra instantiation: additive reals over arrays.
 
 Primitive ops are relu and scalar multiplication (trivial incrementalization,
-input caching) and vector summation (linear, cache-free).  Everything else in
-the catalog is derived from the generic operations.
+input caching) and vector summation (linear, cache-free); relu also registers
+`map relu`'s kernels (OpDef.mapped).  The rest is derived from generic ops.
 """
 
 from __future__ import annotations
 
 from ..calculus import (
-    Cst, ID, Map, OpCall, OpDef, Par, Plus, ProgramDef, Registry, Replicate,
+    Cst, ID, Map, MapKernel, OpCall, OpDef, Par, Plus, ProgramDef, Registry, Replicate,
     Reshape, SetAt, Term, Tp, fanout, map2, monomorphic, seq,
 )
 from ..core import REAL, TBase, TCont, TProd
@@ -21,6 +21,22 @@ R = TBase(REAL)
 
 def _relu(x):
     return x if x > 0 else 0.0
+
+
+def _relu_batch(v):
+    return {i: x for i, x in v.items() if x > 0}
+
+
+def _relu_step(dx, c):
+    """`map relu`'s Triv step (MapKernel.step) with _relu, ⊕ and ⊖ inlined."""
+    out, get = {}, c.get
+    for i, di in dx.items():
+        x = get(i, 0.0)
+        c[i] = x2 = x + di
+        dy = (x2 if x2 > 0 else 0.0) - (x if x > 0 else 0.0)
+        if dy:
+            out[i] = dy
+    return out, c
 
 
 def _mul(xy):
@@ -168,7 +184,7 @@ def register_linalg() -> InstanceBundle:
     reg.register_op(OpDef(
         "relu", monomorphic(R, R), _relu,
         lambda i, o: incr.comb_triv(_relu, i, o),
-        sample_in_tys=(R,)))
+        sample_in_tys=(R,), mapped=MapKernel(_relu_batch, _relu_step)))
     reg.register_op(OpDef(
         "mul", monomorphic(pair_r, R), _mul,
         lambda i, o: incr.comb_triv(_mul, i, o),

@@ -67,10 +67,11 @@ A map whose body is a Triv machine (comb_triv sets `triv` to its fn) runs fn
 inline as a kernel: init keeps each input element as its entry's sub-cache
 (when f(ε) = ε, in one clone of the input dict) and calls fn once per entry,
 and step computes fn(x ⊕ dx) ⊖ fn(x) per changed key and stores x ⊕ dx, with
-no per-entry machine call.  The cache is the one
-the per-entry Triv machines keep, so the descriptor, cache_to_json and
-cache_entry_count are unchanged.  The fused `zip ; map f` stage is built by
-the same code, so it gets the kernel too; there a change with one side empty
+no per-entry machine call.  The cache is the one the per-entry Triv machines
+keep, so the descriptor, cache_to_json and cache_entry_count are unchanged;
+an op's own Triv body runs on it the op's OpDef.mapped kernels, if any
+(calculus.map_kernel).  The fused `zip ; map f` stage is built by the same
+code, so it gets the generic kernel; there a change with one side empty
 walks the other side's dict and ⊕s only that component of each cached pair.
 
 The join rule, `op ; dup ; (cst ε × id) ; filter p` (a selection σ_p
@@ -727,6 +728,9 @@ def _map_machine(tt, entries, zipped=False):
             return out, c
 
         step = _one_sided(step, fn, elem_in, din, df, out_nil) if zipped else step
+        kernel = None if zipped else ca.map_kernel(tt)
+        if kernel and fn is body.info.fn:
+            init, step = (lambda x, _b=kernel.batch: (_b(x), x.copy())), kernel.step
 
     desc = CIndexed(shape, mf.cache, make_default)
     return IncrMachine(tt.in_ty, tt.out_ty, desc, init, step)

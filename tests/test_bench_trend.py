@@ -21,8 +21,9 @@ def test_trend_reads_every_committed_record_the_same_way_twice():
     assert out == _run()
     lines = [json.loads(line) for line in out.splitlines()]
     records = sorted(int(p.stem.split("_")[1]) for p in ROOT.glob("BENCH_*.json"))
-    # every record holds parent and change runs of the three workloads
-    assert len(lines) == 6 * len(records) and len(lines) >= 90
+    # every record holds parent and change runs of the three workloads, and
+    # each workload gets a ratio line
+    assert len(lines) == 9 * len(records) and len(lines) >= 135
     assert [line["pr"] for line in lines] == sorted(line["pr"] for line in lines)
     assert {line["pr"] for line in lines} == set(records)
     # one median checked by hand: BENCH_23's rel-join change runs
@@ -31,3 +32,16 @@ def test_trend_reads_every_committed_record_the_same_way_twice():
            if r["workload"] == "rel-join" and r["side"] == "change" and not r["trace"]]
     (line,) = [x for x in lines if (x["pr"], x["workload"], x["side"]) == (23, "rel-join", "change")]
     assert line["runs"] == len(p50) and line["latency_p50_us"] == statistics.median(p50)
+
+
+def test_ratio_lines_divide_the_change_median_by_the_parent_median():
+    lines = [json.loads(line) for line in _run().splitlines()]
+    by_key = {(x["pr"], x["workload"], x["side"]): x for x in lines}
+    ratio = by_key[30, "let-chain", "ratio"]
+    # BENCH_30's claim: let-chain batch_s 0.0201 s against the parent's 0.0371 s
+    assert 0.54 <= ratio["batch_s"] <= 0.55
+    assert ratio["batch_s"] == (by_key[30, "let-chain", "change"]["batch_s"]
+                                / by_key[30, "let-chain", "parent"]["batch_s"])
+    assert all(x["side"] in ("parent", "change", "ratio") for x in lines)
+    assert {k for k in by_key if k[2] == "ratio"} == {
+        (pr, w, "ratio") for pr, w, side in by_key if side == "parent"}

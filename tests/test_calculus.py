@@ -10,7 +10,7 @@ from deltic.calculus import (
 )
 from deltic.core import (
     INT, NAT, REAL, SCALAR, ConformanceError, Left, Right, TBase, TCont, TProd, TSum, UsageError,
-    add_values, apply_change, values_equal,
+    apply_change, values_equal,
 )
 from deltic.domains import get_bundle, linalg, relalg
 from deltic.domains.containers import ARRAY, arr, arr_shape
@@ -254,6 +254,19 @@ def test_fused_add_is_the_stagewise_batch(make, x, y, cancelled):
     for xy in [(x, y), (y, x), ({}, y), (x, {}), ({}, {})]:
         assert compiled(tt)(xy) == ref(xy), xy
     assert not cancelled & compiled(tt)((x, y)).keys()
+
+
+def test_relu_map_kernel_is_the_entrywise_map(reg):
+    # `map relu` runs relu's registered batch kernel (OpDef.mapped); it must
+    # equal the map run entry by entry with _relu (the reference), in keys
+    # and their order, over both signs, zeros of both signs, inf and {}
+    tt = typecheck(Map(OpCall("relu")), arr(8, R), reg)
+    assert compiled(tt) is linalg._relu_batch
+    inf = float("inf")
+    for x in [{}, {5: 1.5, 0: -2.0, 3: 0.25}, {2: 0.0, 7: 3.0, 4: -0.0, 1: -1e-300},
+              {6: inf, 1: -inf, 0: 2.0}, {3: -0.0}, {1: 0.0}]:
+        out, want = compiled(tt)(x), unfused(tt)(x)
+        assert out == want and list(out) == list(want), x
 
 
 def test_interpreter_totality_on_random_terms():

@@ -594,6 +594,30 @@ def test_products_compare_without_recursion():
         assert a != ty and ty != a and not a == ty
 
 
+@pytest.mark.parametrize("nest", [lambda ty, c: TSum(c, ty), lambda ty, c: TProd(ty, c)],
+                         ids=["right-nested-sum", "left-nested-product"])
+def test_sums_and_left_nested_products_compare_without_recursion(nest):
+    # == walks both trees with an explicit stack: at the default recursion
+    # limit, 2,000-wide sums and left-nested products built apart compare
+    # (400 used to fail); one differing component makes them unequal, also
+    # when every stored hash is forged equal, so the walk itself decides
+    assert sys.getrecursionlimit() <= 1000
+
+    def wide(odd=None, forged=False):
+        ty = R
+        for i in range(1, 2_000):
+            ty = nest(ty, Z if i == odd else R)
+            if forged:
+                ty.__dict__["_hash"] = 0
+        return ty
+    a, b = wide(), wide()
+    assert a is not b and a == b and not a != b and {a: 1}[b] == 1
+    assert wide(forged=True) == wide(forged=True)
+    for odd in (1, 1_000, 1_999):
+        assert a != wide(odd) and wide(odd) != a and not a == wide(odd)
+        assert wide(forged=True) != wide(odd, forged=True)
+
+
 def test_equal_types_built_apart_hit_one_cache_entry():
     calls = []
 

@@ -984,6 +984,9 @@ def test_triv_kernel_laws_and_caches(monkeypatch, reg, term, ty):
     # output change and cache equal to those of the per-entry Triv machines
     tt = typecheck(term, ty, reg)
     m, generic = _kernel_and_generic(monkeypatch, tt)
+    # linalg-relu steps by relu's registered kernel, never calling _relu
+    kernel = ca.map_kernel(tt)
+    assert (kernel is not None) == (term == Map(OpCall("relu")))
     rng = stable_rng(41, repr(term))
     for _ in range(20):
         x = gen_value(rng, ty)
@@ -1001,6 +1004,9 @@ def test_triv_kernel_laws_and_caches(monkeypatch, reg, term, ty):
             (dyg, cg), generic_codes = call_codes(generic.step, d, cg)
             assert TRIV_STEP not in codes
             assert (TRIV_STEP in generic_codes) == (d != nil_change(ty))
+            if kernel:
+                assert codes.count(kernel.step.__code__) == 1
+                assert linalg._relu.__code__ not in codes
             assert dy == dyg
             x = apply_change(ty, x, d)
             y = apply_change(tt.out_ty, y, dy)
@@ -1057,7 +1063,8 @@ def test_triv_stale_cache_fault_reaches_the_kernel(case):
 
 def test_dense_step_runs_the_kernel():
     # one dense step over k changed entries of x: mul twice per changed
-    # entry of each of the n rows, relu twice per output entry, no Triv step
+    # entry of each of the n rows, relu's registered step once, no _relu
+    # call and no Triv step
     n, k = 12, 3
     term, ty, x = _dense(n)
     m = incrementalize(typecheck(term, ty, linalg.register_linalg().registry))
@@ -1065,7 +1072,8 @@ def test_dense_step_runs_the_kernel():
     _, codes = call_codes(m.step, {i: 0.5 for i in (1, 4, 9)}, c)
     assert TRIV_STEP not in codes
     assert codes.count(linalg._mul.__code__) == 2 * n * k
-    assert codes.count(linalg._relu.__code__) == 2 * n
+    assert codes.count(linalg._relu.__code__) == 0
+    assert codes.count(linalg._relu_step.__code__) == 1
     # 200 calls in all when each row zipped its change (the row itself is
     # constant) and ⊕ed each changed cached pair with the pair ⊕; walking
     # the changed side alone makes at most 160

@@ -4,7 +4,9 @@ Each BENCH_<n>.json at the repository root holds perfbench result lines under
 "runs", each with "workload", "side" and "result.metrics".  For every record
 this prints, per workload and side, the median of each end-to-end metric
 (the "end_to_end" names of BENCHMARK.json) over the record's untraced runs,
-sorted by the record's number n, printed as "pr".  Traced runs and entries
+sorted by the record's number n, printed as "pr".  A workload with both a
+"parent" and a "change" side gets one more line, side "ratio", holding the
+change median divided by the parent median of each metric.  Traced runs and entries
 of any other shape are skipped, and their counts go to standard error.
 Standard library only.
 
@@ -45,6 +47,7 @@ def trend(root: Path):
                 traced += 1
             else:
                 groups.setdefault((run["workload"], run["side"]), []).append(run["result"]["metrics"])
+        medians = {}
         for (workload, side), runs in sorted(groups.items()):
             line = {"pr": pr, "workload": workload, "side": side, "runs": len(runs)}
             for name in names:
@@ -52,6 +55,12 @@ def trend(root: Path):
                 if values:
                     line[name] = statistics.median(values)
             lines.append(line)
+            medians[workload, side] = line
+            parent, change = medians.get((workload, "parent")), medians.get((workload, "change"))
+            if parent and change:
+                lines.append({"pr": pr, "workload": workload, "side": "ratio", **{
+                    name: change[name] / parent[name] for name in names
+                    if parent.get(name) and name in change}})
     return lines, skipped, traced
 
 
