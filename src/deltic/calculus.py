@@ -221,24 +221,26 @@ class MapKernel(NamedTuple):
 class OpDef:
     """A user operation: batch semantics plus a cached incrementalization.
 
-    typer maps an actual input type to the output type (None rejects);
-    make_machine builds the incrementalization for one instantiation.
-    sample_in_tys are representative input types for the law validator.
-    select and make_selected, when given, are the batch kernel and the
-    machine of `op ; σ_p`: select(p) maps the op's input to its output
-    with p applied, and make_selected(p, in_ty, out_ty) builds the machine.
-    Both are used for the seq stages `op ; ⟨cst ε, id⟩ ; filter p` (the
-    join rule of fusion): select by denote, make_selected by incr.  Left
-    None, the stages run one by one.  mapped (a MapKernel) runs `map op`
-    when fn(ε) = ε: batch in denote, both in incr over a Triv body of fn.
+    typer maps an actual input type to the output type (None rejects).
+    comb names the combinator incr builds the op's machine with, from fn:
+    "triv", "triv2", "lin" or "bilin"; for a Self op it is the derivative
+    (change -> change) itself.  sample_in_tys are representative input
+    types for the law validator.  select and join_index, when given, serve
+    `op ; σ_p`: select(p) maps the op's input to its output with p applied,
+    and join_index(p) is the BilinIndex of the one bilinear stage that incr
+    builds for it.  Both are used for the seq stages
+    `op ; ⟨cst ε, id⟩ ; filter p` (the join rule of fusion): select by
+    denote, join_index by incr.  Left None, the stages run one by one.
+    mapped (a MapKernel) runs `map op` when fn(ε) = ε: batch in denote,
+    both in incr over a Triv body of fn.
     """
 
     name: str
     typer: Callable[[Any], Optional[Any]]
     fn: Callable[[Any], Any]
-    make_machine: Callable[[Any, Any], Any]
+    comb: str | Callable[[Any], Any]
     sample_in_tys: tuple = ()
-    make_selected: Optional[Callable[[Callable, Any, Any], Any]] = None
+    join_index: Optional[Callable[[Callable], Any]] = None
     select: Optional[Callable[[Callable], Callable[[Any], Any]]] = None
     mapped: Optional[MapKernel] = None
 
@@ -574,7 +576,7 @@ def fusion(stages, k):
     `zip ; map g` with g pointwise ⊕, ("fanout", 2) is `dup ; par` and
     ("join", 4) is `op ; dup ; (cst ε × id) ; filter p`, with ε the element
     default so that σ_p is linear.  Each caller checks its own OpDef field
-    for a join: denote select, incr make_selected."""
+    for a join: denote select, incr join_index."""
     rule = _RULES.get(type(stages[k].term))
     if rule is None or k + len(rule[1]) >= len(stages):
         return None

@@ -12,7 +12,6 @@ from ..calculus import (
     fanout, map2, monomorphic, seq,
 )
 from ..core import NAT, TBase, TCont, TProd
-from .. import incr
 from . import InstanceBundle
 from .containers import NODES, nodes_shape
 
@@ -60,16 +59,12 @@ def register_gcounter(participants) -> InstanceBundle:
     cty = counter_ty(ids)
     pair_n = TProd(N, N)
     reg.register_op(OpDef(
-        "max", monomorphic(pair_n, N), _nat_max,
-        lambda i, o: incr.comb_triv(_nat_max, i, o),
-        sample_in_tys=(pair_n,)))
+        "max", monomorphic(pair_n, N), _nat_max, "triv", sample_in_tys=(pair_n,)))
     reg.register_op(OpDef(
         "natsum",
         lambda ty: N if isinstance(ty, TCont) and ty.shape.container is NODES
         and ty.elem == N else None,
-        _nat_sum,
-        lambda i, o: incr.comb_lin(_nat_sum, i, o),
-        sample_in_tys=(cty,)))
+        _nat_sum, "lin", sample_in_tys=(cty,)))
 
     reg.register_program(ProgramDef(
         "value", lambda ty: value_term() if ty == cty else None))

@@ -12,7 +12,6 @@ from ..calculus import (
     Reshape, SetAt, Term, Tp, fanout, map2, monomorphic, seq,
 )
 from ..core import REAL, TBase, TCont, TProd
-from .. import incr
 from . import InstanceBundle
 from .containers import ARRAY, arr, arr_shape
 
@@ -182,16 +181,12 @@ def register_linalg() -> InstanceBundle:
 
     pair_r = TProd(R, R)
     reg.register_op(OpDef(
-        "relu", monomorphic(R, R), _relu,
-        lambda i, o: incr.comb_triv(_relu, i, o),
+        "relu", monomorphic(R, R), _relu, "triv",
         sample_in_tys=(R,), mapped=MapKernel(_relu_batch, _relu_step)))
     reg.register_op(OpDef(
-        "mul", monomorphic(pair_r, R), _mul,
-        lambda i, o: incr.comb_triv(_mul, i, o),
-        sample_in_tys=(pair_r,)))
+        "mul", monomorphic(pair_r, R), _mul, "triv", sample_in_tys=(pair_r,)))
     reg.register_op(OpDef(
-        "sum", _sum_typer, _vsum,
-        lambda i, o: incr.comb_lin(_vsum, i, o),
+        "sum", _sum_typer, _vsum, "lin",
         sample_in_tys=(arr(3, R), arr(1, R))))
 
     reg.register_index_fn("pred", lambda i: i - 1 if i > 0 else 0)

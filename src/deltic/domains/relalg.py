@@ -8,11 +8,12 @@ linear in the multiplicities and need no cache at all.
 A selection σ_p = ⟨cst 0, id⟩ ; filter p drops rows to the default 0, so it
 is linear and σ_p ∘ cross is bilinear too.  A join `cross ; σ_p` is the join
 rule of calculus.fusion, and cross registers it twice: as its select, the
-batch kernel that calculus.denote runs for it, and as its make_selected, the
-one bilinear stage (comb_bilin with the join's index) incr builds.  Both
-test p on each pair before making it, so no cross product is built and
-filtered afterwards.  The pairs come from one C-level stream, filter(p,
-product(r, s)), in batch and in each leg of the step.  The stage caches the
+batch kernel that calculus.denote runs for it, and as its join_index, the
+BilinIndex of the one bilinear stage that incr builds for it (the "bilin"
+combinator, which cross names too).  Both test p on each pair before making
+it, so no cross product is built and filtered afterwards.  The pairs come
+from one C-level stream, filter(p, product(r, s)), in batch and in each leg
+of the step.  The stage caches the
 two input relations, as the unfused cross does, and a third part: for each
 cached right tuple, the cached left tuples it matches.  So a change to a
 right tuple the join already holds reads its matches, and p is tested only
@@ -126,11 +127,6 @@ def _join_index(p) -> incr.BilinIndex:
     return incr.BilinIndex(incr.CMatches(), init, left, right)
 
 
-def _selected_join(p, in_ty, out_ty):
-    """σ_p ∘ cross as one bilinear stage whose terms its index makes."""
-    return incr.comb_bilin(None, in_ty, out_ty, _join_index(p))
-
-
 def _cross_typer(ty):
     if (isinstance(ty, TProd) and _is_rel(ty.left) and _is_rel(ty.right)):
         return rel((ty.left.shape.payload, ty.right.shape.payload))
@@ -158,11 +154,8 @@ def make_groupby(key_name: str, key_fn, sample_in_tys=()) -> OpDef:
             return TCont(dict_shape("any"), ty)
         return None
 
-    return OpDef(
-        f"groupby_{key_name}", typer, fn,
-        lambda i, o: incr.comb_self(fn, fn, i, o),
-        sample_in_tys=tuple(sample_in_tys),
-    )
+    return OpDef(f"groupby_{key_name}", typer, fn, fn,
+                 sample_in_tys=tuple(sample_in_tys))
 
 
 def selection_term(pred_name: str) -> Term:
@@ -206,24 +199,17 @@ def register_relalg() -> InstanceBundle:
 
     pair_z = TProd(Z, Z)
     reg.register_op(OpDef(
-        "intmul", monomorphic(pair_z, Z), _intmul,
-        lambda i, o: incr.comb_triv(_intmul, i, o),
-        sample_in_tys=(pair_z,)))
+        "intmul", monomorphic(pair_z, Z), _intmul, "triv", sample_in_tys=(pair_z,)))
     reg.register_op(OpDef(
-        "intsub", monomorphic(pair_z, Z), _intsub,
-        lambda i, o: incr.comb_lin(_intsub, i, o),
-        sample_in_tys=(pair_z,)))
+        "intsub", monomorphic(pair_z, Z), _intsub, "lin", sample_in_tys=(pair_z,)))
     reg.register_op(OpDef(
-        "cross", _cross_typer, _cross,
-        lambda i, o: incr.comb_bilin(_cross, i, o),
+        "cross", _cross_typer, _cross, "bilin",
         sample_in_tys=(TProd(rel("int"), rel("str")),),
-        # _select is looked up when a join is compiled, as _selected_join
-        # looks up _join_index, so a fault injected later reaches this bundle
-        make_selected=_selected_join, select=lambda p: _select(p)))
+        # _select and _join_index are looked up when a join is compiled, so
+        # a fault injected later that swaps either reaches this bundle
+        join_index=lambda p: _join_index(p), select=lambda p: _select(p)))
     reg.register_op(OpDef(
-        "count", _count_typer, _count,
-        lambda i, o: incr.comb_self(_count, _count, i, o),
-        sample_in_tys=(rel("int"),)))
+        "count", _count_typer, _count, _count, sample_in_tys=(rel("int"),)))
 
     reg.register_op(make_groupby(
         "fst", lambda t: t[0],

@@ -16,7 +16,6 @@ from ..calculus import (
     fanout, seq,
 )
 from ..core import DelticError, INT, SCALAR, TBase, TCont
-from .. import incr
 from . import InstanceBundle
 from .containers import DICT, TREE, dict_shape, tree_shape
 
@@ -133,8 +132,7 @@ def make_check_path(name: str, path: tuple, pred) -> OpDef:
         return v if pred(v.get(path)) else {}
 
     return OpDef(
-        name, lambda ty: DOC_TREE if ty == DOC_TREE else None, fn,
-        lambda i, o: incr.comb_triv(fn, i, o),
+        name, lambda ty: DOC_TREE if ty == DOC_TREE else None, fn, "triv",
         sample_in_tys=(DOC_TREE,))
 
 
@@ -152,14 +150,8 @@ def make_fold(name: str, item_fn, merge_fn, zero, typer, linear: bool,
             acc = merge_fn(acc, item_fn(path, val))
         return acc
 
-    if linear:
-        def make_machine(i, o):
-            return incr.comb_self(fn, fn, i, o)
-    else:
-        def make_machine(i, o):
-            return incr.comb_triv(fn, i, o)
-
-    return OpDef(name, typer, fn, make_machine, sample_in_tys=tuple(sample_in_tys))
+    return OpDef(name, typer, fn, fn if linear else "triv",
+                 sample_in_tys=tuple(sample_in_tys))
 
 
 def _num(v):

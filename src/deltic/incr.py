@@ -19,6 +19,14 @@ build; the table is dropped when the outermost call returns, so the next
 build, a fault injected in between included, starts afresh.  A probe that
 wraps machines by term path wraps a shared machine once per path.
 
+An op's machine is built here, and only here (op_machine): its OpDef names
+a combinator ("triv", "triv2", "lin", "bilin"), which _COMBINATORS maps to
+the comb_* function applied to the op's fn, or holds a Self op's derivative.
+A bundle declares; it builds no machine.  The fused join takes the "bilin"
+entry too, so a fault that swaps a table entry reaches every machine built
+by that combinator, as one that swaps a _BUILDERS entry reaches every
+machine of that construct.
+
 A machine with a unit cache is self-maintainable: its step is a pure function
 of the change, kept as the machine's `deriv` (change -> change).  The builders
 for seq, par and map compose their children's derivatives when the machine is
@@ -69,19 +77,20 @@ inline as a kernel: init keeps each input element as its entry's sub-cache
 and step computes fn(x ⊕ dx) ⊖ fn(x) per changed key and stores x ⊕ dx, with
 no per-entry machine call.  The cache is the one the per-entry Triv machines
 keep, so the descriptor, cache_to_json and cache_entry_count are unchanged;
-an op's own Triv body runs on it the op's OpDef.mapped kernels, if any
-(calculus.map_kernel).  The fused `zip ; map f` stage is built by the same
-code, so it gets the generic kernel; there a change with one side empty
-walks the other side's dict and ⊕s only that component of each cached pair.
+an op's Triv body, which op_machine builds from the op's fn, runs on it the
+op's OpDef.mapped kernels, if any (calculus.map_kernel).  The fused
+`zip ; map f` stage is built by the same code, so it gets the generic
+kernel; there a change with one side empty walks the other side's dict and
+⊕s only that component of each cached pair.
 
 The join rule, `op ; dup ; (cst ε × id) ; filter p` (a selection σ_p
 after an op, where ε is the element default, so σ_p is linear), is built as
-one stage when the op registers make_selected: for relalg's cross this is a
-bilinear join that tests p on each pair before making it.  The fused
-machine takes the op's slot and the three selection slots stay UNIT; they
-were cache-free anyway.  Batch evaluation fuses the same stages when the op
-registers select, so the laws check both against calculus.unfused, the
-stages run one by one.
+one stage when the op registers join_index: comb_bilin with the index
+join_index(p), which for relalg's cross tests p on each pair before making
+it.  The fused machine takes the op's slot and the three selection slots
+stay UNIT; they were cache-free anyway.  Batch evaluation fuses the same
+stages when the op registers select, so the laws check both against
+calculus.unfused, the stages run one by one.
 
 comb_bilin (the unfused cross and the selected join alike) steps by the
 product rule as two one-sided steps, f(dx, y) ⊕ f(x ⊕ dx, dy), over one
@@ -539,11 +548,12 @@ def _incr_seq(tt):
 
 
 def _incr_join(op, _dup, _par, fil):
-    """`op ; dup ; (cst ε × id) ; filter p` as the op's make_selected machine,
-    which applies p as it computes; the three selection stages are
-    cache-free, so the layout is that of the unfused seq."""
-    make = op.info.make_selected
-    return make and [make(fil.info.fn, op.in_ty, fil.out_ty), None, None, None]
+    """`op ; dup ; (cst ε × id) ; filter p` as one bilinear stage whose terms
+    the op's join_index(p) makes, applying p as it computes; the three
+    selection stages are cache-free, so the layout is that of the unfused seq."""
+    index = op.info.join_index
+    bilin = _COMBINATORS["bilin"]
+    return index and [bilin(None, op.in_ty, fil.out_ty, index(fil.info.fn)), None, None, None]
 
 
 def _seq_machine(tt, machines):
@@ -729,7 +739,7 @@ def _map_machine(tt, entries, zipped=False):
 
         step = _one_sided(step, fn, elem_in, din, df, out_nil) if zipped else step
         kernel = None if zipped else ca.map_kernel(tt)
-        if kernel and fn is body.info.fn:
+        if kernel:
             init, step = (lambda x, _b=kernel.batch: (_b(x), x.copy())), kernel.step
 
     desc = CIndexed(shape, mf.cache, make_default)
@@ -870,7 +880,20 @@ def _incr_case(tt):
 
 
 def _incr_op(tt):
-    return tt.info.make_machine(tt.in_ty, tt.out_ty)
+    return op_machine(tt.info, tt.in_ty, tt.out_ty)
+
+
+def op_machine(op, in_ty, out_ty) -> IncrMachine:
+    """The machine of op at in_ty -> out_ty: op.fn under the combinator that
+    op.comb names, or, when op.comb is a derivative, the Self machine."""
+    comb = op.comb
+    if callable(comb):
+        return comb_self(op.fn, comb, in_ty, out_ty)
+    make = _COMBINATORS.get(comb) if isinstance(comb, str) else None
+    if make is None:
+        raise UsageError(f"op {op.name!r}: combinator {comb!r} is neither one of "
+                         f"{', '.join(_COMBINATORS)} nor a derivative")
+    return make(op.fn, in_ty, out_ty)
 
 
 # The builds of the fused runs, by calculus.fusion's rule name: each returns
@@ -881,6 +904,16 @@ _FUSED = {
     "add": lambda zip_tt, _map: [None, comb_add(zip_tt.in_ty.left)],
     "fanout": lambda _dup, par: [None, _par_machine(par, True)],
     "join": _incr_join,
+}
+
+
+# The combinators an op names (OpDef.comb), each built from (fn, in_ty,
+# out_ty); a fault swaps an entry, as it swaps a _BUILDERS entry.
+_COMBINATORS = {
+    "triv": comb_triv,
+    "triv2": comb_triv2,
+    "lin": comb_lin,
+    "bilin": comb_bilin,
 }
 
 

@@ -365,32 +365,19 @@ def oracle_registry() -> ca.Registry:
         return typer
 
     mk = reg.register_op
-    mk(ca.OpDef("o_relu", ca.monomorphic(R, R), _relu,
-                lambda i, o: incr.comb_triv2(_relu, i, o), (R,)))
-    mk(ca.OpDef("o_shift5", ca.monomorphic(R, R), _shift5,
-                lambda i, o: incr.comb_self(_shift5, lambda d: d, i, o), (R,)))
-    mk(ca.OpDef("o_mul", ca.monomorphic(TProd(R, R), R), _scalar_mul,
-                lambda i, o: incr.comb_triv(_scalar_mul, i, o), (TProd(R, R),)))
-    mk(ca.OpDef("o_bmul", ca.monomorphic(TProd(R, R), R), _scalar_mul,
-                lambda i, o: incr.comb_bilin(_scalar_mul, i, o), (TProd(R, R),)))
-    mk(ca.OpDef("o_sum", vec_typer(R), _fsum,
-                lambda i, o: incr.comb_lin(_fsum, i, o), (arr(3, R),)))
-    mk(ca.OpDef("o_imul", ca.monomorphic(TProd(Z, Z), Z), _int_mul,
-                lambda i, o: incr.comb_triv(_int_mul, i, o), (TProd(Z, Z),)))
-    mk(ca.OpDef("o_ibmul", ca.monomorphic(TProd(Z, Z), Z), _int_mul,
-                lambda i, o: incr.comb_bilin(_int_mul, i, o), (TProd(Z, Z),)))
-    mk(ca.OpDef("o_isub", ca.monomorphic(TProd(Z, Z), Z), _int_sub,
-                lambda i, o: incr.comb_lin(_int_sub, i, o), (TProd(Z, Z),)))
-    mk(ca.OpDef("o_ineg", ca.monomorphic(Z, Z), _int_neg,
-                lambda i, o: incr.comb_lin(_int_neg, i, o), (Z,)))
-    mk(ca.OpDef("o_isum", vec_typer(Z), _isum,
-                lambda i, o: incr.comb_lin(_isum, i, o), (arr(3, Z),)))
-    mk(ca.OpDef("o_nmax", ca.monomorphic(TProd(N, N), N), _nat_max,
-                lambda i, o: incr.comb_triv(_nat_max, i, o), (TProd(N, N),)))
-    mk(ca.OpDef("o_ndbl", ca.monomorphic(N, N), _nat_dbl,
-                lambda i, o: incr.comb_lin(_nat_dbl, i, o), (N,)))
-    mk(ca.OpDef("o_nsum", vec_typer(N), _isum,
-                lambda i, o: incr.comb_lin(_isum, i, o), (arr(3, N),)))
+    mk(ca.OpDef("o_relu", ca.monomorphic(R, R), _relu, "triv2", (R,)))
+    mk(ca.OpDef("o_shift5", ca.monomorphic(R, R), _shift5, lambda d: d, (R,)))
+    mk(ca.OpDef("o_mul", ca.monomorphic(TProd(R, R), R), _scalar_mul, "triv", (TProd(R, R),)))
+    mk(ca.OpDef("o_bmul", ca.monomorphic(TProd(R, R), R), _scalar_mul, "bilin", (TProd(R, R),)))
+    mk(ca.OpDef("o_sum", vec_typer(R), _fsum, "lin", (arr(3, R),)))
+    mk(ca.OpDef("o_imul", ca.monomorphic(TProd(Z, Z), Z), _int_mul, "triv", (TProd(Z, Z),)))
+    mk(ca.OpDef("o_ibmul", ca.monomorphic(TProd(Z, Z), Z), _int_mul, "bilin", (TProd(Z, Z),)))
+    mk(ca.OpDef("o_isub", ca.monomorphic(TProd(Z, Z), Z), _int_sub, "lin", (TProd(Z, Z),)))
+    mk(ca.OpDef("o_ineg", ca.monomorphic(Z, Z), _int_neg, "lin", (Z,)))
+    mk(ca.OpDef("o_isum", vec_typer(Z), _isum, "lin", (arr(3, Z),)))
+    mk(ca.OpDef("o_nmax", ca.monomorphic(TProd(N, N), N), _nat_max, "triv", (TProd(N, N),)))
+    mk(ca.OpDef("o_ndbl", ca.monomorphic(N, N), _nat_dbl, "lin", (N,)))
+    mk(ca.OpDef("o_nsum", vec_typer(N), _isum, "lin", (arr(3, N),)))
     return reg
 
 
@@ -671,7 +658,7 @@ def check_op_laws(opdef: ca.OpDef, in_ty, samples=60, seed=11, name=None) -> Che
     out_ty = opdef.typer(in_ty)
     if out_ty is None:
         raise GenerationFailure(f"op {opdef.name!r} rejects {in_ty!r}")
-    machine = opdef.make_machine(in_ty, out_ty)
+    machine = incr.op_machine(opdef, in_ty, out_ty)
     rng = stable_rng(seed, f"op:{opdef.name}:{in_ty!r}")
     return check_machine_laws(name or f"op:{opdef.name}", machine, opdef.fn, rng,
                               samples=samples, rel_tol=1e-9, seed=seed)
@@ -799,14 +786,12 @@ def check_finite_support(seed=17, samples=40) -> list[CheckReport]:
 
     def dbl(x):
         return 2 * x
-    reg.register_op(ca.OpDef("dbl", ca.monomorphic(Z, Z), dbl,
-                             lambda i, o: incr.comb_lin(dbl, i, o)))
+    reg.register_op(ca.OpDef("dbl", ca.monomorphic(Z, Z), dbl, "lin"))
     five = 5
 
     def plus5(x):
         return x + five
-    reg.register_op(ca.OpDef("plus5", ca.monomorphic(Z, Z), plus5,
-                             lambda i, o: incr.comb_self(plus5, lambda d: d, i, o)))
+    reg.register_op(ca.OpDef("plus5", ca.monomorphic(Z, Z), plus5, lambda d: d))
     reg.register_index_fn("swap", lambda ij: (ij[1], ij[0]),
                           fibers=lambda ij: [(ij[1], ij[0])])
     reg.register_index_fn("const0", lambda ij: (0, 0))
@@ -1037,12 +1022,12 @@ def _batch_drops_pair(orig):
 # fault -> (namespace, key, sabotage): inject_fault swaps namespace[key] for
 # sabotage(namespace[key]) while its block runs
 _SABOTAGE = {
-    "triv-stale-cache": (vars(incr), "comb_triv", _stale_triv),
+    "triv-stale-cache": (incr._COMBINATORS, "triv", _stale_triv),
     "swap-fst-snd": (incr._BUILDERS, ca.Proj, _swap_fst_snd),
     "seq-drop-propagation": (incr._BUILDERS, ca.Seq, _seq_drop_propagation),
-    "bilin-missing-term": (vars(incr), "comb_bilin", _bilin_missing_term),
+    "bilin-missing-term": (incr._COMBINATORS, "bilin", _bilin_missing_term),
     "debruijn-off-by-one": (vars(fe), "_var_term", _off_by_one),
-    "bilin-aliased-cache": (vars(incr), "comb_bilin", _aliased_cache),
+    "bilin-aliased-cache": (incr._COMBINATORS, "bilin", _aliased_cache),
     "join-stale-matches": (vars(relalg), "_join_index", _stale_matches),
     "case-aliased-output": (incr._BUILDERS, ca.CasePar, _aliased_output),
     "join-batch-drops-pair": (vars(relalg), "_select", _batch_drops_pair),
@@ -1181,17 +1166,8 @@ def _construct_term(name, cfg, rng, gen: "_TermGen"):
 
 
 def _combinator_instances(name, cfg, rng):
-    """Fresh (machine, fn) pairs for one combinator."""
-    if name == "triv":
-        picks = [(_relu, R, R), (_scalar_mul, TProd(R, R), R),
-                 (_nat_max, TProd(N, N), N), (_int_mul, TProd(Z, Z), Z)]
-        f, i, o = rng.choice(picks)
-        return incr.comb_triv(f, i, o), f
-    if name == "triv2":
-        picks = [(_relu, R, R), (_scalar_mul, TProd(R, R), R),
-                 (_int_mul, TProd(Z, Z), Z)]
-        f, i, o = rng.choice(picks)
-        return incr.comb_triv2(f, i, o), f
+    """Fresh (machine, fn) pairs for one combinator; the four an op can name
+    are built through incr's table, as an op's machine is."""
     if name == "self":
         picks = [(_shift5, lambda d: d, R, R),
                  (_int_neg, _int_neg, Z, Z),
@@ -1200,24 +1176,29 @@ def _combinator_instances(name, cfg, rng):
                   TCont(rel_shape("int"), Z), TCont(rel_shape("int"), Z))]
         f, d, i, o = rng.choice(picks)
         return incr.comb_self(f, d, i, o), f
-    if name == "lin":
-        k = rng.randint(0, cfg.max_shape)
-        picks = [(_fsum, arr(k, R), R), (_int_sub, TProd(Z, Z), Z),
-                 (_isum, arr(k, Z), Z), (_isum, arr(k, N), N)]
-        f, i, o = rng.choice(picks)
-        return incr.comb_lin(f, i, o), f
-    if name == "bilin":
-        picks = [(_scalar_mul, TProd(R, R), R), (_int_mul, TProd(Z, Z), Z),
-                 (_rel_cross, TProd(TCont(rel_shape("int"), Z),
-                                    TCont(rel_shape("str"), Z)),
-                  TCont(rel_shape(("int", "str")), Z))]
-        f, i, o = rng.choice(picks)
-        return incr.comb_bilin(f, i, o), f
     if name == "add":
         ty = _plus_capable_pool(cfg, rng)
         m = incr.comb_add(ty)
         return m, ca.compiled(ca.typecheck(ca.Plus(), TProd(ty, ty), oracle_registry()))
-    raise GenerationFailure(f"unknown combinator {name!r}")
+    if name == "triv":
+        picks = [(_relu, R, R), (_scalar_mul, TProd(R, R), R),
+                 (_nat_max, TProd(N, N), N), (_int_mul, TProd(Z, Z), Z)]
+    elif name == "triv2":
+        picks = [(_relu, R, R), (_scalar_mul, TProd(R, R), R),
+                 (_int_mul, TProd(Z, Z), Z)]
+    elif name == "lin":
+        k = rng.randint(0, cfg.max_shape)
+        picks = [(_fsum, arr(k, R), R), (_int_sub, TProd(Z, Z), Z),
+                 (_isum, arr(k, Z), Z), (_isum, arr(k, N), N)]
+    elif name == "bilin":
+        picks = [(_scalar_mul, TProd(R, R), R), (_int_mul, TProd(Z, Z), Z),
+                 (_rel_cross, TProd(TCont(rel_shape("int"), Z),
+                                    TCont(rel_shape("str"), Z)),
+                  TCont(rel_shape(("int", "str")), Z))]
+    else:
+        raise GenerationFailure(f"unknown combinator {name!r}")
+    f, i, o = rng.choice(picks)
+    return incr._COMBINATORS[name](f, i, o), f
 
 
 # fuse, distr and case ⊕ changes into containers they own.  Their random

@@ -132,14 +132,6 @@ def value_from_json(ty, j):
     return _from_json(ty, j, False)
 
 
-def change_to_json(ty, d):
-    return _to_json(ty, d, True)
-
-
-def change_from_json(ty, j):
-    return _from_json(ty, j, True)
-
-
 def value_to_text(ty, v) -> str:
     return json.dumps(_to_json(ty, v, False), separators=(",", ":"))
 

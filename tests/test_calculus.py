@@ -132,12 +132,10 @@ def test_denote_get_absent_returns_default(reg):
 def test_register_duplicate_op():
     reg = Registry()
     reg.register_base(REAL)
-    op = OpDef("relu", monomorphic(R, R), lambda x: max(x, 0.0),
-               lambda i, o: None)
+    op = OpDef("relu", monomorphic(R, R), lambda x: max(x, 0.0), "triv")
     reg.register_op(op)
     with pytest.raises(RegistryError):
-        reg.register_op(OpDef("relu", monomorphic(R, R), lambda x: x,
-                              lambda i, o: None))
+        reg.register_op(OpDef("relu", monomorphic(R, R), lambda x: x, "triv"))
 
 
 def test_frozen_registry_rejects_registration():

@@ -142,7 +142,7 @@ def test_bilin_cross_example():
     bundle = relalg.register_relalg()
     cross = bundle.registry.ops["cross"]
     in_ty = TProd(relalg.rel("str"), relalg.rel("str"))
-    m = cross.make_machine(in_ty, cross.typer(in_ty))
+    m = incr.op_machine(cross, in_ty, cross.typer(in_ty))
     y, c = m.init(({"t": 1}, {"u": 1}))
     assert y == {("t", "u"): 1}
     dy, c = m.step(({"t2": 1}, {}), c)
@@ -152,6 +152,34 @@ def test_bilin_cross_example():
     dy, c = m.step(({}, {}), c)
     assert dy == {}
     assert c == ({"t": 1, "t2": 1}, {"u": 1}, UNIT)
+
+
+@pytest.mark.parametrize("comb", ["trivial", "self", None, ["triv"]])
+def test_an_unknown_combinator_is_a_named_usage_error(comb):
+    reg = oracle_registry()
+    reg.register_op(ca.OpDef("v_bad", ca.monomorphic(R, R), relu, comb, (R,)))
+    tt = typecheck(OpCall("v_bad"), R, reg)
+    with pytest.raises(UsageError) as err:
+        incrementalize(tt)
+    assert "'v_bad'" in str(err.value) and repr(comb) in str(err.value)
+
+
+def test_domains_declare_combinators_and_build_no_machine():
+    # a bundle names its op's combinator (OpDef.comb); only incr builds machines
+    import ast
+    from pathlib import Path
+    from deltic import domains
+    paths = sorted(Path(domains.__file__).parent.glob("*.py"))
+    assert {"linalg.py", "relalg.py", "trees.py", "gcounter.py"} <= {p.name for p in paths}
+    calls = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")
+                if name.startswith("comb_"):
+                    calls.append((path.name, node.lineno, name))
+    assert calls == []
 
 
 def test_add_examples():
@@ -312,11 +340,9 @@ def test_distr_passes_an_untouched_side_on_as_sum_null():
 
 
 def _owned_triv2_op(reg, ty):
-    """Register v_same, a comb_triv2 op whose fn returns its input, so the
+    """Register v_same, a triv2 op whose fn returns its input, so the
     machine's init output is the input itself and also sits in its cache."""
-    same = lambda v: v  # noqa: E731
-    reg.register_op(ca.OpDef("v_same", ca.monomorphic(ty, ty), same,
-                             lambda i, o: comb_triv2(same, i, o), (ty,)))
+    reg.register_op(ca.OpDef("v_same", ca.monomorphic(ty, ty), lambda v: v, "triv2", (ty,)))
     return OpCall("v_same")
 
 
@@ -930,17 +956,17 @@ def test_map2_add_steps_as_one_container_add():
 
 def _with_op(reg, name, ty, fn):
     """reg with one more Triv op `name` of signature ty -> ty."""
-    reg.register_op(ca.OpDef(name, ca.monomorphic(ty, ty), fn,
-                             lambda i, o: incr.comb_triv(fn, i, o), sample_in_tys=(ty,)))
+    reg.register_op(ca.OpDef(name, ca.monomorphic(ty, ty), fn, "triv", sample_in_tys=(ty,)))
     return reg
 
 
 def _kernel_and_generic(monkeypatch, tt):
     """tt's machine, and the one built with Triv bodies stepped per entry."""
     kernel = incrementalize(tt)
-    triv = incr.comb_triv
+    triv = incr._COMBINATORS["triv"]
     with monkeypatch.context() as mp:
-        mp.setattr(incr, "comb_triv", lambda fn, i, o: replace(triv(fn, i, o), triv=None))
+        mp.setitem(incr._COMBINATORS, "triv",
+                   lambda fn, i, o: replace(triv(fn, i, o), triv=None))
         generic = incrementalize(tt)
     return kernel, generic
 

@@ -15,7 +15,7 @@ from deltic.core import Cl, Cr, Left, REAL, Sl, Sr, SUM_NULL, TBase, TProd, TSum
 from deltic.domains import get_bundle, linalg, relalg
 from deltic.domains.containers import RELATION, arr
 from deltic.oracle import (
-    COMBINATORS, FAULTS, GenConfig, GenerationFailure, _fused_join, _run_stream,
+    COMBINATORS, FAULTS, GenConfig, GenerationFailure, _SABOTAGE, _fused_join, _run_stream,
     check_construct_laws, check_frontend_lowering, check_fused_join,
     check_machine_laws, check_op_laws, check_value_preservation_suite, gen_change,
     gen_term, gen_type, gen_value, inject_fault, oracle_registry, stable_rng,
@@ -158,7 +158,7 @@ def _rebuild(check, failure):
         bundle = get_bundle(bname)
         opdef = bundle.registry.ops[opname]
         in_ty = type_from_text(failure["in_ty"], bundle.registry)
-        return opdef.make_machine(in_ty, opdef.typer(in_ty)), opdef.fn, dict(rel_tol=1e-9)
+        return incr.op_machine(opdef, in_ty, opdef.typer(in_ty)), opdef.fn, dict(rel_tol=1e-9)
     if check.removeprefix("laws:") in COMBINATORS or _DRAWN_NAME.search(failure["term"]):
         return None
     reg = oracle_registry()
@@ -246,6 +246,43 @@ def _map_builds(monkeypatch):
 
     monkeypatch.setitem(incr._BUILDERS, ca.Map, counting)
     return built
+
+
+def test_faults_reach_ops_through_the_combinator_table():
+    # the combinator faults swap an entry of incr's table, as the builder
+    # faults swap one of _BUILDERS, so every op that names it is sabotaged
+    assert all(space is not vars(incr) for space, _, _ in _SABOTAGE.values())
+    regs = [get_bundle(b).registry for b in ("linalg", "relalg", "trees", "gcounter")]
+    trivs = [(op, in_ty) for reg in (*regs, oracle_registry()) for op in reg.ops.values()
+             if op.comb == "triv" for in_ty in op.sample_in_tys]
+    assert {op.name for op, _ in trivs} >= {"relu", "mul", "intmul", "max", "o_mul"}
+    rng = stable_rng(0, "fault-table")
+    for op, in_ty in trivs:
+        out_ty = op.typer(in_ty)
+        assert incr.op_machine(op, in_ty, out_ty).triv is op.fn
+        with inject_fault("triv-stale-cache"):
+            bad = incr.op_machine(op, in_ty, out_ty)
+        _, c = bad.init(gen_value(rng, in_ty))
+        assert bad.triv is None and bad.step(gen_change(rng, in_ty), c)[1] is c
+
+    b = relalg.register_relalg()
+    b.registry.register_index_pred("always", lambda ij: True)
+    cross, s = b.registry.ops["cross"], relalg.rel("str")
+    join = ca.typecheck(relalg.join_term("always"), TProd(s, s), b.registry)
+    x, d = ({"a": 1}, {"b": 1}), ({"a2": 1}, {"b2": 1})
+
+    def both_sides():
+        # cross alone, and the fused join, whose index keeps its matches
+        m = incr.op_machine(cross, TProd(s, s), cross.typer(TProd(s, s)))
+        mj = incr.incrementalize(join)
+        assert type(mj.cache.parts[0].parts[2]) is incr.CMatches
+        (_, c), (_, cj) = m.init(x), mj.init(x)
+        return m.step(d, c)[0], mj.step(d, cj)[0]
+
+    full = {("a2", "b"): 1, ("a", "b2"): 1, ("a2", "b2"): 1}
+    assert both_sides() == (full, full)
+    with inject_fault("bilin-missing-term"):
+        assert both_sides() == ({("a2", "b"): 1}, {("a2", "b"): 1})
 
 
 def test_seq_fault_builds_each_stage_once(monkeypatch):

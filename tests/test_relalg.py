@@ -234,14 +234,14 @@ def test_fused_join_cache_json_after_a_left_and_a_right_step():
 def test_selection_fuses_only_with_the_default_fallback(fallback, fused, batch):
     # ⟨cst 1, id⟩ ; filter p keeps failing rows at 1, which is not linear;
     # the machine and the batch fuse alike, each only when the op registers
-    # its own kernel: a cross with make_selected and no select fuses the
+    # its own kernel: a cross with join_index and no select fuses the
     # machine and runs the batch stage by stage
     b = relalg.register_relalg()
     b.registry.register_index_pred("key-eq", JOIN_PREDS["key-eq"])
     built, selected = [], []
     cross = b.registry.ops["cross"]
     b.registry.ops["cross"] = replace(
-        cross, make_selected=lambda *a: built.append(a) or cross.make_selected(*a),
+        cross, join_index=lambda p: built.append(p) or cross.join_index(p),
         select=(lambda p: selected.append(p) or cross.select(p)) if batch else None)
     term = seq(OpCall("cross"), fanout(Cst(relalg.Z, fallback), ID), Filter("key-eq"))
     tt = typecheck(term, JOIN_IN, b.registry)
