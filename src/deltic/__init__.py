@@ -7,6 +7,6 @@ from .core import (
     apply_change, diff_values, nil_change, is_nil, support,
 )
 from .calculus import Registry, Term, typecheck, denote
-from .incr import IncrMachine, incrementalize, iter_changes, sum_changes
+from .incr import IncrMachine, incrementalize
 
 __version__ = "0.1.0"

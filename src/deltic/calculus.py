@@ -19,14 +19,15 @@ is absent.  The batch passes the default ε; as the ops are linear, incr
 passes the nil change and uses the same kernel as the op's derivative.
 
 `fusion` matches the runs of seq stages built as one stage, for denote and
-incr alike.  An op may register `select`, the batch kernel of `op ; σ_p`:
-the compiled seq runs a join run `op ; ⟨cst ε, id⟩ ; filter p` as that one
-kernel, so relalg's join tests p on each pair before making it, in place of
-building the whole cross product and filtering it.  An add run, `zip ; map g`
-with g pointwise ⊕, is ⊕ on the container and runs as one add_fn, with no
-zipped dict in between; every other stage is compiled alone.  `map op` runs
-the op's `mapped` batch.  `unfused` runs a seq stage by stage and a map entry
-by entry: the reference the join, add and map kernels are checked against.
+incr alike, and `_FUSED` builds a run's batch by rule name.  An op may
+register `join_index`, the index of `op ; σ_p`: the compiled seq runs a join
+run `op ; ⟨cst ε, id⟩ ; filter p` as the output half of join_index(p).init,
+so relalg's join tests p on each pair before making it, in place of building
+the whole cross product and filtering it.  An add run, `zip ; map g` with g
+pointwise ⊕, is ⊕ on the container and runs as one add_fn, with no zipped
+dict in between; every other stage is compiled alone.  `map op` runs the
+op's `mapped` batch.  `unfused` runs a seq stage by stage and a map entry by
+entry: the reference the join, add and map kernels are checked against.
 
 Shape transformations (reshape) and index predicates (filter) are registered
 named functions, so terms stay serializable; `map2 f` and `⟨f, g⟩` are
@@ -225,12 +226,11 @@ class OpDef:
     comb names the combinator incr builds the op's machine with, from fn:
     "triv", "triv2", "lin" or "bilin"; for a Self op it is the derivative
     (change -> change) itself.  sample_in_tys are representative input
-    types for the law validator.  select and join_index, when given, serve
-    `op ; σ_p`: select(p) maps the op's input to its output with p applied,
-    and join_index(p) is the BilinIndex of the one bilinear stage that incr
-    builds for it.  Both are used for the seq stages
-    `op ; ⟨cst ε, id⟩ ; filter p` (the join rule of fusion): select by
-    denote, join_index by incr.  Left None, the stages run one by one.
+    types for the law validator.  join_index, when given, serves the seq
+    stages `op ; ⟨cst ε, id⟩ ; filter p` (the join rule of fusion):
+    join_index(p) is the BilinIndex of the one bilinear stage that incr
+    builds for them, and denote runs them as the output half of its init.
+    Left None, the stages run one by one.
     mapped (a MapKernel) runs `map op` when fn(ε) = ε: batch in denote,
     both in incr over a Triv body of fn.
     """
@@ -241,7 +241,6 @@ class OpDef:
     comb: str | Callable[[Any], Any]
     sample_in_tys: tuple = ()
     join_index: Optional[Callable[[Callable], Any]] = None
-    select: Optional[Callable[[Callable], Callable[[Any], Any]]] = None
     mapped: Optional[MapKernel] = None
 
 
@@ -575,8 +574,8 @@ def fusion(stages, k):
     stages[k], or None: ("map2", 2) is `zip ; map f`, ("add", 2) is
     `zip ; map g` with g pointwise ⊕, ("fanout", 2) is `dup ; par` and
     ("join", 4) is `op ; dup ; (cst ε × id) ; filter p`, with ε the element
-    default so that σ_p is linear.  Each caller checks its own OpDef field
-    for a join: denote select, incr join_index."""
+    default so that σ_p is linear.  Either layer builds a join as one stage
+    only when the op registers join_index (_FUSED, incr._FUSED)."""
     rule = _RULES.get(type(stages[k].term))
     if rule is None or k + len(rule[1]) >= len(stages):
         return None
@@ -613,24 +612,40 @@ def chain(fns):
     return run_seq
 
 
+def _batch_add(zip_tt, _map):
+    add = add_fn(zip_tt.in_ty.left)  # plus typed both inputs alike
+    return lambda xy: add(xy[0], xy[1])
+
+
+def _batch_join(op, _dup, _par, fil):
+    """The output half of the init of the op's join_index(p), or None when
+    the op registers none."""
+    index = op.info.join_index
+    if index is None:
+        return None
+    init = index(fil.info.fn).init
+    return lambda xy: init(xy)[0]
+
+
+# The batch of the fused runs, by fusion's rule name (incr._FUSED is its
+# twin): each builds the run's one function from its typed stages, or
+# returns None to run them one by one.  map2 and fanout have no entry, so
+# mvmul's batch, which its step/batch ratios divide by, stays unfused.
+_FUSED = {"add": _batch_add, "join": _batch_join}
+
+
 def _compile(tt: TypedTerm, kernels=True):
     t = tt.term
     match t:
         case Seq():
-            # a join whose op registers select, and an add, run as one stage
+            # a fused run (fusion, built by _FUSED) runs as one stage
             kids, stages, k = tt.children, [], 0
             while k < len(kids):
-                c, rule = kids[k], fusion(kids, k)
-                if rule == ("join", 4) and c.info.select is not None:
-                    stages.append(c.info.select(kids[k + 3].info.fn))
-                    k += 4
-                elif rule == ("add", 2):
-                    add = add_fn(c.in_ty.left)  # plus typed both inputs alike
-                    stages.append(lambda xy, _add=add: _add(xy[0], xy[1]))
-                    k += 2
-                else:
-                    stages.append(compiled(c))
-                    k += 1
+                rule = fusion(kids, k)
+                build = rule and _FUSED.get(rule[0])
+                run = build and build(*kids[k:k + rule[1]])
+                stages.append(run or compiled(kids[k]))
+                k += rule[1] if run else 1
             return chain(tuple(stages))
         case Par():
             f = compiled(tt.children[0])
@@ -858,8 +873,9 @@ def denote(tt: TypedTerm, v):
 
 def unfused(tt: TypedTerm):
     """The batch semantics of a typed seq run one stage at a time, a map
-    stage (or a map) entry by entry: the reference the fused join (select),
-    add (add_fn) and map (OpDef.mapped) kernels are checked against."""
+    stage (or a map) entry by entry: the reference the fused join
+    (join_index), add (add_fn) and map (OpDef.mapped) kernels are checked
+    against."""
     stages = tt.children if type(tt.term) is Seq else (tt,)
     return chain(tuple(_compile(c, kernels=False) for c in stages))
 

@@ -7,15 +7,15 @@ linear in the multiplicities and need no cache at all.
 
 A selection σ_p = ⟨cst 0, id⟩ ; filter p drops rows to the default 0, so it
 is linear and σ_p ∘ cross is bilinear too.  A join `cross ; σ_p` is the join
-rule of calculus.fusion, and cross registers it twice: as its select, the
-batch kernel that calculus.denote runs for it, and as its join_index, the
-BilinIndex of the one bilinear stage that incr builds for it (the "bilin"
-combinator, which cross names too).  Both test p on each pair before making
-it, so no cross product is built and filtered afterwards.  The pairs come
-from one C-level stream, filter(p, product(r, s)), in batch and in each leg
-of the step.  The stage caches the
-two input relations, as the unfused cross does, and a third part: for each
-cached right tuple, the cached left tuples it matches.  So a change to a
+rule of calculus.fusion, and cross registers one hook for it, join_index:
+the BilinIndex of the one bilinear stage that incr builds for it (the
+"bilin" combinator, which cross names too).  The output half of its init
+is the join's batch, which calculus.denote runs.  p is tested on each pair
+before the pair is made, so no cross product is built and filtered
+afterwards: the pairs come from one C-level stream, filter(p, product(r,
+s)), in init (so in batch) and in each leg of the step.  The stage caches
+the two input relations, as the unfused cross does, and a third part: for
+each cached right tuple, the cached left tuples it matches.  So a change to a
 right tuple the join already holds reads its matches, and p is tested only
 for a right tuple new to the join, against the whole left relation, or for a
 changed left tuple, against the right relation.  p stays opaque.  The
@@ -64,31 +64,25 @@ def _cross(xy):
     return out
 
 
-def _select(p):
-    """σ_p ∘ cross as one batch kernel: the pairs that satisfy p, with the
-    keys, in the same order, that cross followed by the filter gives."""
-    def run(xy):
-        r, s = xy
-        return {ij: r[ij[0]] * s[ij[1]] for ij in filter(p, product(r, s))}
-    return run
-
-
 def _join_index(p) -> incr.BilinIndex:
     """The matches of σ_p ∘ cross, kept for each right tuple j of the cached
     right relation: the left tuples i of the cached left relation with
     p((i, j)), in four buckets picked by hash(i), so that a deletion scans a
     quarter of them.  The buckets hold the tuples the left relation holds.
 
-    Only pairs that satisfy p are made, each leg walking filter(p, product(…))
-    in C.  A right tuple already cached reads its matches instead of testing
+    Only pairs that satisfy p are made, init and each leg walking
+    filter(p, product(…)) in C.  init's output, the batch of σ_p ∘ cross, has
+    the keys, in the same order, that cross followed by the filter gives.
+    A right tuple already cached reads its matches instead of testing
     p; one new to the right relation walks the left relation with p, and its
     hits become its matches.  A left step updates the matches of the pairs
     its own term finds: i is new in x iff x'[i] == dx[i], and gone iff
     i ∉ x'.
     """
     def init(xy):
-        out = _select(p)(xy)
-        ix = {j: ([], [], [], []) for j in xy[1]}
+        r, s = xy
+        out = {ij: r[ij[0]] * s[ij[1]] for ij in filter(p, product(r, s))}
+        ix = {j: ([], [], [], []) for j in s}
         for i, j in out:
             ix[j][hash(i) & 3].append(i)
         return out, ix
@@ -204,10 +198,7 @@ def register_relalg() -> InstanceBundle:
         "intsub", monomorphic(pair_z, Z), _intsub, "lin", sample_in_tys=(pair_z,)))
     reg.register_op(OpDef(
         "cross", _cross_typer, _cross, "bilin",
-        sample_in_tys=(TProd(rel("int"), rel("str")),),
-        # _select and _join_index are looked up when a join is compiled, so
-        # a fault injected later that swaps either reaches this bundle
-        join_index=lambda p: _join_index(p), select=lambda p: _select(p)))
+        sample_in_tys=(TProd(rel("int"), rel("str")),), join_index=_join_index))
     reg.register_op(OpDef(
         "count", _count_typer, _count, _count, sample_in_tys=(rel("int"),)))
 

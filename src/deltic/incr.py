@@ -1,4 +1,4 @@
-"""Cached incrementalization: combinators, term transformation, iteration.
+"""Cached incrementalization: combinators and the term transformation.
 
 An IncrMachine is the executable meaning of cached incrementalization: a
 cache descriptor, an initializer x -> (f x, cache), and a step
@@ -23,9 +23,11 @@ An op's machine is built here, and only here (op_machine): its OpDef names
 a combinator ("triv", "triv2", "lin", "bilin"), which _COMBINATORS maps to
 the comb_* function applied to the op's fn, or holds a Self op's derivative.
 A bundle declares; it builds no machine.  The fused join takes the "bilin"
-entry too, so a fault that swaps a table entry reaches every machine built
-by that combinator, as one that swaps a _BUILDERS entry reaches every
-machine of that construct.
+entry too, handing it the op's join_index, so a fault that swaps a table
+entry reaches every machine built by that combinator (join-stale-matches
+sabotages the index it is handed), as one that swaps a _BUILDERS entry
+reaches every machine of that construct, and one that swaps an entry of
+calculus._FUSED (join-batch-drops-pair) the batch of every run of its rule.
 
 A machine with a unit cache is self-maintainable: its step is a pure function
 of the change, kept as the machine's `deriv` (change -> change).  The builders
@@ -88,9 +90,9 @@ after an op, where ε is the element default, so σ_p is linear), is built as
 one stage when the op registers join_index: comb_bilin with the index
 join_index(p), which for relalg's cross tests p on each pair before making
 it.  The fused machine takes the op's slot and the three selection slots
-stay UNIT; they were cache-free anyway.  Batch evaluation fuses the same
-stages when the op registers select, so the laws check both against
-calculus.unfused, the stages run one by one.
+stay UNIT; they were cache-free anyway.  Batch evaluation runs the same
+stages as the output half of join_index(p).init (calculus._FUSED), so the
+laws check both against calculus.unfused, the stages run one by one.
 
 comb_bilin (the unfused cross and the selected join alike) steps by the
 product rule as two one-sided steps, f(dx, y) ⊕ f(x ⊕ dx, dy), over one
@@ -978,28 +980,3 @@ def _once(build, *stages):
         built[key] = build(*stages)
     return built[key]
 
-
-# ---------------------------------------------------------------------------
-# Iterated updates
-# ---------------------------------------------------------------------------
-
-def sum_changes(ty, x, ds):
-    """Fold a change list into a value, back to front (head applied last)."""
-    ap = apply_fn(ty)
-    for d in reversed(ds):
-        x = ap(x, d)
-    return x
-
-
-def iter_changes(m: IncrMachine, x, ds):
-    """Initialize on x, then step through ds back to front, accumulating.
-
-    Returns (final output value, final cache); the first component equals the
-    batch result on sum_changes(x, ds) for any law-abiding machine.
-    """
-    y, c = m.init(x)
-    ap = apply_fn(m.out_ty)
-    for d in reversed(ds):
-        dy, c = m.step(d, c)
-        y = ap(y, dy)
-    return y, c

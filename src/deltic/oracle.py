@@ -991,8 +991,9 @@ def _aliased_output(orig):
 
 
 def _stale_matches(orig):
-    def bad(p):
-        index = orig(p)
+    def bad(fn, in_ty, out_ty, index=None):
+        if index is None:  # the unfused op: no matches to keep
+            return orig(fn, in_ty, out_ty, index)
         left, make = index.left, index.init
 
         def stale(dx, y, x2, ix):
@@ -1001,13 +1002,15 @@ def _stale_matches(orig):
             old = {i: a for i, a in dx.items() if i not in new}
             return {**left(old, y, x2, ix), **make((new, y))[0]}
 
-        return replace(index, left=stale)
+        return orig(fn, in_ty, out_ty, replace(index, left=stale))
     return bad
 
 
 def _batch_drops_pair(orig):
-    def bad(p):
-        run = orig(p)
+    def bad(*stages):
+        run = orig(*stages)
+        if run is None:
+            return None
 
         def drop(xy):
             out = run(xy)
@@ -1028,9 +1031,9 @@ _SABOTAGE = {
     "bilin-missing-term": (incr._COMBINATORS, "bilin", _bilin_missing_term),
     "debruijn-off-by-one": (vars(fe), "_var_term", _off_by_one),
     "bilin-aliased-cache": (incr._COMBINATORS, "bilin", _aliased_cache),
-    "join-stale-matches": (vars(relalg), "_join_index", _stale_matches),
+    "join-stale-matches": (incr._COMBINATORS, "bilin", _stale_matches),
     "case-aliased-output": (incr._BUILDERS, ca.CasePar, _aliased_output),
-    "join-batch-drops-pair": (vars(relalg), "_select", _batch_drops_pair),
+    "join-batch-drops-pair": (ca._FUSED, "join", _batch_drops_pair),
 }
 FAULTS = tuple(_SABOTAGE)
 

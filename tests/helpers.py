@@ -1,5 +1,6 @@
-"""Independent brute-force oracles used across the test suite, and call
-recorders for the tests that count the work a step does.
+"""Independent brute-force oracles used across the test suite, call
+recorders for the tests that count the work a step does, and a stepper that
+runs a machine over a change list.
 
 The oracles deliberately avoid the engine's own code paths: plain lists and
 loops for linear algebra, nested loops for relations, recursion for trees.
@@ -8,6 +9,8 @@ loops for linear algebra, nested loops for relations, recursion for trees.
 import math
 import random
 import sys
+
+from deltic.core import apply_change
 
 
 def call_codes(f, *args):
@@ -41,6 +44,18 @@ def builtin_calls(f, *args):
     finally:
         sys.setprofile(None)
     return out, names
+
+
+def step_through(m, x, ds):
+    """m initialized on x and stepped through ds, first to last: the output
+    kept up to date by ⊕, the last cache, and x ⊕ every change in turn, the
+    input the batch must map to that output."""
+    y, c = m.init(x)
+    for d in ds:
+        dy, c = m.step(d, c)
+        y = apply_change(m.out_ty, y, dy)
+        x = apply_change(m.in_ty, x, d)
+    return y, c, x
 
 
 def vec_to_list(v, n):

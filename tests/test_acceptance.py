@@ -19,9 +19,7 @@ from deltic.core import (
 )
 from deltic.domains import gcounter, linalg, relalg, trees
 from deltic.domains.containers import arr
-from deltic.incr import (
-    CUnit, cache_to_json, incrementalize, iter_changes, sum_changes,
-)
+from deltic.incr import CUnit, cache_to_json, incrementalize
 from deltic.oracle import (
     COMBINATORS, FAULTS, GenConfig, TERM_CONSTRUCTS, _TermGen,
     check_construct_laws, check_finite_support, check_frontend_lowering,
@@ -29,7 +27,9 @@ from deltic.oracle import (
     oracle_registry, reachable_pair, stable_rng,
 )
 
-from helpers import Rose, complete_rose, oracle_join, oracle_proj, rand_relation
+from helpers import (
+    Rose, complete_rose, oracle_join, oracle_proj, rand_relation, step_through,
+)
 
 R = TBase(REAL)
 
@@ -155,9 +155,8 @@ def test_criterion_6_relational_benchmarks():
             m = incrementalize(jt)
             ds = [({(rng.randrange(6), rng.randrange(40)): 1}, {})
                   for _ in range(3)]
-            got, _ = iter_changes(m, (r, s), ds)
-            want = ca.denote(jt, sum_changes(TProd(pair_rel, pair_rel), (r, s), ds))
-            assert got == want
+            got, _, x2 = step_through(m, (r, s), ds)
+            assert got == ca.denote(jt, x2)
 
 
 def test_criterion_7_tree_benchmark():
@@ -178,8 +177,8 @@ def test_criterion_7_tree_benchmark():
         paths = list(v)
         ds = [{p: rng.randint(-4, 4) or 2 for p in rng.sample(paths, 50)}
               for _ in range(3)]
-        got, _ = iter_changes(m, v, ds)
-        assert got == ca.denote(tt, sum_changes(trees.INT_TREE, v, ds))
+        got, _, v2 = step_through(m, v, ds)
+        assert got == ca.denote(tt, v2)
 
 
 def test_criterion_8_q1_golden():
@@ -206,7 +205,8 @@ def test_criterion_8_q1_golden():
         dy, c = machine.step(delete, c)
         y = apply_change(trees.BIB_TY, y, dy)
         assert sorted(y) == [1, 9]
-        batch = ca.denote(tt, sum_changes(trees.BIB_TY, bib, [delete, insert]))
+        batch = ca.denote(tt, apply_change(
+            trees.BIB_TY, apply_change(trees.BIB_TY, bib, insert), delete))
         assert values_equal(trees.BIB_TY, y, batch)
 
 
@@ -236,13 +236,12 @@ def test_criterion_9_gcounter():
             ds = [({i: rng.randint(1, 3) for i in ids if rng.random() < 0.4},
                    {i: rng.randint(1, 3) for i in ids if rng.random() < 0.4})
                   for _ in range(rng.randint(0, 5))]
-            got, _ = iter_changes(incrementalize(merge_tt), (a, b), ds)
-            assert got == ca.denote(merge_tt, sum_changes(TProd(cty, cty), (a, b), ds))
+            got, _, x2 = step_through(incrementalize(merge_tt), (a, b), ds)
+            assert got == ca.denote(merge_tt, x2)
             vds = [d[0] for d in ds]
-            got, _ = iter_changes(incrementalize(value_tt), a, vds)
-            assert got == ca.denote(value_tt, sum_changes(cty, a, vds))
-            got, _ = iter_changes(incrementalize(inc_tt), a, vds)
-            assert got == ca.denote(inc_tt, sum_changes(cty, a, vds))
+            for tt in (value_tt, inc_tt):
+                got, _, a2 = step_through(incrementalize(tt), a, vds)
+                assert got == ca.denote(tt, a2)
 
 
 def test_criterion_10_finite_support():

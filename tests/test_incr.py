@@ -23,7 +23,7 @@ from deltic.domains.containers import ARRAY, RELATION, arr, arr_shape, rel_shape
 from deltic.incr import (
     CUnit, cache_entry_count, cache_equal, cache_to_json, comb_add,
     comb_bilin, comb_lin, comb_self, comb_triv, comb_triv2,
-    incrementalize, iter_changes, sum_changes, UNIT,
+    incrementalize, UNIT,
 )
 from deltic.oracle import (
     COMBINATORS, TERM_CONSTRUCTS, GenConfig, _combinator_instances, _construct_term,
@@ -31,7 +31,7 @@ from deltic.oracle import (
     gen_type, gen_value, inject_fault, oracle_registry, stable_rng,
 )
 from deltic.serialize import change_to_text, value_to_text
-from helpers import call_codes
+from helpers import call_codes, step_through
 
 R = TBase(REAL)
 Z = TBase(INT)
@@ -417,32 +417,6 @@ def test_a_two_sided_cross_change_calls_fn_twice():
     assert c == ({"t": 1, "t2": 1}, {"u": 1, "u2": 2}, UNIT)
 
 
-def test_iter_empty_is_init():
-    reg = oracle_registry()
-    tt = typecheck(OpCall("o_relu"), R, reg)
-    m = incrementalize(tt)
-    assert iter_changes(m, -3.0, [])[0] == m.init(-3.0)[0]
-
-
-def test_iter_constant_program():
-    reg = oracle_registry()
-    tt = typecheck(Cst(R, 7.0), R, reg)
-    m = incrementalize(tt)
-    y, _ = iter_changes(m, 0.0, [1.0, 2.0, 3.0])
-    assert y == 7.0
-
-
-def test_sum_changes_examples():
-    assert sum_changes(R, 1.0, [2.0, 3.0]) == 6.0
-    assert sum_changes(arr(2, R), {0: 1.0}, []) == {0: 1.0}
-    assert sum_changes(TSum(R, R), Left(1.0), [Sr(9.0)]) == Right(9.0)
-
-
-def test_sum_changes_back_to_front():
-    # head applied last: sum x [d0, d1] = (x ⊕ d1) ⊕ d0
-    assert sum_changes(TSum(R, R), Left(1.0), [Cl(5.0), Sl(2.0)]) == Left(7.0)
-
-
 def test_iter_matches_batch_on_dense():
     bundle = linalg.register_linalg()
     rng = stable_rng(32, "iter-dense")
@@ -453,9 +427,8 @@ def test_iter_matches_batch_on_dense():
     m = incrementalize(tt)
     x = {i: rng.uniform(-1, 1) for i in range(n)}
     ds = [{rng.randrange(n): rng.uniform(-1, 1)} for _ in range(3)]
-    got, _ = iter_changes(m, x, ds)
-    want = denote(tt, sum_changes(arr(n, R), x, ds))
-    assert values_equal(arr(n, R), got, want, 1e-6)
+    got, _, x2 = step_through(m, x, ds)
+    assert values_equal(arr(n, R), got, denote(tt, x2), 1e-6)
 
 
 def test_self_maintainable_closure_has_unit_cache():
@@ -560,9 +533,10 @@ def test_distinct_machine_instances_run_concurrently():
     for t in threads:
         t.join()
     for k, got in results.items():
-        ds = [({}, {s % 3: 0.5 + k}) for s in range(40)]
-        want = denote(tt, sum_changes(in_ty, (M, v), ds))
-        assert values_equal(arr(3, R), got, want, 1e-9)
+        x = (M, v)
+        for s in range(40):
+            x = apply_change(in_ty, x, ({}, {s % 3: 0.5 + k}))
+        assert values_equal(arr(3, R), got, denote(tt, x), 1e-9)
 
 
 def _let_chain(stages, n):
@@ -660,8 +634,7 @@ def test_let_chain_laws_over_a_change_stream():
     rng = stable_rng(38, "let-chain-laws")
     x = gen_value(rng, ty)
     ds = [gen_change(rng, ty) for _ in range(50)]
-    got, cache = iter_changes(m, x, ds)
-    x_final = sum_changes(ty, x, ds)
+    got, cache, x_final = step_through(m, x, ds)
     assert values_equal(arr(n, R), got, denote(tt, x_final), 1e-9)
     assert cache_equal(m.cache, cache, m.init(x_final)[1], 1e-9)
 

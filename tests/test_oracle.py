@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from deltic import calculus as ca
+from deltic import frontend as fe
 from deltic import incr
 from deltic.core import Cl, Cr, Left, REAL, Sl, Sr, SUM_NULL, TBase, TProd, TSum
 from deltic.domains import get_bundle, linalg, relalg
@@ -249,9 +250,14 @@ def _map_builds(monkeypatch):
 
 
 def test_faults_reach_ops_through_the_combinator_table():
-    # the combinator faults swap an entry of incr's table, as the builder
-    # faults swap one of _BUILDERS, so every op that names it is sabotaged
-    assert all(space is not vars(incr) for space, _, _ in _SABOTAGE.values())
+    # every engine fault swaps an entry of an engine table (a combinator, a
+    # builder or a fused batch), so every op or run that uses it is
+    # sabotaged; only lowering's fault swaps a module global
+    spaces = {name: space for name, (space, _, _) in _SABOTAGE.items()}
+    assert spaces.pop("debruijn-off-by-one") is vars(fe)
+    tables = (incr._COMBINATORS, incr._BUILDERS, ca._FUSED)
+    assert all(any(space is t for t in tables) for space in spaces.values())
+    assert get_bundle("relalg").registry.ops["cross"].join_index is relalg._join_index
     regs = [get_bundle(b).registry for b in ("linalg", "relalg", "trees", "gcounter")]
     trivs = [(op, in_ty) for reg in (*regs, oracle_registry()) for op in reg.ops.values()
              if op.comb == "triv" for in_ty in op.sample_in_tys]
@@ -272,17 +278,31 @@ def test_faults_reach_ops_through_the_combinator_table():
     x, d = ({"a": 1}, {"b": 1}), ({"a2": 1}, {"b2": 1})
 
     def both_sides():
-        # cross alone, and the fused join, whose index keeps its matches
+        # cross alone, and the fused join, whose index keeps its matches:
+        # the output changes, and the left tuples the join matches with "b"
         m = incr.op_machine(cross, TProd(s, s), cross.typer(TProd(s, s)))
         mj = incr.incrementalize(join)
         assert type(mj.cache.parts[0].parts[2]) is incr.CMatches
         (_, c), (_, cj) = m.init(x), mj.init(x)
-        return m.step(d, c)[0], mj.step(d, cj)[0]
+        (dy, _), (dyj, cj) = m.step(d, c), mj.step(d, cj)
+        return dy, dyj, incr._matched(cj[0][2]["b"])
 
     full = {("a2", "b"): 1, ("a", "b2"): 1, ("a2", "b2"): 1}
-    assert both_sides() == (full, full)
+    assert both_sides() == (full, full, {"a", "a2"})
     with inject_fault("bilin-missing-term"):
-        assert both_sides() == ({("a2", "b"): 1}, {("a2", "b"): 1})
+        assert both_sides() == ({("a2", "b"): 1}, {("a2", "b"): 1}, {"a", "a2"})
+    with inject_fault("join-stale-matches"):
+        # the unfused cross has no index to sabotage; the join's left step
+        # makes the new tuple's pairs but leaves it out of "b"'s matches
+        assert both_sides() == (full, full, {"a"})
+
+    x2 = ({"a": 1, "a2": 2}, {"b": 1})
+    with inject_fault("join-batch-drops-pair"):
+        fresh = ca.typecheck(relalg.join_term("always"), TProd(s, s), b.registry)
+        batch, ref = ca.compiled(fresh)(x2), ca.unfused(fresh)(x2)
+        out = incr.incrementalize(fresh).init(x2)[0]
+    assert ref == out == {("a", "b"): 1, ("a2", "b"): 2}
+    assert len(batch) == 1 and batch.items() < ref.items()
 
 
 def test_seq_fault_builds_each_stage_once(monkeypatch):

@@ -13,13 +13,15 @@ from deltic.calculus import (
 )
 from deltic.core import INT, TBase, TProd, apply_change
 from deltic.domains import relalg
+from deltic.frontend import compile_program, eval_named, parse_program_file
 from deltic.incr import (
-    cache_entry_count, cache_equal, cache_to_json, incrementalize, iter_changes,
-    sum_changes,
+    cache_entry_count, cache_equal, cache_to_json, incrementalize,
 )
 from deltic.oracle import _join_side_change, check_op_laws, inject_fault, stable_rng
 
-from helpers import call_codes, oracle_join, oracle_proj, oracle_union, rand_relation
+from helpers import (
+    call_codes, oracle_join, oracle_proj, oracle_union, rand_relation, step_through,
+)
 
 Z = TBase(INT)
 
@@ -104,9 +106,8 @@ def test_incremental_join_matches_batch(bundle):
             dr = {(rng.randrange(6), rng.randrange(40)): rng.choice((-1, 1, 2))}
             dside = rng.random() < 0.5
             ds.append((dr, {}) if dside else ({}, dr))
-        got, _ = iter_changes(m, (r, s), ds)
-        want = unfused(tt)(sum_changes(in_ty, (r, s), ds))
-        assert got == want
+        got, _, x2 = step_through(m, (r, s), ds)
+        assert got == unfused(tt)(x2)
 
 
 def test_negative_multiplicities_encode_deletion(bundle):
@@ -118,6 +119,34 @@ def test_negative_multiplicities_encode_deletion(bundle):
     assert y == {1: 2, 2: 1}
     dy, c = m.step({(1, 10): -2}, c)
     assert dy == {1: -2}
+
+
+@pytest.mark.parametrize("name", ["union", "difference", "intersection"])
+def test_surface_binary_programs_step_as_they_denote(name):
+    # each program is built from text by _binary_rel_build; union is the add
+    # rule over an infinite-index shape, the other two a map2 of an op
+    b = relalg.register_relalg()
+    text = f"bundle relalg\nparam r : rel[int] int\nparam s : rel[int] int\n\n{name} # (r, s)\n"
+    _, prog = parse_program_file(text, lambda _n: b)
+    tt = compile_program(prog, b.registry, b.literal_base)
+    rng = stable_rng(64, f"surface-{name}")
+
+    def rel():
+        return {rng.randrange(8): rng.choice((-2, -1, 1, 2)) for _ in range(rng.randint(0, 5))}
+
+    x = (rel(), rel())
+    rel_ty = prog.in_ty.left
+    env = {"r": (rel_ty, x[0]), "s": (rel_ty, x[1])}
+    assert denote(tt, x) == unfused(tt)(x) == eval_named(
+        prog.body, env, b.registry, b.literal_base)[1]
+    m = incrementalize(tt)
+    y, c = m.init(x)
+    for k in range(30):
+        d = [(rel(), {}), ({}, rel()), (rel(), rel())][k % 3]
+        dy, c = m.step(d, c)
+        y = apply_change(tt.out_ty, y, dy)
+        x = apply_change(tt.in_ty, x, d)
+        assert y == denote(tt, x) == unfused(tt)(x)
 
 
 # ---------------------------------------------------------------------------
@@ -226,32 +255,27 @@ def test_fused_join_cache_json_after_a_left_and_a_right_step():
         *selection]
 
 
-@pytest.mark.parametrize("fallback, fused, batch", [
-    pytest.param(0, True, True, id="0-True"),
-    pytest.param(1, False, False, id="1-False"),
-    pytest.param(0, True, False, id="0-no-select"),
-])
-def test_selection_fuses_only_with_the_default_fallback(fallback, fused, batch):
+@pytest.mark.parametrize("fallback, fused", [(0, True), (1, False)])
+def test_selection_fuses_only_with_the_default_fallback(fallback, fused):
     # ⟨cst 1, id⟩ ; filter p keeps failing rows at 1, which is not linear;
-    # the machine and the batch fuse alike, each only when the op registers
-    # its own kernel: a cross with join_index and no select fuses the
-    # machine and runs the batch stage by stage
+    # the machine and the batch fuse alike, through the op's one join hook:
+    # a fused join calls join_index from incrementalize and from compiled
     b = relalg.register_relalg()
-    b.registry.register_index_pred("key-eq", JOIN_PREDS["key-eq"])
-    built, selected = [], []
+    p = JOIN_PREDS["key-eq"]
+    b.registry.register_index_pred("key-eq", p)
+    called = []
     cross = b.registry.ops["cross"]
     b.registry.ops["cross"] = replace(
-        cross, join_index=lambda p: built.append(p) or cross.join_index(p),
-        select=(lambda p: selected.append(p) or cross.select(p)) if batch else None)
+        cross, join_index=lambda q: called.append(q) or cross.join_index(q))
     term = seq(OpCall("cross"), fanout(Cst(relalg.Z, fallback), ID), Filter("key-eq"))
     tt = typecheck(term, JOIN_IN, b.registry)
     incrementalize(tt)
+    assert called == ([p] if fused else [])
     run = compiled(tt)
+    assert called == ([p, p] if fused else [])
     if fused:  # a fallback of 1 over relations has infinite support
         x = ({(1, 2): 1, (2, 5): 2}, {(1, 9): 3, (3, 7): 1})
         assert run(x) == unfused(tt)(x) == {((1, 2), (1, 9)): 3}
-    assert bool(built) == fused
-    assert selected == ([JOIN_PREDS["key-eq"]] if fused and batch else [])
 
 
 ALWAYS = {"always": lambda ij: True, "never": lambda ij: False}
