@@ -238,16 +238,15 @@ def bench_rel_join(spec: BenchSpec):
     return _sweep(spec, "join", setup)
 
 
-def complete_tree(depth, branching=2, rng=None):
-    """Values for a complete rose tree as an int path map."""
-    rng = rng or random.Random(0)
+def complete_tree(depth, rng):
+    """Values for a complete binary tree as an int path map."""
     out = {}
 
     def grow(path, d):
         out[path] = rng.randint(1, 9)
         if d == 0:
             return
-        for c in range(branching):
+        for c in range(2):
             grow(path + (c,), d - 1)
 
     grow((), depth)
@@ -258,7 +257,7 @@ def bench_tree_sum(spec: BenchSpec):
     reg = trees.register_trees().registry
 
     def setup(rng, depth):
-        value = complete_tree(depth, rng=rng)
+        value = complete_tree(depth, rng)
         paths = list(value)
         k = max(1, math.ceil(spec.fraction * len(paths)))
         tt = ca.typecheck(trees.tree_sum_term(), trees.INT_TREE, reg)

@@ -892,19 +892,15 @@ def term_to_text(t: Term) -> str:
             return "seq(" * len(rest) + first + "".join(f", {s})" for s in rest)
         case Par(a, b):
             return f"par({term_to_text(a)}, {term_to_text(b)})"
-        case Proj(path):
-            names = {(): "id", (0,): "fst", (1,): "snd"}
-            return names.get(path) or f"proj({', '.join(map(str, path))})"
-        case Dup():
-            return "dup"
-        case Plus():
-            return "plus"
+        case Proj(path) if len(path) > 1:
+            return f"proj({', '.join(map(str, path))})"
+        case Proj() | Dup() | Plus() | Zip() | Tp() | Fuse() | Distr():
+            # only nullary kinds are hashed: a composite's hash walks its subtree
+            return _NULLARY_NAMES[t]
         case Cst(ty, value):
             return f"cst({type_to_text(ty)}, {json.dumps(value_to_json(ty, value))})"
         case Map(body):
             return f"map({term_to_text(body)})"
-        case Zip():
-            return "zip"
         case Get(index):
             return f"get({json.dumps(index_to_json(index))})"
         case SetAt(index):
@@ -913,14 +909,8 @@ def term_to_text(t: Term) -> str:
             return f"reshape({fn}, {shape_to_text(out_shape)})"
         case Replicate(shape):
             return f"replicate({shape_to_text(shape)})"
-        case Tp():
-            return "tp"
         case Filter(pred):
             return f"filter({pred})"
-        case Fuse():
-            return "fuse"
-        case Distr():
-            return "distr"
         case Inl(right_ty):
             return f"inl({type_to_text(right_ty)})"
         case Inr(left_ty):
@@ -938,6 +928,7 @@ NULLARY_TERMS: dict[str, Term] = {
     "id": ID, "dup": Dup(), "fst": FST, "snd": SND, "plus": Plus(),
     "zip": Zip(), "tp": Tp(), "fuse": Fuse(), "distr": Distr(),
 }
+_NULLARY_NAMES = {t: name for name, t in NULLARY_TERMS.items()}
 
 
 def term_from_text(text: str, registry: Registry) -> Term:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..calculus import Registry
-from ..core import BaseType, DelticError
+from ..core import BaseType, DelticError, TProd
 
 
 class BundleLawError(DelticError):
@@ -20,7 +20,7 @@ class InstanceBundle:
     registry: Registry
     literal_base: BaseType
 
-    def validate(self, samples=40, seed=7):
+    def validate(self, samples=40):
         """Run the law suite over every registered op; raise on a violation.
 
         Returns the list of reports.  The tests call it on every bundle.
@@ -29,12 +29,22 @@ class InstanceBundle:
         reports = []
         for opdef in self.registry.ops.values():
             for in_ty in opdef.sample_in_tys:
-                rep = check_op_laws(opdef, in_ty, samples=samples, seed=seed)
+                rep = check_op_laws(opdef, in_ty, samples=samples, seed=7)
                 reports.append(rep)
                 if not rep.passed:
                     raise BundleLawError(
                         f"op {opdef.name!r} fails laws at {in_ty!r}: {rep.failures[0]}")
         return reports
+
+
+def pair_program(kind, term_fn):
+    """A ProgramDef build: term_fn() for a pair of two equal types that pass
+    kind, else None (the frontend then rejects the input)."""
+    def build(ty):
+        if isinstance(ty, TProd) and kind(ty.left) and ty.left == ty.right:
+            return term_fn()
+        return None
+    return build
 
 
 def get_bundle(name: str) -> InstanceBundle:

@@ -12,7 +12,7 @@ from ..calculus import (
     Reshape, SetAt, Term, Tp, fanout, map2, monomorphic, seq,
 )
 from ..core import REAL, TBase, TCont, TProd
-from . import InstanceBundle
+from . import InstanceBundle, pair_program
 from .containers import ARRAY, arr, arr_shape
 
 R = TBase(REAL)
@@ -120,30 +120,6 @@ def dense_term(n: int, m: int, weights, bias) -> Term:
     )
 
 
-def _build_vadd(ty):
-    if (isinstance(ty, TProd) and _is_vec(ty.left) and ty.left == ty.right):
-        return vadd_term()
-    return None
-
-
-def _build_madd(ty):
-    if (isinstance(ty, TProd) and _is_mat(ty.left) and ty.left == ty.right):
-        return madd_term()
-    return None
-
-
-def _build_hadamard(ty):
-    if (isinstance(ty, TProd) and _is_vec(ty.left) and ty.left == ty.right):
-        return hadamard_term()
-    return None
-
-
-def _build_dot(ty):
-    if (isinstance(ty, TProd) and _is_vec(ty.left) and ty.left == ty.right):
-        return dot_term()
-    return None
-
-
 def _build_svmul(ty):
     if isinstance(ty, TProd) and ty.left == R and _is_vec(ty.right):
         return svmul_term(ty.right.shape.payload)
@@ -191,10 +167,10 @@ def register_linalg() -> InstanceBundle:
 
     reg.register_index_fn("pred", lambda i: i - 1 if i > 0 else 0)
 
-    reg.register_program(ProgramDef("vadd", _build_vadd))
-    reg.register_program(ProgramDef("madd", _build_madd))
-    reg.register_program(ProgramDef("hadamard", _build_hadamard))
-    reg.register_program(ProgramDef("dot", _build_dot))
+    reg.register_program(ProgramDef("vadd", pair_program(_is_vec, vadd_term)))
+    reg.register_program(ProgramDef("madd", pair_program(_is_mat, madd_term)))
+    reg.register_program(ProgramDef("hadamard", pair_program(_is_vec, hadamard_term)))
+    reg.register_program(ProgramDef("dot", pair_program(_is_vec, dot_term)))
     reg.register_program(ProgramDef("svmul", _build_svmul))
     reg.register_program(ProgramDef("mvmul", _build_mvmul))
     reg.register_program(ProgramDef("mmmul", _build_mmmul))

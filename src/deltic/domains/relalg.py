@@ -33,7 +33,7 @@ from ..calculus import (
 )
 from ..core import INT, TBase, TCont, TProd
 from .. import incr
-from . import InstanceBundle
+from . import InstanceBundle, pair_program
 from .containers import DICT, RELATION, dict_shape, rel_shape
 
 Z = TBase(INT)
@@ -177,14 +177,6 @@ def proj_term(key_name: str) -> Term:
     return seq(OpCall(f"groupby_{key_name}"), Map(OpCall("count")))
 
 
-def _binary_rel_build(term_fn):
-    def build(ty):
-        if isinstance(ty, TProd) and _is_rel(ty.left) and ty.left == ty.right:
-            return term_fn()
-        return None
-    return build
-
-
 def register_relalg() -> InstanceBundle:
     reg = Registry()
     reg.register_base(INT)
@@ -206,8 +198,8 @@ def register_relalg() -> InstanceBundle:
         "fst", lambda t: t[0],
         sample_in_tys=(rel(("int", "str")), rel(("int", "int")))))
 
-    reg.register_program(ProgramDef("union", _binary_rel_build(union_term)))
-    reg.register_program(ProgramDef("difference", _binary_rel_build(difference_term)))
-    reg.register_program(ProgramDef("intersection", _binary_rel_build(intersection_term)))
+    reg.register_program(ProgramDef("union", pair_program(_is_rel, union_term)))
+    reg.register_program(ProgramDef("difference", pair_program(_is_rel, difference_term)))
+    reg.register_program(ProgramDef("intersection", pair_program(_is_rel, intersection_term)))
 
     return InstanceBundle("relalg", reg, INT)

@@ -149,20 +149,15 @@ def gen_index(rng: random.Random, shape):
     raise GenerationFailure(f"no index generator for container {cid!r}")
 
 
-def gen_scalar(rng, base, nonzero=False):
-    for _ in range(20):
-        if base.kind == "real":
-            v = round(rng.uniform(-8.0, 8.0), 3)
-        elif base.kind == "int":
-            v = rng.randint(-8, 8)
-        elif base.kind == "nat":
-            v = rng.randint(0, 8)
-        else:
-            v = rng.choice([None, rng.choice(_WORDS), rng.randint(0, 2200),
-                            round(rng.uniform(0, 200), 2)])
-        if not nonzero or v != base.default:
-            return v
-    raise GenerationFailure(f"could not draw a non-default {base.tag}")
+def gen_scalar(rng, base):
+    if base.kind == "real":
+        return round(rng.uniform(-8.0, 8.0), 3)
+    if base.kind == "int":
+        return rng.randint(-8, 8)
+    if base.kind == "nat":
+        return rng.randint(0, 8)
+    return rng.choice([None, rng.choice(_WORDS), rng.randint(0, 2200),
+                       round(rng.uniform(0, 200), 2)])
 
 
 def gen_value(rng: random.Random, ty):
@@ -671,8 +666,7 @@ def check_term_laws(tt: ca.TypedTerm, rng, samples=60, rel_tol=1e-9, name="term"
                               samples=samples, rel_tol=rel_tol, **record)
 
 
-def check_completeness(ty, rng, samples=200, rel_tol=1e-9, name="completeness",
-                       seed=0) -> CheckReport:
+def check_completeness(ty, rng, samples=200, name="completeness", seed=0) -> CheckReport:
     """x ⊕ (y ⊖ x) == y; on nat-containing types y is sampled reachable."""
     monotone = _contains_nat(ty)
     failures = []
@@ -682,7 +676,7 @@ def check_completeness(ty, rng, samples=200, rel_tol=1e-9, name="completeness",
         else:
             x, y = gen_value(rng, ty), gen_value(rng, ty)
         got = apply_change(ty, x, diff_values(ty, y, x))
-        if not values_equal(ty, got, y, rel_tol):
+        if not values_equal(ty, got, y, 1e-9):
             failures.append(dict(
                 sample=k, x=_show(value_to_text, ty, x), y=_show(value_to_text, ty, y)))
             break
@@ -775,6 +769,12 @@ def check_fused_join(seed=42, samples=60) -> CheckReport:
 # Finite-support suite
 # ---------------------------------------------------------------------------
 
+def _within(out, bound):
+    """out's keys lie within bound; a dict bound also bounds each row's keys."""
+    return set(out) <= set(bound) and (
+        not isinstance(bound, dict) or all(set(row) <= bound[i] for i, row in out.items()))
+
+
 def check_finite_support(seed=17, samples=40) -> list[CheckReport]:
     """Support bounds for the seven container ops, plus violation detection."""
     rng = stable_rng(seed, "finite-support")
@@ -797,113 +797,61 @@ def check_finite_support(seed=17, samples=40) -> list[CheckReport]:
     reg.register_index_fn("const0", lambda ij: (0, 0))
     reg.register_index_pred("even_key", lambda t: t[0] % 2 == 0)
 
-    rel_ii = TCont(rel_shape(("int", "int")), Z)
-    rel_i = TCont(rel_shape("int"), Z)
-    reports = []
+    rel_i, rel_ii = TCont(rel_shape("int"), Z), TCont(rel_shape(("int", "int")), Z)
+    nested, tree_i = TCont(rel_shape("int"), rel_i), TCont(tree_shape(), Z)
+    dbl_map = ca.Map(ca.OpCall("dbl"))
 
-    def run(name, fn):
+    def set_tree(r):
+        path, a = gen_index(r, tree_shape()), gen_value(r, tree_i)
+        return ca.SetAt(path), TProd(Z, tree_i), (gen_scalar(r, INT), a), set(a) | {path}
+
+    # a row draws (term, input type, input, bound) from r, in that order; tp's
+    # bound maps each allowed outer key to the keys its row may hold
+    support = (
+        ("set", lambda r: (ca.SetAt(i := r.randint(-3, 3)), TProd(Z, rel_i),
+                           (gen_scalar(r, INT), a := gen_value(r, rel_i)), set(a) | {i})),
+        ("replicate", lambda r: (ca.Replicate(rel_shape("int")), Z, 0, set())),
+        ("map", lambda r: (dbl_map, rel_i, a := gen_value(r, rel_i), set(a))),
+        ("reshape", lambda r: (ca.Reshape("swap", rel_shape(("int", "int"))), rel_ii,
+                               a := gen_value(r, rel_ii), {(j, i) for i, j in a})),
+        ("filter", lambda r: (ca.Filter("even_key"), TProd(Z, rel_ii),
+                              (0, a := gen_value(r, rel_ii)), set(a))),
+        ("zip", lambda r: (ca.Zip(), TProd(rel_i, rel_i),
+                           (a := gen_value(r, rel_i), b := gen_value(r, rel_i)),
+                           set(a) | set(b))),
+        ("tp", lambda r: (ca.Tp(), nested, a := gen_value(r, nested),
+                          {i: set(a) for row in a.values() for i in row})),
+        ("map-tree", lambda r: (dbl_map, tree_i, a := gen_value(r, tree_i), set(a))),
+        ("set-tree", set_tree),
+    )
+    reports = []
+    for name, draw in support:
         failures = []
         for k in range(samples):
-            try:
-                fn(k)
-            except AssertionError as e:
-                failures.append(dict(sample=k, error=str(e)))
+            term, in_ty, x, bound = draw(rng)
+            out = ca.denote(ca.typecheck(term, in_ty, reg), x)
+            if not _within(out, bound):
+                failures.append(dict(sample=k, error=f"{name} support grew: {out!r} from {x!r}"))
                 break
         reports.append(CheckReport(f"finite-support:{name}", seed, samples,
                                    not failures, failures))
 
-    def case_set(k):
-        tt = ca.typecheck(ca.SetAt(rng.randint(-3, 3)), TProd(Z, rel_i), reg)
-        x, a = gen_scalar(rng, INT), gen_value(rng, rel_i)
-        out = ca.denote(tt, (x, a))
-        assert set(out) <= set(a) | {tt.term.index}, "set support grew"
-    run("set", case_set)
-
-    def case_replicate(k):
-        tt = ca.typecheck(ca.Replicate(rel_shape("int")), Z, reg)
-        assert ca.denote(tt, 0) == {}, "replicate of ε must be empty"
-    run("replicate", case_replicate)
-
-    def case_map(k):
-        tt = ca.typecheck(ca.Map(ca.OpCall("dbl")), rel_i, reg)
-        a = gen_value(rng, rel_i)
-        out = ca.denote(tt, a)
-        assert set(out) <= set(a), "map support grew"
-    run("map", case_map)
-
-    def case_reshape(k):
-        tt = ca.typecheck(ca.Reshape("swap", rel_shape(("int", "int"))), rel_ii, reg)
-        a = gen_value(rng, rel_ii)
-        out = ca.denote(tt, a)
-        assert set(out) <= {(j, i) for (i, j) in a}, "reshape support beyond fibers"
-    run("reshape", case_reshape)
-
-    def case_filter(k):
-        tt = ca.typecheck(ca.Filter("even_key"), TProd(Z, rel_ii), reg)
-        a = gen_value(rng, rel_ii)
-        out = ca.denote(tt, (0, a))
-        assert set(out) <= set(a), "filter support grew"
-    run("filter", case_filter)
-
-    def case_zip(k):
-        tt = ca.typecheck(ca.Zip(), TProd(rel_i, rel_i), reg)
-        a, b = gen_value(rng, rel_i), gen_value(rng, rel_i)
-        out = ca.denote(tt, (a, b))
-        assert set(out) <= set(a) | set(b), "zip support grew"
-    run("zip", case_zip)
-
-    def case_tp(k):
-        nested = TCont(rel_shape("int"), rel_i)
-        tt = ca.typecheck(ca.Tp(), nested, reg)
-        a = gen_value(rng, nested)
-        out = ca.denote(tt, a)
-        bound = {i for row in a.values() for i in row}
-        assert set(out) <= bound, "tp outer support grew"
-        for i, row in out.items():
-            assert set(row) <= set(a), "tp inner support grew"
-    run("tp", case_tp)
-
-    tree_i = TCont(tree_shape(), Z)
-
-    def case_map_tree(k):
-        tt = ca.typecheck(ca.Map(ca.OpCall("dbl")), tree_i, reg)
-        a = gen_value(rng, tree_i)
-        out = ca.denote(tt, a)
-        assert set(out) <= set(a), "tree map support grew"
-    run("map-tree", case_map_tree)
-
-    def case_set_tree(k):
-        path = gen_index(rng, tree_shape())
-        tt = ca.typecheck(ca.SetAt(path), TProd(Z, tree_i), reg)
-        a = gen_value(rng, tree_i)
-        out = ca.denote(tt, (gen_scalar(rng, INT), a))
-        assert set(out) <= set(a) | {path}, "tree set support grew"
-    run("set-tree", case_set_tree)
-
     # precondition violations must be detected, not silently mis-evaluated
-    def violations():
-        failures = []
-        tt = ca.typecheck(ca.Map(ca.OpCall("plus5")), rel_i, reg)
+    violations = (
+        ("map-non-default-preserving", ca.Map(ca.OpCall("plus5")), rel_i, {1: 2}),
+        ("reshape-without-fibers", ca.Reshape("const0", rel_shape(("int", "int"))),
+         rel_ii, {(1, 2): 1}),
+        ("replicate-non-default", ca.Replicate(rel_shape("int")), Z, 7),
+    )
+    failures = []
+    for case, term, in_ty, x in violations:
         try:
-            ca.denote(tt, {1: 2})
-            failures.append(dict(case="map-non-default-preserving"))
+            ca.denote(ca.typecheck(term, in_ty, reg), x)
         except SupportError:
-            pass
-        tt = ca.typecheck(ca.Reshape("const0", rel_shape(("int", "int"))), rel_ii, reg)
-        try:
-            ca.denote(tt, {(1, 2): 1})
-            failures.append(dict(case="reshape-without-fibers"))
-        except SupportError:
-            pass
-        tt = ca.typecheck(ca.Replicate(rel_shape("int")), Z, reg)
-        try:
-            ca.denote(tt, 7)
-            failures.append(dict(case="replicate-non-default"))
-        except SupportError:
-            pass
-        reports.append(CheckReport("finite-support:violations-detected", seed, 3,
-                                   not failures, failures))
-    violations()
+            continue
+        failures.append(dict(case=case))
+    reports.append(CheckReport("finite-support:violations-detected", seed, len(violations),
+                               not failures, failures))
     return reports
 
 
@@ -1218,10 +1166,10 @@ _OWNED_SUM_TERMS = {
 
 
 def check_construct_laws(name, cfg: GenConfig = None, samples=200,
-                         instances=10, seed=None) -> CheckReport:
+                         instances=10) -> CheckReport:
     """Laws 1-3 for one construct across randomized instantiations."""
     cfg = cfg or GenConfig()
-    seed = cfg.seed if seed is None else seed
+    seed = cfg.seed
     rng = stable_rng(seed, f"construct:{name}")
     per = max(1, samples // instances)
     check = f"laws:{name}"
@@ -1251,12 +1199,12 @@ def check_construct_laws(name, cfg: GenConfig = None, samples=200,
 
 
 def check_value_preservation_suite(cfg: GenConfig = None, terms=100,
-                                   per_term=2, seed=None) -> CheckReport:
+                                   per_term=2) -> CheckReport:
     """Random typechecked terms, each stepped over per_term change lists of
     0 to max_changes changes: the iterated output equals the batch on the
     input so far, and the cache init's, after every step (at tol_iter)."""
     cfg = cfg or GenConfig()
-    seed = cfg.seed if seed is None else seed
+    seed = cfg.seed
     rng = stable_rng(seed, "value-preservation")
     reg = oracle_registry()
     for k in range(terms):

@@ -214,6 +214,19 @@ def test_laws_output_matches_golden_file(golden, fault_args, rc):
     assert proc.stdout == (Path(__file__).parent / "data" / golden).read_bytes()
 
 
+@pytest.mark.parametrize("seed", ["1", "7", "99"])
+def test_laws_output_at_other_seeds_matches_golden_file(seed):
+    # the law draws at other seeds are pinned too, so a refactor cannot
+    # shift them unnoticed
+    src = str(Path(deltic.__file__).resolve().parents[1])
+    cmd = [sys.executable, "-m", "deltic.cli", "laws", "--seed", seed]
+    env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": src}
+    proc = subprocess.run(cmd, env=env, capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    golden = Path(__file__).parent / "data" / f"laws_seed{seed}.jsonl"
+    assert proc.stdout == golden.read_bytes()
+
+
 def test_bench_csv_schema(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     rc = main(["bench", "--bench", "dense", "--sizes", "20,40", "--reps", "2",

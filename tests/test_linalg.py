@@ -2,10 +2,11 @@
 
 import pytest
 
-from deltic.calculus import Zip, compiled, denote, typecheck
+from deltic.calculus import TermTypeError, Zip, compiled, denote, typecheck
 from deltic.core import REAL, TBase, TProd, apply_change, values_equal
 from deltic.domains import linalg
 from deltic.domains.containers import arr
+from deltic.frontend import compile_program, parse_program_file
 from deltic.incr import cache_entry_count, incrementalize
 from deltic.oracle import stable_rng
 
@@ -112,6 +113,18 @@ def test_program_builders_resolve_by_type(bundle):
     term = bundle.registry.program("mvmul").build(in_ty)
     assert term is not None
     assert bundle.registry.program("mvmul").build(TProd(R, R)) is None
+
+
+@pytest.mark.parametrize("name, right", [
+    ("vadd", "arr[4] real"), ("hadamard", "arr[4] real"), ("dot", "arr[4] real"),
+    ("madd", "arr[3] real"),
+])
+def test_pair_programs_reject_other_inputs(bundle, name, right):
+    # vadd, hadamard and dot need two vectors of one length, madd two matrices
+    text = f"bundle linalg\nparam a : arr[3] real\nparam b : {right}\n\n{name} # (a, b)\n"
+    _, prog = parse_program_file(text, lambda _n: bundle)
+    with pytest.raises(TermTypeError, match=f"program '{name}' does not accept input"):
+        compile_program(prog, bundle.registry, bundle.literal_base)
 
 
 def test_dense_cache_holds_2nm_plus_n(bundle):

@@ -17,7 +17,7 @@ from deltic.domains import get_bundle, linalg, relalg
 from deltic.domains.containers import RELATION, arr
 from deltic.oracle import (
     COMBINATORS, FAULTS, GenConfig, GenerationFailure, _SABOTAGE, _fused_join, _run_stream,
-    check_construct_laws, check_frontend_lowering, check_fused_join,
+    check_construct_laws, check_finite_support, check_frontend_lowering, check_fused_join,
     check_machine_laws, check_op_laws, check_value_preservation_suite, gen_change,
     gen_term, gen_type, gen_value, inject_fault, oracle_registry, stable_rng,
 )
@@ -365,3 +365,30 @@ def test_suite_healthy_without_faults():
     assert check_construct_laws("seq", samples=30, instances=3).passed
     assert check_frontend_lowering(samples=5).passed
     assert check_value_preservation_suite(GenConfig(), terms=15).passed
+
+
+def test_finite_support_catches_a_stray_zip_key(monkeypatch):
+    kernel = ca.container_kernel
+
+    def stray(tt, dft_of):
+        run = kernel(tt, dft_of)
+        if not isinstance(tt.term, ca.Zip):
+            return run
+        return lambda xy: {**run(xy), "stray": (0, 0)}
+    monkeypatch.setattr(ca, "container_kernel", stray)
+    reports = {r.name: r for r in check_finite_support()}
+    bad = reports.pop("finite-support:zip")
+    assert not bad.passed
+    assert [set(f) for f in bad.failures] == [{"sample", "error"}]
+    assert bad.failures[0]["sample"] == 0
+    assert all(r.passed for r in reports.values()), [r.name for r in reports.values()]
+
+
+def test_finite_support_catches_an_undetected_violation(monkeypatch):
+    # a map that never checks f(ε)=ε evaluates plus5 over a relation silently
+    monkeypatch.setattr(ca, "map_inputs", lambda x, fe, shape, din, dout: x.items())
+    reports = {r.name: r for r in check_finite_support()}
+    bad = reports.pop("finite-support:violations-detected")
+    assert not bad.passed
+    assert bad.failures == [dict(case="map-non-default-preserving")]
+    assert all(r.passed for r in reports.values())

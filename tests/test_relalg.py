@@ -9,7 +9,7 @@ import pytest
 
 from deltic import incr
 from deltic.calculus import (
-    Cst, Dup, Filter, ID, OpCall, compiled, denote, fanout, seq, typecheck, unfused,
+    Cst, Dup, Filter, ID, OpCall, TermTypeError, compiled, denote, fanout, seq, typecheck, unfused,
 )
 from deltic.core import INT, TBase, TProd, apply_change
 from deltic.domains import relalg
@@ -122,8 +122,16 @@ def test_negative_multiplicities_encode_deletion(bundle):
 
 
 @pytest.mark.parametrize("name", ["union", "difference", "intersection"])
+def test_surface_binary_programs_reject_unequal_relations(bundle, name):
+    text = f"bundle relalg\nparam r : rel[int] int\nparam s : rel[str] int\n\n{name} # (r, s)\n"
+    _, prog = parse_program_file(text, lambda _n: bundle)
+    with pytest.raises(TermTypeError, match=f"program '{name}' does not accept input"):
+        compile_program(prog, bundle.registry, bundle.literal_base)
+
+
+@pytest.mark.parametrize("name", ["union", "difference", "intersection"])
 def test_surface_binary_programs_step_as_they_denote(name):
-    # each program is built from text by _binary_rel_build; union is the add
+    # each program is built from text by domains.pair_program; union is the add
     # rule over an infinite-index shape, the other two a map2 of an op
     b = relalg.register_relalg()
     text = f"bundle relalg\nparam r : rel[int] int\nparam s : rel[int] int\n\n{name} # (r, s)\n"
