@@ -21,7 +21,7 @@ passes the nil change and uses the same kernel as the op's derivative.
 `fusion` matches the runs of seq stages built as one stage, for denote and
 incr alike, and `_FUSED` builds a run's batch by rule name.  An op may
 register `join_index`, the index of `op ; σ_p`: the compiled seq runs a join
-run `op ; ⟨cst ε, id⟩ ; filter p` as the output half of join_index(p).init,
+run `op ; ⟨cst ε, id⟩ ; filter p` as join_index(p).batch, with no index made,
 so relalg's join tests p on each pair before making it, in place of building
 the whole cross product and filtering it.  An add run, `zip ; map g` with g
 pointwise ⊕, is ⊕ on the container and runs as one add_fn, with no zipped
@@ -229,7 +229,7 @@ class OpDef:
     types for the law validator.  join_index, when given, serves the seq
     stages `op ; ⟨cst ε, id⟩ ; filter p` (the join rule of fusion):
     join_index(p) is the BilinIndex of the one bilinear stage that incr
-    builds for them, and denote runs them as the output half of its init.
+    builds for them, and denote runs them as its batch.
     Left None, the stages run one by one.
     mapped (a MapKernel) runs `map op` when fn(ε) = ε: batch in denote,
     both in incr over a Triv body of fn.
@@ -618,13 +618,8 @@ def _batch_add(zip_tt, _map):
 
 
 def _batch_join(op, _dup, _par, fil):
-    """The output half of the init of the op's join_index(p), or None when
-    the op registers none."""
-    index = op.info.join_index
-    if index is None:
-        return None
-    init = index(fil.info.fn).init
-    return lambda xy: init(xy)[0]
+    index = op.info.join_index  # None when the op registers none
+    return index and index(fil.info.fn).batch
 
 
 # The batch of the fused runs, by fusion's rule name (incr._FUSED is its

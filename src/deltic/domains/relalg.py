@@ -9,18 +9,18 @@ A selection σ_p = ⟨cst 0, id⟩ ; filter p drops rows to the default 0, so it
 is linear and σ_p ∘ cross is bilinear too.  A join `cross ; σ_p` is the join
 rule of calculus.fusion, and cross registers one hook for it, join_index:
 the BilinIndex of the one bilinear stage that incr builds for it (the
-"bilin" combinator, which cross names too).  The output half of its init
-is the join's batch, which calculus.denote runs.  p is tested on each pair
-before the pair is made, so no cross product is built and filtered
-afterwards: the pairs come from one C-level stream, filter(p, product(r,
-s)), in init (so in batch) and in each leg of the step.  The stage caches
-the two input relations, as the unfused cross does, and a third part: for
-each cached right tuple, the cached left tuples it matches.  So a change to a
-right tuple the join already holds reads its matches, and p is tested only
-for a right tuple new to the join, against the whole left relation, or for a
-changed left tuple, against the right relation.  p stays opaque.  The
-unfused run of the stages (calculus.unfused) is the reference both are
-checked against.
+"bilin" combinator, which cross names too).  Its batch, init's output with
+no matches made, is the join's batch, which calculus.denote runs.  p is
+tested on each pair before the pair is made, so no cross product is built
+and filtered afterwards: the pairs come from one C-level stream, filter(p,
+product(r, s)), in batch (so in init) and in each leg of the step.  The
+stage caches the two input relations, as the unfused cross does, and a
+third part: for each cached right tuple, the cached left tuples it
+matches.  So a change to a right tuple the join already holds reads its
+matches, and p is tested only for a right tuple new to the join, against
+the whole left relation, or for a changed left tuple, against the right
+relation.  p stays opaque.  The unfused run of the stages
+(calculus.unfused) is the reference both are checked against.
 """
 
 from __future__ import annotations
@@ -70,19 +70,21 @@ def _join_index(p) -> incr.BilinIndex:
     p((i, j)), in four buckets picked by hash(i), so that a deletion scans a
     quarter of them.  The buckets hold the tuples the left relation holds.
 
-    Only pairs that satisfy p are made, init and each leg walking
-    filter(p, product(…)) in C.  init's output, the batch of σ_p ∘ cross, has
-    the keys, in the same order, that cross followed by the filter gives.
+    Only pairs that satisfy p are made, batch (which init runs) and each leg
+    walking filter(p, product(…)) in C.  batch, σ_p ∘ cross, gives the keys,
+    in the same order, that cross followed by the filter gives.
     A right tuple already cached reads its matches instead of testing
     p; one new to the right relation walks the left relation with p, and its
     hits become its matches.  A left step updates the matches of the pairs
     its own term finds: i is new in x iff x'[i] == dx[i], and gone iff
     i ∉ x'.
     """
-    def init(xy):
+    def batch(xy):
         r, s = xy
-        out = {ij: r[ij[0]] * s[ij[1]] for ij in filter(p, product(r, s))}
-        ix = {j: ([], [], [], []) for j in s}
+        return {ij: r[ij[0]] * s[ij[1]] for ij in filter(p, product(r, s))}
+
+    def init(xy):
+        out, ix = batch(xy), {j: ([], [], [], []) for j in xy[1]}
         for i, j in out:
             ix[j][hash(i) & 3].append(i)
         return out, ix
@@ -118,7 +120,7 @@ def _join_index(p) -> incr.BilinIndex:
                 del ix[j]
         return out
 
-    return incr.BilinIndex(incr.CMatches(), init, left, right)
+    return incr.BilinIndex(incr.CMatches(), init, left, right, batch)
 
 
 def _cross_typer(ty):

@@ -46,7 +46,9 @@ A typed seq is n-ary (see calculus.typecheck).  Each maximal run of
 cache-free stages steps as one derivative that calls the stage derivatives
 in a flat loop.  A seq with a cached stage keeps a list with one slot per
 stage (UNIT at the cache-free ones) that its step updates in place, so
-neither init nor step recurses along a chain.
+neither init nor step recurses along a chain.  Seq and par pick their step
+when built: a seq of one cache-free run then one cached stage steps with
+no loop, and a fanout has one step per pair of sides, cached or not.
 
 Runs of seq stages that are built as one stage are matched by
 calculus.fusion, which denote shares, and built by _FUSED, by rule name.
@@ -56,9 +58,7 @@ derivative) per key, with no zipped change in between.  The zip slot stays
 UNIT and the map slot keeps its per-index cache, so the cache layout is that
 of the unfused pair.  Its init zips with the compiled zip, as denote does
 (two inputs that have one key set in one C-level pass), and a Triv body's
-kernel keeps that fresh dict as its cache instead of copying it.  A par
-with one cache-free side calls that side's derivative directly; its slot
-stays UNIT.
+kernel keeps that fresh dict as its cache instead of copying it.
 
 The fanout rule, `dup ; par(f, g)`, is one stage, built by the par
 builder, which hands the one input change to both sides; the dup slot stays
@@ -91,8 +91,8 @@ one stage when the op registers join_index: comb_bilin with the index
 join_index(p), which for relalg's cross tests p on each pair before making
 it.  The fused machine takes the op's slot and the three selection slots
 stay UNIT; they were cache-free anyway.  Batch evaluation runs the same
-stages as the output half of join_index(p).init (calculus._FUSED), so the
-laws check both against calculus.unfused, the stages run one by one.
+stages as join_index(p).batch (calculus._FUSED), so the laws check both
+against calculus.unfused, the stages run one by one.
 
 comb_bilin (the unfused cross and the selected join alike) steps by the
 product rule as two one-sided steps, f(dx, y) ⊕ f(x ⊕ dx, dy), over one
@@ -417,19 +417,21 @@ class BilinIndex:
     It makes f's terms itself, reading and updating the index as it goes:
     init(xy) is (f(xy), the index of xy); left(dx, y, x2, index) is f(dx, y)
     and updates the index for x2 = x ⊕ dx; right(x, dy, y2, index) is
-    f(x, dy) and updates it for y2 = y ⊕ dy.  cache describes the index.
+    f(x, dy) and updates it for y2 = y ⊕ dy.  batch(xy) is f(xy) alone, with
+    no index made.  cache describes the index.
     """
     cache: Any
     init: Callable[[Any], tuple]
     left: Callable[[Any, Any, Any, Any], Any]
     right: Callable[[Any, Any, Any, Any], Any]
+    batch: Callable[[Any], Any]
 
 
 def _plain_index(fn) -> BilinIndex:
     """The index that keeps nothing (UNIT) and makes each term with fn."""
     return BilinIndex(CUnit(), lambda xy: (fn(xy), UNIT),
                       lambda dx, y, _x2, _ix: fn((dx, y)),
-                      lambda x, dy, _y2, _ix: fn((x, dy)))
+                      lambda x, dy, _y2, _ix: fn((x, dy)), fn)
 
 
 def comb_bilin(fn, in_ty, out_ty, index: Optional[BilinIndex] = None) -> IncrMachine:
@@ -583,13 +585,20 @@ def _seq_machine(tt, machines):
             x, c[k] = f(x)
         return x, c
 
-    def step(d, c):
-        for k, f in plan:
-            if k is None:
-                d = f(d)
-            else:
-                d, c[k] = f(d, c[k])
-        return d, c
+    if len(plan) == 2 and plan[0][0] is None:  # a cache-free run, then a cached stage
+        (_, free), (k, f) = plan
+
+        def step(d, c):
+            d, c[k] = f(free(d), c[k])
+            return d, c
+    else:
+        def step(d, c):
+            for k, f in plan:
+                if k is None:
+                    d = f(d)
+                else:
+                    d, c[k] = f(d, c[k])
+            return d, c
 
     desc = CTuple(tuple(CUnit() if m is None else m.cache for m in machines))
     return IncrMachine(tt.in_ty, tt.out_ty, desc, init, step)
@@ -597,8 +606,9 @@ def _seq_machine(tt, machines):
 
 def _par_machine(tt, fan=False):
     """f × g; or, with fan, the fanout ⟨f, g⟩ = dup ; (f × g), which hands
-    its one input (or change) to both sides.  A fanout of the fst and snd
-    machines is the identity."""
+    its one input (or change) to both sides.  f × g runs as the fanout
+    ⟨fst ; f, snd ; g⟩, whose step is picked by which sides hold a cache.
+    A fanout of the fst and snd machines is the identity."""
     mf = incrementalize(tt.children[0])
     mg = incrementalize(tt.children[1])
     f, g = mf.deriv, mg.deriv
@@ -611,21 +621,29 @@ def _par_machine(tt, fan=False):
             return comb_self(lambda x: pair((x, x)), lambda d: (f(d), g(d)), in_ty, tt.out_ty)
         return _self_machine(tt, lambda d: (f(d[0]), g(d[1])))
 
-    f_init, g_init = mf.init, mg.init
-    f_step, g_step = mf.step, mg.step
+    f_init, g_init, f_step, g_step = mf.init, mg.init, mf.step, mg.step
+    if not fan:
+        f, g = f and (lambda d: mf.deriv(d[0])), g and (lambda d: mg.deriv(d[1]))
+        f_init, g_init = (lambda x: mf.init(x[0])), (lambda x: mg.init(x[1]))
+        f_step, g_step = (lambda d, c: mf.step(d[0], c)), (lambda d, c: mg.step(d[1], c))
 
     def init(x):
-        a, b = (x, x) if fan else x
-        y1, c1 = f_init(a)
-        y2, c2 = g_init(b)
+        y1, c1 = f_init(x)
+        y2, c2 = g_init(x)
         return (y1, y2), (c1, c2)
 
-    def step(d, c):
-        a, b = (d, d) if fan else d
-        # a cache-free side runs its derivative; its slot stays UNIT
-        d1, c1 = (f(a), UNIT) if f else f_step(a, c[0])
-        d2, c2 = (g(b), UNIT) if g else g_step(b, c[1])
-        return (d1, d2), (c1, c2)
+    if g:  # ⟨f, free g⟩, as every let lowers to
+        def step(d, c):
+            d1, c1 = f_step(d, c[0])
+            return (d1, g(d)), (c1, UNIT)
+    elif f:
+        def step(d, c):
+            d2, c2 = g_step(d, c[1])
+            return (f(d), d2), (UNIT, c2)
+    else:
+        def step(d, c):
+            (d1, c1), (d2, c2) = f_step(d, c[0]), g_step(d, c[1])
+            return (d1, d2), (c1, c2)
 
     return IncrMachine(in_ty, tt.out_ty, CTuple((mf.cache, mg.cache)), init, step)
 

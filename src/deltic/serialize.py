@@ -1,7 +1,8 @@
 """Textual formats for values, changes, types and shapes.
 
 Everything is type-directed JSON.  Values and changes share one format, and
-one writer and one reader, except at replacement scalars and sums:
+one writer and one reader, built once per (type, value or change) and
+memoised, as core's ⊕ is, except at replacement scalars and sums:
 
   scalars        numbers / strings / null; a replacement-style scalar's
                  change is "keep" or {"set": s}
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import json
 import re
+from functools import cache
 
 from .core import (
     KEEP, SUM_FORMS, SUM_NULL, ConformanceError, Shape, TBase, TCont, TProd, TSum, UsageError,
@@ -54,98 +56,115 @@ def index_from_json(j):
 
 # change=False reads or writes a value, change=True a change.
 
-def _to_json(ty, x, change):
+@cache
+def _writer(ty, change):
     match ty:
         case TBase(base):
             if change and base.kind == "scalar":
-                return "keep" if x is KEEP else {"set": x}
-            return x
+                return lambda x: "keep" if x is KEEP else {"set": x}
+            return lambda x: x
         case TCont(_, elem):
-            items = sorted(x.items(), key=lambda kv: index_sort_key(kv[0]))
-            return [[index_to_json(i), _to_json(elem, e, change)] for i, e in items]
+            w = _writer(elem, change)
+            return lambda x: [[index_to_json(i), w(e)]
+                              for i, e in sorted(x.items(), key=lambda kv: index_sort_key(kv[0]))]
         case TProd(a, b):
-            return [_to_json(a, x[0], change), _to_json(b, x[1], change)]
+            wa, wb = _writer(a, change), _writer(b, change)
+            return lambda x: [wa(x[0]), wb(x[1])]
         case TSum(a, b):
-            form = SUM_FORMS[change].get(type(x))
-            if form is not None:
-                tag, side, sub = form
-                return {tag: _to_json(b if side else a, x.change if sub else x.value, sub)}
-            if change and x is SUM_NULL:
-                return "null"
-            raise ConformanceError(f"bad sum change {x!r}" if change
-                                   else f"expected an injection, got {x!r}")
+            forms = {cls: (tag, _writer(b if side else a, sub), sub)
+                     for cls, (tag, side, sub) in SUM_FORMS[change].items()}
+
+            def write_sum(x):
+                form = forms.get(type(x))
+                if form is not None:
+                    tag, w, sub = form
+                    return {tag: w(x.change if sub else x.value)}
+                if change and x is SUM_NULL:
+                    return "null"
+                raise ConformanceError(f"bad sum change {x!r}" if change
+                                       else f"expected an injection, got {x!r}")
+            return write_sum
         case _:
             raise UsageError(f"not a type: {ty!r}")
 
 
-# The reader's table: text tag -> (class, side, payload is a change).
-_SUM_TAGS = {change: {tag: (cls, side, sub) for cls, (tag, side, sub) in forms.items()}
-             for change, forms in SUM_FORMS.items()}
-
-
-def _from_json(ty, j, change):
+@cache
+def _reader(ty, change):
     match ty:
         case TBase(base):
             if change and base.kind == "scalar":
-                if j == "keep":
-                    return KEEP
-                if isinstance(j, dict) and set(j) == {"set"}:
-                    return j["set"]
-                raise ConformanceError(f"bad scalar change: {j!r}")
-            if base.kind == "real" and isinstance(j, int) and not isinstance(j, bool):
-                return float(j)
-            return j
+                def read_scalar(j):
+                    if j == "keep":
+                        return KEEP
+                    if isinstance(j, dict) and set(j) == {"set"}:
+                        return j["set"]
+                    raise ConformanceError(f"bad scalar change: {j!r}")
+                return read_scalar
+            if base.kind == "real":
+                return lambda j: float(j) if type(j) is int else j
+            return lambda j: j
         case TCont(_, elem):
-            kind = "change" if change else "mapping"
-            if not isinstance(j, list):
-                raise ConformanceError(f"expected {kind} entries, got {j!r}")
-            out = {}
-            for entry in j:
-                if not (isinstance(entry, list) and len(entry) == 2):
-                    raise ConformanceError(f"bad {kind} entry: {entry!r}")
-                out[index_from_json(entry[0])] = _from_json(elem, entry[1], change)
-            return out
+            r, kind = _reader(elem, change), "change" if change else "mapping"
+
+            def read_entries(j):
+                if not isinstance(j, list):
+                    raise ConformanceError(f"expected {kind} entries, got {j!r}")
+                out = {}
+                for entry in j:
+                    if not (isinstance(entry, list) and len(entry) == 2):
+                        raise ConformanceError(f"bad {kind} entry: {entry!r}")
+                    out[index_from_json(entry[0])] = r(entry[1])
+                return out
+            return read_entries
         case TProd(a, b):
-            if not (isinstance(j, list) and len(j) == 2):
-                raise ConformanceError(f"expected a pair{' change' if change else ''}, got {j!r}")
-            return (_from_json(a, j[0], change), _from_json(b, j[1], change))
+            ra, rb, pair = _reader(a, change), _reader(b, change), " change" if change else ""
+
+            def read_pair(j):
+                if not (isinstance(j, list) and len(j) == 2):
+                    raise ConformanceError(f"expected a pair{pair}, got {j!r}")
+                return (ra(j[0]), rb(j[1]))
+            return read_pair
         case TSum(a, b):
-            if isinstance(j, dict) and len(j) == 1:
-                [(tag, payload)] = j.items()
-                form = _SUM_TAGS[change].get(tag)
-                if form is not None:
-                    cls, side, sub = form
-                    return cls(_from_json(b if side else a, payload, sub))
-            elif change and j == "null":
-                return SUM_NULL
-            raise ConformanceError(f"bad sum change: {j!r}" if change
-                                   else f"expected an injection, got {j!r}")
+            tags = {tag: (cls, _reader(b if side else a, sub))
+                    for cls, (tag, side, sub) in SUM_FORMS[change].items()}
+            bad = "bad sum change:" if change else "expected an injection, got"
+
+            def read_sum(j):
+                if isinstance(j, dict) and len(j) == 1:
+                    [(tag, payload)] = j.items()
+                    form = tags.get(tag)
+                    if form is not None:
+                        return form[0](form[1](payload))
+                elif change and j == "null":
+                    return SUM_NULL
+                raise ConformanceError(f"{bad} {j!r}")
+            return read_sum
         case _:
             raise UsageError(f"not a type: {ty!r}")
 
 
 def value_to_json(ty, v):
-    return _to_json(ty, v, False)
+    return _writer(ty, False)(v)
 
 
 def value_from_json(ty, j):
-    return _from_json(ty, j, False)
+    return _reader(ty, False)(j)
 
 
 def value_to_text(ty, v) -> str:
-    return json.dumps(_to_json(ty, v, False), separators=(",", ":"))
+    return json.dumps(_writer(ty, False)(v), separators=(",", ":"))
 
 
 def value_from_text(ty, text) -> object:
-    return _from_json(ty, json.loads(text), False)
+    return _reader(ty, False)(json.loads(text))
 
 
 def change_to_text(ty, d) -> str:
-    return json.dumps(_to_json(ty, d, True), separators=(",", ":"))
+    return json.dumps(_writer(ty, True)(d), separators=(",", ":"))
 
 
 def change_from_text(ty, text) -> object:
-    return _from_json(ty, json.loads(text), True)
+    return _reader(ty, True)(json.loads(text))
 
 
 # ---------------------------------------------------------------------------

@@ -45,3 +45,15 @@ def test_ratio_lines_divide_the_change_median_by_the_parent_median():
     assert all(x["side"] in ("parent", "change", "ratio") for x in lines)
     assert {k for k in by_key if k[2] == "ratio"} == {
         (pr, w, "ratio") for pr, w, side in by_key if side == "parent"}
+
+
+def test_ratio_lines_count_the_pairs_the_change_side_won():
+    lines = [json.loads(line) for line in _run().splitlines()]
+    by_key = {(x["pr"], x["workload"], x["side"]): x for x in lines}
+    # BENCH_31's claim: let-chain p50 was lower in 10 of 10 pairs; its
+    # cache_bytes were equal per seed, so no pair is better there
+    pairs = by_key[31, "let-chain", "ratio"]["better_pairs"]
+    assert pairs["latency_p50_us"] == "10/10" and pairs["cache_bytes"] == "0/10"
+    # throughput is better when higher: the count follows BENCHMARK.json
+    assert pairs["throughput_cps"] == "10/10"
+    assert all("better_pairs" in x for x in lines if x["side"] == "ratio")

@@ -86,6 +86,18 @@ def test_incr_session_prefix_invariant(progdir, capsys):
         assert values_equal(out_ty, acc, denote(tt, v), 1e-9), f"prefix {k}"
 
 
+def test_incr_let_chain_transcript_matches_golden_file(capsys):
+    # a 5-stage let chain over arr[8] real, 30 change lines to both params:
+    # the readers, writers and step shapes a let-chain change runs through
+    # must keep the printed session byte for byte
+    data = Path(__file__).parent / "data"
+    rc = main(["incr", "--program", str(data / "let_chain5.deltic"),
+               "--input", str(data / "let_chain5_input.json"),
+               "--changes", str(data / "let_chain5_changes.jsonl"), "--verify"])
+    assert rc == 0
+    assert capsys.readouterr().out == (data / "let_chain5_incr.txt").read_text()
+
+
 def test_incr_empty_stream_prints_init_only(progdir, capsys, tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")

@@ -27,8 +27,8 @@ from deltic.incr import (
 )
 from deltic.oracle import (
     COMBINATORS, TERM_CONSTRUCTS, GenConfig, _combinator_instances, _construct_term,
-    _TermGen, check_machine_laws, check_term_laws, gen_change, gen_index, gen_term,
-    gen_type, gen_value, inject_fault, oracle_registry, stable_rng,
+    _TermGen, _run_stream, check_machine_laws, check_term_laws, gen_change, gen_index,
+    gen_term, gen_type, gen_value, inject_fault, oracle_registry, stable_rng,
 )
 from deltic.serialize import change_to_text, value_to_text
 from helpers import call_codes, step_through
@@ -624,6 +624,43 @@ def test_fanout_fold_matches_the_unfolded_pair(f, g, ty):
         (d1, c1), (d2, c2) = folded.step(d, c1), unfolded.step(d, c2)
         assert d1 == d2
         assert cache_equal(folded.cache, c1, c2)
+
+
+# A cached stage and a cache-free one, over arr[4] real (oracle_registry):
+# map o_relu keeps a per-entry cache; map (dup ; +), x ↦ 2x, is
+# self-maintainable, and its derivative is not the identity.
+_CACHED, _FREE = Map(OpCall("o_relu")), Map(Seq(Dup(), Plus()))
+
+
+@pytest.mark.parametrize("sides", ["cached, cached", "cached, free", "free, cached"])
+@pytest.mark.parametrize("fan", [False, True], ids=["par", "fanout"])
+def test_each_par_step_shape_keeps_the_laws(fan, sides):
+    # the par builder picks one step per shape (which sides hold a cache,
+    # and whether both read one input); each steps 30 changes under Laws 1-3
+    f, g = (_CACHED if s == "cached" else _FREE for s in sides.split(", "))
+    ty = arr(4, R)
+    term, in_ty = (ca.fanout(f, g), ty) if fan else (ca.Par(f, g), TProd(ty, ty))
+    _assert_stream_laws(typecheck(term, in_ty, oracle_registry()), f"par {fan} {sides}")
+
+
+@pytest.mark.parametrize("stages", [
+    (_FREE, _CACHED),          # a cache-free run, then one cached stage
+    (_CACHED, _FREE),
+    (_FREE, _CACHED, _FREE),
+], ids=["free;cached", "cached;free", "free;cached;free"])
+def test_each_seq_step_shape_keeps_the_laws(stages):
+    tt = typecheck(Seq(*stages), arr(4, R), oracle_registry())
+    assert len(tt.children) == len(stages)
+    _assert_stream_laws(tt, f"seq {len(stages)}")
+
+
+def _assert_stream_laws(tt, label):
+    m = incrementalize(tt)
+    assert m.deriv is None  # a cached stage: the machine steps, not its derivative
+    rng = stable_rng(35, label)
+    failure = _run_stream(m, ca.compiled(tt), gen_value(rng, tt.in_ty), 30,
+                          lambda _x: gen_change(rng, tt.in_ty), 1e-9)
+    assert failure is None, failure
 
 
 def test_let_chain_laws_over_a_change_stream():

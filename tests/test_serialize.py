@@ -4,10 +4,10 @@ import pytest
 
 from deltic.calculus import term_from_text, term_to_text
 from deltic.core import (
-    KEEP, REAL, SCALAR, SUM_NULL, Cl, ConformanceError, Cr, Left, Right, Sl, Sr,
+    INT, KEEP, REAL, SCALAR, SUM_NULL, Cl, ConformanceError, Cr, Left, Right, Sl, Sr,
     TBase, TCont, TProd, TSum,
 )
-from deltic.domains.containers import arr, rel_shape
+from deltic.domains.containers import arr, dict_shape, rel_shape, tree_shape
 from deltic.oracle import (
     GenConfig, gen_change, gen_term, gen_type, gen_value, oracle_registry,
     stable_rng,
@@ -121,6 +121,42 @@ def test_exact_texts(ty, x, change, text):
                           else (value_to_text, value_from_text))
     assert to_text(ty, x) == text
     assert from_text(ty, text) == x
+
+
+# One type with every former: products; sums of replacement scalars and of
+# nested arrays; containers indexed by strings (dict), tuples (rel) and
+# mixed paths (tree).  The change holds keep and {"set": s}, and all five
+# sum-change forms.
+EVERY = TProd(TCont(dict_shape("str"), TSum(S, arr(2, arr(2, R)))),
+              TProd(TCont(rel_shape(("int", "str")), TBase(INT)),
+                    TCont(tree_shape(), TProd(S, SUM_RR))))
+EVERY_VALUE = (
+    {"b": Right({1: {0: 1.5}}), "a": Left("x")},
+    ({(3, "q"): -1, (1, "p"): 2},
+     {("r", 1): (None, Right(4.0)), ("r", 0): ("s", Left(2.5))}))
+EVERY_CHANGE = (
+    {"a": Cl("y"), "b": Cr({1: {1: 0.5}}), "c": Sl(None), "d": Sr({0: {0: 2.0}})},
+    ({(1, "p"): 3},
+     {("r", 2): ("u", Cl(1.0)), ("r", 0): (KEEP, SUM_NULL), (0, "s"): (None, Sr(5.0))}))
+
+
+@pytest.mark.parametrize("x, change, text", [
+    (EVERY_VALUE, False,
+     '[[["a",{"inl":"x"}],["b",{"inr":[[1,[[0,1.5]]]]}]],'
+     '[[[[1,"p"],2],[[3,"q"],-1]],[[["r",0],["s",{"inl":2.5}]],[["r",1],[null,{"inr":4.0}]]]]]'),
+    (EVERY_CHANGE, True,
+     '[[["a",{"cl":{"set":"y"}}],["b",{"cr":[[1,[[1,0.5]]]]}],["c",{"sl":null}],'
+     '["d",{"sr":[[0,[[0,2.0]]]]}]],[[[[1,"p"],3]],[[[0,"s"],[{"set":null},{"sr":5.0}]],'
+     '[["r",0],["keep","null"]],[["r",2],[{"set":"u"},{"cl":1.0}]]]]]'),
+])
+def test_every_type_former_round_trips_through_its_text(x, change, text):
+    # the writer and reader built for each (type, value or change) pair
+    # print the committed text, key order included, and read it back
+    to_text, from_text = ((change_to_text, change_from_text) if change
+                          else (value_to_text, value_from_text))
+    assert to_text(EVERY, x) == text
+    assert from_text(EVERY, text) == x
+    assert from_text(EVERY, to_text(EVERY, x)) == x
 
 
 def test_real_reads_an_integer_as_a_float():

@@ -6,8 +6,12 @@ this prints, per workload and side, the median of each end-to-end metric
 (the "end_to_end" names of BENCHMARK.json) over the record's untraced runs,
 sorted by the record's number n, printed as "pr".  A workload with both a
 "parent" and a "change" side gets one more line, side "ratio", holding the
-change median divided by the parent median of each metric.  Traced runs and entries
-of any other shape are skipped, and their counts go to standard error.
+change median divided by the parent median of each metric, and "better_pairs":
+per metric, in how many matched runs (one parent and one change run of the
+same seed and pair, taken in file order) the change side was better, lower
+or higher as the metric's "better" field says, printed as "k/n".  Traced
+runs and entries of any other shape are skipped, and their counts go to
+standard error.
 Standard library only.
 
     python3 tools/bench_trend.py
@@ -31,22 +35,40 @@ def _is_result_line(run):
             and isinstance(run["result"].get("metrics"), dict))
 
 
+def _better_pairs(pairs, names, better):
+    """{name: "k/n"}: of the n (parent, change) metric pairs holding name,
+    the k whose change value is better, as better[name] says."""
+    counts = {}
+    for name in names:
+        values = [(p, c) for pm, cm in pairs
+                  if (p := _value(pm.get(name))) is not None
+                  and (c := _value(cm.get(name))) is not None]
+        wins = sum((c < p) if better[name] == "lower" else (c > p) for p, c in values)
+        counts[name] = f"{wins}/{len(values)}"
+    return counts
+
+
 def trend(root: Path):
     """(lines, skipped, traced): the trend lines as dicts, and the counts of
     entries that are not result lines and of traced result lines."""
-    names = [m["name"] for m in json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]]
+    better = {m["name"]: m["better"]
+              for m in json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]}
+    names = list(better)
     records = sorted((int(m.group(1)), p) for p in root.glob("BENCH_*.json")
                      if (m := re.fullmatch(r"BENCH_(\d+)\.json", p.name)))
     lines, skipped, traced = [], 0, 0
     for pr, path in records:
-        groups = {}
+        groups, by_seed = {}, {}
         for run in json.loads(path.read_text()).get("runs", []):
             if not _is_result_line(run):
                 skipped += 1
             elif run.get("trace"):
                 traced += 1
             else:
-                groups.setdefault((run["workload"], run["side"]), []).append(run["result"]["metrics"])
+                metrics = run["result"]["metrics"]
+                groups.setdefault((run["workload"], run["side"]), []).append(metrics)
+                key = run["workload"], run.get("seed"), run.get("pair")
+                by_seed.setdefault(key, {}).setdefault(run["side"], []).append(metrics)
         medians = {}
         for (workload, side), runs in sorted(groups.items()):
             line = {"pr": pr, "workload": workload, "side": side, "runs": len(runs)}
@@ -58,9 +80,12 @@ def trend(root: Path):
             medians[workload, side] = line
             parent, change = medians.get((workload, "parent")), medians.get((workload, "change"))
             if parent and change:
-                lines.append({"pr": pr, "workload": workload, "side": "ratio", **{
-                    name: change[name] / parent[name] for name in names
-                    if parent.get(name) and name in change}})
+                ratio = {name: change[name] / parent[name] for name in names
+                         if parent.get(name) and name in change}
+                pairs = [pair for (w, *_), sides in by_seed.items() if w == workload
+                         for pair in zip(sides.get("parent", []), sides.get("change", []))]
+                lines.append({"pr": pr, "workload": workload, "side": "ratio", **ratio,
+                              "better_pairs": _better_pairs(pairs, ratio, better)})
     return lines, skipped, traced
 
 
