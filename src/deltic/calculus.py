@@ -48,7 +48,7 @@ from .core import (
     add_fn, check_value, default_value, plus_capable,
 )
 from .serialize import (
-    TextReader, index_from_json, index_to_json, read_shape, read_type, shape_to_text,
+    TextReader, index_from_json, index_to_json, read_shape, read_type,
     type_to_text, value_from_json, value_to_json,
 )
 
@@ -412,8 +412,8 @@ def _check(t, in_ty, registry, memo):
     case, map) is checked child first and keyed by its children's
     TypedTerms, compared by identity (map also by its input type, for the
     shape); a leaf is keyed by itself and its input type, with its payload
-    (cst, get, set) keyed by _exact.  Types hash in O(1) (core stores each
-    one's hash)."""
+    (cst, get, set) keyed by _exact.  Types are interned, so they hash and
+    compare by identity, in O(1)."""
     kind = type(t)
     if kind is Seq:
         # a stack, not recursion, so chains of any length fit the recursion limit
@@ -901,9 +901,9 @@ def term_to_text(t: Term) -> str:
         case SetAt(index):
             return f"set({json.dumps(index_to_json(index))})"
         case Reshape(fn, out_shape):
-            return f"reshape({fn}, {shape_to_text(out_shape)})"
+            return f"reshape({fn}, {out_shape!r})"
         case Replicate(shape):
-            return f"replicate({shape_to_text(shape)})"
+            return f"replicate({shape!r})"
         case Filter(pred):
             return f"filter({pred})"
         case Inl(right_ty):

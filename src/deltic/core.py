@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass, fields
+import weakref
+from dataclasses import dataclass
 from functools import cache
 from typing import Any, Callable, Optional
 
@@ -198,36 +199,48 @@ class ContainerDef:
         return f"ContainerDef({self.id})"
 
 
-# Shapes and types hash once, at construction, from their fields' hashes,
-# which the fields' own constructors stored, so hashing a type costs O(1)
-# however deep it is.  Each __init__ writes its fields and the hash straight
-# into the instance dict (the classes are frozen).  A pickled or copied one
-# is rebuilt by __reduce__ through its constructor, so the hash is made anew:
-# a str's hash differs from one process to the next.  Equality is the
-# dataclass one, field by field.
+# Shapes and types are interned (hash-consed): a constructor returns the one
+# live object with those fields, so == and hash are object's own, identity,
+# and every type-keyed cache hits in O(1) however deep the type is.  The
+# table holds them weakly and keys them by class and fields: a type's
+# children by identity, since they are interned already, and a base type, a
+# container or a shape's payload by its own ==.  Every holder shares the one
+# object, so it is immutable; copy, deepcopy and pickle rebuild it through
+# its constructor.
 
-def _stored_hash(self):
-    return self._hash
-
-
-def _rebuilt(self):
-    return type(self), tuple(getattr(self, f.name) for f in fields(self))
+_INTERNED = weakref.WeakValueDictionary()
 
 
-@dataclass(frozen=True)
-class Shape:
-    container: ContainerDef
-    payload: Any
+class _Interned:
+    __slots__ = ("__weakref__",)
 
-    def __init__(self, container, payload):
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        self = _INTERNED.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            for name, value in zip(cls.__match_args__, fields, strict=True):
+                object.__setattr__(self, name, value)
+            _INTERNED[key] = self
+        return self
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is interned: its {name} cannot change")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+class Shape(_Interned):
+    __slots__ = __match_args__ = ("container", "payload")
+
+    def __new__(cls, container, payload):
         if not container.valid_shape(payload):
             raise ConformanceError(
                 f"invalid shape payload {payload!r} for container {container.id}")
-        d = self.__dict__
-        d["container"], d["payload"], d["_hash"] = container, payload, hash((container, payload))
-
-    __hash__ = _stored_hash
-    __reduce__ = _rebuilt
+        return super().__new__(cls, container, payload)
 
     def indices(self):
         if self.container.enum_indices is None:
@@ -245,85 +258,29 @@ class Shape:
 # Type expressions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TBase:
-    base: BaseType
-
-    def __init__(self, base):
-        d = self.__dict__
-        d["base"], d["_hash"] = base, hash((base,))
-
-    __hash__ = _stored_hash
-    __reduce__ = _rebuilt
+class TBase(_Interned):
+    __slots__ = __match_args__ = ("base",)
 
     def __repr__(self):
         return self.base.tag
 
 
-@dataclass(frozen=True)
-class TCont:
-    shape: Shape
-    elem: "TypeExpr"
-
-    def __init__(self, shape, elem):
-        d = self.__dict__
-        d["shape"], d["elem"], d["_hash"] = shape, elem, hash((shape, elem))
-
-    __hash__ = _stored_hash
-    __reduce__ = _rebuilt
+class TCont(_Interned):
+    __slots__ = __match_args__ = ("shape", "elem")
 
     def __repr__(self):
         return f"{self.shape!r} {self.elem!r}"
 
 
-def _pair_eq(self, other):
-    """== of products or sums: stored hashes, then an explicit stack walk."""
-    if type(other) is not type(self):
-        return NotImplemented
-    stack = [(self, other)]
-    while stack:
-        a, b = stack.pop()
-        if a is b:
-            continue
-        pair = type(a) in (TProd, TSum)
-        if type(a) is not type(b) or pair and a._hash != b._hash:
-            return False
-        if pair:
-            stack += ((a.right, b.right), (a.left, b.left))
-        elif a != b:
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class TProd:
-    left: "TypeExpr"
-    right: "TypeExpr"
-
-    def __init__(self, left, right):
-        d = self.__dict__
-        d["left"], d["right"], d["_hash"] = left, right, hash((left, right))
-
-    __eq__ = _pair_eq
-    __hash__ = _stored_hash
-    __reduce__ = _rebuilt
+class TProd(_Interned):
+    __slots__ = __match_args__ = ("left", "right")
 
     def __repr__(self):
         return f"({self.left!r} * {self.right!r})"
 
 
-@dataclass(frozen=True)
-class TSum:
-    left: "TypeExpr"
-    right: "TypeExpr"
-
-    def __init__(self, left, right):
-        d = self.__dict__
-        d["left"], d["right"], d["_hash"] = left, right, hash((left, right))
-
-    __eq__ = _pair_eq
-    __hash__ = _stored_hash
-    __reduce__ = _rebuilt
+class TSum(_Interned):
+    __slots__ = __match_args__ = ("left", "right")
 
     def __repr__(self):
         return f"({self.left!r} + {self.right!r})"

@@ -1,8 +1,8 @@
 """Textual formats for values, changes, types and shapes.
 
 Everything is type-directed JSON.  Values and changes share one format, and
-one writer and one reader, built once per (type, value or change) and
-memoised, as core's ⊕ is, except at replacement scalars and sums:
+one writer and one reader, built as a pair once per (type, value or change)
+and memoised, as core's ⊕ is, except at replacement scalars and sums:
 
   scalars        numbers / strings / null; a replacement-style scalar's
                  change is "keep" or {"set": s}
@@ -57,39 +57,8 @@ def index_from_json(j):
 # change=False reads or writes a value, change=True a change.
 
 @cache
-def _writer(ty, change):
-    match ty:
-        case TBase(base):
-            if change and base.kind == "scalar":
-                return lambda x: "keep" if x is KEEP else {"set": x}
-            return lambda x: x
-        case TCont(_, elem):
-            w = _writer(elem, change)
-            return lambda x: [[index_to_json(i), w(e)]
-                              for i, e in sorted(x.items(), key=lambda kv: index_sort_key(kv[0]))]
-        case TProd(a, b):
-            wa, wb = _writer(a, change), _writer(b, change)
-            return lambda x: [wa(x[0]), wb(x[1])]
-        case TSum(a, b):
-            forms = {cls: (tag, _writer(b if side else a, sub), sub)
-                     for cls, (tag, side, sub) in SUM_FORMS[change].items()}
-
-            def write_sum(x):
-                form = forms.get(type(x))
-                if form is not None:
-                    tag, w, sub = form
-                    return {tag: w(x.change if sub else x.value)}
-                if change and x is SUM_NULL:
-                    return "null"
-                raise ConformanceError(f"bad sum change {x!r}" if change
-                                       else f"expected an injection, got {x!r}")
-            return write_sum
-        case _:
-            raise UsageError(f"not a type: {ty!r}")
-
-
-@cache
-def _reader(ty, change):
+def _codec(ty, change):
+    """(write, read) for ty's values or changes: Python value <-> JSON."""
     match ty:
         case TBase(base):
             if change and base.kind == "scalar":
@@ -99,12 +68,13 @@ def _reader(ty, change):
                     if isinstance(j, dict) and set(j) == {"set"}:
                         return j["set"]
                     raise ConformanceError(f"bad scalar change: {j!r}")
-                return read_scalar
+                return lambda x: "keep" if x is KEEP else {"set": x}, read_scalar
             if base.kind == "real":
-                return lambda j: float(j) if type(j) is int else j
-            return lambda j: j
+                return (lambda x: x), lambda j: float(j) if type(j) is int else j
+            return (lambda x: x), (lambda j: j)
         case TCont(_, elem):
-            r, kind = _reader(elem, change), "change" if change else "mapping"
+            w, r = _codec(elem, change)
+            kind = "change" if change else "mapping"
 
             def read_entries(j):
                 if not isinstance(j, list):
@@ -115,19 +85,33 @@ def _reader(ty, change):
                         raise ConformanceError(f"bad {kind} entry: {entry!r}")
                     out[index_from_json(entry[0])] = r(entry[1])
                 return out
-            return read_entries
+            return (lambda x: [[index_to_json(i), w(e)] for i, e in
+                               sorted(x.items(), key=lambda kv: index_sort_key(kv[0]))],
+                    read_entries)
         case TProd(a, b):
-            ra, rb, pair = _reader(a, change), _reader(b, change), " change" if change else ""
+            (wa, ra), (wb, rb) = _codec(a, change), _codec(b, change)
+            pair = " change" if change else ""
 
             def read_pair(j):
                 if not (isinstance(j, list) and len(j) == 2):
                     raise ConformanceError(f"expected a pair{pair}, got {j!r}")
                 return (ra(j[0]), rb(j[1]))
-            return read_pair
+            return lambda x: [wa(x[0]), wb(x[1])], read_pair
         case TSum(a, b):
-            tags = {tag: (cls, _reader(b if side else a, sub))
-                    for cls, (tag, side, sub) in SUM_FORMS[change].items()}
+            forms = {cls: (tag, *_codec(b if side else a, sub), sub)
+                     for cls, (tag, side, sub) in SUM_FORMS[change].items()}
+            tags = {tag: (cls, r) for cls, (tag, _, r, _) in forms.items()}
             bad = "bad sum change:" if change else "expected an injection, got"
+
+            def write_sum(x):
+                form = forms.get(type(x))
+                if form is not None:
+                    tag, w, _, sub = form
+                    return {tag: w(x.change if sub else x.value)}
+                if change and x is SUM_NULL:
+                    return "null"
+                raise ConformanceError(f"bad sum change {x!r}" if change
+                                       else f"expected an injection, got {x!r}")
 
             def read_sum(j):
                 if isinstance(j, dict) and len(j) == 1:
@@ -138,42 +122,38 @@ def _reader(ty, change):
                 elif change and j == "null":
                     return SUM_NULL
                 raise ConformanceError(f"{bad} {j!r}")
-            return read_sum
+            return write_sum, read_sum
         case _:
             raise UsageError(f"not a type: {ty!r}")
 
 
 def value_to_json(ty, v):
-    return _writer(ty, False)(v)
+    return _codec(ty, False)[0](v)
 
 
 def value_from_json(ty, j):
-    return _reader(ty, False)(j)
+    return _codec(ty, False)[1](j)
 
 
 def value_to_text(ty, v) -> str:
-    return json.dumps(_writer(ty, False)(v), separators=(",", ":"))
+    return json.dumps(_codec(ty, False)[0](v), separators=(",", ":"))
 
 
 def value_from_text(ty, text) -> object:
-    return _reader(ty, False)(json.loads(text))
+    return _codec(ty, False)[1](json.loads(text))
 
 
 def change_to_text(ty, d) -> str:
-    return json.dumps(_writer(ty, True)(d), separators=(",", ":"))
+    return json.dumps(_codec(ty, True)[0](d), separators=(",", ":"))
 
 
 def change_from_text(ty, text) -> object:
-    return _reader(ty, True)(json.loads(text))
+    return _codec(ty, True)[1](json.loads(text))
 
 
 # ---------------------------------------------------------------------------
 # Types and shapes
 # ---------------------------------------------------------------------------
-
-def shape_to_text(shape: Shape) -> str:
-    return f"{shape.container.id}[{shape.container.payload_to_text(shape.payload)}]"
-
 
 def type_to_text(ty) -> str:
     def go(t, level):
@@ -182,7 +162,7 @@ def type_to_text(ty) -> str:
             case TBase(base):
                 return base.tag
             case TCont(shape, elem):
-                s = f"{shape_to_text(shape)} {go(elem, 2)}"
+                s = f"{shape!r} {go(elem, 2)}"
                 return s if level <= 2 else f"({s})"
             case TProd(a, b):
                 s = f"{go(a, 2)} * {go(b, 1)}"

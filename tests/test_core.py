@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import gc
 import os
 import pickle
 import random
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import deltic
+from deltic import core
 from deltic.calculus import Cst, TermTypeError, typecheck
 from deltic.core import (
     INT, KEEP, NAT, REAL, SCALAR, SUM_NULL, Cl, Cr, Left, Right, Sl, Sr,
@@ -565,22 +567,23 @@ def _wide_product(k):
 
 
 def test_a_type_hashes_once_however_deep():
-    # each type stores its hash, made from its fields' stored hashes: a
-    # 2,000-component product hashes without recursing (800 used to fail)
+    # types are interned: a 2,000-component product built twice is one
+    # object, which hashes by identity without recursing (800 used to fail)
+    assert sys.getrecursionlimit() <= 1000
     a, b = _wide_product(2_000), _wide_product(2_000)
-    assert a is not b and hash(a) == hash(b)
-    assert hash(a) != hash(_wide_product(1_999))
-    assert hash(TSum(R, Z)) == hash(TSum(R, Z)) and TSum(R, Z) != TSum(Z, R)
-    assert hash(arr(3, R)) == hash(TCont(Shape(ARRAY, 3), R))
-    assert hash(rel_shape(("int", "str"))) == hash(rel_shape(("int", "str")))
+    assert a is b and hash(a) == hash(b)
+    assert a.right is _wide_product(1_999) and hash(a) != hash(a.right)
+    assert TSum(R, Z) is TSum(R, Z) and TSum(R, Z) is not TSum(Z, R)
+    assert arr(3, R) is TCont(Shape(ARRAY, 3), R)
+    assert rel_shape(("int", "str")) is rel_shape(("int", "str"))
 
 
 def test_products_compare_without_recursion():
-    # == walks the right spine in a loop: at the default recursion limit,
-    # 2,000-component products built apart compare (400 used to fail)
+    # at the default recursion limit, 2,000-component products built apart
+    # are one object, so they compare by identity (400 used to fail)
     assert sys.getrecursionlimit() <= 1000
     a, b = _wide_product(2_000), _wide_product(2_000)
-    assert a is not b and a == b and not a != b and {a: 1}[b] == 1
+    assert a is b and a == b and not a != b and {a: 1}[b] == 1
     assert a != _wide_product(1_999) and _wide_product(1_999) != a
     for k in (0, 1_000, 1_998):
         # one component differs: the k-th left, or the innermost right
@@ -591,31 +594,28 @@ def test_products_compare_without_recursion():
         ty = TProd(TSum(R, Z), ty.right) if k < 1_998 else TProd(ty.left, Z)
         for left in reversed(spine):
             ty = TProd(left, ty)
-        assert a != ty and ty != a and not a == ty
+        assert ty is not a and a != ty and ty != a and not a == ty
 
 
 @pytest.mark.parametrize("nest", [lambda ty, c: TSum(c, ty), lambda ty, c: TProd(ty, c)],
                          ids=["right-nested-sum", "left-nested-product"])
 def test_sums_and_left_nested_products_compare_without_recursion(nest):
-    # == walks both trees with an explicit stack: at the default recursion
-    # limit, 2,000-wide sums and left-nested products built apart compare
-    # (400 used to fail); one differing component makes them unequal, also
-    # when every stored hash is forged equal, so the walk itself decides
+    # at the default recursion limit, 2,000-wide sums and left-nested
+    # products built apart are one object, which hashes and compares by
+    # identity (400 used to fail); one differing component, first, middle or
+    # last, makes another object
     assert sys.getrecursionlimit() <= 1000
 
-    def wide(odd=None, forged=False):
+    def wide(odd=None):
         ty = R
         for i in range(1, 2_000):
             ty = nest(ty, Z if i == odd else R)
-            if forged:
-                ty.__dict__["_hash"] = 0
         return ty
     a, b = wide(), wide()
-    assert a is not b and a == b and not a != b and {a: 1}[b] == 1
-    assert wide(forged=True) == wide(forged=True)
+    assert a is b and a == b and not a != b and {a: 1}[b] == 1
     for odd in (1, 1_000, 1_999):
-        assert a != wide(odd) and wide(odd) != a and not a == wide(odd)
-        assert wide(forged=True) != wide(odd, forged=True)
+        other = wide(odd)
+        assert other is not a and a != other and other != a and not a == other
 
 
 def test_equal_types_built_apart_hit_one_cache_entry():
@@ -633,7 +633,8 @@ def test_equal_types_built_apart_hit_one_cache_entry():
 
 
 def test_a_pickled_type_hashes_as_one_built_here():
-    # a str's hash differs per process, so the stored hash must not travel
+    # a str's hash differs per process, so a pickle carries the fields and
+    # the constructor hands back the one type built here
     src = str(Path(deltic.__file__).resolve().parents[1])
     code = ("import pickle, sys; from deltic.core import *; "
             "sys.stdout.write(pickle.dumps(TProd(TBase(REAL), TSum(TBase(INT), TBase(REAL)))).hex())")
@@ -642,13 +643,33 @@ def test_a_pickled_type_hashes_as_one_built_here():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     here = TProd(R, TSum(Z, R))
-    there = pickle.loads(bytes.fromhex(proc.stdout))
-    assert there == here and hash(there) == hash(here) and {here: 1}[there] == 1
-    assert hash(pickle.loads(pickle.dumps(here))) == hash(here)
+    assert pickle.loads(bytes.fromhex(proc.stdout)) is here
+    assert pickle.loads(pickle.dumps(here)) is here
     # a container's shape holds its functions, so it copies but does not pickle
     for ty in (here, arr(3, R), rel_shape(("int", "str"))):
-        for twin in (copy.copy(ty), copy.deepcopy(ty)):
-            assert twin == ty and hash(twin) == hash(ty)
+        assert copy.copy(ty) is ty and copy.deepcopy(ty) is ty
+
+
+def test_a_type_cannot_change():
+    # every holder shares the one interned object, so no field may change
+    ty = TCont(Shape(ARRAY, 3), TProd(R, TSum(Z, R)))
+    for obj, name in [(ty, "elem"), (ty.shape, "payload"), (ty.elem, "left"),
+                      (ty.elem.right, "right"), (R, "base"), (ty, "extra")]:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, Z)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert ty.elem.left is R and ty.shape.payload == 3 and ty is arr(3, TProd(R, TSum(Z, R)))
+
+
+def test_dead_types_leave_the_intern_table():
+    gc.collect()
+    before = len(core._INTERNED)
+    alive = [TProd(arr(n, R), Z) for n in range(10_000)]
+    assert len(core._INTERNED) >= before + 10_000
+    del alive
+    gc.collect()
+    assert len(core._INTERNED) == before
 
 
 @pytest.mark.parametrize("one", [SUM_NULL, KEEP], ids=repr)

@@ -248,3 +248,24 @@ def test_term_text_examples():
     assert t.value == (1.5, 2)
     t = term_from_text('set([3, "k"])', reg)
     assert t.index == (3, "k")
+
+
+def test_a_stream_written_with_a_type_built_apart_shares_the_program_codec():
+    # perfbench's let chain writes its change lines with its own
+    # TProd(vec, vec) and reads them through the compiled program's in_ty:
+    # both are one interned object, so one codec entry serves every line
+    from deltic.frontend import compile_program, parse_program_file
+    from deltic.serialize import _codec
+    vec = arr(1000, TBase(REAL))
+    ty = TProd(vec, vec)
+    line = change_to_text(ty, ({0: 0.5, 7: -1.0}, {}))
+    lets = "".join(f"let h{i} = map relu # map2 add # ({f'h{i - 1}' if i > 1 else 'x'}, b);\n"
+                   for i in range(1, 4))
+    bundle, prog = parse_program_file("bundle linalg\nparam x : arr[1000] real\n"
+                                      f"param b : arr[1000] real\n\n{lets}h3\n")
+    tt = compile_program(prog, bundle.registry, bundle.literal_base)
+    assert tt.in_ty is ty
+    misses = _codec.cache_info().misses
+    for read_ty in (tt.in_ty, ty):
+        assert change_from_text(read_ty, line) == ({0: 0.5, 7: -1.0}, {})
+    assert _codec.cache_info().misses == misses
