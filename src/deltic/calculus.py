@@ -210,9 +210,11 @@ class MapKernel(NamedTuple):
     """The kernels of `map op`, for an op with fn(ε_in) = ε_out.  batch(x)
     is {i: fn(xi)} over x's keys, in x's order, without the entries equal to
     ε_out, as run_map gives.  step(dx, c) is the Triv step on the cache c
-    (index -> input element, owned, updated in place): for each (i, di) of
-    dx, in order, it stores c[i] = c.get(i, ε_in) ⊕ di and emits fn(new) ⊖
-    fn(old) when not nil; it returns (dy, c)."""
+    (index -> input element, owned, updated in place; a dict, or over a
+    finite array of reals a packed array('d'), see incr._keeper): for each
+    (i, di) of dx, in order, it reads old = c[i], ε_in when c is a dict
+    without i (KeyError), stores c[i] = old ⊕ di and emits fn(new) ⊖ fn(old)
+    when not nil; it returns (dy, c)."""
 
     batch: Callable[[dict], dict]
     step: Callable[[dict, dict], tuple]

@@ -28,9 +28,12 @@ def _relu_batch(v):
 
 def _relu_step(dx, c):
     """`map relu`'s Triv step (MapKernel.step) with _relu, ⊕ and ⊖ inlined."""
-    out, get = {}, c.get
+    out = {}
     for i, di in dx.items():
-        x = get(i, 0.0)
+        try:
+            x = c[i]
+        except KeyError:
+            x = 0.0
         c[i] = x2 = x + di
         dy = (x2 if x2 > 0 else 0.0) - (x if x > 0 else 0.0)
         if dy:

@@ -75,15 +75,18 @@ The zip slot stays UNIT and the stage is cache-free, as before.
 
 A map whose body is a Triv machine (comb_triv sets `triv` to its fn) runs fn
 inline as a kernel: init keeps each input element as its entry's sub-cache
-(when f(ε) = ε, in one clone of the input dict) and calls fn once per entry,
-and step computes fn(x ⊕ dx) ⊖ fn(x) per changed key and stores x ⊕ dx, with
-no per-entry machine call.  The cache is the one the per-entry Triv machines
-keep, so the descriptor, cache_to_json and cache_entry_count are unchanged;
-an op's Triv body, which op_machine builds from the op's fn, runs on it the
-op's OpDef.mapped kernels, if any (calculus.map_kernel).  The fused
-`zip ; map f` stage is built by the same code, so it gets the generic
-kernel; there a change with one side empty walks the other side's dict and
-⊕s only that component of each cached pair.
+and calls fn once per entry, and step computes fn(x ⊕ dx) ⊖ fn(x) per
+changed key and stores x ⊕ dx, with no per-entry machine call.  init picks
+the cache's layout from its input (_keeper): over a finite array of reals
+whose support is at least n/8, one array('d') of n slots, else a dict (one
+clone of the input when f(ε) = ε).  A step reads c[i], a missing key as ε,
+and writes c[i] in place, so it serves both layouts.  The descriptor stays
+CIndexed, whose readers see a packed cache as the dict of its non-zero
+slots (_entries); an op's Triv body, which op_machine builds from the op's
+fn, runs on it the op's OpDef.mapped kernels, if any (calculus.map_kernel).
+The fused `zip ; map f` stage is built by the same code, so it gets the
+generic kernel; there a change with one side empty walks the other side's
+dict and ⊕s only that component of each cached pair.
 
 The join rule, `op ; dup ; (cst ε × id) ; filter p` (a selection σ_p
 after an op, where ε is the element default, so σ_p is linear), is built as
@@ -132,15 +135,18 @@ The laws every machine satisfies (checked by the oracle module, not assumed):
 
 from __future__ import annotations
 
+from array import array
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from functools import cache
 from itertools import chain, groupby, repeat
+from operator import itemgetter
+from struct import Struct
 from typing import Any, Callable, Optional
 
 from . import calculus as ca
 from .core import (
-    SUM_NULL, Cl, Cr, Left, Right, Sl, Sr, TBase, TCont, TProd, TSum,
+    REAL, SUM_NULL, Cl, Cr, Left, Right, Sl, Sr, TBase, TCont, TProd, TSum,
     UsageError, add_fn, apply_fn, default_value, diff_fn, is_nil_fn, nil_change,
     own_copy, plus_capable, update_fn, values_are_changes, values_equal,
     index_sort_key,
@@ -191,7 +197,8 @@ class CIndexed:
     """Per-index sub-caches with a lazily instantiable default entry.
 
     Indices absent from the runtime dict are logically make_default();
-    equality and serialization treat them that way.
+    equality and serialization treat them that way.  A Triv map's cache may
+    instead be a packed array('d') (see _keeper), read through _entries.
     """
     shape: Any
     elem: Any
@@ -223,6 +230,7 @@ def cache_equal(desc, c1, c2, rel_tol=0.0) -> bool:
         case CValue(ty):
             return values_equal(ty, c1, c2, rel_tol)
         case CIndexed(_, elem, make_default):
+            c1, c2 = _entries(c1), _entries(c2)
             keys = c1.keys() | c2.keys()
             for k in keys:
                 e1 = c1[k] if k in c1 else make_default()
@@ -254,6 +262,7 @@ def cache_to_json(desc, c):
             return {"value": value_to_json(ty, c)}
         case CIndexed(_, elem, make_default):
             dft = make_default()
+            c = _entries(c)
             entries = []
             for k in _sorted(c):
                 if not cache_equal(elem, c[k], dft, 0.0):
@@ -271,6 +280,12 @@ def cache_to_json(desc, c):
                                    value_to_json(right_out, c.value[1])]}
         case _:
             raise UsageError(f"not a cache descriptor: {desc!r}")
+
+
+def _entries(c):
+    """An indexed cache as a dict: a packed array('d') reads as the dict of
+    its non-zero slots, so both layouts compare, print and count alike."""
+    return c if type(c) is dict else {i: v for i, v in enumerate(c) if v}
 
 
 def _matched(buckets):
@@ -306,8 +321,8 @@ def _counter(desc):
         case CIndexed(_, elem, _) | TCont(_, elem):
             k, count = _counter(elem)
             if k is not None:
-                return None, lambda c: k * len(c)
-            return None, lambda c: sum(map(count, c.values()))
+                return None, lambda c: k * len(_entries(c))
+            return None, lambda c: sum(map(count, _entries(c).values()))
         case TSum(a, b):
             return _branches(_counter(a), _counter(b))
         case CCase(left, left_out, right, right_out):
@@ -727,19 +742,22 @@ def _map_machine(tt, entries, zipped=False):
             return out, c
     else:
         # Triv kernel: the sub-cache of an entry is its input element, so
-        # fn runs inline on it, with the layout comb_triv's caches have.
+        # fn runs inline on it, with the entries comb_triv's caches have.
         ap = apply_fn(elem_in)
         df = diff_fn(elem_out)
+        keep = _keeper(shape, elem_in)
 
         def init(x):
             fe = fn(din)
             if fe == dout:
-                # the support, as map_inputs gives it, in one C-level clone
-                caches = x if zipped else x.copy()
+                # the support, as map_inputs gives it, packed or in one
+                # C-level clone
+                full, caches = x, keep(x, zipped)
             else:
-                caches = dict(ca.map_inputs(x, fe, shape, din, dout))
+                # every index, as the per-entry machines keep it
+                full = caches = dict(ca.map_inputs(x, fe, shape, din, dout))
             out = {}
-            for i, xi in caches.items():
+            for i, xi in full.items():
                 y = fn(xi)
                 if y != dout:
                     out[i] = y
@@ -747,9 +765,11 @@ def _map_machine(tt, entries, zipped=False):
 
         def step(dx, c):
             out = {}
-            get = c.get
             for i, di in entries(dx):
-                x = get(i, din)
+                try:
+                    x = c[i]
+                except KeyError:
+                    x = din
                 x2 = ap(x, di)
                 dy = df(fn(x2), fn(x))
                 c[i] = x2
@@ -760,10 +780,42 @@ def _map_machine(tt, entries, zipped=False):
         step = _one_sided(step, fn, elem_in, din, df, out_nil) if zipped else step
         kernel = None if zipped else ca.map_kernel(tt)
         if kernel:
-            init, step = (lambda x, _b=kernel.batch: (_b(x), x.copy())), kernel.step
+            init, step = (lambda x, _b=kernel.batch: (_b(x), keep(x, False))), kernel.step
 
     desc = CIndexed(shape, mf.cache, make_default)
     return IncrMachine(tt.in_ty, tt.out_ty, desc, init, step)
+
+
+@cache
+def _keeper(shape, elem):
+    """keep(x, owned): a Triv map's cache for the input x, index -> element.
+
+    Over a finite array of reals (indices 0..n-1) whose support is at least
+    n/8, it is one array('d') of n slots, 0.0 where x has no entry: a dict
+    entry and its float take about 60 B, as much as 8 packed slots.
+    Otherwise it is x, or a copy of x unless owned."""
+    indices = shape.indices() if elem == TBase(REAL) else None
+    n = len(indices or ())
+    if indices != list(range(n)):
+        return _own
+    every = itemgetter(*range(n)) if n > 1 else None
+    # the slots gathered in C and written by one Struct into a buffer of
+    # exactly n slots: array('d', floats) converts item by item, at about
+    # twice the cost, and array('d', bytes) over-allocates by 1/16
+    pack_into = Struct(f"{n}d").pack_into
+
+    def keep(x, owned):
+        if 8 * len(x) < n:
+            return _own(x, owned)
+        c = array("d", (0.0,)) * n
+        pack_into(c, 0, *(every(x) if every and len(x) == n
+                          else map(x.get, range(n), repeat(0.0))))
+        return c
+    return keep
+
+
+def _own(x, owned):
+    return x if owned else x.copy()
 
 
 def _one_sided(both, fn, elem_in, din, df, out_nil):

@@ -57,3 +57,24 @@ def test_ratio_lines_count_the_pairs_the_change_side_won():
     # throughput is better when higher: the count follows BENCHMARK.json
     assert pairs["throughput_cps"] == "10/10"
     assert all("better_pairs" in x for x in lines if x["side"] == "ratio")
+
+
+def test_ratio_lines_count_the_pairs_the_change_side_lost():
+    lines = [json.loads(line) for line in _run().splitlines()]
+    by_key = {(x["pr"], x["workload"], x["side"]): x for x in lines}
+    # BENCH_31's let-chain: ten wins on p50 are no losses, and cache_bytes,
+    # equal per seed, reads 0/10 on both sides, so ten ties read as ties
+    ratio = by_key[31, "let-chain", "ratio"]
+    assert ratio["worse_pairs"]["latency_p50_us"] == "0/10"
+    assert ratio["better_pairs"]["cache_bytes"] == ratio["worse_pairs"]["cache_bytes"] == "0/10"
+    # BENCH_36's rel-join: p50 per-pair ratios read above 1 in 8 of 11 pairs
+    # (lower is better), throughput below 1 in the same 8 (higher is better)
+    ratio = by_key[36, "rel-join", "ratio"]
+    assert ratio["worse_pairs"]["latency_p50_us"] == "8/11"
+    assert ratio["worse_pairs"]["throughput_cps"] == "8/11"
+    for x in lines:
+        if x["side"] == "ratio":
+            for name, won in x["better_pairs"].items():
+                k, n = map(int, won.split("/"))
+                lost, total = map(int, x["worse_pairs"][name].split("/"))
+                assert total == n and k + lost <= n

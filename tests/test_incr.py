@@ -2,6 +2,7 @@
 
 import sys
 import tracemalloc
+from array import array
 from contextlib import nullcontext
 from dataclasses import replace
 
@@ -19,7 +20,7 @@ from deltic.core import (
     values_equal,
 )
 from deltic.domains import gcounter, linalg, relalg
-from deltic.domains.containers import ARRAY, RELATION, arr, arr_shape, rel_shape
+from deltic.domains.containers import ARRAY, RELATION, arr, arr_shape, dict_shape, rel_shape
 from deltic.incr import (
     CUnit, cache_entry_count, cache_equal, cache_to_json, comb_add,
     comb_bilin, comb_lin, comb_self, comb_triv, comb_triv2,
@@ -1002,6 +1003,11 @@ def _kernel_cases():
     return [pytest.param(reg, term, ty, id=name) for name, reg, term, ty in [
         # f(ε) = ε: init visits x's entries only
         ("linalg-relu", lin, Map(OpCall("relu")), arr(8, R)),
+        # a real array of 64: the cache is packed from 8 entries, and draws
+        # and changes cross that support both ways
+        ("linalg-relu-packed", lin, Map(OpCall("relu")), arr(64, R)),
+        ("generic-packed", _with_op(linalg.register_linalg().registry, "halve", R,
+                                    lambda x: 0.5 * x), Map(OpCall("halve")), arr(64, R)),
         ("linalg-mul", lin, map2(OpCall("mul")), TProd(arr(8, R), arr(8, R))),
         ("relalg-intmul", relalg.register_relalg().registry, map2(OpCall("intmul")),
          TProd(relalg.rel("int"), relalg.rel("int"))),
@@ -1064,6 +1070,105 @@ def test_triv_kernel_keeps_the_support_error_over_a_relation(monkeypatch):
         with pytest.raises(SupportError) as e:
             m.init({3: 1})
         assert str(e.value) == text
+
+
+@pytest.mark.parametrize("op", ["relu", "halve"])
+def test_a_triv_map_over_a_real_array_packs_from_n_over_8(op):
+    # relu steps by its registered kernel, halve by the generic Triv kernel.
+    # init packs the cache when x holds at least n/8 entries, else keeps a
+    # dict (an empty x too); a step keeps the layout it is handed, so
+    # streams that cross n/8 up and down make Law-3 compare a packed cache
+    # with a dict one
+    n = 64
+    ty = arr(n, R)
+    reg = _with_op(linalg.register_linalg().registry, "halve", R, lambda x: 0.5 * x)
+    tt = typecheck(Map(OpCall(op)), ty, reg)
+    m = incrementalize(tt)
+    rng = stable_rng(38, f"packed-{op}")
+    dense = {i: round(rng.uniform(0.5, 4.0), 3) * rng.choice([-1, 1]) for i in range(n)}
+    first = list(dense.items())
+    eighth, below = dict(first[:n // 8]), dict(first[:n // 8 - 1])
+    for x, packed in [(dense, True), (eighth, True), (below, False), ({}, False)]:
+        _, c = m.init(x)
+        assert (type(c) is array) == packed
+        if packed:
+            assert c.tolist() == [x.get(i, 0.0) for i in range(n)]
+        else:
+            assert c == x and c is not x
+    up = {i: 1.5 for i in range(n // 8 - 1, n // 4)}
+    back = {i: -1.5 for i in up}
+    down = {i: -v for i, v in first[n // 8 - 1:]}
+    for x, d1, d2 in [(below, up, back), (dense, down, up)]:
+        y, c, x = step_through(m, x, [d1])
+        c2 = m.init(x)[1]
+        assert type(c) is not type(c2)
+        assert values_equal(tt.out_ty, y, denote(tt, x), 1e-9)  # Law-2
+        assert cache_equal(m.cache, c, c2) and cache_equal(m.cache, c2, c)  # Law-3
+        assert cache_to_json(m.cache, c) == cache_to_json(m.cache, c2)
+        assert cache_entry_count(m.cache, c) == cache_entry_count(m.cache, c2) == len(x)
+        # and back across n/8, the stepped cache still in its first layout
+        dy, c = m.step(d2, c)
+        x = apply_change(ty, x, d2)
+        assert values_equal(tt.out_ty, apply_change(tt.out_ty, y, dy), denote(tt, x), 1e-9)
+        assert cache_equal(m.cache, c, m.init(x)[1])
+
+
+def _arrays(c):
+    """Every array reachable from a cache through tuples, lists and dicts."""
+    found, todo = [], [c]
+    while todo:
+        o = todo.pop()
+        if type(o) is array:
+            found.append(o)
+        elif type(o) in (tuple, list, dict):
+            todo.extend(o.values() if type(o) is dict else o)
+    return found
+
+
+def test_a_let_chain_keeps_each_relu_cache_in_one_buffer():
+    # 100 stages at n = 1,000: every `map relu` caches its dense input in
+    # one array of 8·n bytes plus the array header, before and after steps
+    stages, n = 100, 1000
+    tt = _let_chain(stages, n)
+    m = incrementalize(tt)
+    rng = stable_rng(38, "let-chain-packed")
+    x = ({i: rng.uniform(-1, 1) for i in range(n)}, {i: rng.uniform(-1, 1) for i in range(n)})
+    ds = [({i: rng.uniform(-1, 1) for i in rng.sample(range(n), 10)}, {}) for _ in range(3)]
+    y, c, x = step_through(m, x, ds)
+    assert values_equal(tt.out_ty, y, denote(tt, x), 1e-9)
+    assert cache_equal(m.cache, c, m.init(x)[1], 1e-9)
+    for cache in (m.init(x)[1], c):
+        buffers = _arrays(cache)
+        assert len(buffers) == stages
+        assert {(len(a), sys.getsizeof(a)) for a in buffers} == {
+            (n, sys.getsizeof(array("d")) + 8 * n)}
+
+
+def test_a_sparse_real_array_keeps_a_dict_cache():
+    # 10 entries of 100,000 are far below n/8: the cache is a 10-entry dict
+    tt = typecheck(Map(OpCall("relu")), arr(100_000, R), linalg.register_linalg().registry)
+    m = incrementalize(tt)
+    x = {i * 9_973: (-1.0) ** i * (i + 0.5) for i in range(10)}
+    _, c = m.init(x)
+    assert type(c) is dict and c == x and len(c) == 10
+    dy, c = m.step({1: 2.0, 9_973: 5.0}, c)
+    assert dy == {1: 2.0, 9_973: 3.5}
+    assert type(c) is dict and len(c) == 11
+    assert cache_equal(m.cache, c, m.init(apply_change(m.in_ty, x, {1: 2.0, 9_973: 5.0}))[1])
+
+
+def test_map_relu_over_a_string_keyed_dict_steps_new_keys():
+    # an infinite index set always keeps the dict layout; a key new to the
+    # cache reads as ε = 0.0 in relu's step
+    ty = TCont(dict_shape("str"), R)
+    tt = typecheck(Map(OpCall("relu")), ty, linalg.register_linalg().registry)
+    m = incrementalize(tt)
+    x = {"a": 1.0, "b": -2.0}
+    ds = [{"c": 3.0, "d": -1.0}, {"a": -2.0, "e": 0.5, "c": -3.0}]
+    y, c, x = step_through(m, x, ds)
+    assert type(c) is dict and set(c) == {"a", "b", "c", "d", "e"}
+    assert values_equal(tt.out_ty, y, denote(tt, x), 1e-9)
+    assert cache_equal(m.cache, c, m.init(x)[1])
 
 
 def _dense(n):
@@ -1136,7 +1241,9 @@ def _reference_count(desc, c):
         case incr.CValue(ty):
             return scalars(ty, c)
         case incr.CIndexed(_, elem, _):
-            return sum(_reference_count(elem, sub) for sub in c.values())
+            # a packed Triv cache counts its non-zero slots
+            subs = c.values() if type(c) is dict else [v for v in c if v]
+            return sum(_reference_count(elem, sub) for sub in subs)
         case incr.CCase(left, left_out, right, right_out):
             sub, out_ty = (left, left_out) if type(c) is Left else (right, right_out)
             return _reference_count(sub, c.value[0]) + scalars(out_ty, c.value[1])
@@ -1159,6 +1266,7 @@ def test_cache_entry_count_matches_the_recursive_count():
         (CT((CUnit(), CV(R), CV(TProd(R, Z)))), (UNIT, 1.0, (1.0, 2)), 3),
         (CT((CV(R), CV(arr(3, R)))), (1.0, {0: 1.0, 1: 2.0}), 3),
         (CI(a3, CV(R), float), {0: 1.0, 2: 2.0}, 2),
+        (CI(a3, CV(R), float), array("d", [1.0, 0.0, 2.0]), 2),
         (CI(a3, CUnit(), lambda: UNIT), {0: UNIT, 1: UNIT}, 0),
         (CI(a3, CV(arr(2, R)), dict), {0: {0: 1.0}, 1: {0: 1.0, 1: 2.0}}, 3),
         (CI(a2, CI(a3, CV(R), float), dict), {0: {0: 1.0}, 1: {1: 1.0, 2: 2.0}}, 3),

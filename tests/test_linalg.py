@@ -1,5 +1,7 @@
 """Linear algebra catalog vs textbook oracles."""
 
+from array import array
+
 import pytest
 
 from deltic.calculus import TermTypeError, Zip, compiled, denote, typecheck
@@ -138,6 +140,11 @@ def test_dense_cache_holds_2nm_plus_n(bundle):
     x = {i: rng.uniform(-1, 1) for i in range(m)}
     _, cache = machine.init(x)
     assert cache_entry_count(machine.cache, cache) == 2 * n * m + n
+    # and after 20 steps, with relu's input cached in a packed array
+    for _ in range(20):
+        _, cache = machine.step({rng.randrange(m): rng.uniform(-1, 1)}, cache)
+    assert cache_entry_count(machine.cache, cache) == 2 * n * m + n
+    assert any(type(c) is array for c in cache)
 
 
 def test_dense_setup_checks_and_zips_rows_in_bulk(bundle):

@@ -6,10 +6,12 @@ this prints, per workload and side, the median of each end-to-end metric
 (the "end_to_end" names of BENCHMARK.json) over the record's untraced runs,
 sorted by the record's number n, printed as "pr".  A workload with both a
 "parent" and a "change" side gets one more line, side "ratio", holding the
-change median divided by the parent median of each metric, and "better_pairs":
+change median divided by the parent median of each metric, "better_pairs":
 per metric, in how many matched runs (one parent and one change run of the
 same seed and pair, taken in file order) the change side was better, lower
-or higher as the metric's "better" field says, printed as "k/n".  Traced
+or higher as the metric's "better" field says, printed as "k/n", and
+"worse_pairs", the same count of pairs where it was worse, so that n ties
+(a deterministic metric that did not move) read "0/n" in both.  Traced
 runs and entries of any other shape are skipped, and their counts go to
 standard error.
 Standard library only.
@@ -35,17 +37,20 @@ def _is_result_line(run):
             and isinstance(run["result"].get("metrics"), dict))
 
 
-def _better_pairs(pairs, names, better):
-    """{name: "k/n"}: of the n (parent, change) metric pairs holding name,
-    the k whose change value is better, as better[name] says."""
-    counts = {}
+def _pair_counts(pairs, names, better):
+    """({name: "k/n"}, {name: "l/n"}): of the n (parent, change) metric pairs
+    holding name, the k whose change value is better, as better[name] says,
+    and the l whose change value is worse."""
+    wins, losses = {}, {}
     for name in names:
         values = [(p, c) for pm, cm in pairs
                   if (p := _value(pm.get(name))) is not None
                   and (c := _value(cm.get(name))) is not None]
-        wins = sum((c < p) if better[name] == "lower" else (c > p) for p, c in values)
-        counts[name] = f"{wins}/{len(values)}"
-    return counts
+        if better[name] == "higher":
+            values = [(-p, -c) for p, c in values]
+        wins[name] = f"{sum(c < p for p, c in values)}/{len(values)}"
+        losses[name] = f"{sum(c > p for p, c in values)}/{len(values)}"
+    return wins, losses
 
 
 def trend(root: Path):
@@ -84,8 +89,9 @@ def trend(root: Path):
                          if parent.get(name) and name in change}
                 pairs = [pair for (w, *_), sides in by_seed.items() if w == workload
                          for pair in zip(sides.get("parent", []), sides.get("change", []))]
+                wins, losses = _pair_counts(pairs, ratio, better)
                 lines.append({"pr": pr, "workload": workload, "side": "ratio", **ratio,
-                              "better_pairs": _better_pairs(pairs, ratio, better)})
+                              "better_pairs": wins, "worse_pairs": losses})
     return lines, skipped, traced
 
 
