@@ -141,7 +141,7 @@ from dataclasses import dataclass, replace
 from functools import cache
 from itertools import chain, groupby, repeat
 from operator import itemgetter
-from struct import Struct
+from struct import pack_into
 from typing import Any, Callable, Optional
 
 from . import calculus as ca
@@ -151,6 +151,7 @@ from .core import (
     own_copy, plus_capable, update_fn, values_are_changes, values_equal,
     index_sort_key,
 )
+from .domains.containers import ARRAY
 from .serialize import index_to_json, value_to_json
 
 
@@ -321,8 +322,9 @@ def _counter(desc):
         case CIndexed(_, elem, _) | TCont(_, elem):
             k, count = _counter(elem)
             if k is not None:
-                return None, lambda c: k * len(_entries(c))
-            return None, lambda c: sum(map(count, _entries(c).values()))
+                return None, lambda c: k * (
+                    len(c) if type(c) is dict else len(c) - c.count(0.0))
+            return None, lambda c: sum(map(count, c.values()))
         case TSum(a, b):
             return _branches(_counter(a), _counter(b))
         case CCase(left, left_out, right, right_out):
@@ -752,7 +754,7 @@ def _map_machine(tt, entries, zipped=False):
             if fe == dout:
                 # the support, as map_inputs gives it, packed or in one
                 # C-level clone
-                full, caches = x, keep(x, zipped)
+                full, caches = x, (x if zipped else keep(x))
             else:
                 # every index, as the per-entry machines keep it
                 full = caches = dict(ca.map_inputs(x, fe, shape, din, dout))
@@ -780,42 +782,42 @@ def _map_machine(tt, entries, zipped=False):
         step = _one_sided(step, fn, elem_in, din, df, out_nil) if zipped else step
         kernel = None if zipped else ca.map_kernel(tt)
         if kernel:
-            init, step = (lambda x, _b=kernel.batch: (_b(x), keep(x, False))), kernel.step
+            init, step = (lambda x, _b=kernel.batch: (_b(x), keep(x))), kernel.step
 
     desc = CIndexed(shape, mf.cache, make_default)
     return IncrMachine(tt.in_ty, tt.out_ty, desc, init, step)
 
 
-@cache
 def _keeper(shape, elem):
-    """keep(x, owned): a Triv map's cache for the input x, index -> element.
+    """keep(x): a Triv map's cache for the input x, index -> element.
 
-    Over a finite array of reals (indices 0..n-1) whose support is at least
-    n/8, it is one array('d') of n slots, 0.0 where x has no entry: a dict
-    entry and its float take about 60 B, as much as 8 packed slots.
-    Otherwise it is x, or a copy of x unless owned."""
-    indices = shape.indices() if elem == TBase(REAL) else None
-    n = len(indices or ())
-    if indices != list(range(n)):
-        return _own
-    every = itemgetter(*range(n)) if n > 1 else None
-    # the slots gathered in C and written by one Struct into a buffer of
-    # exactly n slots: array('d', floats) converts item by item, at about
-    # twice the cost, and array('d', bytes) over-allocates by 1/16
-    pack_into = Struct(f"{n}d").pack_into
+    Over an array of reals (indices 0..n-1) whose input holds at least n/8
+    entries, it is one array('d') of n slots, 0.0 where x has no entry: a
+    dict entry and its float take about 60 B, as much as 8 packed slots.
+    Otherwise it is a copy of x.  The layout is read from the shape and
+    len(x), so a sparse input costs nothing that grows with n."""
+    if shape.container is not ARRAY or elem != TBase(REAL):
+        return dict.copy
+    n = shape.payload
 
-    def keep(x, owned):
+    def keep(x):
         if 8 * len(x) < n:
-            return _own(x, owned)
+            return x.copy()
+        # written by one struct pack into a buffer of exactly n slots:
+        # array('d', floats) converts item by item, at about twice the
+        # cost, and array('d', bytes) over-allocates by 1/16
         c = array("d", (0.0,)) * n
-        pack_into(c, 0, *(every(x) if every and len(x) == n
-                          else map(x.get, range(n), repeat(0.0))))
+        pack_into(f"{n}d", c, 0, *(_gather(n)(x) if len(x) == n > 1
+                                  else map(x.get, range(n), repeat(0.0))))
         return c
     return keep
 
 
-def _own(x, owned):
-    return x if owned else x.copy()
+@cache
+def _gather(n):
+    """x's values at 0..n-1 when x holds all n: twice as fast as map(x.get),
+    and made only when such an x is packed, so it is smaller than that x."""
+    return itemgetter(*range(n))
 
 
 def _one_sided(both, fn, elem_in, din, df, out_nil):

@@ -1144,17 +1144,28 @@ def test_a_let_chain_keeps_each_relu_cache_in_one_buffer():
             (n, sys.getsizeof(array("d")) + 8 * n)}
 
 
-def test_a_sparse_real_array_keeps_a_dict_cache():
-    # 10 entries of 100,000 are far below n/8: the cache is a 10-entry dict
-    tt = typecheck(Map(OpCall("relu")), arr(100_000, R), linalg.register_linalg().registry)
-    m = incrementalize(tt)
-    x = {i * 9_973: (-1.0) ** i * (i + 0.5) for i in range(10)}
-    _, c = m.init(x)
+@pytest.mark.parametrize("op", ["relu", "halve"])
+def test_a_sparse_real_array_keeps_a_dict_cache(op):
+    # 10 entries of 10**9 are far below n/8: the cache is a 10-entry dict,
+    # and building and init allocate nothing that grows with n
+    reg = _with_op(linalg.register_linalg().registry, "halve", R, lambda x: 0.5 * x)
+    x = {i * 99_991: (-1.0) ** i * (i + 0.5) for i in range(10)}
+    dx = {1: 2.0, 99_991: 5.0}
+    tracemalloc.start()
+    try:
+        tt = typecheck(Map(OpCall(op)), arr(10**9, R), reg)
+        m = incrementalize(tt)
+        y, c = m.init(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
     assert type(c) is dict and c == x and len(c) == 10
-    dy, c = m.step({1: 2.0, 9_973: 5.0}, c)
-    assert dy == {1: 2.0, 9_973: 3.5}
+    dy, c = m.step(dx, c)
+    x2 = apply_change(m.in_ty, x, dx)
+    assert values_equal(tt.out_ty, apply_change(tt.out_ty, y, dy), denote(tt, x2), 0.0)
     assert type(c) is dict and len(c) == 11
-    assert cache_equal(m.cache, c, m.init(apply_change(m.in_ty, x, {1: 2.0, 9_973: 5.0}))[1])
+    assert cache_equal(m.cache, c, m.init(x2)[1])
 
 
 def test_map_relu_over_a_string_keyed_dict_steps_new_keys():
