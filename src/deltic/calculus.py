@@ -294,6 +294,11 @@ class Registry:
         table[name] = item
         return item
 
+    def _get(self, table, name, what):
+        if name not in table:
+            raise RegistryError(f"unknown {what}: {name!r}")
+        return table[name]
+
     def register_base(self, base):
         return self._add(self.bases, base.tag, base, "base")
 
@@ -325,34 +330,22 @@ class Registry:
         return self
 
     def base(self, tag):
-        if tag not in self.bases:
-            raise RegistryError(f"unknown base type: {tag!r}")
-        return self.bases[tag]
+        return self._get(self.bases, tag, "base type")
 
     def container(self, cid):
-        if cid not in self.containers:
-            raise RegistryError(f"unknown container: {cid!r}")
-        return self.containers[cid]
+        return self._get(self.containers, cid, "container")
 
     def op(self, name):
-        if name not in self.ops:
-            raise RegistryError(f"unknown op: {name!r}")
-        return self.ops[name]
+        return self._get(self.ops, name, "op")
 
     def index_fn(self, name):
-        if name not in self.index_fns:
-            raise RegistryError(f"unknown index function: {name!r}")
-        return self.index_fns[name]
+        return self._get(self.index_fns, name, "index function")
 
     def index_pred(self, name):
-        if name not in self.index_preds:
-            raise RegistryError(f"unknown index predicate: {name!r}")
-        return self.index_preds[name]
+        return self._get(self.index_preds, name, "index predicate")
 
     def program(self, name):
-        if name not in self.programs:
-            raise RegistryError(f"unknown program: {name!r}")
-        return self.programs[name]
+        return self._get(self.programs, name, "program")
 
 
 def monomorphic(in_ty, out_ty):

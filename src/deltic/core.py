@@ -374,7 +374,10 @@ def nil_change(ty):
 # records, per copy size, the length at the last copy of that size.  Both
 # rules are amortized, so at worst a step makes one copy.  The table decides
 # only when a copy is made, never a value.  The same rules keep a clone
-# that apply_fn updates right-sized.
+# that apply_fn updates right-sized.  add_fn's container ⊕ runs the same
+# loop on dict(x), which is fresh, so it skips them.  An index new to v
+# takes d's element itself where values are changes, so x ⊕ y shares the
+# entries only y holds.
 
 _REBUILT_LEN: dict = {}   # getsizeof of an own_copy result -> its length
 
@@ -415,15 +418,18 @@ def _merge_fn(elem):
     """The container ⊕ loop: writes v ⊕ d into v at the top level, returns v.
 
     Elements are combined with the functional apply_fn(elem), so the shared
-    default substructure dft is never written into.
+    default substructure dft is never written into.  An index new to v takes
+    ε ⊕ dᵢ, which is dᵢ itself, stored as it is, when elem's values are its
+    changes (ε ⊕ e = e).  A result equal to ε is not stored, so a change
+    that carries an explicit nil entry leaves v canonical at the top level.
     """
     ea = apply_fn(elem)
     dft = default_value(elem)
+    share = values_are_changes(elem)
 
     def merge(v, d):
-        get = v.get
         for i, di in d.items():
-            nv = ea(get(i, dft), di)
+            nv = ea(v[i], di) if i in v else (di if share else ea(dft, di))
             if nv == dft:
                 v.pop(i, None)
             else:
@@ -535,31 +541,9 @@ def add_fn(ty):
         case TBase(base):
             return base.apply
         case TCont(_, elem):
-            ea = add_fn(elem)
-            dft = default_value(elem)
-
-            def run(x, y):
-                if not y:
-                    return x
-                if not x:
-                    return y
-                out = dict(x)
-                for i, yi in y.items():
-                    if i in out:
-                        nv = ea(out[i], yi)
-                        if nv == dft:
-                            del out[i]
-                        else:
-                            out[i] = nv
-                    else:
-                        # y's entry is stored as is, shared with y: this loop
-                        # stays apart from _merge_fn, whose elementwise apply
-                        # would build a fresh element here, so caches holding
-                        # `map2 add # (h, b)` would stop sharing b's entries
-                        # (let-chain's init cache grew by 22% that way)
-                        out[i] = yi
-                return out
-            return run
+            merge = _merge_fn(elem)
+            # an empty side is nil: the other side is returned as it is
+            return lambda x, y: (merge(dict(x), y) if x else y) if y else x
         case TProd(a, b):
             fa, fb = add_fn(a), add_fn(b)
             return lambda x, y: (fa(x[0], y[0]), fb(x[1], y[1]))

@@ -74,19 +74,20 @@ derivative hands back one side's change unchanged when the other is nil.
 The zip slot stays UNIT and the stage is cache-free, as before.
 
 A map whose body is a Triv machine (comb_triv sets `triv` to its fn) runs fn
-inline as a kernel: init keeps each input element as its entry's sub-cache
-and calls fn once per entry, and step computes fn(x ⊕ dx) ⊖ fn(x) per
-changed key and stores x ⊕ dx, with no per-entry machine call.  init picks
-the cache's layout from its input (_keeper): over a finite array of reals
-whose support is at least n/8, one array('d') of n slots, else a dict (one
-clone of the input when f(ε) = ε).  A step reads c[i], a missing key as ε,
-and writes c[i] in place, so it serves both layouts.  The descriptor stays
-CIndexed, whose readers see a packed cache as the dict of its non-zero
-slots (_entries); an op's Triv body, which op_machine builds from the op's
-fn, runs on it the op's OpDef.mapped kernels, if any (calculus.map_kernel).
-The fused `zip ; map f` stage is built by the same code, so it gets the
-generic kernel; there a change with one side empty walks the other side's
-dict and ⊕s only that component of each cached pair.
+inline as a kernel: init's output is the map's batch, calculus.compiled,
+and its cache keeps each input element as its entry's sub-cache; step
+computes fn(x ⊕ dx) ⊖ fn(x) per changed key and stores x ⊕ dx, with no
+per-entry machine call.  init picks the cache's layout from its input
+(_keeper): over a finite array of reals whose support is at least n/8, one
+array('d') of n slots, else a dict (one clone of the input when f(ε) = ε).
+A step reads c[i], a missing key as ε, and writes c[i] in place, so it
+serves both layouts.  The descriptor stays CIndexed, whose readers see a
+packed cache as the dict of its non-zero slots (_entries).  The batch of
+`map op` runs the op's OpDef.mapped batch, if any (calculus.map_kernel), and
+an op's Triv body, which op_machine builds from the op's fn, then steps by
+its mapped step.  The fused `zip ; map f` stage is built by the same code,
+so it gets the generic step; there a change with one side empty walks the
+other side's dict and ⊕s only that component of each cached pair.
 
 The join rule, `op ; dup ; (cst ε × id) ; filter p` (a selection σ_p
 after an op, where ε is the element default, so σ_p is linear), is built as
@@ -748,22 +749,15 @@ def _map_machine(tt, entries, zipped=False):
         ap = apply_fn(elem_in)
         df = diff_fn(elem_out)
         keep = _keeper(shape, elem_in)
+        batch = ca.compiled(tt)
 
         def init(x):
             fe = fn(din)
-            if fe == dout:
-                # the support, as map_inputs gives it, packed or in one
-                # C-level clone
-                full, caches = x, (x if zipped else keep(x))
-            else:
+            if fe != dout:
                 # every index, as the per-entry machines keep it
-                full = caches = dict(ca.map_inputs(x, fe, shape, din, dout))
-            out = {}
-            for i, xi in full.items():
-                y = fn(xi)
-                if y != dout:
-                    out[i] = y
-            return out, caches
+                return batch(x), dict(ca.map_inputs(x, fe, shape, din, dout))
+            # the support, packed or in one C-level clone
+            return batch(x), x if zipped else keep(x)
 
         def step(dx, c):
             out = {}
@@ -779,10 +773,10 @@ def _map_machine(tt, entries, zipped=False):
                     out[i] = dy
             return out, c
 
-        step = _one_sided(step, fn, elem_in, din, df, out_nil) if zipped else step
-        kernel = None if zipped else ca.map_kernel(tt)
-        if kernel:
-            init, step = (lambda x, _b=kernel.batch: (_b(x), keep(x))), kernel.step
+        if zipped:
+            step = _one_sided(step, fn, elem_in, din, df, out_nil)
+        elif kernel := ca.map_kernel(tt):
+            step = kernel.step
 
     desc = CIndexed(shape, mf.cache, make_default)
     return IncrMachine(tt.in_ty, tt.out_ty, desc, init, step)

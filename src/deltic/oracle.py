@@ -312,10 +312,6 @@ def _scalar_mul(xy):
     return xy[0] * xy[1]
 
 
-def _int_mul(xy):
-    return xy[0] * xy[1]
-
-
 def _int_sub(xy):
     return xy[0] - xy[1]
 
@@ -365,8 +361,8 @@ def oracle_registry() -> ca.Registry:
     mk(ca.OpDef("o_mul", ca.monomorphic(TProd(R, R), R), _scalar_mul, "triv", (TProd(R, R),)))
     mk(ca.OpDef("o_bmul", ca.monomorphic(TProd(R, R), R), _scalar_mul, "bilin", (TProd(R, R),)))
     mk(ca.OpDef("o_sum", vec_typer(R), _fsum, "lin", (arr(3, R),)))
-    mk(ca.OpDef("o_imul", ca.monomorphic(TProd(Z, Z), Z), _int_mul, "triv", (TProd(Z, Z),)))
-    mk(ca.OpDef("o_ibmul", ca.monomorphic(TProd(Z, Z), Z), _int_mul, "bilin", (TProd(Z, Z),)))
+    mk(ca.OpDef("o_imul", ca.monomorphic(TProd(Z, Z), Z), _scalar_mul, "triv", (TProd(Z, Z),)))
+    mk(ca.OpDef("o_ibmul", ca.monomorphic(TProd(Z, Z), Z), _scalar_mul, "bilin", (TProd(Z, Z),)))
     mk(ca.OpDef("o_isub", ca.monomorphic(TProd(Z, Z), Z), _int_sub, "lin", (TProd(Z, Z),)))
     mk(ca.OpDef("o_ineg", ca.monomorphic(Z, Z), _int_neg, "lin", (Z,)))
     mk(ca.OpDef("o_isum", vec_typer(Z), _isum, "lin", (arr(3, Z),)))
@@ -1013,15 +1009,6 @@ TERM_CONSTRUCTS = (
 COMBINATORS = ("triv", "triv2", "self", "lin", "bilin", "add")
 
 
-def _rel_cross(xy):
-    r, s = xy
-    out = {}
-    for i, a in r.items():
-        for j, b in s.items():
-            out[(i, j)] = a * b
-    return out
-
-
 def _plus_capable_pool(cfg, rng):
     pool = [R, Z, N, arr(rng.randint(1, cfg.max_shape), R),
             arr(rng.randint(1, cfg.max_shape), Z), TProd(R, Z),
@@ -1133,18 +1120,18 @@ def _combinator_instances(name, cfg, rng):
         return m, ca.compiled(ca.typecheck(ca.Plus(), TProd(ty, ty), oracle_registry()))
     if name == "triv":
         picks = [(_relu, R, R), (_scalar_mul, TProd(R, R), R),
-                 (_nat_max, TProd(N, N), N), (_int_mul, TProd(Z, Z), Z)]
+                 (_nat_max, TProd(N, N), N), (_scalar_mul, TProd(Z, Z), Z)]
     elif name == "triv2":
         picks = [(_relu, R, R), (_scalar_mul, TProd(R, R), R),
-                 (_int_mul, TProd(Z, Z), Z)]
+                 (_scalar_mul, TProd(Z, Z), Z)]
     elif name == "lin":
         k = rng.randint(0, cfg.max_shape)
         picks = [(_fsum, arr(k, R), R), (_int_sub, TProd(Z, Z), Z),
                  (_isum, arr(k, Z), Z), (_isum, arr(k, N), N)]
     elif name == "bilin":
-        picks = [(_scalar_mul, TProd(R, R), R), (_int_mul, TProd(Z, Z), Z),
-                 (_rel_cross, TProd(TCont(rel_shape("int"), Z),
-                                    TCont(rel_shape("str"), Z)),
+        picks = [(_scalar_mul, TProd(R, R), R), (_scalar_mul, TProd(Z, Z), Z),
+                 (relalg._cross, TProd(TCont(rel_shape("int"), Z),
+                                       TCont(rel_shape("str"), Z)),
                   TCont(rel_shape(("int", "str")), Z))]
     else:
         raise GenerationFailure(f"unknown combinator {name!r}")

@@ -4,7 +4,7 @@ import pytest
 
 from deltic.calculus import (
     CasePar, Cst, Distr, Dup, Filter, FST, Fuse, Get, ID, Inl, Map, OpCall,
-    OpDef, Par, Plus, Proj, Registry, RegistryError, Replicate, Reshape, SetAt,
+    OpDef, Par, Plus, ProgramDef, Proj, Registry, RegistryError, Replicate, Reshape, SetAt,
     Seq, SND, TermTypeError, Tp, Zip, compiled, denote, fanout, fusion, map2,
     monomorphic, seq, term_from_text, term_to_text, typecheck, unfused,
 )
@@ -136,6 +136,29 @@ def test_register_duplicate_op():
     reg.register_op(op)
     with pytest.raises(RegistryError):
         reg.register_op(OpDef("relu", monomorphic(R, R), lambda x: x, "triv"))
+
+
+@pytest.mark.parametrize("lookup, what", [
+    ("base", "base type"), ("container", "container"), ("op", "op"),
+    ("index_fn", "index function"), ("index_pred", "index predicate"),
+    ("program", "program"),
+])
+def test_each_registry_lookup_names_what_it_lacks(lookup, what):
+    # one entry in each of the six tables, found by its name; a name no
+    # table holds raises with the message of its lookup
+    reg = Registry()
+    items = {"base": ("real", reg.register_base(REAL)),
+             "container": ("arr", reg.register_container(ARRAY)),
+             "op": ("relu", reg.register_op(OpDef("relu", monomorphic(R, R), abs, "triv"))),
+             "index_fn": ("ix", reg.register_index_fn("ix", abs)),
+             "index_pred": ("p", reg.register_index_pred("p", bool)),
+             "program": ("prog", reg.register_program(ProgramDef("prog", lambda ty: None)))}
+    find = getattr(reg, lookup)
+    name, item = items[lookup]
+    assert find(name) is item
+    with pytest.raises(RegistryError) as e:
+        find("nope")
+    assert str(e.value) == f"unknown {what}: 'nope'"
 
 
 def test_frozen_registry_rejects_registration():

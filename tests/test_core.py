@@ -19,7 +19,7 @@ from deltic.calculus import Cst, TermTypeError, typecheck
 from deltic.core import (
     INT, KEEP, NAT, REAL, SCALAR, SUM_NULL, Cl, Cr, Left, Right, Sl, Sr,
     ConformanceError, Shape, TBase, TCont, TProd, TSum, UsageError,
-    _merge_fn, apply_change, check_change, check_value, default_value, diff_values,
+    _merge_fn, add_fn, apply_change, check_change, check_value, default_value, diff_values,
     apply_fn, is_nil, nil_change, own_copy, support, update_fn, values_equal,
 )
 from deltic.domains.containers import ARRAY, arr, rel_shape, tree_shape
@@ -103,11 +103,20 @@ def test_cancellation_restores_empty_support():
     ty = arr(3, R)
     out = apply_change(ty, {0: 1.0}, {0: -1.0})
     assert support(out) == set()
+    # an explicit nil entry for an index new to v is not stored either, at
+    # the top level of a nested container too, and not by ⊕-add
+    assert apply_change(ty, {0: 1.0}, {0: -1.0, 1: 0.0, 2: -0.0}) == {}
+    assert apply_change(arr(2, ty), {}, {0: {}, 1: {2: 1.0}}) == {1: {2: 1.0}}
+    assert add_fn(ty)({0: 1.0}, {1: 0.0, 2: 2.0}) == {0: 1.0, 2: 2.0}
 
 
 def test_sum_element_back_at_default_is_dropped():
     # Left(1.0) ⊕ Cl(-1.0) == Left(0.0), the element default, by the sum classes' ==
     assert apply_change(arr(2, SUM_RR), {0: Left(1.0)}, {0: Cl(-1.0)}) == {}
+    # where an element's values are not its changes, an index new to v
+    # takes ε ⊕ dᵢ, not dᵢ: Cl(0.0) and KEEP onto ε are ε, and not stored
+    assert apply_change(arr(2, SUM_RR), {}, {0: Cl(0.0), 1: Cl(2.0)}) == {1: Left(2.0)}
+    assert apply_change(arr(2, TBase(SCALAR)), {}, {0: KEEP, 1: "a"}) == {1: "a"}
 
 
 SUM_CLASSES = (Left, Right, Cl, Cr, Sl, Sr)
@@ -480,6 +489,33 @@ def test_update_fn_is_apply_fn_written_in_place():
     v = update_fn(nested)(own_copy({}), {(1,): {0: 1.0}, (2,): {1: 2.0}})
     assert v == {(1,): {0: 1.0}, (2,): {1: 2.0}}
     assert update_fn(nested)(v, {(3,): {0: 3.0}})[(1,)] == {0: 1.0}
+    # values are changes here, so an index new to v stores dᵢ itself (ε ⊕
+    # e = e), and an index v holds gets a fresh element
+    for ty, v, d in [(arr(3, R), {0: 1.0}, {0: 2.0, 2: 1.0 / 3.0}),
+                     (arr(3, arr(2, R)), {0: {1: 1.0}}, {0: {0: 2.0}, 2: {1: 5.0}})]:
+        got = apply_fn(ty)(v, d)
+        assert got[2] is d[2] and got[0] is not d[0]
+        assert got == {0: apply_change(ty.elem, v[0], d[0]), 2: d[2]}
+
+
+@pytest.mark.parametrize("ty, x, y", [
+    (arr(6, R), {0: 1.0, 2: 2.0, 4: -1.0}, {5: 3.0, 2: -2.0, 1: 0.5, 4: 1.5}),
+    (arr(4, arr(3, R)), {0: {0: 1.0}, 2: {1: 2.0}, 3: {2: 1.0}},
+     {1: {0: 3.0}, 2: {1: -2.0}, 0: {2: 4.0}, 3: {2: 1.0}}),
+], ids=["arr-real", "arr-arr-real"])
+def test_add_fn_is_the_merge_on_a_copy_of_x(ty, x, y):
+    # x ⊕ y keeps x's keys in order, cancelled ones dropped, then y's new
+    # keys in y's order, each holding y's own entry; neither side is written
+    then = copy.deepcopy((x, y))
+    out = add_fn(ty)(x, y)
+    assert (x, y) == then
+    ap = apply_fn(ty.elem)
+    want = {i: ap(xi, y[i]) if i in y else xi for i, xi in x.items()}
+    want = {i: v for i, v in want.items() if v != default_value(ty.elem)}
+    assert list(out) == [*want, *(i for i in y if i not in x)]
+    assert all(out[i] == v for i, v in want.items())
+    assert all(out[i] is y[i] for i in y if i not in x)
+    assert add_fn(ty)(x, {}) is x and add_fn(ty)({}, y) is y
 
 
 def test_update_fn_compacts_a_relation_that_lost_half_its_tuples():

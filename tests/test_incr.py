@@ -1034,6 +1034,9 @@ def test_triv_kernel_laws_and_caches(monkeypatch, reg, term, ty):
         x = gen_value(rng, ty)
         y, c = m.init(x)
         yg, cg = generic.init(x)
+        # init's output is the map's batch, keys in its order
+        batch = ca.compiled(tt)(x)
+        assert y == batch and list(y) == list(batch)
         assert y == yg
         assert values_equal(tt.out_ty, y, denote(tt, x), 1e-9)  # Law-1
         assert cache_to_json(m.cache, c) == cache_to_json(generic.cache, cg)
