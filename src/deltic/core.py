@@ -376,8 +376,9 @@ def nil_change(ty):
 # only when a copy is made, never a value.  The same rules keep a clone
 # that apply_fn updates right-sized.  add_fn's container ⊕ runs the same
 # loop on dict(x), which is fresh, so it skips them.  An index new to v
-# takes d's element itself where values are changes, so x ⊕ y shares the
-# entries only y holds.
+# takes d's element itself where that is canonical: under add_fn where
+# values are changes, so x ⊕ y shares the entries only y holds, and under
+# update_fn at such a scalar element; a nested one takes ε ⊕ dᵢ.
 
 _REBUILT_LEN: dict = {}   # getsizeof of an own_copy result -> its length
 
@@ -414,18 +415,20 @@ def apply_fn(ty):
             raise UsageError(f"not a type: {ty!r}")
 
 
-def _merge_fn(elem):
+def _merge_fn(elem, share):
     """The container ⊕ loop: writes v ⊕ d into v at the top level, returns v.
 
     Elements are combined with the functional apply_fn(elem), so the shared
     default substructure dft is never written into.  An index new to v takes
-    ε ⊕ dᵢ, which is dᵢ itself, stored as it is, when elem's values are its
-    changes (ε ⊕ e = e).  A result equal to ε is not stored, so a change
-    that carries an explicit nil entry leaves v canonical at the top level.
+    ε ⊕ dᵢ; with share it takes dᵢ itself, as it is.  A caller shares only
+    where elem's values are its changes (ε ⊕ e = e) and dᵢ is canonical:
+    add_fn, whose y is a value, and update_fn at a scalar element, as a
+    nested element change may carry an explicit nil that ε ⊕ dᵢ drops.  A
+    result equal to ε is not stored, so a change that carries an explicit
+    nil entry leaves v canonical.
     """
     ea = apply_fn(elem)
     dft = default_value(elem)
-    share = values_are_changes(elem)
 
     def merge(v, d):
         for i, di in d.items():
@@ -448,7 +451,8 @@ def update_fn(ty):
     """
     if not isinstance(ty, TCont):
         return apply_fn(ty)
-    merge = _merge_fn(ty.elem)
+    elem = ty.elem
+    merge = _merge_fn(elem, isinstance(elem, TBase) and values_are_changes(elem))
     size = sys.getsizeof
 
     def run(v, d):
@@ -541,7 +545,7 @@ def add_fn(ty):
         case TBase(base):
             return base.apply
         case TCont(_, elem):
-            merge = _merge_fn(elem)
+            merge = _merge_fn(elem, values_are_changes(elem))
             # an empty side is nil: the other side is returned as it is
             return lambda x, y: (merge(dict(x), y) if x else y) if y else x
         case TProd(a, b):

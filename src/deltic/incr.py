@@ -57,8 +57,9 @@ step walks the changed keys of (dx, dy) and steps f (or calls its
 derivative) per key, with no zipped change in between.  The zip slot stays
 UNIT and the map slot keeps its per-index cache, so the cache layout is that
 of the unfused pair.  Its init zips with the compiled zip, as denote does
-(two inputs that have one key set in one C-level pass), and a Triv body's
-kernel keeps that fresh dict as its cache instead of copying it.
+(two inputs that have one key set in one C-level pass).  A Triv body runs
+as a pair kernel (below), whose init maps that zipped dict for its output
+and then drops it.
 
 The fanout rule, `dup ; par(f, g)`, is one stage, built by the par
 builder, which hands the one input change to both sides; the dup slot stays
@@ -85,9 +86,13 @@ serves both layouts.  The descriptor stays CIndexed, whose readers see a
 packed cache as the dict of its non-zero slots (_entries).  The batch of
 `map op` runs the op's OpDef.mapped batch, if any (calculus.map_kernel), and
 an op's Triv body, which op_machine builds from the op's fn, then steps by
-its mapped step.  The fused `zip ; map f` stage is built by the same code,
-so it gets the generic step; there a change with one side empty walks the
-other side's dict and ⊕s only that component of each cached pair.
+its mapped step.  The fused `zip ; map f` stage of a Triv f runs the pair
+kernel (_pair_kernel), whose cache keeps the two components of each cached
+pair apart, (cl, cr), each side kept by _keeper for its own element type
+(packed over an array of reals) and owned, and read by _entries as the dict
+of the pairs; its step reads cl[i] and cr[i], ⊕s only the changed side(s)
+in place and calls fn twice per changed key, so one step serves every mix
+of layouts.
 
 The join rule, `op ; dup ; (cst ε × id) ; filter p` (a selection σ_p
 after an op, where ε is the element default, so σ_p is linear), is built as
@@ -232,11 +237,12 @@ def cache_equal(desc, c1, c2, rel_tol=0.0) -> bool:
         case CValue(ty):
             return values_equal(ty, c1, c2, rel_tol)
         case CIndexed(_, elem, make_default):
-            c1, c2 = _entries(c1), _entries(c2)
+            dft = make_default()
+            c1, c2 = _entries(c1, dft), _entries(c2, dft)
             keys = c1.keys() | c2.keys()
             for k in keys:
-                e1 = c1[k] if k in c1 else make_default()
-                e2 = c2[k] if k in c2 else make_default()
+                e1 = c1[k] if k in c1 else dft
+                e2 = c2[k] if k in c2 else dft
                 if not cache_equal(elem, e1, e2, rel_tol):
                     return False
             return True
@@ -264,7 +270,7 @@ def cache_to_json(desc, c):
             return {"value": value_to_json(ty, c)}
         case CIndexed(_, elem, make_default):
             dft = make_default()
-            c = _entries(c)
+            c = _entries(c, dft)
             entries = []
             for k in _sorted(c):
                 if not cache_equal(elem, c[k], dft, 0.0):
@@ -284,9 +290,15 @@ def cache_to_json(desc, c):
             raise UsageError(f"not a cache descriptor: {desc!r}")
 
 
-def _entries(c):
+def _entries(c, dft=None):
     """An indexed cache as a dict: a packed array('d') reads as the dict of
-    its non-zero slots, so both layouts compare, print and count alike."""
+    its non-zero slots, and a fused map2's (cl, cr) as the dict of pairs
+    (cl[i], cr[i]) over the indices either side holds, a missing component
+    read as its part of the default pair dft; so every layout compares,
+    prints and counts alike."""
+    if type(c) is tuple:
+        (l, r), (el, er) = map(_entries, c), dft
+        return {i: (l.get(i, el), r.get(i, er)) for i in l.keys() | r.keys()}
     return c if type(c) is dict else {i: v for i, v in enumerate(c) if v}
 
 
@@ -324,7 +336,8 @@ def _counter(desc):
             k, count = _counter(elem)
             if k is not None:
                 return None, lambda c: k * (
-                    len(c) if type(c) is dict else len(c) - c.count(0.0))
+                    len(c) if type(c) is dict else len(c) - c.count(0.0)
+                    if type(c) is array else len(_entries(c, (None, None))))
             return None, lambda c: sum(map(count, c.values()))
         case TSum(a, b):
             return _branches(_counter(a), _counter(b))
@@ -674,8 +687,12 @@ def _incr_map2(zip_tt, map_tt):
     """`zip ; map f` as one stage: step f on each changed key of (dx, dy).
 
     No zipped change is built; when one side's change is empty, only the
-    other side's entries are walked.  The cache is the map's.
+    other side's entries are walked.  A Triv f runs as _pair_kernel; any
+    other f keeps the map's cache.
     """
+    zf = ca.compiled(zip_tt)
+    if fn := incrementalize(map_tt.children[0]).triv:
+        return _pair_kernel(fn, zip_tt, map_tt, zf)
     na = nil_change(zip_tt.in_ty.left.elem)
     nb = nil_change(zip_tt.in_ty.right.elem)
 
@@ -687,15 +704,61 @@ def _incr_map2(zip_tt, map_tt):
             return zip(dy, zip(repeat(na), dy.values()))
         return ((i, (dx.get(i, na), dy.get(i, nb))) for i in dx.keys() | dy.keys())
 
-    m = _map_machine(map_tt, entries, zipped=True)
-    zf, map_init = ca.compiled(zip_tt), m.init
+    m = _map_machine(map_tt, entries)
+    map_init = m.init
     return replace(m, in_ty=zip_tt.in_ty, init=lambda xy: map_init(zf(xy)))
 
 
-def _map_machine(tt, entries, zipped=False):
-    """map over the (index, element change) pairs that entries(d) yields;
-    zipped: it is the map of a fused `zip ; map f` (a pair of dict changes),
-    whose init is handed a fresh zipped dict that the machine may own."""
+def _pair_kernel(fn, zip_tt, map_tt, zf):
+    """The fused `zip ; map f` of a Triv f, run inline.  Its cache holds the
+    two components of each cached pair apart, (cl, cr), each kept by
+    _keeper for its side (or, when f(ε) ≠ ε, a dict of every index); a step
+    ⊕s only the changed side(s) in place and calls fn twice per changed key,
+    reading a missing entry (KeyError) as ε.  The descriptor is the map's,
+    whose readers see (cl, cr) as the dict of its pairs (_entries)."""
+    shape, a, b = zip_tt.in_ty.left.shape, zip_tt.in_ty.left.elem, zip_tt.in_ty.right.elem
+    ea, eb = default_value(a), default_value(b)
+    ap_l, ap_r = apply_fn(a), apply_fn(b)
+    df, out_nil, dout = (f(map_tt.out_ty.elem) for f in (diff_fn, is_nil_fn, default_value))
+    keep_l, keep_r = _keeper(shape, a), _keeper(shape, b)
+    fe = fn((ea, eb))
+
+    def init(xy):
+        y = ca.compiled(map_tt)(zf(xy))
+        if fe != dout:  # every index, as the per-entry machines keep it
+            return y, tuple(dict(ca.map_inputs(x, fe, shape, e, dout))
+                            for x, e in zip(xy, (ea, eb)))
+        return y, (keep_l(xy[0]), keep_r(xy[1]))
+
+    def step(d, c):
+        dx, dy = d
+        cl, cr = c
+        out = {}
+        for i in dx.keys() | dy.keys() if dx and dy else dx or dy:
+            try:
+                x = cl[i]
+            except KeyError:
+                x = ea
+            try:
+                y = cr[i]
+            except KeyError:
+                y = eb
+            x2, y2 = x, y
+            if i in dx:
+                cl[i] = x2 = ap_l(x, dx[i])
+            if i in dy:
+                cr[i] = y2 = ap_r(y, dy[i])
+            dz = df(fn((x2, y2)), fn((x, y)))
+            if not out_nil(dz):
+                out[i] = dz
+        return out, c
+
+    desc = CIndexed(shape, CValue(map_tt.in_ty.elem), lambda: (ea, eb))
+    return IncrMachine(zip_tt.in_ty, map_tt.out_ty, desc, init, step)
+
+
+def _map_machine(tt, entries):
+    """map over the (index, element change) pairs that entries(d) yields."""
     body = tt.children[0]
     mf = incrementalize(body)
     shape = tt.in_ty.shape
@@ -757,7 +820,7 @@ def _map_machine(tt, entries, zipped=False):
                 # every index, as the per-entry machines keep it
                 return batch(x), dict(ca.map_inputs(x, fe, shape, din, dout))
             # the support, packed or in one C-level clone
-            return batch(x), x if zipped else keep(x)
+            return batch(x), keep(x)
 
         def step(dx, c):
             out = {}
@@ -773,9 +836,7 @@ def _map_machine(tt, entries, zipped=False):
                     out[i] = dy
             return out, c
 
-        if zipped:
-            step = _one_sided(step, fn, elem_in, din, df, out_nil)
-        elif kernel := ca.map_kernel(tt):
+        if kernel := ca.map_kernel(tt):
             step = kernel.step
 
     desc = CIndexed(shape, mf.cache, make_default)
@@ -783,13 +844,16 @@ def _map_machine(tt, entries, zipped=False):
 
 
 def _keeper(shape, elem):
-    """keep(x): a Triv map's cache for the input x, index -> element.
+    """keep(x): a Triv map's cache for the input x, index -> element, or
+    one side of a fused map2's (cl, cr), x being that side's input.
 
     Over an array of reals (indices 0..n-1) whose input holds at least n/8
     entries, it is one array('d') of n slots, 0.0 where x has no entry: a
     dict entry and its float take about 60 B, as much as 8 packed slots.
-    Otherwise it is a copy of x.  The layout is read from the shape and
-    len(x), so a sparse input costs nothing that grows with n."""
+    Otherwise it is a copy of x.  Either way the cache is the machine's own,
+    never x, which the caller may hand to other machines too (replicate).
+    The layout is read from the shape and len(x), so a sparse input costs
+    nothing that grows with n."""
     if shape.container is not ARRAY or elem != TBase(REAL):
         return dict.copy
     n = shape.payload
@@ -812,30 +876,6 @@ def _gather(n):
     """x's values at 0..n-1 when x holds all n: twice as fast as map(x.get),
     and made only when such an x is packed, so it is smaller than that x."""
     return itemgetter(*range(n))
-
-
-def _one_sided(both, fn, elem_in, din, df, out_nil):
-    """A fused map2's Triv kernel step: a change with one side empty walks the
-    other side's dict and ⊕s only that component of each cached pair (x ⊕ 0 =
-    x), with no zipped entries or pair ⊕; a change on both sides goes to both."""
-    ap_l, ap_r = apply_fn(elem_in.left), apply_fn(elem_in.right)
-
-    def step(d, c):
-        dx, dy = d
-        if dx and dy:
-            return both(d, c)
-        right = not dx
-        out = {}
-        get = c.get
-        for i, di in (dy if right else dx).items():
-            x = get(i, din)
-            x2 = (x[0], ap_r(x[1], di)) if right else (ap_l(x[0], di), x[1])
-            dz = df(fn(x2), fn(x))
-            c[i] = x2
-            if not out_nil(dz):
-                out[i] = dz
-        return out, c
-    return step
 
 
 def _read_sum_change(d, s):

@@ -489,13 +489,23 @@ def test_update_fn_is_apply_fn_written_in_place():
     v = update_fn(nested)(own_copy({}), {(1,): {0: 1.0}, (2,): {1: 2.0}})
     assert v == {(1,): {0: 1.0}, (2,): {1: 2.0}}
     assert update_fn(nested)(v, {(3,): {0: 3.0}})[(1,)] == {0: 1.0}
-    # values are changes here, so an index new to v stores dᵢ itself (ε ⊕
-    # e = e), and an index v holds gets a fresh element
+    # an index new to v stores ε ⊕ dᵢ: dᵢ itself at a scalar element, and a
+    # canonical copy at a nested one; an index v holds gets a fresh element
     for ty, v, d in [(arr(3, R), {0: 1.0}, {0: 2.0, 2: 1.0 / 3.0}),
                      (arr(3, arr(2, R)), {0: {1: 1.0}}, {0: {0: 2.0}, 2: {1: 5.0}})]:
         got = apply_fn(ty)(v, d)
-        assert got[2] is d[2] and got[0] is not d[0]
+        assert got[2] == d[2] and got[0] is not d[0]
+        assert (got[2] is d[2]) == (ty.elem == R)
         assert got == {0: apply_change(ty.elem, v[0], d[0]), 2: d[2]}
+    # a nested element change that carries an explicit nil comes out canonical
+    nested = arr(2, arr(2, R))
+    for v in [{}, {1: {0: 1.0}}]:
+        got = apply_change(nested, v, {0: {1: 0.0}})
+        assert got == v
+        check_value(nested, got)
+        got = update_fn(nested)(own_copy(v), {0: {1: 0.0, 0: 2.0}})
+        assert got == {**v, 0: {0: 2.0}}
+        check_value(nested, got)
 
 
 @pytest.mark.parametrize("ty, x, y", [
@@ -559,7 +569,7 @@ def test_functional_apply_on_a_clone_is_the_merge_on_a_rebuilt_dict(ty, keys):
     # and leave v as it was, also when v carries deleted slots
     rng = stable_rng(24, f"clone-apply:{ty!r}")
     keys, elem = list(keys), ty.elem
-    merge = _merge_fn(elem)
+    merge = _merge_fn(elem, isinstance(elem, TBase))  # as update_fn shares at R and Z
     for dropped in (0.2, 0.5):  # a clone of the table, and a compacting copy
         v = {i: _fresh(rng, elem) for i in rng.sample(keys, len(keys) // 2)}
         for i in rng.sample(list(v), int(dropped * len(v))):

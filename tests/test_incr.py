@@ -965,9 +965,10 @@ def test_map2_add_steps_as_one_container_add():
 # The Triv kernel of map
 # ---------------------------------------------------------------------------
 
-def _with_op(reg, name, ty, fn):
-    """reg with one more Triv op `name` of signature ty -> ty."""
-    reg.register_op(ca.OpDef(name, ca.monomorphic(ty, ty), fn, "triv", sample_in_tys=(ty,)))
+def _with_op(reg, name, ty, fn, out_ty=None):
+    """reg with one more Triv op `name` of signature ty -> out_ty (or ty)."""
+    reg.register_op(ca.OpDef(name, ca.monomorphic(ty, out_ty or ty), fn, "triv",
+                             sample_in_tys=(ty,)))
     return reg
 
 
@@ -1009,6 +1010,8 @@ def _kernel_cases():
         ("generic-packed", _with_op(linalg.register_linalg().registry, "halve", R,
                                     lambda x: 0.5 * x), Map(OpCall("halve")), arr(64, R)),
         ("linalg-mul", lin, map2(OpCall("mul")), TProd(arr(8, R), arr(8, R))),
+        # each side of the pair kept apart, packed from 8 entries of 64 or not
+        ("linalg-mul-packed", lin, map2(OpCall("mul")), TProd(arr(64, R), arr(64, R))),
         ("relalg-intmul", relalg.register_relalg().registry, map2(OpCall("intmul")),
          TProd(relalg.rel("int"), relalg.rel("int"))),
         ("gcounter-max", gcounter.register_gcounter(ids).registry, map2(OpCall("max")),
@@ -1016,6 +1019,9 @@ def _kernel_cases():
         # f(ε) ≠ ε over a finite shape: init visits every index
         ("finite-index", _with_op(linalg.register_linalg().registry, "inc", R,
                                   lambda x: x + 1.0), Map(OpCall("inc")), arr(6, R)),
+        ("finite-index-pair", _with_op(linalg.register_linalg().registry, "fma", TProd(R, R),
+                                       lambda xy: xy[0] * xy[1] + 1.0, R),
+         map2(OpCall("fma")), TProd(arr(6, R), arr(6, R))),
     ]]
 
 
@@ -1116,6 +1122,52 @@ def test_a_triv_map_over_a_real_array_packs_from_n_over_8(op):
         assert cache_equal(m.cache, c, m.init(x)[1])
 
 
+def test_a_fused_map2_packs_each_side_from_n_over_8():
+    # map2 mul keeps the two sides of its cached pairs apart, each packed
+    # when that side's input holds at least n/8 entries, else a dict copy
+    # (an empty side too), so the sides mix layouts; a step keeps the
+    # layouts it is handed, so streams that cross n/8 on either side, or on
+    # both, make Law-3 compare a packed side with a dict one
+    n = 64
+    in_ty = TProd(arr(n, R), arr(n, R))
+    tt = typecheck(map2(OpCall("mul")), in_ty, linalg.register_linalg().registry)
+    m = incrementalize(tt)
+    rng = stable_rng(40, "packed-map2")
+    dense = {i: round(rng.uniform(0.5, 4.0), 3) * rng.choice([-1, 1]) for i in range(n)}
+    first = list(dense.items())
+    eighth, below = dict(first[:n // 8]), dict(first[:n // 8 - 1])
+    layouts = [(dense, True), (eighth, True), (below, False), ({}, False)]
+    for (xl, pl), (xr, pr) in [(l, r) for l in layouts for r in layouts]:
+        _, (zip_slot, c) = m.init((xl, xr))  # the zip slot stays UNIT
+        assert zip_slot is UNIT and type(c) is tuple and len(c) == 2
+        for x, side, packed in [(xl, c[0], pl), (xr, c[1], pr)]:
+            assert (type(side) is array) == packed
+            if packed:
+                assert side.tolist() == [x.get(i, 0.0) for i in range(n)]
+            else:
+                assert side == x and side is not x
+    up = {i: 1.5 for i in range(n // 8 - 1, n // 4)}
+    back = {i: -1.5 for i in up}
+    down = {i: -v for i, v in first[n // 8 - 1:]}
+    for x, d1, d2 in [((below, dense), (up, {}), (back, {})),
+                      (({}, dense), ({}, down), ({}, up)),
+                      ((below, dense), (up, down), (back, up))]:
+        y, c, x = step_through(m, x, [d1])
+        c2 = m.init(x)[1]
+        for side, side2, d in zip(c[1], c2[1], d1):
+            assert (type(side) is type(side2)) == (not d)
+        assert values_equal(tt.out_ty, y, denote(tt, x), 1e-9)  # Law-2
+        assert cache_equal(m.cache, c, c2) and cache_equal(m.cache, c2, c)  # Law-3
+        assert cache_to_json(m.cache, c) == cache_to_json(m.cache, c2)
+        assert cache_entry_count(m.cache, c) == cache_entry_count(m.cache, c2) == \
+            2 * len(x[0].keys() | x[1].keys())
+        # and back across n/8, the stepped sides still in their first layouts
+        dy, c = m.step(d2, c)
+        x = apply_change(in_ty, x, d2)
+        assert values_equal(tt.out_ty, apply_change(tt.out_ty, y, dy), denote(tt, x), 1e-9)
+        assert cache_equal(m.cache, c, m.init(x)[1])
+
+
 def _arrays(c):
     """Every array reachable from a cache through tuples, lists and dicts."""
     found, todo = [], [c]
@@ -1147,6 +1199,26 @@ def test_a_let_chain_keeps_each_relu_cache_in_one_buffer():
             (n, sys.getsizeof(array("d")) + 8 * n)}
 
 
+def test_dense_keeps_each_row_cache_in_two_buffers():
+    # relu(M x + b) at n = 64: each row's `map2 mul` caches its constant row
+    # and its own copy of x in two arrays of 8·n bytes plus the array header,
+    # before and after steps, beside relu's one buffer
+    n = 64
+    term, ty, x = _dense(n)
+    tt = typecheck(term, ty, linalg.register_linalg().registry)
+    m = incrementalize(tt)
+    rng = stable_rng(40, "dense-packed")
+    ds = [{i: rng.uniform(-1, 1) for i in rng.sample(range(n), 3)} for _ in range(3)]
+    y, c, x = step_through(m, x, ds)
+    assert values_equal(tt.out_ty, y, denote(tt, x), 1e-9)
+    assert cache_equal(m.cache, c, m.init(x)[1], 1e-9)
+    for cache in (m.init(x)[1], c):
+        buffers = _arrays(cache)
+        assert len({id(a) for a in buffers}) == len(buffers) == 2 * n + 1
+        assert {(len(a), sys.getsizeof(a)) for a in buffers} == {
+            (n, sys.getsizeof(array("d")) + 8 * n)}
+
+
 @pytest.mark.parametrize("op", ["relu", "halve"])
 def test_a_sparse_real_array_keeps_a_dict_cache(op):
     # 10 entries of 10**9 are far below n/8: the cache is a 10-entry dict,
@@ -1168,6 +1240,32 @@ def test_a_sparse_real_array_keeps_a_dict_cache(op):
     x2 = apply_change(m.in_ty, x, dx)
     assert values_equal(tt.out_ty, apply_change(tt.out_ty, y, dy), denote(tt, x2), 0.0)
     assert type(c) is dict and len(c) == 11
+    assert cache_equal(m.cache, c, m.init(x2)[1])
+
+
+def test_a_sparse_fused_map2_keeps_dict_sides():
+    # 10 entries a side of 10**9 are far below n/8: each side is a dict
+    # copy, and building and init allocate nothing that grows with n
+    reg = linalg.register_linalg().registry
+    x = ({i * 99_991: (-1.0) ** i * (i + 0.5) for i in range(10)},
+         {i * 99_991: i + 1.0 for i in range(0, 20, 2)})
+    d = ({1: 2.0, 99_991: 5.0}, {99_991: -3.0, 3: 1.0})
+    tracemalloc.start()
+    try:
+        tt = typecheck(map2(OpCall("mul")), TProd(arr(10**9, R), arr(10**9, R)), reg)
+        m = incrementalize(tt)
+        y, c = m.init(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    pair = c[1]
+    assert [type(side) for side in pair] == [dict, dict]
+    assert pair == x and pair[0] is not x[0] and pair[1] is not x[1]
+    dy, c = m.step(d, c)
+    x2 = apply_change(m.in_ty, x, d)
+    assert values_equal(tt.out_ty, apply_change(tt.out_ty, y, dy), denote(tt, x2), 0.0)
+    assert [len(side) for side in c[1]] == [11, 12]
     assert cache_equal(m.cache, c, m.init(x2)[1])
 
 
