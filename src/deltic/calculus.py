@@ -40,7 +40,7 @@ import json
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Callable, Iterable, NamedTuple, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from .core import (
     ConformanceError, DelticError, Left, Right, Shape, SupportError,
@@ -206,20 +206,6 @@ def fanout(f: Term, g: Term) -> Term:
 # Registry
 # ---------------------------------------------------------------------------
 
-class MapKernel(NamedTuple):
-    """The kernels of `map op`, for an op with fn(ε_in) = ε_out.  batch(x)
-    is {i: fn(xi)} over x's keys, in x's order, without the entries equal to
-    ε_out, as run_map gives.  step(dx, c) is the Triv step on the cache c
-    (index -> input element, owned, updated in place; a dict, or over a
-    finite array of reals a packed array('d'), see incr._keeper): for each
-    (i, di) of dx, in order, it reads old = c[i], ε_in when c is a dict
-    without i (KeyError), stores c[i] = old ⊕ di and emits fn(new) ⊖ fn(old)
-    when not nil; it returns (dy, c)."""
-
-    batch: Callable[[dict], dict]
-    step: Callable[[dict, dict], tuple]
-
-
 @dataclass
 class OpDef:
     """A user operation: batch semantics plus a cached incrementalization.
@@ -233,8 +219,14 @@ class OpDef:
     join_index(p) is the BilinIndex of the one bilinear stage that incr
     builds for them, and denote runs them as its batch.
     Left None, the stages run one by one.
-    mapped (a MapKernel) runs `map op` when fn(ε) = ε: batch in denote,
-    both in incr over a Triv body of fn.
+    mapped, when given, is the batch of `map op` when fn(ε) = ε: mapped(x)
+    is {i: fn(xi)} over x's keys, in x's order, without the entries equal to
+    ε_out, as run_map gives; denote runs it, and so does the init of map's
+    Triv kernel in incr.
+    expr, when given, is fn's body as a Python expression over its argument
+    x, or over x and y when fn takes a pair (x, y), such as "x * y"; a "triv"
+    op's machine carries it, and incr inlines it into the Triv steps it
+    generates for `map op` and the fused `map2 op` (incr._triv_source).
     """
 
     name: str
@@ -243,7 +235,8 @@ class OpDef:
     comb: str | Callable[[Any], Any]
     sample_in_tys: tuple = ()
     join_index: Optional[Callable[[Callable], Any]] = None
-    mapped: Optional[MapKernel] = None
+    mapped: Optional[Callable[[dict], dict]] = None
+    expr: Optional[str] = None
 
 
 @dataclass
@@ -657,14 +650,15 @@ def _compile(tt: TypedTerm, kernels=True):
         case Cst(_, value):
             return lambda _x: value
         case Map():
-            if kernels and (kernel := map_kernel(tt)):
-                return kernel.batch
             # canonical-sparse: absent positions evaluate fn(ε) exactly over
             # finite shapes; over infinite-index shapes fn must preserve ε
             fn = compiled(tt.children[0])
             shape = tt.in_ty.shape
             din = default_value(tt.in_ty.elem)
             dout = default_value(tt.children[0].out_ty)
+            op = tt.children[0].info if type(tt.children[0].term) is OpCall else None
+            if kernels and op and op.mapped and fn(din) == dout:
+                return op.mapped
 
             def run_map(x):
                 out = {}
@@ -702,14 +696,6 @@ def _compile(tt: TypedTerm, kernels=True):
             return tt.info.fn
         case _:
             raise TermTypeError(f"unknown term constructor: {t!r}")
-
-
-def map_kernel(tt):
-    """The MapKernel of a typed `map op` whose op registers one and maps ε to ε."""
-    body = tt.children[0]
-    op = body.info if type(body.term) is OpCall else None
-    if op and op.mapped and op.fn(default_value(tt.in_ty.elem)) == default_value(body.out_ty):
-        return op.mapped
 
 
 def map_inputs(x, fe, shape, din, dout):

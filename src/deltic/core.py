@@ -118,7 +118,10 @@ class BaseType:
     kind is one of "real", "int", "nat", "scalar" and drives value sampling,
     comparison tolerance and serialization.  The flags, when set, are relied
     on by typing rules (plus) and combinators (Lin/BiLin/Add); they are
-    sampled-checked by the oracle, never assumed silently.
+    sampled-checked by the oracle, never assumed silently.  exprs, when
+    given, is (⊕, ⊖, nil test) as Python expressions over a and b (a ⊕ b,
+    a ⊖ b, nil(a)), equal to apply, diff and the nil test, which incr
+    inlines into the Triv steps it generates (see incr._triv_source).
     """
 
     tag: str
@@ -130,6 +133,7 @@ class BaseType:
     values_are_changes: bool = False
     add_commutative: bool = False
     add_associative: bool = False
+    exprs: Optional[tuple] = None
 
     def __repr__(self):
         return f"BaseType({self.tag})"
@@ -145,6 +149,7 @@ REAL = BaseType(
     diff=operator.sub,
     nil=0.0, default=0.0,
     values_are_changes=True, add_commutative=True, add_associative=True,
+    exprs=("a + b", "a - b", "not a"),
 )
 
 INT = BaseType(
@@ -153,6 +158,7 @@ INT = BaseType(
     diff=operator.sub,
     nil=0, default=0,
     values_are_changes=True, add_commutative=True, add_associative=True,
+    exprs=("a + b", "a - b", "not a"),
 )
 
 # ⊖ on naturals is truncated subtraction; complete only on monotone pairs,
@@ -163,6 +169,7 @@ NAT = BaseType(
     diff=lambda new, old: new - old if new >= old else 0,
     nil=0, default=0,
     values_are_changes=True, add_commutative=True, add_associative=True,
+    exprs=("a + b", "max(a - b, 0)", "not a"),
 )
 
 # Scalar-with-null for path trees: values are str/int/float or null,

@@ -59,7 +59,8 @@ def register_gcounter(participants) -> InstanceBundle:
     cty = counter_ty(ids)
     pair_n = TProd(N, N)
     reg.register_op(OpDef(
-        "max", monomorphic(pair_n, N), _nat_max, "triv", sample_in_tys=(pair_n,)))
+        "max", monomorphic(pair_n, N), _nat_max, "triv", sample_in_tys=(pair_n,),
+        expr="x if x >= y else y"))
     reg.register_op(OpDef(
         "natsum",
         lambda ty: N if isinstance(ty, TCont) and ty.shape.container is NODES

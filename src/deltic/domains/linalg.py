@@ -1,14 +1,16 @@
 """Linear algebra instantiation: additive reals over arrays.
 
 Primitive ops are relu and scalar multiplication (trivial incrementalization,
-input caching) and vector summation (linear, cache-free); relu also registers
-`map relu`'s kernels (OpDef.mapped).  The rest is derived from generic ops.
+input caching) and vector summation (linear, cache-free).  relu and mul
+declare their bodies as expressions (OpDef.expr), which incr inlines into
+the Triv steps of `map relu` and the fused `map2 mul`, and relu registers
+`map relu`'s batch (OpDef.mapped).  The rest is derived from generic ops.
 """
 
 from __future__ import annotations
 
 from ..calculus import (
-    Cst, ID, Map, MapKernel, OpCall, OpDef, Par, Plus, ProgramDef, Registry, Replicate,
+    Cst, ID, Map, OpCall, OpDef, Par, Plus, ProgramDef, Registry, Replicate,
     Reshape, SetAt, Term, Tp, fanout, map2, monomorphic, seq,
 )
 from ..core import REAL, TBase, TCont, TProd
@@ -24,21 +26,6 @@ def _relu(x):
 
 def _relu_batch(v):
     return {i: x for i, x in v.items() if x > 0}
-
-
-def _relu_step(dx, c):
-    """`map relu`'s Triv step (MapKernel.step) with _relu, ⊕ and ⊖ inlined."""
-    out = {}
-    for i, di in dx.items():
-        try:
-            x = c[i]
-        except KeyError:
-            x = 0.0
-        c[i] = x2 = x + di
-        dy = (x2 if x2 > 0 else 0.0) - (x if x > 0 else 0.0)
-        if dy:
-            out[i] = dy
-    return out, c
 
 
 def _mul(xy):
@@ -160,10 +147,10 @@ def register_linalg() -> InstanceBundle:
 
     pair_r = TProd(R, R)
     reg.register_op(OpDef(
-        "relu", monomorphic(R, R), _relu, "triv",
-        sample_in_tys=(R,), mapped=MapKernel(_relu_batch, _relu_step)))
+        "relu", monomorphic(R, R), _relu, "triv", sample_in_tys=(R,),
+        mapped=_relu_batch, expr="x if x > 0 else 0.0"))
     reg.register_op(OpDef(
-        "mul", monomorphic(pair_r, R), _mul, "triv", sample_in_tys=(pair_r,)))
+        "mul", monomorphic(pair_r, R), _mul, "triv", sample_in_tys=(pair_r,), expr="x * y"))
     reg.register_op(OpDef(
         "sum", _sum_typer, _vsum, "lin",
         sample_in_tys=(arr(3, R), arr(1, R))))

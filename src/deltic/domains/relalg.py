@@ -187,7 +187,8 @@ def register_relalg() -> InstanceBundle:
 
     pair_z = TProd(Z, Z)
     reg.register_op(OpDef(
-        "intmul", monomorphic(pair_z, Z), _intmul, "triv", sample_in_tys=(pair_z,)))
+        "intmul", monomorphic(pair_z, Z), _intmul, "triv", sample_in_tys=(pair_z,),
+        expr="x * y"))
     reg.register_op(OpDef(
         "intsub", monomorphic(pair_z, Z), _intsub, "lin", sample_in_tys=(pair_z,)))
     reg.register_op(OpDef(

@@ -75,24 +75,30 @@ derivative hands back one side's change unchanged when the other is nil.
 The zip slot stays UNIT and the stage is cache-free, as before.
 
 A map whose body is a Triv machine (comb_triv sets `triv` to its fn) runs fn
-inline as a kernel: init's output is the map's batch, calculus.compiled,
-and its cache keeps each input element as its entry's sub-cache; step
-computes fn(x ⊕ dx) ⊖ fn(x) per changed key and stores x ⊕ dx, with no
-per-entry machine call.  init picks the cache's layout from its input
-(_keeper): over a finite array of reals whose support is at least n/8, one
-array('d') of n slots, else a dict (one clone of the input when f(ε) = ε).
-A step reads c[i], a missing key as ε, and writes c[i] in place, so it
-serves both layouts.  The descriptor stays CIndexed, whose readers see a
-packed cache as the dict of its non-zero slots (_entries).  The batch of
-`map op` runs the op's OpDef.mapped batch, if any (calculus.map_kernel), and
-an op's Triv body, which op_machine builds from the op's fn, then steps by
-its mapped step.  The fused `zip ; map f` stage of a Triv f runs the pair
-kernel (_pair_kernel), whose cache keeps the two components of each cached
-pair apart, (cl, cr), each side kept by _keeper for its own element type
+inline as a kernel: init's output is the map's batch, calculus.compiled
+(the op's OpDef.mapped batch, if any), and its cache keeps each input
+element as its entry's sub-cache; step computes fn(x ⊕ dx) ⊖ fn(x) per
+changed key and stores x ⊕ dx, with no per-entry machine call.  init picks
+the cache's layout from its input (_keeper): over a finite array of reals
+whose support is at least n/8, one array('d') of n slots, else a dict (one
+clone of the input when f(ε) = ε).  The descriptor stays CIndexed, whose
+readers see a packed cache as the dict of its non-zero slots (_entries).
+The fused `zip ; map f` stage of a Triv f runs the pair kernel
+(_pair_kernel), whose cache keeps the two components of each cached pair
+apart, (cl, cr), each side kept by _keeper for its own element type
 (packed over an array of reals) and owned, and read by _entries as the dict
-of the pairs; its step reads cl[i] and cr[i], ⊕s only the changed side(s)
-in place and calls fn twice per changed key, so one step serves every mix
-of layouts.
+of the pairs.
+
+Both steps come from one source template (_triv_source), at arity 1 (map)
+and 2 (the fused map2), run by exec and memoised per (op expression,
+element types, arity), as dataclasses builds __init__.  A step reads c[i],
+a missing key (KeyError) as ε, and writes c[i] in place, so it serves both
+layouts and every mix of them; at arity 2 it ⊕s only the changed side(s).
+An op's body (OpDef.expr, which comb_triv keeps beside triv as `expr`) and
+its bases' ⊕, ⊖ and nil test (BaseType.exprs) are inlined as expressions,
+so `map relu` and map2 mul make no call per changed key; each missing piece
+is called instead (fn, apply_fn, diff_fn, is_nil_fn), so a Triv fold of
+trees or any user op steps by the same template.
 
 The join rule, `op ; dup ; (cst ε × id) ; filter p` (a selection σ_p
 after an op, where ε is the element default, so σ_p is linear), is built as
@@ -141,6 +147,7 @@ The laws every machine satisfies (checked by the oracle module, not assumed):
 
 from __future__ import annotations
 
+import ast
 from array import array
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
@@ -337,7 +344,7 @@ def _counter(desc):
             if k is not None:
                 return None, lambda c: k * (
                     len(c) if type(c) is dict else len(c) - c.count(0.0)
-                    if type(c) is array else len(_entries(c, (None, None))))
+                    if type(c) is array else _pair_support(c))
             return None, lambda c: sum(map(count, c.values()))
         case TSum(a, b):
             return _branches(_counter(a), _counter(b))
@@ -347,6 +354,23 @@ def _counter(desc):
                              _parts([_counter(right), _counter(right_out)]))
         case _:
             raise UsageError(f"not a cache descriptor or a type: {desc!r}")
+
+
+# where the sign and high exponent bits sit in an array('d') slot's 8 bytes:
+# that byte is 0x00 or 0x80 in a ±0.0 slot, and only below about 1e-303 else
+_HIGH = array("d", [-0.0]).tobytes().index(0x80)
+
+
+def _pair_support(c):
+    """The number of indices either side of a fused map2's (cl, cr) holds,
+    as _entries reads it: n when a packed side has no ±0.0 slot, as no
+    slot's high byte is 0x00 or 0x80 (one C-level pass), else the union's
+    size."""
+    for side in c:
+        if type(side) is array and 0 not in (h := side.tobytes()[_HIGH::8]) and 0x80 not in h:
+            return len(side)
+    l, r = (s.keys() if type(s) is dict else {i for i, v in enumerate(s) if v} for s in c)
+    return len(l | r)
 
 
 def _fixed(k):
@@ -387,10 +411,13 @@ class IncrMachine:
     # Set only by comb_triv, to its fn: map runs such a body as an inline
     # kernel over its entries instead of calling init/step per entry.
     triv: Optional[Callable[[Any], Any]] = None
+    # comb_triv's expr beside triv: fn's body as an expression (OpDef.expr)
+    expr: Optional[str] = None
 
 
-def comb_triv(fn, in_ty, out_ty) -> IncrMachine:
-    """Trivial incrementalization: cache the input, reevaluate on change."""
+def comb_triv(fn, in_ty, out_ty, expr=None) -> IncrMachine:
+    """Trivial incrementalization: cache the input, reevaluate on change.
+    expr, fn's body as an expression, is kept for map's kernel to inline."""
     ap = apply_fn(in_ty)
     df = diff_fn(out_ty)
 
@@ -401,7 +428,7 @@ def comb_triv(fn, in_ty, out_ty) -> IncrMachine:
         x2 = ap(x, dx)
         return df(fn(x2), fn(x)), x2
 
-    return IncrMachine(in_ty, out_ty, CValue(in_ty), init, step, triv=fn)
+    return IncrMachine(in_ty, out_ty, CValue(in_ty), init, step, triv=fn, expr=expr)
 
 
 def comb_triv2(fn, in_ty, out_ty) -> IncrMachine:
@@ -691,8 +718,8 @@ def _incr_map2(zip_tt, map_tt):
     other f keeps the map's cache.
     """
     zf = ca.compiled(zip_tt)
-    if fn := incrementalize(map_tt.children[0]).triv:
-        return _pair_kernel(fn, zip_tt, map_tt, zf)
+    if (body := incrementalize(map_tt.children[0])).triv:
+        return _pair_kernel(body, zip_tt, map_tt, zf)
     na = nil_change(zip_tt.in_ty.left.elem)
     nb = nil_change(zip_tt.in_ty.right.elem)
 
@@ -709,19 +736,18 @@ def _incr_map2(zip_tt, map_tt):
     return replace(m, in_ty=zip_tt.in_ty, init=lambda xy: map_init(zf(xy)))
 
 
-def _pair_kernel(fn, zip_tt, map_tt, zf):
+def _pair_kernel(body, zip_tt, map_tt, zf):
     """The fused `zip ; map f` of a Triv f, run inline.  Its cache holds the
     two components of each cached pair apart, (cl, cr), each kept by
-    _keeper for its side (or, when f(ε) ≠ ε, a dict of every index); a step
-    ⊕s only the changed side(s) in place and calls fn twice per changed key,
-    reading a missing entry (KeyError) as ε.  The descriptor is the map's,
-    whose readers see (cl, cr) as the dict of its pairs (_entries)."""
+    _keeper for its side (or, when f(ε) ≠ ε, a dict of every index), and
+    its step is the generated arity-2 Triv step (_triv_step).  The
+    descriptor is the map's, whose readers see (cl, cr) as the dict of its
+    pairs (_entries)."""
     shape, a, b = zip_tt.in_ty.left.shape, zip_tt.in_ty.left.elem, zip_tt.in_ty.right.elem
     ea, eb = default_value(a), default_value(b)
-    ap_l, ap_r = apply_fn(a), apply_fn(b)
-    df, out_nil, dout = (f(map_tt.out_ty.elem) for f in (diff_fn, is_nil_fn, default_value))
     keep_l, keep_r = _keeper(shape, a), _keeper(shape, b)
-    fe = fn((ea, eb))
+    fn, out = body.triv, map_tt.out_ty.elem
+    fe, dout = fn((ea, eb)), default_value(out)
 
     def init(xy):
         y = ca.compiled(map_tt)(zf(xy))
@@ -730,30 +756,8 @@ def _pair_kernel(fn, zip_tt, map_tt, zf):
                             for x, e in zip(xy, (ea, eb)))
         return y, (keep_l(xy[0]), keep_r(xy[1]))
 
-    def step(d, c):
-        dx, dy = d
-        cl, cr = c
-        out = {}
-        for i in dx.keys() | dy.keys() if dx and dy else dx or dy:
-            try:
-                x = cl[i]
-            except KeyError:
-                x = ea
-            try:
-                y = cr[i]
-            except KeyError:
-                y = eb
-            x2, y2 = x, y
-            if i in dx:
-                cl[i] = x2 = ap_l(x, dx[i])
-            if i in dy:
-                cr[i] = y2 = ap_r(y, dy[i])
-            dz = df(fn((x2, y2)), fn((x, y)))
-            if not out_nil(dz):
-                out[i] = dz
-        return out, c
-
     desc = CIndexed(shape, CValue(map_tt.in_ty.elem), lambda: (ea, eb))
+    step = _triv_step(fn, body.expr, out, a, b)
     return IncrMachine(zip_tt.in_ty, map_tt.out_ty, desc, init, step)
 
 
@@ -809,8 +813,7 @@ def _map_machine(tt, entries):
     else:
         # Triv kernel: the sub-cache of an entry is its input element, so
         # fn runs inline on it, with the entries comb_triv's caches have.
-        ap = apply_fn(elem_in)
-        df = diff_fn(elem_out)
+        # entries is dict.items here: _incr_map2 runs a Triv f as a pair kernel.
         keep = _keeper(shape, elem_in)
         batch = ca.compiled(tt)
 
@@ -822,22 +825,8 @@ def _map_machine(tt, entries):
             # the support, packed or in one C-level clone
             return batch(x), keep(x)
 
-        def step(dx, c):
-            out = {}
-            for i, di in entries(dx):
-                try:
-                    x = c[i]
-                except KeyError:
-                    x = din
-                x2 = ap(x, di)
-                dy = df(fn(x2), fn(x))
-                c[i] = x2
-                if not out_nil(dy):
-                    out[i] = dy
-            return out, c
-
-        if kernel := ca.map_kernel(tt):
-            step = kernel.step
+        # an expr over (x, y) does not read a pair element named x
+        step = _triv_step(fn, None if type(elem_in) is TProd else mf.expr, elem_out, elem_in)
 
     desc = CIndexed(shape, mf.cache, make_default)
     return IncrMachine(tt.in_ty, tt.out_ty, desc, init, step)
@@ -876,6 +865,71 @@ def _gather(n):
     """x's values at 0..n-1 when x holds all n: twice as fast as map(x.get),
     and made only when such an x is packed, so it is smaller than that x."""
     return itemgetter(*range(n))
+
+
+def _triv_step(fn, expr, out, *elems):
+    """The Triv step of `map f` (one element type, arity 1) or of the fused
+    `map2 f` (two, arity 2), f being fn, whose body expr may give."""
+    pieces = chain.from_iterable((apply_fn(e), default_value(e)) for e in elems)
+    return _triv_maker(expr, out, *elems)(fn, diff_fn(out), is_nil_fn(out), *pieces)
+
+
+@cache
+def _triv_maker(expr, out, *elems):
+    """make(fn, df, nil, ax, ex[, ay, ey]) -> step, run from _triv_source's
+    text by exec once per (expr, element types, arity), as dataclasses
+    builds __init__.  exec runs only expressions that bundles register in
+    Python code (OpDef.expr, BaseType.exprs), never surface-program text:
+    frontend cannot register an op."""
+    exec(compile(_triv_source(expr, out, *elems), "<triv step>", "exec"), space := {})
+    return space["make"]
+
+
+def _triv_source(expr, out, *elems):
+    """The text of the one template, at arity len(elems).
+
+    For each changed key i it reads the cached element(s) c?[i], a missing
+    key (KeyError) as ε, ⊕s the changed side(s) in place and emits
+    f(new) ⊖ f(old) when not nil, so it serves a dict and a packed cache.
+    At arity 2 it walks dx.keys() | dy.keys() only when both sides changed.
+    f is expr, and ⊕, ⊖ and the nil test are the element and output bases'
+    exprs, inlined; each missing piece calls fn, ax / ay (apply_fn), df
+    (diff_fn) or nil (is_nil_fn), as make's arguments."""
+    one = len(elems) == 1
+    sides = "xy"[:len(elems)]
+    old = _inline(expr or ("fn(x)" if one else "fn((x, y))"))
+    _, minus, nil = _exprs(out, None)
+    lines = ["out = {}"] if one else ["dx, dy = d", "cx, cy = c", "out = {}"]
+    lines.append("for i, e in dx.items():" if one else
+                 "for i in (dx.keys() | dy.keys() if dx and dy else dx or dy):")
+    for s in sides:
+        lines += ["    try:", f"        {s} = c{s}[i]", "    except KeyError:", f"        {s} = e{s}"]
+    lines += [] if one else ["    x2, y2 = x, y"]
+    for s, e in zip(sides, elems):
+        put = f"c{s}[i] = {s}2 = " + _inline(_exprs(e, "a" + s)[0], a=s, b="e" if one else f"d{s}[i]")
+        lines += [f"    {put}"] if one else [f"    if i in d{s}:", f"        {put}"]
+    lines += [f"    dz = {_inline(minus, a=_inline(old, x='x2', y='y2'), b=old)}",
+              f"    if not {_inline(nil, a='dz')}:", "        out[i] = dz",
+              "return out, " + ("cx" if one else "c")]
+    params = ", ".join(["fn", "df", "nil", *(f"{p}{s}" for s in sides for p in "ae")])
+    return "\n".join([f"def make({params}):", f"    def step({'dx, cx' if one else 'd, c'}):",
+                      *("        " + line for line in lines), "    return step", ""])
+
+
+def _exprs(ty, ap):
+    """(⊕, ⊖, nil test) at ty as expressions over a and b: its base's exprs,
+    else calls of ap, df and nil."""
+    return type(ty) is TBase and ty.base.exprs or (f"{ap}(a, b)", "df(a, b)", "nil(a)")
+
+
+def _inline(expr, **names):
+    """The expression expr, in parentheses, with each name in names replaced
+    by names' text for it."""
+    tree = ast.parse(expr, mode="eval")
+    for node in ast.walk(tree):
+        if type(node) is ast.Name and node.id in names:
+            node.id = names[node.id]
+    return f"({ast.unparse(tree)})"
 
 
 def _read_sum_change(d, s):
@@ -993,7 +1047,8 @@ def _incr_op(tt):
 
 def op_machine(op, in_ty, out_ty) -> IncrMachine:
     """The machine of op at in_ty -> out_ty: op.fn under the combinator that
-    op.comb names, or, when op.comb is a derivative, the Self machine."""
+    op.comb names, or, when op.comb is a derivative, the Self machine.  An
+    op's expr goes to its combinator beside fn; only "triv" takes one."""
     comb = op.comb
     if callable(comb):
         return comb_self(op.fn, comb, in_ty, out_ty)
@@ -1001,6 +1056,8 @@ def op_machine(op, in_ty, out_ty) -> IncrMachine:
     if make is None:
         raise UsageError(f"op {op.name!r}: combinator {comb!r} is neither one of "
                          f"{', '.join(_COMBINATORS)} nor a derivative")
+    if op.expr is not None:
+        return make(op.fn, in_ty, out_ty, expr=op.expr)
     return make(op.fn, in_ty, out_ty)
 
 

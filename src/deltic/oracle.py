@@ -358,15 +358,18 @@ def oracle_registry() -> ca.Registry:
     mk = reg.register_op
     mk(ca.OpDef("o_relu", ca.monomorphic(R, R), _relu, "triv2", (R,)))
     mk(ca.OpDef("o_shift5", ca.monomorphic(R, R), _shift5, lambda d: d, (R,)))
-    mk(ca.OpDef("o_mul", ca.monomorphic(TProd(R, R), R), _scalar_mul, "triv", (TProd(R, R),)))
+    mk(ca.OpDef("o_mul", ca.monomorphic(TProd(R, R), R), _scalar_mul, "triv", (TProd(R, R),),
+                expr="x * y"))
     mk(ca.OpDef("o_bmul", ca.monomorphic(TProd(R, R), R), _scalar_mul, "bilin", (TProd(R, R),)))
     mk(ca.OpDef("o_sum", vec_typer(R), _fsum, "lin", (arr(3, R),)))
-    mk(ca.OpDef("o_imul", ca.monomorphic(TProd(Z, Z), Z), _scalar_mul, "triv", (TProd(Z, Z),)))
+    mk(ca.OpDef("o_imul", ca.monomorphic(TProd(Z, Z), Z), _scalar_mul, "triv", (TProd(Z, Z),),
+                expr="x * y"))
     mk(ca.OpDef("o_ibmul", ca.monomorphic(TProd(Z, Z), Z), _scalar_mul, "bilin", (TProd(Z, Z),)))
     mk(ca.OpDef("o_isub", ca.monomorphic(TProd(Z, Z), Z), _int_sub, "lin", (TProd(Z, Z),)))
     mk(ca.OpDef("o_ineg", ca.monomorphic(Z, Z), _int_neg, "lin", (Z,)))
     mk(ca.OpDef("o_isum", vec_typer(Z), _isum, "lin", (arr(3, Z),)))
-    mk(ca.OpDef("o_nmax", ca.monomorphic(TProd(N, N), N), _nat_max, "triv", (TProd(N, N),)))
+    mk(ca.OpDef("o_nmax", ca.monomorphic(TProd(N, N), N), _nat_max, "triv", (TProd(N, N),),
+                expr="x if x >= y else y"))
     mk(ca.OpDef("o_ndbl", ca.monomorphic(N, N), _nat_dbl, "lin", (N,)))
     mk(ca.OpDef("o_nsum", vec_typer(N), _isum, "lin", (arr(3, N),)))
     return reg
@@ -856,8 +859,8 @@ def check_finite_support(seed=17, samples=40) -> list[CheckReport]:
 # ---------------------------------------------------------------------------
 
 def _stale_triv(orig):
-    def bad(fn, in_ty, out_ty):
-        m = orig(fn, in_ty, out_ty)
+    def bad(*args, **kwargs):
+        m = orig(*args, **kwargs)
         good_step = m.step
         m.step = lambda dx, c: (good_step(dx, c)[0], c)
         m.triv = None  # so map steps the sabotaged machine, not its kernel

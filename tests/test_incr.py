@@ -16,10 +16,10 @@ from deltic.calculus import (
 )
 from deltic.core import (
     INT, NAT, REAL, SCALAR, Cl, Cr, Left, Right, Sl, Sr, SUM_NULL, SupportError, TBase,
-    TCont, TProd, TSum, UsageError, apply_change, apply_fn, is_nil, nil_change,
-    values_equal,
+    TCont, TProd, TSum, UsageError, apply_change, apply_fn, default_value, is_nil,
+    nil_change, values_equal,
 )
-from deltic.domains import gcounter, linalg, relalg
+from deltic.domains import gcounter, linalg, relalg, trees
 from deltic.domains.containers import ARRAY, RELATION, arr, arr_shape, dict_shape, rel_shape
 from deltic.incr import (
     CUnit, cache_entry_count, cache_equal, cache_to_json, comb_add,
@@ -870,9 +870,10 @@ def test_fused_map2_cache_layout_is_unchanged():
 
 @pytest.mark.parametrize("sides", ["left", "right", "both"])
 def test_fused_map2_step_builds_no_zipped_change(sides):
-    # one step of map2 mul over k changed entries runs the Triv kernel: mul
-    # twice per key (new and old input), no Triv step, and never the
-    # standalone zip derivative (or any dict comprehension)
+    # one step of map2 mul over k changed entries runs the generated step
+    # once, with mul, ⊕, ⊖ and the nil test inlined: no _mul call, no Triv
+    # step, and never the standalone zip derivative (or any dict
+    # comprehension); the seq's step and the generated one are all it calls
     reg = linalg.register_linalg().registry
     n, k = 50, 7
     in_ty = TProd(arr(n, R), arr(n, R))
@@ -888,10 +889,18 @@ def test_fused_map2_step_builds_no_zipped_change(sides):
     assert zip_code not in codes
     assert not [f for f in codes if f.co_name == "<dictcomp>"]
     assert codes.count(triv_step) == 0
-    assert codes.count(linalg._mul.__code__) == 2 * k
+    assert linalg._mul.__code__ not in codes
+    assert codes.count(_generated_step(linalg._mul, "x * y", R, R, R)) == 1
+    assert len(codes) == 2
     if sides != "both":
         # a one-sided change ⊕s only its side of each cached pair
         assert apply_fn(TProd(R, R)).__code__ not in codes
+
+
+def _generated_step(fn, expr, out, *elems):
+    """The code of the Triv step incr generates for fn and expr at the
+    output and element types; every step made from one text shares it."""
+    return incr._triv_step(fn, expr, out, *elems).__code__
 
 
 def _fused_init_cases():
@@ -978,7 +987,7 @@ def _kernel_and_generic(monkeypatch, tt):
     triv = incr._COMBINATORS["triv"]
     with monkeypatch.context() as mp:
         mp.setitem(incr._COMBINATORS, "triv",
-                   lambda fn, i, o: replace(triv(fn, i, o), triv=None))
+                   lambda *args, **kw: replace(triv(*args, **kw), triv=None))
         generic = incrementalize(tt)
     return kernel, generic
 
@@ -1032,9 +1041,10 @@ def test_triv_kernel_laws_and_caches(monkeypatch, reg, term, ty):
     # output change and cache equal to those of the per-entry Triv machines
     tt = typecheck(term, ty, reg)
     m, generic = _kernel_and_generic(monkeypatch, tt)
-    # linalg-relu steps by relu's registered kernel, never calling _relu
-    kernel = ca.map_kernel(tt)
-    assert (kernel is not None) == (term == Map(OpCall("relu")))
+    # every case steps by one generated step per step; an op that declares
+    # its body as an expression (all but halve, inc and fma) is inlined
+    # there, so its fn is never called
+    op = reg.ops[(term if type(term) is Map else term.stages[1]).body.name]
     rng = stable_rng(41, repr(term))
     for _ in range(20):
         x = gen_value(rng, ty)
@@ -1055,9 +1065,8 @@ def test_triv_kernel_laws_and_caches(monkeypatch, reg, term, ty):
             (dyg, cg), generic_codes = call_codes(generic.step, d, cg)
             assert TRIV_STEP not in codes
             assert (TRIV_STEP in generic_codes) == (d != nil_change(ty))
-            if kernel:
-                assert codes.count(kernel.step.__code__) == 1
-                assert linalg._relu.__code__ not in codes
+            assert len([f for f in codes if f.co_filename == "<triv step>"]) == 1
+            assert (op.fn.__code__ in codes) == (op.expr is None and d != nil_change(ty))
             assert dy == dyg
             x = apply_change(ty, x, d)
             y = apply_change(tt.out_ty, y, dy)
@@ -1166,6 +1175,30 @@ def test_a_fused_map2_packs_each_side_from_n_over_8():
         x = apply_change(in_ty, x, d2)
         assert values_equal(tt.out_ty, apply_change(tt.out_ty, y, dy), denote(tt, x), 1e-9)
         assert cache_equal(m.cache, c, m.init(x)[1])
+
+
+def test_a_fused_map2_counts_the_union_of_its_sides():
+    # the cache of map2 mul counts 2 scalars per index that either side of
+    # (cl, cr) holds, as _entries reads the pairs, over every layout mix of
+    # the packing test above, with packed sides that hold zero slots, -0.0
+    # slots and tiny slots (whose high byte is 0x00, as a zero slot's is),
+    # before and after steps that zero some slots and fill others
+    n = 64
+    in_ty = TProd(arr(n, R), arr(n, R))
+    tt = typecheck(map2(OpCall("mul")), in_ty, linalg.register_linalg().registry)
+    m = incrementalize(tt)
+    rng = stable_rng(41, "pair-count")
+    dense = {i: round(rng.uniform(0.5, 4.0), 3) * rng.choice([-1, 1]) for i in range(n)}
+    first = list(dense.items())
+    holes = dict(first[::2])
+    odd = {**dense, 3: -0.0, 5: 1e-310, 7: -5e-324}
+    layouts = [dense, dict(first[:n // 8]), dict(first[:n // 8 - 1]), {}, holes, odd]
+    for xl, xr in [(l, r) for l in layouts for r in layouts]:
+        c = m.init((xl, xr))[1]
+        for d in [({}, {}), ({1: -xl.get(1, 0.0), 2: 1.0}, {}),
+                  ({}, {i: 1.0 for i in range(0, n, 3)}), ({0: 2.0}, {0: -xr.get(0, 0.0)})]:
+            c = m.step(d, c)[1]
+            assert cache_entry_count(m.cache, c) == 2 * len(incr._entries(c[1], (0.0, 0.0)))
 
 
 def _arrays(c):
@@ -1315,22 +1348,175 @@ def test_triv_stale_cache_fault_reaches_the_kernel(case):
 
 
 def test_dense_step_runs_the_kernel():
-    # one dense step over k changed entries of x: mul twice per changed
-    # entry of each of the n rows, relu's registered step once, no _relu
-    # call and no Triv step
-    n, k = 12, 3
+    # one dense step over 3 changed entries of x runs each row's generated
+    # map2 mul step once and relu's generated step once, with the ops, ⊕,
+    # ⊖ and the nil test inlined: no _mul or _relu call, no Triv step and
+    # no zip derivative.  Per row it also runs its seq's step (which threads
+    # the row's [UNIT, (cl, cr)] slots) and sum's derivative, so 3n + 20
+    # calls in all, where the 2·n·3 _mul calls alone made 72 of the 160
+    # allowed when the ops were called
+    n = 12
     term, ty, x = _dense(n)
-    m = incrementalize(typecheck(term, ty, linalg.register_linalg().registry))
+    reg = linalg.register_linalg().registry
+    m = incrementalize(typecheck(term, ty, reg))
     _, c = m.init(x)
     _, codes = call_codes(m.step, {i: 0.5 for i in (1, 4, 9)}, c)
-    assert TRIV_STEP not in codes
-    assert codes.count(linalg._mul.__code__) == 2 * n * k
-    assert codes.count(linalg._relu.__code__) == 0
-    assert codes.count(linalg._relu_step.__code__) == 1
-    # 200 calls in all when each row zipped its change (the row itself is
-    # constant) and ⊕ed each changed cached pair with the pair ⊕; walking
-    # the changed side alone makes at most 160
-    assert len(codes) <= 160
+    zip_ty = TProd(arr(n, R), arr(n, R))
+    zip_code = incrementalize(typecheck(ca.Zip(), zip_ty, reg)).deriv.__code__
+    assert TRIV_STEP not in codes and zip_code not in codes
+    assert linalg._mul.__code__ not in codes and linalg._relu.__code__ not in codes
+    assert codes.count(_generated_step(linalg._mul, "x * y", R, R, R)) == n
+    assert codes.count(_generated_step(linalg._relu, "x if x > 0 else 0.0", R, R)) == 1
+    assert codes.count(linalg._vsum.__code__) == n
+    assert len(codes) <= 3 * n + 20
+
+
+def _expr_ops():
+    """Every registered op that declares its body as an expression."""
+    regs = [linalg.register_linalg().registry, relalg.register_relalg().registry,
+            gcounter.register_gcounter(("a", "b")).registry, oracle_registry()]
+    return [pytest.param(op, id=op.name)
+            for reg in regs for op in reg.ops.values() if op.expr is not None]
+
+
+def test_the_ops_that_declare_an_expression():
+    assert [p.id for p in _expr_ops()] == [
+        "relu", "mul", "intmul", "max", "o_mul", "o_imul", "o_nmax"]
+
+
+@pytest.mark.parametrize("op", _expr_ops())
+def test_an_inlined_triv_step_equals_the_fallback(op):
+    # the generated step with op's expression and its bases' ⊕, ⊖ and nil
+    # test inlined, and the same template given no expression (which calls
+    # fn), step one stream alike: equal output changes, and caches equal at
+    # rel_tol 0.  relu runs at arity 1 (map), the pair ops at arity 2 (the
+    # fused map2).  Each side starts full, at n/8 (packed when real), just
+    # below n/8 (a dict) or empty, and the stream crosses n/8 up and back
+    # down; at arity 2 it holds left-only, right-only and two-sided changes
+    n = 64
+    in_ty = op.sample_in_tys[0]
+    out_ty = op.typer(in_ty)
+    elems = (in_ty.left, in_ty.right) if type(in_ty) is TProd else (in_ty,)
+    steps = [incr._triv_step(op.fn, e, out_ty, *elems) for e in (op.expr, None)]
+    assert steps[0].__code__ is not steps[1].__code__
+    shape, pair = arr_shape(n), len(elems) == 2
+    dft = tuple(map(default_value, elems)) if pair else default_value(in_ty)
+    desc = incr.CIndexed(shape, incr.CValue(in_ty), lambda: dft)
+    rng = stable_rng(41, f"inline-{op.name}")
+    draw = {"real": lambda: rng.choice([-1, 1]) * round(rng.uniform(0.5, 4.0), 3),
+            "int": lambda: rng.choice([-3, -1, 1, 2]), "nat": lambda: rng.randint(1, 3)}
+
+    def change(e, keys):
+        return {i: draw[e.base.kind]() for i in keys}
+
+    def down(e, x):  # back below n/8: zero every entry past the first few
+        keys = sorted(x)[n // 8 - 2:]
+        return change(e, keys) if e.base.kind == "nat" else {i: -x[i] for i in keys}
+
+    sizes = [n, n // 8, n // 8 - 1, 0]
+    for starts in [(k,) for k in sizes] if not pair else [(a, b) for a in sizes for b in sizes]:
+        xs = [change(e, range(k)) for e, k in zip(elems, starts)]
+        caches = [[incr._keeper(shape, e)(x) for e, x in zip(elems, xs)] for _ in steps]
+        assert [type(c) for c in caches[0]] == [
+            array if k >= n // 8 and e == R else dict for e, k in zip(elems, starts)]
+        small = [lambda e=e: change(e, rng.sample(range(n), 5)) for e in elems]
+        up = [lambda e=e: change(e, range(n // 8 - 1, n // 4)) for e in elems]
+        stream = [[f() for f in small], [f() for f in up], None]
+        if pair:
+            stream = [[small[0](), {}], [{}, small[1]()], *stream, [up[0](), {}], [{}, up[1]()]]
+        for ds in stream:
+            ds = ds or [down(e, x) for e, x in zip(elems, xs)]
+            results = []
+            for step, c in zip(steps, caches):
+                dz, c2 = step(tuple(ds), tuple(c)) if pair else step(ds[0], c[0])
+                assert c2 == (tuple(c) if pair else c[0])  # updated in place
+                results.append(dz)
+            assert results[0] == results[1] and list(results[0]) == list(results[1])
+            inline, fallback = (tuple(c) if pair else c[0] for c in caches)
+            assert cache_equal(desc, inline, fallback, rel_tol=0.0)
+            xs = [apply_change(TCont(shape, e), x, d) for e, x, d in zip(elems, xs, ds)]
+            assert cache_equal(desc, inline, tuple(xs) if pair else xs[0], rel_tol=0.0)
+
+
+def test_the_generated_steps_of_relu_and_mul():
+    # the source of map relu's arity-1 step and map2 mul's arity-2 step,
+    # which every machine of them runs
+    assert incr._triv_source("x if x > 0 else 0.0", R, R) == """\
+def make(fn, df, nil, ax, ex):
+    def step(dx, cx):
+        out = {}
+        for i, e in dx.items():
+            try:
+                x = cx[i]
+            except KeyError:
+                x = ex
+            cx[i] = x2 = (x + e)
+            dz = ((x2 if x2 > 0 else 0.0) - (x if x > 0 else 0.0))
+            if not (not dz):
+                out[i] = dz
+        return out, cx
+    return step
+"""
+    assert incr._triv_source("x * y", R, R, R) == """\
+def make(fn, df, nil, ax, ex, ay, ey):
+    def step(d, c):
+        dx, dy = d
+        cx, cy = c
+        out = {}
+        for i in (dx.keys() | dy.keys() if dx and dy else dx or dy):
+            try:
+                x = cx[i]
+            except KeyError:
+                x = ex
+            try:
+                y = cy[i]
+            except KeyError:
+                y = ey
+            x2, y2 = x, y
+            if i in dx:
+                cx[i] = x2 = (x + dx[i])
+            if i in dy:
+                cy[i] = y2 = (y + dy[i])
+            dz = ((x2 * y2) - (x * y))
+            if not (not dz):
+                out[i] = dz
+        return out, c
+    return step
+"""
+    reg = linalg.register_linalg().registry
+    for term, ty, code in [
+            (Map(OpCall("relu")), arr(8, R), _generated_step(linalg._relu, "x if x > 0 else 0.0", R, R)),
+            (map2(OpCall("mul")), TProd(arr(8, R), arr(8, R)),
+             _generated_step(linalg._mul, "x * y", R, R, R))]:
+        m = incrementalize(typecheck(term, ty, reg))
+        _, codes = call_codes(m.step, nil_change(ty), m.init(gen_value(stable_rng(0, "src"), ty))[1])
+        assert code in codes
+
+
+@pytest.mark.parametrize("op", ["tree_size", "tree_max"])
+def test_a_triv_fold_with_no_expression_steps_through_the_fallback(op):
+    # a trees Triv fold declares no expression: map's generated step calls
+    # its fn, ⊕s each document with apply_fn, and takes ⊖ and the nil test
+    # of its output inlined (int, tree_size) or called (scalar, tree_max)
+    reg = trees.register_trees().registry
+    tt = typecheck(Map(OpCall(op)), trees.BIB_TY, reg)
+    m = incrementalize(tt)
+    out = tt.children[0].out_ty
+    text = incr._triv_source(None, out, trees.DOC_TREE)
+    assert "fn(x2)" in text and "fn(x)" in text and "ax(x, e)" in text
+    assert ("df(" in text and "nil(dz)" in text) == (out == trees.S)
+    rng = stable_rng(41, f"fold-{op}")
+    x = trees.load_bibliography()
+    y, c = m.init(x)
+    for _ in range(20):
+        d = gen_change(rng, trees.BIB_TY)
+        (dy, c), codes = call_codes(m.step, d, c)
+        assert _generated_step(reg.ops[op].fn, None, out, trees.DOC_TREE) in codes
+        assert (reg.ops[op].fn.__code__ in codes) == bool(d)
+        x = apply_change(trees.BIB_TY, x, d)
+        y = apply_change(tt.out_ty, y, dy)
+        assert y == denote(tt, x)  # Law-2
+        assert cache_equal(m.cache, c, m.init(x)[1])  # Law-3
 
 
 def _reference_count(desc, c):
