@@ -1191,8 +1191,8 @@ def test_a_fused_map2_counts_the_union_of_its_sides():
     dense = {i: round(rng.uniform(0.5, 4.0), 3) * rng.choice([-1, 1]) for i in range(n)}
     first = list(dense.items())
     holes = dict(first[::2])
-    odd = {**dense, 3: -0.0, 5: 1e-310, 7: -5e-324}
-    layouts = [dense, dict(first[:n // 8]), dict(first[:n // 8 - 1]), {}, holes, odd]
+    odd = [{**dense, 3: -0.0}, {**dense, 5: 1e-310}, {**dense, 7: -5e-324}]
+    layouts = [dense, dict(first[:n // 8]), dict(first[:n // 8 - 1]), {}, holes, *odd]
     for xl, xr in [(l, r) for l in layouts for r in layouts]:
         c = m.init((xl, xr))[1]
         for d in [({}, {}), ({1: -xl.get(1, 0.0), 2: 1.0}, {}),
