@@ -148,7 +148,8 @@ def register_linalg() -> InstanceBundle:
     pair_r = TProd(R, R)
     reg.register_op(OpDef(
         "relu", monomorphic(R, R), _relu, "triv", sample_in_tys=(R,),
-        mapped=_relu_batch, expr="x if x > 0 else 0.0"))
+        # a float literal: CPython specialises a float-float compare only
+        mapped=_relu_batch, expr="x if x > 0.0 else 0.0"))
     reg.register_op(OpDef(
         "mul", monomorphic(pair_r, R), _mul, "triv", sample_in_tys=(pair_r,), expr="x * y"))
     reg.register_op(OpDef(

@@ -33,8 +33,9 @@ A machine with a unit cache is self-maintainable: its step is a pure function
 of the change, kept as the machine's `deriv` (change -> change).  The builders
 for seq, par and map compose their children's derivatives when the machine is
 built, so a cache-free subterm steps as a single call instead of threading
-(change, UNIT) pairs through every node; a cache-free composite has a CUnit
-cache and takes its init from the compiled batch semantics.
+(change, UNIT) pairs through every node (seq and par generate theirs, as
+below); a cache-free composite has a CUnit cache and takes its init from the
+compiled batch semantics.
 
 dup, proj and the container ops (zip, get, set, tp, reshape, replicate,
 filter) are linear, so each one's derivative is its batch kernel read at
@@ -42,13 +43,26 @@ nil: calculus.container_kernel with nil_change wherever the batch reads the
 default ε.  dup and proj read neither, so each one's compiled batch closure
 is its derivative.
 
-A typed seq is n-ary (see calculus.typecheck).  Each maximal run of
-cache-free stages steps as one derivative that calls the stage derivatives
-in a flat loop.  A seq with a cached stage keeps a list with one slot per
-stage (UNIT at the cache-free ones) that its step updates in place, so
-neither init nor step recurses along a chain.  Seq and par pick their step
-when built: a seq of one cache-free run then one cached stage steps with
-no loop, and a fanout has one step per pair of sides, cached or not.
+A typed seq is n-ary (see calculus.typecheck).  A seq with a cached stage
+keeps a list with one slot per stage (UNIT at the cache-free ones) that its
+step updates in place, so neither init nor step recurses along a chain.
+
+Seq and par steps are staged: each built machine has one step fragment
+(_fragment), source text that reads the change d and the cache c and
+leaves the output change and the new cache in them (a cache-free machine's
+reads and writes d only), with the objects its other names stand for.
+Path derivatives, dup, comb_add's derivative, cst's nil and both Triv
+steps give theirs (m.frag); every other machine's, and any machine's whose
+step or derivative was swapped after it was built (a fault's), is the call
+`d, c = f(d, c)` or `d = f(d)`.  The seq and par builders concatenate their
+children's fragments, each child's names tagged by its position, and run
+the text by exec once per text (_maker), as _triv_maker; the text is the
+machine's own fragment.  A run of consecutive seq stages that hold one
+machine (a let chain's stages) is one `for` over their slots with that
+machine's fragment as its body.  A child is inlined only while the text
+stays within _INLINE_LINES and the child nests at most _INLINE_DEPTH
+blocks, and called beyond, so a generated step stays within Python's limits
+on nested blocks and indentation, and generation does not recurse.
 
 Runs of seq stages that are built as one stage are matched by
 calculus.fusion, which denote shares, and built by _FUSED, by rule name.
@@ -82,7 +96,8 @@ changed key and stores x ⊕ dx, with no per-entry machine call.  init picks
 the cache's layout from its input (_keeper): over a finite array of reals
 whose support is at least n/8, one array('d') of n slots, else a dict (one
 clone of the input when f(ε) = ε).  The descriptor stays CIndexed, whose
-readers see a packed cache as the dict of its non-zero slots (_entries).
+readers see a packed cache as the dict of its non-zero slots (_entries),
+but cache_equal compares two packed caches (or sides) slot by slot.
 The fused `zip ; map f` stage of a Triv f runs the pair kernel
 (_pair_kernel), whose cache keeps the two components of each cached pair
 apart, (cl, cr), each side kept by _keeper for its own element type
@@ -148,6 +163,8 @@ The laws every machine satisfies (checked by the oracle module, not assumed):
 from __future__ import annotations
 
 import ast
+import builtins
+import operator
 from array import array
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
@@ -155,6 +172,7 @@ from functools import cache
 from itertools import chain, groupby, repeat
 from operator import itemgetter
 from struct import pack_into
+from textwrap import indent
 from typing import Any, Callable, Optional
 
 from . import calculus as ca
@@ -245,14 +263,10 @@ def cache_equal(desc, c1, c2, rel_tol=0.0) -> bool:
             return values_equal(ty, c1, c2, rel_tol)
         case CIndexed(_, elem, make_default):
             dft = make_default()
-            c1, c2 = _entries(c1, dft), _entries(c2, dft)
-            keys = c1.keys() | c2.keys()
-            for k in keys:
-                e1 = c1[k] if k in c1 else dft
-                e2 = c2[k] if k in c2 else dft
-                if not cache_equal(elem, e1, e2, rel_tol):
-                    return False
-            return True
+            if type(c1) is tuple and type(c2) is tuple:  # two fused map2 (cl, cr): side by side
+                sides = zip((CValue(elem.ty.left), CValue(elem.ty.right)), c1, c2, dft)
+                return all(_indexed_equal(*side, rel_tol) for side in sides)
+            return _indexed_equal(elem, c1, c2, dft, rel_tol)
         case CMatches():
             return c1.keys() == c2.keys() and all(
                 _matched(c1[j]) == _matched(c2[j]) for j in c1)
@@ -264,6 +278,22 @@ def cache_equal(desc, c1, c2, rel_tol=0.0) -> bool:
                     and values_equal(out_ty, c1.value[1], c2.value[1], rel_tol))
         case _:
             raise UsageError(f"not a cache descriptor: {desc!r}")
+
+
+def _indexed_equal(elem, c1, c2, dft, rel_tol):
+    """cache_equal of two indexed caches: two packed ones in one C-level ==,
+    then, at a rel_tol, slot by slot; else entry by entry, as _entries
+    reads them, an absent entry read as dft."""
+    if type(c1) is array and type(c2) is array:
+        return c1 == c2 or bool(rel_tol) and len(c1) == len(c2) and all(
+            values_equal(elem.ty, e1, e2, rel_tol) for e1, e2 in zip(c1, c2))
+    c1, c2 = _entries(c1, dft), _entries(c2, dft)
+    for k in c1.keys() | c2.keys():
+        e1 = c1[k] if k in c1 else dft
+        e2 = c2[k] if k in c2 else dft
+        if not cache_equal(elem, e1, e2, rel_tol):
+            return False
+    return True
 
 
 def cache_to_json(desc, c):
@@ -413,6 +443,9 @@ class IncrMachine:
     triv: Optional[Callable[[Any], Any]] = None
     # comb_triv's expr beside triv: fn's body as an expression (OpDef.expr)
     expr: Optional[str] = None
+    # (stands_for, text, free): the step fragment (see _fragment), kept
+    # while stands_for is still the machine's deriv (or, if None, its step)
+    frag: Optional[tuple] = None
 
 
 def comb_triv(fn, in_ty, out_ty, expr=None) -> IncrMachine:
@@ -556,7 +589,10 @@ def comb_add(ty) -> IncrMachine:
             return dx
         return addf(dx, dy)
 
-    return comb_self(lambda xy: addf(xy[0], xy[1]), deriv, in_ty, ty)
+    m = comb_self(lambda xy: addf(xy[0], xy[1]), deriv, in_ty, ty)
+    nil = "not {}" if nilf is operator.not_ else "nil({})"  # real, int, nat, containers
+    return _staged(m, f"x, y = d\nd = y if {nil.format('x')} else x if {nil.format('y')} "
+                      "else add(x, y)", add=addf, nil=nilf)
 
 
 # ---------------------------------------------------------------------------
@@ -568,15 +604,19 @@ def _self_machine(tt, dfn):
 
 
 def _incr_linear(tt):
-    """A linear op steps by its batch kernel read at nil (dup, proj: its closure)."""
-    if type(tt.term) in (ca.Dup, ca.Proj):
-        return _self_machine(tt, ca.compiled(tt))
+    """A linear op steps by its batch kernel read at nil (dup, proj: its
+    closure, whose fragment indexes the change or pairs it)."""
+    if type(tt.term) is ca.Dup:
+        return _staged(_self_machine(tt, ca.compiled(tt)), "d = d, d")
+    if type(tt.term) is ca.Proj:
+        path = "".join(f"[{i}]" for i in tt.term.path)
+        return _staged(_self_machine(tt, ca.compiled(tt)), f"d = d{path}" if path else "pass")
     return _self_machine(tt, ca.container_kernel(tt, nil_change))
 
 
 def _incr_cst(tt):
     nil = nil_change(tt.out_ty)
-    return _self_machine(tt, lambda _d: nil)
+    return _staged(_self_machine(tt, lambda _d: nil), "d = nil", nil=nil)
 
 
 def _incr_plus(tt):
@@ -624,16 +664,26 @@ def _seq_machine(tt, machines):
     A None stage is done by a neighbouring fused machine (the zip of a map2,
     the selection after a join's op, the dup of a fanout); its slot stays
     UNIT and it gets no init or step of its own, nor does an identity stage.
+    The step is generated from the stages' fragments (_place); a run of
+    stages that hold one machine is one loop over their slots.
     """
     live = [(k, m) for k, m in enumerate(machines) if m is not None and m.deriv is not _SAME]
-    if all(m.deriv is not None for _, m in live):
-        return _self_machine(tt, ca.chain([m.deriv for _, m in live]))
-    plan = []  # (slot, step) per cached stage, (None, deriv) per cache-free run
-    for free, run in groupby(live, lambda km: km[1].deriv is not None):
-        if free:
-            plan.append((None, ca.chain([m.deriv for _, m in run])))
-        else:
-            plan += [(k, m.step) for k, m in run]
+    if not live:
+        return _self_machine(tt, _SAME)
+    cached = any(m.deriv is None for _, m in live)
+    lines, free = ["s = c"] if cached else [], {}
+    for n, (_, run) in enumerate(groupby(live, lambda km: id(km[1]))):
+        slots = [k for k, _ in run]
+        m, k = machines[slots[0]], "k" if len(slots) > 1 else slots[0]
+        body = _place(m, f"s{n}_", lines, free)
+        if m.deriv is None:
+            body = [f"c = s[{k}]", *body, f"s[{k}] = c"]
+        if len(slots) > 1:
+            free[f"k{n}"] = tuple(slots)
+            body = [f"for k in k{n}:", *(f"    {line}" for line in body)]
+        lines += body
+    if not cached:
+        return _generated(tt.in_ty, tt.out_ty, CUnit(), ca.compiled(tt), lines, free)
     inits = [(k, m.init) for k, m in live]
     size = len(machines)
 
@@ -643,67 +693,46 @@ def _seq_machine(tt, machines):
             x, c[k] = f(x)
         return x, c
 
-    if len(plan) == 2 and plan[0][0] is None:  # a cache-free run, then a cached stage
-        (_, free), (k, f) = plan
-
-        def step(d, c):
-            d, c[k] = f(free(d), c[k])
-            return d, c
-    else:
-        def step(d, c):
-            for k, f in plan:
-                if k is None:
-                    d = f(d)
-                else:
-                    d, c[k] = f(d, c[k])
-            return d, c
-
     desc = CTuple(tuple(CUnit() if m is None else m.cache for m in machines))
-    return IncrMachine(tt.in_ty, tt.out_ty, desc, init, step)
+    return _generated(tt.in_ty, tt.out_ty, desc, init, lines + ["c = s"], free)
 
 
 def _par_machine(tt, fan=False):
     """f × g; or, with fan, the fanout ⟨f, g⟩ = dup ; (f × g), which hands
     its one input (or change) to both sides.  f × g runs as the fanout
-    ⟨fst ; f, snd ; g⟩, whose step is picked by which sides hold a cache.
-    A fanout of the fst and snd machines is the identity."""
+    ⟨fst ; f, snd ; g⟩.  The step is generated from the sides' fragments,
+    a cached side's first.  A fanout of the fst and snd machines is the
+    identity."""
     mf = incrementalize(tt.children[0])
     mg = incrementalize(tt.children[1])
-    f, g = mf.deriv, mg.deriv
     in_ty = tt.in_ty.left if fan else tt.in_ty
-    if fan and f is _FST and g is _SND:
+    if fan and mf.deriv is _FST and mg.deriv is _SND:
         return comb_self(_SAME, _SAME, in_ty, tt.out_ty)
-    if f and g:
-        if fan:
-            pair = ca.compiled(tt)
-            return comb_self(lambda x: pair((x, x)), lambda d: (f(d), g(d)), in_ty, tt.out_ty)
-        return _self_machine(tt, lambda d: (f(d[0]), g(d[1])))
-
-    f_init, g_init, f_step, g_step = mf.init, mg.init, mf.step, mg.step
+    held = [mf.deriv is None, mg.deriv is None]  # which sides hold a cache
+    lines, free = ["p, q = d, c" if any(held) else "p = d"], {}
+    for i in sorted((0, 1), key=lambda i: not held[i]):
+        if not fan or len(lines) > 1:  # d is p for a fanout's first side
+            lines.append("d = p" if fan else f"d = p[{i}]")
+        if held[i]:
+            lines.append(f"c = q[{i}]")
+        lines += _place((mf, mg)[i], f"p{i}_", lines, free)
+        lines.append(f"e{i}, u{i} = d, c" if held[i] else f"e{i} = d")
+    lines.append("d = e0, e1")
+    if not any(held):
+        pair = ca.compiled(tt)
+        batch = (lambda x: pair((x, x))) if fan else pair
+        return _generated(in_ty, tt.out_ty, CUnit(), batch, lines, free)
+    f_init, g_init = mf.init, mg.init
     if not fan:
-        f, g = f and (lambda d: mf.deriv(d[0])), g and (lambda d: mg.deriv(d[1]))
         f_init, g_init = (lambda x: mf.init(x[0])), (lambda x: mg.init(x[1]))
-        f_step, g_step = (lambda d, c: mf.step(d[0], c)), (lambda d, c: mg.step(d[1], c))
 
     def init(x):
         y1, c1 = f_init(x)
         y2, c2 = g_init(x)
         return (y1, y2), (c1, c2)
 
-    if g:  # ⟨f, free g⟩, as every let lowers to
-        def step(d, c):
-            d1, c1 = f_step(d, c[0])
-            return (d1, g(d)), (c1, UNIT)
-    elif f:
-        def step(d, c):
-            d2, c2 = g_step(d, c[1])
-            return (f(d), d2), (UNIT, c2)
-    else:
-        def step(d, c):
-            (d1, c1), (d2, c2) = f_step(d, c[0]), g_step(d, c[1])
-            return (d1, d2), (c1, c2)
-
-    return IncrMachine(in_ty, tt.out_ty, CTuple((mf.cache, mg.cache)), init, step)
+    lines.append("c = " + ", ".join(f"u{i}" if h else "UNIT" for i, h in enumerate(held)))
+    return _generated(in_ty, tt.out_ty, CTuple((mf.cache, mg.cache)), init, lines, free)
 
 
 def _incr_map(tt):
@@ -757,8 +786,7 @@ def _pair_kernel(body, zip_tt, map_tt, zf):
         return y, (keep_l(xy[0]), keep_r(xy[1]))
 
     desc = CIndexed(shape, CValue(map_tt.in_ty.elem), lambda: (ea, eb))
-    step = _triv_step(fn, body.expr, out, a, b)
-    return IncrMachine(zip_tt.in_ty, map_tt.out_ty, desc, init, step)
+    return _triv_machine(zip_tt.in_ty, map_tt.out_ty, desc, init, fn, body.expr, out, a, b)
 
 
 def _map_machine(tt, entries):
@@ -826,7 +854,9 @@ def _map_machine(tt, entries):
             return batch(x), keep(x)
 
         # an expr over (x, y) does not read a pair element named x
-        step = _triv_step(fn, None if type(elem_in) is TProd else mf.expr, elem_out, elem_in)
+        expr = None if type(elem_in) is TProd else mf.expr
+        return _triv_machine(tt.in_ty, tt.out_ty, CIndexed(shape, mf.cache, make_default),
+                             init, fn, expr, elem_out, elem_in)
 
     desc = CIndexed(shape, mf.cache, make_default)
     return IncrMachine(tt.in_ty, tt.out_ty, desc, init, step)
@@ -865,6 +895,15 @@ def _gather(n):
     """x's values at 0..n-1 when x holds all n: twice as fast as map(x.get),
     and made only when such an x is packed, so it is smaller than that x."""
     return itemgetter(*range(n))
+
+
+def _triv_machine(in_ty, out_ty, desc, init, fn, expr, out, *elems):
+    """The machine whose step is the generated Triv step of fn (_triv_step),
+    staged with that step's body as its fragment, over what it closes over."""
+    step = _triv_step(fn, expr, out, *elems)
+    cells = (cell.cell_contents for cell in step.__closure__ or ())
+    return _staged(IncrMachine(in_ty, out_ty, desc, init, step), _triv_body(expr, out, *elems),
+                   **dict(zip(step.__code__.co_freevars, cells)))
 
 
 def _triv_step(fn, expr, out, *elems):
@@ -916,6 +955,17 @@ def _triv_source(expr, out, *elems):
                       *("        " + line for line in lines), "    return step", ""])
 
 
+@cache
+def _triv_body(expr, out, *elems):
+    """_triv_source's step as a fragment: its body, with its parameters
+    renamed d and c and its return `out, c` read as d = out (c is updated
+    in place)."""
+    step = ast.parse(_triv_source(expr, out, *elems)).body[0].body[0]
+    names = dict(zip((a.arg for a in step.args.args), "dc"))
+    body = "\n".join(map(ast.unparse, step.body[:-1]))
+    return _rename(body, lambda n: names.get(n, n)) + "\nd = out"
+
+
 def _exprs(ty, ap):
     """(⊕, ⊖, nil test) at ty as expressions over a and b: its base's exprs,
     else calls of ap, df and nil."""
@@ -925,11 +975,98 @@ def _exprs(ty, ap):
 def _inline(expr, **names):
     """The expression expr, in parentheses, with each name in names replaced
     by names' text for it."""
-    tree = ast.parse(expr, mode="eval")
+    return f"({_rename(expr, lambda n: names.get(n, n), 'eval')})"
+
+
+def _rename(text, rename, mode="exec"):
+    """The source text with each name n replaced by rename(n)."""
+    tree = ast.parse(text, mode=mode)
     for node in ast.walk(tree):
-        if type(node) is ast.Name and node.id in names:
-            node.id = names[node.id]
-    return f"({ast.unparse(tree)})"
+        if type(node) is ast.Name:
+            node.id = rename(node.id)
+    return ast.unparse(tree)
+
+
+# ---------------------------------------------------------------------------
+# Staged steps
+# ---------------------------------------------------------------------------
+
+# A child's fragment is inlined while the composite's text stays within
+# _INLINE_LINES lines and the fragment nests at most _INLINE_DEPTH blocks;
+# past either the composite calls the child, so a generated step nests at
+# most _INLINE_DEPTH + 1 blocks, well inside Python's limit of 20
+_INLINE_LINES = 120
+_INLINE_DEPTH = 6
+# the names a fragment shares with the text it is placed in: the change,
+# the cache, UNIT and the builtins; every other name is tagged
+_SHARED = frozenset(["d", "c", "UNIT", *dir(builtins)])
+
+
+def _staged(m, text, **free):
+    """m, with text over the objects free as the fragment of its step."""
+    m.frag = (m.deriv or m.step, text, free)
+    return m
+
+
+def _fragment(m):
+    """(text, free) of m's step: statements that read the change d and the
+    cache c and leave the output change and the new cache in them (a
+    cache-free machine's read and write d only), and the objects its other
+    free names stand for.  m.frag gives them while it stands for m's
+    derivative or step; any other machine's fragment calls that."""
+    f = m.deriv or m.step
+    if m.frag and m.frag[0] is f:
+        return m.frag[1:]
+    return _call(m)
+
+
+def _call(m):
+    """The fragment that calls m's derivative or step."""
+    return ("d = f(d)" if m.deriv else "d, c = f(d, c)"), {"f": m.deriv or m.step}
+
+
+def _place(m, tag, lines, free):
+    """m's fragment as lines, its names tagged (and its objects added to
+    free under them): inlined when it fits after lines, else its call."""
+    text, names = _fragment(m)
+    rows, depth = _tagged(text, tag)
+    if len(lines) + len(rows) > _INLINE_LINES or depth > _INLINE_DEPTH:
+        text, names = _call(m)
+        rows, _ = _tagged(text, tag)
+    free.update((tag + n, v) for n, v in names.items())
+    return rows
+
+
+@cache
+def _tagged(text, tag):
+    """(rows, depth): text's lines, each name not in _SHARED prefixed by
+    tag, and how many blocks they nest."""
+    rows = tuple(_rename(text, lambda n: n if n in _SHARED else tag + n).split("\n"))
+    return rows, max(len(row) - len(row.lstrip()) for row in rows) // 4
+
+
+def _generated(in_ty, out_ty, desc, init, lines, free):
+    """The composite machine whose step is run from the fragment lines over
+    free: a cache-free one's (desc CUnit, init its batch) its derivative."""
+    cached = type(desc) is not CUnit
+    text, names = "\n".join(lines), sorted(free)
+    f = _maker(text, cached, *names)(*map(free.get, names))
+    m = IncrMachine(in_ty, out_ty, desc, init, f) if cached else comb_self(init, f, in_ty, out_ty)
+    return _staged(m, text, **free)
+
+
+@cache
+def _maker(text, cached, *names):
+    """make(*free objects) -> step, run from the fragment text by exec once
+    per text, as _triv_maker.  The text is made here from fragments, op and
+    base expressions (OpDef.expr, BaseType.exprs) and typechecked
+    projection paths; every value, a cst's included, is a free object, so
+    no surface-program text reaches exec."""
+    params = "d, c" if cached else "d"
+    src = "\n".join([f"def make({', '.join(names)}):", f"    def step({params}):",
+                     indent(text, " " * 8), f"        return {params}", "    return step", ""])
+    exec(compile(src, "<step>", "exec"), space := {"UNIT": UNIT})
+    return space["make"]
 
 
 def _read_sum_change(d, s):
