@@ -21,13 +21,14 @@ passes the nil change and uses the same kernel as the op's derivative.
 `fusion` matches the runs of seq stages built as one stage, for denote and
 incr alike, and `_FUSED` builds a run's batch by rule name.  An op may
 register `join_index`, the index of `op ; σ_p`: the compiled seq runs a join
-run `op ; ⟨cst ε, id⟩ ; filter p` as join_index(p).batch, with no index made,
-so relalg's join tests p on each pair before making it, in place of building
-the whole cross product and filtering it.  An add run, `zip ; map g` with g
-pointwise ⊕, is ⊕ on the container and runs as one add_fn, with no zipped
-dict in between; every other stage is compiled alone.  `map op` runs the
-op's `mapped` batch.  `unfused` runs a seq stage by stage and a map entry by
-entry: the reference the join, add and map kernels are checked against.
+run `op ; ⟨cst ε, id⟩ ; filter p` as join_index(p, ty).batch, ty being the
+op's input type, so relalg's join tests p on each candidate pair before
+making it, in place of building the whole cross product and filtering it.
+An add run, `zip ; map g` with g pointwise ⊕, is ⊕ on the container and runs
+as one add_fn, with no zipped dict in between; every other stage is compiled
+alone.  `map op` runs the op's `mapped` batch.  `unfused` runs a seq stage
+by stage and a map entry by entry: the reference the join, add and map
+kernels are checked against.
 
 Shape transformations (reshape) and index predicates (filter) are registered
 named functions, so terms stay serializable; `map2 f` and `⟨f, g⟩` are
@@ -216,8 +217,9 @@ class OpDef:
     (change -> change) itself.  sample_in_tys are representative input
     types for the law validator.  join_index, when given, serves the seq
     stages `op ; ⟨cst ε, id⟩ ; filter p` (the join rule of fusion):
-    join_index(p) is the BilinIndex of the one bilinear stage that incr
-    builds for them, and denote runs them as its batch.
+    join_index(p, ty), ty being the op's input type, is the BilinIndex of
+    the one bilinear stage that incr builds for them, and denote runs them
+    as its batch.
     Left None, the stages run one by one.
     mapped, when given, is the batch of `map op` when fn(ε) = ε: mapped(x)
     is {i: fn(xi)} over x's keys, in x's order, without the entries equal to
@@ -234,7 +236,7 @@ class OpDef:
     fn: Callable[[Any], Any]
     comb: str | Callable[[Any], Any]
     sample_in_tys: tuple = ()
-    join_index: Optional[Callable[[Callable], Any]] = None
+    join_index: Optional[Callable[[Callable, Any], Any]] = None
     mapped: Optional[Callable[[dict], dict]] = None
     expr: Optional[str] = None
 
@@ -607,7 +609,7 @@ def _batch_add(zip_tt, _map):
 
 def _batch_join(op, _dup, _par, fil):
     index = op.info.join_index  # None when the op registers none
-    return index and index(fil.info.fn).batch
+    return index and index(fil.info.fn, op.in_ty).batch
 
 
 # The batch of the fused runs, by fusion's rule name (incr._FUSED is its

@@ -57,12 +57,15 @@ step or derivative was swapped after it was built (a fault's), is the call
 `d, c = f(d, c)` or `d = f(d)`.  The seq and par builders concatenate their
 children's fragments, each child's names tagged by its position, and run
 the text by exec once per text (_maker), as _triv_maker; the text is the
-machine's own fragment.  A run of consecutive seq stages that hold one
-machine (a let chain's stages) is one `for` over their slots with that
-machine's fragment as its body.  A child is inlined only while the text
-stays within _INLINE_LINES and the child nests at most _INLINE_DEPTH
-blocks, and called beyond, so a generated step stays within Python's limits
-on nested blocks and indentation, and generation does not recurse.
+machine's own fragment.  Each text runs under a file name of its own,
+`<step n>` or `<triv step n>`, whose lines linecache serves, so a traceback
+through a generated step shows the line it stopped on.  A run of
+consecutive seq stages that hold one machine (a let chain's stages) is one
+`for` over their slots with that machine's fragment as its body.  A child
+is inlined only while the text stays within _INLINE_LINES and the child
+nests at most _INLINE_DEPTH blocks, and called beyond, so a generated step
+stays within Python's limits on nested blocks and indentation, and
+generation does not recurse.
 
 Runs of seq stages that are built as one stage are matched by
 calculus.fusion, which denote shares, and built by _FUSED, by rule name.
@@ -118,11 +121,12 @@ trees or any user op steps by the same template.
 The join rule, `op ; dup ; (cst ε × id) ; filter p` (a selection σ_p
 after an op, where ε is the element default, so σ_p is linear), is built as
 one stage when the op registers join_index: comb_bilin with the index
-join_index(p), which for relalg's cross tests p on each pair before making
-it.  The fused machine takes the op's slot and the three selection slots
-stay UNIT; they were cache-free anyway.  Batch evaluation runs the same
-stages as join_index(p).batch (calculus._FUSED), so the laws check both
-against calculus.unfused, the stages run one by one.
+join_index(p, ty), ty the op's input type, which for relalg's cross tests p
+on each candidate pair before making it.  The fused machine takes the op's
+slot and the three selection slots stay UNIT; they were cache-free anyway.
+Batch evaluation runs the same stages as join_index(p, ty).batch
+(calculus._FUSED), so the laws check both against calculus.unfused, the
+stages run one by one.
 
 comb_bilin (the unfused cross and the selected join alike) steps by the
 product rule as two one-sided steps, f(dx, y) ⊕ f(x ⊕ dx, dy), over one
@@ -148,10 +152,14 @@ whole input, so it is O(n) whatever its ⊕ costs, and owning their cache
 would add a copy at init, and one per step wherever fn returns its input.
 
 The index, the third cache part, makes each side's term and updates itself.
-The unfused op's index keeps nothing (UNIT) and calls fn.  The selected
-join's keeps, for each right tuple, the left tuples it matches (CMatches,
-compared as a set per right tuple; it holds no scalars, so
-cache_entry_count is the unfused one).
+The unfused op's index keeps nothing (UNIT) and calls fn.  relalg's join
+keeps, when p's code is an equi-join `ij[0][a] == ij[1][b]`, one group per
+key of the right relation, its right tuples and the left tuples with that
+key (CGroups, compared as two sets per key), so a step visits the changed
+tuples' groups only and p decides each candidate pair there; for any other
+p, for each right tuple, the left tuples it matches (CMatches, compared as
+a set per right tuple).  Neither holds scalars, so cache_entry_count is the
+unfused one.
 
 The laws every machine satisfies (checked by the oracle module, not assumed):
 
@@ -164,12 +172,13 @@ from __future__ import annotations
 
 import ast
 import builtins
+import linecache
 import operator
 from array import array
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from functools import cache
-from itertools import chain, groupby, repeat
+from itertools import chain, count, groupby, repeat
 from operator import itemgetter
 from struct import pack_into
 from textwrap import indent
@@ -245,6 +254,13 @@ class CMatches:
 
 
 @dataclass(frozen=True)
+class CGroups:
+    """A keyed join's groups: for each key, the right tuples with that key
+    and the left tuples with it, these in a few buckets, as CMatches holds
+    them.  Compared as two sets per key and printed sorted."""
+
+
+@dataclass(frozen=True)
 class CCase:
     """Branch cache of case: (sub-cache, previous output) on the live side."""
     left: Any
@@ -267,9 +283,9 @@ def cache_equal(desc, c1, c2, rel_tol=0.0) -> bool:
                 sides = zip((CValue(elem.ty.left), CValue(elem.ty.right)), c1, c2, dft)
                 return all(_indexed_equal(*side, rel_tol) for side in sides)
             return _indexed_equal(elem, c1, c2, dft, rel_tol)
-        case CMatches():
+        case CMatches() | CGroups():
             return c1.keys() == c2.keys() and all(
-                _matched(c1[j]) == _matched(c2[j]) for j in c1)
+                _sets(desc, c1[j]) == _sets(desc, c2[j]) for j in c1)
         case CCase(left, left_out, right, right_out):
             if type(c1) is not type(c2):
                 return False
@@ -313,9 +329,10 @@ def cache_to_json(desc, c):
                 if not cache_equal(elem, c[k], dft, 0.0):
                     entries.append([index_to_json(k), cache_to_json(elem, c[k])])
             return {"indexed": entries}
-        case CMatches():
-            return {"matches": [
-                [index_to_json(j), [index_to_json(i) for i in _sorted(_matched(c[j]))]]
+        case CMatches() | CGroups():
+            return {"matches" if type(desc) is CMatches else "groups": [
+                [index_to_json(j), *([index_to_json(i) for i in _sorted(part)]
+                                     for part in _sets(desc, c[j]))]
                 for j in _sorted(c)]}
         case CCase(left, left_out, right, right_out):
             if type(c) is Left:
@@ -343,6 +360,12 @@ def _matched(buckets):
     return set(chain.from_iterable(buckets))
 
 
+def _sets(desc, entry):
+    """An entry of a join's index as the sets it holds: a right tuple's
+    matches (CMatches), or a key's right tuples and left tuples (CGroups)."""
+    return [_matched(entry)] if type(desc) is CMatches else [set(entry[0]), _matched(entry[1])]
+
+
 def _sorted(indices):
     return sorted(indices, key=index_sort_key)
 
@@ -359,7 +382,7 @@ def _counter(desc):
     every c (else None).  A container whose entries each hold k scalars is
     counted as k · len(c), without visiting its entries."""
     match desc:
-        case CUnit() | CMatches():
+        case CUnit() | CMatches() | CGroups():
             return _fixed(0)
         case TBase():
             return _fixed(1)
@@ -508,8 +531,8 @@ class BilinIndex:
     It makes f's terms itself, reading and updating the index as it goes:
     init(xy) is (f(xy), the index of xy); left(dx, y, x2, index) is f(dx, y)
     and updates the index for x2 = x ⊕ dx; right(x, dy, y2, index) is
-    f(x, dy) and updates it for y2 = y ⊕ dy.  batch(xy) is f(xy) alone, with
-    no index made.  cache describes the index.
+    f(x, dy) and updates it for y2 = y ⊕ dy.  batch(xy) is f(xy) alone, the
+    index dropped (or not made).  cache describes the index.
     """
     cache: Any
     init: Callable[[Any], tuple]
@@ -651,11 +674,11 @@ def _incr_seq(tt):
 
 def _incr_join(op, _dup, _par, fil):
     """`op ; dup ; (cst ε × id) ; filter p` as one bilinear stage whose terms
-    the op's join_index(p) makes, applying p as it computes; the three
+    the op's join_index(p, ty) makes, applying p as it computes; the three
     selection stages are cache-free, so the layout is that of the unfused seq."""
-    index = op.info.join_index
-    bilin = _COMBINATORS["bilin"]
-    return index and [bilin(None, op.in_ty, fil.out_ty, index(fil.info.fn)), None, None, None]
+    index, bilin = op.info.join_index, _COMBINATORS["bilin"]
+    return index and [bilin(None, op.in_ty, fil.out_ty, index(fil.info.fn, op.in_ty)),
+                      None, None, None]
 
 
 def _seq_machine(tt, machines):
@@ -920,8 +943,7 @@ def _triv_maker(expr, out, *elems):
     builds __init__.  exec runs only expressions that bundles register in
     Python code (OpDef.expr, BaseType.exprs), never surface-program text:
     frontend cannot register an op."""
-    exec(compile(_triv_source(expr, out, *elems), "<triv step>", "exec"), space := {})
-    return space["make"]
+    return _run_text(_triv_source(expr, out, *elems), "triv step", {})
 
 
 def _triv_source(expr, out, *elems):
@@ -1065,8 +1087,20 @@ def _maker(text, cached, *names):
     params = "d, c" if cached else "d"
     src = "\n".join([f"def make({', '.join(names)}):", f"    def step({params}):",
                      indent(text, " " * 8), f"        return {params}", "    return step", ""])
-    exec(compile(src, "<step>", "exec"), space := {"UNIT": UNIT})
+    return _run_text(src, "step", {"UNIT": UNIT})
+
+
+def _run_text(src, kind, space):
+    """make, defined by running the text src by exec in space, under a file
+    name of its own, `<kind n>`, whose lines linecache serves, so that a
+    traceback through a generated step shows its source lines."""
+    name = f"<{kind} {next(_TEXTS)}>"
+    linecache.cache[name] = (len(src), None, src.splitlines(True), name)
+    exec(compile(src, name, "exec"), space)
     return space["make"]
+
+
+_TEXTS = count(1)
 
 
 def _read_sum_change(d, s):

@@ -18,7 +18,8 @@ The nine documented fault injections (for mutation-sensitivity testing):
   bilin-aliased-cache    BiLin caches the caller's inputs, not   -> Law-2
                          copies, so its in-place ⊕ writes into them
   join-stale-matches     a left step of the fused join leaves a  -> Law-3
-                         new left tuple out of its matches
+                         new left tuple out of its matches (or
+                         out of its key's group)
   case-aliased-output    case's init caches the very output it   -> Law-2
                          returns, so its in-place ⊕ writes into it
                          (Law-3 when that output is the input)

@@ -1,6 +1,7 @@
 """Combinators, the incrementalization transformation, and iterated updates."""
 
 import sys
+import traceback
 import tracemalloc
 from array import array
 from contextlib import nullcontext
@@ -642,6 +643,21 @@ c = s"""
     assert codes == [m.step.__code__]
 
 
+def test_a_traceback_through_a_generated_step_shows_its_line():
+    # each generated text runs under a file name of its own that linecache
+    # serves, so an exception raised inside a let chain's staged step shows
+    # the line it was raised on: here the inlined relu step's ⊕ of a str
+    m = incrementalize(_let_chain(3, 4))
+    _, c = m.init(({i: 1.0 for i in range(4)}, {i: 0.5 for i in range(4)}))
+    try:
+        m.step(({0: "0.5"}, {}), c)
+    except TypeError:
+        text, frame = traceback.format_exc(), traceback.extract_tb(sys.exc_info()[2])[-1]
+    assert frame.filename.startswith("<step ") and frame.filename != "<step>"
+    assert frame.line == "c[s0_p0_s1_i] = s0_p0_s1_x2 = s0_p0_s1_x + s0_p0_s1_e"
+    assert frame.line in text
+
+
 def test_staged_steps_build_and_step_at_the_default_recursion_limit():
     # map nested 30 deep, par right-nested 30 deep and perfbench's deepest
     # let chain (400 stages) build and step; inlining stops at a fixed size
@@ -1013,7 +1029,7 @@ def test_fused_map2_step_builds_no_zipped_change(sides):
     assert not [f for f in codes if f.co_name == "<dictcomp>"]
     assert codes.count(triv_step) == 0
     assert linalg._mul.__code__ not in codes
-    assert codes == [m.step.__code__] and m.step.__code__.co_filename == "<step>"
+    assert codes == [m.step.__code__] and m.step.__code__.co_filename.startswith("<step ")
     if sides != "both":
         # a one-sided change ⊕s only its side of each cached pair
         assert apply_fn(TProd(R, R)).__code__ not in codes
@@ -1188,7 +1204,7 @@ def test_triv_kernel_laws_and_caches(monkeypatch, reg, term, ty):
             (dyg, cg), generic_codes = call_codes(generic.step, d, cg)
             assert TRIV_STEP not in codes
             assert (TRIV_STEP in generic_codes) == (d != nil_change(ty))
-            assert len([f for f in codes if f.co_filename in ("<triv step>", "<step>")]) == 1
+            assert len([f for f in codes if f.co_filename.startswith(("<triv step ", "<step "))]) == 1
             assert (op.fn.__code__ in codes) == (op.expr is None and d != nil_change(ty))
             assert dy == dyg
             x = apply_change(ty, x, d)
@@ -1534,9 +1550,9 @@ def test_dense_step_runs_the_kernel():
     zip_code = incrementalize(typecheck(ca.Zip(), zip_ty, reg)).deriv.__code__
     assert TRIV_STEP not in codes and zip_code not in codes
     assert linalg._mul.__code__ not in codes and linalg._relu.__code__ not in codes
-    assert not [f for f in codes if f.co_filename == "<triv step>"]
+    assert not [f for f in codes if f.co_filename.startswith("<triv step ")]
     assert codes.count(m.step.__code__) == 1
-    assert len([f for f in codes if f.co_filename == "<step>"]) == n + 1
+    assert len([f for f in codes if f.co_filename.startswith("<step ")]) == n + 1
     assert codes.count(linalg._vsum.__code__) == n
     assert len(codes) <= 3 * n + 20
 

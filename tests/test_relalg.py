@@ -1,6 +1,7 @@
 """Relational algebra over multiplicity maps vs nested-loop oracles."""
 
 import copy
+import operator
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -17,7 +18,9 @@ from deltic.frontend import compile_program, eval_named, parse_program_file
 from deltic.incr import (
     cache_entry_count, cache_equal, cache_to_json, incrementalize,
 )
-from deltic.oracle import _join_side_change, check_op_laws, inject_fault, stable_rng
+from deltic.oracle import (
+    _join_side_change, _run_stream, check_op_laws, inject_fault, stable_rng,
+)
 
 from helpers import (
     call_codes, oracle_join, oracle_proj, oracle_union, rand_relation, step_through,
@@ -163,8 +166,17 @@ def test_surface_binary_programs_step_as_they_denote(name):
 
 PAIR_REL = relalg.rel(("int", "int"))
 JOIN_IN = TProd(PAIR_REL, PAIR_REL)
+
+
+def _closing_over(col):
+    return lambda ij: ij[0][col] == ij[1][col]
+
+
 JOIN_PREDS = {
     "key-eq": lambda ij: ij[0][0] == ij[1][0],
+    # key-eq's twin that closes over its column, so that relalg does not
+    # read it as a key equality: it keeps the opaque index (CMatches)
+    "key-eq-opaque": _closing_over(0),
     "non-key": lambda ij: (ij[0][1] + ij[1][1]) % 3 == 0,
 }
 
@@ -224,7 +236,7 @@ def _without_matches(desc, c):
 def test_fused_join_cache_is_the_unfused_one():
     # the join's x and y parts are the unfused cache, in descriptor and in
     # JSON; a third part holds each right tuple's matches
-    tt = _join("key-eq")
+    tt = _join("key-eq-opaque")
     fused, unfused = incrementalize(tt), _unfused(tt)
     rng = stable_rng(54, "fused-join-cache")
     x = (rand_relation(rng, 15), rand_relation(rng, 6))
@@ -243,7 +255,7 @@ def test_fused_join_cache_is_the_unfused_one():
 def test_fused_join_cache_json_after_a_left_and_a_right_step():
     # the x, y and matches parts as printed; a right tuple's matches are
     # sorted, and one left with no match prints as []
-    tt = _join("key-eq")
+    tt = _join("key-eq-opaque")
     m = incrementalize(tt)
     _, c = m.init(({(1, 2): 1, (2, 5): 2}, {(1, 9): 1, (2, 7): 3}))
     selection = "unit", "unit", "unit"
@@ -274,7 +286,7 @@ def test_selection_fuses_only_with_the_default_fallback(fallback, fused):
     called = []
     cross = b.registry.ops["cross"]
     b.registry.ops["cross"] = replace(
-        cross, join_index=lambda q: called.append(q) or cross.join_index(q))
+        cross, join_index=lambda q, ty: called.append(q) or cross.join_index(q, ty))
     term = seq(OpCall("cross"), fanout(Cst(relalg.Z, fallback), ID), Filter("key-eq"))
     tt = typecheck(term, JOIN_IN, b.registry)
     incrementalize(tt)
@@ -390,7 +402,7 @@ def _matches_equal_a_rebuild(p, c):
         assert all(held[i] is i for i in live)
 
 
-@pytest.mark.parametrize("pred_name", sorted(JOIN_PREDS))
+@pytest.mark.parametrize("pred_name", ["key-eq-opaque", "non-key"])
 @pytest.mark.parametrize("self_join", [False, True], ids=["join", "dup-join"])
 def test_live_matches_equal_a_rebuild_after_every_step(pred_name, self_join):
     p = JOIN_PREDS[pred_name]
@@ -440,6 +452,276 @@ def test_stale_matches_fault_leaves_a_new_left_tuple_out():
         # deleting (2, 9) then reads its matches, which miss (2, 5)
         dout, _ = m.step(({}, {(2, 9): -1}), c)
         assert (dout == {((2, 5), (2, 9)): -1}) != faulty
+
+
+# ---------------------------------------------------------------------------
+# The keyed equi-join: p read as ij[0][a] == ij[1][b], stepped by key groups
+# ---------------------------------------------------------------------------
+
+def _key_eq_def(ij):
+    return ij[0][1] == ij[1][0]
+
+
+def _with_default(ij=((0,), (0,))):
+    return ij[0][0] == ij[1][0]
+
+
+# (predicate, the (left, right) key columns relalg reads off its code, or
+# None when it stays opaque), over JOIN_IN, two columns a side
+RECOGNIZER = {
+    "lambda": (lambda ij: ij[0][0] == ij[1][0], (0, 0)),
+    "def": (_key_eq_def, (1, 0)),
+    "eval": (eval("lambda t: t[1][1] == t[0][0]"), (0, 1)),
+    "swapped": (lambda ij: ij[1][0] == ij[0][1], (1, 0)),
+    "ne": (lambda ij: ij[0][0] != ij[1][0], None),
+    "lt": (lambda ij: ij[0][0] < ij[1][0], None),
+    "same-side": (lambda ij: ij[0][0] == ij[0][1], None),
+    "extra-op": (lambda ij: ij[0][0] + 0 == ij[1][0], None),
+    "closure": (_closing_over(0), None),
+    "default-arg": (lambda ij, k=0: ij[0][0] == ij[1][0], None),
+    "default": (_with_default, None),
+    "out-of-schema": (lambda ij: ij[0][2] == ij[1][1], None),
+    "builtin": (bool, None),
+}
+
+
+def _join_index_desc(m):
+    # the third cache part of the fused join, the seq's first slot
+    return m.cache.parts[0].parts[2]
+
+
+@pytest.mark.parametrize("name", sorted(RECOGNIZER))
+def test_the_key_columns_are_read_off_the_predicates_code(name):
+    p, cols = RECOGNIZER[name]
+    assert relalg._key_columns(p, JOIN_IN) == cols
+    b = relalg.register_relalg()
+    b.registry.register_index_pred(name, p)
+    m = incrementalize(typecheck(relalg.join_term(name), JOIN_IN, b.registry))
+    assert _join_index_desc(m) == (incr.CMatches() if cols is None else incr.CGroups())
+
+
+# the key-eq code over scalars, and a column past a pair: each indexes past
+# the tuple, so it stays opaque; the input that shows it, and the error
+PAST = {
+    "scalars": ("int", lambda ij: ij[0][0] == ij[1][0], ({1: 1}, {1: 2}), TypeError),
+    "pairs": (("int", "int"), lambda ij: ij[0][2] == ij[1][1], ({(1, 2): 1}, {(1, 3): 1}),
+              IndexError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAST))
+def test_a_predicate_past_the_tuple_still_raises_where_it_raised(name):
+    # p raises at the first pair, in batch, in the stage-by-stage run and in
+    # init, and not while one side is empty
+    schema, p, x, error = PAST[name]
+    rel_ty = relalg.rel(schema)
+    assert relalg._key_columns(p, TProd(rel_ty, rel_ty)) is None
+    b = relalg.register_relalg()
+    b.registry.register_index_pred(name, p)
+    tt = typecheck(relalg.join_term(name), TProd(rel_ty, rel_ty), b.registry)
+    m = incrementalize(tt)
+    assert _join_index_desc(m) == incr.CMatches()
+    for run in (compiled(tt), unfused(tt), m.init):
+        with pytest.raises(error):
+            run(x)
+    assert compiled(tt)(({}, x[1])) == {} and m.init((x[0], {}))[0] == {}
+
+
+def _groups_equal_a_rebuild(a, b, c):
+    # each key that y holds has one group: the tuples of y with that key,
+    # and, in four buckets by hash, those of x, pointing at the tuples x holds
+    x, y, ix = _join_slot(c)
+    assert ix.keys() == {j[b] for j in y}
+    held = {i: i for i in x}
+    for k, (right, buckets) in ix.items():
+        assert sorted(right) == sorted(j for j in y if j[b] == k)
+        live = [i for bucket in buckets for i in bucket]
+        assert sorted(live) == sorted(i for i in x if i[a] == k)
+        assert all(held[i] is i for i in live)
+        assert all(hash(i) & 3 == n for n, bucket in enumerate(buckets) for i in bucket)
+
+
+def _row(rng, schema):
+    return rng.randrange(3) if schema == "int" else tuple(_row(rng, s) for s in schema)
+
+
+def _schema_change(rng, rel, schema):
+    # deletions, multiplicity edits and rows that may be new
+    d = {t: rng.choice((-rel[t], -1, 1)) for t in rng.sample(sorted(rel), min(len(rel), 2))}
+    for _ in range(rng.randint(0, 3)):
+        d.setdefault(_row(rng, schema), rng.choice((-1, 1, 2)))
+    return {t: m for t, m in d.items() if m}
+
+
+TRIPLE_L, TRIPLE_R = ("int", ("int", "int")), (("int", "int"), "int")
+# (left schema, right schema, predicate, its key columns): int*int*int is
+# int*(int*int), so a three-int tuple has two columns, the second a pair
+KEYED = {
+    "0-0": (("int", "int"), ("int", "int"), lambda ij: ij[0][0] == ij[1][0], (0, 0)),
+    "1-0": (("int", "int"), ("int", "int"), lambda ij: ij[0][1] == ij[1][0], (1, 0)),
+    "swapped-0-1": (("int", "int"), ("int", "int"), lambda ij: ij[1][1] == ij[0][0], (0, 1)),
+    "triple-0-1": (TRIPLE_L, TRIPLE_R, lambda ij: ij[0][0] == ij[1][1], (0, 1)),
+    "triple-1-0": (TRIPLE_L, TRIPLE_R, lambda ij: ij[0][1] == ij[1][0], (1, 0)),
+}
+
+
+def _keyed_join(name, self_join=False):
+    left, right, p, cols = KEYED[name]
+    b = relalg.register_relalg()
+    b.registry.register_index_pred(name, p)
+    term = relalg.join_term(name)
+    if self_join:
+        return typecheck(seq(Dup(), term), relalg.rel(left), b.registry), cols
+    return typecheck(term, TProd(relalg.rel(left), relalg.rel(right)), b.registry), cols
+
+
+@pytest.mark.parametrize("sides", ["left", "right", "both"])
+@pytest.mark.parametrize("name", sorted(KEYED))
+def test_keyed_join_laws_over_one_and_two_sided_streams(name, sides):
+    # Laws 1-3, the nil step and the fused batch against the stages run one
+    # by one, in key order too, through the oracle's change stream
+    tt, (a, b) = _keyed_join(name)
+    m, ref = incrementalize(tt), unfused(tt)
+    assert _join_index_desc(m) == incr.CGroups()
+    schemas = [ty.shape.payload for ty in (tt.in_ty.left, tt.in_ty.right)]
+    rng = stable_rng(62, f"keyed-join-{name}-{sides}")
+
+    def reference(x):
+        want = ref(x)
+        assert list(compiled(tt)(x)) == list(want)
+        return want
+
+    def draw(x):
+        dx, dy = (_schema_change(rng, v, s) for v, s in zip(x, schemas))
+        return {"left": (dx, {}), "right": ({}, dy), "both": (dx, dy)}[sides]
+
+    for _ in range(15):
+        x = tuple({_row(rng, s): rng.choice((-1, 1, 2)) for _ in range(rng.randint(0, 12))}
+                  for s in schemas)
+        assert _run_stream(m, reference, x, 6, draw, same=operator.eq) is None
+        for d in [draw(x) for _ in range(3)]:
+            _, c = m.step(d, m.init(x)[1])
+            _groups_equal_a_rebuild(a, b, c)
+
+
+@pytest.mark.parametrize("name", ["0-0", "1-0"])
+def test_keyed_self_join_laws(name):
+    # dup ; cross ; σ_p: one relation on both sides, each change to both
+    tt, (a, b) = _keyed_join(name, self_join=True)
+    m = incrementalize(tt)
+    rng = stable_rng(63, f"keyed-self-join-{name}")
+    schema = tt.in_ty.shape.payload
+    for _ in range(15):
+        x = {_row(rng, schema): rng.choice((-1, 1, 2)) for _ in range(rng.randint(0, 12))}
+        draw = lambda x: _schema_change(rng, x, schema)  # noqa: E731
+        assert _run_stream(m, unfused(tt), x, 6, draw, same=operator.eq) is None
+        _, c = m.step(draw(x), m.init(x)[1])
+        _groups_equal_a_rebuild(a, b, c)
+
+
+def test_a_keys_group_follows_its_right_tuples():
+    # three right tuples share key 1; the group goes with the last of them,
+    # a left tuple with key 1 then joins no group, and when key 1 comes back
+    # its group is scanned from the left relation again
+    tt = _join("key-eq")
+    m, ref = incrementalize(tt), unfused(tt)
+    x = ({(1, 0): 1, (1, 1): 2, (2, 0): 1}, {(1, 5): 1, (1, 6): 2})
+    y, c = m.init(x)
+    keys = [[1]]
+    for d, held in [(({}, {(1, 7): 1}), [1]),
+                    (({}, {(1, 5): -1, (1, 6): -2}), [1]),
+                    (({(1, 2): 3}, {}), [1]),
+                    (({}, {(1, 7): -1}), []),
+                    (({(1, 3): 1, (1, 0): -1}, {}), []),
+                    (({}, {(1, 9): 2, (2, 9): 1}), [1, 2])]:
+        dout, c = m.step(d, c)
+        x, y = apply_change(JOIN_IN, x, d), apply_change(tt.out_ty, y, dout)
+        assert y == ref(x)
+        assert cache_equal(m.cache, c, m.init(x)[1])
+        _groups_equal_a_rebuild(0, 0, c)
+        keys.append(sorted(_join_slot(c)[2]))
+        assert keys[-1] == held
+    assert y == {((1, 1), (1, 9)): 4, ((1, 2), (1, 9)): 6, ((1, 3), (1, 9)): 2,
+                 ((2, 0), (2, 9)): 1}
+
+
+def test_keyed_join_cache_json_after_a_left_and_a_right_step():
+    # the x, y and groups parts as printed: per key its right tuples and its
+    # left tuples, sorted; a group whose last right tuple left is gone
+    tt = _join("key-eq")
+    m = incrementalize(tt)
+    _, c = m.init(({(1, 2): 1, (2, 5): 2, (3, 1): 1}, {(1, 9): 1, (2, 7): 3}))
+    selection = "unit", "unit", "unit"
+    dout, c = m.step(({(1, 4): 1, (2, 5): -2, (3, 2): 1}, {}), c)
+    assert dout == {((1, 4), (1, 9)): 1, ((2, 5), (2, 7)): -6}
+    assert cache_to_json(m.cache, c) == [
+        [{"value": [[[1, 2], 1], [[1, 4], 1], [[3, 1], 1], [[3, 2], 1]]},
+         {"value": [[[1, 9], 1], [[2, 7], 3]]},
+         {"groups": [[1, [[1, 9]], [[1, 2], [1, 4]]], [2, [[2, 7]], []]]}],
+        *selection]
+    dout, c = m.step(({}, {(1, 8): 2, (2, 7): -3, (3, 0): 1}), c)
+    assert dout == {((1, 2), (1, 8)): 2, ((1, 4), (1, 8)): 2,
+                    ((3, 1), (3, 0)): 1, ((3, 2), (3, 0)): 1}
+    assert cache_to_json(m.cache, c) == [
+        [{"value": [[[1, 2], 1], [[1, 4], 1], [[3, 1], 1], [[3, 2], 1]]},
+         {"value": [[[1, 8], 2], [[1, 9], 1], [[3, 0], 1]]},
+         {"groups": [[1, [[1, 8], [1, 9]], [[1, 2], [1, 4]]],
+                     [3, [[3, 0]], [[3, 1], [3, 2]]]]}],
+        *selection]
+    # the groups hold no scalars: the count is the unfused one
+    assert cache_entry_count(m.cache, c) == 4 + 3
+
+
+def test_keyed_steps_call_p_only_on_a_keys_candidates():
+    # p is the recognized lambda, counted by its code object: a left tuple
+    # whose key no right tuple holds costs no call, one whose key two right
+    # tuples hold costs two, and a right tuple with a new key one per left
+    # tuple that holds its key
+    p = JOIN_PREDS["key-eq"]
+    tt = _join("key-eq")
+    m = incrementalize(tt)
+    x = ({(i % 20, i): 1 for i in range(200)}, {(3, 7): 1, (3, 8): 1, (4, 9): 1})
+    _, c = m.init(x)
+    (dout, c), codes = call_codes(m.step, ({(k, 1_000 + k): 1 for k in range(5, 15)}, {}), c)
+    assert dout == {} and codes.count(p.__code__) == 0
+    (dout, c), codes = call_codes(m.step, ({(3, 2_000): 1, (9, 2_001): -1}, {}), c)
+    assert len(dout) == 2 and codes.count(p.__code__) == 2
+    (dout, c), codes = call_codes(m.step, ({}, {(5, 1): 1}), c)
+    assert len(dout) == 11 and codes.count(p.__code__) == 11
+    x = apply_change(JOIN_IN, x, ({(k, 1_000 + k): 1 for k in range(5, 15)}, {}))
+    x = apply_change(JOIN_IN, x, ({(3, 2_000): 1, (9, 2_001): -1}, {}))
+    x = apply_change(JOIN_IN, x, ({}, {(5, 1): 1}))
+    assert cache_equal(m.cache, c, m.init(x)[1])
+
+
+@pytest.mark.parametrize("self_join", [False, True], ids=["join", "dup-join"])
+def test_live_groups_equal_a_rebuild_after_every_step(self_join):
+    # the keyed twin of the matches' rebuild check, over the oracle's changes
+    b = relalg.register_relalg()
+    b.registry.register_index_pred("key-eq", JOIN_PREDS["key-eq"])
+    term = relalg.join_term("key-eq")
+    tt = (typecheck(seq(Dup(), term), PAIR_REL, b.registry) if self_join
+          else typecheck(term, JOIN_IN, b.registry))
+    m = incrementalize(tt)
+    rng = stable_rng(60, f"join-groups-{self_join}")
+    for k in range(10):
+        x = rand_relation(rng, 15, key_range=4, val_range=8)
+        if not self_join:
+            x = (x, rand_relation(rng, 5, key_range=4, val_range=8))
+        _, c = m.init(x)
+        _groups_equal_a_rebuild(0, 0, c)
+        gone = ([], [])
+        for it in range(8):
+            if self_join:
+                d = _join_side_change(rng, x, gone[0])
+            else:
+                dx, dy = (_join_side_change(rng, v, g) for v, g in zip(x, gone))
+                d = [(dx, {}), ({}, dy), (dx, dy)][(k + it) % 3]
+            _, c = m.step(d, c)
+            x = apply_change(tt.in_ty, x, d)
+            _groups_equal_a_rebuild(0, 0, c)
+            assert cache_equal(m.cache, c, m.init(x)[1])
+            assert cache_entry_count(m.cache, c) == sum(map(len, _join_slot(c)[:2]))
 
 
 # ---------------------------------------------------------------------------
