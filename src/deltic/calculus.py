@@ -26,8 +26,10 @@ op's input type, so relalg's join tests p on each candidate pair before
 making it, in place of building the whole cross product and filtering it.
 An add run, `zip ; map g` with g pointwise ⊕, is ⊕ on the container and runs
 as one add_fn, with no zipped dict in between; every other stage is compiled
-alone.  `map op` runs the op's `mapped` batch.  `unfused` runs a seq stage
-by stage and a map entry by entry: the reference the join, add and map
+alone.  `map op` over non-pair elements, for an op that declares its body
+as an expression (OpDef.expr) with fn(ε) = ε, runs one dict comprehension
+generated from that expression (_map_batch).  `unfused` runs a seq stage by
+stage and a map entry by entry: the reference the join, add and map
 kernels are checked against.
 
 Shape transformations (reshape) and index predicates (filter) are registered
@@ -38,14 +40,17 @@ construction-time sugar for `zip ; map f` and `dup ; (f × g)`.
 from __future__ import annotations
 
 import json
+import linecache
 import math
 from dataclasses import dataclass
+from functools import cache
+from itertools import count
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Optional
 
 from .core import (
     ConformanceError, DelticError, Left, Right, Shape, SupportError,
-    TBase, TCont, TProd, TSum, UsageError,
+    TCont, TProd, TSum, UsageError,
     add_fn, check_value, default_value, plus_capable,
 )
 from .serialize import (
@@ -221,14 +226,12 @@ class OpDef:
     the one bilinear stage that incr builds for them, and denote runs them
     as its batch.
     Left None, the stages run one by one.
-    mapped, when given, is the batch of `map op` when fn(ε) = ε: mapped(x)
-    is {i: fn(xi)} over x's keys, in x's order, without the entries equal to
-    ε_out, as run_map gives; denote runs it, and so does the init of map's
-    Triv kernel in incr.
     expr, when given, is fn's body as a Python expression over its argument
-    x, or over x and y when fn takes a pair (x, y), such as "x * y"; a "triv"
-    op's machine carries it, and incr inlines it into the Triv steps it
-    generates for `map op` and the fused `map2 op` (incr._triv_source).
+    x, or over x and y when fn takes a pair (x, y), such as "x * y".  incr
+    inlines it into the Triv steps it generates for `map op` and the fused
+    `map2 op` (incr._triv_source), read off the map's typed body; over a
+    non-pair x with fn(ε) = ε, `map op`'s batch is generated from it too
+    (_map_batch), and denote runs it, as does the init of map's Triv kernel.
     """
 
     name: str
@@ -237,7 +240,6 @@ class OpDef:
     comb: str | Callable[[Any], Any]
     sample_in_tys: tuple = ()
     join_index: Optional[Callable[[Callable, Any], Any]] = None
-    mapped: Optional[Callable[[dict], dict]] = None
     expr: Optional[str] = None
 
 
@@ -659,8 +661,9 @@ def _compile(tt: TypedTerm, kernels=True):
             din = default_value(tt.in_ty.elem)
             dout = default_value(tt.children[0].out_ty)
             op = tt.children[0].info if type(tt.children[0].term) is OpCall else None
-            if kernels and op and op.mapped and fn(din) == dout:
-                return op.mapped
+            if (kernels and op and op.expr and type(tt.in_ty.elem) is not TProd
+                    and fn(din) == dout):
+                return _map_batch(op.expr, tt.children[0].out_ty)
 
             def run_map(x):
                 out = {}
@@ -698,6 +701,34 @@ def _compile(tt: TypedTerm, kernels=True):
             return tt.info.fn
         case _:
             raise TermTypeError(f"unknown term constructor: {t!r}")
+
+
+@cache
+def _map_batch(expr, out):
+    """The batch of `map op` generated from op's expression expr over its
+    argument x (OpDef.expr), out being op's output type: op of each of x's
+    entries, in x's order, without those equal to ε_out, as run_map gives
+    when f(ε) = ε.  It is run by exec once per (expr, out)."""
+    src = "\n".join(["def make(dout):", "    def batch(v):",
+                     f"        return {{i: y for i, x in v.items() if (y := ({expr})) != dout}}",
+                     "    return batch", ""])
+    return _run_text(src, "map", {})(default_value(out))
+
+
+def _run_text(src, kind, space):
+    """make, defined by running the text src by exec in space, under a file
+    name of its own, `<kind n>`, whose lines linecache serves, so that a
+    traceback through generated code shows its source lines.  Only text
+    made from expressions that bundles register in Python code (OpDef.expr,
+    BaseType.exprs) and typechecked terms reaches it, never surface-program
+    text."""
+    name = f"<{kind} {next(_TEXTS)}>"
+    linecache.cache[name] = (len(src), None, src.splitlines(True), name)
+    exec(compile(src, name, "exec"), space)
+    return space["make"]
+
+
+_TEXTS = count(1)
 
 
 def map_inputs(x, fe, shape, din, dout):
@@ -852,7 +883,7 @@ def denote(tt: TypedTerm, v):
 def unfused(tt: TypedTerm):
     """The batch semantics of a typed seq run one stage at a time, a map
     stage (or a map) entry by entry: the reference the fused join
-    (join_index), add (add_fn) and map (OpDef.mapped) kernels are checked
+    (join_index), add (add_fn) and map (_map_batch) kernels are checked
     against."""
     stages = tt.children if type(tt.term) is Seq else (tt,)
     return chain(tuple(_compile(c, kernels=False) for c in stages))

@@ -3,8 +3,8 @@
 Primitive ops are relu and scalar multiplication (trivial incrementalization,
 input caching) and vector summation (linear, cache-free).  relu and mul
 declare their bodies as expressions (OpDef.expr), which incr inlines into
-the Triv steps of `map relu` and the fused `map2 mul`, and relu registers
-`map relu`'s batch (OpDef.mapped).  The rest is derived from generic ops.
+the Triv steps of `map relu` and the fused `map2 mul`, and from which
+calculus generates `map relu`'s batch.  The rest is derived from generic ops.
 """
 
 from __future__ import annotations
@@ -22,10 +22,6 @@ R = TBase(REAL)
 
 def _relu(x):
     return x if x > 0 else 0.0
-
-
-def _relu_batch(v):
-    return {i: x for i, x in v.items() if x > 0}
 
 
 def _mul(xy):
@@ -149,7 +145,7 @@ def register_linalg() -> InstanceBundle:
     reg.register_op(OpDef(
         "relu", monomorphic(R, R), _relu, "triv", sample_in_tys=(R,),
         # a float literal: CPython specialises a float-float compare only
-        mapped=_relu_batch, expr="x if x > 0.0 else 0.0"))
+        expr="x if x > 0.0 else 0.0"))
     reg.register_op(OpDef(
         "mul", monomorphic(pair_r, R), _mul, "triv", sample_in_tys=(pair_r,), expr="x * y"))
     reg.register_op(OpDef(

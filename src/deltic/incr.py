@@ -51,15 +51,16 @@ Seq and par steps are staged: each built machine has one step fragment
 (_fragment), source text that reads the change d and the cache c and
 leaves the output change and the new cache in them (a cache-free machine's
 reads and writes d only), with the objects its other names stand for.
-Path derivatives, dup, comb_add's derivative, cst's nil and both Triv
-steps give theirs (m.frag); every other machine's, and any machine's whose
+Path derivatives, dup, comb_add's derivative, cst's nil and the Triv
+kernels give theirs (m.frag); every other machine's, and any machine's whose
 step or derivative was swapped after it was built (a fault's), is the call
 `d, c = f(d, c)` or `d = f(d)`.  The seq and par builders concatenate their
 children's fragments, each child's names tagged by its position, and run
-the text by exec once per text (_maker), as _triv_maker; the text is the
-machine's own fragment.  Each text runs under a file name of its own,
-`<step n>` or `<triv step n>`, whose lines linecache serves, so a traceback
-through a generated step shows the line it stopped on.  A run of
+the text by exec once per text (_maker, the one place a step is generated,
+a Triv kernel's own included); the text is the machine's own fragment.
+Each text runs under a file name of its own, `<step n>`, whose lines
+linecache serves, so a traceback through a generated step shows the line
+it stopped on.  A run of
 consecutive seq stages that hold one machine (a let chain's stages) is one
 `for` over their slots with that machine's fragment as its body.  A child
 is inlined only while the text stays within _INLINE_LINES and the child
@@ -75,8 +76,8 @@ derivative) per key, with no zipped change in between.  The zip slot stays
 UNIT and the map slot keeps its per-index cache, so the cache layout is that
 of the unfused pair.  Its init zips with the compiled zip, as denote does
 (two inputs that have one key set in one C-level pass).  A Triv body runs
-as a pair kernel (below), whose init maps that zipped dict for its output
-and then drops it.
+as the Triv kernel at arity 2 (below), whose init maps that zipped dict for
+its output and then drops it.
 
 The fanout rule, `dup ; par(f, g)`, is one stage, built by the par
 builder, which hands the one input change to both sides; the dup slot stays
@@ -92,8 +93,9 @@ derivative hands back one side's change unchanged when the other is nil.
 The zip slot stays UNIT and the stage is cache-free, as before.
 
 A map whose body is a Triv machine (comb_triv sets `triv` to its fn) runs fn
-inline as a kernel: init's output is the map's batch, calculus.compiled
-(the op's OpDef.mapped batch, if any), and its cache keeps each input
+inline as a kernel (_triv_kernel): init's output is the map's batch,
+calculus.compiled (generated from the op's expression when it declares
+one, calculus._map_batch), and its cache keeps each input
 element as its entry's sub-cache; step computes fn(x ⊕ dx) ⊖ fn(x) per
 changed key and stores x ⊕ dx, with no per-entry machine call.  init picks
 the cache's layout from its input (_keeper): over a finite array of reals
@@ -101,18 +103,18 @@ whose support is at least n/8, one array('d') of n slots, else a dict (one
 clone of the input when f(ε) = ε).  The descriptor stays CIndexed, whose
 readers see a packed cache as the dict of its non-zero slots (_entries),
 but cache_equal compares two packed caches (or sides) slot by slot.
-The fused `zip ; map f` stage of a Triv f runs the pair kernel
-(_pair_kernel), whose cache keeps the two components of each cached pair
-apart, (cl, cr), each side kept by _keeper for its own element type
-(packed over an array of reals) and owned, and read by _entries as the dict
-of the pairs.
+The fused `zip ; map f` stage of a Triv f runs the same kernel at arity 2,
+whose cache keeps the two components of each cached pair apart, (cl, cr),
+each side kept by _keeper for its own element type (packed over an array
+of reals) and owned, and read by _entries as the dict of the pairs.
 
-Both steps come from one source template (_triv_source), at arity 1 (map)
-and 2 (the fused map2), run by exec and memoised per (op expression,
-element types, arity), as dataclasses builds __init__.  A step reads c[i],
-a missing key (KeyError) as ε, and writes c[i] in place, so it serves both
-layouts and every mix of them; at arity 2 it ⊕s only the changed side(s).
-An op's body (OpDef.expr, which comb_triv keeps beside triv as `expr`) and
+Both steps come from one fragment template (_triv_source), at arity 1 (map)
+and 2 (the fused map2), memoised per (op expression, element types,
+arity); the kernel's own step is generated from it (_generated), as a
+composite's is.  A step reads c[i], a missing key (KeyError) as ε, and
+writes c[i] in place, so it serves both layouts and every mix of them; at
+arity 2 it ⊕s only the changed side(s).  An op's body (OpDef.expr, read
+off the map's typed body) and
 its bases' ⊕, ⊖ and nil test (BaseType.exprs) are inlined as expressions,
 so `map relu` and map2 mul make no call per changed key; each missing piece
 is called instead (fn, apply_fn, diff_fn, is_nil_fn), so a Triv fold of
@@ -172,13 +174,12 @@ from __future__ import annotations
 
 import ast
 import builtins
-import linecache
 import operator
 from array import array
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from functools import cache
-from itertools import chain, count, groupby, repeat
+from itertools import chain, groupby, repeat
 from operator import itemgetter
 from struct import pack_into
 from textwrap import indent
@@ -464,16 +465,13 @@ class IncrMachine:
     # Set only by comb_triv, to its fn: map runs such a body as an inline
     # kernel over its entries instead of calling init/step per entry.
     triv: Optional[Callable[[Any], Any]] = None
-    # comb_triv's expr beside triv: fn's body as an expression (OpDef.expr)
-    expr: Optional[str] = None
     # (stands_for, text, free): the step fragment (see _fragment), kept
     # while stands_for is still the machine's deriv (or, if None, its step)
     frag: Optional[tuple] = None
 
 
-def comb_triv(fn, in_ty, out_ty, expr=None) -> IncrMachine:
-    """Trivial incrementalization: cache the input, reevaluate on change.
-    expr, fn's body as an expression, is kept for map's kernel to inline."""
+def comb_triv(fn, in_ty, out_ty) -> IncrMachine:
+    """Trivial incrementalization: cache the input, reevaluate on change."""
     ap = apply_fn(in_ty)
     df = diff_fn(out_ty)
 
@@ -484,7 +482,7 @@ def comb_triv(fn, in_ty, out_ty, expr=None) -> IncrMachine:
         x2 = ap(x, dx)
         return df(fn(x2), fn(x)), x2
 
-    return IncrMachine(in_ty, out_ty, CValue(in_ty), init, step, triv=fn, expr=expr)
+    return IncrMachine(in_ty, out_ty, CValue(in_ty), init, step, triv=fn)
 
 
 def comb_triv2(fn, in_ty, out_ty) -> IncrMachine:
@@ -766,12 +764,14 @@ def _incr_map2(zip_tt, map_tt):
     """`zip ; map f` as one stage: step f on each changed key of (dx, dy).
 
     No zipped change is built; when one side's change is empty, only the
-    other side's entries are walked.  A Triv f runs as _pair_kernel; any
+    other side's entries are walked.  A Triv f runs as _triv_kernel; any
     other f keeps the map's cache.
     """
     zf = ca.compiled(zip_tt)
-    if (body := incrementalize(map_tt.children[0])).triv:
-        return _pair_kernel(body, zip_tt, map_tt, zf)
+    if fn := incrementalize(map_tt.children[0]).triv:
+        mapf, in_ty = ca.compiled(map_tt), zip_tt.in_ty
+        return _triv_kernel(map_tt, fn, in_ty, lambda xy: mapf(zf(xy)),
+                            in_ty.left.elem, in_ty.right.elem)
     na = nil_change(zip_tt.in_ty.left.elem)
     nb = nil_change(zip_tt.in_ty.right.elem)
 
@@ -788,40 +788,17 @@ def _incr_map2(zip_tt, map_tt):
     return replace(m, in_ty=zip_tt.in_ty, init=lambda xy: map_init(zf(xy)))
 
 
-def _pair_kernel(body, zip_tt, map_tt, zf):
-    """The fused `zip ; map f` of a Triv f, run inline.  Its cache holds the
-    two components of each cached pair apart, (cl, cr), each kept by
-    _keeper for its side (or, when f(ε) ≠ ε, a dict of every index), and
-    its step is the generated arity-2 Triv step (_triv_step).  The
-    descriptor is the map's, whose readers see (cl, cr) as the dict of its
-    pairs (_entries)."""
-    shape, a, b = zip_tt.in_ty.left.shape, zip_tt.in_ty.left.elem, zip_tt.in_ty.right.elem
-    ea, eb = default_value(a), default_value(b)
-    keep_l, keep_r = _keeper(shape, a), _keeper(shape, b)
-    fn, out = body.triv, map_tt.out_ty.elem
-    fe, dout = fn((ea, eb)), default_value(out)
-
-    def init(xy):
-        y = ca.compiled(map_tt)(zf(xy))
-        if fe != dout:  # every index, as the per-entry machines keep it
-            return y, tuple(dict(ca.map_inputs(x, fe, shape, e, dout))
-                            for x, e in zip(xy, (ea, eb)))
-        return y, (keep_l(xy[0]), keep_r(xy[1]))
-
-    desc = CIndexed(shape, CValue(map_tt.in_ty.elem), lambda: (ea, eb))
-    return _triv_machine(zip_tt.in_ty, map_tt.out_ty, desc, init, fn, body.expr, out, a, b)
-
-
 def _map_machine(tt, entries):
     """map over the (index, element change) pairs that entries(d) yields."""
     body = tt.children[0]
     mf = incrementalize(body)
+    if mf.triv:  # entries is dict.items: _incr_map2 runs its own kernel
+        return _triv_kernel(tt, mf.triv, tt.in_ty, ca.compiled(tt), tt.in_ty.elem)
     shape = tt.in_ty.shape
     elem_in = tt.in_ty.elem
-    elem_out = body.out_ty
     f_init, f_step = mf.init, mf.step
     din = default_value(elem_in)
-    dout = default_value(elem_out)
+    dout = default_value(body.out_ty)
 
     out_nil = is_nil_fn(body.out_ty)
     f = mf.deriv
@@ -839,50 +816,60 @@ def _map_machine(tt, entries):
     def make_default():
         return f_init(default_value(elem_in))[1]
 
-    fn = mf.triv
-    if fn is None:
-        def init(x):
-            out = {}
-            caches = {}
-            for i, xi in ca.map_inputs(x, f_init(din)[0], shape, din, dout):
-                y, caches[i] = f_init(xi)
-                if y != dout:
-                    out[i] = y
-            return out, caches
+    def init(x):
+        out = {}
+        caches = {}
+        for i, xi in ca.map_inputs(x, f_init(din)[0], shape, din, dout):
+            y, caches[i] = f_init(xi)
+            if y != dout:
+                out[i] = y
+        return out, caches
 
-        def step(dx, c):
-            out = {}
-            for i, di in entries(dx):
-                try:
-                    sub = c[i]
-                except KeyError:
-                    sub = make_default()
-                dy, c[i] = f_step(di, sub)
-                if not out_nil(dy):
-                    out[i] = dy
-            return out, c
-    else:
-        # Triv kernel: the sub-cache of an entry is its input element, so
-        # fn runs inline on it, with the entries comb_triv's caches have.
-        # entries is dict.items here: _incr_map2 runs a Triv f as a pair kernel.
-        keep = _keeper(shape, elem_in)
-        batch = ca.compiled(tt)
-
-        def init(x):
-            fe = fn(din)
-            if fe != dout:
-                # every index, as the per-entry machines keep it
-                return batch(x), dict(ca.map_inputs(x, fe, shape, din, dout))
-            # the support, packed or in one C-level clone
-            return batch(x), keep(x)
-
-        # an expr over (x, y) does not read a pair element named x
-        expr = None if type(elem_in) is TProd else mf.expr
-        return _triv_machine(tt.in_ty, tt.out_ty, CIndexed(shape, mf.cache, make_default),
-                             init, fn, expr, elem_out, elem_in)
+    def step(dx, c):
+        out = {}
+        for i, di in entries(dx):
+            try:
+                sub = c[i]
+            except KeyError:
+                sub = make_default()
+            dy, c[i] = f_step(di, sub)
+            if not out_nil(dy):
+                out[i] = dy
+        return out, c
 
     desc = CIndexed(shape, mf.cache, make_default)
     return IncrMachine(tt.in_ty, tt.out_ty, desc, init, step)
+
+
+def _triv_kernel(map_tt, fn, in_ty, batch, *elems):
+    """The Triv kernel of `map f` (one element type, arity 1) or of the fused
+    `zip ; map f` (two, arity 2), fn being f, over the input type in_ty.
+
+    init's output is batch's.  Its cache holds the input elements (arity 1),
+    or the two components of each pair apart, (cl, cr) (arity 2), each side
+    kept by _keeper for its element type, or, when f(ε) ≠ ε, as a dict of
+    every index, as the per-entry machines keep it.  The step is generated
+    from _triv_source's fragment, with f inlined when the map's body (an op)
+    declares it as an expression over its (non-pair, at arity 1) argument.
+    The descriptor is the map's, whose readers see (cl, cr) as the dict of
+    its pairs (_entries)."""
+    shape, elem, out = map_tt.in_ty.shape, map_tt.in_ty.elem, map_tt.out_ty.elem
+    fe, dout, dfts = fn(default_value(elem)), default_value(out), list(map(default_value, elems))
+    if fe == dout:
+        keeps = [_keeper(shape, e) for e in elems]
+    else:
+        keeps = [lambda x, d=d: dict(ca.map_inputs(x, fe, shape, d, dout)) for d in dfts]
+    keep = keeps[0] if len(elems) == 1 else lambda xy: tuple(k(x) for k, x in zip(keeps, xy))
+
+    def init(x):
+        return batch(x), keep(x)
+
+    expr = None if type(elems[0]) is TProd else map_tt.children[0].info.expr
+    free = {"fn": fn, "df": diff_fn(out), "nil": is_nil_fn(out)}
+    for s, e, dft in zip("xy", elems, dfts):
+        free["a" + s], free["e" + s] = apply_fn(e), dft
+    desc = CIndexed(shape, CValue(elem), lambda: default_value(elem))
+    return _generated(in_ty, map_tt.out_ty, desc, init, [_triv_source(expr, out, *elems)], free)
 
 
 def _keeper(shape, elem):
@@ -920,72 +907,37 @@ def _gather(n):
     return itemgetter(*range(n))
 
 
-def _triv_machine(in_ty, out_ty, desc, init, fn, expr, out, *elems):
-    """The machine whose step is the generated Triv step of fn (_triv_step),
-    staged with that step's body as its fragment, over what it closes over."""
-    step = _triv_step(fn, expr, out, *elems)
-    cells = (cell.cell_contents for cell in step.__closure__ or ())
-    return _staged(IncrMachine(in_ty, out_ty, desc, init, step), _triv_body(expr, out, *elems),
-                   **dict(zip(step.__code__.co_freevars, cells)))
-
-
-def _triv_step(fn, expr, out, *elems):
-    """The Triv step of `map f` (one element type, arity 1) or of the fused
-    `map2 f` (two, arity 2), f being fn, whose body expr may give."""
-    pieces = chain.from_iterable((apply_fn(e), default_value(e)) for e in elems)
-    return _triv_maker(expr, out, *elems)(fn, diff_fn(out), is_nil_fn(out), *pieces)
-
-
 @cache
-def _triv_maker(expr, out, *elems):
-    """make(fn, df, nil, ax, ex[, ay, ey]) -> step, run from _triv_source's
-    text by exec once per (expr, element types, arity), as dataclasses
-    builds __init__.  exec runs only expressions that bundles register in
-    Python code (OpDef.expr, BaseType.exprs), never surface-program text:
-    frontend cannot register an op."""
-    return _run_text(_triv_source(expr, out, *elems), "triv step", {})
-
-
 def _triv_source(expr, out, *elems):
-    """The text of the one template, at arity len(elems).
+    """The Triv step's fragment, at arity len(elems): it reads the change d
+    and the cache c (at arity 2, the pairs (dx, dy) and (cx, cy)) and ends
+    with `d = out`, c being updated in place.
 
-    For each changed key i it reads the cached element(s) c?[i], a missing
+    For each changed key i it reads the cached element(s) c[i], a missing
     key (KeyError) as ε, ⊕s the changed side(s) in place and emits
     f(new) ⊖ f(old) when not nil, so it serves a dict and a packed cache.
     At arity 2 it walks dx.keys() | dy.keys() only when both sides changed.
     f is expr, and ⊕, ⊖ and the nil test are the element and output bases'
-    exprs, inlined; each missing piece calls fn, ax / ay (apply_fn), df
-    (diff_fn) or nil (is_nil_fn), as make's arguments."""
+    exprs, inlined; each missing piece calls the free object fn, ax / ay
+    (apply_fn), df (diff_fn) or nil (is_nil_fn), beside ex / ey, the
+    elements' ε.  The text is made only from expressions that bundles
+    register in Python code (OpDef.expr, BaseType.exprs), never from
+    surface-program text: frontend cannot register an op."""
     one = len(elems) == 1
-    sides = "xy"[:len(elems)]
+    sides, cells = ("x", ["c"]) if one else ("xy", ["cx", "cy"])
     old = _inline(expr or ("fn(x)" if one else "fn((x, y))"))
     _, minus, nil = _exprs(out, None)
     lines = ["out = {}"] if one else ["dx, dy = d", "cx, cy = c", "out = {}"]
-    lines.append("for i, e in dx.items():" if one else
+    lines.append("for i, e in d.items():" if one else
                  "for i in (dx.keys() | dy.keys() if dx and dy else dx or dy):")
-    for s in sides:
-        lines += ["    try:", f"        {s} = c{s}[i]", "    except KeyError:", f"        {s} = e{s}"]
+    for s, k in zip(sides, cells):
+        lines += ["    try:", f"        {s} = {k}[i]", "    except KeyError:", f"        {s} = e{s}"]
     lines += [] if one else ["    x2, y2 = x, y"]
-    for s, e in zip(sides, elems):
-        put = f"c{s}[i] = {s}2 = " + _inline(_exprs(e, "a" + s)[0], a=s, b="e" if one else f"d{s}[i]")
+    for s, k, e in zip(sides, cells, elems):
+        put = f"{k}[i] = {s}2 = " + _inline(_exprs(e, "a" + s)[0], a=s, b="e" if one else f"d{s}[i]")
         lines += [f"    {put}"] if one else [f"    if i in d{s}:", f"        {put}"]
-    lines += [f"    dz = {_inline(minus, a=_inline(old, x='x2', y='y2'), b=old)}",
-              f"    if not {_inline(nil, a='dz')}:", "        out[i] = dz",
-              "return out, " + ("cx" if one else "c")]
-    params = ", ".join(["fn", "df", "nil", *(f"{p}{s}" for s in sides for p in "ae")])
-    return "\n".join([f"def make({params}):", f"    def step({'dx, cx' if one else 'd, c'}):",
-                      *("        " + line for line in lines), "    return step", ""])
-
-
-@cache
-def _triv_body(expr, out, *elems):
-    """_triv_source's step as a fragment: its body, with its parameters
-    renamed d and c and its return `out, c` read as d = out (c is updated
-    in place)."""
-    step = ast.parse(_triv_source(expr, out, *elems)).body[0].body[0]
-    names = dict(zip((a.arg for a in step.args.args), "dc"))
-    body = "\n".join(map(ast.unparse, step.body[:-1]))
-    return _rename(body, lambda n: names.get(n, n)) + "\nd = out"
+    return "\n".join([*lines, f"    dz = {_inline(minus, a=_inline(old, x='x2', y='y2'), b=old)}",
+                      f"    if not {_inline(nil, a='dz')}:", "        out[i] = dz", "d = out"])
 
 
 def _exprs(ty, ap):
@@ -1080,27 +1032,14 @@ def _generated(in_ty, out_ty, desc, init, lines, free):
 @cache
 def _maker(text, cached, *names):
     """make(*free objects) -> step, run from the fragment text by exec once
-    per text, as _triv_maker.  The text is made here from fragments, op and
-    base expressions (OpDef.expr, BaseType.exprs) and typechecked
-    projection paths; every value, a cst's included, is a free object, so
-    no surface-program text reaches exec."""
+    per text, as dataclasses builds __init__.  The text is made here from
+    fragments, op and base expressions (OpDef.expr, BaseType.exprs) and
+    typechecked projection paths; every value, a cst's included, is a free
+    object, so no surface-program text reaches exec."""
     params = "d, c" if cached else "d"
     src = "\n".join([f"def make({', '.join(names)}):", f"    def step({params}):",
                      indent(text, " " * 8), f"        return {params}", "    return step", ""])
-    return _run_text(src, "step", {"UNIT": UNIT})
-
-
-def _run_text(src, kind, space):
-    """make, defined by running the text src by exec in space, under a file
-    name of its own, `<kind n>`, whose lines linecache serves, so that a
-    traceback through a generated step shows its source lines."""
-    name = f"<{kind} {next(_TEXTS)}>"
-    linecache.cache[name] = (len(src), None, src.splitlines(True), name)
-    exec(compile(src, name, "exec"), space)
-    return space["make"]
-
-
-_TEXTS = count(1)
+    return ca._run_text(src, "step", {"UNIT": UNIT})
 
 
 def _read_sum_change(d, s):
@@ -1218,8 +1157,7 @@ def _incr_op(tt):
 
 def op_machine(op, in_ty, out_ty) -> IncrMachine:
     """The machine of op at in_ty -> out_ty: op.fn under the combinator that
-    op.comb names, or, when op.comb is a derivative, the Self machine.  An
-    op's expr goes to its combinator beside fn; only "triv" takes one."""
+    op.comb names, or, when op.comb is a derivative, the Self machine."""
     comb = op.comb
     if callable(comb):
         return comb_self(op.fn, comb, in_ty, out_ty)
@@ -1227,8 +1165,6 @@ def op_machine(op, in_ty, out_ty) -> IncrMachine:
     if make is None:
         raise UsageError(f"op {op.name!r}: combinator {comb!r} is neither one of "
                          f"{', '.join(_COMBINATORS)} nor a derivative")
-    if op.expr is not None:
-        return make(op.fn, in_ty, out_ty, expr=op.expr)
     return make(op.fn, in_ty, out_ty)
 
 

@@ -1,16 +1,18 @@
 """Typing rules and batch interpreter."""
 
+import traceback
+
 import pytest
 
 from deltic.calculus import (
     CasePar, Cst, Distr, Dup, Filter, FST, Fuse, Get, ID, Inl, Map, OpCall,
     OpDef, Par, Plus, ProgramDef, Proj, Registry, RegistryError, Replicate, Reshape, SetAt,
-    Seq, SND, TermTypeError, Tp, Zip, compiled, denote, fanout, fusion, map2,
+    Seq, SND, TermTypeError, Tp, Zip, _map_batch, compiled, denote, fanout, fusion, map2,
     monomorphic, seq, term_from_text, term_to_text, typecheck, unfused,
 )
 from deltic.core import (
     INT, NAT, REAL, SCALAR, ConformanceError, Left, Right, TBase, TCont, TProd, TSum, UsageError,
-    apply_change, values_equal,
+    apply_change, default_value, values_equal,
 )
 from deltic.domains import get_bundle, linalg, relalg
 from deltic.domains.containers import ARRAY, arr, arr_shape
@@ -277,17 +279,50 @@ def test_fused_add_is_the_stagewise_batch(make, x, y, cancelled):
     assert not cancelled & compiled(tt)((x, y)).keys()
 
 
-def test_relu_map_kernel_is_the_entrywise_map(reg):
-    # `map relu` runs relu's registered batch kernel (OpDef.mapped); it must
-    # equal the map run entry by entry with _relu (the reference), in keys
-    # and their order, over both signs, zeros of both signs, inf and {}
+def _entrywise_expr_ops():
+    """(registry, op) for every registered op that declares its body as an
+    expression over a non-pair argument and maps ε to ε: `map op` runs the
+    batch generated from that expression."""
+    regs = [get_bundle(name).registry for name in ("linalg", "relalg", "trees", "gcounter")]
+    return [(reg, op) for reg in [*regs, oracle_registry()] for op in reg.ops.values()
+            if op.expr is not None and type(ty := op.sample_in_tys[0]) is not TProd
+            and op.fn(default_value(ty)) == default_value(op.typer(ty))]
+
+
+def test_relu_map_kernel_is_the_entrywise_map():
+    # `map op`, for every op that _entrywise_expr_ops names (relu among
+    # them), runs the batch generated from op's expression; it must equal
+    # the map run entry by entry with op's fn (unfused, the reference), in
+    # keys and their order.  Over reals the inputs hold both signs, zeros of
+    # both signs, inf, NaN of both signs and {}; over any element type, 20
+    # drawn arrays
+    inf, nan = float("inf"), float("nan")
+    reals = [{}, {5: 1.5, 0: -2.0, 3: 0.25}, {2: 0.0, 7: 3.0, 4: -0.0, 1: -1e-300},
+             {6: inf, 1: -inf, 0: 2.0}, {3: -0.0}, {1: 0.0}, {4: nan, 0: 1.0, 2: -nan, 6: -1.0}]
+    ops = _entrywise_expr_ops()
+    assert "relu" in [op.name for _, op in ops]
+    for reg, op in ops:
+        ty = arr(8, op.sample_in_tys[0])
+        tt = typecheck(Map(OpCall(op.name)), ty, reg)
+        assert compiled(tt) is _map_batch(op.expr, tt.children[0].out_ty)
+        rng = stable_rng(44, op.name)
+        for x in (reals if ty.elem == R else []) + [gen_value(rng, ty) for _ in range(20)]:
+            out, want = compiled(tt)(x), unfused(tt)(x)
+            assert out == want and list(out) == list(want), x
+
+
+def test_a_traceback_through_a_generated_map_batch_shows_its_line(reg):
+    # `map relu`'s batch is generated text, run under a file name of its own
+    # that linecache serves, so an exception raised inside it (relu's
+    # compare of a str) shows the line it was raised on
     tt = typecheck(Map(OpCall("relu")), arr(8, R), reg)
-    assert compiled(tt) is linalg._relu_batch
-    inf = float("inf")
-    for x in [{}, {5: 1.5, 0: -2.0, 3: 0.25}, {2: 0.0, 7: 3.0, 4: -0.0, 1: -1e-300},
-              {6: inf, 1: -inf, 0: 2.0}, {3: -0.0}, {1: 0.0}]:
-        out, want = compiled(tt)(x), unfused(tt)(x)
-        assert out == want and list(out) == list(want), x
+    with pytest.raises(TypeError) as raised:
+        compiled(tt)({0: "0.5"})
+    frame = traceback.extract_tb(raised.tb)[-1]
+    assert frame.filename.startswith("<map ") and frame.filename != "<map>"
+    assert frame.line == \
+        "return {i: y for i, x in v.items() if (y := (x if x > 0.0 else 0.0)) != dout}"
+    assert frame.line in "".join(traceback.format_exception(raised.value))
 
 
 def test_interpreter_totality_on_random_terms():
@@ -357,12 +392,12 @@ def test_seq_splices_only_a_first_stage_seq():
 
 
 def _best_read_times(texts, reg):
-    """Best of 5 reads of each text.  The sizes' runs alternate, so a change
+    """Best of 15 reads of each text.  The sizes' runs alternate, so a change
     in host speed during the test reaches every size alike."""
     import time
     term_from_text(texts[-1], reg)  # warm up
     times = [[] for _ in texts]
-    for _ in range(5):
+    for _ in range(15):
         for text, runs in zip(texts, times):
             t0 = time.perf_counter()
             term_from_text(text, reg)

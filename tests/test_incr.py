@@ -1035,12 +1035,6 @@ def test_fused_map2_step_builds_no_zipped_change(sides):
         assert apply_fn(TProd(R, R)).__code__ not in codes
 
 
-def _generated_step(fn, expr, out, *elems):
-    """The code of the Triv step incr generates for fn and expr at the
-    output and element types; every step made from one text shares it."""
-    return incr._triv_step(fn, expr, out, *elems).__code__
-
-
 def _fused_init_cases():
     lin = linalg.register_linalg().registry
     rel = relalg.register_relalg().registry
@@ -1204,7 +1198,7 @@ def test_triv_kernel_laws_and_caches(monkeypatch, reg, term, ty):
             (dyg, cg), generic_codes = call_codes(generic.step, d, cg)
             assert TRIV_STEP not in codes
             assert (TRIV_STEP in generic_codes) == (d != nil_change(ty))
-            assert len([f for f in codes if f.co_filename.startswith(("<triv step ", "<step "))]) == 1
+            assert len([f for f in codes if f.co_filename.startswith("<step ")]) == 1
             assert (op.fn.__code__ in codes) == (op.expr is None and d != nil_change(ty))
             assert dy == dyg
             x = apply_change(ty, x, d)
@@ -1536,7 +1530,8 @@ def test_dense_step_runs_the_kernel():
     # one dense step over 3 changed entries of x runs each row's generated
     # seq step once, the map2 mul step inlined, and the top seq's generated
     # step once, relu's step inlined, with the ops, ⊕, ⊖ and the nil test
-    # inlined: no _mul or _relu call, no Triv step and no zip derivative.
+    # inlined: no _mul or _relu call, no Triv step and no zip derivative
+    # (a Triv kernel's own step, called, would be one more `<step n>`).
     # Per row it also runs sum's derivative, so 3n + 20 calls at most, where
     # the 2·n·3 _mul calls alone made 72 of the 160 allowed when the ops
     # were called
@@ -1550,7 +1545,6 @@ def test_dense_step_runs_the_kernel():
     zip_code = incrementalize(typecheck(ca.Zip(), zip_ty, reg)).deriv.__code__
     assert TRIV_STEP not in codes and zip_code not in codes
     assert linalg._mul.__code__ not in codes and linalg._relu.__code__ not in codes
-    assert not [f for f in codes if f.co_filename.startswith("<triv step ")]
     assert codes.count(m.step.__code__) == 1
     assert len([f for f in codes if f.co_filename.startswith("<step ")]) == n + 1
     assert codes.count(linalg._vsum.__code__) == n
@@ -1570,20 +1564,39 @@ def test_the_ops_that_declare_an_expression():
         "relu", "mul", "intmul", "max", "o_mul", "o_imul", "o_nmax"]
 
 
+def _op_and_fallback_kernels(op, n, elems):
+    """The Triv kernels of `map op` (one element type) or of the fused
+    `map2 op` (two) over arrays of n, built as incr builds them, and the
+    same of a twin of op that declares no expression, whose step calls fn."""
+    reg = ca.Registry()
+    for base in dict.fromkeys(e.base for e in elems):
+        reg.register_base(base)
+    reg.register_container(ARRAY)
+    one = len(elems) == 1
+    in_ty = arr(n, elems[0]) if one else TProd(*(arr(n, e) for e in elems))
+    kernels = []
+    for o in (op, replace(op, name=op.name + "_fn", expr=None)):
+        reg.register_op(o)
+        tt = typecheck((Map if one else map2)(OpCall(o.name)), in_ty, reg)
+        map_tt = tt if one else tt.children[1]
+        kernels.append(incr._triv_kernel(map_tt, o.fn, in_ty, ca.compiled(tt), *elems))
+    return kernels
+
+
 @pytest.mark.parametrize("op", _expr_ops())
 def test_an_inlined_triv_step_equals_the_fallback(op):
-    # the generated step with op's expression and its bases' ⊕, ⊖ and nil
-    # test inlined, and the same template given no expression (which calls
-    # fn), step one stream alike: equal output changes, and caches equal at
-    # rel_tol 0.  relu runs at arity 1 (map), the pair ops at arity 2 (the
-    # fused map2).  Each side starts full, at n/8 (packed when real), just
-    # below n/8 (a dict) or empty, and the stream crosses n/8 up and back
-    # down; at arity 2 it holds left-only, right-only and two-sided changes
+    # the kernel's generated step with op's expression and its bases' ⊕, ⊖
+    # and nil test inlined, and that of a twin op with no expression (whose
+    # step calls fn), step one stream alike: equal output changes, and
+    # caches equal at rel_tol 0.  relu runs at arity 1 (map), the pair ops
+    # at arity 2 (the fused map2).  Each side starts full, at n/8 (packed
+    # when real), just below n/8 (a dict) or empty, and the stream crosses
+    # n/8 up and back down; at arity 2 it holds left-only, right-only and
+    # two-sided changes
     n = 64
     in_ty = op.sample_in_tys[0]
-    out_ty = op.typer(in_ty)
     elems = (in_ty.left, in_ty.right) if type(in_ty) is TProd else (in_ty,)
-    steps = [incr._triv_step(op.fn, e, out_ty, *elems) for e in (op.expr, None)]
+    steps = [m.step for m in _op_and_fallback_kernels(op, n, elems)]
     assert steps[0].__code__ is not steps[1].__code__
     shape, pair = arr_shape(n), len(elems) == 2
     dft = tuple(map(default_value, elems)) if pair else default_value(in_ty)
@@ -1625,61 +1638,54 @@ def test_an_inlined_triv_step_equals_the_fallback(op):
 
 
 def test_the_generated_steps_of_relu_and_mul():
-    # the source of map relu's arity-1 step and map2 mul's arity-2 step,
+    # the fragment of map relu's arity-1 step and map2 mul's arity-2 step,
     # which every machine of them runs
     assert incr._triv_source("x if x > 0.0 else 0.0", R, R) == """\
-def make(fn, df, nil, ax, ex):
-    def step(dx, cx):
-        out = {}
-        for i, e in dx.items():
-            try:
-                x = cx[i]
-            except KeyError:
-                x = ex
-            cx[i] = x2 = (x + e)
-            dz = ((x2 if x2 > 0.0 else 0.0) - (x if x > 0.0 else 0.0))
-            if not (not dz):
-                out[i] = dz
-        return out, cx
-    return step
-"""
+out = {}
+for i, e in d.items():
+    try:
+        x = c[i]
+    except KeyError:
+        x = ex
+    c[i] = x2 = (x + e)
+    dz = ((x2 if x2 > 0.0 else 0.0) - (x if x > 0.0 else 0.0))
+    if not (not dz):
+        out[i] = dz
+d = out"""
     assert incr._triv_source("x * y", R, R, R) == """\
-def make(fn, df, nil, ax, ex, ay, ey):
-    def step(d, c):
-        dx, dy = d
-        cx, cy = c
-        out = {}
-        for i in (dx.keys() | dy.keys() if dx and dy else dx or dy):
-            try:
-                x = cx[i]
-            except KeyError:
-                x = ex
-            try:
-                y = cy[i]
-            except KeyError:
-                y = ey
-            x2, y2 = x, y
-            if i in dx:
-                cx[i] = x2 = (x + dx[i])
-            if i in dy:
-                cy[i] = y2 = (y + dy[i])
-            dz = ((x2 * y2) - (x * y))
-            if not (not dz):
-                out[i] = dz
-        return out, c
-    return step
-"""
+dx, dy = d
+cx, cy = c
+out = {}
+for i in (dx.keys() | dy.keys() if dx and dy else dx or dy):
+    try:
+        x = cx[i]
+    except KeyError:
+        x = ex
+    try:
+        y = cy[i]
+    except KeyError:
+        y = ey
+    x2, y2 = x, y
+    if i in dx:
+        cx[i] = x2 = (x + dx[i])
+    if i in dy:
+        cy[i] = y2 = (y + dy[i])
+    dz = ((x2 * y2) - (x * y))
+    if not (not dz):
+        out[i] = dz
+d = out"""
     reg = linalg.register_linalg().registry
-    for term, ty, code in [
-            (Map(OpCall("relu")), arr(8, R), _generated_step(linalg._relu, reg.ops["relu"].expr, R, R)),
-            (map2(OpCall("mul")), TProd(arr(8, R), arr(8, R)), None)]:
+    for term, ty, text in [(Map(OpCall("relu")), arr(8, R), None),
+                           (map2(OpCall("mul")), TProd(arr(8, R), arr(8, R)),
+                            incr._triv_source("x * y", R, R, R))]:
         m = incrementalize(typecheck(term, ty, reg))
         _, codes = call_codes(m.step, nil_change(ty), m.init(gen_value(stable_rng(0, "src"), ty))[1])
-        if code:
-            assert code in codes
-        else:  # map2 mul's seq runs the arity-2 step's body inlined in its own step
-            body = incr._tagged(incr._triv_body("x * y", R, R, R), "s0_")[0]
-            assert codes == [m.step.__code__] and "\n".join(body) in incr._fragment(m)[0]
+        assert codes == [m.step.__code__] and m.step.__code__.co_filename.startswith("<step ")
+        if text is None:  # map relu's machine is its kernel, its step the fragment's
+            assert incr._fragment(m)[0] == incr._triv_source(reg.ops["relu"].expr, R, R)
+        else:  # map2 mul's seq runs the arity-2 fragment inlined in its own step
+            body = incr._tagged(text, "s0_")[0]
+            assert "\n".join(body) in incr._fragment(m)[0]
 
 
 @pytest.mark.parametrize("op", ["tree_size", "tree_max"])
@@ -1694,13 +1700,14 @@ def test_a_triv_fold_with_no_expression_steps_through_the_fallback(op):
     text = incr._triv_source(None, out, trees.DOC_TREE)
     assert "fn(x2)" in text and "fn(x)" in text and "ax(x, e)" in text
     assert ("df(" in text and "nil(dz)" in text) == (out == trees.S)
+    assert incr._fragment(m)[0] == text
     rng = stable_rng(41, f"fold-{op}")
     x = trees.load_bibliography()
     y, c = m.init(x)
     for _ in range(20):
         d = gen_change(rng, trees.BIB_TY)
         (dy, c), codes = call_codes(m.step, d, c)
-        assert _generated_step(reg.ops[op].fn, None, out, trees.DOC_TREE) in codes
+        assert codes[0] is m.step.__code__ and codes[0].co_filename.startswith("<step ")
         assert (reg.ops[op].fn.__code__ in codes) == bool(d)
         x = apply_change(trees.BIB_TY, x, d)
         y = apply_change(tt.out_ty, y, dy)
