@@ -39,6 +39,7 @@ construction-time sugar for `zip ; map f` and `dup ; (f × g)`.
 
 from __future__ import annotations
 
+import ast
 import json
 import linecache
 import math
@@ -232,6 +233,8 @@ class OpDef:
     `map2 op` (incr._triv_source), read off the map's typed body; over a
     non-pair x with fn(ε) = ε, `map op`'s batch is generated from it too
     (_map_batch), and denote runs it, as does the init of map's Triv kernel.
+    With fn((ε, ε)) = ε over a pair, the fused `map2 op`'s init runs the
+    batch generated from it over x and y; denote does not (_FUSED).
     """
 
     name: str
@@ -617,7 +620,8 @@ def _batch_join(op, _dup, _par, fil):
 # The batch of the fused runs, by fusion's rule name (incr._FUSED is its
 # twin): each builds the run's one function from its typed stages, or
 # returns None to run them one by one.  map2 and fanout have no entry, so
-# mvmul's batch, which its step/batch ratios divide by, stays unfused.
+# mvmul's batch, which its step/batch ratios divide by, stays unfused; the
+# fused map2's generated batch (_map_batch over a pair) serves incr's init.
 _FUSED = {"add": _batch_add, "join": _batch_join}
 
 
@@ -704,15 +708,40 @@ def _compile(tt: TypedTerm, kernels=True):
 
 
 @cache
-def _map_batch(expr, out):
+def _map_batch(expr, out, *elems):
     """The batch of `map op` generated from op's expression expr over its
     argument x (OpDef.expr), out being op's output type: op of each of x's
     entries, in x's order, without those equal to ε_out, as run_map gives
-    when f(ε) = ε.  It is run by exec once per (expr, out)."""
-    src = "\n".join(["def make(dout):", "    def batch(v):",
-                     f"        return {{i: y for i, x in v.items() if (y := ({expr})) != dout}}",
+    when f(ε) = ε.  Given the pair's element types elems, it is the batch of
+    the fused `zip ; map op` over x and y instead, as run_zip and run_map
+    give it: in x's order when both inputs hold one key set, else over the
+    union, a missing side read as its ε.  incr's fused map2 runs it; denote
+    does not (see _FUSED).  It is run by exec once per (expr, out, elems)."""
+    if not elems:
+        body = [f"        return {{i: y for i, x in v.items() if (y := ({expr})) != dout}}"]
+    else:
+        same, union = _inline(expr, y="vy[i]"), _inline(expr, x="vx.get(i, ex)", y="vy.get(i, ey)")
+        body = ["        vx, vy = v", "        if vx.keys() == vy.keys():",
+                f"            return {{i: z for i, x in vx.items() if (z := {same}) != dout}}",
+                f"        return {{i: z for i in vx.keys() | vy.keys() if (z := {union}) != dout}}"]
+    src = "\n".join(["def make(dout, ex=None, ey=None):", "    def batch(v):", *body,
                      "    return batch", ""])
-    return _run_text(src, "map", {})(default_value(out))
+    return _run_text(src, "map", {})(*map(default_value, (out, *elems)))
+
+
+def _inline(expr, **names):
+    """The expression expr, in parentheses, with each name in names replaced
+    by names' text for it."""
+    return f"({_rename(expr, lambda n: names.get(n, n), 'eval')})"
+
+
+def _rename(text, rename, mode="exec"):
+    """The source text with each name n replaced by rename(n)."""
+    tree = ast.parse(text, mode=mode)
+    for node in ast.walk(tree):
+        if type(node) is ast.Name:
+            node.id = rename(node.id)
+    return ast.unparse(tree)
 
 
 def _run_text(src, kind, space):

@@ -76,8 +76,10 @@ derivative) per key, with no zipped change in between.  The zip slot stays
 UNIT and the map slot keeps its per-index cache, so the cache layout is that
 of the unfused pair.  Its init zips with the compiled zip, as denote does
 (two inputs that have one key set in one C-level pass).  A Triv body runs
-as the Triv kernel at arity 2 (below), whose init maps that zipped dict for
-its output and then drops it.
+as the Triv kernel at arity 2 (below), whose init output is the batch
+generated from the op's expression over x and y (calculus._map_batch) when
+the op declares one and maps (ε, ε) to ε, with no zipped dict and no call
+per entry, else the zipped dict mapped; denote keeps zip and map apart.
 
 The fanout rule, `dup ; par(f, g)`, is one stage, built by the par
 builder, which hands the one input change to both sides; the dup slot stays
@@ -106,7 +108,8 @@ but cache_equal compares two packed caches (or sides) slot by slot.
 The fused `zip ; map f` stage of a Triv f runs the same kernel at arity 2,
 whose cache keeps the two components of each cached pair apart, (cl, cr),
 each side kept by _keeper for its own element type (packed over an array
-of reals) and owned, and read by _entries as the dict of the pairs.
+of reals) and owned, and read by _entries as the dict of the pairs;
+cache_to_json writes two packed sides slot by slot (_printer).
 
 Both steps come from one fragment template (_triv_source), at arity 1 (map)
 and 2 (the fused map2), memoised per (op expression, element types,
@@ -172,7 +175,6 @@ The laws every machine satisfies (checked by the oracle module, not assumed):
 
 from __future__ import annotations
 
-import ast
 import builtins
 import operator
 from array import array
@@ -186,6 +188,7 @@ from textwrap import indent
 from typing import Any, Callable, Optional
 
 from . import calculus as ca
+from .calculus import _inline, _rename
 from .core import (
     REAL, SUM_NULL, Cl, Cr, Left, Right, Sl, Sr, TBase, TCont, TProd, TSum,
     UsageError, add_fn, apply_fn, default_value, diff_fn, is_nil_fn, nil_change,
@@ -315,32 +318,49 @@ def _indexed_equal(elem, c1, c2, dft, rel_tol):
 
 def cache_to_json(desc, c):
     """Canonical debug serialization (sorted, default entries elided)."""
+    return _printer(desc)(c)
+
+
+@cache
+def _printer(desc):
+    """cache_to_json at desc, compiled once per descriptor as _counter is.
+    An indexed cache writes a packed array's non-zero slots, and a fused
+    map2's two packed sides slot by slot, as _entries reads them, with no
+    dict in between."""
     match desc:
         case CUnit():
-            return "unit"
+            return lambda c: "unit"
         case CTuple(parts):
-            return [cache_to_json(p, x) for p, x in zip(parts, c)]
+            writers = tuple(map(_printer, parts))
+            return lambda c: [write(x) for write, x in zip(writers, c)]
         case CValue(ty):
-            return {"value": value_to_json(ty, c)}
+            return lambda c: {"value": value_to_json(ty, c)}
         case CIndexed(_, elem, make_default):
-            dft = make_default()
-            c = _entries(c, dft)
-            entries = []
-            for k in _sorted(c):
-                if not cache_equal(elem, c[k], dft, 0.0):
-                    entries.append([index_to_json(k), cache_to_json(elem, c[k])])
-            return {"indexed": entries}
+            dft, write = make_default(), _printer(elem)
+
+            def run(c):
+                if type(c) is array:
+                    return {"indexed": [[i, write(v)] for i, v in enumerate(c) if v]}
+                if type(c) is tuple and type(c[0]) is type(c[1]) is array:
+                    # a ±0.0 slot reads as absent, so as its side's ε, 0.0
+                    return {"indexed": [[i, write((a or 0.0, b or 0.0))]
+                                        for i, (a, b) in enumerate(zip(*c)) if a or b]}
+                c = _entries(c, dft)
+                return {"indexed": [[index_to_json(k), write(v)] for k in _sorted(c)
+                                    if not cache_equal(elem, v := c[k], dft, 0.0)]}
+            return run
         case CMatches() | CGroups():
-            return {"matches" if type(desc) is CMatches else "groups": [
+            tag = "matches" if type(desc) is CMatches else "groups"
+            return lambda c: {tag: [
                 [index_to_json(j), *([index_to_json(i) for i in _sorted(part)]
                                      for part in _sets(desc, c[j]))]
                 for j in _sorted(c)]}
         case CCase(left, left_out, right, right_out):
-            if type(c) is Left:
-                return {"case_left": [cache_to_json(left, c.value[0]),
-                                      value_to_json(left_out, c.value[1])]}
-            return {"case_right": [cache_to_json(right, c.value[0]),
-                                   value_to_json(right_out, c.value[1])]}
+            wl, wr = _printer(left), _printer(right)
+            return lambda c: (
+                {"case_left": [wl(c.value[0]), value_to_json(left_out, c.value[1])]}
+                if type(c) is Left else
+                {"case_right": [wr(c.value[0]), value_to_json(right_out, c.value[1])]})
         case _:
             raise UsageError(f"not a cache descriptor: {desc!r}")
 
@@ -764,14 +784,21 @@ def _incr_map2(zip_tt, map_tt):
     """`zip ; map f` as one stage: step f on each changed key of (dx, dy).
 
     No zipped change is built; when one side's change is empty, only the
-    other side's entries are walked.  A Triv f runs as _triv_kernel; any
-    other f keeps the map's cache.
+    other side's entries are walked.  A Triv f runs as _triv_kernel, whose
+    init output is the batch generated from f's expression when f is an op
+    that declares one and maps (ε, ε) to ε (calculus._map_batch), else the
+    zip and the map run one after the other; any other f keeps the map's
+    cache.
     """
     zf = ca.compiled(zip_tt)
-    if fn := incrementalize(map_tt.children[0]).triv:
-        mapf, in_ty = ca.compiled(map_tt), zip_tt.in_ty
-        return _triv_kernel(map_tt, fn, in_ty, lambda xy: mapf(zf(xy)),
-                            in_ty.left.elem, in_ty.right.elem)
+    body, in_ty = map_tt.children[0], zip_tt.in_ty
+    if fn := incrementalize(body).triv:
+        elems, expr = (in_ty.left.elem, in_ty.right.elem), body.info.expr
+        mapf = ca.compiled(map_tt)
+        batch = (ca._map_batch(expr, body.out_ty, *elems)
+                 if expr and fn(tuple(map(default_value, elems))) == default_value(body.out_ty)
+                 else lambda xy: mapf(zf(xy)))
+        return _triv_kernel(map_tt, fn, in_ty, batch, *elems)
     na = nil_change(zip_tt.in_ty.left.elem)
     nb = nil_change(zip_tt.in_ty.right.elem)
 
@@ -845,7 +872,10 @@ def _triv_kernel(map_tt, fn, in_ty, batch, *elems):
     """The Triv kernel of `map f` (one element type, arity 1) or of the fused
     `zip ; map f` (two, arity 2), fn being f, over the input type in_ty.
 
-    init's output is batch's.  Its cache holds the input elements (arity 1),
+    init's output is batch's: the map's compiled batch (arity 1) or the one
+    _incr_map2 picks (arity 2), at either arity generated from the op's
+    expression where that applies (calculus._map_batch), with no call per
+    entry.  Its cache holds the input elements (arity 1),
     or the two components of each pair apart, (cl, cr) (arity 2), each side
     kept by _keeper for its element type, or, when f(ε) ≠ ε, as a dict of
     every index, as the per-entry machines keep it.  The step is generated
@@ -944,21 +974,6 @@ def _exprs(ty, ap):
     """(⊕, ⊖, nil test) at ty as expressions over a and b: its base's exprs,
     else calls of ap, df and nil."""
     return type(ty) is TBase and ty.base.exprs or (f"{ap}(a, b)", "df(a, b)", "nil(a)")
-
-
-def _inline(expr, **names):
-    """The expression expr, in parentheses, with each name in names replaced
-    by names' text for it."""
-    return f"({_rename(expr, lambda n: names.get(n, n), 'eval')})"
-
-
-def _rename(text, rename, mode="exec"):
-    """The source text with each name n replaced by rename(n)."""
-    tree = ast.parse(text, mode=mode)
-    for node in ast.walk(tree):
-        if type(node) is ast.Name:
-            node.id = rename(node.id)
-    return ast.unparse(tree)
 
 
 # ---------------------------------------------------------------------------

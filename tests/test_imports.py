@@ -73,3 +73,43 @@ def test_the_guard_sees_an_unused_import():
 def test_no_module_imports_a_name_it_never_reads(path):
     # an `__init__` may import to re-export, so it is not checked
     assert MODULES and unused_imports(path.read_text()) == []
+
+
+RUNNERS = {"exec", "eval", "compile"}
+
+
+def code_runners(text):
+    """(function, name) for each read of the builtin exec, eval or compile in
+    text, as a name or as an attribute of builtins, by the innermost
+    function it sits in (None at module level)."""
+    found, todo = [], [(ast.parse(text), None)]
+    while todo:
+        node, fn = todo.pop()
+        if isinstance(node, ast.Name) and node.id in RUNNERS:
+            found.append((fn, node.id))
+        elif (isinstance(node, ast.Attribute) and node.attr in RUNNERS
+              and isinstance(node.value, ast.Name) and node.value.id == "builtins"):
+            found.append((fn, node.attr))
+        inner = node.name if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef) else fn
+        todo += [(child, inner) for child in ast.iter_child_nodes(node)]
+    return sorted(found, key=lambda f: (f[0] or "", f[1]))
+
+
+def test_the_guard_sees_every_code_runner():
+    # a call, a bare read and builtins' attribute count; re.compile does not
+    text = ("import builtins, re\nP = re.compile('x')\nrun = eval\n"
+            "def f(s):\n    def g():\n        return builtins.exec(s)\n"
+            "    return compile(s, 'f', 'eval')\n")
+    assert code_runners(text) == [(None, "eval"), ("f", "compile"), ("g", "exec")]
+
+
+def test_only_run_text_and_equi_code_run_generated_text():
+    # every generated text runs through calculus._run_text's
+    # exec(compile(...)), under a name whose lines linecache serves, and
+    # relalg._equi_code evaluates its own equi-join lambda; no other
+    # function of the package reaches exec, eval or compile, so no
+    # surface-program text can
+    found = [(str(p.relative_to(SRC)), *f) for p in sorted(SRC.rglob("*.py"))
+             for f in code_runners(p.read_text())]
+    assert found == [("calculus.py", "_run_text", "compile"), ("calculus.py", "_run_text", "exec"),
+                     ("domains/relalg.py", "_equi_code", "eval")]

@@ -1,5 +1,6 @@
 """Combinators, the incrementalization transformation, and iterated updates."""
 
+import json
 import sys
 import traceback
 import tracemalloc
@@ -19,7 +20,7 @@ from deltic.calculus import (
 from deltic.core import (
     INT, NAT, REAL, SCALAR, Cl, Cr, Left, Right, Sl, Sr, SUM_NULL, SupportError, TBase,
     TCont, TProd, TSum, UsageError, apply_change, apply_fn, default_value, is_nil,
-    nil_change, values_equal,
+    index_sort_key, nil_change, values_equal,
 )
 from deltic.domains import gcounter, linalg, relalg, trees
 from deltic.domains.containers import ARRAY, RELATION, arr, arr_shape, dict_shape, rel_shape
@@ -33,7 +34,7 @@ from deltic.oracle import (
     _TermGen, _run_stream, check_machine_laws, check_term_laws, gen_change, gen_index,
     gen_term, gen_type, gen_value, inject_fault, oracle_registry, stable_rng,
 )
-from deltic.serialize import change_to_text, value_to_text
+from deltic.serialize import change_to_text, index_to_json, value_to_text
 from helpers import call_codes, step_through
 
 R = TBase(REAL)
@@ -1343,12 +1344,10 @@ def _reference_equal(desc, c1, c2, rel_tol):
                for i in e1.keys() | e2.keys())
 
 
-@pytest.mark.parametrize("pair", [False, True], ids=["map relu", "map2 mul"])
-def test_cache_equal_compares_every_layout_mix_as_its_entries(pair):
-    # a packed cache and a fused map2's packed sides are compared slot by
-    # slot, and other layouts entry by entry; every pair of caches over the
-    # layout mixes of the packing tests, with ±0.0, tiny and nearly equal
-    # slots, inited and stepped, compares as the dicts of their entries did
+def _layout_mix_caches(pair, extra=()):
+    """(descriptor, caches) of `map relu`'s or map2 mul's indexed cache over
+    every layout mix of the packing tests, with ±0.0, tiny and nearly equal
+    slots and the layouts extra, inited and stepped."""
     n = 64
     vec = arr(n, R)
     reg = linalg.register_linalg().registry
@@ -1360,7 +1359,8 @@ def test_cache_equal_compares_every_layout_mix_as_its_entries(pair):
     dense = {i: round(rng.uniform(0.5, 4.0), 3) * rng.choice([-1, 1]) for i in range(n)}
     first = list(dense.items())
     layouts = [dense, dict(first[:n // 8]), dict(first[:n // 8 - 1]), {}, dict(first[4:]),
-               {**dense, 3: -0.0}, {**dense, 5: 1e-310}, {**dense, 9: dense[9] * (1 + 1e-12)}]
+               {**dense, 3: -0.0}, {**dense, 5: 1e-310}, {**dense, 9: dense[9] * (1 + 1e-12)},
+               *extra]
     xs = [(l, r) for l in layouts for r in layouts[::3]] if pair else layouts
     d = ({n // 8: 1.0}, {}) if pair else {n // 8: 1.0}
     caches = []
@@ -1371,6 +1371,16 @@ def test_cache_equal_compares_every_layout_mix_as_its_entries(pair):
             caches.append(c[1] if pair else c)
     kinds = {type(side) for c in caches for side in (c if pair else [c])}
     assert kinds == {array, dict}
+    return desc, caches
+
+
+@pytest.mark.parametrize("pair", [False, True], ids=["map relu", "map2 mul"])
+def test_cache_equal_compares_every_layout_mix_as_its_entries(pair):
+    # a packed cache and a fused map2's packed sides are compared slot by
+    # slot, and other layouts entry by entry; every pair of caches over the
+    # layout mixes of the packing tests compares as the dicts of their
+    # entries did
+    desc, caches = _layout_mix_caches(pair)
     equal = []
     for rel_tol in (0.0, 1e-9):
         got = [[cache_equal(desc, a, b, rel_tol) for b in caches] for a in caches]
@@ -1378,6 +1388,29 @@ def test_cache_equal_compares_every_layout_mix_as_its_entries(pair):
         equal.append(sum(map(sum, got)))
     # caches of other layouts compare equal, and more at a rel_tol
     assert len(caches) < equal[0] < equal[1]
+
+
+def _reference_json(desc, c):
+    """cache_to_json of an indexed cache as every layout was written before
+    the writer was compiled per descriptor: _entries' dict, sorted, entries
+    equal to the default elided, each written as its descriptor says."""
+    dft = desc.make_default()
+    e = incr._entries(c, dft)
+    return {"indexed": [[index_to_json(k), cache_to_json(desc.elem, e[k])]
+                        for k in sorted(e, key=index_sort_key)
+                        if not cache_equal(desc.elem, e[k], dft, 0.0)]}
+
+
+@pytest.mark.parametrize("pair", [False, True], ids=["map relu", "map2 mul"])
+def test_cache_to_json_writes_every_layout_mix_as_its_entries(pair):
+    # a packed cache and a fused map2's two packed sides are written slot by
+    # slot, other layouts entry by entry; every cache over the layout mixes
+    # of the test above, and over layouts with NaN and -inf slots, is
+    # written to the very text its entries were (-0.0 slots as absent)
+    odd = {3: float("nan"), 5: -0.0, 60: -float("inf"), **dict.fromkeys(range(9, 20), 1.0)}
+    desc, caches = _layout_mix_caches(pair, [odd])
+    for c in caches:
+        assert json.dumps(cache_to_json(desc, c)) == json.dumps(_reference_json(desc, c))
 
 
 def _arrays(c):
