@@ -33,7 +33,7 @@ A machine with a unit cache is self-maintainable: its step is a pure function
 of the change, kept as the machine's `deriv` (change -> change).  The builders
 for seq, par and map compose their children's derivatives when the machine is
 built, so a cache-free subterm steps as a single call instead of threading
-(change, UNIT) pairs through every node (seq and par generate theirs, as
+(change, UNIT) pairs through every node (each generates its own, as
 below); a cache-free composite has a CUnit cache and takes its init from the
 compiled batch semantics.
 
@@ -47,17 +47,19 @@ A typed seq is n-ary (see calculus.typecheck).  A seq with a cached stage
 keeps a list with one slot per stage (UNIT at the cache-free ones) that its
 step updates in place, so neither init nor step recurses along a chain.
 
-Seq and par steps are staged: each built machine has one step fragment
+Seq, par and map steps are staged: each built machine has one step fragment
 (_fragment), source text that reads the change d and the cache c and
 leaves the output change and the new cache in them (a cache-free machine's
 reads and writes d only), with the objects its other names stand for.
 Path derivatives, dup, comb_add's derivative, cst's nil and the Triv
 kernels give theirs (m.frag); every other machine's, and any machine's whose
 step or derivative was swapped after it was built (a fault's), is the call
-`d, c = f(d, c)` or `d = f(d)`.  The seq and par builders concatenate their
-children's fragments, each child's names tagged by its position, and run
-the text by exec once per text (_maker, the one place a step is generated,
-a Triv kernel's own included); the text is the machine's own fragment.
+`d, c = f(d, c)` or `d = f(d)`.  The seq, par and map builders place their
+children's fragments in a text of their own, each child's names tagged by
+its position, and run the text by exec once per text (_maker, the one place
+a step is generated, a Triv kernel's own included); the text is the
+machine's own fragment.  A map that is not a Triv kernel is one loop over
+its changed indices with its body's fragment as the loop body.
 Each text runs under a file name of its own, `<step n>`, whose lines
 linecache serves, so a traceback through a generated step shows the line
 it stopped on.  A run of
@@ -71,7 +73,7 @@ generation does not recurse.
 Runs of seq stages that are built as one stage are matched by
 calculus.fusion, which denote shares, and built by _FUSED, by rule name.
 The map2 rule, `zip ; map f`, is one fused stage whose
-step walks the changed keys of (dx, dy) and steps f (or calls its
+generated loop walks the changed keys of (dx, dy) and steps f (or its
 derivative) per key, with no zipped change in between.  The zip slot stays
 UNIT and the map slot keeps its per-index cache, so the cache layout is that
 of the unfused pair.  Its init zips with the compiled zip, as denote does
@@ -179,7 +181,7 @@ import builtins
 import operator
 from array import array
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cache
 from itertools import chain, groupby, repeat
 from operator import itemgetter
@@ -239,15 +241,18 @@ class CValue:
 
 @dataclass(frozen=True)
 class CIndexed:
-    """Per-index sub-caches with a lazily instantiable default entry.
+    """Per-index sub-caches and the one an absent index reads as.
 
-    Indices absent from the runtime dict are logically make_default();
-    equality and serialization treat them that way.  A Triv map's cache may
-    instead be a packed array('d') (see _keeper), read through _entries.
+    Indices absent from the runtime dict are logically default, a plain
+    value made once at build (never mutated: a step makes each new index's
+    sub-cache afresh); equality and serialization treat them that way.  It
+    is compared by value and not hashed, so two builds of one program give
+    equal descriptors.  A Triv map's cache may instead be a packed
+    array('d') (see _keeper), read through _entries.
     """
     shape: Any
     elem: Any
-    make_default: Callable[[], Any]
+    default: Any = field(hash=False)
 
 
 @dataclass(frozen=True)
@@ -281,8 +286,7 @@ def cache_equal(desc, c1, c2, rel_tol=0.0) -> bool:
             return all(cache_equal(p, x1, x2, rel_tol) for p, x1, x2 in zip(parts, c1, c2))
         case CValue(ty):
             return values_equal(ty, c1, c2, rel_tol)
-        case CIndexed(_, elem, make_default):
-            dft = make_default()
+        case CIndexed(_, elem, dft):
             if type(c1) is tuple and type(c2) is tuple:  # two fused map2 (cl, cr): side by side
                 sides = zip((CValue(elem.ty.left), CValue(elem.ty.right)), c1, c2, dft)
                 return all(_indexed_equal(*side, rel_tol) for side in sides)
@@ -335,8 +339,8 @@ def _printer(desc):
             return lambda c: [write(x) for write, x in zip(writers, c)]
         case CValue(ty):
             return lambda c: {"value": value_to_json(ty, c)}
-        case CIndexed(_, elem, make_default):
-            dft, write = make_default(), _printer(elem)
+        case CIndexed(_, elem, dft):
+            write = _printer(elem)
 
             def run(c):
                 if type(c) is array:
@@ -816,32 +820,32 @@ def _incr_map2(zip_tt, map_tt):
 
 
 def _map_machine(tt, entries):
-    """map over the (index, element change) pairs that entries(d) yields."""
+    """map over the (index, element change) pairs that items(d) yields,
+    items being entries: dict.items, or the fused map2's walk of (dx, dy).
+
+    A Triv body runs as _triv_kernel.  Any other map's step (or derivative)
+    is generated as one loop whose body is the body machine's fragment
+    (_place): inlined per changed index, or its call.  A cached body reads
+    s[i], an index absent from the cache a fresh sub-cache (dft, free), and
+    the loop writes s[i] back; a change that is not nil goes out."""
     body = tt.children[0]
     mf = incrementalize(body)
     if mf.triv:  # entries is dict.items: _incr_map2 runs its own kernel
         return _triv_kernel(tt, mf.triv, tt.in_ty, ca.compiled(tt), tt.in_ty.elem)
-    shape = tt.in_ty.shape
-    elem_in = tt.in_ty.elem
-    f_init, f_step = mf.init, mf.step
-    din = default_value(elem_in)
-    dout = default_value(body.out_ty)
-
-    out_nil = is_nil_fn(body.out_ty)
-    f = mf.deriv
-    if f:
-        def deriv(dx):
-            out = {}
-            for i, di in entries(dx):
-                dy = f(di)
-                if not out_nil(dy):
-                    out[i] = dy
-            return out
-
-        return _self_machine(tt, deriv)
-
-    def make_default():
-        return f_init(default_value(elem_in))[1]
+    held = mf.deriv is None
+    nil = is_nil_fn(body.out_ty)
+    lines, free = ["s, out = c, {}" if held else "out = {}", "for i, d in items(d):"], {}
+    rows = _place(mf, "b_", lines, free)
+    if held:
+        rows = ["try:", "    c = s[i]", "except KeyError:", "    c = dft()", *rows, "s[i] = c"]
+    live = _live("not a" if nil is operator.not_ else "nil(a)", "d")
+    lines += [f"    {row}" for row in [*rows, f"if {live}:", "    out[i] = d"]]
+    free.update(items=entries, nil=nil)
+    if not held:
+        return _generated(tt.in_ty, tt.out_ty, CUnit(), ca.compiled(tt), [*lines, "d = out"], free)
+    shape, elem, f_init = tt.in_ty.shape, tt.in_ty.elem, mf.init
+    din, dout = default_value(elem), default_value(body.out_ty)
+    free["dft"] = make_default = lambda: f_init(default_value(elem))[1]
 
     def init(x):
         out = {}
@@ -852,20 +856,8 @@ def _map_machine(tt, entries):
                 out[i] = y
         return out, caches
 
-    def step(dx, c):
-        out = {}
-        for i, di in entries(dx):
-            try:
-                sub = c[i]
-            except KeyError:
-                sub = make_default()
-            dy, c[i] = f_step(di, sub)
-            if not out_nil(dy):
-                out[i] = dy
-        return out, c
-
-    desc = CIndexed(shape, mf.cache, make_default)
-    return IncrMachine(tt.in_ty, tt.out_ty, desc, init, step)
+    desc = CIndexed(shape, mf.cache, make_default())
+    return _generated(tt.in_ty, tt.out_ty, desc, init, [*lines, "d, c = out, s"], free)
 
 
 def _triv_kernel(map_tt, fn, in_ty, batch, *elems):
@@ -898,7 +890,7 @@ def _triv_kernel(map_tt, fn, in_ty, batch, *elems):
     free = {"fn": fn, "df": diff_fn(out), "nil": is_nil_fn(out)}
     for s, e, dft in zip("xy", elems, dfts):
         free["a" + s], free["e" + s] = apply_fn(e), dft
-    desc = CIndexed(shape, CValue(elem), lambda: default_value(elem))
+    desc = CIndexed(shape, CValue(elem), default_value(elem))
     return _generated(in_ty, map_tt.out_ty, desc, init, [_triv_source(expr, out, *elems)], free)
 
 
@@ -967,7 +959,13 @@ def _triv_source(expr, out, *elems):
         put = f"{k}[i] = {s}2 = " + _inline(_exprs(e, "a" + s)[0], a=s, b="e" if one else f"d{s}[i]")
         lines += [f"    {put}"] if one else [f"    if i in d{s}:", f"        {put}"]
     return "\n".join([*lines, f"    dz = {_inline(minus, a=_inline(old, x='x2', y='y2'), b=old)}",
-                      f"    if not {_inline(nil, a='dz')}:", "        out[i] = dz", "d = out"])
+                      f"    if {_live(nil, 'dz')}:", "        out[i] = dz", "d = out"])
+
+
+def _live(nil, name):
+    """The test that name is not nil, nil being a nil test over a: a plain
+    `name` when that test is `not a`."""
+    return name if nil == "not a" else f"not {_inline(nil, a=name)}"
 
 
 def _exprs(ty, ap):

@@ -239,6 +239,16 @@ def test_laws_output_at_other_seeds_matches_golden_file(seed):
     assert proc.stdout == golden.read_bytes()
 
 
+def test_python_m_deltic_runs_the_cli():
+    # `python -m deltic` runs the same command line as the deltic script
+    src = str(Path(deltic.__file__).resolve().parents[1])
+    cmd = [sys.executable, "-m", "deltic", "laws", "--seed", "1"]
+    env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": src}
+    proc = subprocess.run(cmd, env=env, capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (Path(__file__).parent / "data" / "laws_seed1.jsonl").read_bytes()
+
+
 def test_bench_csv_schema(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     rc = main(["bench", "--bench", "dense", "--sizes", "20,40", "--reps", "2",

@@ -6,7 +6,7 @@ import traceback
 import tracemalloc
 from array import array
 from contextlib import nullcontext
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import groupby
 
 import pytest
@@ -610,7 +610,7 @@ for k in k0:
             s0_p0_s1_x = s0_p0_s1_ex
         c[s0_p0_s1_i] = s0_p0_s1_x2 = s0_p0_s1_x + s0_p0_s1_e
         s0_p0_s1_dz = (s0_p0_s1_x2 if s0_p0_s1_x2 > 0.0 else 0.0) - (s0_p0_s1_x if s0_p0_s1_x > 0.0 else 0.0)
-        if not not s0_p0_s1_dz:
+        if s0_p0_s1_dz:
             s0_p0_s1_out[s0_p0_s1_i] = s0_p0_s1_dz
     d = s0_p0_s1_out
     s0_p0_s[4] = c
@@ -633,7 +633,7 @@ for s2_i, s2_e in d.items():
         s2_x = s2_ex
     c[s2_i] = s2_x2 = s2_x + s2_e
     s2_dz = (s2_x2 if s2_x2 > 0.0 else 0.0) - (s2_x if s2_x > 0.0 else 0.0)
-    if not not s2_dz:
+    if s2_dz:
         s2_out[s2_i] = s2_dz
 d = s2_out
 s[8] = c
@@ -741,10 +741,11 @@ def test_fanout_fold_matches_the_unfolded_pair(f, g, ty):
 
 
 # A cached stage and a cache-free one, over arr[4] real (_staging_registry):
-# map o_relu keeps a per-entry cache and steps by the generic map's step,
-# which a generated step calls; map relu steps by its generated Triv step,
-# whose fragment a generated step inlines; map (dup ; +), x ↦ 2x, is
-# self-maintainable, and its derivative is not the identity.
+# map o_relu keeps a per-entry cache and steps by the generic map's loop,
+# which calls o_relu's step per entry; map relu steps by its generated Triv
+# step; map (dup ; +), x ↦ 2x, is self-maintainable, steps by the generic
+# map's loop with its body inlined, and its derivative is not the identity.
+# A generated step inlines each of their loops.
 _CACHED, _INLINED, _FREE = Map(OpCall("o_relu")), Map(OpCall("relu")), Map(Seq(Dup(), Plus()))
 
 
@@ -758,15 +759,18 @@ def _staging_registry():
 @pytest.mark.parametrize("fan", [False, True], ids=["par", "fanout"])
 def test_each_par_step_shape_keeps_the_laws(fan, sides):
     # the par step is generated per shape (which sides hold a cache, and
-    # whether both read one input), each cached side inlined (map relu) or
-    # called (map o_relu); each steps 50 changes under Laws 1-3
+    # whether both read one input), each side's map loop inlined, a cached
+    # generic map's (map o_relu) reading a missing index's sub-cache from
+    # dft; each steps 50 changes under Laws 1-3
     ty = arr(4, R)
     for cached in (_CACHED, _INLINED):
         f, g = (cached if s == "cached" else _FREE for s in sides.split(", "))
         term, in_ty = (ca.fanout(f, g), ty) if fan else (ca.Par(f, g), TProd(ty, ty))
         tt = typecheck(term, in_ty, _staging_registry())
         m = _assert_stream_laws(tt, f"par {fan} {sides} {cached}", "cached" in sides)
-        assert ("for " in incr._fragment(m)[0]) == ("cached" in sides and cached is _INLINED)
+        text = incr._fragment(m)[0]
+        assert text.count("for ") == 2
+        assert ("dft()" in text) == ("cached" in sides and cached is _CACHED)
 
 
 @pytest.mark.parametrize("stages", [
@@ -1338,7 +1342,7 @@ def test_a_fused_map2_counts_the_union_of_its_sides():
 def _reference_equal(desc, c1, c2, rel_tol):
     """cache_equal of two indexed caches as every layout was compared before
     packed sides compared slot by slot: both read as _entries' dicts."""
-    dft = desc.make_default()
+    dft = desc.default
     e1, e2 = incr._entries(c1, dft), incr._entries(c2, dft)
     return all(cache_equal(desc.elem, e1.get(i, dft), e2.get(i, dft), rel_tol)
                for i in e1.keys() | e2.keys())
@@ -1394,7 +1398,7 @@ def _reference_json(desc, c):
     """cache_to_json of an indexed cache as every layout was written before
     the writer was compiled per descriptor: _entries' dict, sorted, entries
     equal to the default elided, each written as its descriptor says."""
-    dft = desc.make_default()
+    dft = desc.default
     e = incr._entries(c, dft)
     return {"indexed": [[index_to_json(k), cache_to_json(desc.elem, e[k])]
                         for k in sorted(e, key=index_sort_key)
@@ -1528,6 +1532,81 @@ def test_map_relu_over_a_string_keyed_dict_steps_new_keys():
     assert cache_equal(m.cache, c, m.init(x)[1])
 
 
+def test_a_map_reads_an_absent_index_as_its_body_cache_at_epsilon():
+    # a map's absent index reads as the body's cache at init(ε), not as a
+    # default read off the descriptor's structure: here relu's cached input
+    # at ε is 1 + ε = 1.0.  A key new to the cache takes that sub-cache in
+    # the generated loop; with ε in relu's slot the step would put out {}
+    ty = TCont(dict_shape("any"), R)
+    body = seq(ca.fanout(Cst(R, 1.0), ID), Plus(), OpCall("relu"),
+               ca.fanout(Cst(R, -1.0), ID), Plus())
+    tt = typecheck(Map(body), ty, linalg.register_linalg().registry)
+    m = incrementalize(tt)
+    assert m.cache.default == [UNIT, UNIT, UNIT, 1.0, UNIT, UNIT, UNIT]
+    assert "dft()" in incr._fragment(m)[0]
+    x, d = {"a": 2.0}, {"b": -0.5}
+    y, c = m.init(x)
+    assert y == denote(tt, x)  # Law-1
+    dy, c = m.step(d, c)
+    assert dy == {"b": -0.5}
+    x = apply_change(ty, x, d)
+    assert values_equal(tt.out_ty, apply_change(tt.out_ty, y, dy), denote(tt, x), 0.0)  # Law-2
+    assert cache_equal(m.cache, c, m.init(x)[1])  # Law-3
+
+
+def _descriptors(desc):
+    """desc and every cache descriptor it holds."""
+    yield desc
+    match desc:
+        case incr.CTuple(parts):
+            for part in parts:
+                yield from _descriptors(part)
+        case incr.CIndexed(_, elem, _):
+            yield from _descriptors(elem)
+        case incr.CCase(left, _, right, _):
+            yield from _descriptors(left)
+            yield from _descriptors(right)
+
+
+def test_rebuilds_of_a_program_leave_the_descriptor_memos_as_they_are():
+    # no descriptor holds a callable, so every build of one program gives
+    # equal descriptors, and _counter and _printer, memoised per descriptor,
+    # gain no entry after the first build's caches are read
+    reg = linalg.register_linalg().registry
+    n = 8
+    sizes = []
+    for _ in range(20):
+        tt = typecheck(linalg.mvmul_term(n, n), TProd(arr(n, arr(n, R)), arr(n, R)), reg)
+        m = incrementalize(tt)
+        c = m.init(gen_value(stable_rng(46, "rebuild"), tt.in_ty))[1]
+        cache_entry_count(m.cache, c)
+        cache_to_json(m.cache, c)
+        sizes.append((incr._counter.cache_info().currsize, incr._printer.cache_info().currsize))
+    assert sizes[1:] == sizes[:1] * 19
+    nested = typecheck(Map(Map(OpCall("o_relu"))), arr(3, arr(3, R)), _staging_registry())
+    for tt in [typecheck(*_dense(4)[:2], reg), nested]:
+        for desc in _descriptors(incrementalize(tt).cache):
+            assert not [f.name for f in fields(desc) if callable(getattr(desc, f.name))]
+
+
+@pytest.mark.parametrize("term, ty", [
+    (Map(OpCall("o_relu")), arr(4, R)),                             # a cached body
+    (Map(Seq(Dup(), Plus())), arr(4, R)),                           # a cache-free body
+    (map2(seq(Plus(), OpCall("o_relu"))), TProd(arr(4, R), arr(4, R))),  # a fused map2
+], ids=["cached", "free", "map2"])
+def test_a_generic_map_steps_by_its_own_generated_loop(term, ty):
+    # every map that is not a Triv kernel has a fragment of its own, one
+    # loop over the changed indices with its body placed in it, not the
+    # call of a hand-written step; its step runs that text
+    tt = typecheck(term, ty, _staging_registry())
+    m = incr._incr_map2(*tt.children) if type(term) is Seq else incrementalize(tt)
+    text, free = incr._fragment(m)
+    assert (text, free) != incr._call(m)
+    assert "for i, d in items(d):" in text and free["items"] is not None
+    assert (m.deriv or m.step).__code__.co_filename.startswith("<step ")
+    _assert_stream_laws(tt, f"own loop {term}", m.deriv is None)
+
+
 def _dense(n):
     rng = stable_rng(42, "dense-kernel")
     w = {i: {j: rng.uniform(-1, 1) for j in range(n)} for i in range(n)}
@@ -1560,11 +1639,11 @@ def test_triv_stale_cache_fault_reaches_the_kernel(case):
 
 
 def test_dense_step_runs_the_kernel():
-    # one dense step over 3 changed entries of x runs each row's generated
-    # seq step once, the map2 mul step inlined, and the top seq's generated
-    # step once, relu's step inlined, with the ops, ⊕, ⊖ and the nil test
-    # inlined: no _mul or _relu call, no Triv step and no zip derivative
-    # (a Triv kernel's own step, called, would be one more `<step n>`).
+    # one dense step over 3 changed entries of x runs the top seq's
+    # generated step once, with the map over rows, each row's seq, its map2
+    # mul step, map sum's loop and relu's step inlined, and the ops, ⊕, ⊖
+    # and the nil test inlined: no _mul or _relu call, no Triv step and no
+    # zip derivative (a row's step, called, would be one more `<step n>`).
     # Per row it also runs sum's derivative, so 3n + 20 calls at most, where
     # the 2·n·3 _mul calls alone made 72 of the 160 allowed when the ops
     # were called
@@ -1579,7 +1658,7 @@ def test_dense_step_runs_the_kernel():
     assert TRIV_STEP not in codes and zip_code not in codes
     assert linalg._mul.__code__ not in codes and linalg._relu.__code__ not in codes
     assert codes.count(m.step.__code__) == 1
-    assert len([f for f in codes if f.co_filename.startswith("<step ")]) == n + 1
+    assert len([f for f in codes if f.co_filename.startswith("<step ")]) == 1
     assert codes.count(linalg._vsum.__code__) == n
     assert len(codes) <= 3 * n + 20
 
@@ -1633,7 +1712,7 @@ def test_an_inlined_triv_step_equals_the_fallback(op):
     assert steps[0].__code__ is not steps[1].__code__
     shape, pair = arr_shape(n), len(elems) == 2
     dft = tuple(map(default_value, elems)) if pair else default_value(in_ty)
-    desc = incr.CIndexed(shape, incr.CValue(in_ty), lambda: dft)
+    desc = incr.CIndexed(shape, incr.CValue(in_ty), dft)
     rng = stable_rng(41, f"inline-{op.name}")
     draw = {"real": lambda: rng.choice([-1, 1]) * round(rng.uniform(0.5, 4.0), 3),
             "int": lambda: rng.choice([-3, -1, 1, 2]), "nat": lambda: rng.randint(1, 3)}
@@ -1682,7 +1761,7 @@ for i, e in d.items():
         x = ex
     c[i] = x2 = (x + e)
     dz = ((x2 if x2 > 0.0 else 0.0) - (x if x > 0.0 else 0.0))
-    if not (not dz):
+    if dz:
         out[i] = dz
 d = out"""
     assert incr._triv_source("x * y", R, R, R) == """\
@@ -1704,7 +1783,7 @@ for i in (dx.keys() | dy.keys() if dx and dy else dx or dy):
     if i in dy:
         cy[i] = y2 = (y + dy[i])
     dz = ((x2 * y2) - (x * y))
-    if not (not dz):
+    if dz:
         out[i] = dz
 d = out"""
     reg = linalg.register_linalg().registry
@@ -1792,15 +1871,15 @@ def test_cache_entry_count_matches_the_recursive_count():
         (CV(arr(3, TSum(R, TProd(R, R)))), {0: Left(1.0), 2: Right((1.0, 2.0))}, 3),
         (CT((CUnit(), CV(R), CV(TProd(R, Z)))), (UNIT, 1.0, (1.0, 2)), 3),
         (CT((CV(R), CV(arr(3, R)))), (1.0, {0: 1.0, 1: 2.0}), 3),
-        (CI(a3, CV(R), float), {0: 1.0, 2: 2.0}, 2),
-        (CI(a3, CV(R), float), array("d", [1.0, 0.0, 2.0]), 2),
-        (CI(a3, CUnit(), lambda: UNIT), {0: UNIT, 1: UNIT}, 0),
-        (CI(a3, CV(arr(2, R)), dict), {0: {0: 1.0}, 1: {0: 1.0, 1: 2.0}}, 3),
-        (CI(a2, CI(a3, CV(R), float), dict), {0: {0: 1.0}, 1: {1: 1.0, 2: 2.0}}, 3),
+        (CI(a3, CV(R), 0.0), {0: 1.0, 2: 2.0}, 2),
+        (CI(a3, CV(R), 0.0), array("d", [1.0, 0.0, 2.0]), 2),
+        (CI(a3, CUnit(), UNIT), {0: UNIT, 1: UNIT}, 0),
+        (CI(a3, CV(arr(2, R)), {}), {0: {0: 1.0}, 1: {0: 1.0, 1: 2.0}}, 3),
+        (CI(a2, CI(a3, CV(R), 0.0), {}), {0: {0: 1.0}, 1: {1: 1.0, 2: 2.0}}, 3),
         (CC(CV(R), arr(2, R), CUnit(), R), Left((1.0, {0: 1.0, 1: 2.0})), 3),
         (CC(CV(R), arr(2, R), CUnit(), R), Right((UNIT, 5.0)), 1),
         (CC(CV(R), R, CV(Z), Z), Right((1, 2)), 2),
-        (CT((CC(CV(R), R, CV(R), arr(2, R)), CI(a2, CV(R), float))),
+        (CT((CC(CV(R), R, CV(R), arr(2, R)), CI(a2, CV(R), 0.0))),
          (Right((1.0, {1: 1.0})), {0: 1.0, 1: 2.0}), 4),
     ]
     for desc, c, want in cases:
