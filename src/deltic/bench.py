@@ -48,6 +48,8 @@ class BenchSpec:
             raise ValueError("sizes must be positive")
         if not (0.0 < self.fraction <= 1.0):
             raise ValueError("fraction must be in (0, 1]")
+        if self.reps < 0:
+            raise ValueError("reps must be non-negative")
 
 
 _DEFAULT_SIZES = {

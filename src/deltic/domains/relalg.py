@@ -6,7 +6,8 @@ product rule a'·b + (a + a')·b', one step per side); count and groupBy are
 linear in the multiplicities and need no cache at all.
 
 A selection σ_p = ⟨cst 0, id⟩ ; filter p drops rows to the default 0, so it
-is linear and σ_p ∘ cross is bilinear too.  A join `cross ; σ_p` is the join
+is linear and σ_p ∘ cross is bilinear too, and its step is the product
+rule σ_p(dx × y) ⊕ σ_p((x ⊕ dx) × dy).  A join `cross ; σ_p` is the join
 rule of calculus.fusion, and cross registers one hook for it, join_index:
 given p and the input type, the BilinIndex of the one bilinear stage that
 incr builds for it (the "bilin" combinator, which cross names too).  Its
@@ -25,14 +26,12 @@ skips the join when no right tuple holds its key; a right tuple reads its
 key's group, and a key new to the join scans the left relation once.  The
 key only narrows the candidates: p still decides every pair.
 
-Any other p is opaque.  The third part then holds, for each cached right
-tuple, the cached left tuples it matches, and the pairs come from one
-C-level stream, filter(p, product(r, s)), in batch and in each leg of the
-step: a change to a right tuple the join already holds reads its matches,
-and p is tested for a right tuple new to the join, against the whole left
-relation, and for a changed left tuple, against the right relation.  The
-unfused run of the stages (calculus.unfused) is the reference both are
-checked against.
+Any other p is opaque.  The third part then keeps nothing, as the unfused
+cross's does, and each leg of the step is its product-rule term, made by
+the batch's one C-level stream, filter(p, product(…)): a left change tests
+p against the right relation, and a right change against the whole left
+relation.  The unfused run of the stages (calculus.unfused) is the
+reference both are checked against.
 """
 
 from __future__ import annotations
@@ -120,18 +119,12 @@ def _join_index(p, ty) -> incr.BilinIndex:
     relation, its right tuples and the cached left tuples with that key,
     and p is still the final test of every candidate pair.
 
-    Else p is opaque, and the index is the matches of each right tuple j of
-    the cached right relation: the left tuples i of the cached left relation
-    with p((i, j)), in four buckets picked by hash(i), so that a deletion
-    scans a quarter of them.  The buckets hold the tuples the left relation
-    holds.  Only pairs that satisfy p are made, batch (which init runs) and
-    each leg walking filter(p, product(…)) in C.  batch, σ_p ∘ cross, gives
-    the keys, in the same order, that cross followed by the filter gives.
-    A right tuple already cached reads its matches instead of testing p; one
-    new to the right relation walks the left relation with p, and its hits
-    become its matches.  A left step updates the matches of the pairs
-    its own term finds: i is new in x iff x'[i] == dx[i], and gone iff
-    i ∉ x'.
+    Else p is opaque, and the index is the plain one (incr._plain_index),
+    which keeps nothing, over the join's batch, which walks
+    filter(p, product(r, s)) in C and makes only the pairs that satisfy p:
+    each leg is the product rule's term, σ_p(dx × y) or σ_p((x ⊕ dx) × dy),
+    as the unfused cross and selection make it.  batch gives the keys, in
+    the same order, that cross followed by the filter gives.
     """
     if keys := _key_columns(p, ty):
         return _keyed_index(p, *keys)
@@ -140,53 +133,16 @@ def _join_index(p, ty) -> incr.BilinIndex:
         r, s = xy
         return {ij: r[ij[0]] * s[ij[1]] for ij in filter(p, product(r, s))}
 
-    def init(xy):
-        out, ix = batch(xy), {j: ([], [], [], []) for j in xy[1]}
-        for i, j in out:
-            ix[j][hash(i) & 3].append(i)
-        return out, ix
-
-    def left(dr, s, r2, ix):
-        out = {}
-        get = r2.get
-        for ij in filter(p, product(dr, s)):
-            i, j = ij
-            a = dr[i]
-            out[ij] = a * s[j]
-            now = get(i)
-            if now is None:
-                ix[j][hash(i) & 3].remove(i)
-            elif now == a:
-                ix[j][hash(i) & 3].append(i)
-        return out
-
-    def right(r, ds, s2, ix):
-        out = {}
-        for j, b in ds.items():
-            bk = ix.get(j)
-            if bk is None:
-                bk = ix[j] = ([], [], [], [])
-                for ij in filter(p, product(r, (j,))):
-                    i = ij[0]
-                    out[ij] = r[i] * b
-                    bk[hash(i) & 3].append(i)
-                continue
-            for i in chain.from_iterable(bk):
-                out[(i, j)] = r[i] * b
-            if j not in s2:
-                del ix[j]
-        return out
-
-    return incr.BilinIndex(incr.CMatches(), init, left, right, batch)
+    return incr._plain_index(batch)
 
 
 def _keyed_index(p, a, b) -> incr.BilinIndex:
     """The index of σ_p ∘ cross when p is the key equality i[a] == j[b]:
     for each key k that the cached right relation holds, a group (right,
     left) of the right tuples j with j[b] == k and the cached left tuples i
-    with i[a] == k, these in four buckets picked by hash(i), as the matches
-    of _join_index.  A left tuple whose key no right tuple holds is in no
-    group.
+    with i[a] == k, these in four buckets picked by hash(i), so that a
+    deletion scans a quarter of them.  A left tuple whose key no right
+    tuple holds is in no group.
 
     The key only narrows the candidate pairs, and p decides each one.  That
     is sound as a == b implies hash(a) == hash(b); a key unequal to itself

@@ -25,7 +25,7 @@ the comb_* function applied to the op's fn, or holds a Self op's derivative.
 A bundle declares; it builds no machine.  The fused join takes the "bilin"
 entry too, handing it the op's join_index, so a fault that swaps a table
 entry reaches every machine built by that combinator (join-stale-matches
-sabotages the index it is handed), as one that swaps a _BUILDERS entry
+sabotages the keyed index it is handed), as one that swaps a _BUILDERS entry
 reaches every machine of that construct, and one that swaps an entry of
 calculus._FUSED (join-batch-drops-pair) the batch of every run of its rule.
 
@@ -159,14 +159,14 @@ whole input, so it is O(n) whatever its ⊕ costs, and owning their cache
 would add a copy at init, and one per step wherever fn returns its input.
 
 The index, the third cache part, makes each side's term and updates itself.
-The unfused op's index keeps nothing (UNIT) and calls fn.  relalg's join
-keeps, when p's code is an equi-join `ij[0][a] == ij[1][b]`, one group per
-key of the right relation, its right tuples and the left tuples with that
-key (CGroups, compared as two sets per key), so a step visits the changed
-tuples' groups only and p decides each candidate pair there; for any other
-p, for each right tuple, the left tuples it matches (CMatches, compared as
-a set per right tuple).  Neither holds scalars, so cache_entry_count is the
-unfused one.
+The plain index (_plain_index) keeps nothing (UNIT) and makes each term
+with one function: the unfused op's with fn, and relalg's join, for an
+opaque p, with the join's batch, so its cache is the unfused cross's.
+When p's code is an equi-join `ij[0][a] == ij[1][b]`, the join keeps one
+group per key of the right relation, its right tuples and the left tuples
+with that key (CGroups, compared as two sets per key), so a step visits
+the changed tuples' groups only and p decides each candidate pair there.
+The groups hold no scalars, so cache_entry_count is the unfused one.
 
 The laws every machine satisfies (checked by the oracle module, not assumed):
 
@@ -256,17 +256,11 @@ class CIndexed:
 
 
 @dataclass(frozen=True)
-class CMatches:
-    """A join's matches: for each right index j, the left indices paired with
-    it, held in a few lists (buckets).  Compared as a set per j and printed
-    sorted, so the buckets and the order within them do not matter."""
-
-
-@dataclass(frozen=True)
 class CGroups:
     """A keyed join's groups: for each key, the right tuples with that key
-    and the left tuples with it, these in a few buckets, as CMatches holds
-    them.  Compared as two sets per key and printed sorted."""
+    and the left tuples with it, these in a few lists (buckets).  Compared
+    as two sets per key and printed sorted, so the buckets and the order
+    within them do not matter."""
 
 
 @dataclass(frozen=True)
@@ -291,9 +285,8 @@ def cache_equal(desc, c1, c2, rel_tol=0.0) -> bool:
                 sides = zip((CValue(elem.ty.left), CValue(elem.ty.right)), c1, c2, dft)
                 return all(_indexed_equal(*side, rel_tol) for side in sides)
             return _indexed_equal(elem, c1, c2, dft, rel_tol)
-        case CMatches() | CGroups():
-            return c1.keys() == c2.keys() and all(
-                _sets(desc, c1[j]) == _sets(desc, c2[j]) for j in c1)
+        case CGroups():
+            return c1.keys() == c2.keys() and all(_sets(c1[k]) == _sets(c2[k]) for k in c1)
         case CCase(left, left_out, right, right_out):
             if type(c1) is not type(c2):
                 return False
@@ -353,12 +346,11 @@ def _printer(desc):
                 return {"indexed": [[index_to_json(k), write(v)] for k in _sorted(c)
                                     if not cache_equal(elem, v := c[k], dft, 0.0)]}
             return run
-        case CMatches() | CGroups():
-            tag = "matches" if type(desc) is CMatches else "groups"
-            return lambda c: {tag: [
-                [index_to_json(j), *([index_to_json(i) for i in _sorted(part)]
-                                     for part in _sets(desc, c[j]))]
-                for j in _sorted(c)]}
+        case CGroups():
+            return lambda c: {"groups": [
+                [index_to_json(k), *([index_to_json(i) for i in _sorted(part)]
+                                     for part in _sets(c[k]))]
+                for k in _sorted(c)]}
         case CCase(left, left_out, right, right_out):
             wl, wr = _printer(left), _printer(right)
             return lambda c: (
@@ -381,14 +373,10 @@ def _entries(c, dft=None):
     return c if type(c) is dict else {i: v for i, v in enumerate(c) if v}
 
 
-def _matched(buckets):
-    return set(chain.from_iterable(buckets))
-
-
-def _sets(desc, entry):
-    """An entry of a join's index as the sets it holds: a right tuple's
-    matches (CMatches), or a key's right tuples and left tuples (CGroups)."""
-    return [_matched(entry)] if type(desc) is CMatches else [set(entry[0]), _matched(entry[1])]
+def _sets(group):
+    """A keyed join's group as the two sets it holds: the key's right tuples
+    and, from its buckets, its left tuples."""
+    return set(group[0]), set(chain.from_iterable(group[1]))
 
 
 def _sorted(indices):
@@ -407,7 +395,7 @@ def _counter(desc):
     every c (else None).  A container whose entries each hold k scalars is
     counted as k · len(c), without visiting its entries."""
     match desc:
-        case CUnit() | CMatches() | CGroups():
+        case CUnit() | CGroups():
             return _fixed(0)
         case TBase():
             return _fixed(1)

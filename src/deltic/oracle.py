@@ -17,9 +17,9 @@ The nine documented fault injections (for mutation-sensitivity testing):
   debruijn-off-by-one    variable lowering shifts every index    -> lowering
   bilin-aliased-cache    BiLin caches the caller's inputs, not   -> Law-2
                          copies, so its in-place ⊕ writes into them
-  join-stale-matches     a left step of the fused join leaves a  -> Law-3
-                         new left tuple out of its matches (or
-                         out of its key's group)
+  join-stale-matches     a left step of the keyed fused join     -> Law-3
+                         leaves a new left tuple out of its
+                         key's group
   case-aliased-output    case's init caches the very output it   -> Law-2
                          returns, so its in-place ⊕ writes into it
                          (Law-3 when that output is the input)
@@ -940,7 +940,7 @@ def _aliased_output(orig):
 
 def _stale_matches(orig):
     def bad(fn, in_ty, out_ty, index=None):
-        if index is None:  # the unfused op: no matches to keep
+        if index is None:  # the unfused op: no index to sabotage
             return orig(fn, in_ty, out_ty, index)
         left, make = index.left, index.init
 

@@ -287,6 +287,14 @@ def test_bench_mvmul_sparsity_prints_its_crossover(capsys):
     assert last == f"crossover: {want}"
 
 
+def test_bench_rejects_negative_reps_before_timing(capsys):
+    # reps = -1 would time 2 * reps + 1 = -1 changes: none, so no median
+    rc = main(["bench", "--bench", "tree-sum", "--sizes", "3", "--reps", "-1"])
+    assert rc == 1
+    assert capsys.readouterr() == ("", "error: reps must be non-negative\n")
+    assert main(["bench", "--bench", "tree-sum", "--sizes", "3", "--reps", "0"]) == 0
+
+
 Q1_PROG = """\
 bundle trees
 param b : dict[nat] tree[] scalar

@@ -1,6 +1,8 @@
 """Combinators, the incrementalization transformation, and iterated updates."""
 
+import copy
 import json
+import pickle
 import sys
 import traceback
 import tracemalloc
@@ -1530,6 +1532,21 @@ def test_map_relu_over_a_string_keyed_dict_steps_new_keys():
     assert type(c) is dict and set(c) == {"a", "b", "c", "d", "e"}
     assert values_equal(tt.out_ty, y, denote(tt, x), 1e-9)
     assert cache_equal(m.cache, c, m.init(x)[1])
+
+
+def test_unit_stays_the_one_instance_through_copy_and_pickle():
+    # a seq cache keeps UNIT at its cache-free stages; a copy, a deep copy
+    # and a pickle round trip of that cache keep the very same UNIT there
+    body = seq(ca.fanout(Cst(R, 1.0), ID), Plus(), OpCall("relu"))
+    tt = typecheck(body, R, linalg.register_linalg().registry)
+    _, c = incrementalize(tt).init(2.0)
+    assert c == [UNIT, UNIT, UNIT, 3.0]
+    for clone in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+        assert clone == c and clone is not c
+        assert all(a is UNIT for a in clone[:3])
+    assert copy.copy(UNIT) is copy.deepcopy(UNIT) is UNIT
+    assert repr(UNIT) == "UNIT"
+    assert repr(c) == "[UNIT, UNIT, UNIT, 3.0]"
 
 
 def test_a_map_reads_an_absent_index_as_its_body_cache_at_epsilon():

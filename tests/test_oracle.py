@@ -272,30 +272,36 @@ def test_faults_reach_ops_through_the_combinator_table():
         assert bad.triv is None and bad.step(gen_change(rng, in_ty), c)[1] is c
 
     b = relalg.register_relalg()
-    b.registry.register_index_pred("always", lambda ij: True)
-    cross, s = b.registry.ops["cross"], relalg.rel("str")
-    join = ca.typecheck(relalg.join_term("always"), TProd(s, s), b.registry)
-    x, d = ({"a": 1}, {"b": 1}), ({"a2": 1}, {"b2": 1})
+    b.registry.register_index_pred("key-eq", lambda ij: ij[0][0] == ij[1][0])
+    cross, pairs = b.registry.ops["cross"], TProd(*[relalg.rel(("int", "int"))] * 2)
+    join = ca.typecheck(relalg.join_term("key-eq"), pairs, b.registry)
+    x, d = ({(1, 1): 1}, {(1, 2): 1}), ({(1, 3): 1}, {(1, 4): 1})
 
     def both_sides():
-        # cross alone, and the fused join, whose index keeps its matches:
-        # the output changes, and the left tuples the join matches with "b"
-        m = incr.op_machine(cross, TProd(s, s), cross.typer(TProd(s, s)))
+        # cross alone, and the keyed fused join, whose index keeps one group
+        # per key: the output changes, and the left tuples of key 1's group
+        m = incr.op_machine(cross, pairs, cross.typer(pairs))
         mj = incr.incrementalize(join)
-        assert type(mj.cache.parts[0].parts[2]) is incr.CMatches
+        assert type(mj.cache.parts[0].parts[2]) is incr.CGroups
         (_, c), (_, cj) = m.init(x), mj.init(x)
         (dy, _), (dyj, cj) = m.step(d, c), mj.step(d, cj)
-        return dy, dyj, incr._matched(cj[0][2]["b"])
+        return dy, dyj, incr._sets(cj[0][2][1])[1]
 
-    full = {("a2", "b"): 1, ("a", "b2"): 1, ("a2", "b2"): 1}
-    assert both_sides() == (full, full, {"a", "a2"})
+    # the left term, then the right term's pairs with the old left tuple
+    # and with the new one
+    left_term, with_old = {((1, 3), (1, 2)): 1}, {((1, 1), (1, 4)): 1}
+    full = {**left_term, **with_old, ((1, 3), (1, 4)): 1}
+    assert both_sides() == (full, full, {(1, 1), (1, 3)})
     with inject_fault("bilin-missing-term"):
-        assert both_sides() == ({("a2", "b"): 1}, {("a2", "b"): 1}, {"a", "a2"})
+        assert both_sides() == (left_term, left_term, {(1, 1), (1, 3)})
     with inject_fault("join-stale-matches"):
         # the unfused cross has no index to sabotage; the join's left step
-        # makes the new tuple's pairs but leaves it out of "b"'s matches
-        assert both_sides() == (full, full, {"a"})
+        # makes the new tuple's pairs but leaves it out of key 1's group,
+        # so the right step then misses its pair with (1, 4)
+        assert both_sides() == (full, {**left_term, **with_old}, {(1, 1)})
 
+    s = relalg.rel("str")
+    b.registry.register_index_pred("always", lambda ij: True)
     x2 = ({"a": 1, "a2": 2}, {"b": 1})
     with inject_fault("join-batch-drops-pair"):
         fresh = ca.typecheck(relalg.join_term("always"), TProd(s, s), b.registry)

@@ -175,7 +175,8 @@ def _closing_over(col):
 JOIN_PREDS = {
     "key-eq": lambda ij: ij[0][0] == ij[1][0],
     # key-eq's twin that closes over its column, so that relalg does not
-    # read it as a key equality: it keeps the opaque index (CMatches)
+    # read it as a key equality: its index is the plain one, which keeps
+    # nothing
     "key-eq-opaque": _closing_over(0),
     "non-key": lambda ij: (ij[0][1] + ij[1][1]) % 3 == 0,
 }
@@ -223,38 +224,30 @@ def test_fused_join_laws(pred_name):
             assert cache_equal(m.cache, c, m.init(x)[1])  # Law-3
 
 
-def _without_matches(desc, c):
-    # the fused seq cache with its join slot's matches part swapped for the
-    # index the unfused cross keeps, which holds nothing; the x and y parts
-    # are left as they are
-    (x_desc, y_desc, matches), *rest = desc.parts[0].parts, *desc.parts[1:]
-    assert matches == incr.CMatches()
-    join = incr.CTuple((x_desc, y_desc, incr.CUnit()))
-    return incr.CTuple((join, *rest)), [(*c[0][:2], incr.UNIT), *c[1:]]
-
-
 def test_fused_join_cache_is_the_unfused_one():
-    # the join's x and y parts are the unfused cache, in descriptor and in
-    # JSON; a third part holds each right tuple's matches
-    tt = _join("key-eq-opaque")
-    fused, unfused = incrementalize(tt), _unfused(tt)
-    rng = stable_rng(54, "fused-join-cache")
-    x = (rand_relation(rng, 15), rand_relation(rng, 6))
-    (y1, c1), (y2, c2) = fused.init(x), unfused.init(x)
-    assert y1 == y2
-    assert _without_matches(fused.cache, c1)[0] == unfused.cache
-    assert cache_to_json(*_without_matches(fused.cache, c1)) == cache_to_json(unfused.cache, c2)
-    for d in [(_rel_change(rng, x[0]), {}), ({}, _rel_change(rng, x[1])),
-              (_rel_change(rng, x[0]), _rel_change(rng, x[1]))]:
-        (d1, c1), (d2, c2) = fused.step(d, c1), unfused.step(d, c2)
-        assert d1 == d2
-        assert (cache_to_json(*_without_matches(fused.cache, c1))
-                == cache_to_json(unfused.cache, c2))
+    # an opaque join keeps the unfused cross's cache, (x, y, unit), in
+    # descriptor and in JSON, after init and after a left, a right and a
+    # two-sided step
+    for pred_name in ("key-eq-opaque", "non-key"):
+        tt = _join(pred_name)
+        fused, unfused = incrementalize(tt), _unfused(tt)
+        assert fused.cache == unfused.cache
+        assert fused.cache.parts[0] == incr.CTuple(
+            (incr.CValue(PAIR_REL), incr.CValue(PAIR_REL), incr.CUnit()))
+        rng = stable_rng(54, "fused-join-cache")
+        x = (rand_relation(rng, 15), rand_relation(rng, 6))
+        (y1, c1), (y2, c2) = fused.init(x), unfused.init(x)
+        assert y1 == y2
+        assert cache_to_json(fused.cache, c1) == cache_to_json(unfused.cache, c2)
+        for d in [(_rel_change(rng, x[0]), {}), ({}, _rel_change(rng, x[1])),
+                  (_rel_change(rng, x[0]), _rel_change(rng, x[1]))]:
+            (d1, c1), (d2, c2) = fused.step(d, c1), unfused.step(d, c2)
+            assert d1 == d2
+            assert cache_to_json(fused.cache, c1) == cache_to_json(unfused.cache, c2)
 
 
 def test_fused_join_cache_json_after_a_left_and_a_right_step():
-    # the x, y and matches parts as printed; a right tuple's matches are
-    # sorted, and one left with no match prints as []
+    # the x and y parts as printed, and the plain index's unit
     tt = _join("key-eq-opaque")
     m = incrementalize(tt)
     _, c = m.init(({(1, 2): 1, (2, 5): 2}, {(1, 9): 1, (2, 7): 3}))
@@ -264,14 +257,14 @@ def test_fused_join_cache_json_after_a_left_and_a_right_step():
     assert cache_to_json(m.cache, c) == [
         [{"value": [[[1, 2], 1], [[1, 4], 1]]},
          {"value": [[[1, 9], 1], [[2, 7], 3]]},
-         {"matches": [[[1, 9], [[1, 2], [1, 4]]], [[2, 7], []]]}],
+         "unit"],
         *selection]
     dout, c = m.step(({}, {(1, 8): 2, (2, 7): -3}), c)
     assert dout == {((1, 2), (1, 8)): 2, ((1, 4), (1, 8)): 2}
     assert cache_to_json(m.cache, c) == [
         [{"value": [[[1, 2], 1], [[1, 4], 1]]},
          {"value": [[[1, 8], 2], [[1, 9], 1]]},
-         {"matches": [[[1, 8], [[1, 2], [1, 4]]], [[1, 9], [[1, 2], [1, 4]]]]}],
+         "unit"],
         *selection]
 
 
@@ -354,10 +347,10 @@ def test_bilin_fault_reaches_the_fused_join():
 
 
 # ---------------------------------------------------------------------------
-# The join's matches: each right tuple keeps the left tuples it pairs with
+# The opaque join: the plain product rule, σ_p(dx × y) ⊕ σ_p((x ⊕ dx) × dy)
 # ---------------------------------------------------------------------------
 
-def test_right_step_tests_p_only_for_a_right_tuple_new_to_the_join():
+def test_opaque_steps_test_p_once_per_pair_of_each_product_rule_leg():
     calls = [0]
 
     def p(ij):
@@ -371,54 +364,51 @@ def test_right_step_tests_p_only_for_a_right_tuple_new_to_the_join():
     x = ({(i % 20, i): 1 for i in range(200)}, {(k, 7): 1 for k in range(10)})
     y, c = m.init(x)
     assert calls[0] == 200 * 10
-    # the deleted right tuple reads its matches; only the new one walks x
-    calls[0] = 0
-    d = ({}, {(3, 7): -1, (4, 8): 1})
-    dout, c = m.step(d, c)
-    assert calls[0] == 200
-    x = apply_change(JOIN_IN, x, d)
-    assert len(dout) == 20 and apply_change(tt.out_ty, y, dout) == unfused(tt)(x)
-    # a left change of k tuples tests p once per pair with the right side
+    # a right change of k tuples tests p k·|x ⊕ dx| times, whether a tuple
+    # is new to the join or already in it
+    for k in (1, 2, 5):
+        calls[0] = 0
+        d = ({}, {**{j: -1 for j in sorted(x[1])[:k - 1]}, (k, 8): 1})
+        dout, c = m.step(d, c)
+        assert calls[0] == k * len(x[0])
+        x = apply_change(JOIN_IN, x, d)
+        y = apply_change(tt.out_ty, y, dout)
+        assert y == unfused(tt)(x)
+    # a left change of k tuples tests p k·|y| times
     for k in (1, 3, 7):
         calls[0] = 0
-        dx = {(i % 20, i): 1 for i in range(1_000, 1_000 + k)}
-        dout, c = m.step((dx, {}), c)
-        assert calls[0] == k * 10
+        d = ({(i % 20, i): 1 for i in range(1_000 * k, 1_000 * k + k)}, {})
+        dout, c = m.step(d, c)
+        assert calls[0] == k * len(x[1])
+        x = apply_change(JOIN_IN, x, d)
+        y = apply_change(tt.out_ty, y, dout)
+        assert y == unfused(tt)(x)
 
 
 def _join_slot(c):
-    # the fused join's (x, y, matches) among the seq's stage slots
+    # the fused join's (x, y, index) among the seq's stage slots
     return next(slot for slot in c if type(slot) is tuple and len(slot) == 3)
-
-
-def _matches_equal_a_rebuild(p, c):
-    x, y, ix = _join_slot(c)
-    assert ix.keys() == y.keys()
-    held = {i: i for i in x}
-    for j, buckets in ix.items():
-        live = [i for bucket in buckets for i in bucket]
-        assert sorted(live) == sorted(i for i in x if p((i, j)))
-        # one list slot per pair, pointing at the tuple x holds
-        assert all(held[i] is i for i in live)
 
 
 @pytest.mark.parametrize("pred_name", ["key-eq-opaque", "non-key"])
 @pytest.mark.parametrize("self_join", [False, True], ids=["join", "dup-join"])
-def test_live_matches_equal_a_rebuild_after_every_step(pred_name, self_join):
-    p = JOIN_PREDS[pred_name]
+def test_opaque_join_keeps_the_laws_after_every_step(pred_name, self_join):
+    # Laws 1-3 against the stages run one by one, and the plain index's
+    # unit, over the oracle's changes, for a join and a self-join
     b = relalg.register_relalg()
-    b.registry.register_index_pred(pred_name, p)
+    b.registry.register_index_pred(pred_name, JOIN_PREDS[pred_name])
     term = relalg.join_term(pred_name)
     tt = (typecheck(seq(Dup(), term), PAIR_REL, b.registry) if self_join
           else typecheck(term, JOIN_IN, b.registry))
-    m = incrementalize(tt)
-    rng = stable_rng(60, f"join-matches-{pred_name}-{self_join}")
+    m, ref = incrementalize(tt), unfused(tt)
+    rng = stable_rng(60, f"join-opaque-{pred_name}-{self_join}")
     for k in range(10):
         x = rand_relation(rng, 15, key_range=4, val_range=8)
         if not self_join:
             x = (x, rand_relation(rng, 5, key_range=4, val_range=8))
-        _, c = m.init(x)
-        _matches_equal_a_rebuild(p, c)
+        y, c = m.init(x)
+        assert y == ref(x)  # Law-1
+        assert _join_slot(c)[2] is incr.UNIT
         gone = ([], [])
         for it in range(8):
             if self_join:
@@ -426,11 +416,12 @@ def test_live_matches_equal_a_rebuild_after_every_step(pred_name, self_join):
             else:
                 dx, dy = (_join_side_change(rng, v, g) for v, g in zip(x, gone))
                 d = [(dx, {}), ({}, dy), (dx, dy)][(k + it) % 3]
-            _, c = m.step(d, c)
+            dout, c = m.step(d, c)
             x = apply_change(tt.in_ty, x, d)
-            _matches_equal_a_rebuild(p, c)
-            assert cache_equal(m.cache, c, m.init(x)[1])
-            # the matches hold no scalars: the count is the unfused one
+            y = apply_change(tt.out_ty, y, dout)
+            assert y == ref(x)  # Law-2
+            assert cache_equal(m.cache, c, m.init(x)[1])  # Law-3
+            assert _join_slot(c)[2] is incr.UNIT
             assert cache_entry_count(m.cache, c) == sum(map(len, _join_slot(c)[:2]))
 
 
@@ -449,7 +440,7 @@ def test_stale_matches_fault_leaves_a_new_left_tuple_out():
         assert dout == {((2, 5), (2, 9)): 1}  # the term is still made
         x2 = apply_change(JOIN_IN, x, d)
         assert cache_equal(m.cache, c, m.init(x2)[1]) != faulty  # Law-3
-        # deleting (2, 9) then reads its matches, which miss (2, 5)
+        # deleting (2, 9) then reads its key's group, which misses (2, 5)
         dout, _ = m.step(({}, {(2, 9): -1}), c)
         assert (dout == {((2, 5), (2, 9)): -1}) != faulty
 
@@ -497,7 +488,7 @@ def test_the_key_columns_are_read_off_the_predicates_code(name):
     b = relalg.register_relalg()
     b.registry.register_index_pred(name, p)
     m = incrementalize(typecheck(relalg.join_term(name), JOIN_IN, b.registry))
-    assert _join_index_desc(m) == (incr.CMatches() if cols is None else incr.CGroups())
+    assert _join_index_desc(m) == (incr.CUnit() if cols is None else incr.CGroups())
 
 
 # the key-eq code over scalars, and a column past a pair: each indexes past
@@ -520,7 +511,7 @@ def test_a_predicate_past_the_tuple_still_raises_where_it_raised(name):
     b.registry.register_index_pred(name, p)
     tt = typecheck(relalg.join_term(name), TProd(rel_ty, rel_ty), b.registry)
     m = incrementalize(tt)
-    assert _join_index_desc(m) == incr.CMatches()
+    assert _join_index_desc(m) == incr.CUnit()
     for run in (compiled(tt), unfused(tt), m.init):
         with pytest.raises(error):
             run(x)
@@ -696,7 +687,7 @@ def test_keyed_steps_call_p_only_on_a_keys_candidates():
 
 @pytest.mark.parametrize("self_join", [False, True], ids=["join", "dup-join"])
 def test_live_groups_equal_a_rebuild_after_every_step(self_join):
-    # the keyed twin of the matches' rebuild check, over the oracle's changes
+    # the keyed index's live groups against a rebuild, over the oracle's changes
     b = relalg.register_relalg()
     b.registry.register_index_pred("key-eq", JOIN_PREDS["key-eq"])
     term = relalg.join_term("key-eq")

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -77,3 +78,20 @@ def test_one_line_per_module_and_the_total_delta(tmp_path):
         {"module": "pkg/new.py", "rev": 0, "tree": 2, "delta": 2},
         {"module": "total", "rev": 3, "tree": 3, "delta": 0},
     ]
+
+
+def test_a_git_failure_prints_gits_message_and_exits_2(tmp_path):
+    # a revision that names no commit, and a directory that is no checkout;
+    # git looks for a checkout no higher than tmp_path
+    repo, plain = tmp_path / "repo", tmp_path / "plain"
+    repo.mkdir()
+    plain.mkdir()
+    _git(repo, "init", "-q")
+    env = {**os.environ, "GIT_CEILING_DIRECTORIES": str(tmp_path)}
+    for args, message in [(["nosuchrev", "--root", str(repo)], "nosuchrev"),
+                          (["HEAD", "--root", str(plain)], "not a git repository")]:
+        proc = subprocess.run([sys.executable, str(TOOL), *args], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert message in proc.stderr and "Traceback" not in proc.stderr

@@ -15,6 +15,9 @@ A side that lacks the file reads 0.  A last line, with "module": "total",
 sums the two sides and gives the total delta.  Standard library only.
 
     python3 tools/sloc.py [REV] [--root DIR]    # REV: HEAD, DIR: this repo
+
+When git fails (REV names no commit, or DIR is not a git checkout), it
+prints git's message and exits 2.
 """
 
 import argparse
@@ -87,7 +90,12 @@ def main(argv=None):
     ap.add_argument("rev", nargs="?", default="HEAD")
     ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1])
     args = ap.parse_args(argv)
-    for row in rows(at_rev(args.root, args.rev), in_tree(args.root)):
+    try:
+        old = at_rev(args.root, args.rev)
+    except subprocess.CalledProcessError as e:
+        print(e.stderr.strip() or e, file=sys.stderr)
+        return 2
+    for row in rows(old, in_tree(args.root)):
         print(json.dumps(row))
     return 0
 
