@@ -46,6 +46,8 @@ class BenchSpec:
             self.sizes = _DEFAULT_SIZES[self.bench]
         if any(s <= 0 for s in self.sizes):
             raise ValueError("sizes must be positive")
+        if self.bench == "mvmul-sparsity" and len(self.sizes) > 1:
+            raise ValueError("mvmul-sparsity takes one size")
         if not (0.0 < self.fraction <= 1.0):
             raise ValueError("fraction must be in (0, 1]")
         if self.reps < 0:

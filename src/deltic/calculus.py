@@ -25,12 +25,14 @@ run `op ; ⟨cst ε, id⟩ ; filter p` as join_index(p, ty).batch, ty being the
 op's input type, so relalg's join tests p on each candidate pair before
 making it, in place of building the whole cross product and filtering it.
 An add run, `zip ; map g` with g pointwise ⊕, is ⊕ on the container and runs
-as one add_fn, with no zipped dict in between; every other stage is compiled
-alone.  `map op` over non-pair elements, for an op that declares its body
-as an expression (OpDef.expr) with fn(ε) = ε, runs one dict comprehension
-generated from that expression (_map_batch).  `unfused` runs a seq stage by
-stage and a map entry by entry: the reference the join, add and map
-kernels are checked against.
+as one add_fn, with no zipped dict in between.  `map op` over non-pair
+elements, for an op that declares its body as an expression (OpDef.expr)
+with fn(ε) = ε, runs one dict comprehension generated from that expression
+(_map_batch), and so does a map2 run, `zip ; map op` with fn((ε, ε)) = ε,
+over x and y with no zipped dict in between; incr's fused map2 inits by the
+same batch.  Every other stage is compiled alone.  `unfused` runs every seq
+stage by stage and every map entry by entry, at any depth: the reference the
+join, add, map and map2 kernels are checked against.
 
 Shape transformations (reshape) and index predicates (filter) are registered
 named functions, so terms stay serializable; `map2 f` and `⟨f, g⟩` are
@@ -233,8 +235,9 @@ class OpDef:
     `map2 op` (incr._triv_source), read off the map's typed body; over a
     non-pair x with fn(ε) = ε, `map op`'s batch is generated from it too
     (_map_batch), and denote runs it, as does the init of map's Triv kernel.
-    With fn((ε, ε)) = ε over a pair, the fused `map2 op`'s init runs the
-    batch generated from it over x and y; denote does not (_FUSED).
+    With fn((ε, ε)) = ε over a pair, `zip ; map op` runs the batch generated
+    from it over x and y, in denote and in the fused `map2 op`'s init alike
+    (_FUSED).
     """
 
     name: str
@@ -617,30 +620,41 @@ def _batch_join(op, _dup, _par, fil):
     return index and index(fil.info.fn, op.in_ty).batch
 
 
+def _batch_map2(zip_tt, map_tt):
+    body, elems = map_tt.children[0], (zip_tt.in_ty.left.elem, zip_tt.in_ty.right.elem)
+    op = body.info if type(body.term) is OpCall else None
+    if op and op.expr and op.fn(tuple(map(default_value, elems))) == default_value(body.out_ty):
+        return _map_batch(op.expr, body.out_ty, *elems)
+
+
 # The batch of the fused runs, by fusion's rule name (incr._FUSED is its
 # twin): each builds the run's one function from its typed stages, or
-# returns None to run them one by one.  map2 and fanout have no entry, so
-# mvmul's batch, which its step/batch ratios divide by, stays unfused; the
-# fused map2's generated batch (_map_batch over a pair) serves incr's init.
-_FUSED = {"add": _batch_add, "join": _batch_join}
+# returns None to run them one by one.  A map2 of an op that declares its
+# expression and maps (ε, ε) to ε runs the batch generated from it over x
+# and y (_map_batch), in denote and in the init of incr's fused map2 alike;
+# fanout has no entry.
+_FUSED = {"add": _batch_add, "join": _batch_join, "map2": _batch_map2}
 
 
 def _compile(tt: TypedTerm, kernels=True):
+    # kernels=False builds the reference (unfused): no fused run and no
+    # generated map batch at any depth, the children compiled anew
     t = tt.term
+    sub = compiled if kernels else lambda c: _compile(c, False)
     match t:
         case Seq():
             # a fused run (fusion, built by _FUSED) runs as one stage
             kids, stages, k = tt.children, [], 0
             while k < len(kids):
-                rule = fusion(kids, k)
+                rule = kernels and fusion(kids, k)
                 build = rule and _FUSED.get(rule[0])
                 run = build and build(*kids[k:k + rule[1]])
-                stages.append(run or compiled(kids[k]))
+                stages.append(run or sub(kids[k]))
                 k += rule[1] if run else 1
             return chain(tuple(stages))
         case Par():
-            f = compiled(tt.children[0])
-            g = compiled(tt.children[1])
+            f = sub(tt.children[0])
+            g = sub(tt.children[1])
             return lambda xy: (f(xy[0]), g(xy[1]))
         case Proj(path) if path in PROJ_FNS:
             return PROJ_FNS[path]
@@ -660,7 +674,7 @@ def _compile(tt: TypedTerm, kernels=True):
         case Map():
             # canonical-sparse: absent positions evaluate fn(ε) exactly over
             # finite shapes; over infinite-index shapes fn must preserve ε
-            fn = compiled(tt.children[0])
+            fn = sub(tt.children[0])
             shape = tt.in_ty.shape
             din = default_value(tt.in_ty.elem)
             dout = default_value(tt.children[0].out_ty)
@@ -693,8 +707,8 @@ def _compile(tt: TypedTerm, kernels=True):
         case Inr():
             return lambda x: Right(x)
         case CasePar():
-            f = compiled(tt.children[0])
-            g = compiled(tt.children[1])
+            f = sub(tt.children[0])
+            g = sub(tt.children[1])
 
             def run_case(s):
                 if type(s) is Left:
@@ -715,8 +729,8 @@ def _map_batch(expr, out, *elems):
     when f(ε) = ε.  Given the pair's element types elems, it is the batch of
     the fused `zip ; map op` over x and y instead, as run_zip and run_map
     give it: in x's order when both inputs hold one key set, else over the
-    union, a missing side read as its ε.  incr's fused map2 runs it; denote
-    does not (see _FUSED).  It is run by exec once per (expr, out, elems)."""
+    union, a missing side read as its ε.  denote and incr's fused map2 run
+    it (see _FUSED).  It is run by exec once per (expr, out, elems)."""
     if not elems:
         body = [f"        return {{i: y for i, x in v.items() if (y := ({expr})) != dout}}"]
     else:
@@ -910,12 +924,11 @@ def denote(tt: TypedTerm, v):
 
 
 def unfused(tt: TypedTerm):
-    """The batch semantics of a typed seq run one stage at a time, a map
-    stage (or a map) entry by entry: the reference the fused join
-    (join_index), add (add_fn) and map (_map_batch) kernels are checked
-    against."""
-    stages = tt.children if type(tt.term) is Seq else (tt,)
-    return chain(tuple(_compile(c, kernels=False) for c in stages))
+    """The batch semantics of a typed term with every seq run one stage at a
+    time and every map entry by entry, at every depth: the reference the
+    fused join (join_index), add (add_fn) and map and map2 (_map_batch)
+    kernels are checked against."""
+    return _compile(tt, kernels=False)
 
 
 # ---------------------------------------------------------------------------

@@ -78,10 +78,10 @@ derivative) per key, with no zipped change in between.  The zip slot stays
 UNIT and the map slot keeps its per-index cache, so the cache layout is that
 of the unfused pair.  Its init zips with the compiled zip, as denote does
 (two inputs that have one key set in one C-level pass).  A Triv body runs
-as the Triv kernel at arity 2 (below), whose init output is the batch
-generated from the op's expression over x and y (calculus._map_batch) when
-the op declares one and maps (ε, ε) to ε, with no zipped dict and no call
-per entry, else the zipped dict mapped; denote keeps zip and map apart.
+as the Triv kernel at arity 2 (below), whose init output is the run's
+batch in denote (calculus._FUSED): generated from the op's expression over
+x and y (calculus._map_batch) when the op declares one and maps (ε, ε) to ε,
+with no zipped dict and no call per entry, else the zipped dict mapped.
 
 The fanout rule, `dup ; par(f, g)`, is one stage, built by the par
 builder, which hands the one input change to both sides; the dup slot stays
@@ -777,20 +777,17 @@ def _incr_map2(zip_tt, map_tt):
 
     No zipped change is built; when one side's change is empty, only the
     other side's entries are walked.  A Triv f runs as _triv_kernel, whose
-    init output is the batch generated from f's expression when f is an op
-    that declares one and maps (ε, ε) to ε (calculus._map_batch), else the
-    zip and the map run one after the other; any other f keeps the map's
-    cache.
+    init output is denote's batch of the run, calculus._FUSED's map2 entry
+    (generated from f's expression when f is an op that declares one and
+    maps (ε, ε) to ε), else the zip and the map run one after the other; any
+    other f keeps the map's cache.
     """
     zf = ca.compiled(zip_tt)
     body, in_ty = map_tt.children[0], zip_tt.in_ty
     if fn := incrementalize(body).triv:
-        elems, expr = (in_ty.left.elem, in_ty.right.elem), body.info.expr
         mapf = ca.compiled(map_tt)
-        batch = (ca._map_batch(expr, body.out_ty, *elems)
-                 if expr and fn(tuple(map(default_value, elems))) == default_value(body.out_ty)
-                 else lambda xy: mapf(zf(xy)))
-        return _triv_kernel(map_tt, fn, in_ty, batch, *elems)
+        batch = ca._FUSED["map2"](zip_tt, map_tt) or (lambda xy: mapf(zf(xy)))
+        return _triv_kernel(map_tt, fn, in_ty, batch, in_ty.left.elem, in_ty.right.elem)
     na = nil_change(zip_tt.in_ty.left.elem)
     nb = nil_change(zip_tt.in_ty.right.elem)
 

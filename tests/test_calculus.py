@@ -4,7 +4,6 @@ import traceback
 
 import pytest
 
-from deltic import calculus as ca
 from deltic.calculus import (
     CasePar, Cst, Distr, Dup, Filter, FST, Fuse, Get, ID, Inl, Map, OpCall,
     OpDef, Par, Plus, ProgramDef, Proj, Registry, RegistryError, Replicate, Reshape, SetAt,
@@ -221,18 +220,6 @@ def test_plus_agrees_with_apply_change():
         assert values_equal(ty, denote(tt, (x, y)), apply_change(ty, x, y), 1e-12)
 
 
-def _stagewise_madd(tt):
-    # madd zipped and mapped at both depths: each row runs `zip ; map plus`
-    # stage by stage
-    zip_tt, map_tt = tt.children
-    zf, row = compiled(zip_tt), unfused(map_tt.children[0])
-
-    def run(xy):
-        rows = {i: row(p) for i, p in zf(xy).items()}
-        return {i: r for i, r in rows.items() if r}
-    return run
-
-
 def _let_stage(n):
     bundle, prog = parse_program_file(
         f"bundle linalg\nparam x : arr[{n}] real\nparam b : arr[{n}] real\n\n"
@@ -243,11 +230,6 @@ def _let_stage(n):
 def _linalg_add(term, ty):
     tt = typecheck(term, TProd(ty, ty), linalg.register_linalg().registry)
     return tt, unfused(tt)
-
-
-def _madd():
-    tt, _ = _linalg_add(linalg.madd_term(), arr(3, arr(3, R)))
-    return tt, _stagewise_madd(tt)
 
 
 def _union():
@@ -264,7 +246,8 @@ def _one_let_stage():
 @pytest.mark.parametrize("make, x, y, cancelled", [
     (lambda: _linalg_add(linalg.vadd_term(), arr(4, R)),
      {0: 1.5, 2: 2.0}, {0: -1.5, 1: 3.0, 3: 0.25}, {0}),
-    (_madd, {0: {0: 1.0, 1: 2.0}, 1: {2: 4.0}},
+    (lambda: _linalg_add(linalg.madd_term(), arr(3, arr(3, R))),
+     {0: {0: 1.0, 1: 2.0}, 1: {2: 4.0}},
      {0: {0: -1.0, 1: -2.0}, 1: {0: 1.0, 2: -4.0}, 2: {1: 5.0}}, {0}),
     (_union, {"t": 1, "u": 2}, {"t": -1, "v": 3}, {"t"}),
     (_one_let_stage, {0: 1.5, 2: -2.0}, {0: -1.5, 1: 3.0, 2: 0.5, 3: 1.0}, {0}),
@@ -385,23 +368,50 @@ def test_a_traceback_through_a_generated_map2_batch_shows_its_line(reg):
     assert frame.line in "".join(traceback.format_exception(raised.value))
 
 
+def _map2_inputs(term):
+    """Inputs of `zip ; map mul` (term "zip") or of mvmul 8×8 ("mvmul") whose
+    zipped sides hold equal key sets (in either order), left-only keys,
+    right-only keys, disjoint keys or nothing, each way round, with ±0.0,
+    ±inf and NaN."""
+    inf, nan = float("inf"), float("nan")
+    pairs = [({3: 1.5, 0: -0.0, 5: inf}, {3: 2.0, 0: 4.0, 5: -1.0}),
+             ({3: 1.5, 0: -2.0, 5: 0.25}, {5: -inf, 3: 0.0, 0: nan}),
+             ({1: 2.0, 4: nan, 6: -inf}, {1: 3.0}),
+             ({2: -1.0}, {2: 0.5, 7: inf, 0: nan}),
+             ({0: 1.0, 1: -0.0}, {5: -inf, 6: 2.0}),
+             ({}, {4: inf}), ({7: -inf}, {}), ({}, {})]
+    if term == "zip":
+        return pairs + [(y, x) for x, y in pairs]
+    # mvmul zips each row of M with v: every side of every pair is a row of
+    # one of two Ms (empty rows left out), each run against every v
+    rows = [x for x, _ in pairs] + [y for _, y in pairs]
+    return [({i: r for i, r in enumerate(m) if r}, v)
+            for m in (rows[:8], rows[8:]) for _, v in pairs]
+
+
 @pytest.mark.parametrize("term, in_ty", [
-    (map2(OpCall("mul")), TProd(arr(8, R), arr(8, R))),
-    (linalg.mvmul_term(8, 8), TProd(arr(8, arr(8, R)), arr(8, R))),
+    ("zip", TProd(arr(8, R), arr(8, R))),
+    ("mvmul", TProd(arr(8, arr(8, R)), arr(8, R))),
 ], ids=["zip ; map mul", "mvmul"])
-def test_denote_runs_a_map2_as_its_zip_then_its_map(reg, term, in_ty):
-    # criterion 5 divides incr's step by denote's batch of mvmul and dense,
-    # so the batch keeps zip and map apart: _FUSED has no map2 rule, and no
-    # node of `zip ; map mul` or of mvmul's `map2 (map2 mul)` compiles to a
-    # generated `<map n>` batch, though the fused map2's init runs one
-    assert "map2" not in ca._FUSED
-    tt = typecheck(term, in_ty, reg)
-    nodes = [tt]
+def test_denote_runs_a_map2_as_the_generated_batch(reg, term, in_ty):
+    # `zip ; map mul`, alone or as mvmul's row product, runs in denote as
+    # the batch generated from mul's expression over x and y (_FUSED's map2
+    # entry, which the fused map2's init shares): some node compiles to a
+    # `<map n>` batch, and denote equals the zip then the map run entry by
+    # entry at every depth (unfused, the reference), in values (by repr, so
+    # NaN and the sign of a zero count), keys and their order
+    tt = typecheck(map2(OpCall("mul")) if term == "zip" else linalg.mvmul_term(8, 8),
+                   in_ty, reg)
+    nodes, files = [tt], []
     while nodes:
         node = nodes.pop()
         nodes += node.children
-        code = getattr(compiled(node), "__code__", None)
-        assert code is None or not code.co_filename.startswith("<"), node.term
+        files.append(getattr(getattr(compiled(node), "__code__", None), "co_filename", ""))
+    assert any(f.startswith("<map ") for f in files), files
+    ref = unfused(tt)
+    for xy in _map2_inputs(term):
+        want = list(map(repr, ref(xy).items()))
+        assert list(map(repr, denote(tt, xy).items())) == want, xy
 
 
 def test_interpreter_totality_on_random_terms():

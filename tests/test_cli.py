@@ -295,6 +295,14 @@ def test_bench_rejects_negative_reps_before_timing(capsys):
     assert main(["bench", "--bench", "tree-sum", "--sizes", "3", "--reps", "0"]) == 0
 
 
+def test_bench_rejects_a_second_mvmul_sparsity_size(capsys):
+    # mvmul-sparsity sweeps the fraction at one size; a second size would
+    # not be run
+    rc = main(["bench", "--bench", "mvmul-sparsity", "--sizes", "20,40"])
+    assert rc == 1
+    assert capsys.readouterr() == ("", "error: mvmul-sparsity takes one size\n")
+
+
 Q1_PROG = """\
 bundle trees
 param b : dict[nat] tree[] scalar

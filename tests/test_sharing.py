@@ -191,7 +191,7 @@ def _mvmul_tt(n, m):
 def test_each_fusion_rule_fires_as_counted(make, want):
     # per rule, the runs fusion matches over the distinct typed seqs of the
     # three benchmark terms and mvmul; a rule taken out of fusion reads 0
-    # here, and mvmul, with no ⊕, keeps its batch unfused
+    # here, and mvmul, with no ⊕, fires map2 alone
     assert Counter(name for name, _ in _fused_runs(make())) == want
 
 
