@@ -118,8 +118,10 @@ and 2 (the fused map2), memoised per (op expression, element types,
 arity); the kernel's own step is generated from it (_generated), as a
 composite's is.  A step reads c[i], a missing key (KeyError) as ε, and
 writes c[i] in place, so it serves both layouts and every mix of them; at
-arity 2 it ⊕s only the changed side(s).  An op's body (OpDef.expr, read
-off the map's typed body) and
+arity 2 it steps by the product rule with one loop per mix of changed
+sides: a side whose change is nil drops out, so a change to one side walks
+that side's dict alone and ⊕s only its cell.  An op's body (OpDef.expr,
+read off the map's typed body) and
 its bases' ⊕, ⊖ and nil test (BaseType.exprs) are inlined as expressions,
 so `map relu` and map2 mul make no call per changed key; each missing piece
 is called instead (fn, apply_fn, diff_fn, is_nil_fn), so a Triv fold of
@@ -923,7 +925,10 @@ def _triv_source(expr, out, *elems):
     For each changed key i it reads the cached element(s) c[i], a missing
     key (KeyError) as ε, ⊕s the changed side(s) in place and emits
     f(new) ⊖ f(old) when not nil, so it serves a dict and a packed cache.
-    At arity 2 it walks dx.keys() | dy.keys() only when both sides changed.
+    At arity 2 it branches on the changed sides: when one side's change is
+    nil, the arity-1 loop over the other side's changes, reading the nil
+    side's cached element alongside; when both changed, one loop over
+    dx.keys() | dy.keys() that tests which side changed per key.
     f is expr, and ⊕, ⊖ and the nil test are the element and output bases'
     exprs, inlined; each missing piece calls the free object fn, ax / ay
     (apply_fn), df (diff_fn) or nil (is_nil_fn), beside ex / ey, the
@@ -934,17 +939,29 @@ def _triv_source(expr, out, *elems):
     sides, cells = ("x", ["c"]) if one else ("xy", ["cx", "cy"])
     old = _inline(expr or ("fn(x)" if one else "fn((x, y))"))
     _, minus, nil = _exprs(out, None)
-    lines = ["out = {}"] if one else ["dx, dy = d", "cx, cy = c", "out = {}"]
-    lines.append("for i, e in d.items():" if one else
-                 "for i in (dx.keys() | dy.keys() if dx and dy else dx or dy):")
-    for s, k in zip(sides, cells):
-        lines += ["    try:", f"        {s} = {k}[i]", "    except KeyError:", f"        {s} = e{s}"]
-    lines += [] if one else ["    x2, y2 = x, y"]
-    for s, k, e in zip(sides, cells, elems):
-        put = f"{k}[i] = {s}2 = " + _inline(_exprs(e, "a" + s)[0], a=s, b="e" if one else f"d{s}[i]")
-        lines += [f"    {put}"] if one else [f"    if i in d{s}:", f"        {put}"]
-    return "\n".join([*lines, f"    dz = {_inline(minus, a=_inline(old, x='x2', y='y2'), b=old)}",
-                      f"    if {_live(nil, 'dz')}:", "        out[i] = dz", "d = out"])
+    reads = [row for s, k in zip(sides, cells)
+             for row in ["try:", f"    {s} = {k}[i]", "except KeyError:", f"    {s} = e{s}"]]
+
+    def put(j, b):  # side j's cached element ⊕ b, stored as the new one
+        s, k = sides[j], cells[j]
+        return f"{k}[i] = {s}2 = " + _inline(_exprs(elems[j], "a" + s)[0], a=s, b=b)
+
+    def loop(head, puts, *stepped):  # one loop over keys that ⊕s the sides stepped
+        new = _inline(old, **{s: s + "2" for s in stepped})
+        return [head, *(f"    {row}" for row in [*reads, *puts, f"dz = {_inline(minus, a=new, b=old)}",
+                                                  f"if {_live(nil, 'dz')}:", "    out[i] = dz"])]
+
+    def side(j, changes):  # the loop over side j's changes alone, ⊕ing only its cell
+        return loop(f"for i, e in {changes}.items():", [put(j, "e")], sides[j])
+
+    if one:
+        return "\n".join(["out = {}", *side(0, "d"), "d = out"])
+    both = ["x2, y2 = x, y", "if i in dx:", f"    {put(0, 'dx[i]')}", "if i in dy:", f"    {put(1, 'dy[i]')}"]
+    branches = [("if not dy:", side(0, "dx")), ("elif not dx:", side(1, "dy")),
+                ("else:", loop("for i in dx.keys() | dy.keys():", both, "x", "y"))]
+    return "\n".join(["dx, dy = d", "cx, cy = c", "out = {}",
+                      *(row for head, rows in branches for row in [head, *(f"    {r}" for r in rows)]),
+                      "d = out"])
 
 
 def _live(nil, name):

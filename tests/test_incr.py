@@ -21,8 +21,8 @@ from deltic.calculus import (
 )
 from deltic.core import (
     INT, NAT, REAL, SCALAR, Cl, Cr, Left, Right, Sl, Sr, SUM_NULL, SupportError, TBase,
-    TCont, TProd, TSum, UsageError, apply_change, apply_fn, default_value, is_nil,
-    index_sort_key, nil_change, values_equal,
+    TCont, TProd, TSum, UsageError, apply_change, apply_fn, default_value, diff_fn, is_nil,
+    is_nil_fn, index_sort_key, nil_change, values_equal,
 )
 from deltic.domains import gcounter, linalg, relalg, trees
 from deltic.domains.containers import ARRAY, RELATION, arr, arr_shape, dict_shape, rel_shape
@@ -1680,6 +1680,26 @@ def test_dense_step_runs_the_kernel():
     assert len(codes) <= 3 * n + 20
 
 
+def test_a_dense_step_at_perfbench_size_inlines_its_row_kernel():
+    # at perfbench's n = 400 the row kernel (each row's seq, with map2 mul's
+    # three-branch Triv fragment) still fits within _INLINE_LINES, so a step
+    # runs one generated step and makes no call into a row; besides it only
+    # replicate's derivative, the rows' map2 walk (_incr_map2's `entries`)
+    # and map sum's _vsum run (a called row kernel is a second `<step n>`)
+    n = 400
+    term, ty, x = _dense(n)
+    reg = linalg.register_linalg().registry
+    m = incrementalize(typecheck(term, ty, reg))
+    _, c = m.init(x)
+    d = {i: 0.5 for i in (1, 4, 9)}
+    _, codes = call_codes(m.step, d, c)
+    _, replicate = call_codes(incrementalize(typecheck(ca.Replicate(arr_shape(n)), ty, reg)).deriv, d)
+    walk, = (k for k in incr._incr_map2.__code__.co_consts if getattr(k, "co_name", "") == "entries")
+    assert [f for f in codes if f.co_filename.startswith("<step ")] == [m.step.__code__]
+    assert set(codes) <= {m.step.__code__, walk, linalg._vsum.__code__, *replicate}
+    assert codes.count(linalg._vsum.__code__) == n
+
+
 def _expr_ops():
     """Every registered op that declares its body as an expression."""
     regs = [linalg.register_linalg().registry, relalg.register_relalg().registry,
@@ -1766,6 +1786,58 @@ def test_an_inlined_triv_step_equals_the_fallback(op):
             assert cache_equal(desc, inline, tuple(xs) if pair else xs[0], rel_tol=0.0)
 
 
+def test_map2_mul_steps_each_mix_of_changed_sides_by_the_product_rule():
+    # the fused map2 mul's step, one branch per mix of changed sides (left
+    # only, right only, both, neither), against a reference that never
+    # reaches _triv_source: per changed key fn((x ⊕ dx, y ⊕ dy)) ⊖ fn((x, y)),
+    # by apply_fn and diff_fn over dicts of its own.  Each side starts packed
+    # (n or n/8 entries) or a dict (n/8 - 1 or none), and inputs and changes
+    # hold ±0.0, ±inf and NaN.  Outputs are compared by repr (NaN and the
+    # sign of a zero count), caches by cache_equal at rel_tol 0 with NaN read
+    # as a value no input holds, as NaN ≠ NaN
+    n, inf, nan = 64, float("inf"), float("nan")
+    reg = linalg.register_linalg().registry
+    m = incrementalize(typecheck(map2(OpCall("mul")), TProd(arr(n, R), arr(n, R)), reg))
+    desc = m.cache.parts[1]
+    fn, ap, df, nil = reg.ops["mul"].fn, apply_fn(R), diff_fn(R), is_nil_fn(R)
+    rng = stable_rng(49, "map2-sides")
+    vals = [1.5, -2.0, 0.25, 3.0, -0.5, 0.0, -0.0, inf, -inf, nan]
+
+    def draw(keys):
+        return {i: rng.choice(vals) for i in keys}
+
+    def unnan(c):
+        return tuple(type(s)("d", (7777.0 if v != v else v for v in s)) if type(s) is array
+                     else {i: 7777.0 if v != v else v for i, v in s.items()} for s in c)
+
+    sizes = [n, n // 8, n // 8 - 1, 0]
+    for kx, ky in [(a, b) for a in sizes for b in sizes]:
+        ref = (draw(range(kx)), draw(range(n - ky, n)))
+        _, cache = m.init(tuple(s.copy() for s in ref))
+        c = cache[1]
+        layouts = [type(s) for s in c]
+        assert layouts == [array if k >= n // 8 else dict for k in (kx, ky)]
+        keys = rng.sample(range(n), 6)
+        stream = [(draw(keys[:4]), {}), ({}, draw(keys[2:])), ({}, {}),
+                  (draw(keys[:3]), draw(keys[1:])),  # keys in dx alone, in both, in dy alone
+                  (draw(keys[:2]), draw(keys[4:])),  # two sides, disjoint keys
+                  (draw(range(n // 8 - 1, n // 4)), {}), ({}, draw(range(n // 4, n // 2)))]
+        for d in stream:
+            dz, cache = m.step(d, cache)
+            assert cache[1] is c and [type(s) for s in c] == layouts  # in place, layout kept
+            want = {}
+            for i in d[0].keys() | d[1].keys():
+                old = tuple(s.get(i, 0.0) for s in ref)
+                new = tuple(ap(v, dv[i]) if i in dv else v for v, dv in zip(old, d))
+                if not nil(z := df(fn(new), fn(old))):
+                    want[i] = z
+                for s, dv, v in zip(ref, d, new):
+                    if i in dv:
+                        s[i] = v
+            assert repr(sorted(dz.items())) == repr(sorted(want.items())), d
+            assert cache_equal(desc, unnan(c), unnan(ref), rel_tol=0.0), d
+
+
 def test_the_generated_steps_of_relu_and_mul():
     # the fragment of map relu's arity-1 step and map2 mul's arity-2 step,
     # which every machine of them runs
@@ -1781,27 +1853,57 @@ for i, e in d.items():
     if dz:
         out[i] = dz
 d = out"""
+    # at arity 2, one loop per changed side: left only, right only, both
     assert incr._triv_source("x * y", R, R, R) == """\
 dx, dy = d
 cx, cy = c
 out = {}
-for i in (dx.keys() | dy.keys() if dx and dy else dx or dy):
-    try:
-        x = cx[i]
-    except KeyError:
-        x = ex
-    try:
-        y = cy[i]
-    except KeyError:
-        y = ey
-    x2, y2 = x, y
-    if i in dx:
-        cx[i] = x2 = (x + dx[i])
-    if i in dy:
-        cy[i] = y2 = (y + dy[i])
-    dz = ((x2 * y2) - (x * y))
-    if dz:
-        out[i] = dz
+if not dy:
+    for i, e in dx.items():
+        try:
+            x = cx[i]
+        except KeyError:
+            x = ex
+        try:
+            y = cy[i]
+        except KeyError:
+            y = ey
+        cx[i] = x2 = (x + e)
+        dz = ((x2 * y) - (x * y))
+        if dz:
+            out[i] = dz
+elif not dx:
+    for i, e in dy.items():
+        try:
+            x = cx[i]
+        except KeyError:
+            x = ex
+        try:
+            y = cy[i]
+        except KeyError:
+            y = ey
+        cy[i] = y2 = (y + e)
+        dz = ((x * y2) - (x * y))
+        if dz:
+            out[i] = dz
+else:
+    for i in dx.keys() | dy.keys():
+        try:
+            x = cx[i]
+        except KeyError:
+            x = ex
+        try:
+            y = cy[i]
+        except KeyError:
+            y = ey
+        x2, y2 = x, y
+        if i in dx:
+            cx[i] = x2 = (x + dx[i])
+        if i in dy:
+            cy[i] = y2 = (y + dy[i])
+        dz = ((x2 * y2) - (x * y))
+        if dz:
+            out[i] = dz
 d = out"""
     reg = linalg.register_linalg().registry
     for term, ty, text in [(Map(OpCall("relu")), arr(8, R), None),
